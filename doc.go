@@ -110,7 +110,18 @@
 // same API, the same concurrency contract (optimistic readers decode
 // through a hardened decoder and validate against the seqlock version as
 // before), and the same snapshot format on disk, so a directory written
-// compressed reopens uncompressed and vice versa. The trade is
+// compressed reopens uncompressed and vice versa.
+//
+// Both layouts run the same gate, batch and rebalancer code. Its
+// decisions read only metadata that stays uncompressed in every store —
+// per-segment cardinalities and minima, the chunk cardinality, the fence
+// keys — so the same op sequence yields the same structure either way.
+// The layout lives behind a small storage seam in internal/core: a view
+// of one segment as sorted pairs (a zero-copy alias of the slots, or a
+// block decoded into pooled scratch; racy variants for the seqlock
+// readers), "make this segment hold exactly these pairs" (nothing to do
+// for an alias edited in place, one encode for a block), and building
+// and installing a fresh chunk for rebalances and BulkLoad. The trade is
 // decode-on-read and re-encode-on-write at segment granularity: point
 // operations pay a bounded extra cost, while BulkLoad and Snapshot get
 // faster (one encode pass rides the layout pass; a checkpoint streams

@@ -13,6 +13,13 @@ import (
 	"pmago/internal/persist"
 )
 
+// inner aliases PMA so DB can embed it as an unexported field: the whole
+// read surface (Get, Scan, Len, Stats, ...) is promoted, but the in-memory
+// store cannot be reached from outside as db.PMA — whose Put would bypass
+// the write-ordering lock and let an acknowledged write fall between a
+// snapshot and the truncated WAL.
+type inner = PMA
+
 // DB is a durable PMA: the full PMA surface (reads and scans go straight to
 // the embedded in-memory store) with every update written ahead to a log in
 // the store's directory, checkpointable via Snapshot, and recovered by the
@@ -34,13 +41,6 @@ import (
 // preserves append order, so no surviving write was acknowledged after a
 // lost one. (Updates racing on the same key through different goroutines
 // are unordered, exactly as they are in memory.)
-// inner aliases PMA so DB can embed it as an unexported field: the whole
-// read surface (Get, Scan, Len, Stats, ...) is promoted, but the in-memory
-// store cannot be reached from outside as db.PMA — whose Put would bypass
-// the write-ordering lock and let an acknowledged write fall between a
-// snapshot and the truncated WAL.
-type inner = PMA
-
 type DB struct {
 	*inner
 	dir string

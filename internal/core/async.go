@@ -81,6 +81,7 @@ func (p *PMA) drainOneByOne(st *state, g *gate, ops []op) (reroute []op, release
 			// the transfer; the rebalancer's rebUnlock ends the odd
 			// period this writer's acquisition began.
 			g.lstate = lsTransferred
+			g.cond.Broadcast() // the master may already be parked in rebLock
 			g.mu.Unlock()
 			if m := p.metrics; m != nil && len(extra) > 0 {
 				m.DrainSize.Observe(uint64(len(extra)))

@@ -392,7 +392,7 @@ func (p *PMA) buildLoadedState(ks, vs []int64) *state {
 	plans := make([]destPlan, len(st.gates))
 	src := &sliceSource{ks: ks, vs: vs}
 	for i := range st.gates {
-		plans[i] = p.fillChunk(counts[i*st.spg:(i+1)*st.spg], st.b, src)
+		plans[i] = p.fillChunk(counts[i*st.spg:(i+1)*st.spg], src)
 	}
 	p.installState(st, plans, n)
 	return st

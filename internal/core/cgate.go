@@ -1,28 +1,48 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"pmago/internal/codec"
 	"pmago/internal/obs"
-	"pmago/internal/rma"
+	"pmago/internal/rewire"
 )
 
-// Compressed chunk storage (CPMA-style). When Config.CompressedChunks is
-// set, each segment's pairs are stored as one delta block (internal/codec:
-// uvarint count, zigzag first key, uvarint key gaps, zigzag values) instead
-// of fixed 16-byte slots in a rewire.Buffer. The gate's derived structure —
-// segCard, smin, gcard, fences — is unchanged, so findSeg, the calibrator
-// windows and all fence math work without touching the payload; only the
-// operations that read or write actual pairs decode, and they decode one
-// segment at a time into pooled scratch.
+// The segment-storage seam. A gate's derived structure — segCard, smin,
+// gcard, fences — is the same for every store, and everything the gate,
+// batch and rebalancer logic decides (window search, spread counts, minima
+// propagation, fence moves) is computed from it alone. How a segment's
+// pairs sit in memory is known only to this file:
 //
-// Concurrency contract. Latched paths (exclusive or shared) see well-formed
-// payloads by invariant and panic on a decode failure. The optimistic read
-// paths (getRacyC, collectRacyC) run concurrently with in-place re-encodes,
-// so every byte they read may be garbage: they clamp the payload length to
-// the backing array, lean on the hardened decoder (bounded appends, decode
-// or error, never a fault) and let the caller's seqlock version check
+//   - slots (the default): segment s is b fixed slots of the chunk's
+//     rewire.Buffer, pairs packed left; gate.buf is set, gate.cc is nil.
+//   - blocks (Config.CompressedChunks, CPMA-style): segment s is one
+//     internal/codec delta block (uvarint count, zigzag first key, uvarint
+//     key gaps, zigzag values) in gate.enc[s]; gate.cc is the store-wide
+//     scratch pool and gate.buf stays nil.
+//
+// The primitives the rest of the package builds on:
+//
+//   - view / viewChecked: segment s as sorted ks, vs under the latch. Slots
+//     alias the storage (capacity b, so a caller may grow the pair run in
+//     place); blocks decode into the caller's pooled scratch.
+//   - viewRacy / appendRacy: the same for the seqlock readers, clamped so
+//     garbage never faults; appendRacy delivers straight into the caller's
+//     buffer (one memmove for slots, decode-into-destination for blocks).
+//   - setSeg: make segment s hold exactly these pairs. A no-op beyond the
+//     cardinality when the slices are the slot alias; an encode for blocks.
+//   - newPlan / fillSeg / install: build a fresh chunk segment by segment
+//     for the rebalancer and BulkLoad, and swap it into a gate.
+//
+// Concurrency contract. Latched callers (exclusive or shared) see well-formed
+// payloads by invariant, and view panics on a decode failure. The optimistic
+// readers run concurrently with in-place slot writes and block re-encodes, so
+// every word they load may be garbage: the racy primitives copy slice headers
+// once, verify lengths against the fixed geometry, clamp cardinalities and
+// payload lengths, lean on the hardened decoder (bounded appends, decode or
+// error, never a fault) and leave it to the caller's version check to
 // discard the result. -race builds never reach them — read.go compiles the
 // optimistic paths out entirely.
 
@@ -38,71 +58,252 @@ type encSeg struct {
 	n    int32
 }
 
-// cScratch is one decode/encode workspace: ks/vs take a decoded segment
-// (or a gathered window — capacity is a full chunk), mk/mv take merge and
-// gather results, eb takes one segment's encoding.
+// cScratch is one decode/encode workspace of a block store: ks/vs take a
+// decoded segment, mk/mv a gathered window (capacity is a full chunk each),
+// eb one segment's encoding. Slot stores have none: their views alias the
+// storage, and a nil *cScratch is what every primitive expects from them.
 type cScratch struct {
 	ks, vs []int64
 	mk, mv []int64
 	eb     []byte
 }
 
-// cctx is the store-wide context for compressed gates: the scratch pool
-// and the metrics sink, reachable from gate methods that have no *PMA.
+// cctx is the store-wide context of a block store: the scratch pool and the
+// metrics sink, reachable from gate methods that have no *PMA. It is nil for
+// slot stores, which is what the primitives below branch on — the field is
+// fixed at gate creation, so the racy readers may test it too.
 type cctx struct {
 	pool    sync.Pool
-	chunk   int // spg * b: slots per chunk
-	b       int // slots per segment
 	metrics *obs.CoreMetrics
 }
 
 func newCctx(spg, b int, m *obs.CoreMetrics) *cctx {
-	c := &cctx{chunk: spg * b, b: b, metrics: m}
+	c := &cctx{metrics: m}
+	chunk := spg * b
 	c.pool.New = func() any {
 		return &cScratch{
-			ks: make([]int64, 0, c.chunk),
-			vs: make([]int64, 0, c.chunk),
-			mk: make([]int64, 0, c.chunk),
-			mv: make([]int64, 0, c.chunk),
-			eb: make([]byte, 0, codec.MaxEncodedLen(c.b)),
+			ks: make([]int64, 0, chunk),
+			vs: make([]int64, 0, chunk),
+			mk: make([]int64, 0, chunk),
+			mv: make([]int64, 0, chunk),
+			eb: make([]byte, 0, codec.MaxEncodedLen(b)),
 		}
 	}
 	return c
 }
 
-func (c *cctx) get() *cScratch  { return c.pool.Get().(*cScratch) }
-func (c *cctx) put(s *cScratch) { c.pool.Put(s) }
+// get hands out the scratch the view and setSeg calls of one operation
+// share: pooled for a block store, nil (nothing to decode into) for slots.
+func (c *cctx) get() *cScratch {
+	if c == nil {
+		return nil
+	}
+	return c.pool.Get().(*cScratch)
+}
 
-// decodeSegInto appends segment s's pairs to dk/dv. The caller holds the
-// latch, so the payload is well-formed by invariant: a decode error or
-// count mismatch here means corrupted memory, and failing loudly beats
-// serving wrong answers.
-func (g *gate) decodeSegInto(s int, dk, dv []int64) ([]int64, []int64) {
+func (c *cctx) put(sc *cScratch) {
+	if sc != nil {
+		c.pool.Put(sc)
+	}
+}
+
+// window returns empty buffers for gathering up to n pairs: the pooled
+// chunk-sized pair of a block store, fresh slices for a slot store.
+func (sc *cScratch) window(n int) (ks, vs []int64) {
+	if sc == nil {
+		return make([]int64, 0, n), make([]int64, 0, n)
+	}
+	return sc.mk[:0], sc.mv[:0]
+}
+
+// attachStorage gives a freshly made gate its empty chunk.
+func (p *PMA) attachStorage(g *gate) {
+	if p.cctx == nil {
+		g.buf = p.pool.Get()
+		return
+	}
+	g.cc = p.cctx
+	g.enc = make([]*encSeg, g.spg)
+}
+
+// Compressed reports whether the store uses the compressed chunk
+// representation (Config.CompressedChunks).
+func (p *PMA) Compressed() bool { return p.cctx != nil }
+
+// compressionStats fills the snapshot's gauges for a block store; the
+// encoded-byte sum walks the live gates without latching them.
+func (p *PMA) compressionStats(s *Stats) {
+	if p.cctx == nil {
+		return
+	}
+	s.Compression.Enabled = true
+	st := p.state.Load()
+	var bytes int64
+	for _, g := range st.gates {
+		bytes += g.encBytes.Load()
+	}
+	if bytes > 0 {
+		s.Compression.EncodedBytes = uint64(bytes)
+	}
+	s.Compression.Pairs = uint64(st.card.Load())
+}
+
+// --- latched reads ---
+
+// view returns segment s's pairs in key order. The caller holds the latch
+// (either mode) and passes the scratch of its operation; the result is valid
+// until the next view or setSeg through the same scratch. A holder of the
+// exclusive latch may modify the pairs and extend them up to b within the
+// slices' capacity, then must hand them to setSeg: for slots the edit already
+// is the store, for blocks it is a private copy until then. A decode failure
+// means corrupted memory, and failing loudly beats serving wrong answers.
+func (g *gate) view(s int, sc *cScratch) (ks, vs []int64) {
+	if g.cc == nil {
+		lo := s * g.b
+		hi, end := lo+g.segCard[s], lo+g.b
+		return g.buf.Keys[lo:hi:end], g.buf.Vals[lo:hi:end]
+	}
+	ks, vs, err := g.decodeSeg(s, sc)
+	if err != nil {
+		panic("core: corrupt compressed segment: " + err.Error())
+	}
+	if m := g.cc.metrics; m != nil && len(ks) > 0 {
+		m.SegDecodes.Inc()
+	}
+	return ks, vs
+}
+
+// viewChecked is view for Validate: corruption comes back as an error, and
+// the decode is not counted.
+func (g *gate) viewChecked(s int, sc *cScratch) (ks, vs []int64, err error) {
+	if g.cc == nil {
+		ks, vs = g.view(s, nil)
+		return ks, vs, nil
+	}
+	return g.decodeSeg(s, sc)
+}
+
+// decodeSeg decodes block s into sc.ks/sc.vs and checks it against segCard.
+func (g *gate) decodeSeg(s int, sc *cScratch) (ks, vs []int64, err error) {
+	ks, vs = sc.ks[:0], sc.vs[:0]
 	c := g.segCard[s]
 	if c == 0 {
-		return dk, dv
+		return ks, vs, nil
 	}
 	e := g.enc[s]
-	base := len(dk)
-	dk, dv, err := codec.DecodeBlock(e.data[:e.n], dk, dv, g.b)
-	if err != nil || len(dk)-base != c {
-		panic("core: corrupt compressed segment")
+	if e == nil || int(e.n) > len(e.data) {
+		return ks, vs, errors.New("bad encoded payload")
+	}
+	ks, vs, err = codec.DecodeBlock(e.data[:e.n], ks, vs, g.b)
+	if err != nil {
+		return ks, vs, fmt.Errorf("decode: %w", err)
+	}
+	if len(ks) != c || len(vs) != c {
+		return ks, vs, fmt.Errorf("decoded %d pairs, segCard %d", len(ks), c)
+	}
+	return ks, vs, nil
+}
+
+// checkStorage verifies the layout's own bookkeeping for Validate: empty
+// blocks hold no bytes and encBytes is the sum of the payload lengths.
+func (g *gate) checkStorage() error {
+	if g.cc == nil {
+		return nil
+	}
+	var sum int64
+	for s, e := range g.enc {
+		if e == nil {
+			continue
+		}
+		if g.segCard[s] == 0 && e.n != 0 {
+			return fmt.Errorf("empty segment %d holds %d encoded bytes", s, e.n)
+		}
+		sum += int64(e.n)
+	}
+	if tracked := g.encBytes.Load(); sum != tracked {
+		return fmt.Errorf("encoded bytes %d != tracked %d", sum, tracked)
+	}
+	return nil
+}
+
+// --- optimistic reads ---
+
+// viewRacy is view for a seqlock reader that needs one segment (Get): the
+// slot alias, or a decode into the reader's scratch. s must be in [0, spg).
+func (g *gate) viewRacy(s int, sc *cScratch) (ks, vs []int64) {
+	if g.cc == nil {
+		return g.slotsRacy(s)
+	}
+	return g.decodeRacy(s, sc.ks[:0], sc.vs[:0])
+}
+
+// appendRacy appends segment s's pairs to dk/dv for a seqlock reader that
+// copies a chunk out (Scan). It appends at most b pairs and keeps the two
+// slices the same length, so a chunk-sized buffer is never grown.
+func (g *gate) appendRacy(s int, dk, dv []int64) ([]int64, []int64) {
+	if g.cc == nil {
+		ks, vs := g.slotsRacy(s)
+		return append(dk, ks...), append(dv, vs...)
+	}
+	return g.decodeRacy(s, dk, dv)
+}
+
+func (g *gate) slotsRacy(s int) (ks, vs []int64) {
+	buf, segCard := g.buf, g.segCard
+	if buf == nil || len(segCard) < g.spg ||
+		len(buf.Keys) < g.spg*g.b || len(buf.Vals) < g.spg*g.b {
+		return nil, nil // torn headers; the version check will reject
+	}
+	lo := s * g.b
+	hi := lo + clampCard(segCard[s], g.b)
+	return buf.Keys[lo:hi], buf.Vals[lo:hi]
+}
+
+// decodeRacy appends block s to dk/dv, or nothing when the payload does not
+// decode: a torn block only ever accompanies a failed version check.
+func (g *gate) decodeRacy(s int, dk, dv []int64) ([]int64, []int64) {
+	enc := g.enc
+	if len(enc) < g.spg {
+		return dk, dv
+	}
+	e := enc[s]
+	if e == nil {
+		return dk, dv
+	}
+	n := int(e.n)
+	if n <= 0 {
+		return dk, dv
+	}
+	if n > len(e.data) {
+		n = len(e.data)
 	}
 	if m := g.cc.metrics; m != nil {
 		m.SegDecodes.Inc()
 	}
-	return dk, dv
+	ks, vs, err := codec.DecodeBlock(e.data[:n], dk, dv, g.b)
+	if err != nil {
+		return ks[:len(dk)], vs[:len(dv)]
+	}
+	return ks, vs
 }
 
-func (g *gate) decodeSeg(s int, sc *cScratch) ([]int64, []int64) {
-	return g.decodeSegInto(s, sc.ks[:0], sc.vs[:0])
-}
+// --- writes ---
 
-// encodeSegPairs rewrites segment s to hold exactly ks/vs, reusing the
-// existing backing array when the new payload fits and publishing a fresh
-// encSeg (with growth slack) otherwise. The caller holds the latch
-// exclusively and still owns segCard/smin bookkeeping.
-func (g *gate) encodeSegPairs(s int, ks, vs []int64, sc *cScratch) {
+// setSeg makes segment s hold exactly ks/vs (sorted, at most b pairs) and
+// records its cardinality; gcard and the minima stay with the caller, which
+// holds the latch exclusively. Slots copy unless ks/vs are the view's own
+// alias, in which case the pairs are already in place. Blocks re-encode,
+// reusing the backing array when the payload fits and publishing a fresh
+// encSeg with growth slack otherwise.
+func (g *gate) setSeg(s int, ks, vs []int64, sc *cScratch) {
+	g.segCard[s] = len(ks)
+	if g.cc == nil {
+		if lo := s * g.b; len(ks) > 0 && &ks[0] != &g.buf.Keys[lo] {
+			copy(g.buf.Keys[lo:lo+g.b], ks)
+			copy(g.buf.Vals[lo:lo+g.b], vs)
+		}
+		return
+	}
 	e := g.enc[s]
 	var old int64
 	if e != nil {
@@ -130,404 +331,69 @@ func (g *gate) encodeSegPairs(s int, ks, vs []int64, sc *cScratch) {
 	}
 }
 
-// getC is get for compressed chunks: decode the one covering segment and
-// binary-search the scratch copy.
-func (g *gate) getC(k int64) (int64, bool) {
-	s := g.findSeg(k)
-	if g.segCard[s] == 0 {
-		return 0, false
-	}
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	ks, vs := g.decodeSeg(s, sc)
-	if i := searchKeys(ks, k); i < len(ks) && ks[i] == k {
-		return vs[i], true
-	}
-	return 0, false
+// --- chunk construction ---
+
+// destPlan is the fully built replacement content for one gate, produced by
+// a worker (fillChunk) and published by the master.
+type destPlan struct {
+	buf      *rewire.Buffer // slots
+	enc      []*encSeg      // blocks
+	encBytes int64          // sum of the enc payload lengths
+	segCard  []int
+	smin     []int64
+	gcard    int
+	firstKey int64
+	hasKey   bool
 }
 
-// getRacyC is getC under the optimistic-read torn-read discipline: slice
-// headers copied once and length-checked, the payload length clamped to
-// its array, the decode bounded and allowed to fail. The caller discards
-// the result unless the gate version validates.
-func (g *gate) getRacyC(k int64) (int64, bool) {
-	enc, segCard, smin := g.enc, g.segCard, g.smin
-	if len(enc) < g.spg || len(smin) < g.spg || len(segCard) < g.spg {
-		return 0, false // torn headers; the version check will reject
-	}
-	s := findSegIn(smin, g.spg, k)
-	e := enc[s]
-	if e == nil {
-		return 0, false
-	}
-	n := int(e.n)
-	if n <= 0 {
-		return 0, false
-	}
-	if n > len(e.data) {
-		n = len(e.data)
-	}
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	if m := g.cc.metrics; m != nil {
-		m.SegDecodes.Inc()
-	}
-	ks, vs, err := codec.DecodeBlock(e.data[:n], sc.ks[:0], sc.vs[:0], g.b)
-	if err != nil {
-		return 0, false
-	}
-	if i := searchKeys(ks, k); i < len(ks) && ks[i] == k {
-		return vs[i], true
-	}
-	return 0, false
-}
-
-// putC is put for compressed chunks: decode the target segment, modify the
-// scratch copy, re-encode. Escalation (local window rebalance, then
-// putNeedsGlobal) mirrors the uncompressed path exactly.
-func (g *gate) putC(st *state, k, v int64) putResult {
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	s := g.findSeg(k)
-	ks, vs := g.decodeSeg(s, sc)
-	i := searchKeys(ks, k)
-	if i < len(ks) && ks[i] == k {
-		vs[i] = v
-		g.encodeSegPairs(s, ks, vs, sc)
-		return putReplaced
-	}
-	if g.segCard[s] == g.b {
-		ws, we, ok := g.localInsertWindow(st, s, 1)
-		if !ok {
-			return putNeedsGlobal
-		}
-		g.rebalanceLocalC(ws, we, sc)
-		if m := st.p.metrics; m != nil {
-			m.LocalRebalances.Inc()
-		}
-		s = g.findSeg(k)
-		ks, vs = g.decodeSeg(s, sc)
-		i = searchKeys(ks, k)
-	}
-	ks = append(ks, 0)
-	copy(ks[i+1:], ks[i:])
-	ks[i] = k
-	vs = append(vs, 0)
-	copy(vs[i+1:], vs[i:])
-	vs[i] = v
-	g.encodeSegPairs(s, ks, vs, sc)
-	g.segCard[s]++
-	g.gcard++
-	if i == 0 {
-		g.setSegMin(s, k)
-	}
-	if g.pred != nil {
-		g.pred.Record(k)
-	}
-	return putInserted
-}
-
-// delC is del for compressed chunks.
-func (g *gate) delC(k int64) bool {
-	s := g.findSeg(k)
-	if g.segCard[s] == 0 {
-		return false
-	}
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	ks, vs := g.decodeSeg(s, sc)
-	i := searchKeys(ks, k)
-	if i == len(ks) || ks[i] != k {
-		return false
-	}
-	copy(ks[i:], ks[i+1:])
-	copy(vs[i:], vs[i+1:])
-	ks = ks[:len(ks)-1]
-	vs = vs[:len(vs)-1]
-	g.encodeSegPairs(s, ks, vs, sc)
-	g.segCard[s]--
-	g.gcard--
-	if i == 0 {
-		if len(ks) > 0 {
-			g.setSegMin(s, ks[0])
-		} else {
-			g.clearSegMin(s)
-		}
-	}
-	return true
-}
-
-// rebalanceLocalC redistributes segments [ws, we) of a compressed chunk:
-// decode the window into scratch, re-encode it spread across the segments.
-func (g *gate) rebalanceLocalC(ws, we int, sc *cScratch) {
-	ks, vs := g.gatherLocalC(ws, we, sc)
-	g.spreadLocalC(ws, we, ks, vs, sc)
-}
-
-// gatherLocalC decodes the window's elements into sc.mk/sc.mv in key order.
-func (g *gate) gatherLocalC(ws, we int, sc *cScratch) (ks, vs []int64) {
-	ks, vs = sc.mk[:0], sc.mv[:0]
-	for s := ws; s < we; s++ {
-		ks, vs = g.decodeSegInto(s, ks, vs)
-	}
-	return ks, vs
-}
-
-// spreadLocalC writes the sorted elements across segments [ws, we),
-// re-encoding each segment and refreshing cardinalities and minima. Unlike
-// refreshMinima it reads the minima from the gathered keys — the encoded
-// payloads would need another decode.
-func (g *gate) spreadLocalC(ws, we int, ks, vs []int64, sc *cScratch) {
-	m := we - ws
-	var counts []int
-	if g.pred != nil {
-		counts = g.pred.AdaptiveCounts(ks, m, g.b)
+// newPlan starts an empty replacement chunk: a spare buffer from the rewire
+// pool, or spg unset blocks.
+func (p *PMA) newPlan(spg int) destPlan {
+	pl := destPlan{segCard: make([]int, spg), smin: make([]int64, spg)}
+	if p.cctx == nil {
+		pl.buf = p.pool.Get()
 	} else {
-		counts = rma.EvenCounts(len(ks), m)
+		pl.enc = make([]*encSeg, spg)
 	}
-	pos := 0
-	for i := 0; i < m; i++ {
-		s := ws + i
-		c := counts[i]
-		g.encodeSegPairs(s, ks[pos:pos+c], vs[pos:pos+c], sc)
-		g.segCard[s] = c
-		pos += c
-	}
-	inherit := int64(rma.KeyMax)
-	if we < g.spg {
-		inherit = g.smin[we]
-	}
-	for i := m - 1; i >= 0; i-- {
-		s := ws + i
-		pos -= counts[i]
-		if counts[i] > 0 {
-			g.smin[s] = ks[pos]
-			inherit = ks[pos]
-		} else {
-			g.smin[s] = inherit
-		}
-	}
-	for s := ws - 1; s >= 0 && g.segCard[s] == 0; s-- {
-		g.smin[s] = inherit
-	}
+	return pl
 }
 
-// mergeOpsInto merges sorted existing pairs with a key-sorted, deduplicated
-// insert run into dk/dv (append semantics), with inserts winning on equal
-// keys — the scratch-friendly sibling of mergeSorted (async.go).
-func mergeOpsInto(dk, dv, exK, exV []int64, ins []op) ([]int64, []int64) {
-	i, j := 0, 0
-	for i < len(exK) && j < len(ins) {
-		switch {
-		case exK[i] < ins[j].key:
-			dk = append(dk, exK[i])
-			dv = append(dv, exV[i])
-			i++
-		case exK[i] > ins[j].key:
-			dk = append(dk, ins[j].key)
-			dv = append(dv, ins[j].val)
-			j++
-		default:
-			dk = append(dk, ins[j].key)
-			dv = append(dv, ins[j].val)
-			i++
-			j++
-		}
+// fillSeg pulls the next c > 0 pairs from src into the plan's segment j and
+// returns the segment's first key. Slots are written in place — the single
+// copy that rewiring allows; blocks are staged through scratch and encoded
+// exactly sized: rebalanced chunks carry no slack, the first rewrite that
+// outgrows a payload adds it (setSeg).
+func (p *PMA) fillSeg(pl *destPlan, j, c int, src elemSource, sc *cScratch) int64 {
+	if p.cctx == nil {
+		lo := j * p.cfg.SegmentCapacity
+		src.copyInto(pl.buf.Keys[lo:lo+c], pl.buf.Vals[lo:lo+c])
+		return pl.buf.Keys[lo]
 	}
-	for ; i < len(exK); i++ {
-		dk = append(dk, exK[i])
-		dv = append(dv, exV[i])
+	ks, vs := sc.ks[:c], sc.vs[:c]
+	src.copyInto(ks, vs)
+	payload := codec.AppendBlock(sc.eb[:0], ks, vs)
+	data := make([]byte, len(payload))
+	copy(data, payload)
+	pl.enc[j] = &encSeg{data: data, n: int32(len(payload))}
+	pl.encBytes += int64(len(payload))
+	if m := p.metrics; m != nil {
+		m.ReencodeBytes.Add(uint64(len(payload)))
 	}
-	for ; j < len(ins); j++ {
-		dk = append(dk, ins[j].key)
-		dv = append(dv, ins[j].val)
-	}
-	return dk, dv
+	return ks[0]
 }
 
-// mergeBySegmentC is mergeBySegment for compressed chunks: the same
-// all-or-nothing two-pass shape, but each touched segment is decoded,
-// merged into scratch and re-encoded once instead of block-moved in place.
-func (g *gate) mergeBySegmentC(ins []op) (int, bool) {
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	type group struct {
-		s, lo, hi int // ins[lo:hi] targets segment s
-		fresh     int // keys in the group not already stored
-	}
-	groups := make([]group, 0, g.spg)
-	for lo := 0; lo < len(ins); {
-		s := g.findSeg(ins[lo].key)
-		hi := lo + 1
-		for hi < len(ins) && g.findSeg(ins[hi].key) == s {
-			hi++
-		}
-		ks, _ := g.decodeSeg(s, sc)
-		fresh := 0
-		for _, o := range ins[lo:hi] {
-			i := searchKeys(ks, o.key)
-			if i == len(ks) || ks[i] != o.key {
-				fresh++
-			}
-		}
-		if g.segCard[s]+fresh > g.b {
-			return 0, false
-		}
-		groups = append(groups, group{s: s, lo: lo, hi: hi, fresh: fresh})
-		lo = hi
-	}
-	delta := 0
-	for _, gr := range groups {
-		ks, vs := g.decodeSeg(gr.s, sc)
-		mk, mv := mergeOpsInto(sc.mk[:0], sc.mv[:0], ks, vs, ins[gr.lo:gr.hi])
-		g.encodeSegPairs(gr.s, mk, mv, sc)
-		g.segCard[gr.s] = len(mk)
-		g.gcard += gr.fresh
-		delta += gr.fresh
-		if g.smin[gr.s] != mk[0] {
-			g.setSegMin(gr.s, mk[0])
-		}
-	}
-	return delta, true
+// install swaps the plan's chunk and metadata into the gate — the O(1)
+// "rewiring" step — and recycles the storage it replaces. The caller holds
+// the latch exclusively, or the gate is not yet published.
+func (g *gate) install(pl *destPlan, pool *rewire.Pool) {
+	old := g.buf
+	g.buf, g.enc = pl.buf, pl.enc
+	g.encBytes.Store(pl.encBytes)
+	g.segCard, g.smin, g.gcard = pl.segCard, pl.smin, pl.gcard
+	pool.Put(old)
 }
 
-// mergeLocalC is mergeLocal for compressed chunks: a single-segment merge
-// re-encodes once; the window path gathers decoded pairs, merges and
-// spreads re-encoded segments under the same calibrator thresholds.
-func (g *gate) mergeLocalC(st *state, ins []op) (int, bool) {
-	n := len(ins)
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	s0 := g.findSeg(ins[0].key)
-	s1 := g.findSeg(ins[n-1].key)
-
-	if s0 == s1 && g.segCard[s0]+n <= g.b {
-		ks, vs := g.decodeSeg(s0, sc)
-		mk, mv := mergeOpsInto(sc.mk[:0], sc.mv[:0], ks, vs, ins)
-		delta := len(mk) - len(ks)
-		g.encodeSegPairs(s0, mk, mv, sc)
-		g.segCard[s0] = len(mk)
-		g.gcard += delta
-		if g.smin[s0] != mk[0] {
-			g.setSegMin(s0, mk[0])
-		}
-		return delta, true
-	}
-
-	h := st.height
-	maxLevel := log2(g.spg) + 1
-	for k := 2; k <= maxLevel; k++ {
-		w := 1 << (k - 1)
-		ws := s0 &^ (w - 1)
-		we := ws + w
-		if s1 >= we {
-			continue // window does not cover the batch's key span
-		}
-		cardW := 0
-		for i := ws; i < we; i++ {
-			cardW += g.segCard[i]
-		}
-		_, tau := st.thresholds(k, h)
-		if float64(cardW+n) <= tau*float64(w*g.b) && cardW+n <= w*(g.b-1) {
-			exK, exV := g.gatherLocalC(ws, we, sc)
-			ks, vs := mergeSorted(exK, exV, ins)
-			g.spreadLocalC(ws, we, ks, vs, sc)
-			delta := len(ks) - len(exK)
-			g.gcard += delta
-			if m := st.p.metrics; m != nil {
-				m.LocalRebalances.Inc()
-			}
-			return delta, true
-		}
-	}
-	return 0, false
-}
-
-// scanFromC streams the chunk's elements with key in [from, hi] in order,
-// decoding one segment at a time into pooled scratch.
-func (g *gate) scanFromC(from, hi int64, fn func(k, v int64) bool) bool {
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	for s := g.findSeg(from); s < g.spg; s++ {
-		if g.segCard[s] == 0 {
-			continue
-		}
-		ks, vs := g.decodeSeg(s, sc)
-		i := 0
-		if ks[0] < from {
-			// Only the covering segment can hold keys below from: minima
-			// are non-decreasing, so every later segment starts above it.
-			i = searchKeys(ks, from)
-		}
-		for ; i < len(ks); i++ {
-			if ks[i] > hi {
-				return true
-			}
-			if !fn(ks[i], vs[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// collectRacyC is collectRacy for compressed chunks: bounded clamped
-// decodes per segment, at most spg*b appends in total, result meaningless
-// unless the caller validates the gate version afterwards. Each segment
-// decodes straight into the destination buffers — no intermediate scratch,
-// no per-pair range checks — with the [from, hi] trim done by binary
-// search on the decoded run: only the covering segment can hold keys below
-// from, and a key above hi ends the whole collection. A decode error keeps
-// the pairs recovered before it — garbage either truncates the copy or
-// admits out-of-range elements, both discarded with the failed validation.
-func (g *gate) collectRacyC(from, hi int64, ks, vs []int64) ([]int64, []int64) {
-	enc, segCard, smin := g.enc, g.segCard, g.smin
-	if len(enc) < g.spg || len(smin) < g.spg || len(segCard) < g.spg {
-		return ks, vs
-	}
-	first := true
-	for s := findSegIn(smin, g.spg, from); s < g.spg; s++ {
-		if clampCard(segCard[s], g.b) == 0 {
-			continue
-		}
-		e := enc[s]
-		if e == nil {
-			continue
-		}
-		n := int(e.n)
-		if n <= 0 {
-			continue
-		}
-		if n > len(e.data) {
-			n = len(e.data)
-		}
-		if m := g.cc.metrics; m != nil {
-			m.SegDecodes.Inc()
-		}
-		kb, vb := len(ks), len(vs)
-		dk, dv, err := codec.DecodeBlock(e.data[:n], ks, vs, g.b)
-		if err != nil {
-			// Keep pairs aligned across a partial decode (keys are
-			// appended before values, so the key run can be longer).
-			if nk, nv := len(dk)-kb, len(dv)-vb; nk > nv {
-				dk = dk[:kb+nv]
-			} else if nv > nk {
-				dv = dv[:vb+nk]
-			}
-		}
-		ks, vs = dk, dv
-		if first {
-			first = false
-			if cut := kb + searchKeys(ks[kb:], from); cut > kb {
-				kept := copy(ks[kb:], ks[cut:])
-				copy(vs[kb:], vs[cut:])
-				ks, vs = ks[:kb+kept], vs[:vb+kept]
-			}
-		}
-		if l := len(ks); l > kb && ks[l-1] > hi {
-			cut := kb + searchKeys(ks[kb:], hi+1)
-			return ks[:cut], vs[:cut]
-		}
-	}
-	return ks, vs
-}
+// retire returns a retired gate's buffer to the pool. The gate keeps its
+// reference: readers still holding the gate discard whatever they read from
+// it (see resize).
+func (g *gate) retire(pool *rewire.Pool) { pool.Put(g.buf) }

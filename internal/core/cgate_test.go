@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmago/internal/codec"
@@ -107,8 +108,8 @@ func TestCompressedModelEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompressedBulkLoad pins the BulkLoad path through fillChunkC and the
-// encoded-bytes accounting surfaced by Stats.
+// TestCompressedBulkLoad pins the BulkLoad path through fillChunk's block
+// encoding and the encoded-bytes accounting surfaced by Stats.
 func TestCompressedBulkLoad(t *testing.T) {
 	const n = 50_000
 	keys := make([]int64, n)
@@ -218,25 +219,63 @@ func TestCompressedScanBlocksEmpty(t *testing.T) {
 
 // TestCompressedMatchesUncompressed drives the same operation sequence into
 // a compressed and an uncompressed store and requires identical content —
-// the representation must be invisible to every caller.
+// the representation must be invisible to every caller — and, because both
+// layouts run the same gate, batch and rebalancer code over the storage seam,
+// an identical structure: per-gate fences, gcard, segCard and smin, and the
+// same number of local rebalances, global rebalances and resizes. The script
+// is single-threaded and quiesces after every op (shrink requests and
+// ModeBatch hand-offs are served asynchronously by the master), so the
+// structure is a function of the op sequence alone. Its batches are shaped to
+// take every insert path: sparse ones merge by segment, short clustered ones
+// overflow a segment into a window mergeLocal (in ModeBatch each point Put is
+// a one-op batch through single-segment mergeLocal), long ones are handed to
+// the rebalancer, and range deletes bring the array back down through
+// shrinks.
 func TestCompressedMatchesUncompressed(t *testing.T) {
 	for _, mode := range allModes() {
 		cu := newTest(t, mode)
 		cc := newTestC(t, mode)
-		rng := rand.New(rand.NewSource(11))
-		for i := 0; i < 20_000; i++ {
-			k := rng.Int63n(1 << 12)
-			if rng.Intn(4) == 0 {
-				cu.Delete(k)
-				cc.Delete(k)
-			} else {
-				v := rng.Int63()
-				cu.Put(k, v)
-				cc.Put(k, v)
+		both := func(f func(p *PMA)) {
+			for _, p := range []*PMA{cu, cc} {
+				f(p)
+				p.Flush()
 			}
 		}
-		cu.Flush()
-		cc.Flush()
+		rng := rand.New(rand.NewSource(11))
+		const domain = 1 << 12
+		run := func(n int) (ks, vs []int64) {
+			base := rng.Int63n(domain)
+			for i := 0; i < n; i++ {
+				ks = append(ks, base+int64(i))
+				vs = append(vs, rng.Int63())
+			}
+			return ks, vs
+		}
+		for i := 0; i < 20_000; i++ {
+			k := rng.Int63n(domain)
+			switch r := rng.Intn(100); {
+			case r < 25:
+				both(func(p *PMA) { p.Delete(k) })
+			case r < 94:
+				v := rng.Int63()
+				both(func(p *PMA) { p.Put(k, v) })
+			case r < 96: // sparse batch
+				ks, vs := make([]int64, 1+rng.Intn(8)), make([]int64, 8)
+				for j := range ks {
+					ks[j] = rng.Int63n(domain)
+				}
+				both(func(p *PMA) { p.PutBatch(ks, vs[:len(ks)]) })
+			case r < 98: // short clustered batch
+				ks, vs := run(3 + rng.Intn(10))
+				both(func(p *PMA) { p.PutBatch(ks, vs) })
+			case r < 99: // long clustered batch
+				ks, vs := run(64 + rng.Intn(256))
+				both(func(p *PMA) { p.PutBatch(ks, vs) })
+			default:
+				ks, _ := run(1 + rng.Intn(400))
+				both(func(p *PMA) { p.DeleteBatch(ks) })
+			}
+		}
 		ku, kc := cu.Keys(), cc.Keys()
 		if len(ku) != len(kc) {
 			t.Fatalf("%v: %d keys uncompressed, %d compressed", mode, len(ku), len(kc))
@@ -249,6 +288,27 @@ func TestCompressedMatchesUncompressed(t *testing.T) {
 			vc, ok := cc.Get(kc[i])
 			if !ok || vu != vc {
 				t.Fatalf("%v: value for %d differs: %d vs %d,%v", mode, ku[i], vu, vc, ok)
+			}
+		}
+
+		ru, rc := cu.Stats().Rebalance, cc.Stats().Rebalance
+		if ru.Local != rc.Local || ru.Global != rc.Global || ru.Resizes != rc.Resizes {
+			t.Fatalf("%v: rebalances local/global/resizes %d/%d/%d uncompressed, %d/%d/%d compressed",
+				mode, ru.Local, ru.Global, ru.Resizes, rc.Local, rc.Global, rc.Resizes)
+		}
+		if ru.Local == 0 || ru.Global == 0 || ru.Resizes < 2 {
+			t.Fatalf("%v: script too tame: %d local, %d global rebalances, %d resizes", mode, ru.Local, ru.Global, ru.Resizes)
+		}
+		gu, gc := cu.state.Load().gates, cc.state.Load().gates
+		if len(gu) != len(gc) {
+			t.Fatalf("%v: %d gates uncompressed, %d compressed", mode, len(gu), len(gc))
+		}
+		for i := range gu {
+			u, c := gu[i], gc[i]
+			if u.fenceLo != c.fenceLo || u.fenceHi != c.fenceHi || u.gcard != c.gcard ||
+				!slices.Equal(u.segCard, c.segCard) || !slices.Equal(u.smin, c.smin) {
+				t.Fatalf("%v: gate %d differs:\n uncompressed fences [%d,%d] gcard %d segCard %v smin %v\n compressed   fences [%d,%d] gcard %d segCard %v smin %v",
+					mode, i, u.fenceLo, u.fenceHi, u.gcard, u.segCard, u.smin, c.fenceLo, c.fenceHi, c.gcard, c.segCard, c.smin)
 			}
 		}
 	}

@@ -231,8 +231,8 @@ type PMA struct {
 	gc     *epoch.Collector
 	reb    *rebalancer
 
-	// cctx is non-nil exactly when Config.CompressedChunks is set; gates of
-	// a compressed store carry it instead of a rewire buffer (cgate.go).
+	// cctx is non-nil exactly when Config.CompressedChunks is set: the
+	// store's segments are delta blocks instead of slots (cgate.go).
 	cctx *cctx
 
 	// scanBufs recycles the per-Scan chunk copies of the copy-out read
@@ -336,11 +336,8 @@ func (p *PMA) newState(numGates int) *state {
 		if p.adaptive {
 			pred = rma.NewPredictor(p.cfg.PredictorSize)
 		}
-		var buf *rewire.Buffer
-		if p.cctx == nil {
-			buf = p.pool.Get()
-		}
-		st.gates[i] = newGate(i, st.spg, st.b, buf, pred, p.cctx)
+		st.gates[i] = newGate(i, st.spg, st.b, pred)
+		p.attachStorage(st.gates[i])
 	}
 	// Degenerate fences for an all-empty array: gate 0 owns everything.
 	st.gates[0].fenceLo = rma.KeyMin
@@ -399,24 +396,9 @@ func (p *PMA) NumGates() int {
 func (p *PMA) Stats() Stats {
 	s := p.metrics.Snapshot()
 	s.Rebalance.EpochReclaimed = uint64(p.epochs.Reclaimed())
-	if p.cctx != nil {
-		s.Compression.Enabled = true
-		st := p.state.Load()
-		var bytes int64
-		for _, g := range st.gates {
-			bytes += g.encBytes.Load()
-		}
-		if bytes > 0 {
-			s.Compression.EncodedBytes = uint64(bytes)
-		}
-		s.Compression.Pairs = uint64(st.card.Load())
-	}
+	p.compressionStats(&s)
 	return s
 }
-
-// Compressed reports whether the store uses the compressed chunk
-// representation (Config.CompressedChunks).
-func (p *PMA) Compressed() bool { return p.cctx != nil }
 
 // Mode returns the configured update-processing mode.
 func (p *PMA) Mode() Mode { return p.cfg.Mode }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -65,7 +64,6 @@ type gate struct {
 	// --- latch-protected fields ---
 	fenceLo int64 // minimum key this chunk may store (inclusive)
 	fenceHi int64 // maximum key this chunk may store (inclusive)
-	buf     *rewire.Buffer
 	segCard []int
 	smin    []int64 // per-segment minima; empty segments inherit from the right
 	gcard   int     // elements stored in this chunk
@@ -73,15 +71,13 @@ type gate struct {
 	lastReb int64   // monotonic nanos of the last global rebalance (tdelay)
 	pred    *rma.Predictor
 
-	// Compressed-chunk storage (cgate.go): non-nil exactly when the store
-	// was built with Config.CompressedChunks, in which case buf stays nil
-	// and each segment's pairs live delta-encoded in enc[s] (nil element =
-	// never-encoded empty segment). Like buf/segCard/smin, enc is swapped
-	// whole under the latch and its length is always spg, so the racy
-	// readers' torn-header discipline carries over unchanged. encBytes is
-	// the sum of the segments' encoded lengths, atomic so Stats can walk
-	// the live gates without latching them. cc is the store-wide scratch
-	// pool and metrics context, fixed at creation.
+	// Chunk storage, owned by the seam in cgate.go: a slot store sets buf,
+	// a block store sets enc (length spg, nil element = never-encoded empty
+	// segment) and cc. Like segCard/smin, buf and enc are swapped whole under
+	// the latch, so the racy readers' torn-header discipline covers them.
+	// encBytes is the sum of the blocks' payload lengths, atomic so Stats can
+	// walk the live gates without latching them.
+	buf      *rewire.Buffer
 	enc      []*encSeg
 	encBytes atomic.Int64
 	cc       *cctx
@@ -91,21 +87,16 @@ type gate struct {
 	b   int // slots per segment
 }
 
-func newGate(idx, spg, b int, buf *rewire.Buffer, pred *rma.Predictor, cc *cctx) *gate {
+func newGate(idx, spg, b int, pred *rma.Predictor) *gate {
 	g := &gate{
 		idx:     idx,
 		spg:     spg,
 		b:       b,
-		buf:     buf,
 		segCard: make([]int, spg),
 		smin:    make([]int64, spg),
 		fenceLo: rma.KeyMin,
 		fenceHi: rma.KeyMax,
 		pred:    pred,
-		cc:      cc,
-	}
-	if cc != nil {
-		g.enc = make([]*encSeg, spg)
 	}
 	g.cond.L = &g.mu
 	for i := range g.smin {
@@ -177,10 +168,13 @@ func (g *gate) unlockX() {
 // state: the latch stays exclusive, but the rebalancer may adopt it without
 // waiting. This is what prevents the master from deadlocking against writers
 // that queued rebalance requests behind the one being served. The version
-// stays odd across the whole hand-off — the latch never becomes free.
+// stays odd across the whole hand-off — the latch never becomes free. The
+// broadcast wakes a master already parked in rebLock on this gate (it reached
+// it while widening another request's window).
 func (g *gate) transferToReb() {
 	g.mu.Lock()
 	g.lstate = lsTransferred
+	g.cond.Broadcast()
 	g.mu.Unlock()
 }
 
@@ -249,15 +243,15 @@ func clampCard(c, b int) int {
 
 // get looks k up within the chunk.
 func (g *gate) get(k int64) (int64, bool) {
-	if g.enc != nil {
-		return g.getC(k)
-	}
 	s := g.findSeg(k)
-	base := s * g.b
-	keys := g.buf.Keys[base : base+g.segCard[s]]
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	if i < len(keys) && keys[i] == k {
-		return g.buf.Vals[base+i], true
+	if g.segCard[s] == 0 {
+		return 0, false
+	}
+	sc := g.cc.get()
+	defer g.cc.put(sc)
+	ks, vs := g.view(s, sc)
+	if i := searchKeys(ks, k); i < len(ks) && ks[i] == k {
+		return vs[i], true
 	}
 	return 0, false
 }
@@ -268,27 +262,21 @@ func (g *gate) get(k int64) (int64, bool) {
 // the result unless the gate's version was stable across the call; the job
 // here is merely to never fault on garbage. Slice headers are copied to
 // locals once (a concurrent publish replaces them whole; the referenced
-// arrays stay live through the local copies), lengths are verified against
-// the fixed geometry, and the per-segment cardinality is clamped to [0, b],
-// so all indexing stays in bounds no matter what was read.
-func (g *gate) getRacy(k int64) (int64, bool) {
-	if g.enc != nil {
-		return g.getRacyC(k)
+// arrays stay live through the local copies) and verified against the fixed
+// geometry, here for the minima and in viewRacy for the pairs, so all
+// indexing stays in bounds no matter what was read.
+func (g *gate) getRacy(k int64) (v int64, ok bool) {
+	smin := g.smin
+	if len(smin) < g.spg {
+		return 0, false // torn header; the version check will reject
 	}
-	buf, segCard, smin := g.buf, g.segCard, g.smin
-	if buf == nil || len(smin) < g.spg || len(segCard) < g.spg ||
-		len(buf.Keys) < g.spg*g.b || len(buf.Vals) < g.spg*g.b {
-		return 0, false // torn headers; the version check will reject
+	sc := g.cc.get()
+	ks, vs := g.viewRacy(findSegIn(smin, g.spg, k), sc)
+	if i := searchKeys(ks, k); i < len(ks) && ks[i] == k {
+		v, ok = vs[i], true
 	}
-	s := findSegIn(smin, g.spg, k)
-	c := clampCard(segCard[s], g.b)
-	base := s * g.b
-	keys := buf.Keys[base : base+c]
-	i := searchKeys(keys, k)
-	if i < c && keys[i] == k {
-		return buf.Vals[base+i], true
-	}
-	return 0, false
+	g.cc.put(sc)
+	return v, ok
 }
 
 // putResult describes the outcome of an in-gate insert attempt.
@@ -305,73 +293,74 @@ const (
 // cannot absorb the insert under its calibrator threshold, in which case
 // nothing was modified.
 func (g *gate) put(st *state, k, v int64) putResult {
-	if g.enc != nil {
-		return g.putC(st, k, v)
-	}
+	sc := g.cc.get()
+	defer g.cc.put(sc)
 	s := g.findSeg(k)
-	base := s * g.b
-	keys := g.buf.Keys[base : base+g.segCard[s]]
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	if i < len(keys) && keys[i] == k {
-		g.buf.Vals[base+i] = v
+	ks, vs := g.view(s, sc)
+	i := searchKeys(ks, k)
+	if i < len(ks) && ks[i] == k {
+		vs[i] = v
+		g.setSeg(s, ks, vs, sc)
 		return putReplaced
 	}
-	if g.segCard[s] == g.b {
-		ws, we, ok := g.localInsertWindow(st, s, 1)
+	if len(ks) == g.b {
+		ws, we, ok := g.localWindow(st, s, s, 1)
 		if !ok {
 			return putNeedsGlobal
 		}
-		g.rebalanceLocal(ws, we)
+		g.rebalanceLocal(ws, we, sc)
 		if m := st.p.metrics; m != nil {
 			m.LocalRebalances.Inc()
 		}
 		s = g.findSeg(k)
-		base = s * g.b
-		keys = g.buf.Keys[base : base+g.segCard[s]]
-		i = sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
+		ks, vs = g.view(s, sc)
+		i = searchKeys(ks, k)
 	}
-	g.insertAt(s, i, k, v)
+	ks, vs = insertPair(ks, vs, i, k, v)
+	g.setSeg(s, ks, vs, sc)
+	g.gcard++
+	if i == 0 {
+		g.setSegMin(s, k)
+	}
 	if g.pred != nil {
 		g.pred.Record(k)
 	}
 	return putInserted
 }
 
-// insertAt places k/v at offset i of segment s (which has a free slot).
-func (g *gate) insertAt(s, i int, k, v int64) {
-	base := s * g.b
-	c := g.segCard[s]
-	copy(g.buf.Keys[base+i+1:base+c+1], g.buf.Keys[base+i:base+c])
-	copy(g.buf.Vals[base+i+1:base+c+1], g.buf.Vals[base+i:base+c])
-	g.buf.Keys[base+i] = k
-	g.buf.Vals[base+i] = v
-	g.segCard[s] = c + 1
-	g.gcard++
-	if i == 0 {
-		g.setSegMin(s, k)
-	}
+// insertPair places k/v at offset i of the viewed pairs, which have room to
+// grow in place (the segment has a gap, so the view has spare capacity).
+func insertPair(ks, vs []int64, i int, k, v int64) ([]int64, []int64) {
+	ks = append(ks, 0)
+	copy(ks[i+1:], ks[i:])
+	ks[i] = k
+	vs = append(vs, 0)
+	copy(vs[i+1:], vs[i:])
+	vs[i] = v
+	return ks, vs
 }
 
 // del removes k from the chunk, reporting whether it was present.
 func (g *gate) del(k int64) bool {
-	if g.enc != nil {
-		return g.delC(k)
-	}
 	s := g.findSeg(k)
-	base := s * g.b
-	c := g.segCard[s]
-	keys := g.buf.Keys[base : base+c]
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	if i == len(keys) || keys[i] != k {
+	if g.segCard[s] == 0 {
 		return false
 	}
-	copy(g.buf.Keys[base+i:base+c-1], g.buf.Keys[base+i+1:base+c])
-	copy(g.buf.Vals[base+i:base+c-1], g.buf.Vals[base+i+1:base+c])
-	g.segCard[s] = c - 1
+	sc := g.cc.get()
+	defer g.cc.put(sc)
+	ks, vs := g.view(s, sc)
+	i := searchKeys(ks, k)
+	if i == len(ks) || ks[i] != k {
+		return false
+	}
+	copy(ks[i:], ks[i+1:])
+	copy(vs[i:], vs[i+1:])
+	ks, vs = ks[:len(ks)-1], vs[:len(vs)-1]
+	g.setSeg(s, ks, vs, sc)
 	g.gcard--
 	if i == 0 {
-		if g.segCard[s] > 0 {
-			g.setSegMin(s, g.buf.Keys[base])
+		if len(ks) > 0 {
+			g.setSegMin(s, ks[0])
 		} else {
 			g.clearSegMin(s)
 		}
@@ -397,19 +386,23 @@ func (g *gate) clearSegMin(s int) {
 	}
 }
 
-// localInsertWindow walks the calibrator tree upward from segment s (local
-// index), considering only windows fully contained in this chunk, and
-// returns the smallest window that can absorb extra pending inserts within
-// its upper density threshold while leaving a free slot per segment.
-// Thresholds are evaluated against the global tree height (the chunk's
-// segments are leaves of the whole PMA's calibrator tree).
-func (g *gate) localInsertWindow(st *state, s, pending int) (ws, we int, ok bool) {
+// localWindow walks the calibrator tree upward from segment s0 (local
+// index), considering only windows fully contained in this chunk that also
+// cover segment s1 >= s0 (s1 == s0 for a point insert), and returns the
+// smallest one that can absorb pending extra inserts within its upper
+// density threshold while leaving a free slot per segment. Thresholds are
+// evaluated against the global tree height (the chunk's segments are leaves
+// of the whole PMA's calibrator tree).
+func (g *gate) localWindow(st *state, s0, s1, pending int) (ws, we int, ok bool) {
 	h := st.height
 	maxLevel := log2(g.spg) + 1
 	for k := 2; k <= maxLevel; k++ {
 		w := 1 << (k - 1)
-		ws = s &^ (w - 1)
+		ws = s0 &^ (w - 1)
 		we = ws + w
+		if s1 >= we {
+			continue
+		}
 		cardW := 0
 		for i := ws; i < we; i++ {
 			cardW += g.segCard[i]
@@ -423,32 +416,32 @@ func (g *gate) localInsertWindow(st *state, s, pending int) (ws, we int, ok bool
 }
 
 // rebalanceLocal redistributes segments [ws, we) of this chunk (a "local
-// rebalance", Section 3.3) using the adaptive policy when a predictor is
-// attached, the traditional even spread otherwise.
-func (g *gate) rebalanceLocal(ws, we int) {
-	ks, vs := g.gatherLocal(ws, we)
-	g.spreadLocal(ws, we, ks, vs)
+// rebalance", Section 3.3).
+func (g *gate) rebalanceLocal(ws, we int, sc *cScratch) {
+	ks, vs := g.gatherLocal(ws, we, sc)
+	g.spreadLocal(ws, we, ks, vs, sc)
 }
 
-// gatherLocal copies the window's elements into fresh slices in key order.
-func (g *gate) gatherLocal(ws, we int) (ks, vs []int64) {
+// gatherLocal copies the window's elements out of the chunk in key order.
+func (g *gate) gatherLocal(ws, we int, sc *cScratch) (ks, vs []int64) {
 	n := 0
 	for s := ws; s < we; s++ {
 		n += g.segCard[s]
 	}
-	ks = make([]int64, 0, n)
-	vs = make([]int64, 0, n)
+	ks, vs = sc.window(n)
 	for s := ws; s < we; s++ {
-		base := s * g.b
-		ks = append(ks, g.buf.Keys[base:base+g.segCard[s]]...)
-		vs = append(vs, g.buf.Vals[base:base+g.segCard[s]]...)
+		sk, sv := g.view(s, sc)
+		ks = append(ks, sk...)
+		vs = append(vs, sv...)
 	}
 	return ks, vs
 }
 
-// spreadLocal writes the sorted elements across segments [ws, we) and
-// refreshes cardinalities and minima.
-func (g *gate) spreadLocal(ws, we int, ks, vs []int64) {
+// spreadLocal writes the sorted elements (not aliasing the chunk) across
+// segments [ws, we) — by the adaptive policy when a predictor is attached,
+// the traditional even spread otherwise — and refreshes cardinalities and
+// minima, propagating inherited minima to empty segments on the left.
+func (g *gate) spreadLocal(ws, we int, ks, vs []int64, sc *cScratch) {
 	m := we - ws
 	var counts []int
 	if g.pred != nil {
@@ -456,33 +449,19 @@ func (g *gate) spreadLocal(ws, we int, ks, vs []int64) {
 	} else {
 		counts = rma.EvenCounts(len(ks), m)
 	}
-	pos := 0
-	for i := 0; i < m; i++ {
-		s := ws + i
-		base := s * g.b
-		c := counts[i]
-		copy(g.buf.Keys[base:base+c], ks[pos:pos+c])
-		copy(g.buf.Vals[base:base+c], vs[pos:pos+c])
-		g.segCard[s] = c
-		pos += c
-	}
-	g.refreshMinima(ws, we)
-}
-
-// refreshMinima recomputes smin for segments [ws, we) and propagates
-// inherited minima to empty segments on the left.
-func (g *gate) refreshMinima(ws, we int) {
+	pos := len(ks)
 	inherit := int64(rma.KeyMax)
 	if we < g.spg {
 		inherit = g.smin[we]
 	}
 	for s := we - 1; s >= ws; s-- {
-		if g.segCard[s] > 0 {
-			g.smin[s] = g.buf.Keys[s*g.b]
-			inherit = g.smin[s]
-		} else {
-			g.smin[s] = inherit
+		c := counts[s-ws]
+		pos -= c
+		g.setSeg(s, ks[pos:pos+c], vs[pos:pos+c], sc)
+		if c > 0 {
+			inherit = ks[pos]
 		}
+		g.smin[s] = inherit
 	}
 	for s := ws - 1; s >= 0 && g.segCard[s] == 0; s-- {
 		g.smin[s] = inherit
@@ -504,18 +483,57 @@ func searchKeys(a []int64, k int64) int {
 	return lo
 }
 
+// countFresh returns how many keys of the sorted run are not in sorted ks.
+func countFresh(ks []int64, run []op) int {
+	fresh := 0
+	for _, o := range run {
+		if i := searchKeys(ks, o.key); i == len(ks) || ks[i] != o.key {
+			fresh++
+		}
+	}
+	return fresh
+}
+
+// mergeRun upserts the key-sorted, deduplicated run into the sorted pairs
+// ks/vs in place and returns them grown by fresh == countFresh(ks, run),
+// which must fit their capacity. It merges from the back, block-moving the
+// span of existing elements between consecutive insertion points, so each
+// element moves at most once and those below the run's lowest insertion
+// point are never touched.
+func mergeRun(ks, vs []int64, run []op, fresh int) ([]int64, []int64) {
+	// ks[0:i] is the untouched original prefix; w is one past the next
+	// final slot to fill; w-i equals the fresh inserts still to place.
+	i, w := len(ks), len(ks)+fresh
+	ks, vs = ks[:w], vs[:w]
+	for j := len(run) - 1; j >= 0; j-- {
+		k := run[j].key
+		up := searchKeys(ks[:i], k+1) // first index with key > k
+		if t := i - up; t > 0 && w != i {
+			copy(ks[w-t:w], ks[up:i])
+			copy(vs[w-t:w], vs[up:i])
+		}
+		w -= i - up
+		i = up
+		if i > 0 && ks[i-1] == k {
+			i-- // upsert: the existing element is consumed
+		}
+		w--
+		ks[w] = k
+		vs[w] = run[j].val
+	}
+	return ks, vs
+}
+
 // mergeBySegment is the cheapest batch-insert path: the key-sorted,
 // deduplicated run (all within this gate's fences) is partitioned into
 // per-segment groups, and when every target segment can absorb its group's
 // genuinely new keys within capacity, each segment is rewritten with one
-// backward merge pass — no window search, no rebalance, and elements below
-// the group's lowest insertion point are never touched. Returns the number
+// backward merge pass — no window search, no rebalance. Returns the number
 // of newly created elements and whether the run fit; on false nothing was
 // modified.
 func (g *gate) mergeBySegment(ins []op) (int, bool) {
-	if g.enc != nil {
-		return g.mergeBySegmentC(ins)
-	}
+	sc := g.cc.get()
+	defer g.cc.put(sc)
 	type group struct {
 		s, lo, hi int // ins[lo:hi] targets segment s
 		fresh     int // keys in the group not already stored
@@ -527,54 +545,23 @@ func (g *gate) mergeBySegment(ins []op) (int, bool) {
 		for hi < len(ins) && g.findSeg(ins[hi].key) == s {
 			hi++
 		}
-		keys := g.buf.Keys[s*g.b : s*g.b+g.segCard[s]]
-		fresh := 0
-		for _, o := range ins[lo:hi] {
-			i := searchKeys(keys, o.key)
-			if i == len(keys) || keys[i] != o.key {
-				fresh++
-			}
-		}
-		if g.segCard[s]+fresh > g.b {
+		ks, _ := g.view(s, sc)
+		fresh := countFresh(ks, ins[lo:hi])
+		if len(ks)+fresh > g.b {
 			return 0, false
 		}
-		groups = append(groups, group{s: s, lo: lo, hi: hi, fresh: fresh})
+		groups = append(groups, group{s, lo, hi, fresh})
 		lo = hi
 	}
 	delta := 0
 	for _, gr := range groups {
-		base := gr.s * g.b
-		run := ins[gr.lo:gr.hi]
-		c := g.segCard[gr.s]
-		keys := g.buf.Keys[base : base+g.b]
-		vals := g.buf.Vals[base : base+g.b]
-		// Merge from the back, block-moving the span of existing elements
-		// between consecutive insertion points so each element moves at
-		// most once via copy. E[0:i] is the untouched original prefix; w
-		// is one past the next final slot to fill; w-i equals the fresh
-		// inserts still to place.
-		i, w := c, c+gr.fresh
-		for j := len(run) - 1; j >= 0; j-- {
-			k := run[j].key
-			up := searchKeys(keys[:i], k+1) // first index with key > k
-			if t := i - up; t > 0 && w != i {
-				copy(keys[w-t:w], keys[up:i])
-				copy(vals[w-t:w], vals[up:i])
-			}
-			w -= i - up
-			i = up
-			if i > 0 && keys[i-1] == k {
-				i-- // upsert: the existing element is consumed
-			}
-			w--
-			keys[w] = k
-			vals[w] = run[j].val
-		}
-		g.segCard[gr.s] = c + gr.fresh
+		ks, vs := g.view(gr.s, sc)
+		ks, vs = mergeRun(ks, vs, ins[gr.lo:gr.hi], gr.fresh)
+		g.setSeg(gr.s, ks, vs, sc)
 		g.gcard += gr.fresh
 		delta += gr.fresh
-		if g.smin[gr.s] != keys[0] {
-			g.setSegMin(gr.s, keys[0])
+		if g.smin[gr.s] != ks[0] {
+			g.setSegMin(gr.s, ks[0])
 		}
 	}
 	return delta, true
@@ -590,113 +577,110 @@ func (g *gate) mergeLocal(st *state, ins []op) (int, bool) {
 	if n == 0 {
 		return 0, true
 	}
-	if g.enc != nil {
-		return g.mergeLocalC(st, ins)
-	}
+	sc := g.cc.get()
+	defer g.cc.put(sc)
 	s0 := g.findSeg(ins[0].key)
 	s1 := g.findSeg(ins[n-1].key)
 
 	// Level 1: all insertions target a single segment with enough gaps
-	// (tau_1 = 1 allows filling it completely).
+	// (tau_1 = 1 allows filling it completely). Upserted one by one: the
+	// usual caller is a combining queue that absorbed a single op, which
+	// this serves with one search.
 	if s0 == s1 && g.segCard[s0]+n <= g.b {
-		base := s0 * g.b
-		delta := 0
+		ks, vs := g.view(s0, sc)
+		c := len(ks)
 		for _, o := range ins {
-			keys := g.buf.Keys[base : base+g.segCard[s0]]
-			i := sort.Search(len(keys), func(i int) bool { return keys[i] >= o.key })
-			if i < len(keys) && keys[i] == o.key {
-				g.buf.Vals[base+i] = o.val
-				continue
+			if i := searchKeys(ks, o.key); i < len(ks) && ks[i] == o.key {
+				vs[i] = o.val
+			} else {
+				ks, vs = insertPair(ks, vs, i, o.key, o.val)
 			}
-			g.insertAt(s0, i, o.key, o.val)
-			delta++
 		}
-		return delta, true
+		g.setSeg(s0, ks, vs, sc)
+		g.gcard += len(ks) - c
+		// The run is sorted, so only its first key can have become the
+		// minimum (an empty segment's inherited minimum lies above it).
+		// Comparing against ks[0] instead would touch a cache line the
+		// search and the shift may have left alone.
+		if ins[0].key < g.smin[s0] {
+			g.setSegMin(s0, ins[0].key)
+		}
+		return len(ks) - c, true
 	}
 
-	h := st.height
-	maxLevel := log2(g.spg) + 1
-	for k := 2; k <= maxLevel; k++ {
-		w := 1 << (k - 1)
-		ws := s0 &^ (w - 1)
-		we := ws + w
-		if s1 >= we {
-			continue // window does not cover the batch's key span
-		}
-		cardW := 0
-		for i := ws; i < we; i++ {
-			cardW += g.segCard[i]
-		}
-		_, tau := st.thresholds(k, h)
-		if float64(cardW+n) <= tau*float64(w*g.b) && cardW+n <= w*(g.b-1) {
-			exK, exV := g.gatherLocal(ws, we)
-			ks, vs := mergeSorted(exK, exV, ins)
-			g.spreadLocal(ws, we, ks, vs)
-			delta := len(ks) - len(exK)
-			g.gcard += delta
-			if m := st.p.metrics; m != nil {
-				m.LocalRebalances.Inc()
-			}
-			return delta, true
-		}
+	ws, we, ok := g.localWindow(st, s0, s1, n)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	exK, exV := g.gatherLocal(ws, we, sc)
+	ks, vs := mergeSorted(exK, exV, ins)
+	g.spreadLocal(ws, we, ks, vs, sc)
+	delta := len(ks) - len(exK)
+	g.gcard += delta
+	if m := st.p.metrics; m != nil {
+		m.LocalRebalances.Inc()
+	}
+	return delta, true
 }
 
 // scanFrom visits the chunk's elements with key in [from, hi], in order,
 // returning false if fn stopped the scan.
 func (g *gate) scanFrom(from, hi int64, fn func(k, v int64) bool) bool {
-	if g.enc != nil {
-		return g.scanFromC(from, hi, fn)
-	}
-	s := g.findSeg(from)
-	base := s * g.b
-	keys := g.buf.Keys[base : base+g.segCard[s]]
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= from })
-	for ; s < g.spg; s++ {
-		base = s * g.b
-		for c := g.segCard[s]; i < c; i++ {
-			k := g.buf.Keys[base+i]
-			if k > hi {
+	sc := g.cc.get()
+	defer g.cc.put(sc)
+	for s := g.findSeg(from); s < g.spg; s++ {
+		ks, vs := g.view(s, sc)
+		i := 0
+		if len(ks) > 0 && ks[0] < from {
+			// Only the covering segment can hold keys below from: minima
+			// are non-decreasing, so every later segment starts above it.
+			i = searchKeys(ks, from)
+		}
+		for ; i < len(ks); i++ {
+			if ks[i] > hi {
 				return true
 			}
-			if !fn(k, g.buf.Vals[base+i]) {
+			if !fn(ks[i], vs[i]) {
 				return false
 			}
 		}
-		i = 0
 	}
 	return true
 }
 
 // collectRacy is scanFrom for the optimistic read path: it appends the
-// chunk's pairs with key in [from, hi] to ks/vs without synchronisation,
-// under the same torn-read discipline as getRacy — clamped indexing, at most
-// spg*b appends, result meaningless unless the caller validates the gate
-// version afterwards. Garbage keys can only truncate the copy early or admit
-// out-of-range elements; both are discarded with the failed validation.
+// chunk's pairs with key in [from, hi] to ks/vs (equally long on entry)
+// without synchronisation, under the same torn-read discipline as getRacy —
+// at most spg*b appends, result meaningless unless the caller validates the
+// gate version afterwards. Each segment lands in the destination whole and
+// is trimmed by binary search: only the covering segment can hold keys
+// below from, and a key above hi ends the collection. Garbage keys can only
+// truncate the copy early or admit out-of-range elements; both are
+// discarded with the failed validation.
 func (g *gate) collectRacy(from, hi int64, ks, vs []int64) ([]int64, []int64) {
-	if g.enc != nil {
-		return g.collectRacyC(from, hi, ks, vs)
-	}
-	buf, segCard, smin := g.buf, g.segCard, g.smin
-	if buf == nil || len(smin) < g.spg || len(segCard) < g.spg ||
-		len(buf.Keys) < g.spg*g.b || len(buf.Vals) < g.spg*g.b {
+	smin := g.smin
+	if len(smin) < g.spg {
 		return ks, vs
 	}
-	s := findSegIn(smin, g.spg, from)
-	i := searchKeys(buf.Keys[s*g.b:s*g.b+clampCard(segCard[s], g.b)], from)
-	for ; s < g.spg; s++ {
-		base := s * g.b
-		for c := clampCard(segCard[s], g.b); i < c; i++ {
-			k := buf.Keys[base+i]
-			if k > hi {
-				return ks, vs
-			}
-			ks = append(ks, k)
-			vs = append(vs, buf.Vals[base+i])
+	first := true
+	for s := findSegIn(smin, g.spg, from); s < g.spg; s++ {
+		kb := len(ks)
+		ks, vs = g.appendRacy(s, ks, vs)
+		if len(ks) == kb {
+			continue
 		}
-		i = 0
+		if first {
+			first = false
+			if cut := kb + searchKeys(ks[kb:], from); cut > kb {
+				kept := copy(ks[kb:], ks[cut:])
+				copy(vs[kb:], vs[cut:])
+				ks, vs = ks[:kb+kept], vs[:kb+kept]
+			}
+		}
+		if l := len(ks); l > kb && ks[l-1] > hi {
+			cut := kb + searchKeys(ks[kb:], hi+1)
+			return ks[:cut], vs[:cut]
+		}
 	}
 	return ks, vs
 }

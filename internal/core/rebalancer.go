@@ -5,9 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"pmago/internal/codec"
 	"pmago/internal/obs"
-	"pmago/internal/rewire"
 	"pmago/internal/rma"
 )
 
@@ -393,8 +391,8 @@ type elemSource interface {
 }
 
 // gateCursor reads the window's existing elements in key order directly from
-// the (untouched) source buffers — the single-copy path that memory rewiring
-// enables: destinations are spare buffers, sources stay intact until the
+// the (untouched) source chunks — the single-copy path that memory rewiring
+// enables: destinations are spare chunks, sources stay intact until the
 // publish step swaps them.
 type gateCursor struct {
 	st  *state
@@ -403,14 +401,18 @@ type gateCursor struct {
 	s   int // current segment within gate
 	off int // offset within segment
 
-	// Compressed sources: the decode of the current segment, cached so the
-	// forward-only walk decodes each source segment exactly once.
-	ck, cv []int64
-	cg, cs int // segment identity of the cache; -1 = none
+	// The view of segment viewS of gate viewG (-1 = none), kept across calls
+	// so the forward-only walk views each source segment once; sc is the
+	// scratch backing it.
+	ks, vs       []int64
+	viewG, viewS int
+	sc           *cScratch
 }
 
+// newGateCursor positions a cursor skip elements into gates [glo, ghi). The
+// caller releases it once the fill is done.
 func newGateCursor(st *state, glo, ghi, skip int) *gateCursor {
-	c := &gateCursor{st: st, ghi: ghi, g: glo, cg: -1, cs: -1}
+	c := &gateCursor{st: st, ghi: ghi, g: glo, viewG: -1, viewS: -1, sc: st.p.cctx.get()}
 	for skip > 0 && c.g < ghi {
 		gc := st.gates[c.g].gcard
 		if skip >= gc {
@@ -433,6 +435,8 @@ func newGateCursor(st *state, glo, ghi, skip int) *gateCursor {
 	return c
 }
 
+func (c *gateCursor) release() { c.st.p.cctx.put(c.sc) }
+
 func (c *gateCursor) copyInto(dk, dv []int64) {
 	need := len(dk)
 	pos := 0
@@ -443,8 +447,7 @@ func (c *gateCursor) copyInto(dk, dv []int64) {
 			c.s, c.off = 0, 0
 			continue
 		}
-		sc := g.segCard[c.s]
-		run := sc - c.off
+		run := g.segCard[c.s] - c.off
 		if run <= 0 {
 			c.s++
 			c.off = 0
@@ -453,31 +456,15 @@ func (c *gateCursor) copyInto(dk, dv []int64) {
 		if run > need-pos {
 			run = need - pos
 		}
-		if g.enc != nil {
-			c.ensureDecoded(g)
-			copy(dk[pos:pos+run], c.ck[c.off:c.off+run])
-			copy(dv[pos:pos+run], c.cv[c.off:c.off+run])
-		} else {
-			base := c.s*g.b + c.off
-			copy(dk[pos:pos+run], g.buf.Keys[base:base+run])
-			copy(dv[pos:pos+run], g.buf.Vals[base:base+run])
+		if c.viewG != c.g || c.viewS != c.s {
+			c.ks, c.vs = g.view(c.s, c.sc)
+			c.viewG, c.viewS = c.g, c.s
 		}
+		copy(dk[pos:pos+run], c.ks[c.off:c.off+run])
+		copy(dv[pos:pos+run], c.vs[c.off:c.off+run])
 		c.off += run
 		pos += run
 	}
-}
-
-// ensureDecoded fills the cursor's cache with the current segment's pairs.
-func (c *gateCursor) ensureDecoded(g *gate) {
-	if c.cg == c.g && c.cs == c.s {
-		return
-	}
-	if c.ck == nil {
-		c.ck = make([]int64, 0, g.b)
-		c.cv = make([]int64, 0, g.b)
-	}
-	c.ck, c.cv = g.decodeSegInto(c.s, c.ck[:0], c.cv[:0])
-	c.cg, c.cs = c.g, c.s
 }
 
 // sliceSource feeds elements from the master's scratch arrays.
@@ -493,44 +480,23 @@ func (s *sliceSource) copyInto(dk, dv []int64) {
 	s.off += n
 }
 
-// destPlan is the fully built replacement content for one gate, produced by
-// a worker and published by the master.
-type destPlan struct {
-	buf      *rewire.Buffer
-	enc      []*encSeg // compressed stores: encoded segments instead of buf
-	encBytes int64     // sum of the enc payload lengths
-	segCard  []int
-	smin     []int64
-	gcard    int
-	firstKey int64
-	hasKey   bool
-}
-
-// fillChunk copies elements into a fresh buffer laid out per segCounts and
-// derives the chunk metadata. It is shared by the rebalancer's workers and
-// by BulkLoad's direct construction.
-func (p *PMA) fillChunk(segCounts []int, b int, src elemSource) destPlan {
-	if p.cctx != nil {
-		return p.fillChunkC(segCounts, src)
-	}
-	spg := len(segCounts)
-	pl := destPlan{
-		buf:     p.pool.Get(),
-		segCard: make([]int, spg),
-		smin:    make([]int64, spg),
-	}
+// fillChunk builds a fresh chunk laid out per segCounts from src and derives
+// the chunk metadata. It is shared by the rebalancer's workers and by
+// BulkLoad's direct construction.
+func (p *PMA) fillChunk(segCounts []int, src elemSource) destPlan {
+	pl := p.newPlan(len(segCounts))
+	sc := p.cctx.get()
+	defer p.cctx.put(sc)
 	for j, c := range segCounts {
-		base := j * b
 		if c > 0 {
-			src.copyInto(pl.buf.Keys[base:base+c], pl.buf.Vals[base:base+c])
+			pl.smin[j] = p.fillSeg(&pl, j, c, src, sc)
 		}
 		pl.segCard[j] = c
 		pl.gcard += c
 	}
 	inherit := int64(rma.KeyMax)
-	for j := spg - 1; j >= 0; j-- {
+	for j := len(segCounts) - 1; j >= 0; j-- {
 		if pl.segCard[j] > 0 {
-			pl.smin[j] = pl.buf.Keys[j*b]
 			inherit = pl.smin[j]
 		} else {
 			pl.smin[j] = inherit
@@ -539,51 +505,6 @@ func (p *PMA) fillChunk(segCounts []int, b int, src elemSource) destPlan {
 	if pl.gcard > 0 {
 		pl.firstKey = inherit // after the loop, inherit is the chunk minimum
 		pl.hasKey = true
-	}
-	return pl
-}
-
-// fillChunkC is fillChunk for compressed stores: each destination segment is
-// staged through a scratch decode of its pairs and encoded exactly-sized —
-// rebalanced chunks carry no slack; growth slack is added by the first
-// in-place rewrite that outgrows a payload (encodeSegPairs).
-func (p *PMA) fillChunkC(segCounts []int, src elemSource) destPlan {
-	spg := len(segCounts)
-	pl := destPlan{
-		segCard: make([]int, spg),
-		smin:    make([]int64, spg),
-		enc:     make([]*encSeg, spg),
-	}
-	sc := p.cctx.get()
-	defer p.cctx.put(sc)
-	for j, c := range segCounts {
-		if c > 0 {
-			ks, vs := sc.ks[:c], sc.vs[:c]
-			src.copyInto(ks, vs)
-			payload := codec.AppendBlock(sc.eb[:0], ks, vs)
-			data := make([]byte, len(payload))
-			copy(data, payload)
-			pl.enc[j] = &encSeg{data: data, n: int32(len(payload))}
-			pl.encBytes += int64(len(payload))
-			pl.smin[j] = ks[0]
-		}
-		pl.segCard[j] = c
-		pl.gcard += c
-	}
-	inherit := int64(rma.KeyMax)
-	for j := spg - 1; j >= 0; j-- {
-		if pl.segCard[j] > 0 {
-			inherit = pl.smin[j]
-		} else {
-			pl.smin[j] = inherit
-		}
-	}
-	if pl.gcard > 0 {
-		pl.firstKey = inherit
-		pl.hasKey = true
-	}
-	if m := p.metrics; m != nil && pl.encBytes > 0 {
-		m.ReencodeBytes.Add(uint64(pl.encBytes))
 	}
 	return pl
 }
@@ -630,7 +551,8 @@ func (r *rebalancer) executeRebalance(st *state, glo, ghi int, ins []op) {
 			}
 			tasks[i] = func() {
 				cur := newGateCursor(st, glo, ghi, skip)
-				plans[i] = r.p.fillChunk(segCounts, st.b, cur)
+				plans[i] = r.p.fillChunk(segCounts, cur)
+				cur.release()
 			}
 		}
 		r.parallel(tasks)
@@ -657,7 +579,7 @@ func (r *rebalancer) executeRebalance(st *state, glo, ghi int, ins []op) {
 		}
 		tasks[i] = func() {
 			src := &sliceSource{ks: r.scratchK, vs: r.scratchV, off: skip}
-			plans[i] = r.p.fillChunk(segCounts, st.b, src)
+			plans[i] = r.p.fillChunk(segCounts, src)
 		}
 	}
 	r.parallel(tasks)
@@ -726,15 +648,8 @@ func (r *rebalancer) publish(st *state, glo, ghi int, plans []destPlan) {
 	}
 	for i := ghi - 1; i >= glo; i-- {
 		g := st.gates[i]
-		pl := plans[i-glo]
-		old := g.buf
-		g.buf = pl.buf
-		g.enc = pl.enc
-		g.encBytes.Store(pl.encBytes)
-		g.segCard = pl.segCard
-		g.smin = pl.smin
-		g.gcard = pl.gcard
-		r.p.pool.Put(old)
+		pl := &plans[i-glo]
+		g.install(pl, r.p.pool)
 		if nextLo == rma.KeyMax {
 			g.fenceHi = rma.KeyMax
 		} else {
@@ -830,7 +745,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 		}
 		tasks[i] = func() {
 			src := &sliceSource{ks: r.scratchK, vs: r.scratchV, off: skip}
-			plans[i] = r.p.fillChunk(segCounts, st.b, src)
+			plans[i] = r.p.fillChunk(segCounts, src)
 		}
 	}
 	r.parallel(tasks)
@@ -860,7 +775,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 		g.lstate = lsFree
 		g.cond.Broadcast()
 		g.mu.Unlock()
-		p.pool.Put(g.buf)
+		g.retire(p.pool)
 	}
 	p.epochs.Retire(func() {})
 	if m := p.metrics; m != nil {
@@ -883,14 +798,8 @@ func (p *PMA) installState(st *state, plans []destPlan, total int) {
 	nextLo := int64(rma.KeyMax)
 	for i := len(st.gates) - 1; i >= 0; i-- {
 		g := st.gates[i]
-		p.pool.Put(g.buf) // replace the placeholder buffer from newState
-		pl := plans[i]
-		g.buf = pl.buf
-		g.enc = pl.enc
-		g.encBytes.Store(pl.encBytes)
-		g.segCard = pl.segCard
-		g.smin = pl.smin
-		g.gcard = pl.gcard
+		pl := &plans[i]
+		g.install(pl, p.pool) // replaces the empty chunk from newState
 		if nextLo == rma.KeyMax {
 			g.fenceHi = rma.KeyMax
 		} else {
@@ -958,7 +867,7 @@ func keyRange(ks []int64, lo, hi int64) []int64 {
 func countMerged(g *gate, ins []op, dels []int64) int {
 	count := g.gcard + len(ins)
 	i, j := 0, 0
-	forEachKey(g, func(k int64) {
+	forEachPair(g, func(k, _ int64) {
 		for i < len(ins) && ins[i].key < k {
 			i++
 		}
@@ -1010,44 +919,14 @@ func mergeInto(dk, dv []int64, g *gate, ins []op, dels []int64) {
 	}
 }
 
-// forEachKey visits the gate's stored keys in order.
-func forEachKey(g *gate, fn func(k int64)) {
-	if g.enc != nil {
-		sc := g.cc.get()
-		defer g.cc.put(sc)
-		for s := 0; s < g.spg; s++ {
-			ks, _ := g.decodeSeg(s, sc)
-			for _, k := range ks {
-				fn(k)
-			}
-		}
-		return
-	}
-	for s := 0; s < g.spg; s++ {
-		base := s * g.b
-		for i, c := 0, g.segCard[s]; i < c; i++ {
-			fn(g.buf.Keys[base+i])
-		}
-	}
-}
-
 // forEachPair visits the gate's stored pairs in order.
 func forEachPair(g *gate, fn func(k, v int64)) {
-	if g.enc != nil {
-		sc := g.cc.get()
-		defer g.cc.put(sc)
-		for s := 0; s < g.spg; s++ {
-			ks, vs := g.decodeSeg(s, sc)
-			for i := range ks {
-				fn(ks[i], vs[i])
-			}
-		}
-		return
-	}
+	sc := g.cc.get()
+	defer g.cc.put(sc)
 	for s := 0; s < g.spg; s++ {
-		base := s * g.b
-		for i, c := 0, g.segCard[s]; i < c; i++ {
-			fn(g.buf.Keys[base+i], g.buf.Vals[base+i])
+		ks, vs := g.view(s, sc)
+		for i := range ks {
+			fn(ks[i], vs[i])
 		}
 	}
 }

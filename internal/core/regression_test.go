@@ -107,3 +107,32 @@ func TestShrinkDuringBatchBacklog(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterKeepsParkedOps is a regression test for a lost update: the
+// rebalancer master parks displaced ops in a gate's combining queue holding
+// only the gate mutex (redistribute), so it can do so after an async writer
+// has won the latch and before that writer installs its own queue — which
+// used to overwrite the parked one.
+func TestWriterKeepsParkedOps(t *testing.T) {
+	for _, mode := range []Mode{ModeOneByOne, ModeBatch} {
+		p := newTest(t, mode)
+		st := p.state.Load()
+		g := st.gates[0]
+		own := op{key: 1, val: 1}
+		if p.lockForWrite(g, own) != lockAcquired {
+			t.Fatalf("%v: idle gate not acquired", mode)
+		}
+		g.mu.Lock()
+		g.q = &opQueue{ops: []op{{key: 2, val: 2}}}
+		g.mu.Unlock()
+		guard := p.epochs.Enter()
+		p.runWriter(st, g, own, guard)
+		guard.Leave()
+		p.Flush()
+		for k := int64(1); k <= 2; k++ {
+			if v, ok := p.Get(k); !ok || v != k {
+				t.Fatalf("%v: Get(%d) = %d,%v after the drain", mode, k, v, ok)
+			}
+		}
+	}
+}

@@ -73,7 +73,7 @@ func (p *PMA) ScanBlocks(fn func(payload []byte, pairs int) bool) bool {
 					if g.segCard[s] == 0 {
 						continue
 					}
-					ks, vs := g.decodeSeg(s, sc)
+					ks, vs := g.view(s, sc)
 					i := 0
 					if ks[0] < from {
 						i = searchKeys(ks, from)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"pmago/internal/codec"
 	"pmago/internal/rma"
 )
 
@@ -45,51 +44,20 @@ func (p *PMA) Validate() error {
 			if sep := st.index.Get(gi); gi > 0 && sep != g.fenceLo {
 				return fmt.Errorf("gate %d index separator %d != fenceLo %d", gi, sep, g.fenceLo)
 			}
-			// segKeys reads segment s's stored keys; compressed chunks
-			// are decoded with the hardened decoder so corruption reports
-			// as an error here instead of the latched paths' panic.
-			var sc *cScratch
-			if g.enc != nil {
-				sc = g.cc.get()
-				defer g.cc.put(sc)
-			}
+			// segKeys reads segment s's stored keys through the checked
+			// view, so a corrupt block reports as an error here instead of
+			// the latched paths' panic.
+			sc := g.cc.get()
+			defer g.cc.put(sc)
 			segKeys := func(s int) ([]int64, error) {
-				if g.segCard[s] == 0 {
-					// Empty segments hold no payload to decode; the
-					// empty-payload invariant (e.n == 0) is checked below.
-					return nil, nil
-				}
-				if g.enc == nil {
-					base := s * g.b
-					return g.buf.Keys[base : base+g.segCard[s]], nil
-				}
-				e := g.enc[s]
-				if e == nil || int(e.n) > len(e.data) {
-					return nil, fmt.Errorf("gate %d segment %d: bad encoded payload", gi, s)
-				}
-				ks, vs, err := codec.DecodeBlock(e.data[:e.n], sc.ks[:0], sc.vs[:0], g.b)
+				ks, _, err := g.viewChecked(s, sc)
 				if err != nil {
-					return nil, fmt.Errorf("gate %d segment %d: decode: %w", gi, s, err)
-				}
-				if len(ks) != g.segCard[s] || len(vs) != g.segCard[s] {
-					return nil, fmt.Errorf("gate %d segment %d: decoded %d pairs, segCard %d", gi, s, len(ks), g.segCard[s])
+					return nil, fmt.Errorf("gate %d segment %d: %w", gi, s, err)
 				}
 				return ks, nil
 			}
-			if g.enc != nil {
-				var sum int64
-				for s, e := range g.enc {
-					if e == nil {
-						continue
-					}
-					if g.segCard[s] == 0 && e.n != 0 {
-						return fmt.Errorf("gate %d empty segment %d holds %d encoded bytes", gi, s, e.n)
-					}
-					sum += int64(e.n)
-				}
-				if tracked := g.encBytes.Load(); sum != tracked {
-					return fmt.Errorf("gate %d encoded bytes %d != tracked %d", gi, sum, tracked)
-				}
+			if err := g.checkStorage(); err != nil {
+				return fmt.Errorf("gate %d: %w", gi, err)
 			}
 			gtotal := 0
 			inherit := int64(rma.KeyMax)

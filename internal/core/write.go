@@ -171,7 +171,13 @@ func (p *PMA) runWriter(st *state, g *gate, o op, guard *epoch.Guard) (done, res
 			_, result = g.get(o.key)
 		}
 		g.mu.Lock()
-		g.q = &opQueue{ops: []op{o}}
+		if g.q != nil {
+			// The master parked displaced ops here (redistribute takes
+			// only mu) after we won the latch: they are older than ours.
+			g.q.ops = append(g.q.ops, o)
+		} else {
+			g.q = &opQueue{ops: []op{o}}
+		}
 		g.cond.Broadcast()
 		g.mu.Unlock()
 		p.drainQueue(st, g, guard)

@@ -1,6 +1,10 @@
-// Package rma implements a sequential Packed Memory Array (sparse array) in
-// the style of the Rewired Memory Array [De Leo & Boncz, ICDE 2019], the
-// sequential foundation that the paper's concurrent PMA extends.
+// Package rma holds the sequential Packed Memory Array building blocks, in
+// the style of the Rewired Memory Array [De Leo & Boncz, ICDE 2019], that the
+// concurrent PMA of internal/core is assembled from: the sentinel keys, the
+// calibrator-tree configuration with its per-level density thresholds
+// (Section 2), and the two policies that decide how a rebalance spreads a
+// window's elements over its segments — the traditional even spread and the
+// adaptive one driven by a predictor of recent insert positions.
 //
 // A PMA stores sorted key/value pairs in an array interleaved with gaps. The
 // array is divided into fixed-size segments; each segment packs its elements
@@ -11,7 +15,17 @@
 // resize of the whole array when no window qualifies.
 package rma
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// KeyMin and KeyMax are reserved sentinel keys (used as -inf / +inf fence
+// keys by the concurrent layer); they cannot be stored in a PMA.
+const (
+	KeyMin = math.MinInt64
+	KeyMax = math.MaxInt64
+)
 
 // Default parameters mirror the paper's evaluation setup (Section 4).
 const (

@@ -10,8 +10,8 @@ import "sort"
 // the same spirit as the Rewired Memory Array implementation the paper
 // extends. It is exported so the concurrent layer can attach one per gate.
 //
-// A Predictor is not safe for concurrent use; callers serialise access (the
-// sequential PMA trivially, the concurrent PMA under the gate latch).
+// A Predictor is not safe for concurrent use; the concurrent PMA serialises
+// access under the gate latch.
 type Predictor struct {
 	keys   []int64
 	pos    int

@@ -223,28 +223,21 @@ func BulkLoadSharded(keys, vals []int64, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	partK, partV := partition(place, keys, vals)
+	partK, partV, _ := partition(place, keys, vals)
 	s := &Sharded{place: place, ordered: place.Ordered()}
 	s.initRouting(cfg)
 	s.mems = make([]*PMA, place.Shards())
 	s.stores = make([]Store, place.Shards())
-	errs := make([]error, place.Shards())
-	var wg sync.WaitGroup
-	for i := range s.stores {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, err := bulkLoadPMA(cfg, partK[i], partV[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			s.mems[i] = p
-			s.stores[i] = p
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err = eachShard(len(s.stores), func(i int) error {
+		p, err := bulkLoadPMA(cfg, partK[i], partV[i])
+		if err != nil {
+			return err
+		}
+		s.mems[i] = p
+		s.stores[i] = p
+		return nil
+	})
+	if err != nil {
 		s.closeAll()
 		return nil, err
 	}
@@ -339,23 +332,16 @@ func OpenSharded(dir string, opts ...Option) (*Sharded, error) {
 	s.initRouting(cfg)
 	s.dbs = make([]*DB, place.Shards())
 	s.stores = make([]Store, place.Shards())
-	errs := make([]error, place.Shards())
-	var wg sync.WaitGroup
-	for i := range s.stores {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			db, err := openDB(filepath.Join(dir, shardDirName(i)), cfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", shardDirName(i), err)
-				return
-			}
-			s.dbs[i] = db
-			s.stores[i] = db
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err = eachShard(len(s.stores), func(i int) error {
+		db, err := openDB(filepath.Join(dir, shardDirName(i)), cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", shardDirName(i), err)
+		}
+		s.dbs[i] = db
+		s.stores[i] = db
+		return nil
+	})
+	if err != nil {
 		s.closeAll()
 		unlock()
 		return nil, err
@@ -379,20 +365,42 @@ func (s *Sharded) closeAll() {
 
 // partition splits keys (and vals, when non-nil) into per-shard slices,
 // preserving the caller's order within each shard so last-wins duplicate
-// semantics survive the split.
-func partition(place placement.Placement, keys, vals []int64) (partK, partV [][]int64) {
+// semantics survive the split. live lists the shards that received keys.
+func partition(place placement.Placement, keys, vals []int64) (partK, partV [][]int64, live []int) {
 	partK = make([][]int64, place.Shards())
 	if vals != nil {
 		partV = make([][]int64, place.Shards())
 	}
 	for i, k := range keys {
 		sh := place.Shard(k)
+		if len(partK[sh]) == 0 {
+			live = append(live, sh)
+		}
 		partK[sh] = append(partK[sh], k)
 		if vals != nil {
 			partV[sh] = append(partV[sh], vals[i])
 		}
 	}
-	return partK, partV
+	return partK, partV, live
+}
+
+// eachShard runs fn(0) … fn(n-1) concurrently, one goroutine per index, waits
+// for all of them and joins their errors. A single index runs inline.
+func eachShard(n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 func (s *Sharded) checkOpen() {
@@ -443,12 +451,14 @@ func (s *Sharded) PutBatch(keys, vals []int64) {
 	if len(keys) != len(vals) {
 		panic(fmt.Sprintf("pmago: PutBatch: %d keys but %d vals", len(keys), len(vals)))
 	}
-	partK, partV := partition(s.place, keys, vals)
-	s.eachNonEmpty(partK, func(i int) {
+	partK, partV, live := partition(s.place, keys, vals)
+	eachShard(len(live), func(j int) error {
+		i := live[j]
 		if s.routedBatch != nil {
 			s.routedBatch[i].Add(uint64(len(partK[i])))
 		}
 		s.stores[i].PutBatch(partK[i], partV[i])
+		return nil
 	})
 }
 
@@ -457,66 +467,27 @@ func (s *Sharded) PutBatch(keys, vals []int64) {
 // hold disjoint key sets, so per-shard exact counts sum exactly).
 func (s *Sharded) DeleteBatch(keys []int64) int {
 	s.checkOpen()
-	partK, _ := partition(s.place, keys, nil)
+	partK, _, live := partition(s.place, keys, nil)
 	var total atomic.Int64
-	s.eachNonEmpty(partK, func(i int) {
+	eachShard(len(live), func(j int) error {
+		i := live[j]
 		if s.routedBatch != nil {
 			s.routedBatch[i].Add(uint64(len(partK[i])))
 		}
 		total.Add(int64(s.stores[i].DeleteBatch(partK[i])))
+		return nil
 	})
 	return int(total.Load())
-}
-
-// eachNonEmpty runs fn(i) for every shard whose partition is non-empty,
-// concurrently when more than one shard is involved.
-func (s *Sharded) eachNonEmpty(parts [][]int64, fn func(i int)) {
-	nonEmpty := 0
-	last := -1
-	for i, p := range parts {
-		if len(p) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	switch nonEmpty {
-	case 0:
-	case 1:
-		fn(last)
-	default:
-		var wg sync.WaitGroup
-		for i, p := range parts {
-			if len(p) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				fn(i)
-			}(i)
-		}
-		wg.Wait()
-	}
 }
 
 // Flush applies every pending combined update and deferred batch on every
 // shard.
 func (s *Sharded) Flush() {
 	s.checkOpen()
-	s.parallel(func(st Store) { st.Flush() })
-}
-
-// parallel runs fn over all shards concurrently and waits.
-func (s *Sharded) parallel(fn func(Store)) {
-	var wg sync.WaitGroup
-	for _, st := range s.stores {
-		wg.Add(1)
-		go func(st Store) {
-			defer wg.Done()
-			fn(st)
-		}(st)
-	}
-	wg.Wait()
+	eachShard(len(s.stores), func(i int) error {
+		s.stores[i].Flush()
+		return nil
+	})
 }
 
 // Len returns the total number of stored elements across shards (excluding
@@ -582,27 +553,18 @@ func (s *Sharded) Stats() Stats {
 // must run without concurrent updates.
 func (s *Sharded) Validate() error {
 	s.checkOpen()
-	errs := make([]error, len(s.stores))
-	var wg sync.WaitGroup
-	for i, st := range s.stores {
-		wg.Add(1)
-		go func(i int, st Store) {
-			defer wg.Done()
-			if err := st.Validate(); err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
+	return eachShard(len(s.stores), func(i int) (err error) {
+		if err := s.stores[i].Validate(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		s.stores[i].Scan(KeyMin+1, KeyMax-1, func(k, _ int64) bool {
+			if home := s.place.Shard(k); home != i {
+				err = fmt.Errorf("shard %d holds key %d, which places on shard %d", i, k, home)
 			}
-			st.Scan(KeyMin+1, KeyMax-1, func(k, _ int64) bool {
-				if home := s.place.Shard(k); home != i {
-					errs[i] = fmt.Errorf("shard %d holds key %d, which places on shard %d", i, k, home)
-					return false
-				}
-				return true
-			})
-		}(i, st)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+			return err == nil
+		})
+		return err
+	})
 }
 
 // Sync forces every acknowledged write on every shard to stable storage (a
@@ -612,17 +574,7 @@ func (s *Sharded) Sync() error {
 	if s.dbs == nil {
 		return errors.New("pmago: Sync on a non-durable sharded store")
 	}
-	errs := make([]error, len(s.dbs))
-	var wg sync.WaitGroup
-	for i, db := range s.dbs {
-		wg.Add(1)
-		go func(i int, db *DB) {
-			defer wg.Done()
-			errs[i] = db.Sync()
-		}(i, db)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return eachShard(len(s.dbs), func(i int) error { return s.dbs[i].Sync() })
 }
 
 // Snapshot checkpoints every shard (see DB.Snapshot), shards in parallel.
@@ -634,17 +586,7 @@ func (s *Sharded) Snapshot() error {
 	if s.dbs == nil {
 		return errors.New("pmago: Snapshot on a non-durable sharded store")
 	}
-	errs := make([]error, len(s.dbs))
-	var wg sync.WaitGroup
-	for i, db := range s.dbs {
-		wg.Add(1)
-		go func(i int, db *DB) {
-			defer wg.Done()
-			errs[i] = db.Snapshot()
-		}(i, db)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return eachShard(len(s.dbs), func(i int) error { return s.dbs[i].Snapshot() })
 }
 
 // WALBytes reports the total live write-ahead-log size across shards (zero
@@ -672,24 +614,17 @@ func (s *Sharded) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	errs := make([]error, len(s.stores))
-	var wg sync.WaitGroup
-	for i := range s.stores {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if s.dbs != nil {
-				errs[i] = s.dbs[i].Close()
-			} else {
-				s.mems[i].Close()
-			}
-		}(i)
-	}
-	wg.Wait()
+	err := eachShard(len(s.stores), func(i int) error {
+		if s.dbs != nil {
+			return s.dbs[i].Close()
+		}
+		s.mems[i].Close()
+		return nil
+	})
 	if s.unlock != nil {
 		s.unlock()
 	}
-	return errors.Join(errs...)
+	return err
 }
 
 // Scan visits all pairs with lo <= key <= hi across every shard in globally
