@@ -75,7 +75,10 @@
 //     placement — each key draws a weighted pseudo-random straw per shard
 //     and lands on the argmax. Spread follows the weights for any key
 //     distribution, and growing the topology only moves keys onto the new
-//     shard. Scans k-way merge the per-shard streams.
+//     shard. A scan merges per-shard cursors on the caller's goroutine:
+//     each copies a run of pairs out with its shard's own Scan (64 pairs
+//     at first, doubling to 1024 — the most a shard is read ahead of the
+//     callback) and resumes after the last key it copied.
 //   - Range (WithRangeSplits): shard i owns one contiguous key range.
 //     Shard order is key order, so scans walk shards sequentially with no
 //     merge; the caller owns balance.

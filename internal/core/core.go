@@ -92,9 +92,11 @@ type Config struct {
 	// Workers is the size of the rebalancer's worker pool (the paper
 	// uses 8, matching its cores). Defaults to GOMAXPROCS capped at 8.
 	Workers int
-	// Calibrator-tree thresholds; see rma.Config. The leaf lower
-	// threshold is fixed at 0 with downsizing below 50% occupancy,
-	// matching the paper's evaluation configuration.
+	// Calibrator-tree density thresholds of the root (RhoRoot <= TauRoot)
+	// and the leaf upper bound TauLeaf; state.thresholds interpolates the
+	// levels between (Section 2). The leaf lower threshold is fixed at 0
+	// with downsizing below 50% occupancy, matching the paper's
+	// evaluation configuration.
 	RhoRoot, TauRoot, TauLeaf float64
 	// Adaptive forces adaptive rebalancing for local rebalances. It is
 	// implied by ModeOneByOne.

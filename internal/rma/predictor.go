@@ -1,6 +1,22 @@
+// Package rma holds what the concurrent PMA of internal/core keeps of the
+// sequential Rewired Memory Array [De Leo & Boncz, ICDE 2019] it grew out of:
+// the sentinel keys, and the two policies that decide how a rebalance spreads
+// a window's elements over its segments — the traditional even spread and the
+// adaptive one driven by a predictor of recent insert positions. The
+// calibrator-tree thresholds that decide when to rebalance are core.Config's.
 package rma
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
+
+// KeyMin and KeyMax are reserved sentinel keys (used as -inf / +inf fence
+// keys by the concurrent layer); they cannot be stored in a PMA.
+const (
+	KeyMin = math.MinInt64
+	KeyMax = math.MaxInt64
+)
 
 // Predictor remembers the keys of the most recent insertions in a ring
 // buffer. During an adaptive rebalance the recorded keys are projected onto
@@ -18,11 +34,9 @@ type Predictor struct {
 	filled bool
 }
 
-// NewPredictor returns a predictor remembering the last size insertions.
+// NewPredictor returns a predictor remembering the last size insertions;
+// size must be positive.
 func NewPredictor(size int) *Predictor {
-	if size <= 0 {
-		size = DefaultPredictorSize
-	}
 	return &Predictor{keys: make([]int64, size)}
 }
 

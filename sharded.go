@@ -1,11 +1,11 @@
 package pmago
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,8 +31,8 @@ import (
 //     and is stable in the CRUSH sense — growing the cluster moves keys only
 //     onto the new shard, never between old ones.
 //   - Range (WithRangeSplits): shard i holds the keys between split points
-//     i-1 and i. Shard order equals key order, so scans need no merge; the
-//     caller owns balance.
+//     i-1 and i. Shard order equals key order, so a scan is the shards'
+//     scans one after the other; the caller owns balance.
 //
 // All methods are safe for concurrent use. The semantics of each operation
 // match PMA/DB on the shard that holds the key; what sharding changes is
@@ -40,16 +40,18 @@ import (
 // as one batch per shard concurrently, so a concurrent scan can observe one
 // shard's portion applied and another's not, and a crash can persist the
 // portions independently (each shard recovers its own acknowledged-durable
-// prefix). Scan merges the per-shard streams into one globally ascending
-// stream; each chunk within a shard is still observed atomically.
+// prefix). Scan hands out one globally ascending stream, merged from
+// per-shard cursors that each read their shard at most scanRefillMax pairs
+// ahead; each chunk within a shard is still observed atomically.
 type Sharded struct {
 	place  placement.Placement
 	stores []Store
 	mems   []*PMA // non-nil entries when in-memory
 	dbs    []*DB  // non-nil entries when durable
-	// ordered means shard order == key order (range placement): scans walk
-	// the shards sequentially instead of k-way merging.
+	// ordered means shard order == key order (range placement, or a single
+	// shard): scans walk the shards sequentially instead of merging.
 	ordered bool
+	merges  sync.Pool // *mergeState, for the scans that do merge
 	dir     string
 	unlock  func()
 	closed  atomic.Bool
@@ -62,14 +64,16 @@ type Sharded struct {
 	routedBatch []obs.Counter
 }
 
-// initRouting allocates the per-shard routing counters unless metrics are
-// disabled. Called by every constructor after the placement is resolved.
-func (s *Sharded) initRouting(cfg config) {
-	if cfg.core.DisableMetrics {
-		return
+// newSharded returns a Sharded that has its placement but no shards yet:
+// what every constructor starts from. The routing counters stay nil when
+// metrics are disabled.
+func newSharded(place placement.Placement, cfg config) *Sharded {
+	s := &Sharded{place: place, ordered: place.Ordered() || place.Shards() == 1}
+	if !cfg.core.DisableMetrics {
+		s.routedOps = make([]obs.Counter, place.Shards())
+		s.routedBatch = make([]obs.Counter, place.Shards())
 	}
-	s.routedOps = make([]obs.Counter, s.place.Shards())
-	s.routedBatch = make([]obs.Counter, s.place.Shards())
+	return s
 }
 
 // DefaultShards is the shard count used when none of the sharding options is
@@ -193,8 +197,7 @@ func NewSharded(opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{place: place, ordered: place.Ordered()}
-	s.initRouting(cfg)
+	s := newSharded(place, cfg)
 	for i := 0; i < place.Shards(); i++ {
 		p, err := newPMA(cfg)
 		if err != nil {
@@ -224,8 +227,7 @@ func BulkLoadSharded(keys, vals []int64, opts ...Option) (*Sharded, error) {
 		return nil, err
 	}
 	partK, partV, _ := partition(place, keys, vals)
-	s := &Sharded{place: place, ordered: place.Ordered()}
-	s.initRouting(cfg)
+	s := newSharded(place, cfg)
 	s.mems = make([]*PMA, place.Shards())
 	s.stores = make([]Store, place.Shards())
 	err = eachShard(len(s.stores), func(i int) error {
@@ -328,8 +330,8 @@ func OpenSharded(dir string, opts ...Option) (*Sharded, error) {
 		}
 	}
 
-	s := &Sharded{place: place, ordered: place.Ordered(), dir: dir, unlock: unlock}
-	s.initRouting(cfg)
+	s := newSharded(place, cfg)
+	s.dir, s.unlock = dir, unlock
 	s.dbs = make([]*DB, place.Shards())
 	s.stores = make([]Store, place.Shards())
 	err = eachShard(len(s.stores), func(i int) error {
@@ -628,37 +630,48 @@ func (s *Sharded) Close() error {
 }
 
 // Scan visits all pairs with lo <= key <= hi across every shard in globally
-// ascending key order until fn returns false. Under range placement the
-// shards are walked sequentially (shard order is key order); under straw2
-// the per-shard streams — each individually ascending — are merged with a
-// k-way heap. Either way fn inherits PMA.Scan's callback freedom: it runs on
-// copied-out chunks with no latch held and may call update operations of the
-// same store. Chunk atomicity is per shard; there is no cross-shard snapshot
-// (a concurrent cross-shard batch may be visible on one shard and not yet on
+// ascending key order until fn returns false, on the caller's goroutine.
+// Where shard order is key order (range placement, or one shard) the shards
+// are scanned one after the other. Under straw2 a cursor per shard copies a
+// run of pairs out with the shard's own Scan, fn is handed the smallest head
+// among the cursors, and a drained cursor resumes its shard from the key
+// after the last one it copied; a run is at most scanRefillMax pairs, which
+// bounds how far a shard is read ahead of what fn has seen. Either way fn
+// inherits PMA.Scan's callback freedom: it runs on copied-out pairs with no
+// latch held and may update or re-scan the same store (a pair already copied
+// does not reflect a later update). Chunk atomicity is per shard, a cursor's
+// run may end inside a chunk, and there is no cross-shard snapshot (a
+// concurrent cross-shard batch may be visible on one shard and not yet on
 // another).
 func (s *Sharded) Scan(lo, hi int64, fn func(k, v int64) bool) {
 	s.checkOpen()
-	if len(s.stores) == 1 {
-		s.stores[0].Scan(lo, hi, fn)
-		return
-	}
 	if s.ordered {
-		stopped := false
-		for _, st := range s.stores {
+		last := len(s.stores) - 1
+		for _, st := range s.stores[:last] {
+			stopped := false
 			st.Scan(lo, hi, func(k, v int64) bool {
-				if !fn(k, v) {
-					stopped = true
-					return false
-				}
-				return true
+				stopped = !fn(k, v)
+				return !stopped
 			})
 			if stopped {
 				return
 			}
 		}
+		s.stores[last].Scan(lo, hi, fn)
 		return
 	}
-	s.mergeScan(lo, hi, fn)
+	// No pair has a sentinel key; with hi below KeyMax, the key after a
+	// cursor's last one cannot overflow.
+	lo, hi = max(lo, KeyMin+1), min(hi, KeyMax-1)
+	if lo > hi || s.Len() == 0 {
+		return
+	}
+	m, _ := s.merges.Get().(*mergeState)
+	if m == nil {
+		m = newMergeState(s.stores)
+	}
+	defer s.merges.Put(m)
+	m.run(lo, hi, fn)
 }
 
 // ScanAll visits every pair across shards in globally ascending key order.
@@ -666,122 +679,107 @@ func (s *Sharded) ScanAll(fn func(k, v int64) bool) {
 	s.Scan(KeyMin+1, KeyMax-1, fn)
 }
 
-// scanBatchSize is how many pairs a shard's scan goroutine hands to the
-// merge at a time. Batching amortizes channel synchronization to ~1/256 per
-// pair; the price is up to scanBatchSize-1 pairs of extra lookahead into
-// each shard beyond what fn has consumed.
-const scanBatchSize = 256
+// A merge cursor's first run is scanRefillMin pairs and each later one twice
+// as long up to scanRefillMax: a short window or an early stop copies little
+// that fn never sees, and a long scan re-seeks its shard (an index descent,
+// and the chunk the last run ended inside copied again) once per
+// scanRefillMax pairs, about a chunk at the default geometry.
+const (
+	scanRefillMin = 64
+	scanRefillMax = 1024
+)
 
-type scanBatch struct{ keys, vals []int64 }
-
-// shardCursor is one shard's position in the merge: the batch being drained
-// and the channel the next batches arrive on.
+// shardCursor is one shard's position in a merge: a run of pairs copied out
+// of the shard, and where the shard's scan resumes when the run is drained.
 type shardCursor struct {
-	ch  chan scanBatch
-	cur scanBatch
-	pos int
+	st         Store
+	keys, vals []int64 // the run; keys[pos:] have not been handed to fn
+	pos        int
+	size       int                   // pairs the next refill copies
+	next, hi   int64                 // the shard still owes the pairs in [next, hi]
+	more       bool                  // false once a refill has reached hi
+	push       func(k, v int64) bool // c.add, bound once so a refill allocates nothing
 }
 
-func (c *shardCursor) key() int64 { return c.cur.keys[c.pos] }
+func (c *shardCursor) head() int64 { return c.keys[c.pos] }
 
-// advance steps to the next pair, fetching the next batch when the current
-// one is drained. Reports false when the shard's stream is exhausted.
-func (c *shardCursor) advance() bool {
-	c.pos++
-	if c.pos < len(c.cur.keys) {
-		return true
-	}
-	b, ok := <-c.ch
-	if !ok {
+func (c *shardCursor) add(k, v int64) bool {
+	c.keys = append(c.keys, k)
+	c.vals = append(c.vals, v)
+	return len(c.keys) < c.size
+}
+
+// refill replaces the drained run with the shard's next pairs and reports
+// whether there were any.
+func (c *shardCursor) refill() bool {
+	c.keys, c.vals, c.pos = c.keys[:0], c.vals[:0], 0
+	if !c.more {
 		return false
 	}
-	c.cur, c.pos = b, 0
-	return true
+	c.st.Scan(c.next, c.hi, c.push)
+	n := len(c.keys)
+	if n < c.size || c.keys[n-1] == c.hi {
+		c.more = false
+	} else {
+		c.next = c.keys[n-1] + 1
+		c.size = min(2*c.size, scanRefillMax)
+	}
+	return n > 0
 }
 
-// cursorHeap is a min-heap of shard cursors by current key (keys are unique
-// across shards, so no tie-break is needed).
-type cursorHeap []*shardCursor
+// mergeState is the cursors of one merging Scan, pooled on the Sharded so a
+// scan in steady state allocates nothing. A scan nested in fn takes a state
+// of its own.
+type mergeState struct {
+	cursors []shardCursor
+	live    []*shardCursor // cursors with a pair to hand out
+}
 
-func (h cursorHeap) Len() int           { return len(h) }
-func (h cursorHeap) Less(i, j int) bool { return h[i].key() < h[j].key() }
-func (h cursorHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)        { *h = append(*h, x.(*shardCursor)) }
-func (h *cursorHeap) Pop() any          { old := *h; n := len(old); c := old[n-1]; *h = old[:n-1]; return c }
-
-// mergeScan merges the per-shard scan streams. One goroutine per shard runs
-// the shard's Scan, batching pairs into a channel; the caller's goroutine
-// heap-merges the streams and runs fn. Producers select against done on
-// every send, so an early stop (fn returning false) unblocks and terminates
-// them before mergeScan returns — no goroutine outlives the call.
-func (s *Sharded) mergeScan(lo, hi int64, fn func(k, v int64) bool) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	defer func() {
-		close(done)
-		wg.Wait()
-	}()
-
-	cursors := make([]*shardCursor, len(s.stores))
-	for i, st := range s.stores {
-		c := &shardCursor{ch: make(chan scanBatch, 1)}
-		cursors[i] = c
-		wg.Add(1)
-		go func(st Store, ch chan scanBatch) {
-			defer wg.Done()
-			defer close(ch)
-			b := scanBatch{
-				keys: make([]int64, 0, scanBatchSize),
-				vals: make([]int64, 0, scanBatchSize),
-			}
-			send := func() bool {
-				select {
-				case ch <- b:
-					// The merge owns the sent buffers now.
-					b = scanBatch{
-						keys: make([]int64, 0, scanBatchSize),
-						vals: make([]int64, 0, scanBatchSize),
-					}
-					return true
-				case <-done:
-					return false
-				}
-			}
-			aborted := false
-			st.Scan(lo, hi, func(k, v int64) bool {
-				b.keys = append(b.keys, k)
-				b.vals = append(b.vals, v)
-				if len(b.keys) == scanBatchSize {
-					if !send() {
-						aborted = true
-						return false
-					}
-				}
-				return true
-			})
-			if !aborted && len(b.keys) > 0 {
-				send()
-			}
-		}(st, c.ch)
+func newMergeState(stores []Store) *mergeState {
+	m := &mergeState{
+		cursors: make([]shardCursor, len(stores)),
+		live:    make([]*shardCursor, 0, len(stores)),
 	}
+	for i := range m.cursors {
+		c := &m.cursors[i]
+		c.st, c.push = stores[i], c.add
+	}
+	return m
+}
 
-	h := make(cursorHeap, 0, len(cursors))
-	for _, c := range cursors {
-		if b, ok := <-c.ch; ok {
-			c.cur = b
-			h = append(h, c)
+// run merges the shards' pairs in [lo, hi] into fn. It sets every field a
+// previous scan left behind, however that scan ended.
+func (m *mergeState) run(lo, hi int64, fn func(k, v int64) bool) {
+	m.live = m.live[:0]
+	for i := range m.cursors {
+		c := &m.cursors[i]
+		c.size, c.next, c.hi, c.more = scanRefillMin, lo, hi, true
+		if c.refill() {
+			m.live = append(m.live, c)
 		}
 	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		c := h[0]
-		if !fn(c.key(), c.cur.vals[c.pos]) {
-			return
+	for len(m.live) > 0 {
+		// The smallest head is next; its cursor is drained up to bound, the
+		// smallest head of the others (a key lives on one shard, so heads
+		// never tie; with no others every key is below KeyMax).
+		best, bound := 0, int64(KeyMax)
+		for i := 1; i < len(m.live); i++ {
+			switch k, b := m.live[i].head(), m.live[best].head(); {
+			case k < b:
+				best, bound = i, b
+			case k < bound:
+				bound = k
+			}
 		}
-		if c.advance() {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
+		c := m.live[best]
+		for c.head() < bound {
+			if !fn(c.keys[c.pos], c.vals[c.pos]) {
+				return
+			}
+			if c.pos++; c.pos == len(c.keys) && !c.refill() {
+				m.live = slices.Delete(m.live, best, best+1)
+				break
+			}
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -170,24 +172,46 @@ func compareShardedToModel(t *testing.T, s *Sharded, model map[int64]int64) {
 }
 
 // TestShardedScanWindows cross-checks merged sub-range scans (including the
-// lo == hi and empty cases) against a model on a store with a known layout.
+// lo == hi and empty cases) against a model on a store with a known layout:
+// large enough that every shard's merge cursor refills at scanRefillMax
+// several times, with a key next to each sentinel.
 func TestShardedScanWindows(t *testing.T) {
 	for topoName, topo := range testTopologies() {
 		t.Run(topoName, func(t *testing.T) {
-			var keys, vals []int64
-			for k := int64(0); k < 5000; k += 3 {
+			empty, err := NewSharded(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer empty.Close()
+			empty.Scan(5, 1, func(k, v int64) bool { t.Fatalf("Scan[5,1] visited %d", k); return false })
+			empty.ScanAll(func(k, v int64) bool { t.Fatalf("empty store visited %d", k); return false })
+			if empty.merges.Get() != nil {
+				t.Fatal("a scan with nothing to merge took a merge state")
+			}
+
+			keys := []int64{KeyMin + 1}
+			for k := int64(0); k < 150_000; k += 3 {
 				keys = append(keys, k)
-				vals = append(vals, k*2)
+			}
+			keys = append(keys, KeyMax-1)
+			vals := make([]int64, len(keys))
+			for i, k := range keys {
+				vals[i] = k * 2
 			}
 			s, err := BulkLoadSharded(keys, vals, topo)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			rng := rand.New(rand.NewSource(5))
-			for trial := 0; trial < 50; trial++ {
-				lo := rng.Int63n(5200) - 100
-				hi := lo + rng.Int63n(600)
+			if !s.ordered {
+				for i, n := range s.ShardLens() {
+					if n < 4*scanRefillMax {
+						t.Fatalf("shard %d holds %d keys: too few to refill at the cap", i, n)
+					}
+				}
+			}
+			check := func(lo, hi int64) {
+				t.Helper()
 				var want []int64
 				for _, k := range keys {
 					if k >= lo && k <= hi {
@@ -206,7 +230,35 @@ func TestShardedScanWindows(t *testing.T) {
 					t.Fatalf("Scan[%d,%d] visited %d keys, want %d", lo, hi, len(got), len(want))
 				}
 			}
-			// Early termination stops the merge exactly at the request.
+			windows := [][2]int64{
+				{KeyMin, KeyMax}, {KeyMin + 1, KeyMax - 1}, {KeyMin, KeyMin}, {KeyMin, KeyMin + 1},
+				{KeyMax - 1, KeyMax - 1}, {KeyMax - 1, KeyMax}, {KeyMax, KeyMax}, {149_000, KeyMax}, {10, 5},
+			}
+			rng := rand.New(rand.NewSource(5))
+			for trial := 0; trial < 50; trial++ {
+				lo := rng.Int63n(150_200) - 100
+				width := int64(600)
+				if trial%5 == 0 {
+					width = 100_000
+				}
+				windows = append(windows, [2]int64{lo, lo + rng.Int63n(width)})
+			}
+			for _, w := range windows {
+				check(w[0], w[1])
+			}
+			// fn may scan the store it is being called from.
+			visited := 0
+			s.Scan(0, 30_000, func(k, v int64) bool {
+				if visited++; visited%1000 == 0 {
+					check(k-2000, k+2000)
+				}
+				return true
+			})
+			if visited != 10_001 {
+				t.Fatalf("outer scan visited %d keys, want 10001", visited)
+			}
+			// Early termination stops the merge exactly at the request, and
+			// neither it nor a panic in fn leaves anything for the next scan.
 			var got []int64
 			s.Scan(0, 5000, func(k, v int64) bool {
 				got = append(got, k)
@@ -215,7 +267,49 @@ func TestShardedScanWindows(t *testing.T) {
 			if len(got) != 10 || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 				t.Fatalf("early-stopped scan visited %v", got)
 			}
+			check(KeyMin, KeyMax)
+			func() {
+				defer func() { recover() }()
+				s.Scan(100_000, KeyMax, func(k, v int64) bool { panic("fn panics") })
+			}()
+			check(KeyMin, KeyMax)
 		})
+	}
+}
+
+// TestShardedScanRunsOnCaller pins what a merging scan costs besides the
+// shards' own scans: no goroutine and, once a merge state is pooled, no
+// allocation.
+func TestShardedScanRunsOnCaller(t *testing.T) {
+	var keys, vals []int64
+	for k := int64(0); k < 1<<16; k++ {
+		keys, vals = append(keys, k), append(vals, k)
+	}
+	s, err := BulkLoadSharded(keys, vals, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	visited, before := 0, runtime.NumGoroutine()
+	fn := func(k, v int64) bool {
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%d goroutines inside fn, %d before Scan", n, before)
+		}
+		visited++
+		return true
+	}
+	if s.ScanAll(fn); visited != len(keys) {
+		t.Fatalf("visited %d keys, want %d", visited, len(keys))
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				t.Skip("sync.Pool drops Puts under -race")
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Scan(1000, 1127, fn) }); allocs != 0 {
+		t.Fatalf("a 128-pair scan allocates %v times, want 0", allocs)
 	}
 }
 
@@ -246,6 +340,52 @@ func TestShardedScanCallbackMayUpdate(t *testing.T) {
 	s.Flush()
 	if n := s.Len(); n != 4000 {
 		t.Fatalf("Len() = %d after callback Puts, want 4000", n)
+	}
+
+	// Updates just ahead of the cursor, on the shard it is draining: the
+	// scan may or may not see them, but stays strictly ascending, visits
+	// every key that was there throughout and none that never was.
+	if s, err = NewSharded(WithShards(3)); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for k := int64(0); k < 8000; k += 2 {
+		s.Put(k, k)
+	}
+	s.Flush()
+	seen, inserted, deleted := map[int64]bool{}, map[int64]bool{}, map[int64]bool{}
+	prev := int64(-1)
+	s.Scan(0, 9000, func(k, v int64) bool {
+		if k <= prev {
+			t.Fatalf("scan visited %d after %d", k, prev)
+		}
+		prev, seen[k] = k, true
+		var put, del bool
+		for x := k + 1; !put || !del; x++ {
+			switch {
+			case s.place.Shard(x) != s.place.Shard(k):
+			case x%2 == 1 && !put:
+				s.Put(x, x)
+				put, inserted[x] = true, true
+			case x%2 == 0 && !del:
+				s.Delete(x)
+				del, deleted[x] = true, true
+			}
+		}
+		return true
+	})
+	for k := int64(0); k < 8000; k += 2 {
+		if !deleted[k] && !seen[k] {
+			t.Fatalf("scan missed %d, which no callback deleted", k)
+		}
+	}
+	for k := range seen {
+		if k%2 == 1 && !inserted[k] {
+			t.Fatalf("scan visited %d, which nobody put", k)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
