@@ -121,12 +121,16 @@
 // keys — so the same op sequence yields the same structure either way.
 // The layout lives behind a small storage seam in internal/core: a view
 // of one segment as sorted pairs (a zero-copy alias of the slots, or a
-// block decoded into pooled scratch; racy variants for the seqlock
-// readers), "make this segment hold exactly these pairs" (nothing to do
-// for an alias edited in place, one encode for a block), and building
-// and installing a fresh chunk for rebalances and BulkLoad. The trade is
-// decode-on-read and re-encode-on-write at segment granularity: point
-// operations pay a bounded extra cost, while BulkLoad and Snapshot get
+// block decoded into pooled scratch; a racy copy-out for the seqlock
+// scans), "make this segment hold exactly these pairs" (nothing to do
+// for an alias edited in place, one encode for a block), finding and
+// editing one pair of a block without decoding it (a seek over the key
+// gaps, an in-place byte splice that leaves the block exactly as an
+// encode would), and building and installing a fresh chunk for
+// rebalances and BulkLoad. Scans, batches and rebalances decode and
+// re-encode whole segments; Get, Put and Delete do not, and pay a walk
+// over the segment's key gaps and a move of its bytes instead (the
+// README has the measured price table). BulkLoad and Snapshot get
 // faster (one encode pass rides the layout pass; a checkpoint streams
 // the already-encoded blocks to disk without touching pairs). Enable it
 // for memory-bound, scan- and ingest-heavy workloads with locally dense

@@ -20,11 +20,23 @@
 // every accepted block is a strictly ascending run. The key-delta overflow
 // check lives only here; persist and core previously had to agree on it by
 // duplication.
+//
+// Core's point operations do not decode at all (splice.go): Seek walks the
+// key gaps to one key and steps over everything else by counting varint
+// terminators a word at a time, and Upsert and Remove edit one pair inside
+// the encoded bytes. The splice is canonical — it stores the shortest
+// varints, the ones AppendBlock would store for the edited pairs, and only
+// moves the rest — so a block is byte-identical to AppendBlock of its pairs
+// however it came to hold them, and snapshots may carry blocks verbatim.
+// Seek shares the decoder's hardening; a seqlock reader that runs it on a
+// block mid-splice sees some mix of the bytes before and after the edit and
+// gets an error or an answer its version check throws away.
 package codec
 
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // Decode errors. Callers that frame blocks (persist) wrap them with file
@@ -71,15 +83,16 @@ func MaxEncodedLen(n int) int {
 // maxPairs pairs are appended no matter what the input claims, so a caller
 // with a fixed-capacity scratch buffer never grows it.
 func DecodeBlock(p []byte, keys, vals []int64, maxPairs int) ([]int64, []int64, error) {
-	c, un := binary.Uvarint(p)
-	if un <= 0 || c == 0 || c > uint64(maxPairs) {
+	c, un := uvarint(p, 0)
+	if un == 0 || c == 0 || c > uint64(maxPairs) {
 		return keys, vals, ErrCount
 	}
 	n := int(c)
-	first, vn := binary.Varint(p[un:])
-	if vn <= 0 {
+	zz, vn := uvarint(p, un)
+	if vn == 0 {
 		return keys, vals, ErrFirstKey
 	}
+	first := unzigzag(zz)
 	// The count is validated, so the output length is known up front:
 	// extend both slices once and fill by index, keeping the per-pair loop
 	// free of append bookkeeping. On error the filled prefix is re-sliced
@@ -98,8 +111,8 @@ func DecodeBlock(p []byte, keys, vals []int64, maxPairs int) ([]int64, []int64, 
 			i++
 		} else {
 			var dn int
-			d, dn = binary.Uvarint(p[i:])
-			if dn <= 0 {
+			d, dn = uvarint(p, i)
+			if dn == 0 {
 				return keys[:kb+j], vals[:vb], ErrDelta
 			}
 			i += dn
@@ -122,11 +135,11 @@ func DecodeBlock(p []byte, keys, vals []int64, maxPairs int) ([]int64, []int64, 
 			v = int64(p[i]>>1) ^ -int64(p[i]&1)
 			i++
 		} else {
-			var vn int
-			v, vn = binary.Varint(p[i:])
-			if vn <= 0 {
+			zz, vn := uvarint(p, i)
+			if vn == 0 {
 				return keys, vals[:vb+j], ErrValue
 			}
+			v = unzigzag(zz)
 			i += vn
 		}
 		vals[vb+j] = v
@@ -136,6 +149,52 @@ func DecodeBlock(p []byte, keys, vals []int64, maxPairs int) ([]int64, []int64, 
 	}
 	return keys, vals, nil
 }
+
+// stops has the continuation bit of every byte of a word set: ^w & stops
+// marks the bytes of w that end a varint.
+const stops = 0x8080808080808080
+
+// uvarint decodes the uvarint that starts at p[i], i <= len(p), and returns
+// it with its length; the length is 0 when p ends inside the varint or the
+// varint overflows 64 bits (more than ten bytes, or a tenth byte above 1) —
+// exactly the inputs binary.Uvarint rejects. With eight bytes available it
+// is one load: the first clear continuation bit gives the length, and three
+// shift-mask steps squeeze the 7-bit groups of the bytes below it together.
+// A nine- or ten-byte varint (what a random 64-bit value costs) adds its
+// last one or two bytes to the 56 bits of the word.
+func uvarint(p []byte, i int) (x uint64, n int) {
+	if i+8 <= len(p) {
+		w := binary.LittleEndian.Uint64(p[i:])
+		if stop := ^w & stops; stop != 0 {
+			n = bits.TrailingZeros64(stop)>>3 + 1
+			return compact7(w & (1<<(8*uint(n)) - 1)), n // n == 8 shifts to 0: the mask is all ones
+		}
+		if i+10 <= len(p) {
+			// Nine or ten bytes, a coin flip for random values: take
+			// both bytes without branching on which.
+			b, c := p[i+8], p[i+9]
+			tenth := uint64(b >> 7) // 1 when the ninth byte continues
+			if uint64(c)*tenth > 1 {
+				return 0, 0
+			}
+			return compact7(w) | uint64(b&0x7f)<<56 | uint64(c)*tenth<<63, 9 + int(tenth)
+		}
+	}
+	if x, n = binary.Uvarint(p[i:]); n < 0 { // the block's last bytes
+		n = 0
+	}
+	return x, n
+}
+
+// compact7 drops bit 7 of each byte of w and closes the gaps: byte j's low
+// seven bits land at bit 7j.
+func compact7(w uint64) uint64 {
+	w = w&0x7f007f007f007f00>>1 | w&0x007f007f007f007f
+	w = w&0x3fff00003fff0000>>2 | w&0x00003fff00003fff
+	return w&0x0fffffff00000000>>4 | w&0x000000000fffffff
+}
+
+func unzigzag(x uint64) int64 { return int64(x>>1) ^ -int64(x&1) }
 
 // grow extends s by n elements (values unspecified), reusing capacity when
 // it fits — the common case for the pooled fixed-capacity scratch buffers

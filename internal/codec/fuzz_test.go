@@ -1,6 +1,10 @@
 package codec
 
-import "testing"
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
 
 // FuzzDecodeBlock asserts the decoder's contract on arbitrary bytes: it
 // must decode or error — never panic, never over-read, never append more
@@ -8,8 +12,10 @@ import "testing"
 // ascending run with matching value count. This is the contract the racy
 // in-memory read path depends on: a torn re-encode hands the decoder
 // garbage, and the seqlock version check only discards the *result*; the
-// decode itself has to survive. CI's fuzz-smoke job runs this target
-// alongside the persist/wire decoders.
+// decode itself has to survive. On every input it must also agree with the
+// binary.Uvarint reference decoder (splice_test.go) — same error, same
+// pairs, same partial prefix. CI's fuzz-smoke job runs this target alongside
+// the persist/wire decoders.
 func FuzzDecodeBlock(f *testing.F) {
 	f.Add(AppendBlock(nil, []int64{1}, []int64{-1}), 16)
 	f.Add(AppendBlock(nil, []int64{-100, 0, 7, 1 << 50}, []int64{1, 2, 3, 4}), 16)
@@ -21,6 +27,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		if maxPairs < 1 || maxPairs > 1<<16 {
 			maxPairs = 1 << 10
 		}
+		sameAsReference(t, data, maxPairs)
 		keys, vals, err := DecodeBlock(data, nil, nil, maxPairs)
 		if len(keys) > maxPairs || len(vals) > maxPairs {
 			t.Fatalf("appended %d/%d pairs, above maxPairs %d", len(keys), len(vals), maxPairs)
@@ -51,5 +58,118 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("re-encode changed pair %d", i)
 			}
 		}
+	})
+}
+
+// FuzzSeekSplice holds Seek, Upsert and Remove to their contract on arbitrary
+// bytes, target, value and spare room: they never panic and never write past
+// len(buf) (the buffer's capacity is its length, so a stray write would
+// panic), a refused edit — malformed, full, missing, no fit — leaves every
+// byte as it was, and whenever DecodeBlock accepts the input, Seek agrees
+// with the decoded pairs and an applied edit decodes to the edited pairs, byte
+// for byte AppendBlock's output when the input was.
+func FuzzSeekSplice(f *testing.F) {
+	dense := AppendBlock(nil, []int64{0, 1, 2, 3, 4, 5, 6, 7}, make([]int64, 8))
+	wide := AppendBlock(nil, []int64{-100, 0, 7, 1 << 50}, []int64{1, -1 << 62, 3, 1 << 62})
+	f.Add(dense, int64(3), int64(9), 0)
+	f.Add(dense, int64(8), int64(-1<<63), 16)
+	f.Add(wide, int64(-101), int64(5), 32)
+	f.Add(wide, int64(3), int64(5), 3)
+	f.Add(wide, int64(1<<50), int64(0), 0)
+	f.Add(AppendBlock(nil, []int64{1}, []int64{-1}), int64(1), int64(2), 1)
+	// Padded varints (count, gap, value): DecodeBlock accepts them, and an
+	// edit that writes them back canonically moves some bytes down and
+	// others up.
+	f.Add([]byte{0x82, 0x00, 2, 0x85, 0x80, 0x00, 0x81, 0x00, 0x80, 0x80, 0x00}, int64(3), int64(1<<40), 8)
+	f.Add([]byte{0x83, 0x80, 0x00, 2, 0x81, 0x00, 0x85, 0x00, 1, 0x82, 0x80, 0x00, 3}, int64(2), int64(0), 0)
+	f.Add([]byte{}, int64(0), int64(0), 4)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, int64(0), int64(0), 4)
+	f.Fuzz(func(t *testing.T, data []byte, k, v int64, spare int) {
+		const maxPairs = 16
+		if spare < 0 || spare > 64 {
+			spare = 8
+		}
+		n := len(data)
+		keys, vals, derr := DecodeBlock(data, nil, nil, maxPairs)
+		valid := derr == nil
+		canonical := valid && bytes.Equal(data, AppendBlock(nil, keys, vals))
+		rank, found := slices.BinarySearch(keys, k)
+
+		c, err := Seek(data, k, maxPairs)
+		if valid && (err != nil || c.N != len(keys) || c.Rank != rank || c.Found != found || (found && c.Val != vals[rank])) {
+			t.Fatalf("Seek(%d) = %+v, %v on a block holding %v", k, c, err, keys)
+		}
+
+		// check runs one edit on a fresh copy and compares the outcome with
+		// wantK/wantV; representable is false when the edited run has a gap
+		// the format cannot hold, and only the no-panic property is checked.
+		check := func(name string, edit func(buf []byte) Splice, applied Status, wantK, wantV []int64, representable bool) {
+			buf := make([]byte, n+spare)
+			copy(buf, data)
+			before := bytes.Clone(buf)
+			r := edit(buf)
+			switch r.Status {
+			case Inserted, Replaced, Removed:
+				if r.Len > len(buf) || r.Written > r.Len {
+					t.Fatalf("%s: %+v in a %d-byte buffer", name, r, len(buf))
+				}
+			default:
+				if !bytes.Equal(buf, before) {
+					t.Fatalf("%s: status %v changed the buffer", name, r.Status)
+				}
+			}
+			if !valid || !representable {
+				return
+			}
+			if r.Status == NoFit && r.Len > len(buf) && (!canonical || len(wantK) == 0 || r.Len == len(AppendBlock(nil, wantK, wantV))) {
+				return
+			}
+			if r.Status != applied {
+				t.Fatalf("%s(%d) on %v: status %v, want %v", name, k, keys, r.Status, applied)
+			}
+			if applied != Inserted && applied != Replaced && applied != Removed {
+				return
+			}
+			if len(wantK) == 0 {
+				if r.Len != 0 {
+					t.Fatalf("%s emptied the block and left %d bytes", name, r.Len)
+				}
+				return
+			}
+			gk, gv, err := DecodeBlock(buf[:r.Len], nil, nil, maxPairs)
+			if err != nil || !slices.Equal(gk, wantK) || !slices.Equal(gv, wantV) || r.First != wantK[0] {
+				t.Fatalf("%s(%d): got %v / %v first %d (%v), want %v / %v", name, k, gk, gv, r.First, err, wantK, wantV)
+			}
+			if canonical && !bytes.Equal(buf[:r.Len], AppendBlock(nil, wantK, wantV)) {
+				t.Fatalf("%s(%d): canonical block became %x", name, k, buf[:r.Len])
+			}
+		}
+
+		upsert := func(buf []byte) Splice { return Upsert(buf, n, k, v, maxPairs) }
+		remove := func(buf []byte) Splice { return Remove(buf, n, k, maxPairs) }
+		if !valid {
+			check("Upsert", upsert, Malformed, nil, nil, false)
+			check("Remove", remove, Malformed, nil, nil, false)
+			return
+		}
+		// A gap must fit an int64: the format's own limit (ErrOverflow).
+		fits := func(lo, hi int64) bool { return hi-lo > 0 }
+		switch {
+		case found:
+			wv := slices.Clone(vals)
+			wv[rank] = v
+			check("Upsert", upsert, Replaced, keys, wv, true)
+		case len(keys) == maxPairs:
+			check("Upsert", upsert, Full, nil, nil, true)
+		default:
+			ok := (rank == 0 || fits(keys[rank-1], k)) && (rank == len(keys) || fits(k, keys[rank]))
+			check("Upsert", upsert, Inserted, slices.Insert(slices.Clone(keys), rank, k), slices.Insert(slices.Clone(vals), rank, v), ok)
+		}
+		if !found {
+			check("Remove", remove, Missing, nil, nil, true)
+			return
+		}
+		ok := rank == 0 || rank == len(keys)-1 || fits(keys[rank-1], keys[rank+1])
+		check("Remove", remove, Removed, slices.Delete(slices.Clone(keys), rank, rank+1), slices.Delete(slices.Clone(vals), rank, rank+1), ok)
 	})
 }

@@ -28,31 +28,46 @@ import (
 //   - view / viewChecked: segment s as sorted ks, vs under the latch. Slots
 //     alias the storage (capacity b, so a caller may grow the pair run in
 //     place); blocks decode into the caller's pooled scratch.
-//   - viewRacy / appendRacy: the same for the seqlock readers, clamped so
-//     garbage never faults; appendRacy delivers straight into the caller's
-//     buffer (one memmove for slots, decode-into-destination for blocks).
+//   - find / findRacy: one key of segment s, under the latch and for the
+//     seqlock Get. Slots binary-search the alias; blocks seek the encoded
+//     bytes (codec.Seek) and decode nothing but the target's value.
+//   - appendRacy: segment s copied out for the seqlock Scan, clamped so
+//     garbage never faults, straight into the caller's buffer (one memmove
+//     for slots, decode-into-destination for blocks).
 //   - setSeg: make segment s hold exactly these pairs. A no-op beyond the
 //     cardinality when the slices are the slot alias; an encode for blocks.
+//   - spliceUpsert / spliceRemove: blocks only — edit one pair of a
+//     non-empty block in place (codec.Upsert / codec.Remove), moving bytes
+//     instead of re-encoding the segment. The splice writes what setSeg's
+//     encode would have, byte for byte, so a block's history does not show
+//     in ScanBlocks or a snapshot. Slots, empty segments and an insert into
+//     a full segment are the caller's view -> setSeg route, which is why both
+//     layouts still decide every rebalance alike.
 //   - newPlan / fillSeg / install: build a fresh chunk segment by segment
 //     for the rebalancer and BulkLoad, and swap it into a gate.
 //
 // Concurrency contract. Latched callers (exclusive or shared) see well-formed
-// payloads by invariant, and view panics on a decode failure. The optimistic
-// readers run concurrently with in-place slot writes and block re-encodes, so
-// every word they load may be garbage: the racy primitives copy slice headers
-// once, verify lengths against the fixed geometry, clamp cardinalities and
-// payload lengths, lean on the hardened decoder (bounded appends, decode or
-// error, never a fault) and leave it to the caller's version check to
-// discard the result. -race builds never reach them — read.go compiles the
-// optimistic paths out entirely.
+// payloads by invariant, and view, find and the splices panic on one that
+// does not parse. The optimistic readers run concurrently with in-place slot
+// writes, block re-encodes and splices — a block mid-splice is part old
+// bytes, part moved ones, under a count and length that may belong to either
+// — so every word they load may be garbage: the racy primitives copy slice
+// headers once, verify lengths against the fixed geometry, clamp
+// cardinalities and payload lengths, lean on the hardened decoder and seek
+// (every loop bounded by the payload and b; a result or an error, never a
+// fault) and leave it to the caller's version check to discard the result.
+// -race builds never reach them — read.go compiles the optimistic paths out
+// entirely.
 
 // encSeg is one segment's encoded payload. data is allocated with len ==
 // cap and never resliced, so its slice header is immutable for the
 // pointee's lifetime; n is the payload's live prefix. Growing past cap
 // publishes a fresh *encSeg with a single pointer store into gate.enc —
-// the same single-word publication discipline as the rewire buffer swap —
-// while same-size rewrites mutate data/n in place under the latch, which
-// racy readers tolerate per the contract above.
+// the same single-word publication discipline as the rewire buffer swap, and
+// the array it replaces is never written again, so a reader still holding
+// the old pointer decodes the old block — while rewrites and splices that fit
+// mutate data/n in place under the latch, which racy readers tolerate per
+// the contract above.
 type encSeg struct {
 	data []byte
 	n    int32
@@ -173,6 +188,31 @@ func (g *gate) view(s int, sc *cScratch) (ks, vs []int64) {
 	return ks, vs
 }
 
+// find looks k up in segment s under the latch (either mode).
+func (g *gate) find(s int, k int64) (int64, bool) {
+	if g.segCard[s] == 0 {
+		return 0, false
+	}
+	if g.cc == nil {
+		ks, vs := g.view(s, nil)
+		return searchPair(ks, vs, k)
+	}
+	e := g.enc[s]
+	c, err := codec.Seek(e.data[:e.n], k, g.b)
+	if err != nil {
+		panic("core: corrupt compressed segment: " + err.Error())
+	}
+	return c.Val, c.Found
+}
+
+// searchPair looks k up in sorted pairs.
+func searchPair(ks, vs []int64, k int64) (int64, bool) {
+	if i := searchKeys(ks, k); i < len(ks) && ks[i] == k {
+		return vs[i], true
+	}
+	return 0, false
+}
+
 // viewChecked is view for Validate: corruption comes back as an error, and
 // the decode is not counted.
 func (g *gate) viewChecked(s int, sc *cScratch) (ks, vs []int64, err error) {
@@ -228,13 +268,15 @@ func (g *gate) checkStorage() error {
 
 // --- optimistic reads ---
 
-// viewRacy is view for a seqlock reader that needs one segment (Get): the
-// slot alias, or a decode into the reader's scratch. s must be in [0, spg).
-func (g *gate) viewRacy(s int, sc *cScratch) (ks, vs []int64) {
+// findRacy is find for the seqlock Get: the clamped slot alias searched, or
+// the block sought as it stands. s must be in [0, spg).
+func (g *gate) findRacy(s int, k int64) (int64, bool) {
 	if g.cc == nil {
-		return g.slotsRacy(s)
+		ks, vs := g.slotsRacy(s)
+		return searchPair(ks, vs, k)
 	}
-	return g.decodeRacy(s, sc.ks[:0], sc.vs[:0])
+	c, err := codec.Seek(g.payloadRacy(s), k, g.b)
+	return c.Val, err == nil && c.Found
 }
 
 // appendRacy appends segment s's pairs to dk/dv for a seqlock reader that
@@ -259,30 +301,41 @@ func (g *gate) slotsRacy(s int) (ks, vs []int64) {
 	return buf.Keys[lo:hi], buf.Vals[lo:hi]
 }
 
-// decodeRacy appends block s to dk/dv, or nothing when the payload does not
-// decode: a torn block only ever accompanies a failed version check.
-func (g *gate) decodeRacy(s int, dk, dv []int64) ([]int64, []int64) {
+// payloadRacy is block s's encoded bytes as a seqlock reader may take them:
+// headers copied once, the length clamped to the array, nil when anything is
+// missing.
+func (g *gate) payloadRacy(s int) []byte {
 	enc := g.enc
 	if len(enc) < g.spg {
-		return dk, dv
+		return nil
 	}
 	e := enc[s]
 	if e == nil {
-		return dk, dv
+		return nil
 	}
 	n := int(e.n)
 	if n <= 0 {
-		return dk, dv
+		return nil
 	}
 	if n > len(e.data) {
 		n = len(e.data)
 	}
-	if m := g.cc.metrics; m != nil {
-		m.SegDecodes.Inc()
+	return e.data[:n]
+}
+
+// decodeRacy appends block s to dk/dv, or nothing when the payload does not
+// decode: a torn block only ever accompanies a failed version check.
+func (g *gate) decodeRacy(s int, dk, dv []int64) ([]int64, []int64) {
+	p := g.payloadRacy(s)
+	if p == nil {
+		return dk, dv
 	}
-	ks, vs, err := codec.DecodeBlock(e.data[:n], dk, dv, g.b)
+	ks, vs, err := codec.DecodeBlock(p, dk, dv, g.b)
 	if err != nil {
 		return ks[:len(dk)], vs[:len(dv)]
+	}
+	if m := g.cc.metrics; m != nil {
+		m.SegDecodes.Inc()
 	}
 	return ks, vs
 }
@@ -328,6 +381,67 @@ func (g *gate) setSeg(s int, ks, vs []int64, sc *cScratch) {
 	g.encBytes.Add(int64(len(p)) - old)
 	if m := g.cc.metrics; m != nil {
 		m.ReencodeBytes.Add(uint64(len(p)))
+	}
+}
+
+// spliceUpsert sets k to v inside block s without decoding it and reports
+// codec.Replaced or codec.Inserted, or codec.Full — nothing touched — when k
+// is new and the segment holds b pairs already. The caller holds the latch
+// exclusively, the store is a block store and the segment is not empty; as
+// with setSeg, gcard and the minima are the caller's, and r.First is the
+// block's first key after the edit. A block that outgrows its array moves
+// to a fresh one by setSeg's rule (a quarter and 16 bytes of slack): copied,
+// spliced there, then published with one pointer store.
+func (g *gate) spliceUpsert(s int, k, v int64) codec.Splice {
+	e := g.enc[s]
+	old := int(e.n)
+	r := codec.Upsert(e.data, old, k, v, g.b)
+	if r.Status == codec.NoFit {
+		e = &encSeg{data: make([]byte, r.Len+r.Len/4+16)}
+		copy(e.data, g.enc[s].data[:old])
+		r = codec.Upsert(e.data, old, k, v, g.b)
+		r.Written += old
+	}
+	switch r.Status {
+	case codec.Full:
+		return r
+	case codec.Inserted:
+		g.segCard[s]++
+	case codec.Replaced:
+	default:
+		panic("core: corrupt compressed segment")
+	}
+	g.spliced(s, e, old, r)
+	return r
+}
+
+// spliceRemove deletes k from block s without decoding it, under the same
+// conditions as spliceUpsert, and reports codec.Removed or codec.Missing. A
+// block that loses its last pair keeps its array with no live bytes, as
+// setSeg leaves an emptied segment.
+func (g *gate) spliceRemove(s int, k int64) codec.Splice {
+	e := g.enc[s]
+	r := codec.Remove(e.data, int(e.n), k, g.b)
+	switch r.Status {
+	case codec.Missing:
+		return r
+	case codec.Removed:
+		g.segCard[s]--
+	default:
+		panic("core: corrupt compressed segment")
+	}
+	g.spliced(s, e, int(e.n), r)
+	return r
+}
+
+// spliced books a splice of block s that left r.Len live bytes, old before,
+// in e — g.enc[s] itself, or its grown replacement, published here.
+func (g *gate) spliced(s int, e *encSeg, old int, r codec.Splice) {
+	e.n = int32(r.Len)
+	g.enc[s] = e
+	g.encBytes.Add(int64(r.Len - old))
+	if m := g.cc.metrics; m != nil {
+		m.ReencodeBytes.Add(uint64(r.Written))
 	}
 }
 

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"pmago/internal/codec"
+	"pmago/internal/rma"
 )
 
 // testConfigC is testConfig with the compressed chunk representation on.
@@ -311,5 +314,197 @@ func TestCompressedMatchesUncompressed(t *testing.T) {
 					mode, i, u.fenceLo, u.fenceHi, u.gcard, u.segCard, u.smin, c.fenceLo, c.fenceHi, c.gcard, c.segCard, c.smin)
 			}
 		}
+	}
+}
+
+// gateOf returns the gate and segment that cover k in a quiescent store.
+func gateOf(t *testing.T, p *PMA, k int64) (*gate, int) {
+	t.Helper()
+	for _, g := range p.state.Load().gates {
+		if g.fenceLo <= k && k <= g.fenceHi {
+			return g, g.findSeg(k)
+		}
+	}
+	t.Fatalf("no gate covers %d", k)
+	return nil, 0
+}
+
+// TestCompressedSplice pins the seam between the in-place splice and the rest
+// of the gate: what a point Put or Delete leaves in enc, segCard and smin,
+// and where it hands over to the view -> setSeg route. The store is the test
+// geometry (one gate, two segments of 8) in ModeSync, so every op has run by
+// the time it returns and all early keys land in segment 0.
+func TestCompressedSplice(t *testing.T) {
+	valid := func(t *testing.T, p *PMA) {
+		t.Helper()
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := func(i int) int64 { return math.MinInt64 + int64(i) } // ten encoded bytes
+
+	t.Run("grow publishes a fresh block", func(t *testing.T) {
+		p := newTestC(t, ModeSync)
+		grew := 0
+		for i := 0; i < 7; i++ {
+			k := int64(100 + 10*i)
+			g, s := gateOf(t, p, k)
+			e := g.enc[s]
+			var before []byte
+			var n int32
+			if e != nil {
+				before, n = bytes.Clone(e.data), e.n
+			}
+			p.Put(k, big(i))
+			valid(t, p)
+			if g2, s2 := gateOf(t, p, k); g2 != g || s2 != s || g.segCard[s] != i+1 {
+				t.Fatalf("put %d restructured the chunk", i)
+			}
+			if e == nil || g.enc[s] == e {
+				continue
+			}
+			// The block moved: the array a racy reader may still hold is
+			// exactly as it was and still decodes to the old pairs.
+			grew++
+			if e.n != n || !bytes.Equal(e.data, before) {
+				t.Fatalf("put %d wrote to the block it replaced", i)
+			}
+			if ks, _, err := codec.DecodeBlock(e.data[:e.n], nil, nil, g.b); err != nil || len(ks) != i {
+				t.Fatalf("replaced block decodes to %d pairs (%v), want %d", len(ks), err, i)
+			}
+			ne := g.enc[s]
+			if want := int(ne.n) + int(ne.n)/4 + 16; len(ne.data) != want {
+				t.Fatalf("fresh block has %d bytes for a %d-byte payload, want %d", len(ne.data), ne.n, want)
+			}
+		}
+		if grew == 0 {
+			t.Fatal("seven ten-byte values never outgrew a block's slack")
+		}
+	})
+
+	t.Run("delete to empty", func(t *testing.T) {
+		p := newTestC(t, ModeSync)
+		for _, k := range []int64{5, 6, 7} {
+			p.Put(k, k)
+		}
+		g, s := gateOf(t, p, 5)
+		for _, k := range []int64{6, 5, 7} {
+			if !p.Delete(k) {
+				t.Fatalf("Delete(%d) = false", k)
+			}
+			valid(t, p)
+		}
+		if g.segCard[s] != 0 || g.enc[s].n != 0 || g.encBytes.Load() != 0 || g.smin[s] != rma.KeyMax {
+			t.Fatalf("emptied segment: segCard %d, %d live bytes, %d tracked, smin %d",
+				g.segCard[s], g.enc[s].n, g.encBytes.Load(), g.smin[s])
+		}
+		if err := g.checkStorage(); err != nil {
+			t.Fatal(err)
+		}
+		p.Put(9, 90) // the empty segment takes the setSeg route again
+		valid(t, p)
+		if v, ok := p.Get(9); !ok || v != 90 {
+			t.Fatalf("Get(9) = %d,%v after refilling the emptied segment", v, ok)
+		}
+	})
+
+	t.Run("full segment", func(t *testing.T) {
+		p := newTestC(t, ModeSync)
+		for i := 0; i < 8; i++ {
+			p.Put(int64(10*i), 0)
+		}
+		g, s := gateOf(t, p, 30)
+		if g.segCard[s] != g.b {
+			t.Fatalf("segment holds %d pairs, want it full (%d)", g.segCard[s], g.b)
+		}
+		before := p.Stats()
+		p.Put(30, big(1)) // a replacement needs no room, only bytes
+		valid(t, p)
+		after := p.Stats()
+		if v, _ := p.Get(30); v != big(1) || g.segCard[s] != g.b || after.Rebalance.Local != before.Rebalance.Local ||
+			after.Compression.SegDecodes != before.Compression.SegDecodes {
+			t.Fatalf("replace in a full segment: value %d, segCard %d, local rebalances %d -> %d, decodes %d -> %d", v, g.segCard[s],
+				before.Rebalance.Local, after.Rebalance.Local, before.Compression.SegDecodes, after.Compression.SegDecodes)
+		}
+		p.Put(35, 1) // a new key does: the splice declines, the rebalance runs
+		valid(t, p)
+		after = p.Stats()
+		if v, ok := p.Get(35); !ok || v != 1 || p.Len() != 9 ||
+			after.Rebalance.Local+after.Rebalance.Global == before.Rebalance.Local+before.Rebalance.Global {
+			t.Fatalf("insert into a full segment: Get %d,%v, Len %d, rebalances %+v", v, ok, p.Len(), after.Rebalance)
+		}
+	})
+
+	t.Run("segment minimum", func(t *testing.T) {
+		p := newTestC(t, ModeSync)
+		for _, k := range []int64{100, 110, 120} {
+			p.Put(k, k)
+		}
+		g, s := gateOf(t, p, 100)
+		for _, step := range []struct {
+			del  bool
+			k    int64
+			smin int64
+		}{
+			{false, 50, 50},  // new minimum
+			{false, 105, 50}, // middle insert leaves it
+			{true, 50, 100},  // old minimum goes: the next key takes over
+			{true, 110, 100}, // middle delete leaves it
+			{false, -3, -3},
+			{true, -3, 100},
+		} {
+			if step.del {
+				p.Delete(step.k)
+			} else {
+				p.Put(step.k, 1)
+			}
+			valid(t, p)
+			if g.smin[s] != step.smin {
+				t.Fatalf("after key %d (delete %v): smin %d, want %d", step.k, step.del, g.smin[s], step.smin)
+			}
+		}
+	})
+}
+
+// TestCompressedUpdateDoesNotAllocate: once a block has slack, a point Put or
+// Delete of a compressed store edits it in place and allocates nothing —
+// ModeSync shows that outright; in ModeBatch the combining queue allocates
+// for either layout, so the compressed store is held to the slot store's
+// count. No scratch pool is involved, so this holds under -race too.
+func TestCompressedUpdateDoesNotAllocate(t *testing.T) {
+	const n = 1 << 12
+	keys := make([]int64, n)
+	vals := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i) * 16
+		vals[i] = int64(i) << 40
+	}
+	measure := func(mode Mode, compressed bool) float64 {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		cfg.CompressedChunks = compressed
+		p, err := BulkLoad(cfg, keys, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		i := 0
+		cycle := func() {
+			k := keys[i%64*61] + 1
+			i++
+			p.Put(k, -k<<32)
+			p.Delete(k)
+		}
+		for j := 0; j < 64; j++ { // first touch of a block grows it
+			cycle()
+		}
+		p.Flush()
+		return testing.AllocsPerRun(256, cycle)
+	}
+	if got := measure(ModeSync, true); got != 0 {
+		t.Errorf("ModeSync: compressed Put+Delete allocates %.2f objects, want 0", got)
+	}
+	if slots, blocks := measure(ModeBatch, false), measure(ModeBatch, true); blocks > slots {
+		t.Errorf("ModeBatch: compressed Put+Delete allocates %.2f objects, the slot layout %.2f", blocks, slots)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pmago/internal/codec"
 	"pmago/internal/rewire"
 	"pmago/internal/rma"
 )
@@ -243,17 +244,7 @@ func clampCard(c, b int) int {
 
 // get looks k up within the chunk.
 func (g *gate) get(k int64) (int64, bool) {
-	s := g.findSeg(k)
-	if g.segCard[s] == 0 {
-		return 0, false
-	}
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	ks, vs := g.view(s, sc)
-	if i := searchKeys(ks, k); i < len(ks) && ks[i] == k {
-		return vs[i], true
-	}
-	return 0, false
+	return g.find(g.findSeg(k), k)
 }
 
 // getRacy is get for the optimistic read path: it runs without any
@@ -263,20 +254,14 @@ func (g *gate) get(k int64) (int64, bool) {
 // here is merely to never fault on garbage. Slice headers are copied to
 // locals once (a concurrent publish replaces them whole; the referenced
 // arrays stay live through the local copies) and verified against the fixed
-// geometry, here for the minima and in viewRacy for the pairs, so all
+// geometry, here for the minima and in findRacy for the pairs, so all
 // indexing stays in bounds no matter what was read.
 func (g *gate) getRacy(k int64) (v int64, ok bool) {
 	smin := g.smin
 	if len(smin) < g.spg {
 		return 0, false // torn header; the version check will reject
 	}
-	sc := g.cc.get()
-	ks, vs := g.viewRacy(findSegIn(smin, g.spg, k), sc)
-	if i := searchKeys(ks, k); i < len(ks) && ks[i] == k {
-		v, ok = vs[i], true
-	}
-	g.cc.put(sc)
-	return v, ok
+	return g.findRacy(findSegIn(smin, g.spg, k), k)
 }
 
 // putResult describes the outcome of an in-gate insert attempt.
@@ -293,9 +278,20 @@ const (
 // cannot absorb the insert under its calibrator threshold, in which case
 // nothing was modified.
 func (g *gate) put(st *state, k, v int64) putResult {
+	s := g.findSeg(k)
+	if g.cc != nil && g.segCard[s] > 0 {
+		// A block with pairs in it is edited in place; only a new key
+		// for a full segment needs the view, for the rebalance below.
+		switch r := g.spliceUpsert(s, k, v); r.Status {
+		case codec.Replaced:
+			return putReplaced
+		case codec.Inserted:
+			g.inserted(s, k, r.First == k)
+			return putInserted
+		}
+	}
 	sc := g.cc.get()
 	defer g.cc.put(sc)
-	s := g.findSeg(k)
 	ks, vs := g.view(s, sc)
 	i := searchKeys(ks, k)
 	if i < len(ks) && ks[i] == k {
@@ -318,14 +314,19 @@ func (g *gate) put(st *state, k, v int64) putResult {
 	}
 	ks, vs = insertPair(ks, vs, i, k, v)
 	g.setSeg(s, ks, vs, sc)
+	g.inserted(s, k, i == 0)
+	return putInserted
+}
+
+// inserted books one new key k in segment s, its minimum now if min.
+func (g *gate) inserted(s int, k int64, min bool) {
 	g.gcard++
-	if i == 0 {
+	if min {
 		g.setSegMin(s, k)
 	}
 	if g.pred != nil {
 		g.pred.Record(k)
 	}
-	return putInserted
 }
 
 // insertPair places k/v at offset i of the viewed pairs, which have room to
@@ -346,9 +347,22 @@ func (g *gate) del(k int64) bool {
 	if g.segCard[s] == 0 {
 		return false
 	}
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	ks, vs := g.view(s, sc)
+	if g.cc != nil {
+		r := g.spliceRemove(s, k)
+		if r.Status == codec.Missing {
+			return false
+		}
+		g.gcard--
+		if k == g.smin[s] {
+			if g.segCard[s] > 0 {
+				g.setSegMin(s, r.First)
+			} else {
+				g.clearSegMin(s)
+			}
+		}
+		return true
+	}
+	ks, vs := g.view(s, nil)
 	i := searchKeys(ks, k)
 	if i == len(ks) || ks[i] != k {
 		return false
@@ -356,7 +370,7 @@ func (g *gate) del(k int64) bool {
 	copy(ks[i:], ks[i+1:])
 	copy(vs[i:], vs[i+1:])
 	ks, vs = ks[:len(ks)-1], vs[:len(vs)-1]
-	g.setSeg(s, ks, vs, sc)
+	g.setSeg(s, ks, vs, nil)
 	g.gcard--
 	if i == 0 {
 		if len(ks) > 0 {
@@ -577,8 +591,6 @@ func (g *gate) mergeLocal(st *state, ins []op) (int, bool) {
 	if n == 0 {
 		return 0, true
 	}
-	sc := g.cc.get()
-	defer g.cc.put(sc)
 	s0 := g.findSeg(ins[0].key)
 	s1 := g.findSeg(ins[n-1].key)
 
@@ -587,17 +599,26 @@ func (g *gate) mergeLocal(st *state, ins []op) (int, bool) {
 	// usual caller is a combining queue that absorbed a single op, which
 	// this serves with one search.
 	if s0 == s1 && g.segCard[s0]+n <= g.b {
-		ks, vs := g.view(s0, sc)
-		c := len(ks)
-		for _, o := range ins {
-			if i := searchKeys(ks, o.key); i < len(ks) && ks[i] == o.key {
-				vs[i] = o.val
-			} else {
-				ks, vs = insertPair(ks, vs, i, o.key, o.val)
+		c := g.segCard[s0]
+		if g.cc != nil && c > 0 {
+			for _, o := range ins { // there is room for all: never Full
+				g.spliceUpsert(s0, o.key, o.val)
 			}
+		} else {
+			sc := g.cc.get()
+			ks, vs := g.view(s0, sc)
+			for _, o := range ins {
+				if i := searchKeys(ks, o.key); i < len(ks) && ks[i] == o.key {
+					vs[i] = o.val
+				} else {
+					ks, vs = insertPair(ks, vs, i, o.key, o.val)
+				}
+			}
+			g.setSeg(s0, ks, vs, sc)
+			g.cc.put(sc)
 		}
-		g.setSeg(s0, ks, vs, sc)
-		g.gcard += len(ks) - c
+		fresh := g.segCard[s0] - c
+		g.gcard += fresh
 		// The run is sorted, so only its first key can have become the
 		// minimum (an empty segment's inherited minimum lies above it).
 		// Comparing against ks[0] instead would touch a cache line the
@@ -605,13 +626,15 @@ func (g *gate) mergeLocal(st *state, ins []op) (int, bool) {
 		if ins[0].key < g.smin[s0] {
 			g.setSegMin(s0, ins[0].key)
 		}
-		return len(ks) - c, true
+		return fresh, true
 	}
 
 	ws, we, ok := g.localWindow(st, s0, s1, n)
 	if !ok {
 		return 0, false
 	}
+	sc := g.cc.get()
+	defer g.cc.put(sc)
 	exK, exV := g.gatherLocal(ws, we, sc)
 	ks, vs := mergeSorted(exK, exV, ins)
 	g.spreadLocal(ws, we, ks, vs, sc)

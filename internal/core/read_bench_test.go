@@ -45,18 +45,15 @@ func BenchmarkGetMetricsOff(b *testing.B) {
 // TestGetDoesNotAllocate pins the read path's zero-allocation contract in
 // both metrics modes and both chunk layouts: the striped counters increment
 // in place (the stripe index comes from a stack address, not a heap handle),
-// the disabled path is a single nil check, and a compressed Get decodes into
-// pooled scratch. CI asserts the same property on the BenchmarkGetMetricsOff
-// output.
+// the disabled path is a single nil check, and a compressed Get seeks the
+// encoded block with no scratch at all. CI asserts the same property on the
+// BenchmarkGetMetricsOff output.
 func TestGetDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
 		disable, compressed bool
 	}{{"metrics-on", false, false}, {"metrics-off", true, false}, {"compressed", false, true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.compressed && raceEnabled {
-				t.Skip("sync.Pool drops a share of its Puts under -race, so the pooled scratch reallocates")
-			}
 			cfg := DefaultConfig()
 			cfg.DisableMetrics = tc.disable
 			cfg.CompressedChunks = tc.compressed

@@ -104,8 +104,9 @@ func TestConcurrentGuards(t *testing.T) {
 			}
 		}()
 	}
-	done := make(chan struct{})
+	done, collected := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(collected)
 		for {
 			select {
 			case <-done:
@@ -117,6 +118,9 @@ func TestConcurrentGuards(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
+	// The collector may be inside a Collect holding objects it has taken
+	// off the list and not yet freed: wait it out before counting.
+	<-collected
 	m.Collect()
 	want := int64(workers * iters / 10)
 	if got := freedCount.Load(); got != want {

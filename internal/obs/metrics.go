@@ -45,13 +45,17 @@ type CoreMetrics struct {
 	RebalanceNanos   Histogram
 	ResizeNanos      Histogram
 
-	// Compressed chunks (core/cgate.go). SegDecodes counts segment
-	// decodes on any path (point reads, writes re-reading their segment,
-	// scans, rebalance gathers); ReencodeBytes accumulates bytes written
-	// by segment re-encodes, the compressed write amplification. Both
-	// stay zero for an uncompressed store. The gauges of the snapshot's
-	// compression section (encoded bytes, pairs) are not counters — the
-	// core computes them from the live array at Stats time.
+	// Compressed chunks (core/cgate.go). SegDecodes counts whole-segment
+	// decodes that succeeded (scans, batch merges, rebalance gathers, an
+	// insert into a full segment); a point Get, Put or Delete seeks the
+	// encoded bytes and is not one. ReencodeBytes accumulates the bytes
+	// stored into segment payloads, the compressed write amplification:
+	// a re-encode's whole payload, and for an in-place splice the varints
+	// it writes plus every byte it moves to make or close room (and the
+	// copy, when the block had to move to a larger array). Both stay zero
+	// for an uncompressed store. The gauges of the snapshot's compression
+	// section (encoded bytes, pairs) are not counters — the core computes
+	// them from the live array at Stats time.
 	SegDecodes    Counter
 	ReencodeBytes Counter
 }
@@ -88,6 +92,10 @@ type RebalanceStats struct {
 // uncompressed store every field is zero and Enabled is false. EncodedBytes
 // and Pairs are gauges over the live array (filled by the core at Stats
 // time, like EpochReclaimed); EncodedBytes/Pairs is the store's bytes/pair.
+// SegDecodes (compressed_seg_decodes_total) is whole-segment decodes, which
+// point operations no longer cause; ReencodeBytes
+// (compressed_reencode_bytes_total) is payload bytes stored, encoded or
+// moved — see CoreMetrics.
 type CompressionStats struct {
 	Enabled       bool   `json:"enabled"`
 	SegDecodes    uint64 `json:"seg_decodes"`
