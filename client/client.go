@@ -203,10 +203,10 @@ func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
 		}
 		return err
 	}
-	cl := newCall(16)
-	defer close(cl.done)
+	cl := c.acquireCall()
 	id := c.nextID.Add(1)
 	if err := pc.issue(id, cl, &wire.Request{Op: wire.OpScan, ID: id, Key: lo, Val: hi}); err != nil {
+		cl.abandon()
 		if c.m != nil {
 			c.m.Errors.Inc()
 		}
@@ -218,13 +218,15 @@ func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
 		c.m.QueueWait.ObserveDuration(tw.Sub(t0))
 		c.m.Requests[obs.ServerOpScan].Inc()
 	}
-	defer pc.forget(id)
-	timer := time.NewTimer(c.opts.Timeout)
-	defer timer.Stop()
 	cancelled := false
 	for {
 		select {
 		case resp := <-cl.ch:
+			if resp.Status != wire.StatusScanChunk {
+				// The stream's final frame: the reader has dropped the id and
+				// is done with the call.
+				cl.release()
+			}
 			switch resp.Status {
 			case wire.StatusScanChunk:
 				if !cancelled {
@@ -239,10 +241,10 @@ func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
 						}
 					}
 				}
-				if !timer.Stop() {
-					<-timer.C
+				if !cl.timer.Stop() {
+					<-cl.timer.C
 				}
-				timer.Reset(c.opts.Timeout)
+				cl.timer.Reset(c.opts.Timeout)
 			case wire.StatusOK:
 				if c.m != nil {
 					// RTT of the whole stream: issue to final frame.
@@ -261,11 +263,14 @@ func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
 				return fmt.Errorf("client: server error: %s", resp.Err)
 			}
 		case <-pc.broken:
+			cl.abandon()
 			if c.m != nil {
 				c.m.Errors.Inc()
 			}
 			return pc.err()
-		case <-timer.C:
+		case <-cl.timer.C:
+			pc.forget(id)
+			cl.abandon()
 			if c.m != nil {
 				c.m.Timeouts.Inc()
 			}
@@ -303,7 +308,7 @@ func (c *Client) Stats() (pmago.Stats, error) {
 	return st, nil
 }
 
-func respErr(resp *wire.Response) error {
+func respErr(resp wire.Response) error {
 	switch resp.Status {
 	case wire.StatusBusy:
 		return ErrBusy
@@ -315,7 +320,7 @@ func respErr(resp *wire.Response) error {
 
 // roundTrip issues one single-response request and waits for its response
 // or the timeout.
-func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
+func (c *Client) roundTrip(req *wire.Request) (wire.Response, error) {
 	var t0 time.Time
 	if c.m != nil {
 		t0 = time.Now()
@@ -325,16 +330,16 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 		if c.m != nil {
 			c.m.Errors.Inc()
 		}
-		return nil, err
+		return wire.Response{}, err
 	}
-	cl := newCall(1)
-	defer close(cl.done)
+	cl := c.acquireCall()
 	req.ID = c.nextID.Add(1)
 	if err := pc.issue(req.ID, cl, req); err != nil {
+		cl.abandon()
 		if c.m != nil {
 			c.m.Errors.Inc()
 		}
-		return nil, err
+		return wire.Response{}, err
 	}
 	var tw time.Time
 	op := obs.ServerOp(req.Op - wire.OpPut)
@@ -343,10 +348,9 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 		c.m.QueueWait.ObserveDuration(tw.Sub(t0))
 		c.m.Requests[op].Inc()
 	}
-	timer := time.NewTimer(c.opts.Timeout)
-	defer timer.Stop()
 	select {
 	case resp := <-cl.ch:
+		cl.release()
 		if c.m != nil {
 			c.m.RTT[op].ObserveDuration(time.Since(tw))
 			switch resp.Status {
@@ -356,18 +360,20 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 				c.m.Errors.Inc()
 			}
 		}
-		return &resp, nil
+		return resp, nil
 	case <-pc.broken:
+		cl.abandon()
 		if c.m != nil {
 			c.m.Errors.Inc()
 		}
-		return nil, pc.err()
-	case <-timer.C:
+		return wire.Response{}, pc.err()
+	case <-cl.timer.C:
 		pc.forget(req.ID)
+		cl.abandon()
 		if c.m != nil {
 			c.m.Timeouts.Inc()
 		}
-		return nil, ErrTimeout
+		return wire.Response{}, ErrTimeout
 	}
 }
 
@@ -413,22 +419,52 @@ func (c *Client) dialSlot(slot int) (*poolConn, error) {
 		c.m.Dials.Inc()
 	}
 	pc := &poolConn{nc: nc, broken: make(chan struct{}),
-		bw: bufio.NewWriterSize(nc, 64<<10), pending: make(map[uint64]*call)}
+		pending: make(map[uint64]*call)}
 	go pc.reader()
 	return pc, nil
 }
 
 // call parks one request's caller. Scans receive many responses on ch;
-// everything else exactly one. The caller closes done when it stops
-// listening (timeout, scan exit), releasing a reader blocked on delivery;
-// a dying connection wakes callers through poolConn.broken instead.
+// everything else exactly one. A call is recycled (release) once its final
+// response is in the caller's hands — the reader dropped the id before
+// delivering it and will not touch the call again. A caller that stops
+// listening any earlier (timeout, dead connection) abandons the call
+// instead: closing done releases a reader blocked on delivery, and the call
+// is never reused, so a late delivery cannot reach another request.
 type call struct {
-	ch   chan wire.Response
-	done chan struct{}
+	ch    chan wire.Response
+	done  chan struct{}
+	timer *time.Timer // the response deadline, armed by acquireCall
 }
 
-func newCall(buffered int) *call {
-	return &call{ch: make(chan wire.Response, buffered), done: make(chan struct{})}
+// scanDepth is how many undelivered scan chunks a call buffers between the
+// connection's reader and the consumer: enough that neither waits for the
+// other while the socket has data, small enough to bound what a slow
+// consumer holds.
+const scanDepth = 16
+
+var callPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &call{ch: make(chan wire.Response, scanDepth), done: make(chan struct{}), timer: t}
+}}
+
+func (c *Client) acquireCall() *call {
+	cl := callPool.Get().(*call)
+	cl.timer.Reset(c.opts.Timeout)
+	return cl
+}
+
+func (cl *call) release() {
+	if !cl.timer.Stop() {
+		<-cl.timer.C
+	}
+	callPool.Put(cl)
+}
+
+func (cl *call) abandon() {
+	cl.timer.Stop()
+	close(cl.done)
 }
 
 // poolConn is one pooled connection: a writer mutex serializing request
@@ -438,7 +474,6 @@ type poolConn struct {
 	broken chan struct{} // closed by fail: wakes every parked caller
 
 	wmu  sync.Mutex
-	bw   *bufio.Writer
 	wbuf []byte
 
 	pmu     sync.Mutex
@@ -469,10 +504,8 @@ func (pc *poolConn) write(req *wire.Request) error {
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
 	pc.wbuf = wire.AppendRequest(pc.wbuf[:0], req)
-	if _, err := pc.bw.Write(pc.wbuf); err != nil {
-		return err
-	}
-	return pc.bw.Flush()
+	_, err := pc.nc.Write(pc.wbuf)
+	return err
 }
 
 // forget drops a call (timeout, scan done); a response arriving later for
@@ -511,9 +544,11 @@ func (pc *poolConn) fail(err error) {
 	_ = pc.nc.Close()
 }
 
-// reader routes response frames to their parked callers by id. The
-// response's slices are copied out: the decode buffer is reused for the
-// next frame, but the caller consumes the response asynchronously.
+// reader routes response frames to their parked callers by id. The caller
+// consumes the response asynchronously, so nothing it is handed may be
+// decoded over: a chunk's Keys/Vals are given away and the next frame
+// decodes into fresh slices, and the Blob (which aliases the frame buffer)
+// is copied out.
 func (pc *poolConn) reader() {
 	br := bufio.NewReaderSize(pc.nc, 64<<10)
 	var buf []byte
@@ -540,14 +575,12 @@ func (pc *poolConn) reader() {
 		if cl == nil {
 			continue // timed-out or cancelled caller; drop
 		}
-		out := wire.Response{Status: resp.Status, Op: resp.Op, ID: resp.ID,
-			Found: resp.Found, Val: resp.Val, Err: resp.Err}
-		if len(resp.Keys) > 0 {
-			out.Keys = append([]int64(nil), resp.Keys...)
-			out.Vals = append([]int64(nil), resp.Vals...)
+		out := resp
+		if len(out.Keys) > 0 {
+			resp.Keys, resp.Vals = nil, nil
 		}
-		if len(resp.Blob) > 0 {
-			out.Blob = append([]byte(nil), resp.Blob...)
+		if len(out.Blob) > 0 {
+			out.Blob = append([]byte(nil), out.Blob...)
 		}
 		// Blocking send preserves chunk order and applies backpressure to
 		// the socket when a scan consumer is slow; cl.done releases the

@@ -83,12 +83,12 @@ func MaxEncodedLen(n int) int {
 // maxPairs pairs are appended no matter what the input claims, so a caller
 // with a fixed-capacity scratch buffer never grows it.
 func DecodeBlock(p []byte, keys, vals []int64, maxPairs int) ([]int64, []int64, error) {
-	c, un := uvarint(p, 0)
+	c, un := Uvarint(p, 0)
 	if un == 0 || c == 0 || c > uint64(maxPairs) {
 		return keys, vals, ErrCount
 	}
 	n := int(c)
-	zz, vn := uvarint(p, un)
+	zz, vn := Uvarint(p, un)
 	if vn == 0 {
 		return keys, vals, ErrFirstKey
 	}
@@ -111,7 +111,7 @@ func DecodeBlock(p []byte, keys, vals []int64, maxPairs int) ([]int64, []int64, 
 			i++
 		} else {
 			var dn int
-			d, dn = uvarint(p, i)
+			d, dn = Uvarint(p, i)
 			if dn == 0 {
 				return keys[:kb+j], vals[:vb], ErrDelta
 			}
@@ -135,7 +135,7 @@ func DecodeBlock(p []byte, keys, vals []int64, maxPairs int) ([]int64, []int64, 
 			v = int64(p[i]>>1) ^ -int64(p[i]&1)
 			i++
 		} else {
-			zz, vn := uvarint(p, i)
+			zz, vn := Uvarint(p, i)
 			if vn == 0 {
 				return keys, vals[:vb+j], ErrValue
 			}
@@ -154,7 +154,7 @@ func DecodeBlock(p []byte, keys, vals []int64, maxPairs int) ([]int64, []int64, 
 // marks the bytes of w that end a varint.
 const stops = 0x8080808080808080
 
-// uvarint decodes the uvarint that starts at p[i], i <= len(p), and returns
+// Uvarint decodes the uvarint that starts at p[i], i <= len(p), and returns
 // it with its length; the length is 0 when p ends inside the varint or the
 // varint overflows 64 bits (more than ten bytes, or a tenth byte above 1) —
 // exactly the inputs binary.Uvarint rejects. With eight bytes available it
@@ -162,7 +162,7 @@ const stops = 0x8080808080808080
 // shift-mask steps squeeze the 7-bit groups of the bytes below it together.
 // A nine- or ten-byte varint (what a random 64-bit value costs) adds its
 // last one or two bytes to the 56 bits of the word.
-func uvarint(p []byte, i int) (x uint64, n int) {
+func Uvarint(p []byte, i int) (x uint64, n int) {
 	if i+8 <= len(p) {
 		w := binary.LittleEndian.Uint64(p[i:])
 		if stop := ^w & stops; stop != 0 {

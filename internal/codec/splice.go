@@ -38,11 +38,11 @@ type Cursor struct {
 // reaches k, then passes over the remaining gaps and the values below the
 // target's by counting terminator bytes, never decoding them.
 func Seek(p []byte, k int64, maxPairs int) (Cursor, error) {
-	cnt, cn := uvarint(p, 0)
+	cnt, cn := Uvarint(p, 0)
 	if cn == 0 || cnt == 0 || cnt > uint64(maxPairs) {
 		return Cursor{}, ErrCount
 	}
-	zz, fn := uvarint(p, cn)
+	zz, fn := Uvarint(p, cn)
 	if fn == 0 {
 		return Cursor{}, ErrFirstKey
 	}
@@ -55,7 +55,7 @@ func Seek(p []byte, k int64, maxPairs int) (Cursor, error) {
 		dn := 1
 		if i < len(p) && p[i] < 0x80 { // 1-byte gap: the dense-run fast path
 			d = uint64(p[i])
-		} else if d, dn = uvarint(p, i); dn == 0 {
+		} else if d, dn = Uvarint(p, i); dn == 0 {
 			return Cursor{}, ErrDelta
 		}
 		if d == 0 {
@@ -84,7 +84,7 @@ func Seek(p []byte, k int64, maxPairs int) (Cursor, error) {
 	}
 	c.valOff, c.valEnd = i, i
 	if c.Found {
-		zz, vn := uvarint(p, i)
+		zz, vn := Uvarint(p, i)
 		if vn == 0 {
 			return Cursor{}, ErrValue
 		}
@@ -202,7 +202,7 @@ func Remove(buf []byte, n int, k int64, maxPairs int) Splice {
 	var kl int
 	first, keyEnd := c.first, c.keyEnd
 	if c.Rank < c.N-1 { // fuse the gap behind k into the varint that placed k
-		d, dn := uvarint(buf[:n], keyEnd)
+		d, dn := Uvarint(buf[:n], keyEnd)
 		if dn == 0 || d == 0 || k+int64(d) <= k {
 			return Splice{}
 		}

@@ -30,6 +30,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+
+	"pmago/internal/codec"
 )
 
 // Ops. OpCancel carries the id of an in-flight scan to stop; it has no
@@ -116,18 +119,9 @@ func AppendRequest(dst []byte, r *Request) []byte {
 			p = binary.AppendVarint(p, r.Key)
 			p = binary.AppendVarint(p, r.Val)
 		case OpPutBatch:
-			p = binary.AppendUvarint(p, uint64(len(r.Keys)))
-			for _, k := range r.Keys {
-				p = binary.AppendVarint(p, k)
-			}
-			for _, v := range r.Vals {
-				p = binary.AppendVarint(p, v)
-			}
+			p = appendPairs(p, r.Keys, r.Vals)
 		case OpDeleteBatch:
-			p = binary.AppendUvarint(p, uint64(len(r.Keys)))
-			for _, k := range r.Keys {
-				p = binary.AppendVarint(p, k)
-			}
+			p = appendPairs(p, r.Keys, nil)
 		case OpStats, OpCancel:
 			// id only
 		default:
@@ -148,13 +142,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		case StatusErr:
 			p = append(p, r.Err...)
 		case StatusScanChunk:
-			p = binary.AppendUvarint(p, uint64(len(r.Keys)))
-			for _, k := range r.Keys {
-				p = binary.AppendVarint(p, k)
-			}
-			for _, v := range r.Vals {
-				p = binary.AppendVarint(p, v)
-			}
+			p = appendPairs(p, r.Keys, r.Vals)
 		case StatusOK:
 			switch r.Op {
 			case OpGet:
@@ -184,6 +172,24 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		}
 		return p
 	})
+}
+
+// appendPairs appends count | keys | vals. The worst case is reserved once,
+// so the per-value loop stores by index: a buffer that held one chunk holds
+// the next without growing, and a nil one is sized by a single allocation
+// instead of a dozen doublings.
+func appendPairs(p []byte, keys, vals []int64) []byte {
+	p = binary.AppendUvarint(p, uint64(len(keys)))
+	n := len(p)
+	p = slices.Grow(p, (len(keys)+len(vals))*binary.MaxVarintLen64)
+	p = p[:cap(p)]
+	for _, k := range keys {
+		n += binary.PutVarint(p[n:], k)
+	}
+	for _, v := range vals {
+		n += binary.PutVarint(p[n:], v)
+	}
+	return p[:n]
 }
 
 // frame reserves the 8-byte header, lets fill append the payload, then
@@ -347,39 +353,42 @@ func DecodeResponse(p []byte, resp *Response) error {
 	return nil
 }
 
+var errVarint = fmt.Errorf("%w: truncated varint", ErrFrame)
+
+// Varints are read with codec's word-at-a-time reader: one implementation,
+// one set of overflow rules (binary.Uvarint's).
+
+func unzigzag(x uint64) int64 { return int64(x>>1) ^ -int64(x&1) }
+
 func readVarint(p []byte) (int64, []byte, error) {
-	v, n := binary.Varint(p)
-	if n <= 0 {
-		return 0, p, fmt.Errorf("%w: truncated varint", ErrFrame)
+	zz, n := codec.Uvarint(p, 0)
+	if n == 0 {
+		return 0, p, errVarint
 	}
-	return v, p[n:], nil
+	return unzigzag(zz), p[n:], nil
 }
 
-// readPairs decodes count | keys | vals (vals only when withVals). The
-// count is bounded by the remaining payload before allocating — every key
-// costs at least one byte — so a crafted count cannot force a huge slice.
+// readPairs decodes count | keys | vals (vals only when withVals) into keys
+// and vals, reusing their capacity, and returns the rest of p. The count is
+// bounded by the remaining payload before allocating — every key costs at
+// least one byte — so a crafted count cannot force a huge slice.
 func readPairs(p []byte, keys, vals []int64, withVals bool) ([]int64, []int64, []byte, error) {
-	c, n := binary.Uvarint(p)
-	if n <= 0 || c > uint64(len(p)-n) {
+	c, i := codec.Uvarint(p, 0)
+	if i == 0 || c > uint64(len(p)-i) {
 		return keys, vals, p, fmt.Errorf("%w: pair count", ErrFrame)
 	}
-	p = p[n:]
-	var err error
-	for i := uint64(0); i < c; i++ {
-		var k int64
-		if k, p, err = readVarint(p); err != nil {
-			return keys, vals, p, err
-		}
-		keys = append(keys, k)
-	}
+	keys, vals = slices.Grow(keys[:0], int(c))[:c], vals[:0]
 	if withVals {
-		for i := uint64(0); i < c; i++ {
-			var v int64
-			if v, p, err = readVarint(p); err != nil {
-				return keys, vals, p, err
+		vals = slices.Grow(vals, int(c))[:c]
+	}
+	for _, run := range [2][]int64{keys, vals} {
+		for j := range run {
+			zz, n := codec.Uvarint(p, i)
+			if n == 0 {
+				return keys, vals, p, errVarint
 			}
-			vals = append(vals, v)
+			run[j], i = unzigzag(zz), i+n
 		}
 	}
-	return keys, vals, p, nil
+	return keys, vals, p[i:], nil
 }

@@ -134,3 +134,47 @@ func TestReadFrameTruncation(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkScanChunk prices one 1024-pair scan chunk the way the served
+// path pays for it: encode into a buffer that held the previous chunk, then
+// frame read and decode into slices that did. Keys are PMA-like (ascending,
+// gaps near 16), values random 64-bit.
+func BenchmarkScanChunk(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	keys := make([]int64, 1024)
+	vals := make([]int64, len(keys))
+	for i := range keys {
+		keys[i] = int64(1<<20 + 16*i + rng.Intn(16))
+		vals[i] = int64(rng.Uint64())
+	}
+	chunk := Response{Status: StatusScanChunk, Op: OpScan, ID: 1, Keys: keys, Vals: vals}
+	b.Run("encode", func(b *testing.B) {
+		var frame []byte
+		for i := 0; i < b.N; i++ {
+			frame = AppendResponse(frame[:0], &chunk)
+		}
+	})
+	b.Run("encode-nil", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			AppendResponse(nil, &chunk)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		frame := AppendResponse(nil, &chunk)
+		var buf []byte
+		var resp Response
+		rd := bytes.NewReader(frame)
+		for i := 0; i < b.N; i++ {
+			rd.Reset(frame)
+			p, err := ReadFrame(rd, buf)
+			if err == nil {
+				err = DecodeResponse(p, &resp)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = p
+		}
+	})
+}

@@ -23,20 +23,47 @@ import (
 // acknowledgments without ever blocking on a slow connection.
 const scanHighWater = 32
 
+// frame is one encoded response on its way to the socket. Frames come from
+// framePool and go back to it after the socket write, so whoever hands one
+// to send, sendScanChunk or sendFromReader gives it up: it belongs to the
+// writer from then on. A buffer that carried a scan chunk keeps that size,
+// and the pool keeps nothing alive across two collections — no connection
+// holds encode buffers of its own.
+type frame struct{ b []byte }
+
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// encodeFrame frames resp into a recycled buffer.
+func encodeFrame(resp *wire.Response) *frame {
+	f := framePool.Get().(*frame)
+	f.b = wire.AppendResponse(f.b[:0], resp)
+	return f
+}
+
+// scanRun is one streaming scan's key/value runs, recycled across scans.
+type scanRun struct{ keys, vals []int64 }
+
+var scanRunPool = sync.Pool{New: func() any { return new(scanRun) }}
+
 // conn is one client connection: a reader goroutine (frame decode +
 // dispatch), a writer goroutine (serialize + flush the outbound queue), and
 // up to MaxScansPerConn streaming scan goroutines.
+//
+// The writer goroutine owns the socket's write side except while it is
+// parked with an empty queue: then the reader goroutine may borrow it (lent)
+// to write a response it produced itself, sparing a Get the wake-up of a
+// second goroutine. Nothing else ever writes the socket.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	qmu  sync.Mutex
-	qcnd *sync.Cond
-	q    [][]byte // encoded frames awaiting the writer
-	idle bool     // writer flushed everything and is waiting (under qmu)
-	dead bool     // no further sends (under qmu)
+	qmu    sync.Mutex
+	qcnd   *sync.Cond
+	q      []*frame // encoded frames awaiting the writer
+	parked bool     // writer is waiting for work; nothing buffered unflushed (under qmu)
+	lent   bool     // reader goroutine is writing the socket (under qmu)
+	dead   bool     // no further sends (under qmu)
 
-	done     chan struct{} // closed by teardown: cancels scans, wakes waiters
 	tearOnce sync.Once
 
 	pending  sync.WaitGroup // dispatched, not yet answered
@@ -47,13 +74,14 @@ type conn struct {
 	scans   map[uint64]chan struct{}
 
 	draining atomic.Bool
+
+	direct bool // reader goroutine only: see serve
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
 	c := &conn{
 		srv:     s,
 		nc:      nc,
-		done:    make(chan struct{}),
 		scanSem: make(chan struct{}, s.opts.MaxScansPerConn),
 		scans:   make(map[uint64]chan struct{}),
 	}
@@ -96,6 +124,10 @@ func (c *conn) serve() {
 				"remote", c.nc.RemoteAddr(), "err", err)
 			return
 		}
+		// A response the reader produces may go straight to the socket only
+		// when no further request is already buffered: under pipelining the
+		// queue and the writer's one flush per burst stay the cheaper path.
+		c.direct = br.Buffered() == 0
 		c.dispatch(&req, rt)
 	}
 }
@@ -134,7 +166,7 @@ func (c *conn) dispatch(req *wire.Request, rt reqTimes) {
 		if s.m != nil {
 			s.m.Errors.Inc()
 		}
-		c.respond(&wire.Response{Status: wire.StatusErr, Op: req.Op, ID: req.ID, Err: errStr}, op, rt)
+		c.respondFromReader(&wire.Response{Status: wire.StatusErr, Op: req.Op, ID: req.ID, Err: errStr}, op, rt)
 		return
 	}
 	if c.inflight.Add(1) > int64(s.opts.MaxConnInflight) {
@@ -156,7 +188,7 @@ func (c *conn) dispatch(req *wire.Request, rt reqTimes) {
 		if err != nil {
 			resp = wire.Response{Status: wire.StatusErr, Op: wire.OpGet, ID: req.ID, Err: err.Error()}
 		}
-		c.respond(&resp, op, rt)
+		c.respondFromReader(&resp, op, rt)
 	case wire.OpStats:
 		if s.tr != nil {
 			rt.applyStart = time.Now()
@@ -165,7 +197,7 @@ func (c *conn) dispatch(req *wire.Request, rt reqTimes) {
 		if s.tr != nil {
 			rt.applyEnd = time.Now()
 		}
-		c.respond(&wire.Response{Status: wire.StatusOK, Op: wire.OpStats, ID: req.ID, Blob: blob}, op, rt)
+		c.respondFromReader(&wire.Response{Status: wire.StatusOK, Op: wire.OpStats, ID: req.ID, Blob: blob}, op, rt)
 	case wire.OpScan:
 		select {
 		case c.scanSem <- struct{}{}:
@@ -225,13 +257,26 @@ func (c *conn) busy(req *wire.Request) {
 	if m := c.srv.m; m != nil {
 		m.Busy.Inc()
 	}
-	c.send(wire.AppendResponse(nil, &wire.Response{Status: wire.StatusBusy, Op: req.Op, ID: req.ID}))
+	c.sendFromReader(encodeFrame(&wire.Response{Status: wire.StatusBusy, Op: req.Op, ID: req.ID}))
 }
 
-// respond enqueues a request's final response, attributes its latency to
-// the per-op histograms and the trace section, and releases its token.
+// respond enqueues a request's final response; the committer and the scan
+// goroutines answer through it, and never touch the socket.
 func (c *conn) respond(resp *wire.Response, op obs.ServerOp, rt reqTimes) {
-	c.send(wire.AppendResponse(nil, resp))
+	c.send(encodeFrame(resp))
+	c.answered(op, rt)
+}
+
+// respondFromReader is respond for the responses dispatch produces on the
+// reader goroutine (Get, Stats, validation errors).
+func (c *conn) respondFromReader(resp *wire.Response, op obs.ServerOp, rt reqTimes) {
+	c.sendFromReader(encodeFrame(resp))
+	c.answered(op, rt)
+}
+
+// answered attributes a request's latency to the per-op histograms and the
+// trace section, and releases its token.
+func (c *conn) answered(op obs.ServerOp, rt reqTimes) {
 	if m := c.srv.m; m != nil && op >= 0 && op < obs.NumServerOps {
 		end := time.Now()
 		m.OpNanos[op].ObserveDuration(end.Sub(rt.start))
@@ -244,16 +289,21 @@ func (c *conn) respond(resp *wire.Response, op obs.ServerOp, rt reqTimes) {
 // send appends one encoded frame to the outbound queue (dropped when the
 // connection is dead) and kicks the writer. It never blocks: queue growth
 // is bounded by the in-flight tokens and the scan high-water throttle.
-func (c *conn) send(frame []byte) bool {
+func (c *conn) send(f *frame) bool {
 	c.qmu.Lock()
+	ok := c.enqueueLocked(f)
+	c.qmu.Unlock()
+	return ok
+}
+
+// enqueueLocked is send's body, under qmu. A parked writer is woken unless
+// the reader holds the socket — it wakes the writer when it gives it back.
+func (c *conn) enqueueLocked(f *frame) bool {
 	if c.dead {
-		c.qmu.Unlock()
 		return false
 	}
-	c.q = append(c.q, frame)
-	wake := c.idle
-	c.qmu.Unlock()
-	if wake {
+	c.q = append(c.q, f)
+	if c.parked && !c.lent {
 		c.qcnd.Broadcast()
 	}
 	return true
@@ -261,43 +311,79 @@ func (c *conn) send(frame []byte) bool {
 
 // sendScanChunk is send with the high-water throttle: a scan waits for the
 // writer (i.e. for the client to read) instead of growing the queue.
-func (c *conn) sendScanChunk(frame []byte) bool {
+func (c *conn) sendScanChunk(f *frame) bool {
 	c.qmu.Lock()
 	for !c.dead && len(c.q) > scanHighWater {
 		c.qcnd.Wait()
 	}
-	if c.dead {
-		c.qmu.Unlock()
-		return false
-	}
-	c.q = append(c.q, frame)
-	wake := c.idle
+	ok := c.enqueueLocked(f)
 	c.qmu.Unlock()
-	if wake {
-		c.qcnd.Broadcast()
+	return ok
+}
+
+// sendFromReader sends a frame produced on the reader goroutine. With the
+// writer parked on an empty queue and no further request buffered, the
+// reader writes the socket itself — one goroutine crossing less per Get —
+// holding no lock meanwhile, so the committer's sends to this connection
+// still return at once; otherwise the frame joins the queue.
+func (c *conn) sendFromReader(f *frame) {
+	c.qmu.Lock()
+	if !c.direct || !c.parked || len(c.q) > 0 || c.dead {
+		c.enqueueLocked(f)
+		c.qmu.Unlock()
+		return
 	}
-	return true
+	c.lent = true
+	c.qmu.Unlock()
+	var tw time.Time
+	if c.srv.tr != nil {
+		tw = time.Now()
+	}
+	_, err := c.nc.Write(f.b)
+	c.wrote(len(f.b), tw, err)
+	framePool.Put(f)
+	c.qmu.Lock()
+	c.lent = false
+	if len(c.q) > 0 {
+		c.qcnd.Broadcast() // queued behind the loan: the writer takes over
+	}
+	c.qmu.Unlock()
+	if err != nil {
+		c.teardown()
+	}
+}
+
+// wrote accounts for one burst of n bytes put on the socket since tw.
+func (c *conn) wrote(n int, tw time.Time, err error) {
+	if m := c.srv.m; m != nil {
+		m.BytesWritten.Add(uint64(n))
+		if err == nil {
+			// One burst = one syscall; its duration is the outbound
+			// half of tail latency the per-stage timers can't see.
+			c.srv.tr.Flush.ObserveDuration(time.Since(tw))
+		}
+	}
 }
 
 // writer serializes the outbound queue onto the socket, flushing whenever
 // it catches up — one syscall per burst under pipelining, per response
-// when idle.
+// when idle. A frame goes back to the pool as soon as it is copied out.
 func (c *conn) writer() {
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
+	var frames []*frame // the burst being written; swapped with c.q
 	for {
 		c.qmu.Lock()
-		for len(c.q) == 0 && !c.dead {
-			c.idle = true
+		for (len(c.q) == 0 || c.lent) && !c.dead {
+			c.parked = true
 			c.qcnd.Broadcast() // waitFlushed watchers
 			c.qcnd.Wait()
 		}
-		if len(c.q) == 0 { // dead and drained
+		c.parked = false
+		if c.dead {
 			c.qmu.Unlock()
 			return
 		}
-		frames := c.q
-		c.q = nil
-		c.idle = false
+		frames, c.q = c.q, frames[:0]
 		c.qmu.Unlock()
 		var tw time.Time
 		if c.srv.tr != nil {
@@ -305,23 +391,18 @@ func (c *conn) writer() {
 		}
 		var n int
 		var err error
-		for _, f := range frames {
-			if _, err = bw.Write(f); err != nil {
-				break
+		for i, f := range frames {
+			if err == nil {
+				_, err = bw.Write(f.b)
+				n += len(f.b)
 			}
-			n += len(f)
+			framePool.Put(f)
+			frames[i] = nil
 		}
 		if err == nil {
 			err = bw.Flush()
 		}
-		if m := c.srv.m; m != nil {
-			m.BytesWritten.Add(uint64(n))
-			if err == nil {
-				// One burst = one syscall; its duration is the outbound
-				// half of tail latency the per-stage timers can't see.
-				c.srv.tr.Flush.ObserveDuration(time.Since(tw))
-			}
-		}
+		c.wrote(n, tw, err)
 		if err != nil {
 			c.teardown()
 			return
@@ -333,10 +414,11 @@ func (c *conn) writer() {
 }
 
 // waitFlushed blocks until the writer has written and flushed every queued
-// frame (or the connection died).
+// frame (or the connection died). Only the reader goroutine calls it, so
+// the socket is not on loan meanwhile.
 func (c *conn) waitFlushed() {
 	c.qmu.Lock()
-	for !c.dead && (len(c.q) > 0 || !c.idle) {
+	for !c.dead && (len(c.q) > 0 || !c.parked) {
 		c.qcnd.Wait()
 	}
 	c.qmu.Unlock()
@@ -344,8 +426,10 @@ func (c *conn) waitFlushed() {
 
 // runScan streams one scan as chunked frames, ending with a StatusOK frame
 // for the same id. It stops early on OpCancel, client disconnect, or
-// shutdown teardown; the final frame is still attempted so a cancelling
-// client sees the stream terminate.
+// shutdown teardown, which it notices once per chunk — the store's scan
+// callback does nothing but collect the pair, and runs for at most one more
+// chunk after the cancel lands. The final frame is still attempted so a
+// cancelling client sees the stream terminate.
 func (c *conn) runScan(id uint64, lo, hi int64, cancel chan struct{}, rt reqTimes) {
 	s := c.srv
 	defer func() {
@@ -355,15 +439,25 @@ func (c *conn) runScan(id uint64, lo, hi int64, cancel chan struct{}, rt reqTime
 		c.scanMu.Unlock()
 	}()
 	pairs := s.opts.ScanChunkPairs
-	keys := make([]int64, 0, pairs)
-	vals := make([]int64, 0, pairs)
-	stopped := false
+	run := scanRunPool.Get().(*scanRun)
+	defer scanRunPool.Put(run)
+	if cap(run.keys) < pairs {
+		run.keys, run.vals = make([]int64, 0, pairs), make([]int64, 0, pairs)
+	}
+	keys, vals := run.keys[:0], run.vals[:0]
+	// flush sends the collected pairs as one chunk; false means stop: the
+	// scan was cancelled (the chunk is dropped) or the connection is dead.
 	flush := func() bool {
-		frame := wire.AppendResponse(nil, &wire.Response{
+		select {
+		case <-cancel:
+			return false
+		default:
+		}
+		f := encodeFrame(&wire.Response{
 			Status: wire.StatusScanChunk, Op: wire.OpScan, ID: id, Keys: keys, Vals: vals,
 		})
 		keys, vals = keys[:0], vals[:0]
-		if !c.sendScanChunk(frame) {
+		if !c.sendScanChunk(f) {
 			return false
 		}
 		if s.m != nil {
@@ -371,27 +465,17 @@ func (c *conn) runScan(id uint64, lo, hi int64, cancel chan struct{}, rt reqTime
 		}
 		return true
 	}
+	stopped := false
 	if s.tr != nil {
 		rt.applyStart = time.Now()
 	}
 	err := s.apply(func() {
 		s.store.Scan(lo, hi, func(k, v int64) bool {
-			select {
-			case <-cancel:
-				stopped = true
-				return false
-			case <-c.done:
-				stopped = true
-				return false
-			default:
-			}
 			keys = append(keys, k)
 			vals = append(vals, v)
-			if len(keys) == pairs {
-				if !flush() {
-					stopped = true
-					return false
-				}
+			if len(keys) == pairs && !flush() {
+				stopped = true
+				return false
 			}
 			return true
 		})
@@ -399,11 +483,11 @@ func (c *conn) runScan(id uint64, lo, hi int64, cancel chan struct{}, rt reqTime
 	if s.tr != nil {
 		rt.applyEnd = time.Now()
 	}
-	if stopped && s.m != nil {
-		s.m.ScanCancels.Inc()
-	}
 	if !stopped && err == nil && len(keys) > 0 && !flush() {
 		stopped = true
+	}
+	if stopped && s.m != nil {
+		s.m.ScanCancels.Inc()
 	}
 	resp := wire.Response{Status: wire.StatusOK, Op: wire.OpScan, ID: id}
 	if err != nil {
@@ -422,14 +506,14 @@ func (c *conn) beginDrain() {
 	_ = c.nc.SetReadDeadline(time.Now())
 }
 
-// teardown kills the connection now: marks it dead (senders drop), cancels
-// scans and throttled sends via done, and closes the socket.
+// teardown kills the connection now: marks it dead (senders drop, so a scan
+// stops at its next chunk), wakes the writer and throttled scans, and closes
+// the socket.
 func (c *conn) teardown() {
 	c.tearOnce.Do(func() {
 		c.qmu.Lock()
 		c.dead = true
 		c.qmu.Unlock()
-		close(c.done)
 		c.qcnd.Broadcast()
 		_ = c.nc.Close()
 	})

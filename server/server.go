@@ -25,8 +25,27 @@
 // globally (the committer queue). A request over either bound is answered
 // with an explicit busy response — never buffered without bound — and the
 // client retries. Shutdown stops reads, lets every dispatched request
-// complete and flush, then closes; Close tears down immediately. Streaming
-// scans are cancelled by OpCancel or by the client disconnecting.
+// complete and flush, then closes; Close tears down immediately.
+//
+// # Scans and the socket
+//
+// A scan streams as StatusScanChunk frames of ScanChunkPairs pairs and ends
+// with a StatusOK frame. It is cancelled by OpCancel or by the client
+// disconnecting, which it notices once per chunk: the store's scan callback
+// only collects the pair, and after a cancel it runs for less than one
+// chunk more. Chunks wait in the connection's outbound queue, at most
+// scanHighWater of them, so a client that reads slowly throttles its own
+// scans and nothing else.
+//
+// A connection's socket has one writer at a time. The writer goroutine
+// drains the outbound queue, one flush per burst; everything the committer
+// and the scan goroutines send goes through that queue, so neither ever
+// blocks on a client's socket. While the writer is parked on an empty queue
+// and no further request is already buffered, the reader goroutine writes
+// the responses it produces itself (Get, Stats, validation errors, busy)
+// straight to the socket; otherwise they join the queue. Encoded frames
+// live in pooled buffers: a frame belongs to the writer once it is sent,
+// and whoever writes it to the socket hands the buffer back.
 package server
 
 import (
@@ -407,7 +426,8 @@ type commitReq struct {
 // cannot stall another's acknowledgments.
 func (s *Server) committer() {
 	defer s.commitWg.Done()
-	batch := make([]commitReq, 0, s.opts.MaxCommitOps)
+	d := drain{s: s}
+	var batch []commitReq // grows to the largest drain seen, at most MaxCommitOps
 	for first := range s.commitCh {
 		if s.tr != nil {
 			first.rt.picked = time.Now()
@@ -444,75 +464,81 @@ func (s *Server) committer() {
 			}
 			runtime.Gosched()
 		}
-		s.applyBatch(batch)
+		d.apply(batch)
 	}
 }
 
-// applyBatch applies one committer drain. Puts consolidate into a single
+// drain is the committer's working state for one drain of the commit queue.
+// The one committer goroutine owns it and resets it per drain — every store
+// call a drain spawns has returned before the next drain starts — so a
+// drain allocates nothing of its own.
+type drain struct {
+	s                *Server
+	batch            []commitReq
+	putKeys, putVals []int64 // the drain's puts, consolidated in queue order
+	putErr           error
+	results          []delResult // indexed like batch
+	calls            []int       // the drain's store calls: putCall, or a delete's index in batch
+	wg               sync.WaitGroup
+}
+
+// delResult is one Delete or DeleteBatch's outcome.
+type delResult struct {
+	removed int64
+	err     error
+}
+
+// putCall is call's index for the drain's consolidated PutBatch.
+const putCall = -1
+
+// maxKeptPutKeys bounds the put scratch kept between drains: a drain of
+// huge client batches must not pin its peak for good.
+const maxKeptPutKeys = 1 << 14
+
+// apply applies one committer drain. Puts consolidate into a single
 // PutBatch in queue order (all ops in a drain are mutually concurrent, so
 // this serialization is legal, and order preservation keeps last-wins
 // dedup faithful); deletes run as individual concurrent store calls so
 // each op's removed result is exact — their WAL appends still share fsyncs
-// through the log's own group commit. Store panics (a sick WAL, rejected
-// input that slipped past validation) become error responses rather than
-// killing the server.
-func (s *Server) applyBatch(batch []commitReq) {
-	var putKeys, putVals []int64
-	nPuts := 0
+// through the log's own group commit. The committer makes one of the
+// drain's store calls itself and spawns goroutines only for the others, so
+// a lone Put or Delete costs no hand-off.
+func (d *drain) apply(batch []commitReq) {
+	s := d.s
+	d.batch, d.putErr = batch, nil
+	d.putKeys, d.putVals = d.putKeys[:0], d.putVals[:0]
+	d.results = append(d.results[:0], make([]delResult, len(batch))...)
+	d.calls = d.calls[:0]
 	for i := range batch {
-		switch batch[i].op {
+		switch r := &batch[i]; r.op {
 		case wire.OpPut:
-			putKeys = append(putKeys, batch[i].key)
-			putVals = append(putVals, batch[i].val)
-			nPuts++
+			d.putKeys = append(d.putKeys, r.key)
+			d.putVals = append(d.putVals, r.val)
 		case wire.OpPutBatch:
-			putKeys = append(putKeys, batch[i].keys...)
-			putVals = append(putVals, batch[i].vals...)
-			nPuts++
+			d.putKeys = append(d.putKeys, r.keys...)
+			d.putVals = append(d.putVals, r.vals...)
+		case wire.OpDelete, wire.OpDeleteBatch:
+			d.calls = append(d.calls, i)
 		}
+	}
+	if len(d.putKeys) > 0 {
+		d.calls = append(d.calls, putCall)
 	}
 	var tApply time.Time
 	if s.tr != nil {
 		tApply = time.Now()
 	}
-	var putErr error
-	var wg sync.WaitGroup
-	if len(putKeys) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			putErr = s.apply(func() { s.store.PutBatch(putKeys, putVals) })
-		}()
-	}
-	type delResult struct {
-		removed int64
-		err     error
-	}
-	results := make([]delResult, len(batch))
-	for i := range batch {
-		r := &batch[i]
-		switch r.op {
-		case wire.OpDelete:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				var removed bool
-				results[i].err = s.apply(func() { removed = s.store.Delete(batch[i].key) })
-				if removed {
-					results[i].removed = 1
-				}
-			}(i)
-		case wire.OpDeleteBatch:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				var n int
-				results[i].err = s.apply(func() { n = s.store.DeleteBatch(batch[i].keys) })
-				results[i].removed = int64(n)
-			}(i)
+	if last := len(d.calls) - 1; last >= 0 { // an empty PutBatch alone makes no call
+		for _, i := range d.calls[:last] {
+			d.wg.Add(1)
+			go func() {
+				defer d.wg.Done()
+				d.call(i)
+			}()
 		}
+		d.call(d.calls[last])
+		d.wg.Wait()
 	}
-	wg.Wait()
 	if s.tr != nil {
 		// The shared store call is every batched request's apply stage: the
 		// group commit is one WAL record and one fsync, so its cost is the
@@ -526,7 +552,7 @@ func (s *Server) applyBatch(batch []commitReq) {
 	if s.m != nil {
 		s.m.GroupCommits.Inc()
 		s.m.CommitOps.Observe(uint64(len(batch)))
-		s.m.CommitKeys.Observe(uint64(len(putKeys)))
+		s.m.CommitKeys.Observe(uint64(len(d.putKeys)))
 	}
 	for i := range batch {
 		r := &batch[i]
@@ -534,13 +560,13 @@ func (s *Server) applyBatch(batch []commitReq) {
 		var err error
 		switch r.op {
 		case wire.OpPut, wire.OpPutBatch:
-			err = putErr
+			err = d.putErr
 		case wire.OpDelete:
-			err = results[i].err
-			resp.Found = results[i].removed == 1
+			err = d.results[i].err
+			resp.Found = d.results[i].removed == 1
 		case wire.OpDeleteBatch:
-			err = results[i].err
-			resp.Val = results[i].removed
+			err = d.results[i].err
+			resp.Val = d.results[i].removed
 		}
 		if err != nil {
 			resp = wire.Response{Status: wire.StatusErr, Op: r.op, ID: r.id, Err: err.Error()}
@@ -550,6 +576,33 @@ func (s *Server) applyBatch(batch []commitReq) {
 		}
 		r.c.respond(&resp, obs.ServerOp(r.op-wire.OpPut), r.rt)
 	}
+	if cap(d.putKeys) > maxKeptPutKeys {
+		d.putKeys, d.putVals = nil, nil
+	}
+}
+
+// call makes one of the drain's store calls: batch[i]'s Delete or
+// DeleteBatch, or the consolidated PutBatch. Store panics (a sick WAL,
+// rejected input that slipped past validation) become error responses
+// rather than killing the server.
+func (d *drain) call(i int) {
+	s := d.s
+	if i == putCall {
+		d.putErr = s.apply(func() { s.store.PutBatch(d.putKeys, d.putVals) })
+		return
+	}
+	r, res := &d.batch[i], &d.results[i]
+	if r.op == wire.OpDelete {
+		var removed bool
+		res.err = s.apply(func() { removed = s.store.Delete(r.key) })
+		if removed {
+			res.removed = 1
+		}
+		return
+	}
+	var n int
+	res.err = s.apply(func() { n = s.store.DeleteBatch(r.keys) })
+	res.removed = int64(n)
 }
 
 // nanosBetween is b-a in nanoseconds, 0 when either stamp is missing (a

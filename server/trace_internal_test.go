@@ -1,11 +1,13 @@
 package server
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"pmago"
 	"pmago/internal/obs"
+	"pmago/internal/wire"
 )
 
 // TestServeRecordingDoesNotAllocate guards the instrumented request path:
@@ -37,6 +39,47 @@ func TestServeRecordingDoesNotAllocate(t *testing.T) {
 		s.recordTrace(obs.ServerOpPut, rt, end)
 	}); n != 0 {
 		t.Fatalf("recordTrace allocates %v/op", n)
+	}
+}
+
+// TestScanChunkEncodeDoesNotAllocate guards the streamed-scan path: once
+// the pools are warm, a chunk is framed into a recycled buffer, queued and
+// handed back after the write without a single allocation — what the store
+// scans in 4 ns a pair must not cost a 20 KB buffer per kilopair to send.
+func TestScanChunkEncodeDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	p, err := pmago.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	s := New(p, Options{})
+	defer s.Close()
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	c := newConn(s, a) // no writer goroutine: the test plays its part
+
+	pairs := s.opts.ScanChunkPairs
+	keys, vals := make([]int64, pairs), make([]int64, pairs)
+	for i := range keys {
+		keys[i], vals[i] = int64(i)<<20, -int64(i)<<40
+	}
+	chunk := wire.Response{Status: wire.StatusScanChunk, Op: wire.OpScan, ID: 9, Keys: keys, Vals: vals}
+	if n := testing.AllocsPerRun(1000, func() {
+		if !c.sendScanChunk(encodeFrame(&chunk)) {
+			t.Fatal("chunk refused")
+		}
+		// The writer's half: take the burst, recycle each frame.
+		for i, f := range c.q {
+			framePool.Put(f)
+			c.q[i] = nil
+		}
+		c.q = c.q[:0]
+	}); n != 0 {
+		t.Fatalf("streaming a scan chunk allocates %v/chunk", n)
 	}
 }
 
