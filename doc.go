@@ -23,7 +23,8 @@
 // rebuild the whole array behind an atomic state pointer with epoch-based
 // reclamation (Section 3.4), and contended writers are decoupled through
 // per-gate combining queues with one-by-one or batch processing
-// (Section 3.5).
+// (Section 3.5): an uncontended writer updates in place; the queue is for
+// writers that arrive while the latch is held.
 //
 // # Point and batch updates
 //

@@ -1,46 +1,46 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"pmago/internal/epoch"
 )
 
-// drainQueue is the active writer's loop of Section 3.5: with pQ installed,
+// drainQueue is the active writer's loop of Section 3.5: with pQ published,
 // it repeatedly takes whatever accumulated in the queue and processes it with
-// the configured policy, leaving the gate only once the queue is empty (or
-// after handing work to the rebalancer).
-func (p *PMA) drainQueue(st *state, g *gate, guard *epoch.Guard) {
-	var reroute []op
-	for {
+// the configured policy, closing the queue and releasing the latch once it
+// finds the queue empty. For a writer nobody combined with that is the first
+// thing it finds. released reports that the latch already went to the
+// rebalancer, and reroute carries what the writer's own op left to replay.
+func (p *PMA) drainQueue(st *state, g *gate, guard *epoch.Guard, reroute []op, released bool) {
+	var ops []op
+	for !released {
 		g.mu.Lock()
-		ops := g.q.ops
-		g.q.ops = nil
-		if len(ops) == 0 {
-			g.q = nil
+		if ops != nil {
+			g.qSpare = ops[:0] // last round's buffer is free again
+		}
+		if ops = g.qOps; len(ops) == 0 {
+			g.qOpen = false
 			g.endExclusive() // the drain's mutations are complete
 			g.lstate = lsFree
 			g.cond.Broadcast()
 			g.mu.Unlock()
 			break
 		}
+		g.qOps, g.qSpare = g.qSpare, nil
 		g.mu.Unlock()
 		if m := p.metrics; m != nil {
 			m.DrainSize.Observe(uint64(len(ops)))
 		}
 
 		var rest []op
-		var released bool
 		if p.cfg.Mode == ModeOneByOne {
 			rest, released = p.drainOneByOne(st, g, ops)
 		} else {
 			rest, released = p.drainBatch(st, g, ops)
 		}
 		reroute = append(reroute, rest...)
-		if released {
-			break
-		}
 	}
 	p.maybeRequestShrink(st)
 	// Updates that no longer belong to this gate (its fences moved under a
@@ -75,8 +75,7 @@ func (p *PMA) drainOneByOne(st *state, g *gate, ops []op) (reroute []op, release
 		case putNeedsGlobal:
 			gen := g.rebGen
 			g.mu.Lock()
-			extra := g.q.ops
-			g.q = nil // stop accepting
+			extra := g.takeQueue() // stop accepting
 			// No version bump: the latch stays exclusively owned across
 			// the transfer; the rebalancer's rebUnlock ends the odd
 			// period this writer's acquisition began.
@@ -101,8 +100,8 @@ func (p *PMA) drainOneByOne(st *state, g *gate, ops []op) (reroute []op, release
 // drainBatch implements batch processing: deletions first, then the smallest
 // calibrator window that fits all insertions is rebalanced with them merged
 // in. When no in-chunk window fits, the batch is handed to the rebalancer,
-// rate-limited by TDelay per gate; the latch is released but pQ stays set so
-// the queue keeps absorbing updates until the rebalancer picks it up.
+// rate-limited by TDelay per gate; the latch is released but the queue stays
+// open and keeps absorbing updates until the rebalancer picks it up.
 func (p *PMA) drainBatch(st *state, g *gate, ops []op) (reroute []op, released bool) {
 	ins, dels, out := compactOps(ops, g.fenceLo, g.fenceHi)
 	reroute = out
@@ -130,15 +129,16 @@ func (p *PMA) drainBatch(st *state, g *gate, ops []op) (reroute []op, released b
 
 // handOffBatch hands key-sorted insert ops to the rebalancer as a batch
 // request for gate g. The caller must hold the gate exclusively; the latch
-// is released with pQ left set so the queue keeps absorbing updates until
+// is released with the queue left open, so it keeps absorbing updates until
 // the rebalancer picks it up.
 //
-// On the asynchronous drain path (wait=false) the ops are prepended to the
-// queue — they are older than anything writers combined meanwhile — and the
-// request carries the gate's tdelay rate limit. On the synchronous batch
-// path (wait=true) the ops ride on the request itself so they supersede any
-// older op the master redistributes into the queue before pickup; the
-// request is immediate and the call blocks until it has been served.
+// On the asynchronous path (wait=false; the caller is the active writer and
+// its queue is open) the ops are prepended to the queue — they are older than
+// anything writers combined meanwhile — and the request carries the gate's
+// tdelay rate limit. On the synchronous batch path (wait=true) the ops ride
+// on the request itself so they supersede any older op the master
+// redistributes into the queue before pickup; the request is immediate and
+// the call blocks until it has been served.
 func (p *PMA) handOffBatch(st *state, g *gate, ins []op, wait bool) {
 	var notBefore time.Time
 	if !wait {
@@ -153,22 +153,13 @@ func (p *PMA) handOffBatch(st *state, g *gate, ins []op, wait bool) {
 	}
 	req := &request{kind: reqBatch, st: st, g: g, notBefore: notBefore}
 	g.mu.Lock()
-	switch {
-	case wait:
+	if wait {
 		req.ins = ins
 		req.done = make(chan struct{})
-		if g.q == nil {
-			g.q = &opQueue{}
-		}
-	case g.q != nil:
-		pending := make([]op, 0, len(ins)+len(g.q.ops))
-		pending = append(pending, ins...)
-		pending = append(pending, g.q.ops...)
-		g.q.ops = pending
-	default:
-		g.q = &opQueue{ops: ins}
+	} else {
+		g.qOps = slices.Insert(g.qOps, 0, ins...)
 	}
-	g.pendingBatch = true
+	g.qOpen = true
 	g.endExclusive() // chunk mutations done; queue hand-off is mu-protected
 	g.lstate = lsFree
 	g.cond.Broadcast()
@@ -181,26 +172,33 @@ func (p *PMA) handOffBatch(st *state, g *gate, ins []op, wait bool) {
 
 // compactOps reduces an op sequence to its final effect per key (later ops
 // supersede earlier ones on the same key), split into key-sorted insert ops,
-// sorted delete keys, and ops outside [lo, hi] that must be re-routed.
+// sorted delete keys, and ops outside [lo, hi] that must be re-routed, in
+// arrival order. It reorders ops in place and ins aliases it.
 func compactOps(ops []op, lo, hi int64) (ins []op, dels []int64, reroute []op) {
-	final := make(map[int64]op, len(ops))
-	for _, o := range ops {
-		if o.key < lo || o.key > hi {
-			reroute = append(reroute, o)
-			continue
-		}
-		final[o.key] = o
-	}
-	for _, o := range final {
+	ops, reroute = fenceSplit(ops, lo, hi, nil)
+	ins = ops[:0]
+	for _, o := range sortDedupOps(ops) {
 		if o.del {
 			dels = append(dels, o.key)
 		} else {
 			ins = append(ins, o)
 		}
 	}
-	sort.Slice(ins, func(i, j int) bool { return ins[i].key < ins[j].key })
-	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
 	return ins, dels, reroute
+}
+
+// fenceSplit partitions ops in place: those within [lo, hi] stay, in order,
+// and the others are appended to out.
+func fenceSplit(ops []op, lo, hi int64, out []op) (in, rest []op) {
+	in = ops[:0]
+	for _, o := range ops {
+		if o.key < lo || o.key > hi {
+			out = append(out, o)
+		} else {
+			in = append(in, o)
+		}
+	}
+	return in, out
 }
 
 // mergeSorted merges the chunk elements exK/exV with sorted unique insert
@@ -320,10 +318,8 @@ func (p *PMA) sweepQueues(guard *epoch.Guard) bool {
 			return true // resized under us: report dirty so Flush retries
 		}
 		var ops []op
-		if g.q != nil && g.lstate == lsFree && !g.rebWanted {
-			ops = g.q.ops
-			g.q = nil
-			g.pendingBatch = false
+		if g.qOpen && g.lstate == lsFree && !g.rebWanted {
+			ops = g.takeQueue()
 		}
 		g.mu.Unlock()
 		if len(ops) > 0 {

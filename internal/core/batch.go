@@ -249,13 +249,11 @@ func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, lefto
 	orig := run // the batch's own ops: only their deletions count
 	absorbed := false
 	g.mu.Lock()
-	if g.q != nil {
-		// A parked batch (pendingBatch) — we hold the latch, so no
-		// active writer owns the queue. Its outstanding rebalancer
-		// request completes vacuously on the emptied queue.
-		parked := g.q.ops
-		g.q = nil
-		g.pendingBatch = false
+	if g.qOpen {
+		// A parked batch — we hold the latch, so no active writer owns
+		// the queue. Its outstanding rebalancer request completes
+		// vacuously on the emptied queue.
+		parked := g.takeQueue()
 		g.mu.Unlock()
 		absorbed = len(parked) > 0
 		if m := p.metrics; m != nil && absorbed {

@@ -441,8 +441,7 @@ func TestBatchAbsorbsParkedQueue(t *testing.T) {
 		st := p.state.Load()
 		g := st.gates[clampGate(st.index.Lookup(ops[0].key), len(st.gates))]
 		g.mu.Lock()
-		g.q = &opQueue{ops: ops}
-		g.pendingBatch = true
+		g.qOpen, g.qOps = true, ops
 		g.mu.Unlock()
 	}
 

@@ -23,7 +23,9 @@
 // Section 3.3. Resizes rebuild array, gates and index behind an atomic state
 // pointer with epoch-based garbage collection (Section 3.4). Skewed writers
 // are decoupled through per-gate combining queues with one-by-one or batch
-// processing and a tdelay rate limit on global rebalances (Section 3.5).
+// processing and a tdelay rate limit on global rebalances (Section 3.5): an
+// uncontended writer updates in place; the queue is for writers that arrive
+// while the latch is held.
 //
 // Beyond the paper, batch.go adds a client-facing batch subsystem
 // (PutBatch, DeleteBatch, BulkLoad): sorted batches are partitioned along

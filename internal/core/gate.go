@@ -19,12 +19,12 @@ const (
 
 // gate guards one chunk of the sparse array (Section 3.1). It bundles the
 // read-write latch, the fence keys, the per-segment minimum keys, the
-// combining-queue pointer pQ of Section 3.5, and — in this implementation —
+// combining queue of Section 3.5, and — in this implementation —
 // the chunk's storage itself, so that "memory rewiring" is an O(1) swap of
 // the buffer pointer under the latch.
 //
 // Locking discipline: mu protects the latch state machine and the combining
-// queue pointer. Everything else (fences, storage, minima, counters) is
+// queue. Everything else (fences, storage, minima, counters) is
 // protected by holding the latch itself in the appropriate mode.
 type gate struct {
 	mu        sync.Mutex
@@ -33,6 +33,7 @@ type gate struct {
 	wWaiting  int32 // writers parked on the latch; readers yield to them
 	rebWanted bool  // the rebalancer is waiting: new clients queue behind it
 	invalid   bool  // the array was resized; clients must restart on the new state
+	qOpen     bool  // pQ is published: see qOps
 
 	// version is the gate's seqlock generation counter, the optimistic-read
 	// protocol layered over the latch: it is odd exactly while an exclusive
@@ -59,8 +60,11 @@ type gate struct {
 	// the seqlock protocol in normal builds instead.
 	version atomic.Uint64
 
-	q            *opQueue // pQ: set while a writer (or a pending batch) combines
-	pendingBatch bool     // the queue has been handed to the rebalancer
+	// The combining queue (the paper's pQ and Qw). While qOpen — a writer
+	// holds the latch, or a batch waits for the rebalancer — arriving writers
+	// append to qOps instead of latching; a closed queue is empty. qSpare is
+	// the buffer drainQueue swaps in while it works through qOps.
+	qOps, qSpare []op
 
 	// --- latch-protected fields ---
 	fenceLo int64 // minimum key this chunk may store (inclusive)

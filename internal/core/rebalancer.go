@@ -206,12 +206,14 @@ func (r *rebalancer) handle(req *request) {
 // Fence keys only move under this (single) master goroutine, so routing
 // reads them without latches.
 //
-// Parked ops carry no version: if a later update to the same key lands at
-// the new gate before the scheduled batch drains, the replay applies the
-// older value — the documented unordered caveat for concurrent updates.
-// Batch callers stay ordered despite this: they absorb same-gate queues,
-// filter their own keys from leftovers, and barrier the master after any
-// hand-off, so none of their ops is still parked when the call returns.
+// Parked ops carry no version: an update of the same key that reaches the
+// new gate first is overwritten by the replay. A global rebalance therefore
+// re-parks what its fence moves displaced before it unlatches the window
+// (process), so later updates combine behind it; ops a racy index read
+// queued at the wrong gate keep the caveat. Batch callers stay ordered
+// regardless: they absorb same-gate queues, filter their own keys from
+// leftovers, and barrier the master after any hand-off, so none of their
+// ops is still parked when the call returns.
 func (r *rebalancer) redistribute(ops []op) {
 	p := r.p
 	st := p.state.Load()
@@ -229,16 +231,14 @@ func (r *rebalancer) redistribute(ops []op) {
 	for gi, group := range groups {
 		g := st.gates[gi]
 		g.mu.Lock()
-		if g.q != nil {
-			// An active writer or a pending batch will absorb them.
-			g.q.ops = append(g.q.ops, group...)
-			g.mu.Unlock()
-			continue
-		}
-		g.q = &opQueue{ops: group}
-		g.pendingBatch = true
+		open := g.qOpen
+		g.qOps = append(g.qOps, group...)
+		g.qOpen = true
 		g.cond.Broadcast()
 		g.mu.Unlock()
+		if open {
+			continue // an active writer or a pending batch will absorb them
+		}
 		// Schedule through the master's own pending list (never through
 		// the channel: we are the master, and the channel may be full).
 		r.delayed = append(r.delayed, &request{kind: reqBatch, st: st, g: g})
@@ -351,6 +351,20 @@ func (r *rebalancer) process(req *request) []op {
 	}
 	if found {
 		r.executeRebalance(st, glo, ghi, ins)
+		// Queued ops follow their keys: what the fence moves left out of
+		// range in a window gate's queue is parked where it now belongs
+		// while the window is still latched, so a later update of the key
+		// combines behind it instead of overtaking it.
+		for i := glo; i < ghi; i++ {
+			h := st.gates[i]
+			h.mu.Lock()
+			h.qOps, leftovers = fenceSplit(h.qOps, h.fenceLo, h.fenceHi, leftovers)
+			h.mu.Unlock()
+		}
+		if len(leftovers) > 0 {
+			r.redistribute(leftovers)
+			leftovers = nil
+		}
 		for i := glo; i < ghi; i++ {
 			st.gates[i].rebUnlock()
 		}
@@ -370,12 +384,7 @@ func (r *rebalancer) process(req *request) []op {
 
 func (r *rebalancer) detachQueue(g *gate) []op {
 	g.mu.Lock()
-	var ops []op
-	if g.q != nil {
-		ops = g.q.ops
-		g.q = nil
-		g.pendingBatch = false
-	}
+	ops := g.takeQueue()
 	g.mu.Unlock()
 	if m := r.p.metrics; m != nil && len(ops) > 0 {
 		m.DrainSize.Observe(uint64(len(ops)))

@@ -123,7 +123,7 @@ func TestWriterKeepsParkedOps(t *testing.T) {
 			t.Fatalf("%v: idle gate not acquired", mode)
 		}
 		g.mu.Lock()
-		g.q = &opQueue{ops: []op{{key: 2, val: 2}}}
+		g.qOpen, g.qOps = true, []op{{key: 2, val: 2}}
 		g.mu.Unlock()
 		guard := p.epochs.Enter()
 		p.runWriter(st, g, own, guard)
@@ -134,5 +134,147 @@ func TestWriterKeepsParkedOps(t *testing.T) {
 				t.Fatalf("%v: Get(%d) = %d,%v after the drain", mode, k, v, ok)
 			}
 		}
+	}
+}
+
+// TestLoneWriterStillCombines pins what the in-place path must not lose: the
+// holder's queue is open (and empty) while it applies its own op in the
+// chunk, so a writer arriving meanwhile combines — it never latches — and the
+// holder applies that op before its own call returns, with no Flush.
+func TestLoneWriterStillCombines(t *testing.T) {
+	for _, mode := range []Mode{ModeOneByOne, ModeBatch} {
+		p := newTest(t, mode)
+		for k := int64(10); k < 14; k++ { // nobody combines: no queue is drained
+			p.Put(k, k)
+			p.Delete(k)
+		}
+		if n := p.metrics.DrainSize.Snapshot().Count; n != 0 {
+			t.Fatalf("%v: %d drains observed for uncontended updates, want 0", mode, n)
+		}
+		st := p.state.Load()
+		g := st.gates[0]
+		own := op{key: 1, val: 1}
+		if p.lockForWrite(g, own) != lockAcquired {
+			t.Fatalf("%v: idle gate not acquired", mode)
+		}
+		if g.openQueue(own) {
+			t.Fatalf("%v: the holder's op was queued behind nothing", mode)
+		}
+		// The holder is now inside its in-place apply.
+		p.Put(2, 2)
+		if c, q := p.metrics.CombinedOps.Load(), p.QueuedOps(); c != 1 || q != 1 {
+			t.Fatalf("%v: combined %d queued %d after a Put under the holder, want 1 and 1", mode, c, q)
+		}
+		guard := p.epochs.Enter()
+		p.applyOwn(st, g, own, false, guard)
+		guard.Leave()
+		if q := p.QueuedOps(); q != 0 {
+			t.Fatalf("%v: %d ops still queued after the holder returned", mode, q)
+		}
+		for k := int64(1); k <= 2; k++ {
+			if v, ok := p.Get(k); !ok || v != k {
+				t.Fatalf("%v: Get(%d) = %d,%v after the holder returned", mode, k, v, ok)
+			}
+		}
+		if d := p.metrics.DrainSize.Snapshot(); d.Count != 1 || d.Sum != 1 {
+			t.Fatalf("%v: drains %d of %d ops, want one drain of the absorbed op", mode, d.Count, d.Sum)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLoneWriterOverflowTakesTDelay: an in-place insert that does not fit its
+// chunk takes the route a queued one takes — parked in the gate's queue as a
+// batch for the rebalancer, rate-limited by TDelay. The Flush before every
+// Put keeps the master idle, so each Put is a lone writer.
+func TestLoneWriterOverflowTakesTDelay(t *testing.T) {
+	cfg := testConfig(ModeBatch)
+	cfg.TDelay = time.Hour
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for k := int64(0); ; k++ {
+		if k == 10_000 {
+			t.Fatal("no overflowing insert was ever deferred")
+		}
+		p.Flush()
+		p.Put(k, k)
+		if d := p.metrics.DeferredBatches.Load(); d != 0 {
+			if c, q := p.metrics.CombinedOps.Load(), p.QueuedOps(); d != 1 || c != 0 || q != 1 {
+				t.Fatalf("deferred %d combined %d queued %d after Put(%d), want 1, 0 and 1", d, c, q, k)
+			}
+			if _, ok := p.Get(k); ok {
+				t.Fatalf("Put(%d) was deferred and applied", k)
+			}
+			p.Flush()
+			if p.Len() != int(k)+1 {
+				t.Fatalf("Len = %d after Flush, want %d", p.Len(), k+1)
+			}
+			break
+		}
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriterCombinesBehindDisplacedOps is a regression test for the
+// displaced-replay inversion: ops waiting in a gate's queue stayed there when
+// a neighbour's global rebalance moved the gate's fences off their keys, so a
+// later update of such a key found its new gate idle, was applied at once,
+// and was then overwritten by the older op when that finally moved over. The
+// master now parks them at their new gate before it unlatches the window.
+func TestWriterCombinesBehindDisplacedOps(t *testing.T) {
+	p := newTest(t, ModeBatch)
+	for k := int64(0); k < 400; k++ {
+		p.Put(k*10, 0)
+	}
+	p.Flush()
+	st := p.state.Load()
+	g, h := st.gates[len(st.gates)/2&^1], st.gates[len(st.gates)/2|1] // siblings
+	for k := g.fenceLo; g.gcard >= h.gcard-1; k++ {                   // thin out the left one
+		p.Delete(k)
+	}
+	var parked []op
+	p.Scan(h.fenceLo, h.fenceHi, func(k, _ int64) bool {
+		parked = append(parked, op{key: k, val: 1})
+		return true
+	})
+	h.mu.Lock()
+	h.qOpen, h.qOps = true, append([]op(nil), parked...)
+	h.mu.Unlock()
+
+	g.lockX()
+	p.requestGlobalAndWait(st, g, 0) // evens the pair out: h's low keys move to g
+	k := parked[0].key
+	if p.state.Load() != st || k >= h.fenceLo {
+		t.Fatalf("the rebalance did not move key %d out of its gate (fenceLo %d)", k, h.fenceLo)
+	}
+	for _, x := range st.gates {
+		x.mu.Lock()
+		for _, o := range x.qOps {
+			if o.key < x.fenceLo || o.key > x.fenceHi {
+				t.Fatalf("gate %d [%d, %d] still queues key %d", x.idx, x.fenceLo, x.fenceHi, o.key)
+			}
+		}
+		x.mu.Unlock()
+	}
+	p.Put(k, 2)
+	p.Flush()
+	for _, o := range parked {
+		want := o.val
+		if o.key == k {
+			want = 2
+		}
+		if v, ok := p.Get(o.key); !ok || v != want {
+			t.Fatalf("Get(%d) = %d,%v, want %d", o.key, v, ok, want)
+		}
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

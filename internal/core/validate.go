@@ -139,8 +139,8 @@ func (p *PMA) validateStats() error {
 	// Every absorbed op enters a combining queue, and every queue detach
 	// observes its length into DrainSize — so, with the still-queued ops
 	// added, the drained total bounds the absorbed one. (The converse
-	// doesn't hold: drains also carry the seeding writer's own op and
-	// re-queued batch inserts.)
+	// doesn't hold: drains also carry re-queued batch inserts and ops the
+	// master re-parked.)
 	combined := m.CombinedOps.Load()
 	drained := m.DrainSize.Snapshot().Sum + uint64(p.QueuedOps())
 	if combined > drained {
@@ -156,9 +156,7 @@ func (p *PMA) QueuedOps() int {
 	n := 0
 	for _, g := range st.gates {
 		g.mu.Lock()
-		if g.q != nil {
-			n += len(g.q.ops)
-		}
+		n += len(g.qOps)
 		g.mu.Unlock()
 	}
 	return n

@@ -12,10 +12,12 @@ type op struct {
 	del bool
 }
 
-// opQueue is the paper's Qw, reached through the gate's pQ pointer. It is
-// guarded by the owning gate's mu.
-type opQueue struct {
-	ops []op
+// takeQueue closes the gate's combining queue and returns what it held, now
+// the caller's to apply. The caller holds mu.
+func (g *gate) takeQueue() []op {
+	ops := g.qOps
+	g.qOpen, g.qOps = false, nil
+	return ops
 }
 
 // lockResult describes how lockForWrite resolved.
@@ -27,12 +29,12 @@ const (
 	lockInvalid                    // gate belongs to a retired state; reload
 )
 
-// lockForWrite implements the writer-side gate protocol of Section 3.5: if a
-// combining queue is installed (an active writer, or a batch pending at the
+// lockForWrite implements the writer-side gate protocol of Section 3.5: if
+// the combining queue is open (an active writer, or a batch pending at the
 // rebalancer), the update is appended and the call returns immediately;
-// otherwise the caller acquires the latch exclusively. The caller installs
-// its own queue only after verifying the fences (runWriter), matching the
-// paper: a writer first reaches its gate, then publishes pQ.
+// otherwise the caller acquires the latch exclusively. The caller opens the
+// queue only after verifying the fences (runWriter), matching the paper: a
+// writer first reaches its gate, then publishes pQ.
 func (p *PMA) lockForWrite(g *gate, o op) lockResult {
 	async := p.cfg.Mode != ModeSync
 	g.mu.Lock()
@@ -44,8 +46,8 @@ func (p *PMA) lockForWrite(g *gate, o op) lockResult {
 			g.mu.Unlock()
 			return lockInvalid
 		}
-		if async && g.q != nil {
-			g.q.ops = append(g.q.ops, o)
+		if async && g.qOpen {
+			g.qOps = append(g.qOps, o)
 			g.wWaiting--
 			g.cond.Broadcast()
 			g.mu.Unlock()
@@ -65,8 +67,9 @@ func (p *PMA) lockForWrite(g *gate, o op) lockResult {
 	}
 }
 
-// releaseWriter drops the exclusive latch; in async modes the caller must
-// have emptied and detached the queue first (drainQueue does).
+// releaseWriter drops the exclusive latch. The caller has not opened the
+// queue (ModeSync, or a misrouted writer moving on); drainQueue is the
+// release of a writer that has.
 func (g *gate) releaseWriter() {
 	g.mu.Lock()
 	g.endExclusive() // all mutations precede this; publish to optimistic readers
@@ -125,16 +128,16 @@ func (p *PMA) update(o op, guard *epoch.Guard) bool {
 			}
 			// Holding the latch: verify the fences (Section 3.2).
 			if g.invalid {
-				p.abandonWriter(g)
+				g.releaseWriter()
 				break walk
 			}
 			if o.key < g.fenceLo && gi > 0 {
-				p.abandonWriter(g)
+				g.releaseWriter()
 				gi--
 				continue
 			}
 			if o.key > g.fenceHi && gi < len(st.gates)-1 {
-				p.abandonWriter(g)
+				g.releaseWriter()
 				gi++
 				continue
 			}
@@ -148,41 +151,66 @@ func (p *PMA) update(o op, guard *epoch.Guard) bool {
 	}
 }
 
-// abandonWriter releases a just-acquired exclusive latch (no queue was
-// installed yet).
-func (p *PMA) abandonWriter(g *gate) {
-	g.releaseWriter()
+// runWriter applies op o while holding gate g exclusively. It returns
+// done=false when a global rebalance was necessary and the caller must
+// re-route the operation, which only ModeSync does.
+func (p *PMA) runWriter(st *state, g *gate, o op, guard *epoch.Guard) (done, result bool) {
+	if p.cfg.Mode == ModeSync {
+		return p.applySync(st, g, o)
+	}
+	return true, p.applyOwn(st, g, o, g.openQueue(o), guard)
 }
 
-// runWriter applies op o while holding gate g exclusively, then (in async
-// modes) drains the combining queue. It returns done=false when a global
-// rebalance was necessary and the caller must re-route the operation.
-func (p *PMA) runWriter(st *state, g *gate, o op, guard *epoch.Guard) (done, result bool) {
-	switch p.cfg.Mode {
-	case ModeSync:
-		return p.applySync(st, g, o)
-	default:
-		// Become the gate's active writer: publish pQ (waking writers
-		// blocked in lockForWrite so they can combine), seed it with
-		// our own op, and drain. Our op heads the queue, so its
-		// outcome is determined by the state at latch acquisition.
-		result = true
+// openQueue publishes the latch holder's combining queue, waking writers
+// blocked in lockForWrite so they can combine. It reports whether the queue
+// was open already: the master parks displaced ops holding only mu
+// (redistribute), so it can do so after the holder won the latch. Those ops
+// are older than o, which then joins the queue behind them.
+func (g *gate) openQueue(o op) (queued bool) {
+	g.mu.Lock()
+	if queued = g.qOpen; queued {
+		g.qOps = append(g.qOps, o)
+	}
+	g.qOpen = true
+	g.cond.Broadcast()
+	g.mu.Unlock()
+	return queued
+}
+
+// applyOwn is the active writer of Section 3.5 once its queue is open. An op
+// that is not queued is applied in place — an uncontended writer updates the
+// chunk directly; the queue is for writers that arrive while it holds the
+// latch — and then the queue is drained, which for a writer nobody combined
+// with is only the release. The result of a queued Delete is decided by the
+// state at latch acquisition.
+func (p *PMA) applyOwn(st *state, g *gate, o op, queued bool, guard *epoch.Guard) (result bool) {
+	result = true
+	own := [1]op{o} // on the stack: nothing below retains it
+	var reroute []op
+	released := false
+	switch {
+	case queued:
 		if o.del {
 			_, result = g.get(o.key)
 		}
-		g.mu.Lock()
-		if g.q != nil {
-			// The master parked displaced ops here (redistribute takes
-			// only mu) after we won the latch: they are older than ours.
-			g.q.ops = append(g.q.ops, o)
-		} else {
-			g.q = &opQueue{ops: []op{o}}
+	case o.del:
+		if result = g.del(o.key); result {
+			st.card.Add(-1)
 		}
-		g.cond.Broadcast()
-		g.mu.Unlock()
-		p.drainQueue(st, g, guard)
-		return true, result
+	case p.cfg.Mode == ModeOneByOne:
+		reroute, released = p.drainOneByOne(st, g, own[:])
+	default:
+		// mergeLocal is where drainBatch ends too: a lone insert takes the
+		// structural decisions, and the hand-off, a queued one would.
+		if delta, ok := g.mergeLocal(st, own[:]); ok {
+			st.card.Add(int64(delta))
+		} else {
+			p.handOffBatch(st, g, []op{o}, false)
+			released = true
+		}
 	}
+	p.drainQueue(st, g, guard, reroute, released)
+	return result
 }
 
 // applySync is the baseline path: apply in place or transfer the latch to

@@ -25,11 +25,13 @@ type CoreMetrics struct {
 
 	// Update combining (write.go, async.go). CombinedOps counts updates
 	// absorbed into another writer's queue (the op never latched its
-	// gate); DrainSize observes the ops taken per queue detach, on every
-	// consumption path (active-writer drain rounds, rebalancer pickups,
-	// resize absorption, Flush sweeps) — so, quiesced, CombinedOps <=
-	// DrainSize.Sum + queued. DeferredBatches counts batches parked at
-	// the rebalancer by the tdelay rate limit.
+	// gate); DrainSize observes the ops taken per non-empty queue detach,
+	// on every consumption path (active-writer drain rounds, rebalancer
+	// pickups, resize absorption, Flush sweeps) — so, quiesced,
+	// CombinedOps <= DrainSize.Sum + queued. An uncontended update is
+	// applied in place and passes through no queue: it is not observed
+	// (there is no 1 per lone Put or Delete). DeferredBatches counts
+	// batches parked at the rebalancer by the tdelay rate limit.
 	CombinedOps     Counter
 	DeferredBatches Counter
 	DrainSize       Histogram
