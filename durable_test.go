@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"pmago/internal/persist"
 )
 
 func scanToMap(t *testing.T, p interface {
@@ -544,5 +546,63 @@ func TestCompressedSnapshotInterop(t *testing.T) {
 	}
 	if err := db3.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmptyBatchesLogNothing: a batch call that changes nothing — no keys, or
+// for DeleteBatch only sentinel keys — returns before the write-ahead hook, so
+// it costs neither a WAL record nor, under FsyncAlways, an fsync.
+func TestEmptyBatchesLogNothing(t *testing.T) {
+	db, err := Open(t.TempDir()) // FsyncAlways
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.Put(1, 1)
+	bytes, appends := db.WALBytes(), db.Stats().WAL.Appends
+	db.PutBatch(nil, nil)
+	db.PutBatch([]int64{}, []int64{})
+	if n := db.DeleteBatch(nil) + db.DeleteBatch([]int64{KeyMin, KeyMax, KeyMin}); n != 0 {
+		t.Fatalf("empty DeleteBatches removed %d keys", n)
+	}
+	if b, a := db.WALBytes(), db.Stats().WAL.Appends; b != bytes || a != appends {
+		t.Fatalf("empty batches moved the WAL: %d -> %d bytes, %d -> %d appends", bytes, b, appends, a)
+	}
+	db.DeleteBatch([]int64{KeyMin, 1})
+	if a := db.Stats().WAL.Appends; a != appends+1 {
+		t.Fatalf("a DeleteBatch with one real key appended %d records, want 1", a-appends)
+	}
+}
+
+// TestReplayAcceptsEmptyBatchRecords: logs written before empty batches
+// stopped at the hook hold such records; recovery must keep replaying them.
+func TestReplayAcceptsEmptyBatchRecords(t *testing.T) {
+	dir := t.TempDir()
+	log, err := persist.OpenLog(dir, 1, persist.Options{Fsync: persist.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		log.AppendPut(1, 10),
+		log.AppendPutBatch(nil, nil),
+		log.AppendDeleteBatch(nil),
+		log.AppendDeleteBatch([]int64{KeyMin, KeyMax}),
+		log.AppendPut(2, 20),
+		log.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got, want := scanToMap(t, db), map[int64]int64{1: 10, 2: 20}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	if r := db.Stats().Recovery.WALRecords; r != 5 {
+		t.Fatalf("replayed %d records, want 5", r)
 	}
 }

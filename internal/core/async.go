@@ -22,9 +22,7 @@ func (p *PMA) drainQueue(st *state, g *gate, guard *epoch.Guard, reroute []op, r
 		}
 		if ops = g.qOps; len(ops) == 0 {
 			g.qOpen = false
-			g.endExclusive() // the drain's mutations are complete
-			g.lstate = lsFree
-			g.cond.Broadcast()
+			g.releaseLocked() // the drain's mutations are complete
 			g.mu.Unlock()
 			break
 		}
@@ -47,7 +45,7 @@ func (p *PMA) drainQueue(st *state, g *gate, guard *epoch.Guard, reroute []op, r
 	// global rebalance, or a racy index read misrouted their writer) are
 	// replayed through the synchronous path.
 	for _, o := range reroute {
-		p.updateSyncInternal(o, guard)
+		p.updateSync(o, guard)
 	}
 }
 
@@ -62,36 +60,11 @@ func (p *PMA) drainOneByOne(st *state, g *gate, ops []op) (reroute []op, release
 			reroute = append(reroute, o)
 			continue
 		}
-		if o.del {
-			if g.del(o.key) {
-				st.card.Add(-1)
-			}
-			continue
-		}
-		switch g.put(st, o.key, o.val) {
-		case putInserted:
-			st.card.Add(1)
-		case putReplaced:
-		case putNeedsGlobal:
-			gen := g.rebGen
-			g.mu.Lock()
-			extra := g.takeQueue() // stop accepting
-			// No version bump: the latch stays exclusively owned across
-			// the transfer; the rebalancer's rebUnlock ends the odd
-			// period this writer's acquisition began.
-			g.lstate = lsTransferred
-			g.cond.Broadcast() // the master may already be parked in rebLock
-			g.mu.Unlock()
-			if m := p.metrics; m != nil && len(extra) > 0 {
-				m.DrainSize.Observe(uint64(len(extra)))
-			}
-			req := &request{kind: reqRebalance, st: st, g: g, gen: gen, pending: 1, done: make(chan struct{})}
-			p.reb.submit(req)
-			<-req.done
-			reroute = append(reroute, o)
-			reroute = append(reroute, ops[i+1:]...)
-			reroute = append(reroute, extra...)
-			return reroute, true
+		if _, done := p.applyOp(st, g, o); !done {
+			extra := p.detachQueue(g) // stop accepting
+			p.requestGlobalAndWait(st, g, 1)
+			reroute = append(reroute, ops[i:]...)
+			return append(reroute, extra...), true
 		}
 	}
 	return reroute, false
@@ -160,9 +133,7 @@ func (p *PMA) handOffBatch(st *state, g *gate, ins []op, wait bool) {
 		g.qOps = slices.Insert(g.qOps, 0, ins...)
 	}
 	g.qOpen = true
-	g.endExclusive() // chunk mutations done; queue hand-off is mu-protected
-	g.lstate = lsFree
-	g.cond.Broadcast()
+	g.releaseLocked() // chunk mutations done; queue hand-off is mu-protected
 	g.mu.Unlock()
 	p.reb.submit(req)
 	if wait {
@@ -235,57 +206,6 @@ func mergeSorted(exK, exV []int64, ins []op) (ks, vs []int64) {
 	return ks, vs
 }
 
-// updateSyncInternal applies one op through the synchronous path regardless
-// of the configured mode. Used to re-route misdirected queued ops and by
-// Flush.
-func (p *PMA) updateSyncInternal(o op, guard *epoch.Guard) bool {
-	for {
-		st := p.state.Load()
-		gi := clampGate(st.index.Lookup(o.key), len(st.gates))
-		for {
-			g := st.gates[gi]
-			g.lockX()
-			if g.invalid {
-				g.unlockX()
-				break
-			}
-			if o.key < g.fenceLo && gi > 0 {
-				g.unlockX()
-				gi--
-				continue
-			}
-			if o.key > g.fenceHi && gi < len(st.gates)-1 {
-				g.unlockX()
-				gi++
-				continue
-			}
-			if o.del {
-				deleted := g.del(o.key)
-				if deleted {
-					st.card.Add(-1)
-				}
-				g.unlockX()
-				return deleted
-			}
-			switch g.put(st, o.key, o.val) {
-			case putReplaced:
-				g.unlockX()
-				return true
-			case putInserted:
-				st.card.Add(1)
-				g.unlockX()
-				return true
-			default:
-				p.requestGlobalAndWait(st, g, 1)
-				guard.Refresh()
-				break
-			}
-			break
-		}
-		guard.Refresh()
-	}
-}
-
 // Flush forces every combining queue and every deferred batch to be applied.
 // After Flush returns (and provided no new updates raced with it), reads
 // observe all previously accepted updates. In ModeSync it is a no-op beyond
@@ -328,7 +248,7 @@ func (p *PMA) sweepQueues(guard *epoch.Guard) bool {
 			}
 			stole = true
 			for _, o := range ops {
-				p.updateSyncInternal(o, guard)
+				p.updateSync(o, guard)
 			}
 		}
 	}

@@ -37,6 +37,9 @@ func (p *PMA) PutBatch(keys, vals []int64) {
 	if len(keys) != len(vals) {
 		panic(fmt.Sprintf("core: PutBatch got %d keys but %d values", len(keys), len(vals)))
 	}
+	if len(keys) == 0 {
+		return // nothing to log: a durable store would pay a record and an fsync for it
+	}
 	ops := make([]op, len(keys))
 	for i, k := range keys {
 		if k == rma.KeyMin || k == rma.KeyMax {
@@ -59,15 +62,18 @@ func (p *PMA) PutBatch(keys, vals []int64) {
 // absorbed queue ops are applied but never attributed to the batch.
 func (p *PMA) DeleteBatch(keys []int64) int {
 	p.checkOpen()
-	if h := p.hook; h != nil {
-		h.DeleteBatch(keys)
-	}
 	ops := make([]op, 0, len(keys))
 	for _, k := range keys {
 		if k == rma.KeyMin || k == rma.KeyMax {
 			continue
 		}
 		ops = append(ops, op{key: k, del: true})
+	}
+	if len(ops) == 0 {
+		return 0 // as for an empty PutBatch: no-ops never reach the hook
+	}
+	if h := p.hook; h != nil {
+		h.DeleteBatch(keys)
 	}
 	ops = sortDedupOps(ops)
 	return int(p.applyBatchParallel(ops))
@@ -182,53 +188,30 @@ func sortDedupOps(ops []op) []op {
 // displaced op outlives the call). all is the complete batch the slice
 // belongs to — the whole slice again, or the full op set when workers split
 // it — used to keep absorbed stale ops from clobbering any part of the
-// batch. Like the point-update path it restarts across resizes and walks
-// neighbours after a racy index read; unlike it, every op covered by one
-// gate's fences is handled under a single latch acquisition.
+// batch. Like the point-update path it reaches each gate through enter; unlike
+// it, every op covered by one gate's fences is handled under a single latch
+// acquisition.
 func (p *PMA) applyBatch(ops, all []op, guard *epoch.Guard) (int64, bool) {
 	removedTotal := int64(0)
 	anyHandOff := false
-	rem := ops
-	for len(rem) > 0 {
-		st := p.state.Load()
-		gi := clampGate(st.index.Lookup(rem[0].key), len(st.gates))
-		for {
-			g := st.gates[gi]
-			g.lockX()
-			if g.invalid {
-				g.unlockX()
-				break // the array was resized: reload the state
-			}
-			if rem[0].key < g.fenceLo && gi > 0 {
-				g.unlockX()
-				gi--
+	for rem := ops; len(rem) > 0; guard.Refresh() {
+		st, g := p.enter(rem[0].key, latchExclusive, op{}, guard)
+		run := opRange(rem, g.fenceLo, g.fenceHi) // a prefix of rem
+		rem = rem[len(run):]
+		removed, leftovers, handedOff := p.applyGateBatch(st, g, run)
+		removedTotal += removed
+		anyHandOff = anyHandOff || handedOff
+		// Absorbed queue ops whose keys fall outside the gate's fences are
+		// replayed through the synchronous path, as drainQueue does — except
+		// keys the batch also carries (anywhere in it, including other
+		// workers' chunks): the absorbed op is older, and replaying it would
+		// clobber the batch's value.
+		for _, o := range leftovers {
+			if i := searchOps(all, o.key); i < len(all) && all[i].key == o.key {
 				continue
 			}
-			if rem[0].key > g.fenceHi && gi < len(st.gates)-1 {
-				g.unlockX()
-				gi++
-				continue
-			}
-			run := opRange(rem, g.fenceLo, g.fenceHi) // a prefix of rem
-			rem = rem[len(run):]
-			removed, leftovers, handedOff := p.applyGateBatch(st, g, run)
-			removedTotal += removed
-			anyHandOff = anyHandOff || handedOff
-			// Absorbed queue ops whose keys fall outside the gate's
-			// fences are replayed through the synchronous path, as
-			// drainQueue does — except keys the batch also carries
-			// (anywhere in it, including other workers' chunks): the
-			// absorbed op is older, and replaying it would clobber the
-			// batch's value.
-			for _, o := range leftovers {
-				if i := searchOps(all, o.key); i < len(all) && all[i].key == o.key {
-					continue
-				}
-				p.updateSyncInternal(o, guard)
-			}
-			break
+			p.updateSync(o, guard)
 		}
-		guard.Refresh()
 	}
 	p.maybeRequestShrink(p.state.Load())
 	return removedTotal, anyHandOff
@@ -247,18 +230,12 @@ func (p *PMA) applyBatch(ops, all []op, guard *epoch.Guard) (int64, bool) {
 // whether the rebalancer was involved (the batch caller then barriers).
 func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, leftovers []op, handedOff bool) {
 	orig := run // the batch's own ops: only their deletions count
-	absorbed := false
-	g.mu.Lock()
-	if g.qOpen {
-		// A parked batch — we hold the latch, so no active writer owns
-		// the queue. Its outstanding rebalancer request completes
-		// vacuously on the emptied queue.
-		parked := g.takeQueue()
-		g.mu.Unlock()
-		absorbed = len(parked) > 0
-		if m := p.metrics; m != nil && absorbed {
-			m.DrainSize.Observe(uint64(len(parked)))
-		}
+	// A parked batch — we hold the latch, so no active writer owns the
+	// queue. Its outstanding rebalancer request completes vacuously on the
+	// emptied queue.
+	parked := p.detachQueue(g)
+	absorbed := len(parked) > 0
+	if absorbed {
 		merged := make([]op, 0, len(parked)+len(run))
 		merged = append(merged, parked...)
 		merged = append(merged, run...)
@@ -269,8 +246,6 @@ func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, lefto
 			leftovers = append(leftovers, merged[:a]...)
 			leftovers = append(leftovers, merged[a+len(run):]...)
 		}
-	} else {
-		g.mu.Unlock()
 	}
 	ins := run
 	if hasDeletes(run) {
@@ -300,17 +275,17 @@ func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, lefto
 		}
 	}
 	if len(ins) == 0 {
-		g.unlockX()
+		g.release()
 		return removed, leftovers, false
 	}
 	if delta, ok := g.mergeBySegment(ins); ok {
 		st.card.Add(int64(delta))
-		g.unlockX()
+		g.release()
 		return removed, leftovers, false
 	}
 	if delta, ok := g.mergeLocal(st, ins); ok {
 		st.card.Add(int64(delta))
-		g.unlockX()
+		g.release()
 		return removed, leftovers, false
 	}
 	// The run overflows the chunk. Clip so queue appends cannot stomp the
@@ -380,11 +355,7 @@ func BulkLoad(cfg Config, keys, vals []int64) (*PMA, error) {
 // the same density a resize targets — with an even spread per segment.
 func (p *PMA) buildLoadedState(ks, vs []int64) *state {
 	n := len(ks)
-	target := (p.cfg.RhoRoot + p.cfg.TauRoot) / 2
-	numSegs := nextPow2(ceilDiv(max(n, 1), int(float64(p.cfg.SegmentCapacity)*target)))
-	if numSegs < p.cfg.SegmentsPerGate {
-		numSegs = p.cfg.SegmentsPerGate
-	}
+	numSegs := p.targetSegs(n)
 	st := p.newState(numSegs / p.cfg.SegmentsPerGate)
 	counts := rma.EvenCounts(n, numSegs)
 	plans := make([]destPlan, len(st.gates))

@@ -439,7 +439,7 @@ func TestBatchAbsorbsParkedQueue(t *testing.T) {
 	p.Flush()
 	park := func(ops []op) {
 		st := p.state.Load()
-		g := st.gates[clampGate(st.index.Lookup(ops[0].key), len(st.gates))]
+		g := st.gates[st.route(ops[0].key)]
 		g.mu.Lock()
 		g.qOpen, g.qOps = true, ops
 		g.mu.Unlock()

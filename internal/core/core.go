@@ -4,11 +4,15 @@
 // The sparse array is split into equal chunks protected by gates (read-write
 // latches plus fence keys and per-segment minima). A static B+-tree index
 // routes operations to gates in O(log_B N) without synchronisation; fence-key
-// verification absorbs racy index reads. Readers normally bypass the latch
-// entirely: each gate carries a seqlock version counter (gate.go) that is
-// odd while an exclusive holder may be mutating the chunk, and Get/Scan
-// validate an unsynchronised chunk read against it, falling back to the
-// shared latch only on sustained contention (read.go).
+// verification absorbs racy index reads. That protocol (Section 3.2) is
+// written once, in enter (enter.go): look the key up, latch the gate the
+// index names, check under the latch that a resize has not retired it and
+// that its fences cover the key, step to the neighbour or reload the state
+// otherwise. Every operation that latches a gate arrives through it. Readers
+// normally bypass the latch entirely: each gate carries a seqlock version
+// counter (gate.go) that is odd while an exclusive holder may be mutating the
+// chunk, and Get/Scan validate an unsynchronised chunk read against it,
+// falling back to the shared latch only on sustained contention (read.go).
 //
 // Optimistic readers still run inside an epoch guard. The guard is not what
 // makes the racy chunk reads safe — that is the version validation plus
@@ -204,6 +208,10 @@ type state struct {
 	numSegs int // len(gates) * spg
 	height  int // calibrator tree height over all segments
 	card    atomic.Int64
+	// fenceGen counts the global rebalances that moved fences in this state.
+	// It stands in for the fence check where a writer acts on an index
+	// lookup without the latch: appending to an open queue (lockOrCombine).
+	fenceGen atomic.Uint64
 }
 
 func (st *state) slots() int { return st.numSegs * st.b }

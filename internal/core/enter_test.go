@@ -1,0 +1,116 @@
+package core
+
+import "testing"
+
+// TestEnter drives the entry routine through its three latch modes. In each:
+// index separators stale in either direction still lead to the owning gate
+// (the fence walk), the version is odd exactly while an exclusive mode holds
+// the gate and untouched by the shared one, and a gate retired by a resize
+// sends the caller to the new state. Combine mode on a closed queue is an
+// exclusive acquisition (the cases above); on an open one the op is appended.
+func TestEnter(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode latchMode
+	}{{"shared", latchShared}, {"exclusive", latchExclusive}, {"combine", latchCombine}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newTest(t, ModeBatch)
+			for k := int64(0); k < 400; k++ {
+				p.Put(k*10, k)
+			}
+			p.Flush()
+			guard := p.epochs.Enter()
+			defer guard.Leave()
+			leave := func(g *gate) {
+				if tc.mode == latchShared {
+					g.unlockShared()
+				} else {
+					g.release()
+				}
+			}
+			st := p.state.Load()
+			mid := len(st.gates) / 2
+			owner := st.gates[mid]
+			key := owner.fenceLo // the first key it stores
+			o := op{key: key, val: 7}
+
+			// The owner's separator too high routes to the left neighbour,
+			// the right neighbour's too low routes to that one.
+			for _, stale := range []struct {
+				gate int
+				sep  int64
+			}{{mid, key + 1}, {mid + 1, key}} {
+				sep := st.index.Get(stale.gate)
+				st.index.Set(stale.gate, stale.sep)
+				if gi := st.route(key); gi == mid {
+					t.Fatalf("separator %d of gate %d did not misroute key %d", stale.sep, stale.gate, key)
+				}
+				before := owner.version.Load()
+				gst, g := p.enter(key, tc.mode, o, guard)
+				if gst != st || g != owner {
+					t.Fatalf("enter with gate %d's separator at %d arrived at %+v, want gate %d", stale.gate, stale.sep, g, mid)
+				}
+				switch v := owner.version.Load(); {
+				case tc.mode == latchShared && v != before:
+					t.Fatalf("version %d -> %d under the shared latch", before, v)
+				case tc.mode != latchShared && v != before+1:
+					t.Fatalf("version %d -> %d under an exclusive latch, want odd", before, v)
+				}
+				leave(g)
+				if v := owner.version.Load(); v&1 != 0 {
+					t.Fatalf("version %d odd after the release", v)
+				}
+				st.index.Set(stale.gate, sep)
+			}
+
+			if tc.mode == latchCombine {
+				owner.mu.Lock()
+				owner.qOpen = true
+				owner.mu.Unlock()
+				combined, version := p.metrics.CombinedOps.Load(), owner.version.Load()
+				if gst, g := p.enter(key, tc.mode, o, guard); gst != nil || g != nil {
+					t.Fatalf("enter latched gate %d past its open queue", g.idx)
+				}
+				if q := p.detachQueue(owner); len(q) != 1 || q[0] != o {
+					t.Fatalf("the open queue holds %v, want the one op %v", q, o)
+				}
+				if c, v := p.metrics.CombinedOps.Load(), owner.version.Load(); c != combined+1 || v != version {
+					t.Fatalf("combined ops %d -> %d, version %d -> %d; want one tick and no latch", combined, c, version, v)
+				}
+			}
+
+			// A request for more room than the array has makes it grow: owner
+			// is retired. Putting the retired state back makes enter start on
+			// it for certain; the current one is swapped in once enter went
+			// through its reload — the guard.Refresh there is what lets the
+			// collector run the callback retired below.
+			owner.lockX()
+			p.requestGlobalAndWait(st, owner, st.slots())
+			grown := p.state.Load()
+			if grown == st || !owner.invalid {
+				t.Fatal("the forced resize did not retire the gate")
+			}
+			p.state.Store(st)
+			reloaded := make(chan struct{})
+			p.epochs.Retire(func() { close(reloaded) })
+			arrived := make(chan *gate)
+			go func() {
+				gst, g := p.enter(key, tc.mode, o, guard)
+				if gst != grown {
+					g = nil
+				}
+				arrived <- g
+			}()
+			<-reloaded
+			p.state.Store(grown)
+			g := <-arrived
+			if g == nil || g.invalid || g != grown.gates[g.idx] || key < g.fenceLo || key > g.fenceHi {
+				t.Fatalf("enter came back from a retired gate with %+v", g)
+			}
+			leave(g)
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -161,12 +161,22 @@ func (g *gate) lockX() {
 	g.mu.Unlock()
 }
 
-func (g *gate) unlockX() {
+// release drops an exclusive hold, whoever took it: a client (lockX, or
+// lockOrCombine for a writer that has not opened its queue — one that has
+// releases through drainQueue) or the rebalancer (rebLock, fresh or adopted).
+func (g *gate) release() {
 	g.mu.Lock()
-	g.endExclusive()
+	g.releaseLocked()
+	g.mu.Unlock()
+}
+
+// releaseLocked is release for a holder that already has mu, because it hands
+// the combining queue over in the same section (drainQueue, handOffBatch) or
+// retires the gate (resize).
+func (g *gate) releaseLocked() {
+	g.endExclusive() // all mutations precede this; publish to optimistic readers
 	g.lstate = lsFree
 	g.cond.Broadcast()
-	g.mu.Unlock()
 }
 
 // transferToReb converts the caller's exclusive hold into the transferred
@@ -198,14 +208,6 @@ func (g *gate) rebLock() {
 	}
 	g.lstate = lsReb
 	g.rebWanted = false
-	g.mu.Unlock()
-}
-
-func (g *gate) rebUnlock() {
-	g.mu.Lock()
-	g.endExclusive()
-	g.lstate = lsFree
-	g.cond.Broadcast()
 	g.mu.Unlock()
 }
 

@@ -41,15 +41,12 @@ func (p *PMA) Get(k int64) (int64, bool) {
 	}
 	guard := p.epochs.Enter()
 	defer guard.Leave()
-	optimistic := !p.cfg.DisableOptimisticReads && !raceEnabled
-	for {
-		st := p.state.Load()
-		gi := clampGate(st.index.Lookup(k), len(st.gates))
-	walk:
+	if !p.cfg.DisableOptimisticReads && !raceEnabled {
+	probe:
 		for {
-			g := st.gates[gi]
-			if optimistic {
-				v, ok, res, fails := p.getOptimistic(g, k)
+			st := p.state.Load()
+			for gi := st.route(k); ; {
+				v, ok, res, fails := p.getOptimistic(st.gates[gi], k)
 				// Record probe failures before any latched serve so that
 				// GetLatched <= GetProbeFails holds under concurrent Stats
 				// (the fallback's failures are visible before it is).
@@ -63,7 +60,8 @@ func (p *PMA) Get(k int64) (int64, bool) {
 					}
 					return v, ok
 				case readInvalid:
-					break walk
+					guard.Refresh()
+					continue probe
 				case readLeft:
 					if gi > 0 {
 						gi--
@@ -77,31 +75,17 @@ func (p *PMA) Get(k int64) (int64, bool) {
 				}
 				// readContended (or a fence miss at the array boundary,
 				// which cannot happen with sentinel fences): shared latch.
+				break probe
 			}
-			g.lockShared()
-			if g.invalid {
-				g.unlockShared()
-				break walk
-			}
-			if k < g.fenceLo && gi > 0 {
-				g.unlockShared()
-				gi--
-				continue
-			}
-			if k > g.fenceHi && gi < len(st.gates)-1 {
-				g.unlockShared()
-				gi++
-				continue
-			}
-			v, ok := g.get(k)
-			g.unlockShared()
-			if m := p.metrics; m != nil {
-				m.GetLatched.Inc()
-			}
-			return v, ok
 		}
-		guard.Refresh()
 	}
+	_, g := p.enter(k, latchShared, op{}, guard)
+	v, ok := g.get(k)
+	g.unlockShared()
+	if m := p.metrics; m != nil {
+		m.GetLatched.Inc()
+	}
+	return v, ok
 }
 
 // getOptimistic performs the seqlock read of one gate: version sample,
@@ -173,10 +157,13 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 	from := lo
 	for {
 		st := p.state.Load()
-		gi := clampGate(st.index.Lookup(from), len(st.gates))
+		gi := st.route(from)
 	walk:
 		for {
-			fenceHi, res := p.snapshotGate(st, gi, from, hi, sb, optimistic)
+			fenceHi, res := int64(0), readContended
+			if optimistic {
+				fenceHi, res = p.snapshotGate(st, gi, from, hi, sb)
+			}
 			switch res {
 			case readInvalid:
 				break walk
@@ -186,13 +173,17 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 			case readRight:
 				gi++
 				continue
+			case readContended:
+				// The walk carries on from wherever enter arrived, in the
+				// state it arrived in.
+				var g *gate
+				st, g = p.enter(from, latchShared, op{}, guard)
+				gi, fenceHi = g.idx, p.snapshotLatched(g, from, hi, sb)
 			}
 			// The chunk copy in sb is a validated snapshot; run the
 			// callback outside every latch.
-			for i := range sb.ks {
-				if !fn(sb.ks[i], sb.vs[i]) {
-					return
-				}
+			if !sb.each(fn) {
+				return
 			}
 			if fenceHi >= hi || fenceHi == rma.KeyMax {
 				return
@@ -207,67 +198,58 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 }
 
 // snapshotGate copies gate gi's pairs with key in [from, hi] into sb as one
-// consistent snapshot, optimistically first and under the shared latch after
-// optimisticAttempts failures (or when the optimistic path is disabled). On
-// readOK the returned fenceHi is the gate's upper fence from the same
-// snapshot — the scan's resume point. readLeft/readRight are only returned
-// when the corresponding neighbour exists, mirroring the fence-verification
-// walk of the latched path.
-func (p *PMA) snapshotGate(st *state, gi int, from, hi int64, sb *scanBuf, optimistic bool) (int64, readStatus) {
+// consistent snapshot, optimistically; after optimisticAttempts failures it
+// reports readContended and the caller takes the shared latch. On readOK the
+// returned fenceHi is the gate's upper fence from the same snapshot — the
+// scan's resume point. readLeft/readRight are only returned when the
+// corresponding neighbour exists, mirroring the fence-verification walk of
+// the latched path.
+func (p *PMA) snapshotGate(st *state, gi int, from, hi int64, sb *scanBuf) (int64, readStatus) {
 	g := st.gates[gi]
 	m := p.metrics
-	if optimistic {
-		fails := 0
-		for attempt := 0; attempt < optimisticAttempts; attempt++ {
-			v1 := g.version.Load()
-			if v1&1 != 0 {
-				fails++
-				continue
-			}
-			sb.reset(g.spg * g.b)
-			invalid := g.invalid
-			lo, fhi := g.fenceLo, g.fenceHi
-			sb.ks, sb.vs = g.collectRacy(from, hi, sb.ks, sb.vs)
-			if g.version.Load() != v1 {
-				fails++
-				continue
-			}
-			if m != nil && fails > 0 {
-				m.ScanProbeFails.Add(uint64(fails))
-			}
-			switch {
-			case invalid:
-				return 0, readInvalid
-			case from < lo && gi > 0:
-				return 0, readLeft
-			case from > fhi && gi < len(st.gates)-1:
-				return 0, readRight
-			default:
-				if m != nil {
-					m.ScanChunksOptimistic.Inc()
-				}
-				return fhi, readOK
-			}
+	fails := 0
+	for attempt := 0; attempt < optimisticAttempts; attempt++ {
+		v1 := g.version.Load()
+		if v1&1 != 0 {
+			fails++
+			continue
 		}
-		// All attempts failed; record them before the latched fallback so
-		// ScanChunksLatched <= ScanProbeFails holds under concurrent Stats.
-		if m != nil {
+		sb.reset(g.spg * g.b)
+		invalid := g.invalid
+		lo, fhi := g.fenceLo, g.fenceHi
+		sb.ks, sb.vs = g.collectRacy(from, hi, sb.ks, sb.vs)
+		if g.version.Load() != v1 {
+			fails++
+			continue
+		}
+		if m != nil && fails > 0 {
 			m.ScanProbeFails.Add(uint64(fails))
 		}
+		switch {
+		case invalid:
+			return 0, readInvalid
+		case from < lo && gi > 0:
+			return 0, readLeft
+		case from > fhi && gi < len(st.gates)-1:
+			return 0, readRight
+		default:
+			if m != nil {
+				m.ScanChunksOptimistic.Inc()
+			}
+			return fhi, readOK
+		}
 	}
-	g.lockShared()
-	if g.invalid {
-		g.unlockShared()
-		return 0, readInvalid
+	// All attempts failed; record them before the latched fallback so
+	// ScanChunksLatched <= ScanProbeFails holds under concurrent Stats.
+	if m != nil {
+		m.ScanProbeFails.Add(uint64(fails))
 	}
-	if from < g.fenceLo && gi > 0 {
-		g.unlockShared()
-		return 0, readLeft
-	}
-	if from > g.fenceHi && gi < len(st.gates)-1 {
-		g.unlockShared()
-		return 0, readRight
-	}
+	return 0, readContended
+}
+
+// snapshotLatched is snapshotGate under the shared latch, which the caller
+// took through enter and which is dropped here.
+func (p *PMA) snapshotLatched(g *gate, from, hi int64, sb *scanBuf) int64 {
 	sb.reset(g.spg * g.b)
 	g.scanFrom(from, hi, func(k, v int64) bool {
 		sb.ks = append(sb.ks, k)
@@ -276,10 +258,10 @@ func (p *PMA) snapshotGate(st *state, gi int, from, hi int64, sb *scanBuf, optim
 	})
 	fenceHi := g.fenceHi
 	g.unlockShared()
-	if m != nil {
+	if m := p.metrics; m != nil {
 		m.ScanChunksLatched.Inc()
 	}
-	return fenceHi, readOK
+	return fenceHi
 }
 
 // scanBuf is the per-Scan chunk copy, pooled on the PMA (the geometry is
@@ -299,6 +281,23 @@ func (sb *scanBuf) reset(capacity int) {
 	}
 	sb.ks = sb.ks[:0]
 	sb.vs = sb.vs[:0]
+}
+
+// each runs fn over the copied pairs, reporting false if fn stopped it. This
+// loop is the whole per-pair cost of a scan, and it is kept out of Scan's
+// frame on purpose: inlined there, every call of fn is followed by a reload
+// of Scan's entire live set, not just the loop's four words (measured on the
+// benchmark's mem workload: scan_pairs_s -6 % inlined, +8 % like this).
+//
+//go:noinline
+func (sb *scanBuf) each(fn func(k, v int64) bool) bool {
+	ks, vs := sb.ks, sb.vs[:len(sb.ks)]
+	for i, k := range ks {
+		if !fn(k, vs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *PMA) getScanBuf() *scanBuf {

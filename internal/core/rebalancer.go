@@ -219,7 +219,7 @@ func (r *rebalancer) redistribute(ops []op) {
 	st := p.state.Load()
 	groups := make(map[int][]op)
 	for _, o := range ops {
-		gi := clampGate(st.index.Lookup(o.key), len(st.gates))
+		gi := st.route(o.key)
 		for o.key < st.gates[gi].fenceLo && gi > 0 {
 			gi--
 		}
@@ -271,12 +271,12 @@ func (r *rebalancer) process(req *request) []op {
 	g := req.g
 	g.rebLock()
 	if g.invalid {
-		g.rebUnlock()
+		g.release()
 		return req.ins
 	}
 	if req.kind == reqRebalance && g.rebGen != req.gen {
 		// A covering rebalance already ran; the writer just retries.
-		g.rebUnlock()
+		g.release()
 		return nil
 	}
 
@@ -284,7 +284,7 @@ func (r *rebalancer) process(req *request) []op {
 	// batch inserts go after the queue ops: compactOps keeps the later op
 	// per key, so the synchronous batch supersedes anything older that was
 	// redistributed into the queue between hand-off and pickup.
-	ops := r.detachQueue(g)
+	ops := p.detachQueue(g)
 	ops = append(ops, req.ins...)
 	ins, dels, leftovers := compactOps(ops, g.fenceLo, g.fenceHi)
 
@@ -301,13 +301,13 @@ func (r *rebalancer) process(req *request) []op {
 
 	if req.kind == reqBatch {
 		if len(ins) == 0 {
-			g.rebUnlock()
+			g.release()
 			return leftovers
 		}
 		// Deletions may have freed enough space to keep the batch local.
 		if delta, ok := g.mergeLocal(st, ins); ok {
 			st.card.Add(int64(delta))
-			g.rebUnlock()
+			g.release()
 			return leftovers
 		}
 	}
@@ -354,7 +354,11 @@ func (r *rebalancer) process(req *request) []op {
 		// Queued ops follow their keys: what the fence moves left out of
 		// range in a window gate's queue is parked where it now belongs
 		// while the window is still latched, so a later update of the key
-		// combines behind it instead of overtaking it.
+		// combines behind it instead of overtaking it. The generation bump
+		// comes before the first queue is looked at: a writer that routed
+		// by the old fences and has not appended by then will refuse to
+		// (lockOrCombine).
+		st.fenceGen.Add(1)
 		for i := glo; i < ghi; i++ {
 			h := st.gates[i]
 			h.mu.Lock()
@@ -366,7 +370,7 @@ func (r *rebalancer) process(req *request) []op {
 			leftovers = nil
 		}
 		for i := glo; i < ghi; i++ {
-			st.gates[i].rebUnlock()
+			st.gates[i].release()
 		}
 		if m := p.metrics; m != nil {
 			m.GlobalRebalances.Inc()
@@ -382,21 +386,12 @@ func (r *rebalancer) process(req *request) []op {
 	return leftovers
 }
 
-func (r *rebalancer) detachQueue(g *gate) []op {
-	g.mu.Lock()
-	ops := g.takeQueue()
-	g.mu.Unlock()
-	if m := r.p.metrics; m != nil && len(ops) > 0 {
-		m.DrainSize.Observe(uint64(len(ops)))
-	}
-	return ops
-}
-
 // --- data movement ---
 
 // elemSource provides elements in key order for the fill phase.
 type elemSource interface {
 	copyInto(dk, dv []int64)
+	release() // the fill is done
 }
 
 // gateCursor reads the window's existing elements in key order directly from
@@ -418,8 +413,7 @@ type gateCursor struct {
 	sc           *cScratch
 }
 
-// newGateCursor positions a cursor skip elements into gates [glo, ghi). The
-// caller releases it once the fill is done.
+// newGateCursor positions a cursor skip elements into gates [glo, ghi).
 func newGateCursor(st *state, glo, ghi, skip int) *gateCursor {
 	c := &gateCursor{st: st, ghi: ghi, g: glo, viewG: -1, viewS: -1, sc: st.p.cctx.get()}
 	for skip > 0 && c.g < ghi {
@@ -489,6 +483,13 @@ func (s *sliceSource) copyInto(dk, dv []int64) {
 	s.off += n
 }
 
+func (s *sliceSource) release() {}
+
+// scratchSource reads what materialize left in the master's scratch arrays.
+func (r *rebalancer) scratchSource(skip int) elemSource {
+	return &sliceSource{ks: r.scratchK, vs: r.scratchV, off: skip}
+}
+
 // fillChunk builds a fresh chunk laid out per segCounts from src and derives
 // the chunk metadata. It is shared by the rebalancer's workers and by
 // BulkLoad's direct construction.
@@ -539,61 +540,45 @@ func (r *rebalancer) parallel(tasks []func()) {
 // policy used for all global rebalances), merging the optional batch inserts
 // in. The master holds all the window's latches.
 func (r *rebalancer) executeRebalance(st *state, glo, ghi int, ins []op) {
-	m := ghi - glo
-	nSegs := m * st.spg
-	plans := make([]destPlan, m)
-
-	if len(ins) == 0 {
-		total := 0
-		for i := glo; i < ghi; i++ {
-			total += st.gates[i].gcard
-		}
-		counts := rma.EvenCounts(total, nSegs)
-		prefix := 0
-		tasks := make([]func(), m)
-		for i := 0; i < m; i++ {
-			i := i
-			segCounts := counts[i*st.spg : (i+1)*st.spg]
-			skip := prefix
-			for _, c := range segCounts {
-				prefix += c
-			}
-			tasks[i] = func() {
-				cur := newGateCursor(st, glo, ghi, skip)
-				plans[i] = r.p.fillChunk(segCounts, cur)
-				cur.release()
-			}
-		}
-		r.parallel(tasks)
-		r.publish(st, glo, ghi, plans)
-		return
-	}
-
-	// Merge path: materialise (existing ∪ inserts) into scratch in
-	// parallel per source gate, then fill destinations from scratch.
 	before := 0
 	for i := glo; i < ghi; i++ {
 		before += st.gates[i].gcard
 	}
-	total := r.materialize(st, glo, ghi, ins, nil)
-	counts := rma.EvenCounts(total, nSegs)
-	tasks := make([]func(), m)
+	// Without inserts the destinations fill straight from the source chunks.
+	total, source := before, func(skip int) elemSource { return newGateCursor(st, glo, ghi, skip) }
+	if len(ins) > 0 {
+		// Merge path: materialise (existing ∪ inserts) into scratch in
+		// parallel per source gate, then fill destinations from scratch.
+		total, source = r.materialize(st, glo, ghi, ins, nil), r.scratchSource
+	}
+	plans := r.fillPlans(rma.EvenCounts(total, (ghi-glo)*st.spg), source)
+	st.card.Add(int64(total - before))
+	r.p.publish(st, glo, ghi, plans, time.Now().UnixNano())
+}
+
+// fillPlans builds the destination chunks of a rebalance or resize in
+// parallel, one per spg segment counts; source positions an element source
+// skip elements into the window's sorted content.
+func (r *rebalancer) fillPlans(counts []int, source func(skip int) elemSource) []destPlan {
+	spg := r.p.cfg.SegmentsPerGate
+	plans := make([]destPlan, len(counts)/spg)
+	tasks := make([]func(), len(plans))
 	prefix := 0
-	for i := 0; i < m; i++ {
+	for i := range tasks {
 		i := i
-		segCounts := counts[i*st.spg : (i+1)*st.spg]
+		segCounts := counts[i*spg : (i+1)*spg]
 		skip := prefix
 		for _, c := range segCounts {
 			prefix += c
 		}
 		tasks[i] = func() {
-			src := &sliceSource{ks: r.scratchK, vs: r.scratchV, off: skip}
+			src := source(skip)
 			plans[i] = r.p.fillChunk(segCounts, src)
+			src.release()
 		}
 	}
 	r.parallel(tasks)
-	st.card.Add(int64(total - before))
-	r.publish(st, glo, ghi, plans)
+	return plans
 }
 
 // materialize merges each source gate's elements with its slice of the
@@ -640,17 +625,17 @@ func (r *rebalancer) materialize(st *state, glo, ghi int, ins []op, dels []int64
 	return total
 }
 
-// publish swaps the freshly built buffers into the window's gates, updates
+// publish swaps the freshly built buffers into gates [glo, ghi), updates
 // fence keys right-to-left (interior boundaries move to the first key now
 // stored in each gate; the window's outer boundaries are preserved), mirrors
 // the new separators into the static index, and recycles the old buffers —
-// the O(1) "rewiring" step. Every gate in the window is rebLock'd, so its
-// seqlock version has been odd since before the first buffer or fence move:
-// an optimistic reader that sampled the pre-rebalance version cannot
-// validate across any part of this swap, and one that samples afterwards
-// sees the completed window.
-func (r *rebalancer) publish(st *state, glo, ghi int, plans []destPlan) {
-	now := time.Now().UnixNano()
+// the O(1) "rewiring" step; stamp becomes the gates' last-rebalance time. In
+// a live state every gate in the window is rebLock'd, so its seqlock version
+// has been odd since before the first buffer or fence move: an optimistic
+// reader that sampled the pre-rebalance version cannot validate across any
+// part of this swap, and one that samples afterwards sees the completed
+// window.
+func (p *PMA) publish(st *state, glo, ghi int, plans []destPlan, stamp int64) {
 	nextLo := int64(rma.KeyMax)
 	if ghi < len(st.gates) {
 		nextLo = st.gates[ghi].fenceLo
@@ -658,7 +643,7 @@ func (r *rebalancer) publish(st *state, glo, ghi int, plans []destPlan) {
 	for i := ghi - 1; i >= glo; i-- {
 		g := st.gates[i]
 		pl := &plans[i-glo]
-		g.install(pl, r.p.pool)
+		g.install(pl, p.pool)
 		if nextLo == rma.KeyMax {
 			g.fenceHi = rma.KeyMax
 		} else {
@@ -673,7 +658,7 @@ func (r *rebalancer) publish(st *state, glo, ghi int, plans []destPlan) {
 			st.index.Set(i, lo)
 		}
 		g.rebGen++
-		g.lastReb = now
+		g.lastReb = stamp
 		nextLo = g.fenceLo
 	}
 }
@@ -706,22 +691,16 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 		allOps = append(allOps, o)
 	}
 	for _, g := range st.gates {
-		allOps = append(allOps, r.detachQueue(g)...)
+		allOps = append(allOps, p.detachQueue(g)...)
 	}
 	finalIns, finalDels, _ := compactOps(allOps, rma.KeyMin+1, rma.KeyMax-1)
 
 	total := r.materialize(st, 0, len(st.gates), finalIns, finalDels)
 
-	target := (p.cfg.RhoRoot + p.cfg.TauRoot) / 2
-	newSegs := nextPow2(ceilDiv(max(total, 1), int(float64(st.b)*target)))
-	if newSegs < st.spg {
-		newSegs = st.spg
-	}
+	newSegs, shrinks := p.shrinkTo(st, total)
 	if grow {
-		if newSegs < st.numSegs*2 {
-			newSegs = st.numSegs * 2
-		}
-	} else if newSegs >= st.numSegs || float64(total) > (p.cfg.TauRoot-0.05)*float64(newSegs*st.b) {
+		newSegs = max(newSegs, st.numSegs*2)
+	} else if !shrinks {
 		// The shrink is no longer worthwhile (pending inserts absorbed
 		// from the combining queues inflated the count, or the margin
 		// guard against grow/shrink thrash fired). The queues are
@@ -730,34 +709,15 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 		// nothing was absorbed, in which case releasing is safe.
 		if len(finalIns) == 0 && len(finalDels) == 0 {
 			for _, g := range st.gates {
-				g.rebUnlock()
+				g.release()
 			}
 			return
 		}
-		if newSegs < st.numSegs {
-			newSegs = st.numSegs
-		}
+		newSegs = max(newSegs, st.numSegs)
 	}
 
 	newSt := p.newState(newSegs / st.spg)
-	counts := rma.EvenCounts(total, newSegs)
-	mNew := len(newSt.gates)
-	plans := make([]destPlan, mNew)
-	tasks := make([]func(), mNew)
-	prefix := 0
-	for i := 0; i < mNew; i++ {
-		i := i
-		segCounts := counts[i*st.spg : (i+1)*st.spg]
-		skip := prefix
-		for _, c := range segCounts {
-			prefix += c
-		}
-		tasks[i] = func() {
-			src := &sliceSource{ks: r.scratchK, vs: r.scratchV, off: skip}
-			plans[i] = r.p.fillChunk(segCounts, src)
-		}
-	}
-	r.parallel(tasks)
+	plans := r.fillPlans(rma.EvenCounts(total, newSegs), r.scratchSource)
 
 	// Install plans and fences on the new state (not yet visible).
 	p.installState(newSt, plans, total)
@@ -780,9 +740,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 	for _, g := range st.gates {
 		g.mu.Lock()
 		g.invalid = true
-		g.endExclusive()
-		g.lstate = lsFree
-		g.cond.Broadcast()
+		g.releaseLocked()
 		g.mu.Unlock()
 		g.retire(p.pool)
 	}
@@ -800,32 +758,28 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 }
 
 // installState wires freshly built chunk plans into a not-yet-published
-// state: buffers, per-chunk metadata, fence keys (right to left, each
-// interior boundary at the first key its gate stores) and the mirroring
-// index separators. Shared by resize and BulkLoad's direct construction.
+// state — one window over all of it, whose outer boundaries newState set (no
+// rebalance has run in it, so no tdelay stamp) — and sets its cardinality.
+// Shared by resize and BulkLoad's direct construction.
 func (p *PMA) installState(st *state, plans []destPlan, total int) {
-	nextLo := int64(rma.KeyMax)
-	for i := len(st.gates) - 1; i >= 0; i-- {
-		g := st.gates[i]
-		pl := &plans[i]
-		g.install(pl, p.pool) // replaces the empty chunk from newState
-		if nextLo == rma.KeyMax {
-			g.fenceHi = rma.KeyMax
-		} else {
-			g.fenceHi = nextLo - 1
-		}
-		lo := nextLo
-		if pl.hasKey {
-			lo = pl.firstKey
-		}
-		if i == 0 {
-			lo = rma.KeyMin
-		}
-		g.fenceLo = lo
-		st.index.Set(i, lo)
-		nextLo = lo
-	}
+	p.publish(st, 0, len(st.gates), plans, 0) // replaces the empty chunks from newState
 	st.card.Store(int64(total))
+}
+
+// targetSegs is the power-of-two segment count that puts n elements at the
+// midpoint of the root thresholds, the density a resize and BulkLoad aim for.
+func (p *PMA) targetSegs(n int) int {
+	target := (p.cfg.RhoRoot + p.cfg.TauRoot) / 2
+	segs := nextPow2(ceilDiv(max(n, 1), int(float64(p.cfg.SegmentCapacity)*target)))
+	return max(segs, p.cfg.SegmentsPerGate)
+}
+
+// shrinkTo returns the segment count a downsize of st holding n elements
+// would target, and whether it is worthwhile: smaller than today, with a
+// margin under the root threshold that guards against grow/shrink thrash.
+func (p *PMA) shrinkTo(st *state, n int) (segs int, ok bool) {
+	segs = p.targetSegs(n)
+	return segs, segs < st.numSegs && float64(n) <= (p.cfg.TauRoot-0.05)*float64(segs*st.b)
 }
 
 // maybeShrink re-validates the downsize condition and performs the resize.
@@ -834,8 +788,7 @@ func (p *PMA) installState(st *state, plans []destPlan, total int) {
 // materialise — e.g. right after a growth whose power-of-two rounding left
 // the density just under 50%.
 func (r *rebalancer) maybeShrink() {
-	p := r.p
-	st := p.state.Load()
+	st := r.p.state.Load()
 	if st.numSegs <= st.spg {
 		return
 	}
@@ -843,15 +796,9 @@ func (r *rebalancer) maybeShrink() {
 	if card*2 >= st.slots() {
 		return
 	}
-	target := (p.cfg.RhoRoot + p.cfg.TauRoot) / 2
-	needSegs := nextPow2(ceilDiv(max(card, 1), int(float64(st.b)*target)))
-	if needSegs < st.spg {
-		needSegs = st.spg
+	if _, ok := r.p.shrinkTo(st, card); ok {
+		r.resize(st, 0, 0, nil, false)
 	}
-	if needSegs >= st.numSegs || float64(card) > (p.cfg.TauRoot-0.05)*float64(needSegs*st.b) {
-		return
-	}
-	r.resize(st, 0, 0, nil, false)
 }
 
 // --- merge helpers ---

@@ -119,14 +119,14 @@ func TestWriterKeepsParkedOps(t *testing.T) {
 		st := p.state.Load()
 		g := st.gates[0]
 		own := op{key: 1, val: 1}
-		if p.lockForWrite(g, own) != lockAcquired {
+		if g.lockOrCombine(own, st, st.fenceGen.Load()) != lockAcquired {
 			t.Fatalf("%v: idle gate not acquired", mode)
 		}
 		g.mu.Lock()
 		g.qOpen, g.qOps = true, []op{{key: 2, val: 2}}
 		g.mu.Unlock()
 		guard := p.epochs.Enter()
-		p.runWriter(st, g, own, guard)
+		p.applyOwn(st, g, own, g.openQueue(own), guard)
 		guard.Leave()
 		p.Flush()
 		for k := int64(1); k <= 2; k++ {
@@ -154,7 +154,7 @@ func TestLoneWriterStillCombines(t *testing.T) {
 		st := p.state.Load()
 		g := st.gates[0]
 		own := op{key: 1, val: 1}
-		if p.lockForWrite(g, own) != lockAcquired {
+		if g.lockOrCombine(own, st, st.fenceGen.Load()) != lockAcquired {
 			t.Fatalf("%v: idle gate not acquired", mode)
 		}
 		if g.openQueue(own) {
@@ -222,24 +222,22 @@ func TestLoneWriterOverflowTakesTDelay(t *testing.T) {
 	}
 }
 
-// TestWriterCombinesBehindDisplacedOps is a regression test for the
-// displaced-replay inversion: ops waiting in a gate's queue stayed there when
-// a neighbour's global rebalance moved the gate's fences off their keys, so a
-// later update of such a key found its new gate idle, was applied at once,
-// and was then overwritten by the older op when that finally moved over. The
-// master now parks them at their new gate before it unlatches the window.
-func TestWriterCombinesBehindDisplacedOps(t *testing.T) {
-	p := newTest(t, ModeBatch)
+// displacedScene sets up the displaced-op tests: sibling gates g and h of a
+// flushed store, g thinned out so that a global rebalance around it evens the
+// pair out by moving h's low keys over, and h's queue open on an update (to
+// value 1) of every key h stores. rebalance runs that rebalance and checks it
+// moved parked[0]'s key.
+func displacedScene(t *testing.T) (p *PMA, st *state, h *gate, parked []op, rebalance func()) {
+	p = newTest(t, ModeBatch)
 	for k := int64(0); k < 400; k++ {
 		p.Put(k*10, 0)
 	}
 	p.Flush()
-	st := p.state.Load()
+	st = p.state.Load()
 	g, h := st.gates[len(st.gates)/2&^1], st.gates[len(st.gates)/2|1] // siblings
 	for k := g.fenceLo; g.gcard >= h.gcard-1; k++ {                   // thin out the left one
 		p.Delete(k)
 	}
-	var parked []op
 	p.Scan(h.fenceLo, h.fenceHi, func(k, _ int64) bool {
 		parked = append(parked, op{key: k, val: 1})
 		return true
@@ -247,13 +245,42 @@ func TestWriterCombinesBehindDisplacedOps(t *testing.T) {
 	h.mu.Lock()
 	h.qOpen, h.qOps = true, append([]op(nil), parked...)
 	h.mu.Unlock()
-
-	g.lockX()
-	p.requestGlobalAndWait(st, g, 0) // evens the pair out: h's low keys move to g
-	k := parked[0].key
-	if p.state.Load() != st || k >= h.fenceLo {
-		t.Fatalf("the rebalance did not move key %d out of its gate (fenceLo %d)", k, h.fenceLo)
+	return p, st, h, parked, func() {
+		g.lockX()
+		p.requestGlobalAndWait(st, g, 0)
+		if k := parked[0].key; p.state.Load() != st || k >= h.fenceLo {
+			t.Fatalf("the rebalance did not move key %d out of its gate (fenceLo %d)", k, h.fenceLo)
+		}
 	}
+}
+
+// checkDisplaced flushes and verifies the scene's outcome: every parked update
+// applied, except that k carries the later value want.
+func checkDisplaced(t *testing.T, p *PMA, parked []op, k, want int64) {
+	p.Flush()
+	for _, o := range parked {
+		w := o.val
+		if o.key == k {
+			w = want
+		}
+		if v, ok := p.Get(o.key); !ok || v != w {
+			t.Fatalf("Get(%d) = %d,%v, want %d", o.key, v, ok, w)
+		}
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriterCombinesBehindDisplacedOps is a regression test for the
+// displaced-replay inversion: ops waiting in a gate's queue stayed there when
+// a neighbour's global rebalance moved the gate's fences off their keys, so a
+// later update of such a key found its new gate idle, was applied at once,
+// and was then overwritten by the older op when that finally moved over. The
+// master now parks them at their new gate before it unlatches the window.
+func TestWriterCombinesBehindDisplacedOps(t *testing.T) {
+	p, st, _, parked, rebalance := displacedScene(t)
+	rebalance()
 	for _, x := range st.gates {
 		x.mu.Lock()
 		for _, o := range x.qOps {
@@ -263,18 +290,31 @@ func TestWriterCombinesBehindDisplacedOps(t *testing.T) {
 		}
 		x.mu.Unlock()
 	}
+	k := parked[0].key
 	p.Put(k, 2)
-	p.Flush()
-	for _, o := range parked {
-		want := o.val
-		if o.key == k {
-			want = 2
-		}
-		if v, ok := p.Get(o.key); !ok || v != want {
-			t.Fatalf("Get(%d) = %d,%v, want %d", o.key, v, ok, want)
-		}
+	checkDisplaced(t, p, parked, k, 2)
+}
+
+// TestCombinerRechecksFences is a regression test for the enqueue that had no
+// fence check: a writer that looked its key up just before a global rebalance
+// published, and reached the queue just after the master's re-parking pass,
+// appended to a gate that no longer owned the key; the next update of the key
+// went to the right gate, was applied first, and lost to the misrouted op at
+// the Flush. The two halves of the writer's entry are run here with the
+// rebalance in between: the second must notice the fence generation moved.
+func TestCombinerRechecksFences(t *testing.T) {
+	p, st, h, parked, rebalance := displacedScene(t)
+	k := parked[0].key
+	gen, gi := st.fenceGen.Load(), st.route(k) // enter, up to the lookup
+	if gi != h.idx {
+		t.Fatalf("key %d routed to gate %d, want %d", k, gi, h.idx)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	rebalance()
+	// h's queue is still open on the keys it kept, and k's writer arrives.
+	if res := h.lockOrCombine(op{key: k, val: 2}, st, gen); res != lockStale {
+		t.Errorf("a writer routed before the rebalance was let into gate %d [%d, %d] with key %d (result %d)",
+			h.idx, h.fenceLo, h.fenceHi, k, res)
 	}
+	p.Put(k, 3) // what enter does next: route again
+	checkDisplaced(t, p, parked, k, 3)
 }

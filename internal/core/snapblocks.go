@@ -31,81 +31,58 @@ func (p *PMA) ScanBlocks(fn func(payload []byte, pairs int) bool) bool {
 	)
 	from := int64(rma.KeyMin + 1)
 	for {
-		st := p.state.Load()
-		gi := clampGate(st.index.Lookup(from), len(st.gates))
-	walk:
-		for {
-			g := st.gates[gi]
-			g.lockShared()
-			if g.invalid {
-				g.unlockShared()
-				break walk
-			}
-			if from < g.fenceLo && gi > 0 {
-				g.unlockShared()
-				gi--
-				continue
-			}
-			if from > g.fenceHi && gi < len(st.gates)-1 {
-				g.unlockShared()
-				gi++
-				continue
-			}
-			scratch, offs, counts = scratch[:0], offs[:0], counts[:0]
-			if g.fenceLo >= from || from == rma.KeyMin+1 {
-				// Every key this gate stores is >= from: copy the encoded
-				// segments verbatim.
-				for s := 0; s < g.spg; s++ {
-					if g.segCard[s] == 0 {
-						continue
-					}
-					e := g.enc[s]
-					offs = append(offs, len(scratch))
-					counts = append(counts, g.segCard[s])
-					scratch = append(scratch, e.data[:e.n]...)
+		_, g := p.enter(from, latchShared, op{}, guard)
+		scratch, offs, counts = scratch[:0], offs[:0], counts[:0]
+		if g.fenceLo >= from || from == rma.KeyMin+1 {
+			// Every key this gate stores is >= from: copy the encoded
+			// segments verbatim.
+			for s := 0; s < g.spg; s++ {
+				if g.segCard[s] == 0 {
+					continue
 				}
-			} else {
-				// A resize restarted the walk mid-gate: drop the already
-				// emitted prefix by decoding, filtering and re-encoding
-				// this one gate.
-				sc := p.cctx.get()
-				for s := g.findSeg(from); s < g.spg; s++ {
-					if g.segCard[s] == 0 {
-						continue
-					}
-					ks, vs := g.view(s, sc)
-					i := 0
-					if ks[0] < from {
-						i = searchKeys(ks, from)
-					}
-					if i == len(ks) {
-						continue
-					}
-					offs = append(offs, len(scratch))
-					counts = append(counts, len(ks)-i)
-					scratch = codec.AppendBlock(scratch, ks[i:], vs[i:])
-				}
-				p.cctx.put(sc)
+				e := g.enc[s]
+				offs = append(offs, len(scratch))
+				counts = append(counts, g.segCard[s])
+				scratch = append(scratch, e.data[:e.n]...)
 			}
-			fenceHi := g.fenceHi
-			g.unlockShared()
-			for i := range offs {
-				end := len(scratch)
-				if i+1 < len(offs) {
-					end = offs[i+1]
+		} else {
+			// A resize restarted the walk mid-gate: drop the already
+			// emitted prefix by decoding, filtering and re-encoding
+			// this one gate.
+			sc := p.cctx.get()
+			for s := g.findSeg(from); s < g.spg; s++ {
+				if g.segCard[s] == 0 {
+					continue
 				}
-				if !fn(scratch[offs[i]:end], counts[i]) {
-					return false
+				ks, vs := g.view(s, sc)
+				i := 0
+				if ks[0] < from {
+					i = searchKeys(ks, from)
 				}
+				if i == len(ks) {
+					continue
+				}
+				offs = append(offs, len(scratch))
+				counts = append(counts, len(ks)-i)
+				scratch = codec.AppendBlock(scratch, ks[i:], vs[i:])
 			}
-			if fenceHi >= rma.KeyMax-1 {
-				return true
+			p.cctx.put(sc)
+		}
+		fenceHi := g.fenceHi
+		g.unlockShared()
+		for i := range offs {
+			end := len(scratch)
+			if i+1 < len(offs) {
+				end = offs[i+1]
 			}
-			from = fenceHi + 1
-			if gi++; gi >= len(st.gates) {
-				return true
+			if !fn(scratch[offs[i]:end], counts[i]) {
+				return false
 			}
 		}
-		guard.Refresh()
+		// The last gate's upper fence is KeyMax, so this ends the walk.
+		if fenceHi >= rma.KeyMax-1 {
+			return true
+		}
+		from = fenceHi + 1
 	}
 }

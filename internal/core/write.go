@@ -20,62 +20,17 @@ func (g *gate) takeQueue() []op {
 	return ops
 }
 
-// lockResult describes how lockForWrite resolved.
-type lockResult int
-
-const (
-	lockAcquired lockResult = iota // caller holds the gate exclusively
-	lockEnqueued                   // op was absorbed into the active writer's queue
-	lockInvalid                    // gate belongs to a retired state; reload
-)
-
-// lockForWrite implements the writer-side gate protocol of Section 3.5: if
-// the combining queue is open (an active writer, or a batch pending at the
-// rebalancer), the update is appended and the call returns immediately;
-// otherwise the caller acquires the latch exclusively. The caller opens the
-// queue only after verifying the fences (runWriter), matching the paper: a
-// writer first reaches its gate, then publishes pQ.
-func (p *PMA) lockForWrite(g *gate, o op) lockResult {
-	async := p.cfg.Mode != ModeSync
+// detachQueue takes the queue of a gate the caller holds exclusively: the
+// master or a batch run folding it into their job, or a one-by-one writer
+// that stops accepting.
+func (p *PMA) detachQueue(g *gate) []op {
 	g.mu.Lock()
-	g.wWaiting++ // readers yield while an update is pending here
-	for {
-		if g.invalid {
-			g.wWaiting--
-			g.cond.Broadcast()
-			g.mu.Unlock()
-			return lockInvalid
-		}
-		if async && g.qOpen {
-			g.qOps = append(g.qOps, o)
-			g.wWaiting--
-			g.cond.Broadcast()
-			g.mu.Unlock()
-			if m := p.metrics; m != nil {
-				m.CombinedOps.Inc()
-			}
-			return lockEnqueued
-		}
-		if g.lstate == lsFree && !g.rebWanted {
-			g.wWaiting--
-			g.lstate = lsWriter
-			g.beginExclusive() // optimistic readers stand down until release
-			g.mu.Unlock()
-			return lockAcquired
-		}
-		g.cond.Wait()
-	}
-}
-
-// releaseWriter drops the exclusive latch. The caller has not opened the
-// queue (ModeSync, or a misrouted writer moving on); drainQueue is the
-// release of a writer that has.
-func (g *gate) releaseWriter() {
-	g.mu.Lock()
-	g.endExclusive() // all mutations precede this; publish to optimistic readers
-	g.lstate = lsFree
-	g.cond.Broadcast()
+	ops := g.takeQueue()
 	g.mu.Unlock()
+	if m := p.metrics; m != nil && len(ops) > 0 {
+		m.DrainSize.Observe(uint64(len(ops)))
+	}
+	return ops
 }
 
 // Put inserts or replaces k/v. In the asynchronous modes the update may be
@@ -110,59 +65,61 @@ func (p *PMA) Delete(k int64) bool {
 	return p.update(op{key: k, del: true}, guard)
 }
 
-// update routes one update to its gate and applies it according to the
-// configured mode. It restarts across resizes and walks neighbour gates when
-// a racy index read landed it wrongly.
+// update applies one update according to the configured mode: synchronously,
+// or as a Section 3.5 writer that either combines behind its gate's active
+// writer or becomes it.
 func (p *PMA) update(o op, guard *epoch.Guard) bool {
+	if p.cfg.Mode == ModeSync {
+		return p.updateSync(o, guard)
+	}
+	st, g := p.enter(o.key, latchCombine, o, guard)
+	if g == nil {
+		return true // combined: the queue's owner applies it
+	}
+	return p.applyOwn(st, g, o, g.openQueue(o), guard)
+}
+
+// updateSync is the baseline path (Section 3.3), ModeSync's update and in
+// every mode the replay of ops that lost their gate (drainQueue, Flush, batch
+// leftovers): enter exclusively, apply in place, or transfer the latch to the
+// rebalancer, wait, and route the op again.
+func (p *PMA) updateSync(o op, guard *epoch.Guard) bool {
 	for {
-		st := p.state.Load()
-		gi := clampGate(st.index.Lookup(o.key), len(st.gates))
-	walk:
-		for {
-			g := st.gates[gi]
-			switch p.lockForWrite(g, o) {
-			case lockEnqueued:
-				return true
-			case lockInvalid:
-				break walk
+		st, g := p.enter(o.key, latchExclusive, o, guard)
+		if result, done := p.applyOp(st, g, o); done {
+			g.release()
+			if o.del {
+				p.maybeRequestShrink(st)
 			}
-			// Holding the latch: verify the fences (Section 3.2).
-			if g.invalid {
-				g.releaseWriter()
-				break walk
-			}
-			if o.key < g.fenceLo && gi > 0 {
-				g.releaseWriter()
-				gi--
-				continue
-			}
-			if o.key > g.fenceHi && gi < len(st.gates)-1 {
-				g.releaseWriter()
-				gi++
-				continue
-			}
-			done, res := p.runWriter(st, g, o, guard)
-			if done {
-				return res
-			}
-			break walk // a global rebalance intervened; retry from the top
+			return result
 		}
+		p.requestGlobalAndWait(st, g, 1)
 		guard.Refresh()
 	}
 }
 
-// runWriter applies op o while holding gate g exclusively. It returns
-// done=false when a global rebalance was necessary and the caller must
-// re-route the operation, which only ModeSync does.
-func (p *PMA) runWriter(st *state, g *gate, o op, guard *epoch.Guard) (done, result bool) {
-	if p.cfg.Mode == ModeSync {
-		return p.applySync(st, g, o)
+// applyOp applies one op to gate g, which the caller holds exclusively and
+// whose fences cover the key, and keeps the state's cardinality. done=false
+// is an insert that no in-chunk window can absorb: nothing was modified and
+// the caller, still holding the latch, takes it to the rebalancer.
+func (p *PMA) applyOp(st *state, g *gate, o op) (result, done bool) {
+	if o.del {
+		if result = g.del(o.key); result {
+			st.card.Add(-1)
+		}
+		return result, true
 	}
-	return true, p.applyOwn(st, g, o, g.openQueue(o), guard)
+	switch g.put(st, o.key, o.val) {
+	case putNeedsGlobal:
+		return false, false
+	case putInserted:
+		st.card.Add(1)
+	}
+	return true, true
 }
 
 // openQueue publishes the latch holder's combining queue, waking writers
-// blocked in lockForWrite so they can combine. It reports whether the queue
+// blocked in lockOrCombine so they can combine. It reports whether the queue
 // was open already: the master parks displaced ops holding only mu
 // (redistribute), so it can do so after the holder won the latch. Those ops
 // are older than o, which then joins the queue behind them.
@@ -194,9 +151,7 @@ func (p *PMA) applyOwn(st *state, g *gate, o op, queued bool, guard *epoch.Guard
 			_, result = g.get(o.key)
 		}
 	case o.del:
-		if result = g.del(o.key); result {
-			st.card.Add(-1)
-		}
+		result, _ = p.applyOp(st, g, o)
 	case p.cfg.Mode == ModeOneByOne:
 		reroute, released = p.drainOneByOne(st, g, own[:])
 	default:
@@ -211,32 +166,6 @@ func (p *PMA) applyOwn(st *state, g *gate, o op, queued bool, guard *epoch.Guard
 	}
 	p.drainQueue(st, g, guard, reroute, released)
 	return result
-}
-
-// applySync is the baseline path: apply in place or transfer the latch to
-// the rebalancer and wait (Section 3.3).
-func (p *PMA) applySync(st *state, g *gate, o op) (done, result bool) {
-	if o.del {
-		deleted := g.del(o.key)
-		if deleted {
-			st.card.Add(-1)
-		}
-		g.releaseWriter()
-		p.maybeRequestShrink(st)
-		return true, deleted
-	}
-	switch g.put(st, o.key, o.val) {
-	case putReplaced:
-		g.releaseWriter()
-		return true, true
-	case putInserted:
-		st.card.Add(1)
-		g.releaseWriter()
-		return true, true
-	default: // putNeedsGlobal
-		p.requestGlobalAndWait(st, g, 1)
-		return false, false
-	}
 }
 
 // requestGlobalAndWait transfers the caller's exclusive latch to the
@@ -268,14 +197,4 @@ func (p *PMA) maybeRequestShrink(st *state) {
 		return
 	}
 	p.reb.submit(&request{kind: reqShrink, st: st})
-}
-
-func clampGate(gi, n int) int {
-	if gi < 0 {
-		return 0
-	}
-	if gi >= n {
-		return n - 1
-	}
-	return gi
 }
