@@ -32,8 +32,9 @@ type inner = PMA
 //     acknowledged. Concurrent writers share fsyncs through group commit.
 //   - FsyncInterval: acknowledged updates reach stable storage within
 //     WithFsyncInterval (default 50 ms). A process crash (panic, kill)
-//     loses nothing — the records are already in the kernel; an OS crash
-//     or power loss may lose the last interval's acknowledgements.
+//     loses nothing — the records are already in the page cache through
+//     the mapped segment (see persist.Log); an OS crash or power loss may
+//     lose the last interval's acknowledgements.
 //   - FsyncNone: same process-crash guarantee as FsyncInterval; stable
 //     storage is reached whenever the OS writes back. The fastest policy.
 //

@@ -120,10 +120,13 @@ type crashOp struct {
 // end offset; the log is then truncated at random byte offsets (a crash mid
 // group of appends), reopened, and the recovered store must equal the model
 // of exactly the ops whose records fit below the cut — every acknowledged-
-// durable op survives, nothing partial leaks in.
+// durable op survives, nothing partial leaks in. Each cut is tried twice:
+// as the bare prefix, and as the image a kill leaves of a preallocated
+// active segment — the prefix followed by zeros up to the segment size.
 func TestCrashRecoveryProperty(t *testing.T) {
+	const segBytes = 64 << 10
 	dir := t.TempDir()
-	db, err := Open(dir, WithFsync(FsyncAlways), WithCompactRatio(0))
+	db, err := Open(dir, WithFsync(FsyncAlways), WithCompactRatio(0), WithWALSegmentBytes(segBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +183,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	if int64(len(wal)) != ops[len(ops)-1].endOff {
 		t.Fatalf("wal is %d bytes, last op ended at %d", len(wal), ops[len(ops)-1].endOff)
 	}
+	if len(wal) > segBytes {
+		t.Fatalf("wal is %d bytes, over the %d-byte segment", len(wal), segBytes)
+	}
 
 	cuts := []int64{0, 1, 7, int64(len(wal)) - 1, int64(len(wal))}
 	for i := 0; i < 40; i++ {
@@ -196,22 +202,26 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 			op.apply(want)
 		}
-		trial := t.TempDir()
-		if err := os.WriteFile(filepath.Join(trial, walName), wal[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		re, err := Open(trial)
-		if err != nil {
-			t.Fatalf("cut %d: reopen: %v", cut, err)
-		}
-		re.Flush()
-		got := scanToMap(t, re)
-		if verr := re.Validate(); verr != nil {
-			t.Fatalf("cut %d: %v", cut, verr)
-		}
-		re.Close()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cut %d of %d: recovered %d keys, want %d", cut, len(wal), len(got), len(want))
+		killed := make([]byte, segBytes)
+		copy(killed, wal[:cut])
+		for _, image := range [][]byte{wal[:cut], killed} {
+			trial := t.TempDir()
+			if err := os.WriteFile(filepath.Join(trial, walName), image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(trial)
+			if err != nil {
+				t.Fatalf("cut %d (%d-byte image): reopen: %v", cut, len(image), err)
+			}
+			re.Flush()
+			got := scanToMap(t, re)
+			if verr := re.Validate(); verr != nil {
+				t.Fatalf("cut %d (%d-byte image): %v", cut, len(image), verr)
+			}
+			re.Close()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cut %d of %d (%d-byte image): recovered %d keys, want %d", cut, len(wal), len(image), len(got), len(want))
+			}
 		}
 	}
 }
@@ -271,44 +281,54 @@ func TestCorruptRecordRejectedOnOpen(t *testing.T) {
 }
 
 // TestKillAndReopen simulates a kill -9: the directory is copied while the
-// store is still open (nothing flushed by Close) and reopened elsewhere.
-// Under FsyncAlways every acknowledged write must be in the copy.
+// store is still open (nothing sealed by Close, the active segment still at
+// its preallocated size) and reopened elsewhere. A process kill loses
+// nothing under any fsync policy: every acknowledged record is in the page
+// cache, which is what the copy reads.
 func TestKillAndReopen(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, WithFsync(FsyncAlways), WithCompactRatio(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := map[int64]int64{}
-	for i := int64(0); i < 1000; i++ {
-		db.Put(i*3, i)
-		model[i*3] = i
-	}
-	// Copy the directory with the store still open — the "crash image".
-	image := t.TempDir()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(image, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.Close()
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNone} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, WithFsync(policy), WithCompactRatio(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := map[int64]int64{}
+			for i := int64(0); i < 1000; i++ {
+				db.Put(i*3, i)
+				model[i*3] = i
+			}
+			db.PutBatch([]int64{1, 2}, []int64{10, 20})
+			model[1], model[2] = 10, 20
+			// Copy the directory with the store still open — the "crash image".
+			image := t.TempDir()
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(image, e.Name()), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.Close()
 
-	re, err := Open(image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	re.Flush()
-	if got := scanToMap(t, re); !reflect.DeepEqual(got, model) {
-		t.Fatalf("kill-and-reopen lost acknowledged writes: %d keys, want %d", len(got), len(model))
+			start := time.Now()
+			re, err := Open(image)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			re.Flush()
+			if got := scanToMap(t, re); !reflect.DeepEqual(got, model) {
+				t.Fatalf("kill-and-reopen lost acknowledged writes: %d keys, want %d", len(got), len(model))
+			}
+			t.Logf("recovered %d keys in %v", len(model), time.Since(start))
+		})
 	}
 }
 

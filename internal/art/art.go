@@ -131,6 +131,15 @@ func (n *node[V]) readUnlock(v uint64) bool {
 	return n.version.Load() == v
 }
 
+// validate is readUnlock for the parent a descent came through: it must run
+// after the child's readLock, because a writer holding both locks (a prefix
+// split) can rewrite the child between the two, and the child's fields are
+// only meaningful at the depth the unchanged parent implies. A nil parent
+// (the descent is at the root) always validates.
+func (n *node[V]) validate(v uint64) bool {
+	return n == nil || n.readUnlock(v)
+}
+
 // lock acquires the write lock, failing if the node became obsolete.
 func (n *node[V]) lock() bool {
 	for i := 0; ; i++ {

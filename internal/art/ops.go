@@ -18,7 +18,7 @@ func (t *Tree[V]) insertOnce(kb [8]byte, k uint64, v *V) bool {
 	depth := 0
 	for {
 		nV, ok := n.readLock()
-		if !ok {
+		if !ok || !parent.validate(parentV) {
 			return false
 		}
 		if n.kind == kindLeaf {
@@ -139,7 +139,7 @@ func (t *Tree[V]) deleteOnce(kb [8]byte, k uint64) (deleted, valid bool) {
 	depth := 0
 	for {
 		nV, ok := n.readLock()
-		if !ok {
+		if !ok || !parent.validate(parentV) {
 			return false, false
 		}
 		if n.kind == kindLeaf {
@@ -274,11 +274,13 @@ func (t *Tree[V]) Get(k uint64) (*V, bool) {
 }
 
 func (t *Tree[V]) getOnce(kb [8]byte, k uint64) (v *V, found, valid bool) {
+	var parent *node[V]
+	var parentV uint64
 	n := t.root.Load()
 	depth := 0
 	for {
 		nV, ok := n.readLock()
-		if !ok {
+		if !ok || !parent.validate(parentV) {
 			return nil, false, false
 		}
 		if n.kind == kindLeaf {
@@ -304,6 +306,7 @@ func (t *Tree[V]) getOnce(kb [8]byte, k uint64) (v *V, found, valid bool) {
 		if child == nil {
 			return nil, false, true
 		}
+		parent, parentV = n, nV
 		n = child
 		depth++
 	}
@@ -314,15 +317,15 @@ func (t *Tree[V]) Floor(k uint64) (*V, bool) {
 	kb := keyBytes(k)
 	for {
 		n := t.root.Load()
-		if v, found, valid := t.floorRec(n, kb, k, 0); valid {
+		if v, found, valid := t.floorRec(nil, 0, n, kb, k, 0); valid {
 			return v, found
 		}
 	}
 }
 
-func (t *Tree[V]) floorRec(n *node[V], kb [8]byte, k uint64, depth int) (v *V, found, valid bool) {
+func (t *Tree[V]) floorRec(parent *node[V], parentV uint64, n *node[V], kb [8]byte, k uint64, depth int) (v *V, found, valid bool) {
 	nV, ok := n.readLock()
-	if !ok {
+	if !ok || !parent.validate(parentV) {
 		return nil, false, false
 	}
 	if n.kind == kindLeaf {
@@ -358,7 +361,7 @@ func (t *Tree[V]) floorRec(n *node[V], kb [8]byte, k uint64, depth int) (v *V, f
 		if !n.readUnlock(nV) {
 			return nil, false, false
 		}
-		return t.maxRec(n)
+		return t.maxRec(parent, parentV, n)
 	}
 	depth += pl
 	b := kb[depth]
@@ -368,7 +371,7 @@ func (t *Tree[V]) floorRec(n *node[V], kb [8]byte, k uint64, depth int) (v *V, f
 		return nil, false, false
 	}
 	if child != nil {
-		v, found, valid = t.floorRec(child, kb, k, depth+1)
+		v, found, valid = t.floorRec(n, nV, child, kb, k, depth+1)
 		if !valid {
 			return nil, false, false
 		}
@@ -379,7 +382,7 @@ func (t *Tree[V]) floorRec(n *node[V], kb [8]byte, k uint64, depth int) (v *V, f
 	// Fall back across the lower siblings in descending order: a deletion
 	// may have left the largest one empty.
 	for _, c := range below {
-		v, found, valid = t.maxRec(c)
+		v, found, valid = t.maxRec(n, nV, c)
 		if !valid {
 			return nil, false, false
 		}
@@ -391,10 +394,11 @@ func (t *Tree[V]) floorRec(n *node[V], kb [8]byte, k uint64, depth int) (v *V, f
 }
 
 // maxRec returns the value under the largest key of n's subtree, skipping
-// branches deletions emptied out.
-func (t *Tree[V]) maxRec(n *node[V]) (*V, bool, bool) {
+// branches deletions emptied out. n was reached through parent at version
+// parentV (parent is nil at the root).
+func (t *Tree[V]) maxRec(parent *node[V], parentV uint64, n *node[V]) (*V, bool, bool) {
 	nV, ok := n.readLock()
-	if !ok {
+	if !ok || !parent.validate(parentV) {
 		return nil, false, false
 	}
 	if n.kind == kindLeaf {
@@ -409,7 +413,7 @@ func (t *Tree[V]) maxRec(n *node[V]) (*V, bool, bool) {
 		return nil, false, false
 	}
 	for _, c := range cands {
-		v, found, valid := t.maxRec(c)
+		v, found, valid := t.maxRec(n, nV, c)
 		if !valid {
 			return nil, false, false
 		}

@@ -207,11 +207,18 @@ type state struct {
 	b       int
 	numSegs int // len(gates) * spg
 	height  int // calibrator tree height over all segments
-	card    atomic.Int64
 	// fenceGen counts the global rebalances that moved fences in this state.
 	// It stands in for the fence check where a writer acts on an index
 	// lookup without the latch: appending to an open queue (lockOrCombine).
 	fenceGen atomic.Uint64
+
+	// card is added to by every insert and delete, while every Get and
+	// scanned chunk reads the header above: the padding keeps it off the
+	// header's cache lines (and off the next object's), so a writer's add
+	// does not invalidate the line readers route through.
+	_    [128]byte
+	card atomic.Int64
+	_    [120]byte
 }
 
 func (st *state) slots() int { return st.numSegs * st.b }

@@ -111,9 +111,24 @@ var probeChunkSize = 1 << 20
 // append (nothing follows) and mid-segment corruption (the rest of the
 // segment is still there). Only runs on the corruption path; a chance CRC
 // match in torn garbage is a ~2^-32 event.
+//
+// The header scan steps over runs of zeros a word at a time: a killed
+// store's active segment ends in up to its whole preallocated size of them,
+// and a zero length field never frames a record, so no offset whose length
+// field lies inside a zero run can start one.
 func hasValidRecordAfter(data []byte, off int) bool {
 	cands := make([]probeCand, 0, min(probeChunkSize, 1024))
 	for i := off + 1; i+frameHeader <= len(data); i++ {
+		if binary.LittleEndian.Uint64(data[i:]) == 0 {
+			j := i + 8
+			for j+8 <= len(data) && binary.LittleEndian.Uint64(data[j:]) == 0 {
+				j += 8
+			}
+			// data[i:j] is zero: with the loop's i++, the next offset is
+			// the first whose length field reaches past it.
+			i = j - 4
+			continue
+		}
 		n := binary.LittleEndian.Uint32(data[i:])
 		if n == 0 || n > maxRecordBytes || int(n) > len(data)-i-frameHeader {
 			continue

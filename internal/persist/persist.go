@@ -5,8 +5,12 @@
 //
 // The design follows the classic checkpoint+log recipe. Every accepted
 // update is first appended to the active WAL segment as a length-prefixed,
-// CRC32C-protected record (wal.go); an fsync policy decides when appended
-// records become crash-durable, with concurrent writers sharing fsyncs
+// CRC32C-protected record (wal.go). On Linux the active segment is a
+// preallocated file mapped into memory, so an append is a copy into the
+// page cache — where a process crash cannot lose it — with no system call
+// (segment_linux.go); other platforms write(2) each record
+// (segment_other.go). An fsync policy decides when appended records become
+// durable against power loss too, with concurrent writers sharing fsyncs
 // through group commit. A snapshot (snapshot.go) is a consistent full scan
 // streamed into blocks of delta-encoded key/value pairs, written to a
 // temporary file and atomically renamed; its header names the WAL segment
@@ -41,7 +45,8 @@ const (
 	// FsyncInterval fsyncs on a timer (Options.FsyncEvery): a crash
 	// loses at most the last interval's acknowledged writes. Process
 	// crashes (panic, kill) lose nothing — the records are already in
-	// the page cache — only power loss or a kernel crash can.
+	// the page cache, copied there through the mapped segment on Linux —
+	// only power loss or a kernel crash can.
 	FsyncInterval
 	// FsyncNone never fsyncs explicitly; the OS writes back at its
 	// leisure. Same process-crash guarantee as FsyncInterval, no
@@ -69,9 +74,12 @@ type Options struct {
 	Fsync FsyncPolicy
 	// FsyncEvery is the FsyncInterval period (default 50ms).
 	FsyncEvery time.Duration
-	// SegmentBytes rotates the active WAL segment when it grows past
-	// this size (default 64 MiB). Closed segments are fsynced, so only
-	// the active segment can ever hold a torn tail.
+	// SegmentBytes is the size of each active WAL segment (default 64
+	// MiB): on Linux it is reserved on disk and mapped when the segment
+	// is created. A record that does not fit in the space left rotates
+	// the log; a record larger than SegmentBytes gets a segment of its
+	// own size. Rotated segments are sealed — cut to their records and
+	// fsynced — so only the active segment can ever hold a torn tail.
 	SegmentBytes int64
 	// CompactRatio triggers an automatic snapshot (and WAL truncation)
 	// when the live WAL exceeds this multiple of the last snapshot's

@@ -226,36 +226,42 @@ func TestReplayErrorsOnClosedSegmentCorruption(t *testing.T) {
 	}
 }
 
+// TestGroupCommitFsyncAlways: concurrent FsyncAlways writers share fsyncs.
+// With small segments, rotations seal segments under the fsyncs writers
+// are running on them, which must not fail the log.
 func TestGroupCommitFsyncAlways(t *testing.T) {
-	dir := t.TempDir()
-	o := testOptions()
-	o.Fsync = FsyncAlways
-	w, err := OpenLog(dir, 1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			for i := 0; i < 50; i++ {
-				if err := w.AppendPut(int64(g*1000+i), int64(i)); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
+	for _, segBytes := range []int64{DefaultOptions().SegmentBytes, 512} {
+		dir := t.TempDir()
+		o := testOptions()
+		o.Fsync = FsyncAlways
+		o.SegmentBytes = segBytes
+		w, err := OpenLog(dir, 1, o)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := collect(t, dir, 1); len(got) != 400 {
-		t.Fatalf("recovered %d records, want 400", len(got))
+		done := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			go func(g int) {
+				for i := 0; i < 50; i++ {
+					if err := w.AppendPut(int64(g*1000+i), int64(i)); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}(g)
+		}
+		for g := 0; g < 8; g++ {
+			if err := <-done; err != nil {
+				t.Fatalf("%d-byte segments: %v", segBytes, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := collect(t, dir, 1); len(got) != 400 {
+			t.Fatalf("%d-byte segments: recovered %d records, want 400", segBytes, len(got))
+		}
 	}
 }
 

@@ -14,26 +14,31 @@ import (
 	"pmago/internal/obs"
 )
 
-// Log is the segmented write-ahead log. Appends go to the active segment;
-// when it outgrows Options.SegmentBytes the segment is fsynced, closed and a
-// new one started, so a torn write can only ever sit at the tail of the
-// newest segment. All methods are safe for concurrent use.
+// Log is the segmented write-ahead log. Appends go to the active segment,
+// created at Options.SegmentBytes: on Linux it is preallocated and mapped,
+// so an append is a copy into the page cache (segment_linux.go); elsewhere
+// each append is one write(2) (segment_other.go). When a record does not fit
+// in the space left, the segment is sealed — cut to the bytes appended,
+// fsynced, closed — before the next one is created, so a torn write can only
+// ever sit at the tail of the newest segment. All methods are safe for
+// concurrent use.
 //
-// Durability bookkeeping is two monotonic byte counters: written (bytes
-// fully handed to the kernel) and synced (bytes known to be on stable
-// storage). Under FsyncAlways each append waits for synced to cover its own
-// end offset; the group-commit fast path is that one writer's fsync advances
-// synced past many waiters at once, and rotation — which always fsyncs the
-// outgoing segment — does the same.
+// Durability bookkeeping is two monotonic byte counters: written (bytes in
+// the page cache, where a process crash cannot lose them) and synced (bytes
+// known to be on stable storage). Under FsyncAlways each append waits for
+// synced to cover its own end offset; the group-commit fast path is that
+// one writer's fsync advances synced past many waiters at once, and
+// rotation — which always fsyncs the outgoing segment — does the same.
 type Log struct {
 	dir string
 	o   Options
 
-	mu      sync.Mutex // guards the fields below (append/rotate path)
-	f       *os.File
+	mu      sync.Mutex       // guards the fields below (append/rotate path)
+	seg     *segment         // active segment; nil once sealed for good
 	seq     uint64           // active segment number
-	segSize int64            // bytes in the active segment
-	live    map[uint64]int64 // sizes of all live segments, active included
+	segSize int64            // bytes appended to the active segment
+	segCap  int64            // size the active segment was opened with
+	live    map[uint64]int64 // sizes of the sealed live segments
 	scratch []byte           // reusable encode buffer
 	written uint64           // total bytes appended this session
 	recs    uint64           // total records appended this session
@@ -100,11 +105,10 @@ func OpenLog(dir string, seq uint64, o Options) (*Log, error) {
 			w.live[s] = fi.Size()
 		}
 	}
-	w.f, err = os.OpenFile(filepath.Join(dir, segName(seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
+	if w.seg, err = openSegment(filepath.Join(dir, segName(seq)), o.SegmentBytes); err != nil {
 		return nil, err
 	}
-	w.live[seq] = 0
+	w.segCap = o.SegmentBytes
 	syncDir(dir)
 	if o.Fsync == FsyncInterval {
 		w.stop = make(chan struct{})
@@ -177,8 +181,9 @@ func (w *Log) AppendDeleteBatch(keys []int64) error {
 
 func (w *Log) append(encode func([]byte) []byte) error {
 	// The append window times the whole call — mutex wait, encode, the
-	// kernel write — which is what a request-path caller experiences before
-	// any fsync wait; the fsync window (observeFsync) covers the rest.
+	// copy into the segment — which is what a request-path caller
+	// experiences before any fsync wait; the fsync window (observeFsync)
+	// covers the rest.
 	var t0 time.Time
 	if w.o.Metrics != nil {
 		t0 = time.Now()
@@ -198,20 +203,22 @@ func (w *Log) append(encode func([]byte) []byte) error {
 		w.mu.Unlock()
 		return fmt.Errorf("persist: record payload %d bytes exceeds the %d limit", len(rec)-frameHeader, maxRecordBytes)
 	}
-	if w.segSize > 0 && w.segSize+int64(len(rec)) > w.o.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
+	if n := int64(len(rec)); w.segSize+n > w.segCap {
+		// A record larger than SegmentBytes gets a segment of its own
+		// size. An empty active segment is sealed empty, as Rotate on an
+		// idle log leaves one.
+		if err := w.rotateLocked(max(w.o.SegmentBytes, n)); err != nil {
 			w.mu.Unlock()
 			return err
 		}
 	}
-	if _, err := w.f.Write(rec); err != nil {
+	if err := w.seg.write(w.segSize, rec); err != nil {
 		w.err = fmt.Errorf("persist: wal append: %w", err)
 		err = w.err
 		w.mu.Unlock()
 		return err
 	}
 	w.segSize += int64(len(rec))
-	w.live[w.seq] = w.segSize
 	w.written += uint64(len(rec))
 	w.recs++
 	// Counted under mu, before any fsync can cover the record, so
@@ -230,18 +237,44 @@ func (w *Log) append(encode func([]byte) []byte) error {
 	return nil
 }
 
-// rotateLocked fsyncs and closes the active segment and opens the next one.
-// Called with mu held. Because the outgoing segment is fsynced, synced can
+// rotateLocked seals the active segment and opens the next one, of size
+// bytes. Called with mu held. The next segment is created only once the
+// outgoing one is cut to its records and fsynced: replay refuses damage in
+// any segment but the last, so no segment may be left holding preallocated
+// space once a newer one exists.
+func (w *Log) rotateLocked(size int64) error {
+	if err := w.sealLocked(); err != nil {
+		w.err = fmt.Errorf("persist: wal rotate: %w", err)
+		return w.err
+	}
+	if m := w.o.Metrics; m != nil {
+		m.Rotations.Inc()
+	}
+	w.live[w.seq] = w.segSize
+	w.seq++
+	seg, err := openSegment(filepath.Join(w.dir, segName(w.seq)), size)
+	if err != nil {
+		w.err = fmt.Errorf("persist: wal rotate open: %w", err)
+		return w.err
+	}
+	w.seg, w.segSize, w.segCap = seg, 0, size
+	syncDir(w.dir)
+	return nil
+}
+
+// sealLocked seals the active segment (see segment.seal) and drops it.
+// Called with mu held. Because the sealed segment is fsynced, synced can
 // jump to everything written so far.
-func (w *Log) rotateLocked() error {
+func (w *Log) sealLocked() error {
 	var t0 time.Time
 	track := w.o.Metrics != nil || w.o.Events != nil
 	if track {
 		t0 = time.Now()
 	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("persist: wal rotate sync: %w", err)
-		return w.err
+	err := w.seg.seal(w.segSize)
+	w.seg = nil
+	if err != nil {
+		return err
 	}
 	advanceMax(&w.synced, w.written)
 	if track {
@@ -251,23 +284,6 @@ func (w *Log) rotateLocked() error {
 		// and any stall hook are required to be fast.
 		w.observeFsync(time.Since(t0), w.recs)
 	}
-	if m := w.o.Metrics; m != nil {
-		m.Rotations.Inc()
-	}
-	if err := w.f.Close(); err != nil {
-		w.err = fmt.Errorf("persist: wal rotate close: %w", err)
-		return w.err
-	}
-	w.seq++
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		w.err = fmt.Errorf("persist: wal rotate open: %w", err)
-		return w.err
-	}
-	w.f = f
-	w.segSize = 0
-	w.live[w.seq] = 0
-	syncDir(w.dir)
 	return nil
 }
 
@@ -280,7 +296,7 @@ func (w *Log) Rotate() (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	if err := w.rotateLocked(); err != nil {
+	if err := w.rotateLocked(w.o.SegmentBytes); err != nil {
 		return 0, err
 	}
 	return w.seq, nil
@@ -311,7 +327,7 @@ func (w *Log) syncTo(target uint64) error {
 		return nil
 	}
 	w.mu.Lock()
-	f, written, recs, err := w.f, w.written, w.recs, w.err
+	seg, written, recs, err := w.seg, w.written, w.recs, w.err
 	w.mu.Unlock()
 	if err != nil {
 		return err
@@ -321,16 +337,18 @@ func (w *Log) syncTo(target uint64) error {
 	if track {
 		t0 = time.Now()
 	}
-	if err := f.Sync(); err != nil {
-		// The segment may have been rotated (and fsynced) under us,
-		// closing f; if synced now covers the target that fsync was
-		// ours in spirit.
+	// On Linux fsync also writes back the pages appends dirtied through
+	// the segment's mapping: they are the file's page cache.
+	if err := seg.sync(); err != nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		// The segment may have been sealed under us, closing its file.
+		// The seal runs under mu and advances synced before releasing it,
+		// so if synced now covers the target that fsync was ours in spirit.
 		if w.synced.Load() >= target {
 			return nil
 		}
-		w.mu.Lock()
 		w.err = fmt.Errorf("persist: wal fsync: %w", err)
-		w.mu.Unlock()
 		return err
 	}
 	advanceMax(&w.synced, written)
@@ -382,12 +400,14 @@ func advanceMaxDelta(a *atomic.Uint64, v uint64) uint64 {
 	}
 }
 
-// LiveBytes returns the total size of all live segments — the replay work a
-// crash would cost right now, and the input to the compaction trigger.
+// LiveBytes returns the bytes appended to all live segments — the replay
+// work a crash would cost right now, and the input to the compaction
+// trigger. The active segment counts with its appended bytes, not its
+// preallocated size.
 func (w *Log) LiveBytes() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var n int64
+	n := w.segSize
 	for _, sz := range w.live {
 		n += sz
 	}
@@ -417,24 +437,27 @@ func (w *Log) TruncateBefore(seq uint64) {
 	syncDir(w.dir)
 }
 
-// Close fsyncs and closes the active segment. The log must not be used
-// afterwards; Close is idempotent only through its owner (pmago.DB guards).
+// Close seals the active segment: it is cut to the bytes appended, fsynced
+// and closed. A write failure recorded earlier is returned in preference to
+// the seal's own. The log must not be used afterwards; Close is idempotent
+// only through its owner (pmago.DB guards).
 func (w *Log) Close() error {
 	if w.stop != nil {
 		close(w.stop)
 		w.done.Wait()
 	}
-	syncErr := w.Sync()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	closeErr := w.f.Close()
+	err := w.err
+	if w.seg != nil {
+		if serr := w.sealLocked(); err == nil && serr != nil {
+			err = fmt.Errorf("persist: wal close: %w", serr)
+		}
+	}
 	if w.err == nil {
 		w.err = fmt.Errorf("persist: log closed")
 	}
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
+	return err
 }
 
 // Replay feeds every complete record in segments >= fromSeq, in log order,

@@ -137,7 +137,10 @@ func WithFsyncInterval(d time.Duration) Option {
 	return func(c *config) { c.durOpt("WithFsyncInterval"); c.dur.FsyncEvery = d }
 }
 
-// WithWALSegmentBytes sets the WAL segment rotation size (default 64 MiB).
+// WithWALSegmentBytes sets the WAL segment size (default 64 MiB). On Linux
+// the active segment is preallocated and mapped at this size, so each open
+// store, and each shard of a durable Sharded, reserves one segment on disk;
+// rotated segments shrink to the records they hold.
 func WithWALSegmentBytes(n int64) Option {
 	return func(c *config) { c.durOpt("WithWALSegmentBytes"); c.dur.SegmentBytes = n }
 }
