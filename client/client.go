@@ -215,7 +215,7 @@ func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
 	var tw time.Time
 	if c.m != nil {
 		tw = time.Now()
-		c.m.QueueWait.ObserveDuration(tw.Sub(t0))
+		c.m.QueueWait.ObserveAt(tw.UnixNano(), uint64(tw.Sub(t0)))
 		c.m.Requests[obs.ServerOpScan].Inc()
 	}
 	cancelled := false
@@ -248,7 +248,8 @@ func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
 			case wire.StatusOK:
 				if c.m != nil {
 					// RTT of the whole stream: issue to final frame.
-					c.m.RTT[obs.ServerOpScan].ObserveDuration(time.Since(tw))
+					end := time.Now()
+					c.m.RTT[obs.ServerOpScan].ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
 				}
 				return nil
 			case wire.StatusBusy:
@@ -345,14 +346,15 @@ func (c *Client) roundTrip(req *wire.Request) (wire.Response, error) {
 	op := obs.ServerOp(req.Op - wire.OpPut)
 	if c.m != nil {
 		tw = time.Now()
-		c.m.QueueWait.ObserveDuration(tw.Sub(t0))
+		c.m.QueueWait.ObserveAt(tw.UnixNano(), uint64(tw.Sub(t0)))
 		c.m.Requests[op].Inc()
 	}
 	select {
 	case resp := <-cl.ch:
 		cl.release()
 		if c.m != nil {
-			c.m.RTT[op].ObserveDuration(time.Since(tw))
+			end := time.Now()
+			c.m.RTT[op].ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
 			switch resp.Status {
 			case wire.StatusBusy:
 				c.m.Busy.Inc()

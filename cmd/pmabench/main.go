@@ -357,7 +357,7 @@ func printWire(sc bench.Scale, maxClients int, report *bench.Report, stats bool)
 		last := final.ServerStat
 		fmt.Printf("   server totals: %d conns, %s in / %s out, %d group commits, %d busy\n",
 			last.ConnsOpened, byteSize(int64(last.BytesRead)), byteSize(int64(last.BytesWritten)),
-			last.GroupCommits, last.Busy)
+			last.CommitOps.Count, last.Busy)
 		report.AddStats("wire", nil, obs.Snapshot{Server: last, Trace: final.Trace})
 	}
 	fmt.Println()

@@ -144,21 +144,25 @@
 // snapshot (Stats/obs.Snapshot) covering the read path (optimistic seqlock
 // serves vs latched fallbacks and probe retries), the combining queues
 // (absorbed ops, drain-size histogram, deferred batches), the rebalancer
-// (local/global/resize counts, window sizes, duration histograms), and — on
-// durable stores — WAL activity (appends, fsync latency, group-commit batch
-// sizes, rotations), checkpoints and the recovery phase split. Sharded
-// stores merge the per-shard snapshots and add per-shard routing counters.
-// Counter reads during concurrent operation are safe and monotonic per
-// stripe but not a consistent cut; quiesce first for exact totals.
+// (local/global/resize counts, duration histograms), and — on durable stores
+// — WAL activity (appends, fsync latency, group-commit batch sizes,
+// rotations, waits for the log), checkpoints and the recovery phase split.
+// Each quantity is recorded by one instrument. Sharded stores merge the
+// per-shard snapshots and add per-shard routing counters. Counter reads
+// during concurrent operation are safe and monotonic per stripe but not a
+// consistent cut; quiesce first for exact totals.
 //
 // Sliding-window histograms (internal/obs.Window) extend the same contract
-// to tail latency: WAL append/fsync timings, the served request path and
-// the client's RTT recording each keep a ring of bucketed sub-windows
-// rotated on a coarse clock, so snapshots answer "p99 over the trailing
-// ~10s" instead of "since process start". Window consistency mirrors the
-// counters: each sub-window is monotonic under concurrent observes, but a
-// snapshot is not a consistent cut — observations racing a slot rotation
-// can land in either slot or (rarely, bounded) be dropped, and the
+// to tail latency: WAL append waits and fsync timings, the served request
+// path and the client's RTT recording each keep a ring of bucketed
+// sub-windows rotated on a coarse clock, so snapshots answer "p99 over the
+// trailing ~10s" instead of "since process start". A window takes its clock
+// reading from the caller, which already holds one for the duration it
+// records, and an append that finds the log uncontended records nothing and
+// reads no clock at all. Window consistency mirrors the counters: each
+// sub-window is monotonic under concurrent observes, but a snapshot is not a
+// consistent cut — an observation whose goroutine stalls for about a whole
+// interval can land in a newer lap or (rarely, bounded) be dropped, and the
 // interpolated percentiles carry the log2 buckets' relative error. Served
 // stores additionally expose per-request stage attribution (decode, queue,
 // commit wait, apply, respond — stages that partition each request's
@@ -171,14 +175,14 @@
 // JSON on any path, Prometheus text exposition (version 0.0.4) on paths
 // ending in "/metrics" — with zero dependencies.
 //
-// Metrics are on by default because their cost is small: hot paths
-// increment striped, cache-line-padded counters with no allocation, and
-// timing syscalls are confined to service goroutines (rebalancer, fsync,
-// checkpoint). WithoutMetrics disables the layer entirely, reducing every
-// site to one nil check; WithEventHook installs a synchronous structural
-// event tracer (rebalances, compactions, recovery, fsync stalls), which
-// NewSlogHook adapts onto log/slog. Hooks run on service goroutines and
-// must be fast and must not call back into the store.
+// Metrics are on by default because their cost is small: hot paths increment
+// striped, cache-line-padded counters with no allocation, and clock reads
+// are confined to service goroutines (rebalancer, fsync), the served request
+// path and appends that had to wait. WithoutMetrics disables the layer
+// entirely, reducing every site to one nil check; WithEventHook installs a
+// synchronous structural event tracer (rebalances, compactions, recovery,
+// fsync stalls), which NewSlogHook adapts onto log/slog. Hooks run on
+// service goroutines and must be fast and must not call back into the store.
 //
 // # Serving
 //

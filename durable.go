@@ -304,13 +304,13 @@ func (db *DB) Snapshot() error {
 }
 
 // snapshot checkpoints the store; auto marks the WAL-growth-triggered
-// background compactions apart from explicit Snapshot calls in the metrics
-// and events.
+// background compactions apart from explicit Snapshot calls in the
+// compaction event.
 func (db *DB) snapshot(auto bool) error {
 	db.snapMu.Lock()
 	defer db.snapMu.Unlock()
 	var t0 time.Time
-	if db.ckpt != nil || db.events != nil {
+	if db.events != nil {
 		t0 = time.Now()
 	}
 
@@ -342,7 +342,7 @@ func (db *DB) snapshot(auto bool) error {
 		count, size, err = persist.WriteSnapshotBlocks(db.dir, cut, func(yield func(payload []byte, pairs int) bool) error {
 			db.inner.c.ScanBlocks(yield)
 			return db.log.Sync()
-		}, db.dur)
+		})
 	} else {
 		count, size, err = persist.WriteSnapshot(db.dir, cut, func(yield func(k, v int64) bool) error {
 			db.inner.ScanAll(yield)
@@ -359,12 +359,8 @@ func (db *DB) snapshot(auto bool) error {
 	persist.RemoveSnapshotsBefore(db.dir, cut)
 	if m := db.ckpt; m != nil {
 		m.Snapshots.Inc()
-		if auto {
-			m.AutoCompactions.Inc()
-		}
 		m.PairsWritten.Add(uint64(count))
 		m.BytesWritten.Add(uint64(size))
-		m.SnapshotNanos.ObserveDuration(time.Since(t0))
 	}
 	if h := db.events; h != nil {
 		h.OnCompaction(obs.CompactionEvent{Auto: auto, Pairs: count, Bytes: size, Duration: time.Since(t0)})

@@ -316,9 +316,8 @@ func (r *rebalancer) process(req *request) []op {
 	// gate ranges upward through the calibrator tree, latching the newly
 	// covered gates along the way. Only the master ever holds more than
 	// one latch. The search is timed as part of the rebalance: escalation
-	// cost is what the window histogram is meant to explain. Only the
-	// (single) master goroutine reaches this code, so the clock reads
-	// cannot contend.
+	// cost belongs to the rebalance duration. Only the (single) master
+	// goroutine reaches this code, so the clock reads cannot contend.
 	var t0 time.Time
 	if p.metrics != nil || p.events != nil {
 		t0 = time.Now()
@@ -374,7 +373,6 @@ func (r *rebalancer) process(req *request) []op {
 		}
 		if m := p.metrics; m != nil {
 			m.GlobalRebalances.Inc()
-			m.RebalanceWindow.Observe(uint64(ghi - glo))
 			m.RebalanceNanos.ObserveDuration(time.Since(t0))
 		}
 		if h := p.events; h != nil {
@@ -747,9 +745,6 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 	p.epochs.Retire(func() {})
 	if m := p.metrics; m != nil {
 		m.Resizes.Inc()
-		// A resize is the top escalation level: its window is the whole
-		// (old) table, so it lands in the window histogram's tail.
-		m.RebalanceWindow.Observe(uint64(len(st.gates)))
 		m.ResizeNanos.ObserveDuration(time.Since(t0))
 	}
 	if h := p.events; h != nil {

@@ -48,7 +48,6 @@ func (s Snapshot) Points() []Point {
 		c("rebalance_local_total", "rebalances", s.Rebalance.Local),
 		c("rebalance_global_total", "rebalances", s.Rebalance.Global),
 		c("rebalance_resizes_total", "resizes", s.Rebalance.Resizes),
-		d("rebalance_window_gates", "gates", s.Rebalance.WindowGates, 0),
 		d("rebalance_duration_seconds", "seconds", s.Rebalance.RebalanceNanos, 1e-9),
 		d("resize_duration_seconds", "seconds", s.Rebalance.ResizeNanos, 1e-9),
 		c("epoch_reclaimed_total", "snapshots", s.Rebalance.EpochReclaimed),
@@ -72,10 +71,8 @@ func (s Snapshot) Points() []Point {
 			win("wal_append_window_seconds", "seconds", s.WAL.AppendWindow, 1e-9, nil),
 			win("wal_fsync_window_seconds", "seconds", s.WAL.FsyncWindow, 1e-9, nil),
 			c("checkpoint_snapshots_total", "snapshots", s.Checkpoint.Snapshots),
-			c("checkpoint_auto_compactions_total", "compactions", s.Checkpoint.AutoCompactions),
 			c("checkpoint_pairs_written_total", "pairs", s.Checkpoint.PairsWritten),
 			c("checkpoint_bytes_written_total", "bytes", s.Checkpoint.BytesWritten),
-			d("checkpoint_duration_seconds", "seconds", s.Checkpoint.SnapshotNanos, 1e-9),
 			c("recovery_runs_total", "recoveries", s.Recovery.Recoveries),
 			c("recovery_snapshot_pairs_total", "pairs", s.Recovery.SnapshotPairs),
 			c("recovery_snapshot_bytes_total", "bytes", s.Recovery.SnapshotBytes),
@@ -108,17 +105,12 @@ func (s Snapshot) Points() []Point {
 			c("server_errors_total", "requests", sv.Errors),
 			c("server_scan_chunks_total", "chunks", sv.ScanChunks),
 			c("server_scan_cancels_total", "scans", sv.ScanCancels),
-			c("server_group_commits_total", "commits", sv.GroupCommits),
 			d("server_commit_ops", "ops", sv.CommitOps, 0),
 			d("server_commit_keys", "keys", sv.CommitKeys, 0),
 		)
 		for _, op := range sv.Ops {
-			lbl := map[string]string{"op": op.Op}
-			dd := op.Nanos
-			pts = append(pts,
-				Point{Name: "server_requests_total", Unit: "requests", Labels: lbl, Value: op.Requests},
-				Point{Name: "server_request_duration_seconds", Unit: "seconds", Labels: lbl, Dist: &dd, Scale: 1e-9},
-			)
+			pts = append(pts, Point{Name: "server_requests_total", Unit: "requests",
+				Labels: map[string]string{"op": op.Op}, Value: op.Requests})
 		}
 	}
 	if tr := s.Trace; tr != nil {

@@ -49,24 +49,56 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 
 // Snapshot copies the histogram into a Distribution, dropping empty
 // buckets. Safe on a nil receiver (returns the zero Distribution), so
-// disabled-metrics owners can snapshot unconditionally. The reads are racy
-// by contract, so Max is clamped up to the floor of the highest non-empty
-// bucket: a torn max-vs-buckets read can otherwise report Max below values
-// the buckets prove were observed (even Max < Mean).
+// disabled-metrics owners can snapshot unconditionally.
 func (h *Histogram) Snapshot() Distribution {
-	var d Distribution
 	if h == nil {
-		return d
+		return Distribution{}
 	}
-	d.Count = h.count.Load()
-	d.Sum = h.sum.Load()
-	d.Max = h.max.Load()
+	var t tally
+	t.add(h)
+	return t.dist()
+}
+
+// reset zeroes the histogram (a Window slot starting a new lap).
+func (h *Histogram) reset() {
+	h.count.Store(0)
+	h.sum.Store(0)
+	h.max.Store(0)
 	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
+		h.buckets[i].Store(0)
+	}
+}
+
+// tally sums the loaded counters of one or more Histograms: Histogram.Snapshot
+// folds one, Window.SnapshotAt the slots still inside its interval.
+type tally struct {
+	count, sum, max uint64
+	buckets         [histBuckets]uint64
+}
+
+func (t *tally) add(h *Histogram) {
+	t.count += h.count.Load()
+	t.sum += h.sum.Load()
+	t.max = max(t.max, h.max.Load())
+	for i := range h.buckets {
+		t.buckets[i] += h.buckets[i].Load()
+	}
+}
+
+// dist turns the tally into a Distribution of its non-empty buckets. The
+// loads are racy by contract, so Max is clamped up to the floor of the
+// highest non-empty bucket: a torn max-vs-buckets read can otherwise report
+// Max below values the buckets prove were observed (even Max < Mean).
+func (t *tally) dist() Distribution {
+	d := Distribution{Count: t.count, Sum: t.sum, Max: t.max}
+	for i, n := range t.buckets {
+		if n > 0 {
 			d.Buckets = append(d.Buckets, HistBucket{Le: bucketBound(i), N: n})
 		}
 	}
-	d.clampMax()
+	if n := len(d.Buckets); n > 0 {
+		d.Max = max(d.Max, bucketFloor(d.Buckets[n-1].Le))
+	}
 	return d
 }
 
@@ -150,16 +182,6 @@ func (d Distribution) Quantile(q float64) float64 {
 		return v
 	}
 	return float64(d.Max)
-}
-
-// clampMax raises Max to the floor of the highest non-empty bucket — the
-// racy-snapshot repair Snapshot and the window fold apply.
-func (d *Distribution) clampMax() {
-	if n := len(d.Buckets); n > 0 {
-		if floor := bucketFloor(d.Buckets[n-1].Le); d.Max < floor {
-			d.Max = floor
-		}
-	}
 }
 
 // merge folds o into d (sharded stores sum their shards' snapshots).

@@ -37,13 +37,9 @@ type CoreMetrics struct {
 	DrainSize       Histogram
 
 	// Rebalancer (gate.go local path, rebalancer.go global path).
-	// RebalanceWindow observes the window width in gates per global
-	// rebalance — with log2 buckets that is exactly the escalation-level
-	// distribution (a window of 2^k gates lands in bucket k+1).
 	LocalRebalances  Counter
 	GlobalRebalances Counter
 	Resizes          Counter
-	RebalanceWindow  Histogram
 	RebalanceNanos   Histogram
 	ResizeNanos      Histogram
 
@@ -84,7 +80,6 @@ type RebalanceStats struct {
 	Local          uint64       `json:"local"`
 	Global         uint64       `json:"global"`
 	Resizes        uint64       `json:"resizes"`
-	WindowGates    Distribution `json:"window_gates"`
 	RebalanceNanos Distribution `json:"rebalance_nanos"`
 	ResizeNanos    Distribution `json:"resize_nanos"`
 	EpochReclaimed uint64       `json:"epoch_reclaimed"`
@@ -139,7 +134,6 @@ func (m *CoreMetrics) Snapshot() CoreSnapshot {
 			Local:          m.LocalRebalances.Load(),
 			Global:         m.GlobalRebalances.Load(),
 			Resizes:        m.Resizes.Load(),
-			WindowGates:    m.RebalanceWindow.Snapshot(),
 			RebalanceNanos: m.RebalanceNanos.Snapshot(),
 			ResizeNanos:    m.ResizeNanos.Snapshot(),
 		},
@@ -164,7 +158,6 @@ func (s CoreSnapshot) merge(o CoreSnapshot) CoreSnapshot {
 	s.Rebalance.Local += o.Rebalance.Local
 	s.Rebalance.Global += o.Rebalance.Global
 	s.Rebalance.Resizes += o.Rebalance.Resizes
-	s.Rebalance.WindowGates = s.Rebalance.WindowGates.merge(o.Rebalance.WindowGates)
 	s.Rebalance.RebalanceNanos = s.Rebalance.RebalanceNanos.merge(o.Rebalance.RebalanceNanos)
 	s.Rebalance.ResizeNanos = s.Rebalance.ResizeNanos.merge(o.Rebalance.ResizeNanos)
 	s.Rebalance.EpochReclaimed += o.Rebalance.EpochReclaimed
@@ -178,25 +171,24 @@ func (s CoreSnapshot) merge(o CoreSnapshot) CoreSnapshot {
 
 // WALMetrics instruments the write-ahead log (persist/wal.go).
 type WALMetrics struct {
-	// Appends/AppendBytes count records (and their framed bytes) handed
-	// to the kernel. Rotations counts segment boundaries. Fsyncs counts
-	// actual File.Sync calls (group commit means this is typically far
-	// below Appends under FsyncAlways); FsyncNanos is their latency, and
-	// GroupCommit observes how many appended records each fsync newly
-	// made durable — the group-commit batch size.
+	// Appends/AppendBytes count records (and their framed bytes) appended
+	// to the active segment. Rotations counts segment boundaries.
+	// FsyncNanos times each segment fsync; its count is the snapshot's
+	// Fsyncs (group commit keeps it far below Appends under FsyncAlways).
+	// GroupCommit observes how many appended records each fsync newly made
+	// durable — the group-commit batch size.
 	Appends     Counter
 	AppendBytes Counter
 	Rotations   Counter
-	Fsyncs      Counter
 	FsyncNanos  Histogram
 	GroupCommit Histogram
 
-	// AppendWindow/FsyncWindow are the sliding-window mirrors of the append
-	// and fsync latencies: AppendWindow times each append call end to end
-	// (mutex wait + encode + the kernel write), FsyncWindow each File.Sync —
-	// the store-side attribution for the serving layer's StageApply, and the
-	// only attribution an embedded user needs. Cumulative histograms answer
-	// "since start"; these answer "over the last ten seconds".
+	// AppendWindow observes how long an append waited for the log's append
+	// mutex, and only when it had to wait: an uncontended append records
+	// nothing and reads no clock, so its count is the number of contended
+	// appends. FsyncWindow mirrors FsyncNanos over the trailing interval.
+	// Together they are the store-side attribution for the serving layer's
+	// StageApply, and the only one an embedded user needs.
 	AppendWindow Window
 	FsyncWindow  Window
 }
@@ -218,16 +210,17 @@ func (m *WALMetrics) Snapshot() WALSnapshot {
 	if m == nil {
 		return WALSnapshot{}
 	}
-	return WALSnapshot{
+	s := WALSnapshot{
 		Appends:            m.Appends.Load(),
 		AppendBytes:        m.AppendBytes.Load(),
 		Rotations:          m.Rotations.Load(),
-		Fsyncs:             m.Fsyncs.Load(),
 		FsyncNanos:         m.FsyncNanos.Snapshot(),
 		GroupCommitRecords: m.GroupCommit.Snapshot(),
 		AppendWindow:       m.AppendWindow.Snapshot(),
 		FsyncWindow:        m.FsyncWindow.Snapshot(),
 	}
+	s.Fsyncs = s.FsyncNanos.Count
+	return s
 }
 
 func (s WALSnapshot) merge(o WALSnapshot) WALSnapshot {
@@ -244,25 +237,18 @@ func (s WALSnapshot) merge(o WALSnapshot) WALSnapshot {
 
 // CheckpointMetrics instruments snapshots/compaction (pmago durable layer).
 type CheckpointMetrics struct {
-	// Snapshots counts completed checkpoints; AutoCompactions the subset
-	// triggered by the WAL-growth heuristic rather than an explicit
-	// Snapshot call. Pairs/Bytes accumulate what the checkpoint files
-	// contained; SnapshotNanos times the whole checkpoint (cut + scan +
-	// write + publish).
-	Snapshots       Counter
-	AutoCompactions Counter
-	PairsWritten    Counter
-	BytesWritten    Counter
-	SnapshotNanos   Histogram
+	// Snapshots counts completed checkpoints; Pairs/Bytes accumulate what
+	// the checkpoint files contained.
+	Snapshots    Counter
+	PairsWritten Counter
+	BytesWritten Counter
 }
 
 // CheckpointSnapshot is the checkpoint section of a snapshot.
 type CheckpointSnapshot struct {
-	Snapshots       uint64       `json:"snapshots"`
-	AutoCompactions uint64       `json:"auto_compactions"`
-	PairsWritten    uint64       `json:"pairs_written"`
-	BytesWritten    uint64       `json:"bytes_written"`
-	SnapshotNanos   Distribution `json:"snapshot_nanos"`
+	Snapshots    uint64 `json:"snapshots"`
+	PairsWritten uint64 `json:"pairs_written"`
+	BytesWritten uint64 `json:"bytes_written"`
 }
 
 // Snapshot copies the live counters (nil-safe).
@@ -271,20 +257,16 @@ func (m *CheckpointMetrics) Snapshot() CheckpointSnapshot {
 		return CheckpointSnapshot{}
 	}
 	return CheckpointSnapshot{
-		Snapshots:       m.Snapshots.Load(),
-		AutoCompactions: m.AutoCompactions.Load(),
-		PairsWritten:    m.PairsWritten.Load(),
-		BytesWritten:    m.BytesWritten.Load(),
-		SnapshotNanos:   m.SnapshotNanos.Snapshot(),
+		Snapshots:    m.Snapshots.Load(),
+		PairsWritten: m.PairsWritten.Load(),
+		BytesWritten: m.BytesWritten.Load(),
 	}
 }
 
 func (s CheckpointSnapshot) merge(o CheckpointSnapshot) CheckpointSnapshot {
 	s.Snapshots += o.Snapshots
-	s.AutoCompactions += o.AutoCompactions
 	s.PairsWritten += o.PairsWritten
 	s.BytesWritten += o.BytesWritten
-	s.SnapshotNanos = s.SnapshotNanos.merge(o.SnapshotNanos)
 	return s
 }
 

@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the store: cache-line-padded
-// striped counters, log-bucketed histograms, structural-event hooks and the
-// exposition code behind pmago.Stats/pmago.Handler. It has no dependencies
-// beyond the standard library and is deliberately a leaf package — core,
-// persist and the public pmago layer all report through it.
+// striped counters, log2-bucketed histograms and their sliding-window ring,
+// structural-event hooks and the exposition code behind
+// pmago.Stats/pmago.Handler. It has no dependencies beyond the standard
+// library and is deliberately a leaf package — core, persist and the public
+// pmago layer all report through it.
 //
 // The design constraints come from where the instruments sit. Counters on
 // the Get fast path are incremented by every reader concurrently, so a
@@ -10,9 +11,13 @@
 // stripes its value across padded slots selected per goroutine. Histograms
 // record latencies and sizes on service goroutines (rebalancer master, WAL
 // group commit), where a plain atomic bucket array is contention-free in
-// practice. Everything here is allocation-free on the update path; snapshot
-// and exposition allocate, but those run at scrape frequency, not op
-// frequency.
+// practice. There is one bucket accumulator, Histogram: a Window is a ring
+// of them, and both snapshot through the same fold. Each quantity has one
+// instrument, and a window's observe path never reads the clock — its owner
+// passes the reading it already took for the duration it records
+// (ObserveAt).
+// Everything here is allocation-free on the update path; snapshot and
+// exposition allocate, but those run at scrape frequency, not op frequency.
 //
 // All instruments are nil-tolerant at their owner: the store keeps a nil
 // metrics pointer when metrics are disabled, so the disabled hot-path cost

@@ -6,10 +6,9 @@ package obs
 // hot-path cheap — striped counter increments and lock-free histogram
 // observes — and nil-safe to snapshot.
 type ServerMetrics struct {
-	// Per-op request counters and handling latency (from frame decode to
-	// the response frame being queued), indexed by ServerOp.
+	// Per-op request counters, indexed by ServerOp. Handling latency per
+	// op is the trace section's Total window (TraceMetrics).
 	Requests [NumServerOps]Counter
-	OpNanos  [NumServerOps]Histogram
 
 	// ConnsOpened/ConnsClosed count accepted and finished connections
 	// (opened - closed = currently live). BytesRead/BytesWritten count
@@ -30,13 +29,12 @@ type ServerMetrics struct {
 	ScanChunks  Counter
 	ScanCancels Counter
 
-	// GroupCommits counts committer drains; CommitOps observes how many
-	// client write ops each drain coalesced (the cross-client group-commit
-	// batch size — >1 means clients shared an fsync), and CommitKeys the
-	// keys in the consolidated PutBatch each drain issued.
-	GroupCommits Counter
-	CommitOps    Histogram
-	CommitKeys   Histogram
+	// CommitOps observes how many client write ops each committer drain
+	// coalesced (the cross-client group-commit batch size — >1 means
+	// clients shared an fsync; its count is the number of drains), and
+	// CommitKeys the keys in the consolidated PutBatch each drain issued.
+	CommitOps  Histogram
+	CommitKeys Histogram
 }
 
 // ServerOp indexes the per-op arrays of ServerMetrics.
@@ -60,9 +58,8 @@ var ServerOpNames = [NumServerOps]string{
 
 // ServerOpSnapshot is one op's section of a server snapshot.
 type ServerOpSnapshot struct {
-	Op       string       `json:"op"`
-	Requests uint64       `json:"requests"`
-	Nanos    Distribution `json:"nanos"`
+	Op       string `json:"op"`
+	Requests uint64 `json:"requests"`
 }
 
 // ServerSnapshot is the serving-layer section of a snapshot.
@@ -75,7 +72,6 @@ type ServerSnapshot struct {
 	Errors       uint64             `json:"errors"`
 	ScanChunks   uint64             `json:"scan_chunks"`
 	ScanCancels  uint64             `json:"scan_cancels"`
-	GroupCommits uint64             `json:"group_commits"`
 	CommitOps    Distribution       `json:"commit_ops"`
 	CommitKeys   Distribution       `json:"commit_keys"`
 	Ops          []ServerOpSnapshot `json:"ops"`
@@ -96,7 +92,6 @@ func (m *ServerMetrics) Snapshot() *ServerSnapshot {
 		Errors:       m.Errors.Load(),
 		ScanChunks:   m.ScanChunks.Load(),
 		ScanCancels:  m.ScanCancels.Load(),
-		GroupCommits: m.GroupCommits.Load(),
 		CommitOps:    m.CommitOps.Snapshot(),
 		CommitKeys:   m.CommitKeys.Snapshot(),
 		Ops:          make([]ServerOpSnapshot, NumServerOps),
@@ -105,7 +100,6 @@ func (m *ServerMetrics) Snapshot() *ServerSnapshot {
 		s.Ops[i] = ServerOpSnapshot{
 			Op:       ServerOpNames[i],
 			Requests: m.Requests[i].Load(),
-			Nanos:    m.OpNanos[i].Snapshot(),
 		}
 	}
 	return s

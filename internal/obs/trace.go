@@ -25,8 +25,9 @@ import (
 //
 // Reads skip queue and commit-wait (they execute inline, both stages read
 // 0). WAL append and fsync time lives inside StageApply; the WAL's own
-// AppendWindow/FsyncWindow (WALMetrics) attribute it store-side, which also
-// covers embedded users that never cross the serving layer.
+// AppendWindow (waits for the log) and FsyncWindow (WALMetrics) attribute
+// it store-side, which also covers embedded users that never cross the
+// serving layer.
 type TraceStage int
 
 const (

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"math/bits"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -16,37 +16,34 @@ const DefaultWindowInterval = 10 * time.Second
 // footprint small while the newest ~7/8 of the interval is always covered.
 const winSlots = 8
 
-// winSlot is one sub-window: a bucketed histogram plus the absolute slot
-// number it currently holds. id publishes slot+1 (0 = never used); claim is
-// the rotation latch — a writer that finds the slot stale CASes claim to
-// the slot it wants, clears the counters, then publishes id.
+// winSlot is one sub-window: a Histogram plus the absolute slot number it
+// currently holds. id publishes slot+1 (0 = never used); claim is the
+// rotation latch — a writer that finds the slot stale CASes claim to the
+// slot it wants, resets the histogram, then publishes id.
 type winSlot struct {
-	id      atomic.Int64
-	claim   atomic.Int64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	max     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
+	id    atomic.Int64
+	claim atomic.Int64
+	h     Histogram
 }
 
 // Window is a concurrent sliding-window histogram: a ring of winSlots
-// log2-bucketed sub-windows rotated on a coarse clock, answering "what was
-// the distribution over the trailing interval" where a Histogram can only
-// answer "since the process started". Observe is allocation-free — plain
-// atomics, like Counter and Histogram — and the zero value is ready to use
-// with DefaultWindowInterval; NewWindow picks another interval.
+// Histograms rotated on a coarse clock, answering "what was the
+// distribution over the trailing interval" where a Histogram can only
+// answer "since the process started". ObserveAt is allocation-free — plain
+// atomics, like Counter and Histogram — and takes the clock reading from
+// the caller, which already holds one for the duration it records. The
+// zero value is ready to use with DefaultWindowInterval; NewWindow picks
+// another interval.
 //
 // Consistency: each sub-window is monotonic under concurrent observes but a
-// snapshot is not a consistent cut, and rotation at a slot boundary can
-// lose or misattribute the few observations racing the reset — bounded slop
-// that metrics tolerate by design (the same contract as the striped
-// counters). Quantiles interpolate within log2 buckets, so they carry the
+// snapshot is not a consistent cut, and an observe that is a whole lap late
+// (its clock reading, or its goroutine, stalled for about the interval) can
+// land in a newer lap or race that lap's reset — bounded slop that metrics
+// tolerate by design (the same contract as the striped counters).
+// Observes racing an ordinary rotation are never lost. Quantiles interpolate within log2 buckets, so they carry the
 // buckets' relative error (below ~41% of the value, typically far less).
 type Window struct {
-	// interval is immutable after construction (zero = default); clock is
-	// the test seam — nil means the wall clock.
-	interval time.Duration
-	clock    func() int64
+	interval time.Duration // immutable after construction; zero = default
 	slots    [winSlots]winSlot
 }
 
@@ -59,139 +56,83 @@ func NewWindow(interval time.Duration) *Window {
 	return &Window{interval: interval}
 }
 
-func (w *Window) slotNanos() int64 {
-	iv := w.interval
-	if iv <= 0 {
-		iv = DefaultWindowInterval
+func (w *Window) span() time.Duration {
+	if w.interval <= 0 {
+		return DefaultWindowInterval
 	}
-	return int64(iv) / winSlots
+	return w.interval
 }
 
-func (w *Window) now() int64 {
-	if w.clock != nil {
-		return w.clock()
-	}
-	return time.Now().UnixNano()
+// slotOf is the absolute slot number of a clock reading (negative clamps
+// to slot 0).
+func (w *Window) slotOf(now int64) int64 {
+	return max(now, 0) / (int64(w.span()) / winSlots)
 }
 
-// Observe records one value at the current time.
-func (w *Window) Observe(v uint64) {
-	if w == nil {
-		return
-	}
-	w.ObserveAt(w.now(), v)
-}
-
-// ObserveDuration records a duration in nanoseconds (negative clamps to 0).
-func (w *Window) ObserveDuration(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	w.Observe(uint64(d))
-}
-
-// ObserveAt records one value at an explicit clock reading, letting owners
-// that already hold a timestamp avoid a second clock read.
+// ObserveAt records v at the clock reading now (Unix nanoseconds), which
+// picks the sub-window. Nil-safe.
 func (w *Window) ObserveAt(now int64, v uint64) {
 	if w == nil {
 		return
 	}
-	if now < 0 {
-		now = 0
-	}
-	slot := now / w.slotNanos()
+	slot := w.slotOf(now)
 	s := &w.slots[uint64(slot)%winSlots]
-	w.rotate(s, slot+1)
-	s.count.Add(1)
-	s.sum.Add(v)
-	for {
-		cur := s.max.Load()
-		if cur >= v || s.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	s.buckets[bits.Len64(v)].Add(1)
+	s.rotate(slot + 1)
+	s.h.Observe(v)
 }
 
 // rotate makes s hold absolute slot id `want` (1-based), clearing it if it
 // still holds an older lap. Exactly one racer wins the claim CAS and
-// resets; the losers spin briefly for the publish so their counts land in
-// the cleared slot — the wait is bounded (the clear is ~70 atomic stores),
-// and a racer that exhausts it records anyway, accepting the slop the type
-// documents.
-func (w *Window) rotate(s *winSlot, want int64) {
+// resets; the losers wait for it to publish, so their counts land in the
+// cleared slot rather than in the lap being wiped. The wait is for ~70
+// atomic stores by a goroutine that never blocks, and it yields instead of
+// giving up after a bounded spin: with the winner descheduled (one proc, or
+// more goroutines than procs) a loser that gave up would record into the
+// slot before the reset and lose the count. id only moves forward, so a
+// winner that reset for an older lap cannot hide a newer publish from a
+// waiter.
+func (s *winSlot) rotate(want int64) {
 	if s.id.Load() >= want {
 		return
 	}
 	for {
 		c := s.claim.Load()
 		if c >= want {
-			for i := 0; i < 1<<14 && s.id.Load() < c; i++ {
+			for s.id.Load() < c {
+				runtime.Gosched()
 			}
 			return
 		}
 		if s.claim.CompareAndSwap(c, want) {
-			s.count.Store(0)
-			s.sum.Store(0)
-			s.max.Store(0)
-			for i := range s.buckets {
-				s.buckets[i].Store(0)
+			s.h.reset()
+			for id := s.id.Load(); id < want && !s.id.CompareAndSwap(id, want); id = s.id.Load() {
 			}
-			s.id.Store(want)
 			return
 		}
 	}
 }
 
-// Snapshot folds the slots still inside the trailing interval into a
-// WindowSnapshot with precomputed quantiles. Nil-safe.
+// Snapshot is SnapshotAt the current time. Nil-safe.
 func (w *Window) Snapshot() WindowSnapshot {
+	return w.SnapshotAt(time.Now().UnixNano())
+}
+
+// SnapshotAt folds the slots still inside the trailing interval at the
+// clock reading now into a WindowSnapshot with precomputed quantiles.
+// Nil-safe.
+func (w *Window) SnapshotAt(now int64) WindowSnapshot {
 	if w == nil {
 		return WindowSnapshot{}
 	}
-	return w.SnapshotAt(w.now())
-}
-
-// SnapshotAt is Snapshot at an explicit clock reading.
-func (w *Window) SnapshotAt(now int64) WindowSnapshot {
-	var ws WindowSnapshot
-	if w == nil {
-		return ws
-	}
-	if now < 0 {
-		now = 0
-	}
-	cur := now / w.slotNanos()
-	oldest := cur - winSlots + 1
-	var d Distribution
-	var totals [histBuckets]uint64
+	cur := w.slotOf(now)
+	var t tally
 	for i := range w.slots {
 		s := &w.slots[i]
-		id := s.id.Load() - 1
-		if s.id.Load() == 0 || id < oldest || id > cur {
-			continue
-		}
-		d.Count += s.count.Load()
-		d.Sum += s.sum.Load()
-		if m := s.max.Load(); m > d.Max {
-			d.Max = m
-		}
-		for b := range s.buckets {
-			totals[b] += s.buckets[b].Load()
+		if id := s.id.Load(); id > 0 && id-1 > cur-winSlots && id-1 <= cur {
+			t.add(&s.h)
 		}
 	}
-	for i, n := range totals {
-		if n > 0 {
-			d.Buckets = append(d.Buckets, HistBucket{Le: bucketBound(i), N: n})
-		}
-	}
-	d.clampMax()
-	iv := w.interval
-	if iv <= 0 {
-		iv = DefaultWindowInterval
-	}
-	ws.Distribution = d
-	ws.IntervalNanos = uint64(iv)
+	ws := WindowSnapshot{Distribution: t.dist(), IntervalNanos: uint64(w.span())}
 	ws.fillQuantiles()
 	return ws
 }

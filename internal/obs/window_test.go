@@ -9,20 +9,15 @@ import (
 	"time"
 )
 
-// fakeClock steps a Window's clock deterministically from tests.
-type fakeClock struct{ now atomic.Int64 }
-
-func (f *fakeClock) install(w *Window) { w.clock = f.now.Load }
-
 // TestWindowRotationConcurrentFakeClock drives concurrent observers while a
-// stepped fake clock walks the window across slot boundaries — fewer
-// boundaries than winSlots, so no slot is ever reused and every observation
-// must survive into the final snapshot. Run under -race this also proves
-// the rotation latch is data-race-free.
+// stepped fake clock, which they read and pass to ObserveAt, walks the
+// window across slot boundaries — fewer boundaries than winSlots, so no slot
+// is ever reused and every observation must survive into the final
+// snapshot. Run under -race this also proves the rotation latch is
+// data-race-free.
 func TestWindowRotationConcurrentFakeClock(t *testing.T) {
 	w := NewWindow(8000 * time.Nanosecond) // 1000ns slots
-	var clk fakeClock
-	clk.install(w)
+	var clk atomic.Int64
 
 	const (
 		goroutines = 8
@@ -36,7 +31,7 @@ func TestWindowRotationConcurrentFakeClock(t *testing.T) {
 		defer wg.Done()
 		for i := 1; i <= steps; i++ {
 			time.Sleep(200 * time.Microsecond)
-			clk.now.Store(int64(i) * 1000)
+			clk.Store(int64(i) * 1000)
 		}
 		close(stop)
 	}()
@@ -46,7 +41,7 @@ func TestWindowRotationConcurrentFakeClock(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				w.Observe(uint64(g + 1))
+				w.ObserveAt(clk.Load(), uint64(g+1))
 				observed.Add(1)
 				if i%1024 == 0 {
 					select {
@@ -60,7 +55,7 @@ func TestWindowRotationConcurrentFakeClock(t *testing.T) {
 	}
 	wg.Wait()
 
-	ws := w.SnapshotAt(clk.now.Load())
+	ws := w.SnapshotAt(clk.Load())
 	if ws.Count != observed.Load() {
 		t.Fatalf("windowed count = %d, want %d (no slot was reused, so no observation may be lost)",
 			ws.Count, observed.Load())
@@ -79,28 +74,22 @@ func TestWindowRotationConcurrentFakeClock(t *testing.T) {
 // reused on its next lap.
 func TestWindowExpiry(t *testing.T) {
 	w := NewWindow(8000 * time.Nanosecond)
-	var clk fakeClock
-	clk.install(w)
 
-	w.Observe(100) // slot 0
-	clk.now.Store(3000)
-	w.Observe(200) // slot 3
-	if got := w.Snapshot().Count; got != 2 {
+	w.ObserveAt(0, 100)    // slot 0
+	w.ObserveAt(3000, 200) // slot 3
+	if got := w.SnapshotAt(3000).Count; got != 2 {
 		t.Fatalf("count before expiry = %d, want 2", got)
 	}
 
 	// Move past slot 0's coverage (snapshot keeps slots [cur-7, cur]).
-	clk.now.Store(9000) // cur slot 9, oldest kept = 2
-	ws := w.Snapshot()
+	ws := w.SnapshotAt(9000) // cur slot 9, oldest kept = 2
 	if ws.Count != 1 || ws.Sum != 200 {
 		t.Fatalf("after expiry: count=%d sum=%d, want 1/200", ws.Count, ws.Sum)
 	}
 
 	// Lap onto slot 0's ring position (slot 8): old contents must clear.
-	clk.now.Store(8000)
-	w.Observe(300)
-	clk.now.Store(9000)
-	ws = w.Snapshot()
+	w.ObserveAt(8000, 300)
+	ws = w.SnapshotAt(9000)
 	if ws.Count != 2 || ws.Sum != 500 {
 		t.Fatalf("after lap: count=%d sum=%d, want 2/500", ws.Count, ws.Sum)
 	}
@@ -121,12 +110,10 @@ func TestWindowQuantileEdges(t *testing.T) {
 	}
 
 	single := NewWindow(time.Second)
-	var clk fakeClock
-	clk.install(single)
 	for i := 0; i < 100; i++ {
-		single.Observe(100) // all in bucket (64,127]
+		single.ObserveAt(0, 100) // all in bucket (64,127]
 	}
-	ws = single.Snapshot()
+	ws = single.SnapshotAt(0)
 	if ws.P50 < 65 || ws.P50 > 100 {
 		t.Fatalf("single-bucket p50 = %v, want within (64, 100]", ws.P50)
 	}
@@ -135,21 +122,19 @@ func TestWindowQuantileEdges(t *testing.T) {
 	}
 
 	zeros := NewWindow(time.Second)
-	clk.install(zeros)
 	for i := 0; i < 10; i++ {
-		zeros.Observe(0)
+		zeros.ObserveAt(0, 0)
 	}
-	ws = zeros.Snapshot()
+	ws = zeros.SnapshotAt(0)
 	if ws.P50 != 0 || ws.P999 != 0 || ws.Max != 0 {
 		t.Fatalf("all-zero quantiles = %v/%v max %d, want 0", ws.P50, ws.P999, ws.Max)
 	}
 
 	mixed := NewWindow(time.Second)
-	clk.install(mixed)
 	for i := uint64(1); i <= 1000; i++ {
-		mixed.Observe(i)
+		mixed.ObserveAt(0, i)
 	}
-	ws = mixed.Snapshot()
+	ws = mixed.SnapshotAt(0)
 	if !(ws.P50 <= ws.P95 && ws.P95 <= ws.P99 && ws.P99 <= ws.P999) {
 		t.Fatalf("quantiles not monotonic: %v %v %v %v", ws.P50, ws.P95, ws.P99, ws.P999)
 	}
@@ -205,14 +190,11 @@ func TestHistogramMaxClampRegression(t *testing.T) {
 func TestWindowSnapshotMerge(t *testing.T) {
 	a := NewWindow(time.Second)
 	b := NewWindow(time.Second)
-	var clk fakeClock
-	clk.install(a)
-	clk.install(b)
 	for i := 0; i < 100; i++ {
-		a.Observe(10)
-		b.Observe(1000)
+		a.ObserveAt(0, 10)
+		b.ObserveAt(0, 1000)
 	}
-	m := a.Snapshot().merge(b.Snapshot())
+	m := a.SnapshotAt(0).merge(b.SnapshotAt(0))
 	if m.Count != 200 || m.Sum != 100*10+100*1000 {
 		t.Fatalf("merged count/sum = %d/%d", m.Count, m.Sum)
 	}
@@ -337,12 +319,12 @@ func TestTraceSnapshotAndNil(t *testing.T) {
 // captures must all run without allocating.
 func TestTraceRecordDoesNotAllocate(t *testing.T) {
 	w := NewWindow(time.Second)
-	if n := testing.AllocsPerRun(1000, func() { w.Observe(123) }); n != 0 {
-		t.Fatalf("Window.Observe allocates %v/op", n)
+	now := time.Now().UnixNano()
+	if n := testing.AllocsPerRun(1000, func() { w.ObserveAt(now, 123) }); n != 0 {
+		t.Fatalf("Window.ObserveAt allocates %v/op", n)
 	}
 	tr := &TraceMetrics{}
 	var stages [NumTraceStages]uint64
-	now := time.Now().UnixNano()
 	if n := testing.AllocsPerRun(1000, func() {
 		tr.Record(ServerOpPut, now, &stages, 1000)
 	}); n != 0 {

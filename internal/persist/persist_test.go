@@ -2,11 +2,15 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"pmago/internal/codec"
 )
 
 // collect replays dir into a model map, the reference the WAL tests check
@@ -552,5 +556,61 @@ func TestWriteSnapshotIteratorErrorAborts(t *testing.T) {
 	}
 	for _, e := range ents {
 		t.Fatalf("aborted snapshot left %q behind", e.Name())
+	}
+}
+
+// TestSnapshotWritersSameBytes pins the snapshot file format: for a fixed
+// pair set and block size, the pair writer and the pre-encoded block writer
+// produce byte-identical files, and those bytes hash to what the format has
+// always produced.
+func TestSnapshotWritersSameBytes(t *testing.T) {
+	const (
+		blockEntries = 64
+		wantSHA256   = "5ac0d7876c7e5720eae84954dbff05e27acf7f5d993fd1010112e9a15e6bee41"
+	)
+	keys := make([]int64, 1000)
+	vals := make([]int64, 1000)
+	k := int64(-3000)
+	for i := range keys {
+		k += int64(i%5) + 1
+		keys[i], vals[i] = k, int64(i*i)-500
+	}
+	o := testOptions()
+	o.SnapshotBlockEntries = blockEntries
+	pairDir, blockDir := t.TempDir(), t.TempDir()
+	if _, _, err := WriteSnapshot(pairDir, 9, func(yield func(k, v int64) bool) error {
+		for i := range keys {
+			if !yield(keys[i], vals[i]) {
+				break
+			}
+		}
+		return nil
+	}, o); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := WriteSnapshotBlocks(blockDir, 9, func(yield func(payload []byte, pairs int) bool) error {
+		for lo := 0; lo < len(keys); lo += blockEntries {
+			hi := min(lo+blockEntries, len(keys))
+			if !yield(codec.AppendBlock(nil, keys[lo:hi], vals[lo:hi]), hi-lo) {
+				break
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := os.ReadFile(filepath.Join(pairDir, snapName(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := os.ReadFile(filepath.Join(blockDir, snapName(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pairs, blocks) {
+		t.Fatalf("pair writer wrote %d bytes, block writer %d, and they differ", len(pairs), len(blocks))
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(pairs)); got != wantSHA256 {
+		t.Fatalf("snapshot file hashes to %s, want %s", got, wantSHA256)
 	}
 }

@@ -5,7 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
+
+	"pmago/internal/obs"
 )
 
 // segSizes returns the on-disk size of every WAL segment in dir, by number.
@@ -159,23 +163,91 @@ func TestProbeSkipsZerosSameAnswer(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendPut prices one logged point update through the log alone:
-// encode, checksum, the copy into the active segment, and the rotations a
-// default-sized segment amortises.
-func BenchmarkAppendPut(b *testing.B) {
-	w, err := OpenLog(b.TempDir(), 1, testOptions())
+// TestAppendWindowRecordsOnlyWaits: the append window is the time appends
+// spent waiting for the log. Sequential appends never wait, so they record
+// nothing (and read no clock), rotations on the appending goroutine
+// included; an append blocked behind a held mutex records its wait once.
+func TestAppendWindowRecordsOnlyWaits(t *testing.T) {
+	o := testOptions()
+	o.SegmentBytes = 4096
+	o.Metrics = &obs.WALMetrics{}
+	w, err := OpenLog(t.TempDir(), 1, o)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	defer w.Close()
+	for i := 0; i < 1000; i++ {
 		if err := w.AppendPut(int64(i), int64(i)); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
+	if s := o.Metrics.Snapshot(); s.Appends != 1000 || s.Rotations == 0 || s.AppendWindow.Count != 0 {
+		t.Fatalf("after 1000 sequential appends: appends %d, rotations %d, append window count %d; want 1000, > 0, 0",
+			s.Appends, s.Rotations, s.AppendWindow.Count)
+	}
+
+	const hold = 2 * time.Millisecond
+	w.mu.Lock()
+	done := make(chan error, 1)
+	go func() { done <- w.AppendPut(-1, -1) }()
+	waitAppendBlocked(t)
+	time.Sleep(hold)
+	w.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	s := o.Metrics.Snapshot()
+	if s.Appends != 1001 || s.AppendWindow.Count != 1 || s.AppendWindow.Sum < uint64(hold) {
+		t.Fatalf("after one blocked append: appends %d, append window count %d sum %v; want 1001, 1, >= %v",
+			s.Appends, s.AppendWindow.Count, time.Duration(s.AppendWindow.Sum), hold)
+	}
+}
+
+// waitAppendBlocked returns once a goroutine is parked in an append's Lock
+// of the log mutex, so a hold that starts now is already being timed.
+func waitAppendBlocked(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			head, _, _ := strings.Cut(g, "\n")
+			if strings.Contains(g, "(*Log).lockAppend") &&
+				(strings.Contains(head, "Mutex.Lock") || strings.Contains(head, "semacquire")) {
+				return
+			}
+		}
+	}
+	t.Fatal("the append never blocked on the log mutex")
+}
+
+// BenchmarkAppendPut prices one logged point update through the log alone:
+// encode, checksum, the copy into the active segment, and the rotations a
+// default-sized segment amortises — with the log's metrics off and on.
+func BenchmarkAppendPut(b *testing.B) {
+	for _, metrics := range []bool{false, true} {
+		name := "metrics=off"
+		o := testOptions()
+		if metrics {
+			name = "metrics=on"
+			o.Metrics = &obs.WALMetrics{}
+		}
+		b.Run(name, func(b *testing.B) {
+			w, err := OpenLog(b.TempDir(), 1, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.AppendPut(int64(i), int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

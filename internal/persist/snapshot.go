@@ -80,6 +80,59 @@ func listSnapshots(dir string) ([]uint64, error) {
 // compaction trigger.
 func WriteSnapshot(dir string, walSeq uint64, iter func(yield func(k, v int64) bool) error, o Options) (count, size int64, err error) {
 	o = o.normalize()
+	return writeSnapshotFile(dir, walSeq, func(bw *bufio.Writer) (int64, error) {
+		var (
+			blockK  = make([]int64, 0, o.SnapshotBlockEntries)
+			blockV  = make([]int64, 0, o.SnapshotBlockEntries)
+			scratch []byte
+			count   int64
+			prev    int64
+			iterErr error
+		)
+		flush := func() error {
+			if len(blockK) == 0 {
+				return nil
+			}
+			scratch = encodeSnapBlock(scratch[:0], blockK, blockV)
+			blockK, blockV = blockK[:0], blockV[:0]
+			_, werr := bw.Write(scratch)
+			return werr
+		}
+		cbErr := iter(func(k, v int64) bool {
+			if count > 0 && k <= prev {
+				iterErr = fmt.Errorf("persist: snapshot iterator not strictly increasing at key %d", k)
+				return false
+			}
+			prev = k
+			count++
+			blockK = append(blockK, k)
+			blockV = append(blockV, v)
+			if len(blockK) >= o.SnapshotBlockEntries {
+				if werr := flush(); werr != nil {
+					iterErr = werr
+					return false
+				}
+			}
+			return true
+		})
+		if iterErr != nil {
+			return 0, iterErr
+		}
+		if cbErr != nil {
+			return 0, cbErr
+		}
+		return count, flush()
+	})
+}
+
+// writeSnapshotFile is the one snapshot file writer: it creates the temp
+// file, writes the header, lets body write the block frames and report the
+// pair count, then writes the trailer, flushes, fsyncs, closes and renames
+// the file into place and syncs the directory. An error from body — an
+// iterator failure, e.g. the caller could not make the scanned state
+// durable — aborts before the trailer and rename: the temp file is removed
+// and no checkpoint is published.
+func writeSnapshotFile(dir string, walSeq uint64, body func(bw *bufio.Writer) (int64, error)) (count, size int64, err error) {
 	tmp := filepath.Join(dir, snapName(walSeq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -92,56 +145,11 @@ func WriteSnapshot(dir string, walSeq uint64, iter func(yield func(k, v int64) b
 		}
 	}()
 	bw := bufio.NewWriterSize(f, 1<<20)
-	header := make([]byte, 0, 16)
-	header = append(header, snapMagic...)
-	header = binary.LittleEndian.AppendUint64(header, walSeq)
+	header := binary.LittleEndian.AppendUint64([]byte(snapMagic), walSeq)
 	if _, err = bw.Write(header); err != nil {
 		return 0, 0, err
 	}
-
-	var (
-		blockK  = make([]int64, 0, o.SnapshotBlockEntries)
-		blockV  = make([]int64, 0, o.SnapshotBlockEntries)
-		scratch []byte
-		prev    int64
-		iterErr error
-	)
-	flush := func() error {
-		if len(blockK) == 0 {
-			return nil
-		}
-		scratch = encodeSnapBlock(scratch[:0], blockK, blockV)
-		blockK, blockV = blockK[:0], blockV[:0]
-		_, werr := bw.Write(scratch)
-		return werr
-	}
-	cbErr := iter(func(k, v int64) bool {
-		if count > 0 && k <= prev {
-			iterErr = fmt.Errorf("persist: snapshot iterator not strictly increasing at key %d", k)
-			return false
-		}
-		prev = k
-		count++
-		blockK = append(blockK, k)
-		blockV = append(blockV, v)
-		if len(blockK) >= o.SnapshotBlockEntries {
-			if werr := flush(); werr != nil {
-				iterErr = werr
-				return false
-			}
-		}
-		return true
-	})
-	if err = iterErr; err != nil {
-		return 0, 0, err
-	}
-	// An iterator failure (e.g. the caller could not make the scanned
-	// state durable) aborts before the trailer and rename: the temp file
-	// is removed and no checkpoint is published.
-	if err = cbErr; err != nil {
-		return 0, 0, err
-	}
-	if err = flush(); err != nil {
+	if count, err = body(bw); err != nil {
 		return 0, 0, err
 	}
 	trailer := make([]byte, 0, 13)
@@ -157,8 +165,8 @@ func WriteSnapshot(dir string, walSeq uint64, iter func(yield func(k, v int64) b
 	if err = f.Sync(); err != nil {
 		return 0, 0, err
 	}
-	fi, statErr := f.Stat()
-	if err = statErr; err != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		return 0, 0, err
 	}
 	if err = f.Close(); err != nil {
@@ -198,83 +206,39 @@ func appendRawBlock(b, payload []byte) []byte {
 // blocks in ascending key order; each block's header is re-parsed here so a
 // corrupt count or out-of-order first key aborts the snapshot rather than
 // publishing a checkpoint recovery would then reject wholesale.
-func WriteSnapshotBlocks(dir string, walSeq uint64, iter func(yield func(payload []byte, pairs int) bool) error, o Options) (count, size int64, err error) {
-	tmp := filepath.Join(dir, snapName(walSeq)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
+func WriteSnapshotBlocks(dir string, walSeq uint64, iter func(yield func(payload []byte, pairs int) bool) error) (count, size int64, err error) {
+	return writeSnapshotFile(dir, walSeq, func(bw *bufio.Writer) (int64, error) {
+		var (
+			scratch   []byte
+			count     int64
+			prevFirst int64
+			iterErr   error
+		)
+		cbErr := iter(func(payload []byte, pairs int) bool {
+			c, cerr := codec.BlockCount(payload, maxRecordBytes/2)
+			if cerr != nil || c != pairs {
+				iterErr = fmt.Errorf("persist: snapshot block header disagrees with caller: %d pairs claimed", pairs)
+				return false
+			}
+			first, ok := blockFirstKey(payload)
+			if !ok || (count > 0 && first <= prevFirst) {
+				iterErr = fmt.Errorf("persist: snapshot blocks not in ascending key order")
+				return false
+			}
+			prevFirst = first
+			count += int64(pairs)
+			scratch = appendRawBlock(scratch[:0], payload)
+			if _, werr := bw.Write(scratch); werr != nil {
+				iterErr = werr
+				return false
+			}
+			return true
+		})
+		if iterErr != nil {
+			return 0, iterErr
 		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	header := make([]byte, 0, 16)
-	header = append(header, snapMagic...)
-	header = binary.LittleEndian.AppendUint64(header, walSeq)
-	if _, err = bw.Write(header); err != nil {
-		return 0, 0, err
-	}
-
-	var (
-		scratch   []byte
-		prevFirst int64
-		iterErr   error
-	)
-	cbErr := iter(func(payload []byte, pairs int) bool {
-		c, cerr := codec.BlockCount(payload, maxRecordBytes/2)
-		if cerr != nil || c != pairs {
-			iterErr = fmt.Errorf("persist: snapshot block header disagrees with caller: %d pairs claimed", pairs)
-			return false
-		}
-		first, ok := blockFirstKey(payload)
-		if !ok || (count > 0 && first <= prevFirst) {
-			iterErr = fmt.Errorf("persist: snapshot blocks not in ascending key order")
-			return false
-		}
-		prevFirst = first
-		count += int64(pairs)
-		scratch = appendRawBlock(scratch[:0], payload)
-		_, werr := bw.Write(scratch)
-		if werr != nil {
-			iterErr = werr
-			return false
-		}
-		return true
+		return count, cbErr
 	})
-	if err = iterErr; err != nil {
-		return 0, 0, err
-	}
-	if err = cbErr; err != nil {
-		return 0, 0, err
-	}
-	trailer := make([]byte, 0, 13)
-	trailer = append(trailer, frameTrailer)
-	trailer = binary.LittleEndian.AppendUint64(trailer, uint64(count))
-	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.Checksum(trailer[1:9], crcTable))
-	if _, err = bw.Write(trailer); err != nil {
-		return 0, 0, err
-	}
-	if err = bw.Flush(); err != nil {
-		return 0, 0, err
-	}
-	if err = f.Sync(); err != nil {
-		return 0, 0, err
-	}
-	fi, statErr := f.Stat()
-	if err = statErr; err != nil {
-		return 0, 0, err
-	}
-	if err = f.Close(); err != nil {
-		return 0, 0, err
-	}
-	if err = os.Rename(tmp, filepath.Join(dir, snapName(walSeq))); err != nil {
-		return 0, 0, err
-	}
-	syncDir(dir)
-	return count, fi.Size(), nil
 }
 
 // blockFirstKey peeks a codec block's first key without decoding the pairs:

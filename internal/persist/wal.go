@@ -180,15 +180,7 @@ func (w *Log) AppendDeleteBatch(keys []int64) error {
 }
 
 func (w *Log) append(encode func([]byte) []byte) error {
-	// The append window times the whole call — mutex wait, encode, the
-	// copy into the segment — which is what a request-path caller
-	// experiences before any fsync wait; the fsync window (observeFsync)
-	// covers the rest.
-	var t0 time.Time
-	if w.o.Metrics != nil {
-		t0 = time.Now()
-	}
-	w.mu.Lock()
+	w.lockAppend()
 	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
@@ -226,7 +218,6 @@ func (w *Log) append(encode func([]byte) []byte) error {
 	if m := w.o.Metrics; m != nil {
 		m.Appends.Inc()
 		m.AppendBytes.Add(uint64(len(rec)))
-		m.AppendWindow.ObserveDuration(time.Since(t0))
 	}
 	target := w.written
 	w.mu.Unlock()
@@ -235,6 +226,25 @@ func (w *Log) append(encode func([]byte) []byte) error {
 		return w.syncTo(target)
 	}
 	return nil
+}
+
+// lockAppend takes mu for an append. The clock is read only when mu is
+// already held: the wait is what AppendWindow records, and an uncontended
+// append — the common case, whose encode and copy cost tens of nanoseconds —
+// pays no clock read at all.
+func (w *Log) lockAppend() {
+	if w.mu.TryLock() {
+		return
+	}
+	m := w.o.Metrics
+	if m == nil {
+		w.mu.Lock()
+		return
+	}
+	t0 := time.Now()
+	w.mu.Lock()
+	t1 := time.Now()
+	m.AppendWindow.ObserveAt(t1.UnixNano(), uint64(t1.Sub(t0)))
 }
 
 // rotateLocked seals the active segment and opens the next one, of size
@@ -282,7 +292,7 @@ func (w *Log) sealLocked() error {
 		// segment, so this fsync covers all w.recs records. The observe
 		// runs with mu held — acceptable, because both the metrics update
 		// and any stall hook are required to be fast.
-		w.observeFsync(time.Since(t0), w.recs)
+		w.observeFsync(t0, w.recs)
 	}
 	return nil
 }
@@ -353,20 +363,22 @@ func (w *Log) syncTo(target uint64) error {
 	}
 	advanceMax(&w.synced, written)
 	if track {
-		w.observeFsync(time.Since(t0), recs)
+		w.observeFsync(t0, recs)
 	}
 	return nil
 }
 
-// observeFsync records one completed File.Sync: its latency, the records it
-// newly made durable (the group-commit batch size), and a stall event when
-// it breached the threshold. Called from syncTo (no locks held) and from
-// rotateLocked (mu held) — hooks must honour the EventHook latency contract.
-func (w *Log) observeFsync(d time.Duration, recsAtSync uint64) {
+// observeFsync records one File.Sync begun at t0 and completed now: its
+// latency, the records it newly made durable (the group-commit batch size),
+// and a stall event when it breached the threshold. Called from syncTo (no
+// locks held) and from rotateLocked (mu held) — hooks must honour the
+// EventHook latency contract.
+func (w *Log) observeFsync(t0 time.Time, recsAtSync uint64) {
+	now := time.Now()
+	d := now.Sub(t0)
 	if m := w.o.Metrics; m != nil {
-		m.Fsyncs.Inc()
 		m.FsyncNanos.ObserveDuration(d)
-		m.FsyncWindow.ObserveDuration(d)
+		m.FsyncWindow.ObserveAt(now.UnixNano(), uint64(d))
 		if delta := advanceMaxDelta(&w.recsSynced, recsAtSync); delta > 0 {
 			m.GroupCommit.Observe(delta)
 		}

@@ -274,13 +274,11 @@ func (c *conn) respondFromReader(resp *wire.Response, op obs.ServerOp, rt reqTim
 	c.answered(op, rt)
 }
 
-// answered attributes a request's latency to the per-op histograms and the
-// trace section, and releases its token.
+// answered attributes a request's latency to the trace section and
+// releases its token.
 func (c *conn) answered(op obs.ServerOp, rt reqTimes) {
-	if m := c.srv.m; m != nil && op >= 0 && op < obs.NumServerOps {
-		end := time.Now()
-		m.OpNanos[op].ObserveDuration(end.Sub(rt.start))
-		c.srv.recordTrace(op, rt, end)
+	if c.srv.tr != nil && op >= 0 && op < obs.NumServerOps {
+		c.srv.recordTrace(op, rt, time.Now())
 	}
 	c.inflight.Add(-1)
 	c.pending.Done()
@@ -360,7 +358,8 @@ func (c *conn) wrote(n int, tw time.Time, err error) {
 		if err == nil {
 			// One burst = one syscall; its duration is the outbound
 			// half of tail latency the per-stage timers can't see.
-			c.srv.tr.Flush.ObserveDuration(time.Since(tw))
+			end := time.Now()
+			c.srv.tr.Flush.ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
 		}
 	}
 }

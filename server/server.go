@@ -550,7 +550,6 @@ func (d *drain) apply(batch []commitReq) {
 		}
 	}
 	if s.m != nil {
-		s.m.GroupCommits.Inc()
 		s.m.CommitOps.Observe(uint64(len(batch)))
 		s.m.CommitKeys.Observe(uint64(len(d.putKeys)))
 	}
