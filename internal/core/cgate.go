@@ -29,8 +29,9 @@ import (
 //     alias the storage (capacity b, so a caller may grow the pair run in
 //     place); blocks decode into the caller's pooled scratch.
 //   - find / findRacy: one key of segment s, under the latch and for the
-//     seqlock Get. Slots binary-search the alias; blocks seek the encoded
-//     bytes (codec.Seek) and decode nothing but the target's value.
+//     seqlock Get. Slots search the alias by interpolation (seekSeg); blocks
+//     seek the encoded bytes (codec.Seek) and decode nothing but the
+//     target's value.
 //   - appendRacy: segment s copied out for the seqlock Scan, clamped so
 //     garbage never faults, straight into the caller's buffer (one memmove
 //     for slots, decode-into-destination for blocks).
@@ -195,7 +196,7 @@ func (g *gate) find(s int, k int64) (int64, bool) {
 	}
 	if g.cc == nil {
 		ks, vs := g.view(s, nil)
-		return searchPair(ks, vs, k)
+		return pairAt(ks, vs, g.seek(s, ks, k), k)
 	}
 	e := g.enc[s]
 	c, err := codec.Seek(e.data[:e.n], k, g.b)
@@ -205,9 +206,9 @@ func (g *gate) find(s int, k int64) (int64, bool) {
 	return c.Val, c.Found
 }
 
-// searchPair looks k up in sorted pairs.
-func searchPair(ks, vs []int64, k int64) (int64, bool) {
-	if i := searchKeys(ks, k); i < len(ks) && ks[i] == k {
+// pairAt reports the value of k, given i, k's search result in the pairs.
+func pairAt(ks, vs []int64, i int, k int64) (int64, bool) {
+	if i < len(ks) && ks[i] == k {
 		return vs[i], true
 	}
 	return 0, false
@@ -273,7 +274,7 @@ func (g *gate) checkStorage() error {
 func (g *gate) findRacy(s int, k int64) (int64, bool) {
 	if g.cc == nil {
 		ks, vs := g.slotsRacy(s)
-		return searchPair(ks, vs, k)
+		return pairAt(ks, vs, g.seek(s, ks, k), k)
 	}
 	c, err := codec.Seek(g.payloadRacy(s), k, g.b)
 	return c.Val, err == nil && c.Found
@@ -291,13 +292,12 @@ func (g *gate) appendRacy(s int, dk, dv []int64) ([]int64, []int64) {
 }
 
 func (g *gate) slotsRacy(s int) (ks, vs []int64) {
-	buf, segCard := g.buf, g.segCard
-	if buf == nil || len(segCard) < g.spg ||
-		len(buf.Keys) < g.spg*g.b || len(buf.Vals) < g.spg*g.b {
+	buf := g.buf
+	if buf == nil || len(buf.Keys) < g.spg*g.b || len(buf.Vals) < g.spg*g.b {
 		return nil, nil // torn headers; the version check will reject
 	}
 	lo := s * g.b
-	hi := lo + clampCard(segCard[s], g.b)
+	hi := lo + clampCard(g.segCard[s], g.b)
 	return buf.Keys[lo:hi], buf.Vals[lo:hi]
 }
 
@@ -453,8 +453,8 @@ type destPlan struct {
 	buf      *rewire.Buffer // slots
 	enc      []*encSeg      // blocks
 	encBytes int64          // sum of the enc payload lengths
-	segCard  []int
-	smin     []int64
+	segCard  [maxSegmentsPerGate]int
+	smin     [maxSegmentsPerGate]int64
 	gcard    int
 	firstKey int64
 	hasKey   bool
@@ -463,7 +463,7 @@ type destPlan struct {
 // newPlan starts an empty replacement chunk: a spare buffer from the rewire
 // pool, or spg unset blocks.
 func (p *PMA) newPlan(spg int) destPlan {
-	pl := destPlan{segCard: make([]int, spg), smin: make([]int64, spg)}
+	var pl destPlan
 	if p.cctx == nil {
 		pl.buf = p.pool.Get()
 	} else {
@@ -497,8 +497,9 @@ func (p *PMA) fillSeg(pl *destPlan, j, c int, src elemSource, sc *cScratch) int6
 }
 
 // install swaps the plan's chunk and metadata into the gate — the O(1)
-// "rewiring" step — and recycles the storage it replaces. The caller holds
-// the latch exclusively, or the gate is not yet published.
+// "rewiring" step: one pointer store for the storage, a copy of the inline
+// minima and cardinalities — and recycles the storage it replaces. The
+// caller holds the latch exclusively, or the gate is not yet published.
 func (g *gate) install(pl *destPlan, pool *rewire.Pool) {
 	old := g.buf
 	g.buf, g.enc = pl.buf, pl.enc

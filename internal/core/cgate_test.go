@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"pmago/internal/codec"
@@ -309,7 +308,7 @@ func TestCompressedMatchesUncompressed(t *testing.T) {
 		for i := range gu {
 			u, c := gu[i], gc[i]
 			if u.fenceLo != c.fenceLo || u.fenceHi != c.fenceHi || u.gcard != c.gcard ||
-				!slices.Equal(u.segCard, c.segCard) || !slices.Equal(u.smin, c.smin) {
+				u.segCard != c.segCard || u.smin != c.smin {
 				t.Fatalf("%v: gate %d differs:\n uncompressed fences [%d,%d] gcard %d segCard %v smin %v\n compressed   fences [%d,%d] gcard %d segCard %v smin %v",
 					mode, i, u.fenceLo, u.fenceHi, u.gcard, u.segCard, u.smin, c.fenceLo, c.fenceHi, c.gcard, c.segCard, c.smin)
 			}

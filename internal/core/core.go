@@ -88,7 +88,8 @@ type Config struct {
 	// B = 128). Power of two, >= 4.
 	SegmentCapacity int
 	// SegmentsPerGate is the chunk granularity (the paper uses 8).
-	// Power of two, >= 1.
+	// Power of two, 1 to 8: a gate keeps its segments' minima and
+	// cardinalities inline, sized for the paper's 8.
 	SegmentsPerGate int
 	// Mode selects synchronous or asynchronous update processing.
 	Mode Mode
@@ -158,8 +159,8 @@ func (c Config) Validate() error {
 	if c.SegmentCapacity < 4 || c.SegmentCapacity&(c.SegmentCapacity-1) != 0 {
 		return fmt.Errorf("core: segment capacity %d must be a power of two >= 4", c.SegmentCapacity)
 	}
-	if c.SegmentsPerGate < 1 || c.SegmentsPerGate&(c.SegmentsPerGate-1) != 0 {
-		return fmt.Errorf("core: segments per gate %d must be a power of two >= 1", c.SegmentsPerGate)
+	if c.SegmentsPerGate < 1 || c.SegmentsPerGate > maxSegmentsPerGate || c.SegmentsPerGate&(c.SegmentsPerGate-1) != 0 {
+		return fmt.Errorf("core: segments per gate %d must be a power of two in [1, %d]", c.SegmentsPerGate, maxSegmentsPerGate)
 	}
 	if !(0 < c.RhoRoot && c.RhoRoot <= c.TauRoot && c.TauRoot < c.TauLeaf && c.TauLeaf <= 1) {
 		return fmt.Errorf("core: thresholds must satisfy 0 < rho_h <= tau_h < tau1 <= 1")

@@ -525,6 +525,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{SegmentCapacity: 3, SegmentsPerGate: 8, RhoRoot: 0.75, TauRoot: 0.75, TauLeaf: 1},
 		{SegmentCapacity: 8, SegmentsPerGate: 3, RhoRoot: 0.75, TauRoot: 0.75, TauLeaf: 1},
+		{SegmentCapacity: 8, SegmentsPerGate: 16, RhoRoot: 0.75, TauRoot: 0.75, TauLeaf: 1},
 		{SegmentCapacity: 8, SegmentsPerGate: 8, RhoRoot: 0, TauRoot: 0.75, TauLeaf: 1},
 		{SegmentCapacity: 8, SegmentsPerGate: 8, RhoRoot: 0.8, TauRoot: 0.75, TauLeaf: 1},
 		{SegmentCapacity: 8, SegmentsPerGate: 8, RhoRoot: 0.75, TauRoot: 0.75, TauLeaf: 1, TDelay: -1},

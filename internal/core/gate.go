@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -17,6 +18,10 @@ const (
 	lsReb         int32 = -3 // held exclusively by the rebalancer service
 )
 
+// maxSegmentsPerGate bounds Config.SegmentsPerGate: the per-segment minima
+// and cardinalities live inline in the gate, sized for the paper's 8.
+const maxSegmentsPerGate = 8
+
 // gate guards one chunk of the sparse array (Section 3.1). It bundles the
 // read-write latch, the fence keys, the per-segment minimum keys, the
 // combining queue of Section 3.5, and — in this implementation —
@@ -26,14 +31,19 @@ const (
 // Locking discipline: mu protects the latch state machine and the combining
 // queue. Everything else (fences, storage, minima, counters) is
 // protected by holding the latch itself in the appropriate mode.
+//
+// Layout: the struct is laid out for the seqlock Get (read.go). Its first
+// 64 bytes are the reader line — version, the fences, invalid, the storage
+// pointers and the geometry — and the next two lines are the inline minima
+// and cardinalities, so a Get loads three gate lines, none of which a
+// latch trip writes. mu, cond, the latch state and the combining queue,
+// which every writer and combiner writes, sit at the end. The size is
+// padded to a multiple of 64 bytes, which makes the allocator's size class
+// a multiple of 64 too: every gate then starts on a line boundary and no
+// gate's latch shares a line with its neighbour's reader line.
+// TestGateReaderLine pins all of this.
 type gate struct {
-	mu        sync.Mutex
-	cond      sync.Cond
-	lstate    int32
-	wWaiting  int32 // writers parked on the latch; readers yield to them
-	rebWanted bool  // the rebalancer is waiting: new clients queue behind it
-	invalid   bool  // the array was resized; clients must restart on the new state
-	qOpen     bool  // pQ is published: see qOps
+	// --- the reader line ---
 
 	// version is the gate's seqlock generation counter, the optimistic-read
 	// protocol layered over the latch: it is odd exactly while an exclusive
@@ -60,36 +70,51 @@ type gate struct {
 	// the seqlock protocol in normal builds instead.
 	version atomic.Uint64
 
+	// --- latch-protected fields ---
+	fenceLo int64 // minimum key this chunk may store (inclusive)
+	fenceHi int64 // maximum key this chunk may store (inclusive)
+
+	// Chunk storage, owned by the seam in cgate.go: a slot store sets buf,
+	// a block store sets enc (length spg, nil element = never-encoded empty
+	// segment) and cc. buf and enc are swapped whole under the latch, so the
+	// racy readers' torn-header discipline covers them.
+	buf *rewire.Buffer
+	cc  *cctx
+
+	spg     int  // segments per gate, at most maxSegmentsPerGate (fixed)
+	b       int  // slots per segment (fixed)
+	invalid bool // the array was resized; clients must restart on the new state
+
+	// smin[:spg] are the per-segment minima (empty segments inherit from the
+	// right) and segCard[:spg] the cardinalities.
+	smin    [maxSegmentsPerGate]int64
+	segCard [maxSegmentsPerGate]int
+
+	gcard   int    // elements stored in this chunk
+	rebGen  uint64 // bumped every time a global rebalance/resize covers this gate
+	lastReb int64  // monotonic nanos of the last global rebalance (tdelay)
+	pred    *rma.Predictor
+	enc     []*encSeg
+	// encBytes is the sum of the blocks' payload lengths, atomic so Stats
+	// can walk the live gates without latching them.
+	encBytes atomic.Int64
+	idx      int // gate number within its state (fixed)
+
+	// --- the writers' fields ---
+	mu        sync.Mutex
+	cond      sync.Cond
+	lstate    int32
+	wWaiting  int32 // writers parked on the latch; readers yield to them
+	rebWanted bool  // the rebalancer is waiting: new clients queue behind it
+	qOpen     bool  // pQ is published: see qOps
+
 	// The combining queue (the paper's pQ and Qw). While qOpen — a writer
 	// holds the latch, or a batch waits for the rebalancer — arriving writers
 	// append to qOps instead of latching; a closed queue is empty. qSpare is
 	// the buffer drainQueue swaps in while it works through qOps.
 	qOps, qSpare []op
 
-	// --- latch-protected fields ---
-	fenceLo int64 // minimum key this chunk may store (inclusive)
-	fenceHi int64 // maximum key this chunk may store (inclusive)
-	segCard []int
-	smin    []int64 // per-segment minima; empty segments inherit from the right
-	gcard   int     // elements stored in this chunk
-	rebGen  uint64  // bumped every time a global rebalance/resize covers this gate
-	lastReb int64   // monotonic nanos of the last global rebalance (tdelay)
-	pred    *rma.Predictor
-
-	// Chunk storage, owned by the seam in cgate.go: a slot store sets buf,
-	// a block store sets enc (length spg, nil element = never-encoded empty
-	// segment) and cc. Like segCard/smin, buf and enc are swapped whole under
-	// the latch, so the racy readers' torn-header discipline covers them.
-	// encBytes is the sum of the blocks' payload lengths, atomic so Stats can
-	// walk the live gates without latching them.
-	buf      *rewire.Buffer
-	enc      []*encSeg
-	encBytes atomic.Int64
-	cc       *cctx
-
-	idx int // gate number within its state (fixed)
-	spg int // segments per gate
-	b   int // slots per segment
+	_ [56]byte // to 448 bytes, a multiple of 64
 }
 
 func newGate(idx, spg, b int, pred *rma.Predictor) *gate {
@@ -97,8 +122,6 @@ func newGate(idx, spg, b int, pred *rma.Predictor) *gate {
 		idx:     idx,
 		spg:     spg,
 		b:       b,
-		segCard: make([]int, spg),
-		smin:    make([]int64, spg),
 		fenceLo: rma.KeyMin,
 		fenceHi: rma.KeyMax,
 		pred:    pred,
@@ -214,18 +237,13 @@ func (g *gate) rebLock() {
 // --- chunk storage operations (caller holds the latch) ---
 
 // findSeg locates the segment within the chunk whose range covers k:
-// the rightmost segment whose cached minimum is <= k.
+// the rightmost segment whose cached minimum is <= k. The optimistic readers
+// call it too: spg is fixed, so the result is in [0, spg) whatever minima
+// they load.
 func (g *gate) findSeg(k int64) int {
-	return findSegIn(g.smin, g.spg, k)
-}
-
-// findSegIn is findSeg over an explicit minima slice, shared with the
-// optimistic readers (getRacy, collectRacy), which operate on locally
-// copied slice headers instead of the gate fields. The caller guarantees
-// len(smin) >= spg.
-func findSegIn(smin []int64, spg int, k int64) int {
+	smin := g.smin[:g.spg]
 	s := 0
-	for i := 1; i < spg; i++ { // spg is small (default 8): linear scan
+	for i := 1; i < len(smin); i++ { // spg is small (default 8): linear scan
 		if smin[i] <= k {
 			s = i
 		} else {
@@ -257,17 +275,11 @@ func (g *gate) get(k int64) (int64, bool) {
 // synchronisation, possibly concurrent with an exclusive holder mutating the
 // chunk, so every load may be torn or stale. The caller (read.go) discards
 // the result unless the gate's version was stable across the call; the job
-// here is merely to never fault on garbage. Slice headers are copied to
-// locals once (a concurrent publish replaces them whole; the referenced
-// arrays stay live through the local copies) and verified against the fixed
-// geometry, here for the minima and in findRacy for the pairs, so all
-// indexing stays in bounds no matter what was read.
+// here is merely to never fault on garbage. The minima are inline and the
+// geometry fixed, so findSeg stays in bounds on any minima it loads, and
+// findRacy verifies the slice headers it follows.
 func (g *gate) getRacy(k int64) (v int64, ok bool) {
-	smin := g.smin
-	if len(smin) < g.spg {
-		return 0, false // torn header; the version check will reject
-	}
-	return g.findRacy(findSegIn(smin, g.spg, k), k)
+	return g.findRacy(g.findSeg(k), k)
 }
 
 // putResult describes the outcome of an in-gate insert attempt.
@@ -299,7 +311,7 @@ func (g *gate) put(st *state, k, v int64) putResult {
 	sc := g.cc.get()
 	defer g.cc.put(sc)
 	ks, vs := g.view(s, sc)
-	i := searchKeys(ks, k)
+	i := g.seek(s, ks, k)
 	if i < len(ks) && ks[i] == k {
 		vs[i] = v
 		g.setSeg(s, ks, vs, sc)
@@ -316,7 +328,7 @@ func (g *gate) put(st *state, k, v int64) putResult {
 		}
 		s = g.findSeg(k)
 		ks, vs = g.view(s, sc)
-		i = searchKeys(ks, k)
+		i = g.seek(s, ks, k)
 	}
 	ks, vs = insertPair(ks, vs, i, k, v)
 	g.setSeg(s, ks, vs, sc)
@@ -369,7 +381,7 @@ func (g *gate) del(k int64) bool {
 		return true
 	}
 	ks, vs := g.view(s, nil)
-	i := searchKeys(ks, k)
+	i := g.seek(s, ks, k)
 	if i == len(ks) || ks[i] != k {
 		return false
 	}
@@ -486,6 +498,70 @@ func (g *gate) spreadLocal(ws, we int, ks, vs []int64, sc *cScratch) {
 	for s := ws - 1; s >= 0 && g.segCard[s] == 0; s-- {
 		g.smin[s] = inherit
 	}
+}
+
+// seek returns the first index of ks, segment s's keys, whose key is >= k.
+// The segment's own minimum and the next segment's (or the upper fence,
+// whichever is lower) bound its keys, and seekSeg interpolates between them.
+// The optimistic readers call it too: every bound it loads is only a hint.
+func (g *gate) seek(s int, ks []int64, k int64) int {
+	hi := g.fenceHi
+	if s+1 < g.spg && g.smin[s+1] < hi {
+		hi = g.smin[s+1]
+	}
+	return seekSeg(ks, k, g.smin[s], hi)
+}
+
+// seekWalk is how far seekSeg walks from its guess before it binary-searches
+// the rest of the segment: one cache line of keys.
+const seekWalk = 8
+
+// seekSeg returns the first index i with ks[i] >= k, as searchKeys does, by
+// interpolation-sequential search (Van Sandt et al., SIGMOD 2019): it guesses
+// k's position from bounds lo <= ks[0] and hi > ks[len-1] that the caller
+// already holds, then walks from the guess. On the keys a PMA spreads evenly
+// the guess lands within a few slots, so a search touches one or two cache
+// lines where a binary search of a segment misses on about four. The bounds
+// are hints: a wrong one costs speed, never the answer. A walk longer than
+// seekWalk ends in a binary search of what is left, which caps the cost on
+// skewed segments, and a sentinel bound (KeyMin, KeyMax) carries no
+// position, so such a segment is binary-searched outright. On unsorted
+// input — a torn racy read — the result is still in [0, len(ks)].
+func seekSeg(ks []int64, k, lo, hi int64) int {
+	n := len(ks)
+	if n == 0 || lo == rma.KeyMin || hi == rma.KeyMax {
+		return searchKeys(ks, k)
+	}
+	i := n - 1
+	switch {
+	case k <= lo:
+		i = 0
+	case k < hi:
+		// lo < k < hi: the differences are exact as unsigned numbers, and
+		// shifting both right keeps d*n within 64 bits.
+		d, span := uint64(k)-uint64(lo), uint64(hi)-uint64(lo)
+		if sh := bits.Len64(span) + bits.Len(uint(n)) - 64; sh > 0 {
+			d, span = d>>sh, span>>sh
+		}
+		if g := d * uint64(n) / span; g < uint64(n) {
+			i = int(g)
+		}
+	}
+	if ks[i] < k { // the answer lies right of i
+		end := min(i+1+seekWalk, n)
+		for i++; i < end; i++ {
+			if ks[i] >= k {
+				return i
+			}
+		}
+		return i + searchKeys(ks[i:], k)
+	}
+	for stop := max(i-seekWalk, 0); i > stop; i-- { // the answer is i or left of it
+		if ks[i-1] < k {
+			return i
+		}
+	}
+	return searchKeys(ks[:i], k)
 }
 
 // searchKeys returns the first index i with a[i] >= k. Manual binary search:
@@ -614,7 +690,7 @@ func (g *gate) mergeLocal(st *state, ins []op) (int, bool) {
 			sc := g.cc.get()
 			ks, vs := g.view(s0, sc)
 			for _, o := range ins {
-				if i := searchKeys(ks, o.key); i < len(ks) && ks[i] == o.key {
+				if i := g.seek(s0, ks, o.key); i < len(ks) && ks[i] == o.key {
 					vs[i] = o.val
 				} else {
 					ks, vs = insertPair(ks, vs, i, o.key, o.val)
@@ -687,12 +763,8 @@ func (g *gate) scanFrom(from, hi int64, fn func(k, v int64) bool) bool {
 // truncate the copy early or admit out-of-range elements; both are
 // discarded with the failed validation.
 func (g *gate) collectRacy(from, hi int64, ks, vs []int64) ([]int64, []int64) {
-	smin := g.smin
-	if len(smin) < g.spg {
-		return ks, vs
-	}
 	first := true
-	for s := findSegIn(smin, g.spg, from); s < g.spg; s++ {
+	for s := g.findSeg(from); s < g.spg; s++ {
 		kb := len(ks)
 		ks, vs = g.appendRacy(s, ks, vs)
 		if len(ks) == kb {

@@ -14,6 +14,16 @@ import (
 // the rebalancer. After optimisticAttempts failed validations (a
 // writer-heavy gate) the reader falls back to the blocking shared latch, so
 // tail latency stays bounded by the same writer-priority protocol as before.
+//
+// What a point Get touches, past the static index: the gate's reader line
+// (version, fences, invalid, storage pointer, geometry — one 64-byte line
+// that no latch trip writes), the gate's inline minima (findSeg) and
+// cardinalities, the slot buffer's header, then the keys: seekSeg guesses
+// the key's slot by interpolating between the segment's minimum and the
+// next segment's, both already loaded, and walks from there, so a search
+// on evenly spread keys reads one or two lines of keys instead of the four
+// or so a binary search of a 1 KB segment misses on. Then the value, and
+// the version again.
 
 // optimisticAttempts bounds how often a reader retries the seqlock fast path
 // before taking the shared latch. Attempts are cheap (two atomic loads plus

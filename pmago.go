@@ -96,7 +96,8 @@ func WithMode(m Mode) Option { return func(c *config) { c.core.Mode = m } }
 // paper uses 128 and evaluates 256 as an ablation).
 func WithSegmentCapacity(b int) Option { return func(c *config) { c.core.SegmentCapacity = b } }
 
-// WithSegmentsPerGate sets the chunk granularity (power of two; paper: 8).
+// WithSegmentsPerGate sets the chunk granularity: a power of two from 1 to 8
+// (paper: 8, the default). Larger values make New and Open fail.
 func WithSegmentsPerGate(n int) Option { return func(c *config) { c.core.SegmentsPerGate = n } }
 
 // WithTDelay sets the minimum delay between global rebalances of one gate
