@@ -67,8 +67,10 @@
 // Sharded routes one key space across N independent PMA shards, created
 // in-memory with NewSharded/BulkLoadSharded or durably with OpenSharded.
 // Every structure that serializes writers — combining queues, the
-// rebalancer master, WAL group commit — exists once per shard, so write
-// throughput scales with shard count on multi-core machines.
+// rebalancer master, WAL group commit — exists once per shard, so writers
+// on different shards do not contend for them. Whether that raises write
+// throughput depends on cores and workload: each call also pays for
+// routing, and a batch for its split across shards and the fan-out.
 //
 // Keys are placed by one of two schemes, fixed at creation:
 //

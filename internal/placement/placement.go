@@ -17,6 +17,16 @@
 // Both are deterministic pure functions of (key, configuration); the
 // sharded store records the configuration in its manifest and refuses to
 // reopen under a different one, since that would silently re-home keys.
+//
+// Straw2 over equal weights skips the logarithm: it returns the shard with
+// the largest 16-bit hash u, ties going to the lower index. That is exactly
+// the weighted argmax. For a fixed weight w > 0 the draw ln(u/65536)/w is
+// strictly increasing in u, so equal u give equal draws (the lower index
+// wins both ways) and distinct u give distinct, identically ordered draws:
+// u/65536 is exact, neighbouring logarithms differ by more than 1e-5, far
+// above an ulp, and dividing by w keeps them apart. The one exception is a
+// weight so small that the lowest draw, ln(2^-16)/w, overflows to -Inf and
+// many draws tie there; such weights keep the logarithm.
 package placement
 
 import (
@@ -41,6 +51,9 @@ type Placement interface {
 // Straw2 is weighted pseudo-random placement (see the package comment).
 type Straw2 struct {
 	weights []float64
+	// equal is set when every weight is the same and no draw overflows:
+	// Shard then compares hashes instead of draws (see the package comment).
+	equal bool
 }
 
 // NewStraw2 builds a straw2 placement over len(weights) shards; weights must
@@ -57,7 +70,11 @@ func NewStraw2(weights []float64) (*Straw2, error) {
 	}
 	ws := make([]float64, len(weights))
 	copy(ws, weights)
-	return &Straw2{weights: ws}, nil
+	equal := !math.IsInf(math.Log(1/65536.0)/ws[0], -1)
+	for _, w := range ws {
+		equal = equal && w == ws[0]
+	}
+	return &Straw2{weights: ws, equal: equal}, nil
 }
 
 // Weights returns a copy of the shard weights.
@@ -82,8 +99,18 @@ func (s *Straw2) Ordered() bool { return false }
 // probability of shard i exactly weight_i / Σ weights and keeps each
 // shard's draw independent of every other shard's existence (the stability
 // property). The 16-bit mantissa mirrors CRUSH; ties at equal draws break
-// toward the lower shard index, deterministically.
+// toward the lower shard index, deterministically. Equal weights compare
+// the hashes themselves, which picks the same shard.
 func (s *Straw2) Shard(key int64) int {
+	if s.equal {
+		best, bestU := 0, straw2hash(uint64(key), 0)&0xffff
+		for i := 1; i < len(s.weights); i++ {
+			if u := straw2hash(uint64(key), uint64(i)) & 0xffff; u > bestU {
+				best, bestU = i, u
+			}
+		}
+		return best
+	}
 	best := 0
 	bestDraw := math.Inf(-1)
 	for i, w := range s.weights {

@@ -40,19 +40,131 @@ func TestStraw2DistributionFollowsWeights(t *testing.T) {
 	}
 }
 
-// TestStraw2Deterministic pins a handful of placements: the manifest records
-// only the weights, so the mapping itself must never drift between versions
-// or the store would silently re-home keys on reopen.
-func TestStraw2Deterministic(t *testing.T) {
-	p, err := NewStraw2([]float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
+// straw2Golden pins placements generated before equal weights took the
+// hash comparison: the manifest records only the weights, so the mapping
+// itself must never drift between versions or a reopened store would
+// silently re-home keys. The columns are equal weights over 1, 3, 4 and 8
+// shards, then weights {1, 2, 3} and {0.5, 1}.
+var (
+	straw2GoldenWeights = [6][]float64{{1}, {1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1}, {1, 2, 3}, {0.5, 1}}
+	straw2Golden        = []struct {
+		key    int64
+		shards [6]int
+	}{
+		{0, [6]int{0, 0, 0, 0, 0, 0}},
+		{1, [6]int{0, 1, 1, 1, 1, 1}},
+		{-1, [6]int{0, 1, 3, 5, 2, 1}},
+		{2, [6]int{0, 0, 3, 4, 2, 1}},
+		{3, [6]int{0, 2, 2, 6, 2, 1}},
+		{42, [6]int{0, 1, 1, 1, 1, 1}},
+		{1000, [6]int{0, 0, 3, 7, 2, 1}},
+		{-1000, [6]int{0, 0, 3, 3, 1, 1}},
+		{1048576, [6]int{0, 1, 3, 5, 2, 1}},
+		{1099511627776, [6]int{0, 2, 2, 7, 2, 0}},
+		{-1099511627776, [6]int{0, 2, 2, 2, 2, 1}},
+		{4611686018427400249, [6]int{0, 2, 3, 7, 2, 1}},
+		{-9223372036854775808, [6]int{0, 0, 0, 7, 0, 0}},
+		{-9223372036854775807, [6]int{0, 0, 0, 0, 0, 0}},
+		{9223372036854775807, [6]int{0, 1, 1, 6, 1, 1}},
+		{9223372036854775806, [6]int{0, 1, 1, 7, 1, 1}},
+		{9181757771948286951, [6]int{0, 0, 3, 5, 2, 1}},
+		{-1985777892596274208, [6]int{0, 1, 1, 1, 1, 1}},
+		{3825608052996350135, [6]int{0, 0, 0, 0, 0, 0}},
+		{7119663223151467574, [6]int{0, 0, 0, 6, 2, 0}},
+		{-1404112441029793906, [6]int{0, 2, 2, 2, 2, 1}},
+		{934802809150449857, [6]int{0, 0, 0, 0, 0, 0}},
+		{1161751156850810576, [6]int{0, 0, 0, 4, 0, 0}},
+		{2294750196660212077, [6]int{0, 1, 1, 1, 1, 1}},
+		{-8677226559280051441, [6]int{0, 1, 3, 5, 2, 1}},
+		{3947990450751874777, [6]int{0, 2, 2, 2, 2, 0}},
+		{3799969826866910932, [6]int{0, 2, 2, 2, 2, 1}},
+		{3812374786672744057, [6]int{0, 1, 1, 6, 1, 1}},
+		{-7049204438815934059, [6]int{0, 0, 0, 4, 0, 0}},
+		{8017678577069896998, [6]int{0, 0, 0, 0, 2, 0}},
+		{2218948307566737868, [6]int{0, 1, 1, 1, 1, 1}},
+		{-4626918311229179201, [6]int{0, 0, 0, 0, 0, 0}},
+		{-7228237068930995446, [6]int{0, 0, 0, 0, 0, 0}},
+		{-1137680535578397476, [6]int{0, 0, 3, 7, 2, 1}},
+		{4989032037261537717, [6]int{0, 1, 1, 1, 1, 1}},
+		{1688510976571651094, [6]int{0, 2, 2, 2, 2, 1}},
+		{6408987136779795710, [6]int{0, 0, 0, 5, 1, 1}},
+		{-4496559026774745593, [6]int{0, 2, 2, 2, 2, 1}},
+		{-2930716777876703109, [6]int{0, 0, 0, 0, 0, 0}},
+		{-4138363543908252213, [6]int{0, 0, 3, 7, 2, 1}},
+		{-6451207473652052224, [6]int{0, 0, 0, 4, 1, 1}},
+		{-6679548257685655394, [6]int{0, 1, 1, 4, 1, 1}},
+		{2615991944840607103, [6]int{0, 2, 2, 4, 2, 1}},
+		{8049228955550894421, [6]int{0, 1, 1, 1, 1, 1}},
+		{4244324703098269831, [6]int{0, 1, 1, 1, 1, 1}},
+		{-5478681380602143322, [6]int{0, 1, 1, 1, 1, 1}},
+		{-2253252262911580387, [6]int{0, 2, 2, 4, 2, 1}},
+		{3252988509367869075, [6]int{0, 0, 0, 6, 0, 0}},
+		{1028018298114786158, [6]int{0, 2, 3, 3, 2, 1}},
+		{1109066856903585640, [6]int{0, 2, 2, 4, 2, 0}},
+		// Two equal-weight shards tie on the top hash: over 3, 4 and 8
+		// shards in turn, the lower index wins.
+		{-2375110606992811922, [6]int{0, 1, 1, 1, 2, 1}},
+		{-3123620402179464708, [6]int{0, 2, 2, 2, 2, 1}},
+		{-84895020863322994, [6]int{0, 1, 1, 1, 1, 1}},
 	}
-	for k := int64(-1 << 40); k < -1<<40+1000; k++ {
-		if a, b := p.Shard(k), p.Shard(k); a != b {
-			t.Fatalf("placement of %d not deterministic: %d vs %d", k, a, b)
+)
+
+func TestStraw2Deterministic(t *testing.T) {
+	for c, weights := range straw2GoldenWeights {
+		p, err := NewStraw2(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range straw2Golden {
+			if got := p.Shard(r.key); got != r.shards[c] {
+				t.Errorf("weights %v: Shard(%d) = %d, want %d", weights, r.key, got, r.shards[c])
+			}
 		}
 	}
+}
+
+// straw2Reference is Shard's weighted form alone: the logarithm draw for
+// every shard, whatever the weights.
+func straw2Reference(weights []float64, key int64) int {
+	best := 0
+	bestDraw := math.Inf(-1)
+	for i, w := range weights {
+		u := float64(straw2hash(uint64(key), uint64(i))&0xffff) + 1
+		if draw := math.Log(u/65536.0) / w; draw > bestDraw {
+			best, bestDraw = i, draw
+		}
+	}
+	return best
+}
+
+// FuzzStraw2EqualWeights: with every weight equal, Shard compares hashes
+// where the reference compares logarithm draws; both must pick the same
+// shard for any key, shard count and valid weight, subnormal weights (which
+// keep the logarithm) included.
+func FuzzStraw2EqualWeights(f *testing.F) {
+	for _, w := range []float64{1, 0.5, 3, 1e-300, 1e300, math.SmallestNonzeroFloat64, 1e-307, math.MaxFloat64} {
+		f.Add(int64(12345), uint8(4), math.Float64bits(w))
+	}
+	f.Add(int64(math.MinInt64), uint8(63), math.Float64bits(1))
+	f.Add(int64(-1), uint8(0), math.Float64bits(7))
+	f.Add(int64(-3123620402179464708), uint8(3), math.Float64bits(1)) // shards 2 and 3 tie
+	f.Fuzz(func(t *testing.T, key int64, shards uint8, wbits uint64) {
+		w := math.Float64frombits(wbits &^ (1 << 63))
+		if w == 0 || math.IsInf(w, 0) || math.IsNaN(w) {
+			t.Skip()
+		}
+		weights := make([]float64, 1+int(shards)%64)
+		for i := range weights {
+			weights[i] = w
+		}
+		p, err := NewStraw2(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.Shard(key), straw2Reference(weights, key); got != want {
+			t.Fatalf("%d shards of weight %v: Shard(%d) = %d, reference %d", len(weights), w, key, got, want)
+		}
+	})
 }
 
 // TestStraw2StableUnderGrowth is the straw2 selling point: adding a shard
@@ -135,9 +247,37 @@ func TestRangeShardOrderIsKeyOrder(t *testing.T) {
 	}
 }
 
-func BenchmarkStraw2Shard8(b *testing.B) {
-	p, _ := NewStraw2([]float64{1, 1, 1, 1, 1, 1, 1, 1})
-	for i := 0; i < b.N; i++ {
-		p.Shard(int64(i))
+// BenchmarkStraw2Shard prices one placement over scattered keys: equal
+// weights compare hashes, unequal ones take a logarithm per shard.
+func BenchmarkStraw2Shard(b *testing.B) {
+	keys := make([]int64, 1<<12)
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range keys {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		keys[i] = int64(x)
+	}
+	for _, c := range []struct {
+		name    string
+		weights []float64
+	}{
+		{"equal-4", []float64{1, 1, 1, 1}},
+		{"equal-8", []float64{1, 1, 1, 1, 1, 1, 1, 1}},
+		{"weighted-4", []float64{1, 2, 3, 4}},
+	} {
+		p, err := NewStraw2(c.weights)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += p.Shard(keys[i&(len(keys)-1)])
+			}
+			sink = sum
+		})
 	}
 }
+
+var sink int

@@ -19,8 +19,10 @@ import (
 // independent PMA shards, each with its own gates, rebalancer and (when
 // opened with OpenSharded) its own write-ahead log and snapshots. Sharding
 // multiplies the structures that serialize writers — combining queues,
-// rebalancer masters, WAL group commits — so write throughput scales with
-// shard count on multi-core machines, at the cost of a merge step on scans.
+// rebalancer masters, WAL group commits — so writers on different shards
+// do not contend for them. It does not promise more write throughput:
+// that depends on cores and workload, and every call pays for routing and,
+// for a batch, the split and fan-out. Scans pay a merge step.
 //
 // Keys are placed by one of two schemes, fixed at creation time and recorded
 // in the store's manifest:
@@ -226,7 +228,8 @@ func BulkLoadSharded(keys, vals []int64, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	partK, partV, _ := partition(place, keys, vals)
+	sp := splitByShard(place, keys)
+	partK, partV := sp.parts(keys), sp.parts(vals)
 	s := newSharded(place, cfg)
 	s.mems = make([]*PMA, place.Shards())
 	s.stores = make([]Store, place.Shards())
@@ -365,43 +368,85 @@ func (s *Sharded) closeAll() {
 	}
 }
 
-// partition splits keys (and vals, when non-nil) into per-shard slices,
-// preserving the caller's order within each shard so last-wins duplicate
-// semantics survive the split. live lists the shards that received keys.
-func partition(place placement.Placement, keys, vals []int64) (partK, partV [][]int64, live []int) {
-	partK = make([][]int64, place.Shards())
-	if vals != nil {
-		partV = make([][]int64, place.Shards())
-	}
-	for i, k := range keys {
-		sh := place.Shard(k)
-		if len(partK[sh]) == 0 {
-			live = append(live, sh)
-		}
-		partK[sh] = append(partK[sh], k)
-		if vals != nil {
-			partV[sh] = append(partV[sh], vals[i])
-		}
-	}
-	return partK, partV, live
+// shardSplit is a batch routed to its shards: the shard of each key, in the
+// caller's order, and how many keys each shard received. A key is routed
+// once however many arrays (keys, values) are then split along it.
+type shardSplit struct {
+	ids    []int32
+	counts []int
 }
 
-// eachShard runs fn(0) … fn(n-1) concurrently, one goroutine per index, waits
-// for all of them and joins their errors. A single index runs inline.
+func splitByShard(place placement.Placement, keys []int64) shardSplit {
+	sp := shardSplit{ids: make([]int32, len(keys)), counts: make([]int, place.Shards())}
+	for i, k := range keys {
+		sh := place.Shard(k)
+		sp.ids[i] = int32(sh)
+		sp.counts[sh]++
+	}
+	return sp
+}
+
+// live lists the shards that received keys, in shard order.
+func (sp shardSplit) live() []int {
+	live := make([]int, 0, len(sp.counts))
+	for sh, c := range sp.counts {
+		if c > 0 {
+			live = append(live, sh)
+		}
+	}
+	return live
+}
+
+// parts scatters src — the batch's keys, or its values — into one slice per
+// shard, all cut from one array, preserving the caller's order within each
+// shard so last-wins duplicate semantics survive the split.
+func (sp shardSplit) parts(src []int64) [][]int64 {
+	parts := make([][]int64, len(sp.counts))
+	backing := make([]int64, len(src))
+	off := 0
+	for sh, c := range sp.counts {
+		parts[sh] = backing[off : off : off+c]
+		off += c
+	}
+	for i, sh := range sp.ids {
+		parts[sh] = append(parts[sh], src[i])
+	}
+	return parts
+}
+
+// eachShard runs fn(0) … fn(n-1) concurrently, waits for all of them and
+// joins their errors. Index 0 runs on the caller and every other index on a
+// goroutine of its own. A panic in any index is recovered there, so it
+// cannot kill the process from a spawned goroutine, and once every index has
+// finished the lowest-indexed panic is raised again on the caller.
 func eachShard(n int, fn func(i int) error) error {
-	if n == 1 {
+	switch n {
+	case 0:
+		return nil
+	case 1:
 		return fn(0)
 	}
 	errs := make([]error, n)
+	panics := make([]any, n)
+	run := func(i int) {
+		defer func() { panics[i] = recover() }()
+		errs[i] = fn(i)
+	}
 	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = fn(i)
+			run(i)
 		}(i)
 	}
+	run(0)
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	return errors.Join(errs...)
 }
 
@@ -453,7 +498,8 @@ func (s *Sharded) PutBatch(keys, vals []int64) {
 	if len(keys) != len(vals) {
 		panic(fmt.Sprintf("pmago: PutBatch: %d keys but %d vals", len(keys), len(vals)))
 	}
-	partK, partV, live := partition(s.place, keys, vals)
+	sp := splitByShard(s.place, keys)
+	partK, partV, live := sp.parts(keys), sp.parts(vals), sp.live()
 	eachShard(len(live), func(j int) error {
 		i := live[j]
 		if s.routedBatch != nil {
@@ -469,7 +515,8 @@ func (s *Sharded) PutBatch(keys, vals []int64) {
 // hold disjoint key sets, so per-shard exact counts sum exactly).
 func (s *Sharded) DeleteBatch(keys []int64) int {
 	s.checkOpen()
-	partK, _, live := partition(s.place, keys, nil)
+	sp := splitByShard(s.place, keys)
+	partK, live := sp.parts(keys), sp.live()
 	var total atomic.Int64
 	eachShard(len(live), func(j int) error {
 		i := live[j]

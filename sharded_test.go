@@ -301,15 +301,50 @@ func TestShardedScanRunsOnCaller(t *testing.T) {
 	if s.ScanAll(fn); visited != len(keys) {
 		t.Fatalf("visited %d keys, want %d", visited, len(keys))
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, set := range bi.Settings {
-			if set.Key == "-race" && set.Value == "true" {
-				t.Skip("sync.Pool drops Puts under -race")
-			}
-		}
+	if raceBuild() {
+		t.Skip("sync.Pool drops Puts under -race")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.Scan(1000, 1127, fn) }); allocs != 0 {
 		t.Fatalf("a 128-pair scan allocates %v times, want 0", allocs)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race, under
+// which allocation counts are not what a normal build pays.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestShardedBatchAllocs bounds what a batch costs in allocations besides
+// the shards' own batches: the split is a fixed handful of arrays however
+// many keys it routes, and the fan-out runs one shard on the caller. The
+// first DeleteBatch run removes the keys, so the counted runs price the
+// split and fan-out over shards that find nothing to delete.
+func TestShardedBatchAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own")
+	}
+	s, err := NewSharded(WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys, vals := make([]int64, 1024), make([]int64, 1024)
+	for i := range keys {
+		keys[i], vals[i] = int64(i)*2654435761, int64(i)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.PutBatch(keys, vals) }); allocs > 32 {
+		t.Errorf("a 1024-key PutBatch over 4 shards allocates %v times, want at most 32", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.DeleteBatch(keys) }); allocs > 32 {
+		t.Errorf("a 1024-key DeleteBatch over 4 shards allocates %v times, want at most 32", allocs)
 	}
 }
 
@@ -822,6 +857,43 @@ func TestShardedInMemoryDurableOps(t *testing.T) {
 	}
 	if s.WALBytes() != 0 || s.Dir() != "" {
 		t.Fatal("in-memory store reports WAL bytes or a directory")
+	}
+}
+
+// TestShardedEmptyBatches: a batch that changes nothing — no keys, or only
+// sentinel keys — removes nothing, does not panic with nothing to fan out,
+// and costs no shard a WAL record.
+func TestShardedEmptyBatches(t *testing.T) {
+	durable, err := OpenSharded(t.TempDir(), WithShards(4), WithWALSegmentBytes(1<<20)) // FsyncAlways
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	loaded, err := BulkLoadSharded(nil, nil, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	for name, s := range map[string]*Sharded{"OpenSharded": durable, "BulkLoadSharded": loaded} {
+		s.Put(1, 1)
+		logs := func() (l [][2]int64) {
+			for _, db := range s.dbs {
+				l = append(l, [2]int64{db.WALBytes(), int64(db.Stats().WAL.Appends)})
+			}
+			return l
+		}
+		before := logs()
+		s.PutBatch(nil, nil)
+		s.PutBatch([]int64{}, []int64{})
+		if n := s.DeleteBatch(nil) + s.DeleteBatch([]int64{}) + s.DeleteBatch([]int64{KeyMin, KeyMax, KeyMin}); n != 0 {
+			t.Fatalf("%s: empty DeleteBatches removed %d keys", name, n)
+		}
+		if after := logs(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: empty batches moved the shards' WALs (bytes, appends): %v -> %v", name, before, after)
+		}
+		if n := s.Len(); n != 1 {
+			t.Fatalf("%s: Len %d after empty batches, want 1", name, n)
+		}
 	}
 }
 
