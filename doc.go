@@ -20,22 +20,32 @@
 // blocking writers. Rebalances that would span several gates are delegated
 // to a centralised rebalancer service (one master goroutine plus a worker
 // pool, Section 3.3), so no client ever holds more than one latch. Resizes
-// rebuild the whole array behind an atomic state pointer with epoch-based
-// reclamation (Section 3.4), and contended writers are decoupled through
-// per-gate combining queues with one-by-one or batch processing
-// (Section 3.5): an uncontended writer updates in place; the queue is for
-// writers that arrive while the latch is held.
+// rebuild the whole array behind an atomic state pointer (Section 3.4), and
+// contended writers are decoupled through per-gate combining queues with
+// one-by-one or batch processing (Section 3.5): an uncontended writer
+// updates in place; the queue is for writers that arrive while the latch is
+// held.
+//
+// Section 3.4 frees a retired state through epochs, so that no reader still
+// routing through it finds its memory reused. Here Go's garbage collector
+// and the seqlock's version validation do the epochs' job. A retired
+// state's chunk buffers go straight back to the buffer pool and may be
+// reissued while a racing reader still reads them; that reader validates a
+// version under which its gate is marked invalid, discards what it read and
+// restarts on the new state. The garbage collector frees the rest of the
+// state once nothing references it. A chunk buffer the collector cannot
+// free — file-backed or off-heap — would bring epochs back.
 //
 // # Point and batch updates
 //
 // Put, Get, Delete and Scan are the paper's one-key-at-a-time surface.
-// PutBatch and DeleteBatch amortise the routing cost (epoch guard, index
-// lookup, gate latch) over an entire sorted batch, latching each affected
-// gate exactly once and merging that gate's run in a single pass; BulkLoad
-// constructs a pre-populated PMA directly at the array's target density in
-// one pass over the sorted data. Use them for bulk ingest — graph loading,
-// snapshot restore, telemetry backfill — where they beat point-update loops
-// by large factors (see internal/bench).
+// PutBatch and DeleteBatch amortise the routing cost (index lookup, gate
+// latch) over an entire sorted batch, latching each affected gate exactly
+// once and merging that gate's run in a single pass; BulkLoad constructs a
+// pre-populated PMA directly at the array's target density in one pass over
+// the sorted data. Use them for bulk ingest — graph loading, snapshot
+// restore, telemetry backfill — where they beat point-update loops by large
+// factors (see internal/bench).
 //
 // # Durability
 //

@@ -6,7 +6,7 @@
 //
 // The paper issues explicit prefetch instructions when scanning the leaf
 // chain; Go has no portable prefetch intrinsic, so that constant-factor
-// optimisation is omitted (see DESIGN.md, Substitutions).
+// optimisation is omitted.
 package abtree
 
 import (

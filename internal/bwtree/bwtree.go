@@ -7,7 +7,7 @@
 // consolidated left half whose side link points at the new right node, and
 // traversals help by posting index-entry deltas at the parent.
 //
-// Simplifications relative to OpenBw-Tree, documented in DESIGN.md: node
+// Simplifications relative to OpenBw-Tree: node
 // merges are replaced by tolerated underflow (consolidation still removes
 // deleted keys, and scans skip empty nodes), and the epoch-based reclamation
 // of unlinked deltas is subsumed by Go's garbage collector, which provides

@@ -3,8 +3,6 @@ package core
 import (
 	"slices"
 	"time"
-
-	"pmago/internal/epoch"
 )
 
 // drainQueue is the active writer's loop of Section 3.5: with pQ published,
@@ -13,7 +11,7 @@ import (
 // finds the queue empty. For a writer nobody combined with that is the first
 // thing it finds. released reports that the latch already went to the
 // rebalancer, and reroute carries what the writer's own op left to replay.
-func (p *PMA) drainQueue(st *state, g *gate, guard *epoch.Guard, reroute []op, released bool) {
+func (p *PMA) drainQueue(st *state, g *gate, reroute []op, released bool) {
 	var ops []op
 	for !released {
 		g.mu.Lock()
@@ -45,7 +43,7 @@ func (p *PMA) drainQueue(st *state, g *gate, guard *epoch.Guard, reroute []op, r
 	// global rebalance, or a racy index read misrouted their writer) are
 	// replayed through the synchronous path.
 	for _, o := range reroute {
-		p.updateSync(o, guard)
+		p.updateSync(o)
 	}
 }
 
@@ -212,14 +210,12 @@ func mergeSorted(exK, exV []int64, ins []op) (ks, vs []int64) {
 // a service round-trip.
 func (p *PMA) Flush() {
 	p.checkOpen()
-	guard := p.epochs.Enter()
-	defer guard.Leave()
 	for {
 		// Push all delayed batches through the rebalancer now.
 		done := make(chan struct{})
 		p.reb.submit(&request{kind: reqFlushDelayed, done: done})
 		<-done
-		if !p.sweepQueues(guard) {
+		if !p.sweepQueues() {
 			return
 		}
 	}
@@ -227,7 +223,7 @@ func (p *PMA) Flush() {
 
 // sweepQueues steals every idle gate's combining queue and replays its ops
 // synchronously, reporting whether anything was found.
-func (p *PMA) sweepQueues(guard *epoch.Guard) bool {
+func (p *PMA) sweepQueues() bool {
 	stole := false
 	st := p.state.Load()
 	for gi := 0; gi < len(st.gates); gi++ {
@@ -248,7 +244,7 @@ func (p *PMA) sweepQueues(guard *epoch.Guard) bool {
 			}
 			stole = true
 			for _, o := range ops {
-				p.updateSync(o, guard)
+				p.updateSync(o)
 			}
 		}
 	}

@@ -7,14 +7,13 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pmago/internal/epoch"
 	"pmago/internal/rma"
 )
 
 // This file is the batch-update subsystem. Point updates (write.go) pay the
-// full routing cost — epoch guard, index lookup, gate latch — once per key;
-// the batch entry points below pay it once per *gate*: the batch is sorted
-// and deduplicated, partitioned into per-gate runs along the fence keys, and
+// full routing cost — index lookup, gate latch — once per key; the batch
+// entry points below pay it once per *gate*: the batch is sorted and
+// deduplicated, partitioned into per-gate runs along the fence keys, and
 // each run is merged into its gate's segments in a single pass. Only when a
 // run does not fit under the gate's calibrator threshold does the work fall
 // back to the centralised rebalancer, which merges the run during the global
@@ -99,9 +98,7 @@ func (p *PMA) applyBatchParallel(ops []op) int64 {
 		workers = n / minChunk
 	}
 	if workers <= 1 {
-		guard := p.epochs.Enter()
-		removed, handedOff := p.applyBatch(ops, ops, guard)
-		guard.Leave()
+		removed, handedOff := p.applyBatch(ops, ops)
 		if handedOff {
 			p.barrier()
 		}
@@ -115,9 +112,7 @@ func (p *PMA) applyBatchParallel(ops []op) int64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			guard := p.epochs.Enter()
-			defer guard.Leave()
-			rem, handedOff := p.applyBatch(chunk, ops, guard)
+			rem, handedOff := p.applyBatch(chunk, ops)
 			removed.Add(rem)
 			if handedOff {
 				anyHandOff.Store(true)
@@ -191,11 +186,11 @@ func sortDedupOps(ops []op) []op {
 // batch. Like the point-update path it reaches each gate through enter; unlike
 // it, every op covered by one gate's fences is handled under a single latch
 // acquisition.
-func (p *PMA) applyBatch(ops, all []op, guard *epoch.Guard) (int64, bool) {
+func (p *PMA) applyBatch(ops, all []op) (int64, bool) {
 	removedTotal := int64(0)
 	anyHandOff := false
-	for rem := ops; len(rem) > 0; guard.Refresh() {
-		st, g := p.enter(rem[0].key, latchExclusive, op{}, guard)
+	for rem := ops; len(rem) > 0; {
+		st, g := p.enter(rem[0].key, latchExclusive, op{})
 		run := opRange(rem, g.fenceLo, g.fenceHi) // a prefix of rem
 		rem = rem[len(run):]
 		removed, leftovers, handedOff := p.applyGateBatch(st, g, run)
@@ -210,7 +205,7 @@ func (p *PMA) applyBatch(ops, all []op, guard *epoch.Guard) (int64, bool) {
 			if i := searchOps(all, o.key); i < len(all) && all[i].key == o.key {
 				continue
 			}
-			p.updateSync(o, guard)
+			p.updateSync(o)
 		}
 	}
 	p.maybeRequestShrink(p.state.Load())

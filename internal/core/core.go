@@ -14,22 +14,20 @@
 // chunk, and Get/Scan validate an unsynchronised chunk read against it,
 // falling back to the shared latch only on sustained contention (read.go).
 //
-// Optimistic readers still run inside an epoch guard. The guard is not what
-// makes the racy chunk reads safe — that is the version validation plus
-// Go's GC keeping racily-loaded references alive — but it keeps the
-// reclamation bookkeeping of Section 3.4 uniform: a retired state is not
-// counted reclaimed while any reader that might still route through its
-// gates is in flight, which also keeps the door open for non-GC resources
-// (e.g. file-backed buffers) behind the same mechanism. Rebalances that span multiple gates
-// are executed by a centralised rebalancer service (one master goroutine,
-// a pool of workers) to which writers transfer their latch ownership, so no
-// client ever holds more than one latch — the deadlock-freedom argument of
-// Section 3.3. Resizes rebuild array, gates and index behind an atomic state
-// pointer with epoch-based garbage collection (Section 3.4). Skewed writers
-// are decoupled through per-gate combining queues with one-by-one or batch
-// processing and a tdelay rate limit on global rebalances (Section 3.5): an
-// uncontended writer updates in place; the queue is for writers that arrive
-// while the latch is held.
+// Rebalances that span multiple gates are executed by a centralised
+// rebalancer service (one master goroutine, a pool of workers) to which
+// writers transfer their latch ownership, so no client ever holds more than
+// one latch — the deadlock-freedom argument of Section 3.3. Resizes rebuild
+// array, gates and index behind an atomic state pointer (Section 3.4). The
+// paper's epochs, which keep a retired state's memory from being reused
+// under a reader still routing through it, have no counterpart: retired
+// chunk buffers return to the pool at once (rebalancer.go, resize), a racing
+// reader's version validation sees the gate invalid and discards the read,
+// and Go's GC frees the rest of the state once nothing references it. Skewed
+// writers are decoupled through per-gate combining queues with one-by-one or
+// batch processing and a tdelay rate limit on global rebalances (Section
+// 3.5): an uncontended writer updates in place; the queue is for writers
+// that arrive while the latch is held.
 //
 // Beyond the paper, batch.go adds a client-facing batch subsystem
 // (PutBatch, DeleteBatch, BulkLoad): sorted batches are partitioned along
@@ -45,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pmago/internal/epoch"
 	"pmago/internal/obs"
 	"pmago/internal/rewire"
 	"pmago/internal/rma"
@@ -110,8 +107,6 @@ type Config struct {
 	Adaptive bool
 	// PredictorSize bounds the per-gate adaptive predictor.
 	PredictorSize int
-	// GCInterval is the epoch garbage collector period.
-	GCInterval time.Duration
 	// DisableOptimisticReads forces Get and Scan onto the blocking
 	// shared-latch path instead of the seqlock fast path (read.go). The
 	// zero value — optimistic reads on — is the intended configuration;
@@ -123,8 +118,7 @@ type Config struct {
 	// value — metrics on — is the intended configuration: enabled metrics
 	// cost striped-counter increments off the contended cache lines, and
 	// disabling them reduces every instrumentation site to a single nil
-	// check (Stats then reports zeros, except EpochReclaimed which the
-	// epoch manager tracks regardless).
+	// check (Stats then reports zeros).
 	DisableMetrics bool
 	// Events receives structural-event callbacks (global rebalances and
 	// resizes) from the rebalancer master goroutine. Independent of
@@ -150,7 +144,6 @@ func DefaultConfig() Config {
 		TauRoot:         0.75,
 		TauLeaf:         1.0,
 		PredictorSize:   64,
-		GCInterval:      10 * time.Millisecond,
 	}
 }
 
@@ -246,10 +239,8 @@ type PMA struct {
 
 	state atomic.Pointer[state]
 
-	pool   *rewire.Pool
-	epochs *epoch.Manager
-	gc     *epoch.Collector
-	reb    *rebalancer
+	pool *rewire.Pool
+	reb  *rebalancer
 
 	// cctx is non-nil exactly when Config.CompressedChunks is set: the
 	// store's segments are delta blocks instead of slots (cgate.go).
@@ -268,10 +259,14 @@ type PMA struct {
 	// events is the structural-event hook (nil means none).
 	metrics *obs.CoreMetrics
 	events  obs.EventHook
+
+	// onReload, when set, runs each time enter gives up on a retired gate
+	// and loads the state again; tests synchronise on it.
+	onReload func()
 }
 
 // New creates an empty concurrent PMA and starts its service goroutines
-// (rebalancer master, worker pool, epoch collector). Callers must Close it.
+// (rebalancer master, worker pool). Callers must Close it.
 func New(cfg Config) (*PMA, error) {
 	p, err := newShell(cfg)
 	if err != nil {
@@ -298,9 +293,6 @@ func newShell(cfg Config) (*PMA, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = defaultWorkers()
 	}
-	if cfg.GCInterval <= 0 {
-		cfg.GCInterval = 10 * time.Millisecond
-	}
 	if cfg.PredictorSize <= 0 {
 		cfg.PredictorSize = 64
 	}
@@ -311,7 +303,6 @@ func newShell(cfg Config) (*PMA, error) {
 		cfg:      cfg,
 		adaptive: cfg.Adaptive || cfg.Mode == ModeOneByOne,
 		pool:     rewire.NewPool(cfg.SegmentsPerGate*cfg.SegmentCapacity, 4*cfg.Workers+16),
-		epochs:   epoch.NewManager(),
 		events:   cfg.Events,
 	}
 	if !cfg.DisableMetrics {
@@ -323,11 +314,9 @@ func newShell(cfg Config) (*PMA, error) {
 	return p, nil
 }
 
-// startServices launches the epoch collector and the rebalancer. The state
-// must be installed first: the rebalancer dereferences it on its first
-// request.
+// startServices launches the rebalancer. The state must be installed first:
+// the rebalancer dereferences it on its first request.
 func (p *PMA) startServices() {
-	p.gc = p.epochs.StartCollector(p.cfg.GCInterval)
 	p.reb = newRebalancer(p, p.cfg.Workers)
 }
 
@@ -380,7 +369,6 @@ func (p *PMA) Close() {
 		return
 	}
 	p.reb.close()
-	p.gc.Stop()
 }
 
 // checkOpen guards every client operation against use after Close: without
@@ -411,11 +399,10 @@ func (p *PMA) NumGates() int {
 }
 
 // Stats returns a snapshot of the metrics. With DisableMetrics set, every
-// field is zero except EpochReclaimed, which the epoch manager always
-// tracks (its GC loop needs the count anyway).
+// counter is zero; a compressed store still fills in its gauges, which are
+// read off the live array.
 func (p *PMA) Stats() Stats {
 	s := p.metrics.Snapshot()
-	s.Rebalance.EpochReclaimed = uint64(p.epochs.Reclaimed())
 	p.compressionStats(&s)
 	return s
 }

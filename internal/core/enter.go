@@ -1,7 +1,5 @@
 package core
 
-import "pmago/internal/epoch"
-
 // latchMode is how enter takes the gate it arrives at.
 type latchMode int
 
@@ -34,7 +32,7 @@ func (st *state) route(key int64) int { return st.index.Lookup(key) }
 // without the latch, so without the fences: it is guarded by the state's
 // fence generation instead, sampled here before the lookup and compared
 // under the queue's mutex (lockOrCombine). The other modes ignore o.
-func (p *PMA) enter(key int64, mode latchMode, o op, guard *epoch.Guard) (*state, *gate) {
+func (p *PMA) enter(key int64, mode latchMode, o op) (*state, *gate) {
 	for {
 		st := p.state.Load()
 		gen := st.fenceGen.Load()
@@ -77,7 +75,9 @@ func (p *PMA) enter(key int64, mode latchMode, o op, guard *epoch.Guard) (*state
 				gi++
 			}
 		}
-		guard.Refresh()
+		if h := p.onReload; h != nil {
+			h()
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestEnter drives the entry routine through its three latch modes. In each:
 // index separators stale in either direction still lead to the owning gate
@@ -19,8 +22,6 @@ func TestEnter(t *testing.T) {
 				p.Put(k*10, k)
 			}
 			p.Flush()
-			guard := p.epochs.Enter()
-			defer guard.Leave()
 			leave := func(g *gate) {
 				if tc.mode == latchShared {
 					g.unlockShared()
@@ -46,7 +47,7 @@ func TestEnter(t *testing.T) {
 					t.Fatalf("separator %d of gate %d did not misroute key %d", stale.sep, stale.gate, key)
 				}
 				before := owner.version.Load()
-				gst, g := p.enter(key, tc.mode, o, guard)
+				gst, g := p.enter(key, tc.mode, o)
 				if gst != st || g != owner {
 					t.Fatalf("enter with gate %d's separator at %d arrived at %+v, want gate %d", stale.gate, stale.sep, g, mid)
 				}
@@ -68,7 +69,7 @@ func TestEnter(t *testing.T) {
 				owner.qOpen = true
 				owner.mu.Unlock()
 				combined, version := p.metrics.CombinedOps.Load(), owner.version.Load()
-				if gst, g := p.enter(key, tc.mode, o, guard); gst != nil || g != nil {
+				if gst, g := p.enter(key, tc.mode, o); gst != nil || g != nil {
 					t.Fatalf("enter latched gate %d past its open queue", g.idx)
 				}
 				if q := p.detachQueue(owner); len(q) != 1 || q[0] != o {
@@ -82,8 +83,7 @@ func TestEnter(t *testing.T) {
 			// A request for more room than the array has makes it grow: owner
 			// is retired. Putting the retired state back makes enter start on
 			// it for certain; the current one is swapped in once enter went
-			// through its reload — the guard.Refresh there is what lets the
-			// collector run the callback retired below.
+			// through its reload, which the onReload hook reports.
 			owner.lockX()
 			p.requestGlobalAndWait(st, owner, st.slots())
 			grown := p.state.Load()
@@ -92,10 +92,11 @@ func TestEnter(t *testing.T) {
 			}
 			p.state.Store(st)
 			reloaded := make(chan struct{})
-			p.epochs.Retire(func() { close(reloaded) })
+			var once sync.Once
+			p.onReload = func() { once.Do(func() { close(reloaded) }) }
 			arrived := make(chan *gate)
 			go func() {
-				gst, g := p.enter(key, tc.mode, o, guard)
+				gst, g := p.enter(key, tc.mode, o)
 				if gst != grown {
 					g = nil
 				}

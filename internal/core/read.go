@@ -49,8 +49,6 @@ func (p *PMA) Get(k int64) (int64, bool) {
 	if k == rma.KeyMin || k == rma.KeyMax {
 		return 0, false
 	}
-	guard := p.epochs.Enter()
-	defer guard.Leave()
 	if !p.cfg.DisableOptimisticReads && !raceEnabled {
 	probe:
 		for {
@@ -70,7 +68,6 @@ func (p *PMA) Get(k int64) (int64, bool) {
 					}
 					return v, ok
 				case readInvalid:
-					guard.Refresh()
 					continue probe
 				case readLeft:
 					if gi > 0 {
@@ -89,7 +86,7 @@ func (p *PMA) Get(k int64) (int64, bool) {
 			}
 		}
 	}
-	_, g := p.enter(k, latchShared, op{}, guard)
+	_, g := p.enter(k, latchShared, op{})
 	v, ok := g.get(k)
 	g.unlockShared()
 	if m := p.metrics; m != nil {
@@ -159,8 +156,6 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 	if hi == rma.KeyMax {
 		hi--
 	}
-	guard := p.epochs.Enter()
-	defer guard.Leave()
 	optimistic := !p.cfg.DisableOptimisticReads && !raceEnabled
 	sb := p.getScanBuf()
 	defer p.putScanBuf(sb)
@@ -187,7 +182,7 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 				// The walk carries on from wherever enter arrived, in the
 				// state it arrived in.
 				var g *gate
-				st, g = p.enter(from, latchShared, op{}, guard)
+				st, g = p.enter(from, latchShared, op{})
 				gi, fenceHi = g.idx, p.snapshotLatched(g, from, hi, sb)
 			}
 			// The chunk copy in sb is a validated snapshot; run the
@@ -203,7 +198,6 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 				return
 			}
 		}
-		guard.Refresh()
 	}
 }
 

@@ -723,7 +723,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 	p.state.Store(newSt)
 
 	// Invalidate and release the old gates; waiting clients observe the
-	// invalid flag and restart against the new state in a fresh epoch.
+	// invalid flag and restart against the new state.
 	//
 	// Ordering matters for the optimistic readers: invalid is set before
 	// endExclusive bumps the version to even, and the buffer is recycled
@@ -742,7 +742,6 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 		g.mu.Unlock()
 		g.retire(p.pool)
 	}
-	p.epochs.Retire(func() {})
 	if m := p.metrics; m != nil {
 		m.Resizes.Inc()
 		m.ResizeNanos.ObserveDuration(time.Since(t0))

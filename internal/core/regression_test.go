@@ -125,9 +125,7 @@ func TestWriterKeepsParkedOps(t *testing.T) {
 		g.mu.Lock()
 		g.qOpen, g.qOps = true, []op{{key: 2, val: 2}}
 		g.mu.Unlock()
-		guard := p.epochs.Enter()
-		p.applyOwn(st, g, own, g.openQueue(own), guard)
-		guard.Leave()
+		p.applyOwn(st, g, own, g.openQueue(own))
 		p.Flush()
 		for k := int64(1); k <= 2; k++ {
 			if v, ok := p.Get(k); !ok || v != k {
@@ -165,9 +163,7 @@ func TestLoneWriterStillCombines(t *testing.T) {
 		if c, q := p.metrics.CombinedOps.Load(), p.QueuedOps(); c != 1 || q != 1 {
 			t.Fatalf("%v: combined %d queued %d after a Put under the holder, want 1 and 1", mode, c, q)
 		}
-		guard := p.epochs.Enter()
-		p.applyOwn(st, g, own, false, guard)
-		guard.Leave()
+		p.applyOwn(st, g, own, false)
 		if q := p.QueuedOps(); q != 0 {
 			t.Fatalf("%v: %d ops still queued after the holder returned", mode, q)
 		}

@@ -22,8 +22,6 @@ func (p *PMA) ScanBlocks(fn func(payload []byte, pairs int) bool) bool {
 	if p.cctx == nil {
 		panic("core: ScanBlocks on an uncompressed store")
 	}
-	guard := p.epochs.Enter()
-	defer guard.Leave()
 	var (
 		scratch []byte // this gate's payloads, copied under the latch
 		offs    []int  // start of each payload within scratch
@@ -31,7 +29,7 @@ func (p *PMA) ScanBlocks(fn func(payload []byte, pairs int) bool) bool {
 	)
 	from := int64(rma.KeyMin + 1)
 	for {
-		_, g := p.enter(from, latchShared, op{}, guard)
+		_, g := p.enter(from, latchShared, op{})
 		scratch, offs, counts = scratch[:0], offs[:0], counts[:0]
 		if g.fenceLo >= from || from == rma.KeyMin+1 {
 			// Every key this gate stores is >= from: copy the encoded

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"pmago/internal/epoch"
-	"pmago/internal/rma"
-)
+import "pmago/internal/rma"
 
 // op is one pending update, as stored in a combining queue.
 type op struct {
@@ -44,9 +41,7 @@ func (p *PMA) Put(k, v int64) {
 	if h := p.hook; h != nil {
 		h.Put(k, v)
 	}
-	guard := p.epochs.Enter()
-	defer guard.Leave()
-	p.update(op{key: k, val: v}, guard)
+	p.update(op{key: k, val: v})
 }
 
 // Delete removes k. The result reports whether an element was removed
@@ -60,32 +55,30 @@ func (p *PMA) Delete(k int64) bool {
 	if h := p.hook; h != nil {
 		h.Delete(k)
 	}
-	guard := p.epochs.Enter()
-	defer guard.Leave()
-	return p.update(op{key: k, del: true}, guard)
+	return p.update(op{key: k, del: true})
 }
 
 // update applies one update according to the configured mode: synchronously,
 // or as a Section 3.5 writer that either combines behind its gate's active
 // writer or becomes it.
-func (p *PMA) update(o op, guard *epoch.Guard) bool {
+func (p *PMA) update(o op) bool {
 	if p.cfg.Mode == ModeSync {
-		return p.updateSync(o, guard)
+		return p.updateSync(o)
 	}
-	st, g := p.enter(o.key, latchCombine, o, guard)
+	st, g := p.enter(o.key, latchCombine, o)
 	if g == nil {
 		return true // combined: the queue's owner applies it
 	}
-	return p.applyOwn(st, g, o, g.openQueue(o), guard)
+	return p.applyOwn(st, g, o, g.openQueue(o))
 }
 
 // updateSync is the baseline path (Section 3.3), ModeSync's update and in
 // every mode the replay of ops that lost their gate (drainQueue, Flush, batch
 // leftovers): enter exclusively, apply in place, or transfer the latch to the
 // rebalancer, wait, and route the op again.
-func (p *PMA) updateSync(o op, guard *epoch.Guard) bool {
+func (p *PMA) updateSync(o op) bool {
 	for {
-		st, g := p.enter(o.key, latchExclusive, o, guard)
+		st, g := p.enter(o.key, latchExclusive, o)
 		if result, done := p.applyOp(st, g, o); done {
 			g.release()
 			if o.del {
@@ -94,7 +87,6 @@ func (p *PMA) updateSync(o op, guard *epoch.Guard) bool {
 			return result
 		}
 		p.requestGlobalAndWait(st, g, 1)
-		guard.Refresh()
 	}
 }
 
@@ -140,7 +132,7 @@ func (g *gate) openQueue(o op) (queued bool) {
 // latch — and then the queue is drained, which for a writer nobody combined
 // with is only the release. The result of a queued Delete is decided by the
 // state at latch acquisition.
-func (p *PMA) applyOwn(st *state, g *gate, o op, queued bool, guard *epoch.Guard) (result bool) {
+func (p *PMA) applyOwn(st *state, g *gate, o op, queued bool) (result bool) {
 	result = true
 	own := [1]op{o} // on the stack: nothing below retains it
 	var reroute []op
@@ -164,7 +156,7 @@ func (p *PMA) applyOwn(st *state, g *gate, o op, queued bool, guard *epoch.Guard
 			released = true
 		}
 	}
-	p.drainQueue(st, g, guard, reroute, released)
+	p.drainQueue(st, g, reroute, released)
 	return result
 }
 

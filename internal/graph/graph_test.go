@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"pmago/internal/core"
 )
@@ -16,7 +15,6 @@ func testCfg() core.Config {
 	cfg.SegmentsPerGate = 2
 	cfg.TDelay = 0
 	cfg.Workers = 2
-	cfg.GCInterval = time.Millisecond
 	return cfg
 }
 

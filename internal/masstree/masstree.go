@@ -12,8 +12,7 @@
 // interior index above the border nodes reuses the optimistic-lock-coupling
 // radix tree from internal/art (a trie interior, in the spirit of Masstree's
 // trie-of-B+-trees layering). Masstree's background border-node garbage
-// collection is omitted: emptied borders stay linked and scans skip them
-// (documented simplification, DESIGN.md).
+// collection is omitted: emptied borders stay linked and scans skip them.
 package masstree
 
 import (

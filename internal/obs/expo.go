@@ -50,7 +50,6 @@ func (s Snapshot) Points() []Point {
 		c("rebalance_resizes_total", "resizes", s.Rebalance.Resizes),
 		d("rebalance_duration_seconds", "seconds", s.Rebalance.RebalanceNanos, 1e-9),
 		d("resize_duration_seconds", "seconds", s.Rebalance.ResizeNanos, 1e-9),
-		c("epoch_reclaimed_total", "snapshots", s.Rebalance.EpochReclaimed),
 	}
 	if s.Compression.Enabled {
 		pts = append(pts,

@@ -82,13 +82,12 @@ type RebalanceStats struct {
 	Resizes        uint64       `json:"resizes"`
 	RebalanceNanos Distribution `json:"rebalance_nanos"`
 	ResizeNanos    Distribution `json:"resize_nanos"`
-	EpochReclaimed uint64       `json:"epoch_reclaimed"`
 }
 
 // CompressionStats is the compressed-chunks section of a snapshot. For an
 // uncompressed store every field is zero and Enabled is false. EncodedBytes
 // and Pairs are gauges over the live array (filled by the core at Stats
-// time, like EpochReclaimed); EncodedBytes/Pairs is the store's bytes/pair.
+// time); EncodedBytes/Pairs is the store's bytes/pair.
 // SegDecodes (compressed_seg_decodes_total) is whole-segment decodes, which
 // point operations no longer cause; ReencodeBytes
 // (compressed_reencode_bytes_total) is payload bytes stored, encoded or
@@ -110,8 +109,7 @@ type CoreSnapshot struct {
 }
 
 // Snapshot copies the live counters. Nil-safe: a disabled core reports
-// zeros. EpochReclaimed is not a metric here — the epoch manager owns it —
-// so the caller fills it in afterwards.
+// zeros.
 func (m *CoreMetrics) Snapshot() CoreSnapshot {
 	if m == nil {
 		return CoreSnapshot{}
@@ -160,7 +158,6 @@ func (s CoreSnapshot) merge(o CoreSnapshot) CoreSnapshot {
 	s.Rebalance.Resizes += o.Rebalance.Resizes
 	s.Rebalance.RebalanceNanos = s.Rebalance.RebalanceNanos.merge(o.Rebalance.RebalanceNanos)
 	s.Rebalance.ResizeNanos = s.Rebalance.ResizeNanos.merge(o.Rebalance.ResizeNanos)
-	s.Rebalance.EpochReclaimed += o.Rebalance.EpochReclaimed
 	s.Compression.Enabled = s.Compression.Enabled || o.Compression.Enabled
 	s.Compression.SegDecodes += o.Compression.SegDecodes
 	s.Compression.ReencodeBytes += o.Compression.ReencodeBytes

@@ -236,7 +236,6 @@ func TestMetricsNilSnapshots(t *testing.T) {
 func TestSnapshotMerge(t *testing.T) {
 	a := Snapshot{Durable: true}
 	a.Reads.GetOptimistic = 10
-	a.Rebalance.EpochReclaimed = 2
 	a.WAL.Appends = 5
 	a.Recovery.Recoveries = 1
 	a.Shards = []ShardStats{{Ops: 3}}
@@ -245,7 +244,7 @@ func TestSnapshotMerge(t *testing.T) {
 	b.Shards = []ShardStats{{Ops: 9, BatchKeys: 4}}
 	m := a.Merge(b)
 	if !m.Durable || m.Reads.GetOptimistic != 17 || m.WAL.Appends != 5 ||
-		m.Recovery.Recoveries != 1 || m.Rebalance.EpochReclaimed != 2 {
+		m.Recovery.Recoveries != 1 {
 		t.Fatalf("merge wrong: %+v", m)
 	}
 	if len(m.Shards) != 2 || m.Shards[1].BatchKeys != 4 {

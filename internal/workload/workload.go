@@ -83,7 +83,7 @@ func NewGenerator(d Distribution, domain int64, seed int64) *Generator {
 // This is O(1) per sample and supports alpha = 1 exactly (where the rejection
 // sampler of math/rand does not apply); the discrete Zipf distribution is
 // approximated within a few percent on every rank, preserving the workload's
-// shape (DESIGN.md, Substitutions).
+// shape.
 func (g *Generator) Next() int64 {
 	if !g.zipf {
 		return 1 + g.rng.Int63n(g.domain)

@@ -272,8 +272,8 @@ func (p *PMA) Capacity() int { return p.c.Capacity() }
 func (p *PMA) Flush() { p.c.Flush() }
 
 // Stats returns the metrics snapshot: seqlock read-path counters, combining
-// and rebalancer activity, and epoch reclamation. The durable sections stay
-// zero for an in-memory store.
+// and rebalancer activity. The durable sections stay zero for an in-memory
+// store.
 func (p *PMA) Stats() Stats { return Stats{CoreSnapshot: p.c.Stats()} }
 
 // Validate checks every structural invariant; it is meant for tests and

@@ -42,9 +42,9 @@ func NewSlogHook(logger *slog.Logger, slow time.Duration) EventHook {
 }
 
 // WithoutMetrics disables the metrics layer for this store: Stats reports
-// zeros (except the epoch-reclamation count) and every instrumentation
-// site reduces to a nil check. Metrics are on by default — their hot-path
-// cost is a striped, allocation-free counter increment.
+// zeros and every instrumentation site reduces to a nil check. Metrics are
+// on by default — their hot-path cost is a striped, allocation-free counter
+// increment.
 func WithoutMetrics() Option { return func(c *config) { c.core.DisableMetrics = true } }
 
 // WithEventHook installs h as the store's structural-event hook, covering
