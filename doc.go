@@ -139,11 +139,13 @@
 // for an alias edited in place, one encode for a block), finding and
 // editing one pair of a block without decoding it (a seek over the key
 // gaps, an in-place byte splice that leaves the block exactly as an
-// encode would), and building and installing a fresh chunk for
-// rebalances and BulkLoad. Scans, batches and rebalances decode and
-// re-encode whole segments; Get, Put and Delete do not, and pay a walk
-// over the segment's key gaps and a move of its bytes instead (the
-// README has the measured price table). BulkLoad and Snapshot get
+// encode would), merging a sorted batch into a block the same way, and
+// building and installing a fresh chunk for rebalances and BulkLoad.
+// Scans, rebalances and batches that move pairs between segments decode
+// and re-encode whole segments; Get, Put, Delete and a batch that fits
+// the segments it lands in do not, and pay a walk over the segment's key
+// gaps and a move or copy of its bytes instead (the README has the
+// measured price table). BulkLoad and Snapshot get
 // faster (one encode pass rides the layout pass; a checkpoint streams
 // the already-encoded blocks to disk without touching pairs). Enable it
 // for memory-bound, scan- and ingest-heavy workloads with locally dense

@@ -21,13 +21,16 @@
 // check lives only here; persist and core previously had to agree on it by
 // duplication.
 //
-// Core's point operations do not decode at all (splice.go): Seek walks the
-// key gaps to one key and steps over everything else by counting varint
-// terminators a word at a time, and Upsert and Remove edit one pair inside
-// the encoded bytes. The splice is canonical — it stores the shortest
-// varints, the ones AppendBlock would store for the edited pairs, and only
-// moves the rest — so a block is byte-identical to AppendBlock of its pairs
-// however it came to hold them, and snapshots may carry blocks verbatim.
+// Core's point operations and its per-segment batch merges do not decode
+// at all. Seek (splice.go) walks the key gaps to one key and steps over
+// everything else by counting varint terminators a word at a time; Upsert
+// and Remove edit one pair inside the encoded bytes; MergeBlock (merge.go)
+// upserts a sorted run in one walk of the key gaps, copying the gaps and
+// values it keeps as byte ranges. The splices and the merge are canonical:
+// they store the shortest varints, the ones AppendBlock would store for the
+// edited pairs, and only move or copy the rest, so a block is byte-identical
+// to AppendBlock of its pairs however it came to hold them, and snapshots
+// may carry blocks verbatim.
 // Seek shares the decoder's hardening; a seqlock reader that runs it on a
 // block mid-splice sees some mix of the bytes before and after the edit and
 // gets an error or an answer its version check throws away.

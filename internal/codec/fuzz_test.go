@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"slices"
 	"testing"
 )
@@ -171,5 +173,101 @@ func FuzzSeekSplice(f *testing.F) {
 		}
 		ok := rank == 0 || rank == len(keys)-1 || fits(keys[rank-1], keys[rank+1])
 		check("Remove", remove, Removed, slices.Delete(slices.Clone(keys), rank, rank+1), slices.Delete(slices.Clone(vals), rank, rank+1), ok)
+	})
+}
+
+// pairsFrom reads b as alternating zigzag varint keys and values, the later
+// of two equal keys winning, and returns at most limit pairs sorted by key.
+func pairsFrom(b []byte, limit int) (keys, vals []int64) {
+	m := map[int64]int64{}
+	for len(b) > 0 {
+		k, n := binary.Varint(b)
+		if n <= 0 {
+			break
+		}
+		v, vn := binary.Varint(b[n:])
+		if vn <= 0 {
+			vn = len(b) - n
+		}
+		m[k] = v
+		b = b[n+vn:]
+	}
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	keys = keys[:min(len(keys), limit)]
+	for _, k := range keys {
+		vals = append(vals, m[k])
+	}
+	return keys, vals
+}
+
+// FuzzMergeBlock holds MergeBlock to its contract. run is read as the pairs
+// to merge (pairsFrom). data is read twice. As pairs, it builds a canonical
+// block, and the merge must match the oracle (refMerge): the same bytes and
+// fresh count, or ErrFull exactly when the result would pass maxPairs. As a
+// raw block, the merge must not panic, write the block or read past it
+// (the block's capacity is its length), and must either fail or return a
+// block that DecodeBlock accepts and AppendBlock would write for its pairs —
+// the oracle's block when DecodeBlock accepts data, and a failure then only
+// for ErrFull or for varints longer than they need be.
+func FuzzMergeBlock(f *testing.F) {
+	pairs := func(kv ...int64) []byte {
+		var b []byte
+		for _, x := range kv {
+			b = binary.AppendVarint(b, x)
+		}
+		return b
+	}
+	f.Add(pairs(1, 10, 5, 50, 9, 90), pairs(5, -5, 6, -6), uint8(8))
+	f.Add(pairs(1, 10, 2, 20, 3, 30), pairs(0, 1, 4, 1), uint8(4))
+	f.Add(pairs(-1<<62, 1<<62, 1<<62, -1<<62), pairs(0, 0, 1<<63-1, 7), uint8(16))
+	f.Add(AppendBlock(nil, []int64{2, 4, 6}, []int64{-1, 1 << 40, 3}), pairs(3, 3, 6, 6), uint8(8))
+	f.Add([]byte{2, 0, 0x81, 0x00, 1, 0x80, 0x00}, pairs(1, 1), uint8(8))
+	f.Add([]byte{}, pairs(3, 3), uint8(1))
+	f.Fuzz(func(t *testing.T, data, run []byte, mp uint8) {
+		maxPairs := 1 + int(mp%48)
+		keys, vals := pairsFrom(run, 64)
+		if bk, bv := pairsFrom(data, maxPairs); len(bk) > 0 {
+			checkMerge(t, AppendBlock(nil, bk, bv), keys, vals, maxPairs)
+		} else if len(keys) > 0 {
+			checkMerge(t, nil, keys, vals, maxPairs)
+		}
+
+		p := make([]byte, len(data))
+		copy(p, data)
+		out, fresh, err := MergeBlock(nil, p, keys, vals, maxPairs)
+		if !bytes.Equal(p, data) {
+			t.Fatalf("MergeBlock wrote its block: %x became %x", data, p)
+		}
+		dk, dv, derr := DecodeBlock(data, nil, nil, maxPairs)
+		accepted := derr == nil || len(data) == 0
+		if accepted && len(data) == 0 && len(keys) == 0 {
+			accepted = false // nothing to merge into nothing: no block to compare
+		}
+		var want []byte
+		var wantFresh int
+		var full bool
+		if accepted {
+			want, wantFresh, full, _ = refMerge(data, keys, vals, maxPairs)
+		}
+		if err != nil {
+			canonical := len(data) == 0 || derr == nil && bytes.Equal(data, AppendBlock(nil, dk, dv))
+			if accepted && canonical && !full {
+				t.Fatalf("merge of %v into canonical %x: %v", keys, data, err)
+			}
+			if full && !errors.Is(err, ErrFull) && canonical {
+				t.Fatalf("merge of %v into %x past %d pairs: %v, want ErrFull", keys, data, maxPairs, err)
+			}
+			return
+		}
+		gk, gv, gerr := DecodeBlock(out, nil, nil, maxPairs)
+		if gerr != nil || !bytes.Equal(out, AppendBlock(nil, gk, gv)) {
+			t.Fatalf("merge of %v into %x made %x, not a canonical block (%v)", keys, data, out, gerr)
+		}
+		if accepted && (full || !bytes.Equal(out, want) || fresh != wantFresh) {
+			t.Fatalf("merge of %v into %x: %x fresh %d, want %x fresh %d (full %v)", keys, data, out, fresh, want, wantFresh, full)
+		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -36,7 +37,15 @@ import (
 //     garbage never faults, straight into the caller's buffer (one memmove
 //     for slots, decode-into-destination for blocks).
 //   - setSeg: make segment s hold exactly these pairs. A no-op beyond the
-//     cardinality when the slices are the slot alias; an encode for blocks.
+//     cardinality when the slices are the slot alias; an encode for blocks,
+//     stored by storePayload: in place when the array has room, else in a
+//     fresh array published with one pointer store.
+//   - stageMerge / commitMerge: upsert a sorted run into segment s in two
+//     steps, so that a batch touching several segments stores nothing until
+//     every one of them has room. Slots count the run's fresh keys, then
+//     merge them into the alias; blocks merge the run into the encoded
+//     block (codec.MergeBlock: a block's kept gaps and values are copied as
+//     byte ranges, nothing is decoded) into pooled scratch, then store it.
 //   - spliceUpsert / spliceRemove: blocks only — edit one pair of a
 //     non-empty block in place (codec.Upsert / codec.Remove), moving bytes
 //     instead of re-encoding the segment. The splice writes what setSeg's
@@ -47,13 +56,17 @@ import (
 //   - newPlan / fillSeg / install: build a fresh chunk segment by segment
 //     for the rebalancer and BulkLoad, and swap it into a gate.
 //
+// Every writer — setSeg's encode, fillSeg, the splices and the merge —
+// leaves a block canonical, byte for byte AppendBlock of its pairs, and
+// Validate checks that it is (checkStorage).
+//
 // Concurrency contract. Latched callers (exclusive or shared) see well-formed
-// payloads by invariant, and view, find and the splices panic on one that
-// does not parse. The optimistic readers run concurrently with in-place slot
-// writes, block re-encodes and splices — a block mid-splice is part old
-// bytes, part moved ones, under a count and length that may belong to either
-// — so every word they load may be garbage: the racy primitives copy slice
-// headers once, verify lengths against the fixed geometry, clamp
+// payloads by invariant, and view, find, the splices and the merge panic on
+// one that does not parse. The optimistic readers run concurrently with
+// in-place slot writes, block stores and splices — a block mid-splice is
+// part old bytes, part moved ones, under a count and length that may belong
+// to either — so every word they load may be garbage: the racy primitives
+// copy slice headers once, verify lengths against the fixed geometry, clamp
 // cardinalities and payload lengths, lean on the hardened decoder and seek
 // (every loop bounded by the payload and b; a result or an error, never a
 // fault) and leave it to the caller's version check to discard the result.
@@ -76,12 +89,16 @@ type encSeg struct {
 
 // cScratch is one decode/encode workspace of a block store: ks/vs take a
 // decoded segment, mk/mv a gathered window (capacity is a full chunk each),
-// eb one segment's encoding. Slot stores have none: their views alias the
-// storage, and a nil *cScratch is what every primitive expects from them.
+// eb one segment's encoding, mb the blocks a mergeBySegment pass stages
+// (staged[i] is group i's) and room for the merge of one more. Slot stores
+// have none: their views alias the storage, and a nil *cScratch is what
+// every primitive expects from them.
 type cScratch struct {
 	ks, vs []int64
 	mk, mv []int64
 	eb     []byte
+	mb     []byte
+	staged [maxSegmentsPerGate][]byte
 }
 
 // cctx is the store-wide context of a block store: the scratch pool and the
@@ -103,6 +120,9 @@ func newCctx(spg, b int, m *obs.CoreMetrics) *cctx {
 			mk: make([]int64, 0, chunk),
 			mv: make([]int64, 0, chunk),
 			eb: make([]byte, 0, codec.MaxEncodedLen(b)),
+			// A staged block holds at most b pairs; merging a run of at
+			// most b keys into one needs MaxEncodedLen(2b) of room.
+			mb: make([]byte, 0, (spg+1)*codec.MaxEncodedLen(b)),
 		}
 	}
 	return c
@@ -198,8 +218,7 @@ func (g *gate) find(s int, k int64) (int64, bool) {
 		ks, vs := g.view(s, nil)
 		return pairAt(ks, vs, g.seek(s, ks, k), k)
 	}
-	e := g.enc[s]
-	c, err := codec.Seek(e.data[:e.n], k, g.b)
+	c, err := codec.Seek(g.payload(s), k, g.b)
 	if err != nil {
 		panic("core: corrupt compressed segment: " + err.Error())
 	}
@@ -245,12 +264,27 @@ func (g *gate) decodeSeg(s int, sc *cScratch) (ks, vs []int64, err error) {
 	return ks, vs, nil
 }
 
+// payload is block s's live bytes under the latch, nil when the segment is
+// empty.
+func (g *gate) payload(s int) []byte {
+	if g.segCard[s] == 0 {
+		return nil
+	}
+	e := g.enc[s]
+	return e.data[:e.n]
+}
+
 // checkStorage verifies the layout's own bookkeeping for Validate: empty
-// blocks hold no bytes and encBytes is the sum of the payload lengths.
+// blocks hold no bytes, every other block is canonical — byte for byte
+// AppendBlock of its pairs, which ScanBlocks hands to snapshots verbatim and
+// the splices and merges keep by copying — and encBytes is the sum of the
+// payload lengths.
 func (g *gate) checkStorage() error {
 	if g.cc == nil {
 		return nil
 	}
+	sc := g.cc.get()
+	defer g.cc.put(sc)
 	var sum int64
 	for s, e := range g.enc {
 		if e == nil {
@@ -258,6 +292,15 @@ func (g *gate) checkStorage() error {
 		}
 		if g.segCard[s] == 0 && e.n != 0 {
 			return fmt.Errorf("empty segment %d holds %d encoded bytes", s, e.n)
+		}
+		if g.segCard[s] > 0 {
+			ks, vs, err := g.decodeSeg(s, sc)
+			if err != nil {
+				return fmt.Errorf("segment %d: %w", s, err)
+			}
+			if !bytes.Equal(e.data[:e.n], codec.AppendBlock(sc.eb[:0], ks, vs)) {
+				return fmt.Errorf("segment %d is not canonical: %x", s, e.data[:e.n])
+			}
 		}
 		sum += int64(e.n)
 	}
@@ -345,9 +388,8 @@ func (g *gate) decodeRacy(s int, dk, dv []int64) ([]int64, []int64) {
 // setSeg makes segment s hold exactly ks/vs (sorted, at most b pairs) and
 // records its cardinality; gcard and the minima stay with the caller, which
 // holds the latch exclusively. Slots copy unless ks/vs are the view's own
-// alias, in which case the pairs are already in place. Blocks re-encode,
-// reusing the backing array when the payload fits and publishing a fresh
-// encSeg with growth slack otherwise.
+// alias, in which case the pairs are already in place. Blocks re-encode and
+// store the payload (storePayload).
 func (g *gate) setSeg(s int, ks, vs []int64, sc *cScratch) {
 	g.segCard[s] = len(ks)
 	if g.cc == nil {
@@ -357,19 +399,25 @@ func (g *gate) setSeg(s int, ks, vs []int64, sc *cScratch) {
 		}
 		return
 	}
+	if len(ks) == 0 {
+		if e := g.enc[s]; e != nil {
+			g.encBytes.Add(-int64(e.n))
+			e.n = 0
+		}
+		return
+	}
+	g.storePayload(s, codec.AppendBlock(sc.eb[:0], ks, vs))
+}
+
+// storePayload makes block s hold the non-empty payload p, reusing the
+// backing array when p fits and publishing a fresh encSeg with growth slack
+// otherwise; segCard is the caller's.
+func (g *gate) storePayload(s int, p []byte) {
 	e := g.enc[s]
 	var old int64
 	if e != nil {
 		old = int64(e.n)
 	}
-	if len(ks) == 0 {
-		if e != nil {
-			e.n = 0
-		}
-		g.encBytes.Add(-old)
-		return
-	}
-	p := codec.AppendBlock(sc.eb[:0], ks, vs)
 	if e != nil && len(p) <= len(e.data) {
 		copy(e.data, p)
 		e.n = int32(len(p))
@@ -382,6 +430,54 @@ func (g *gate) setSeg(s int, ks, vs []int64, sc *cScratch) {
 	if m := g.cc.metrics; m != nil {
 		m.ReencodeBytes.Add(uint64(len(p)))
 	}
+}
+
+// stageMerge readies segment s to take the key-sorted, deduplicated run as
+// group i of a mergeBySegment pass, and reports how many of the run's keys
+// are fresh, or false when the segment cannot hold them; the gate is left as
+// it was either way. Slots count the fresh keys against the alias. Blocks
+// merge the run into the encoded block and stage the result as sc.staged[i],
+// decoding nothing; the run is longer than b only when it cannot fit.
+func (g *gate) stageMerge(i, s int, run []op, sc *cScratch) (int, bool) {
+	if g.cc == nil {
+		ks, _ := g.view(s, nil)
+		fresh := countFresh(ks, run)
+		return fresh, len(ks)+fresh <= g.b
+	}
+	if len(run) > g.b {
+		return 0, false
+	}
+	ks, vs := sc.mk[:len(run)], sc.mv[:len(run)]
+	for j, o := range run {
+		ks[j], vs[j] = o.key, o.val
+	}
+	if i == 0 {
+		sc.mb = sc.mb[:0]
+	}
+	at := len(sc.mb)
+	mb, fresh, err := codec.MergeBlock(sc.mb, g.payload(s), ks, vs, g.b)
+	if err == codec.ErrFull {
+		return 0, false
+	}
+	if err != nil {
+		panic("core: corrupt compressed segment: " + err.Error())
+	}
+	sc.mb, sc.staged[i] = mb, mb[at:]
+	return fresh, true
+}
+
+// commitMerge applies what stageMerge readied for group i, segment s: the
+// run with its fresh keys merged into the slots, or the staged block
+// stored. gcard and the minima are the caller's.
+func (g *gate) commitMerge(i, s int, run []op, fresh int, sc *cScratch) {
+	if g.cc == nil {
+		ks, vs := g.view(s, nil)
+		ks, vs = mergeRun(ks, vs, run, fresh)
+		g.setSeg(s, ks, vs, nil)
+		return
+	}
+	g.segCard[s] += fresh
+	g.storePayload(s, sc.staged[i])
 }
 
 // spliceUpsert sets k to v inside block s without decoding it and reports

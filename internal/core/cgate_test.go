@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"pmago/internal/codec"
@@ -507,5 +510,148 @@ func TestCompressedUpdateDoesNotAllocate(t *testing.T) {
 	}
 	if slots, blocks := updateCycleAllocs(t, ModeBatch, false), updateCycleAllocs(t, ModeBatch, true); slots != 0 || blocks != 0 {
 		t.Errorf("ModeBatch: Put+Delete allocates %.2f objects compressed, %.2f on slots, want 0 and 0", blocks, slots)
+	}
+}
+
+// TestMergeBySegmentAllOrNothing pins mergeBySegment's contract that on false
+// nothing was modified, which the block store keeps by staging every group's
+// merged block before storing any: in the test geometry (one gate, two
+// segments of 8) a run whose first group fits segment 0 and whose second
+// overflows the full segment 1 leaves both segments as they were — the same
+// block, the same bytes, the same segCard and smin — for mergeLocal to take
+// over, which PutBatch then does.
+func TestMergeBySegmentAllOrNothing(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		p := newTest(t, ModeSync)
+		if compressed {
+			p = newTestC(t, ModeSync)
+		}
+		st := p.state.Load()
+		if len(st.gates) != 1 || st.gates[0].spg != 2 || st.gates[0].b != 8 {
+			t.Fatalf("test geometry changed: %d gates", len(st.gates))
+		}
+		g := st.gates[0]
+		low := []int64{10, 20, 30}
+		full := []int64{100, 101, 102, 103, 104, 105, 106, 107}
+		sc := g.cc.get()
+		g.setSeg(0, low, []int64{1, 2, 3}, sc)
+		g.setSeg(1, full, make([]int64, 8), sc)
+		g.cc.put(sc)
+		g.smin[0], g.smin[1], g.gcard = 10, 100, 11
+		st.card.Store(11)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+
+		type snap struct {
+			enc     [2]*encSeg
+			payload [2][]byte
+			keys    []int64
+			segCard [maxSegmentsPerGate]int
+			smin    [maxSegmentsPerGate]int64
+			gcard   int
+		}
+		take := func() snap {
+			s := snap{segCard: g.segCard, smin: g.smin, gcard: g.gcard}
+			if compressed {
+				for i := range s.enc {
+					s.enc[i] = g.enc[i]
+					s.payload[i] = bytes.Clone(g.enc[i].data)
+				}
+			} else {
+				s.keys = append(slices.Clone(g.buf.Keys[:16]), g.buf.Vals[:16]...)
+			}
+			return s
+		}
+		before := take()
+		ins := []op{{key: 15, val: -1}, {key: 25, val: -2}, {key: 150, val: -3}}
+		if delta, ok := g.mergeBySegment(ins); ok || delta != 0 {
+			t.Fatalf("compressed=%v: mergeBySegment = %d, %v on a run overflowing segment 1", compressed, delta, ok)
+		}
+		if after := take(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("compressed=%v: a refused merge changed the gate:\n before %+v\n after  %+v", compressed, before, after)
+		}
+
+		p.PutBatch([]int64{15, 25, 150}, []int64{-1, -2, -3})
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Keys(); !slices.Equal(got, []int64{10, 15, 20, 25, 30, 100, 101, 102, 103, 104, 105, 106, 107, 150}) {
+			t.Fatalf("compressed=%v: keys after the batch: %v", compressed, got)
+		}
+	}
+}
+
+// TestCompressedBatchMergesEncoded: a batch that fits each target segment is
+// merged into the encoded blocks — no whole-segment decode is counted — and
+// ReencodeBytes grows by exactly the bytes of the blocks stored.
+func TestCompressedBatchMergesEncoded(t *testing.T) {
+	keys, vals := make([]int64, 4096), make([]int64, 4096)
+	for i := range keys {
+		keys[i], vals[i] = int64(i)*16, int64(i)<<40
+	}
+	p, err := BulkLoad(testConfigC(ModeSync), keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	batch, bv := []int64{1, 17, 33, 8001, 8003, 40001}, []int64{1, 2, 3, 4, 5, 6}
+	touched := map[*encSeg]bool{}
+	for _, k := range batch {
+		g, s := gateOf(t, p, k)
+		touched[g.enc[s]] = true
+	}
+	before := p.Stats().Compression
+	p.PutBatch(batch, bv)
+	after := p.Stats().Compression
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var stored uint64
+	seen := map[*encSeg]bool{}
+	for _, k := range batch {
+		g, s := gateOf(t, p, k)
+		if e := g.enc[s]; !seen[e] {
+			seen[e] = true
+			stored += uint64(e.n)
+		}
+	}
+	if p.Stats().Rebalance.Local != 0 || len(seen) != len(touched) {
+		t.Fatalf("the batch did not merge segment by segment: %+v", p.Stats().Rebalance)
+	}
+	if after.SegDecodes != before.SegDecodes || after.ReencodeBytes-before.ReencodeBytes != stored {
+		t.Fatalf("decodes %d -> %d, reencoded bytes +%d, want no decode and +%d",
+			before.SegDecodes, after.SegDecodes, after.ReencodeBytes-before.ReencodeBytes, stored)
+	}
+	for i, k := range batch {
+		if v, ok := p.Get(k); !ok || v != bv[i] {
+			t.Fatalf("Get(%d) = %d, %v", k, v, ok)
+		}
+	}
+}
+
+// TestValidateRejectsPaddedBlock: a block that decodes to the right pairs
+// but is not what AppendBlock writes for them — here its count is padded to
+// two bytes — fails Validate, since snapshots stream blocks verbatim and the
+// merge copies their bytes.
+func TestValidateRejectsPaddedBlock(t *testing.T) {
+	p := newTestC(t, ModeSync)
+	for _, k := range []int64{3, 5, 7} {
+		p.Put(k, k)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	g, s := gateOf(t, p, 5)
+	e := g.enc[s]
+	block := e.data[:e.n]
+	padded := append([]byte{block[0] | 0x80, 0}, block[1:]...)
+	if ks, _, err := codec.DecodeBlock(padded, nil, nil, g.b); err != nil || len(ks) != 3 {
+		t.Fatalf("padded block decodes to %v, %v", ks, err)
+	}
+	g.enc[s] = &encSeg{data: padded, n: int32(len(padded))}
+	g.encBytes.Add(1)
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "not canonical") {
+		t.Fatalf("Validate of a padded block: %v", err)
 	}
 }

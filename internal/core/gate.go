@@ -623,10 +623,10 @@ func mergeRun(ks, vs []int64, run []op, fresh int) ([]int64, []int64) {
 // mergeBySegment is the cheapest batch-insert path: the key-sorted,
 // deduplicated run (all within this gate's fences) is partitioned into
 // per-segment groups, and when every target segment can absorb its group's
-// genuinely new keys within capacity, each segment is rewritten with one
-// backward merge pass — no window search, no rebalance. Returns the number
-// of newly created elements and whether the run fit; on false nothing was
-// modified.
+// genuinely new keys within capacity, each segment takes its group in one
+// merge pass — no window search, no rebalance. Every group is staged before
+// any is committed (stageMerge, commitMerge). Returns the number of newly
+// created elements and whether the run fit; on false nothing was modified.
 func (g *gate) mergeBySegment(ins []op) (int, bool) {
 	sc := g.cc.get()
 	defer g.cc.put(sc)
@@ -634,30 +634,31 @@ func (g *gate) mergeBySegment(ins []op) (int, bool) {
 		s, lo, hi int // ins[lo:hi] targets segment s
 		fresh     int // keys in the group not already stored
 	}
-	groups := make([]group, 0, g.spg)
-	for lo := 0; lo < len(ins); {
+	var groups [maxSegmentsPerGate]group // findSeg ascends with the keys: one group per segment at most
+	n := 0
+	for lo := 0; lo < len(ins); n++ {
 		s := g.findSeg(ins[lo].key)
 		hi := lo + 1
 		for hi < len(ins) && g.findSeg(ins[hi].key) == s {
 			hi++
 		}
-		ks, _ := g.view(s, sc)
-		fresh := countFresh(ks, ins[lo:hi])
-		if len(ks)+fresh > g.b {
+		fresh, ok := g.stageMerge(n, s, ins[lo:hi], sc)
+		if !ok {
 			return 0, false
 		}
-		groups = append(groups, group{s, lo, hi, fresh})
+		groups[n] = group{s, lo, hi, fresh}
 		lo = hi
 	}
 	delta := 0
-	for _, gr := range groups {
-		ks, vs := g.view(gr.s, sc)
-		ks, vs = mergeRun(ks, vs, ins[gr.lo:gr.hi], gr.fresh)
-		g.setSeg(gr.s, ks, vs, sc)
+	for i, gr := range groups[:n] {
+		empty := g.segCard[gr.s] == 0
+		g.commitMerge(i, gr.s, ins[gr.lo:gr.hi], gr.fresh, sc)
 		g.gcard += gr.fresh
 		delta += gr.fresh
-		if g.smin[gr.s] != ks[0] {
-			g.setSegMin(gr.s, ks[0])
+		// The run is sorted, so only its first key can have become the
+		// segment's minimum; an empty segment's was inherited.
+		if k := ins[gr.lo].key; empty || k < g.smin[gr.s] {
+			g.setSegMin(gr.s, k)
 		}
 	}
 	return delta, true

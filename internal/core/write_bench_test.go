@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -45,6 +47,72 @@ func BenchmarkLoneWriter(b *testing.B) {
 						p.Delete(fresh[i])
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkPutBatchClustered prices the batch path as the benchmark module's
+// ingest drives it, per layout: a store preloaded with n jittered even keys
+// takes batches of 1024 odd keys in clusters of 32, each cluster's position
+// drawn from a Zipf(1.1) over 65536 key ranges so hot segments fill up and
+// are hit again and again. Only the PutBatch is timed; once the batches have
+// added n/4 keys the store is loaded afresh, so it stays between n and 1.25n
+// pairs however long the run. ns/key is the figure to compare.
+func BenchmarkPutBatchClustered(b *testing.B) {
+	const batch, cluster, buckets = 1024, 32, 65536
+	for _, n := range []int{1 << 16, 1 << 22} {
+		keys, vals := make([]int64, n), make([]int64, n)
+		rng := rand.New(rand.NewSource(1))
+		for i := range keys {
+			keys[i], vals[i] = 16*int64(i)+2*rng.Int63n(8), int64(rng.Uint64())
+		}
+		span := 16 * int64(n)
+		width := max(span/buckets, 1024) // key units a cluster's keys are drawn from
+		for _, compressed := range []bool{false, true} {
+			layout := "slots"
+			if compressed {
+				layout = "blocks"
+			}
+			b.Run(fmt.Sprintf("%s/pairs=%d", layout, n), func(b *testing.B) {
+				cfg := DefaultConfig()
+				cfg.CompressedChunks = compressed
+				var p *PMA
+				load := func() {
+					if p != nil {
+						p.Close()
+					}
+					var err error
+					if p, err = BulkLoad(cfg, keys, vals); err != nil {
+						b.Fatal(err)
+					}
+				}
+				load()
+				defer func() { p.Close() }()
+				zipf := rand.NewZipf(rand.New(rand.NewSource(2)), 1.1, 1, buckets-1)
+				ks, vs := make([]int64, 0, batch), make([]int64, batch)
+				for i := range vs {
+					vs[i] = int64(rng.Uint64())
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if i > 0 && i%(n/4/batch) == 0 {
+						load()
+					}
+					ks = ks[:0]
+					for len(ks) < batch {
+						base := int64(zipf.Uint64()*40503%buckets) * (span / buckets)
+						for j := 0; j < cluster; j++ {
+							ks = append(ks, (base+rng.Int63n(width))%span|1)
+						}
+					}
+					slices.Sort(ks)
+					b.StartTimer()
+					p.PutBatch(ks, vs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 			})
 		}
 	}

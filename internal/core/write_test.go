@@ -77,3 +77,52 @@ func TestCompactOps(t *testing.T) {
 		})
 	}
 }
+
+// TestPutBatchAllocs bounds the allocations of a 1024-key PutBatch that
+// merges into 32 gates segment by segment, in both layouts: the op array
+// PutBatch builds, and nothing per gate.
+func TestPutBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own, and drops pooled scratch")
+	}
+	const n, clusters = 1 << 15, 32
+	keys, vals := make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i], vals[i] = int64(i)*16, int64(i)<<40
+	}
+	batch, bv := make([]int64, 0, 1024), make([]int64, 0, 1024)
+	for c := 0; c < clusters; c++ {
+		base := int64(c) * n / clusters * 16
+		for j := int64(0); j < 1024/clusters; j++ {
+			batch, bv = append(batch, base+2*j+1), append(bv, -j)
+		}
+	}
+	for _, compressed := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.CompressedChunks = compressed
+		p, err := BulkLoad(cfg, keys, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gates := map[*gate]bool{}
+		for c := 0; c < clusters; c++ {
+			g, _ := gateOf(t, p, batch[c*1024/clusters])
+			gates[g] = true
+		}
+		if len(gates) != clusters {
+			t.Fatalf("the batch reaches %d gates, want %d", len(gates), clusters)
+		}
+		allocs := testing.AllocsPerRun(20, func() { p.PutBatch(batch, bv) })
+		if st := p.Stats().Rebalance; st.Local+st.Global != 0 {
+			t.Fatalf("compressed=%v: the batch rebalanced (%+v), not merged by segment", compressed, st)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		t.Logf("compressed=%v: %v allocations", compressed, allocs)
+		if allocs > 2 {
+			t.Errorf("compressed=%v: a 1024-key PutBatch over %d gates allocates %v times, want at most 2", compressed, clusters, allocs)
+		}
+	}
+}

@@ -44,11 +44,13 @@ type CoreMetrics struct {
 	ResizeNanos      Histogram
 
 	// Compressed chunks (core/cgate.go). SegDecodes counts whole-segment
-	// decodes that succeeded (scans, batch merges, rebalance gathers, an
-	// insert into a full segment); a point Get, Put or Delete seeks the
-	// encoded bytes and is not one. ReencodeBytes accumulates the bytes
-	// stored into segment payloads, the compressed write amplification:
-	// a re-encode's whole payload, and for an in-place splice the varints
+	// decodes that succeeded (scans, batches that move pairs between
+	// segments, rebalance gathers, an insert into a full segment); a point
+	// Get, Put or Delete seeks the encoded bytes and a batch merged into
+	// each segment's block merges them encoded, so neither is one.
+	// ReencodeBytes accumulates the bytes stored into segment payloads, the
+	// compressed write amplification: a re-encoded or merged block's whole
+	// payload, and for an in-place splice the varints
 	// it writes plus every byte it moves to make or close room (and the
 	// copy, when the block had to move to a larger array). Both stay zero
 	// for an uncompressed store. The gauges of the snapshot's compression

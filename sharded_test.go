@@ -340,8 +340,8 @@ func TestShardedBatchAllocs(t *testing.T) {
 	for i := range keys {
 		keys[i], vals[i] = int64(i)*2654435761, int64(i)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { s.PutBatch(keys, vals) }); allocs > 32 {
-		t.Errorf("a 1024-key PutBatch over 4 shards allocates %v times, want at most 32", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { s.PutBatch(keys, vals) }); allocs > 24 {
+		t.Errorf("a 1024-key PutBatch over 4 shards allocates %v times, want at most 24", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { s.DeleteBatch(keys) }); allocs > 32 {
 		t.Errorf("a 1024-key DeleteBatch over 4 shards allocates %v times, want at most 32", allocs)
