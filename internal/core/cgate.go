@@ -29,13 +29,13 @@ import (
 //   - view / viewChecked: segment s as sorted ks, vs under the latch. Slots
 //     alias the storage (capacity b, so a caller may grow the pair run in
 //     place); blocks decode into the caller's pooled scratch.
-//   - find / findRacy: one key of segment s, under the latch and for the
-//     seqlock Get. Slots search the alias by interpolation (seekSeg); blocks
+//   - find: one key of segment s, the lookup of every Get, optimistic or
+//     latched. Slots search the alias by interpolation (seekSeg); blocks
 //     seek the encoded bytes (codec.Seek) and decode nothing but the
 //     target's value.
-//   - appendRacy: segment s copied out for the seqlock Scan, clamped so
-//     garbage never faults, straight into the caller's buffer (one memmove
-//     for slots, decode-into-destination for blocks).
+//   - appendSeg: segment s copied out for Scan, optimistic or latched,
+//     straight into the caller's buffer (one memmove for slots,
+//     decode-into-destination for blocks).
 //   - setSeg: make segment s hold exactly these pairs. A no-op beyond the
 //     cardinality when the slices are the slot alias; an encode for blocks,
 //     stored by storePayload: in place when the array has room, else in a
@@ -60,18 +60,26 @@ import (
 // leaves a block canonical, byte for byte AppendBlock of its pairs, and
 // Validate checks that it is (checkStorage).
 //
-// Concurrency contract. Latched callers (exclusive or shared) see well-formed
-// payloads by invariant, and view, find, the splices and the merge panic on
-// one that does not parse. The optimistic readers run concurrently with
-// in-place slot writes, block stores and splices — a block mid-splice is
-// part old bytes, part moved ones, under a count and length that may belong
-// to either — so every word they load may be garbage: the racy primitives
-// copy slice headers once, verify lengths against the fixed geometry, clamp
-// cardinalities and payload lengths, lean on the hardened decoder and seek
-// (every loop bounded by the payload and b; a result or an error, never a
-// fault) and leave it to the caller's version check to discard the result.
-// -race builds never reach them — read.go compiles the optimistic paths out
-// entirely.
+// Concurrency contract. Writers hold the latch exclusively and see
+// well-formed payloads by invariant: view, the splices and the merge panic on
+// one that does not parse. find and appendSeg serve readers, and a reader
+// holds the shared latch or nothing at all: a seqlock reader runs
+// concurrently with in-place slot writes, block stores and splices — a block
+// mid-splice is part old bytes, part moved ones, under a count and length
+// that may belong to either — so every word it loads may be garbage. The
+// two therefore copy slice headers once, verify lengths against the fixed
+// geometry, clamp cardinalities and payload lengths, lean on the hardened
+// decoder and seek (every loop bounded by the payload and b; a result or an
+// error, never a fault), and report a block that does not parse as good ==
+// false rather than panicking. The reader judges that flag with the rest of
+// its read: on a read that proved consistent — validated, or latched — it
+// is corruption, and the reader panics with corruptSegment; on one that did
+// not it is a torn block, and the attempt is retried.
+
+// corruptSegment is the panic of every path that meets a block that does
+// not parse where it must: corrupted memory, and failing loudly beats
+// serving wrong answers.
+const corruptSegment = "core: corrupt compressed segment"
 
 // encSeg is one segment's encoded payload. data is allocated with len ==
 // cap and never resliced, so its slice header is immutable for the
@@ -80,7 +88,7 @@ import (
 // the same single-word publication discipline as the rewire buffer swap, and
 // the array it replaces is never written again, so a reader still holding
 // the old pointer decodes the old block — while rewrites and splices that fit
-// mutate data/n in place under the latch, which racy readers tolerate per
+// mutate data/n in place under the latch, which seqlock readers tolerate per
 // the contract above.
 type encSeg struct {
 	data []byte
@@ -104,7 +112,7 @@ type cScratch struct {
 // cctx is the store-wide context of a block store: the scratch pool and the
 // metrics sink, reachable from gate methods that have no *PMA. It is nil for
 // slot stores, which is what the primitives below branch on — the field is
-// fixed at gate creation, so the racy readers may test it too.
+// fixed at gate creation, so the seqlock readers may test it too.
 type cctx struct {
 	pool    sync.Pool
 	metrics *obs.CoreMetrics
@@ -184,7 +192,7 @@ func (p *PMA) compressionStats(s *Stats) {
 	s.Compression.Pairs = uint64(st.card.Load())
 }
 
-// --- latched reads ---
+// --- writers' reads ---
 
 // view returns segment s's pairs in key order. The caller holds the latch
 // (either mode) and passes the scratch of its operation; the result is valid
@@ -201,28 +209,12 @@ func (g *gate) view(s int, sc *cScratch) (ks, vs []int64) {
 	}
 	ks, vs, err := g.decodeSeg(s, sc)
 	if err != nil {
-		panic("core: corrupt compressed segment: " + err.Error())
+		panic(corruptSegment + ": " + err.Error())
 	}
 	if m := g.cc.metrics; m != nil && len(ks) > 0 {
 		m.SegDecodes.Inc()
 	}
 	return ks, vs
-}
-
-// find looks k up in segment s under the latch (either mode).
-func (g *gate) find(s int, k int64) (int64, bool) {
-	if g.segCard[s] == 0 {
-		return 0, false
-	}
-	if g.cc == nil {
-		ks, vs := g.view(s, nil)
-		return pairAt(ks, vs, g.seek(s, ks, k), k)
-	}
-	c, err := codec.Seek(g.payload(s), k, g.b)
-	if err != nil {
-		panic("core: corrupt compressed segment: " + err.Error())
-	}
-	return c.Val, c.Found
 }
 
 // pairAt reports the value of k, given i, k's search result in the pairs.
@@ -264,16 +256,6 @@ func (g *gate) decodeSeg(s int, sc *cScratch) (ks, vs []int64, err error) {
 	return ks, vs, nil
 }
 
-// payload is block s's live bytes under the latch, nil when the segment is
-// empty.
-func (g *gate) payload(s int) []byte {
-	if g.segCard[s] == 0 {
-		return nil
-	}
-	e := g.enc[s]
-	return e.data[:e.n]
-}
-
 // checkStorage verifies the layout's own bookkeeping for Validate: empty
 // blocks hold no bytes, every other block is canonical — byte for byte
 // AppendBlock of its pairs, which ScanBlocks hands to snapshots verbatim and
@@ -310,31 +292,50 @@ func (g *gate) checkStorage() error {
 	return nil
 }
 
-// --- optimistic reads ---
+// --- reads ---
 
-// findRacy is find for the seqlock Get: the clamped slot alias searched, or
-// the block sought as it stands. s must be in [0, spg).
-func (g *gate) findRacy(s int, k int64) (int64, bool) {
+// find looks k up in segment s, which must be in [0, spg): the clamped slot
+// alias searched, or the block sought as it stands. good is false when the
+// block does not parse; an empty segment is a clean miss.
+func (g *gate) find(s int, k int64) (v int64, found, good bool) {
 	if g.cc == nil {
-		ks, vs := g.slotsRacy(s)
-		return pairAt(ks, vs, g.seek(s, ks, k), k)
+		ks, vs := g.slots(s)
+		v, found = pairAt(ks, vs, g.seek(s, ks, k), k)
+		return v, found, true
 	}
-	c, err := codec.Seek(g.payloadRacy(s), k, g.b)
-	return c.Val, err == nil && c.Found
+	p := g.payload(s)
+	if p == nil {
+		return 0, false, true
+	}
+	c, err := codec.Seek(p, k, g.b)
+	return c.Val, err == nil && c.Found, err == nil
 }
 
-// appendRacy appends segment s's pairs to dk/dv for a seqlock reader that
-// copies a chunk out (Scan). It appends at most b pairs and keeps the two
-// slices the same length, so a chunk-sized buffer is never grown.
-func (g *gate) appendRacy(s int, dk, dv []int64) ([]int64, []int64) {
+// appendSeg appends segment s's pairs to dk/dv. It appends at most b pairs
+// and keeps the two slices the same length, so a chunk-sized buffer is never
+// grown; a block that does not parse appends nothing and reports false.
+func (g *gate) appendSeg(s int, dk, dv []int64) ([]int64, []int64, bool) {
 	if g.cc == nil {
-		ks, vs := g.slotsRacy(s)
-		return append(dk, ks...), append(dv, vs...)
+		ks, vs := g.slots(s)
+		return append(dk, ks...), append(dv, vs...), true
 	}
-	return g.decodeRacy(s, dk, dv)
+	p := g.payload(s)
+	if p == nil {
+		return dk, dv, true
+	}
+	ks, vs, err := codec.DecodeBlock(p, dk, dv, g.b)
+	if err != nil {
+		return dk, dv, false
+	}
+	if m := g.cc.metrics; m != nil {
+		m.SegDecodes.Inc()
+	}
+	return ks, vs, true
 }
 
-func (g *gate) slotsRacy(s int) (ks, vs []int64) {
+// slots is slot segment s as a reader may take it: headers copied once and
+// checked against the geometry, the cardinality clamped.
+func (g *gate) slots(s int) (ks, vs []int64) {
 	buf := g.buf
 	if buf == nil || len(buf.Keys) < g.spg*g.b || len(buf.Vals) < g.spg*g.b {
 		return nil, nil // torn headers; the version check will reject
@@ -344,10 +345,10 @@ func (g *gate) slotsRacy(s int) (ks, vs []int64) {
 	return buf.Keys[lo:hi], buf.Vals[lo:hi]
 }
 
-// payloadRacy is block s's encoded bytes as a seqlock reader may take them:
-// headers copied once, the length clamped to the array, nil when anything is
-// missing.
-func (g *gate) payloadRacy(s int) []byte {
+// payload is block s's encoded bytes, nil when the segment is empty. A
+// seqlock reader may call it too: headers are copied once, the length is
+// clamped to the array, and anything missing reads as empty.
+func (g *gate) payload(s int) []byte {
 	enc := g.enc
 	if len(enc) < g.spg {
 		return nil
@@ -364,23 +365,6 @@ func (g *gate) payloadRacy(s int) []byte {
 		n = len(e.data)
 	}
 	return e.data[:n]
-}
-
-// decodeRacy appends block s to dk/dv, or nothing when the payload does not
-// decode: a torn block only ever accompanies a failed version check.
-func (g *gate) decodeRacy(s int, dk, dv []int64) ([]int64, []int64) {
-	p := g.payloadRacy(s)
-	if p == nil {
-		return dk, dv
-	}
-	ks, vs, err := codec.DecodeBlock(p, dk, dv, g.b)
-	if err != nil {
-		return ks[:len(dk)], vs[:len(dv)]
-	}
-	if m := g.cc.metrics; m != nil {
-		m.SegDecodes.Inc()
-	}
-	return ks, vs
 }
 
 // --- writes ---
@@ -460,7 +444,7 @@ func (g *gate) stageMerge(i, s int, run []op, sc *cScratch) (int, bool) {
 		return 0, false
 	}
 	if err != nil {
-		panic("core: corrupt compressed segment: " + err.Error())
+		panic(corruptSegment + ": " + err.Error())
 	}
 	sc.mb, sc.staged[i] = mb, mb[at:]
 	return fresh, true
@@ -505,7 +489,7 @@ func (g *gate) spliceUpsert(s int, k, v int64) codec.Splice {
 		g.segCard[s]++
 	case codec.Replaced:
 	default:
-		panic("core: corrupt compressed segment")
+		panic(corruptSegment)
 	}
 	g.spliced(s, e, old, r)
 	return r
@@ -524,7 +508,7 @@ func (g *gate) spliceRemove(s int, k int64) codec.Splice {
 	case codec.Removed:
 		g.segCard[s]--
 	default:
-		panic("core: corrupt compressed segment")
+		panic(corruptSegment)
 	}
 	g.spliced(s, e, int(e.n), r)
 	return r

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -654,4 +655,61 @@ func TestValidateRejectsPaddedBlock(t *testing.T) {
 	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "not canonical") {
 		t.Fatalf("Validate of a padded block: %v", err)
 	}
+}
+
+// TestCorruptBlockPanics: a block that does not parse fails every read
+// loudly, whichever way the read was made consistent — a Get of a key in it
+// and a Scan across it both panic, instead of a validated optimistic read
+// reporting a miss or skipping the block.
+func TestCorruptBlockPanics(t *testing.T) {
+	for _, latched := range []bool{false, true} {
+		name := "optimistic"
+		if latched {
+			name = "latched"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfigC(ModeSync)
+			cfg.DisableOptimisticReads = latched
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			keys, vals := make([]int64, 1000), make([]int64, 1000)
+			for i := range keys {
+				keys[i], vals[i] = int64(i), int64(i)
+			}
+			p.PutBatch(keys, vals)
+			const k = 500
+			g, s := gateOf(t, p, k)
+			e := g.enc[s]
+			if g.segCard[s] == 0 || e.n == 0 {
+				t.Fatalf("segment %d holding %d is empty", s, k)
+			}
+			for i := range e.data[:e.n] {
+				e.data[i] = 0x80 // a varint that never ends
+			}
+			k0 := g.smin[s]
+			reads := map[string]func(){
+				"Get":  func() { p.Get(k0) },
+				"Scan": func() { p.Scan(0, 999, func(_, _ int64) bool { return true }) },
+			}
+			for op, read := range reads {
+				if got := panicOf(read); !strings.Contains(got, corruptSegment) {
+					t.Errorf("%s across the corrupt block: panic %q, want %q", op, got, corruptSegment)
+				}
+			}
+		})
+	}
+}
+
+// panicOf runs f and returns what it panicked with, "" if it returned.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }

@@ -8,11 +8,12 @@
 // written once, in enter (enter.go): look the key up, latch the gate the
 // index names, check under the latch that a resize has not retired it and
 // that its fences cover the key, step to the neighbour or reload the state
-// otherwise. Every operation that latches a gate arrives through it. Readers
-// normally bypass the latch entirely: each gate carries a seqlock version
-// counter (gate.go) that is odd while an exclusive holder may be mutating the
-// chunk, and Get/Scan validate an unsynchronised chunk read against it,
-// falling back to the shared latch only on sustained contention (read.go).
+// otherwise. Every writer that latches a gate arrives through it. Readers
+// make one read per gate and judge it themselves: each gate carries a
+// seqlock version counter (gate.go) that is odd while an exclusive holder
+// may be mutating the chunk, and Get/Scan validate an unsynchronised chunk
+// read against it, making the same read under the shared latch only on
+// sustained contention (read.go).
 //
 // Rebalances that span multiple gates are executed by a centralised
 // rebalancer service (one master goroutine, a pool of workers) to which
@@ -96,23 +97,16 @@ type Config struct {
 	// Workers is the size of the rebalancer's worker pool (the paper
 	// uses 8, matching its cores). Defaults to GOMAXPROCS capped at 8.
 	Workers int
-	// Calibrator-tree density thresholds of the root (RhoRoot <= TauRoot)
-	// and the leaf upper bound TauLeaf; state.thresholds interpolates the
-	// levels between (Section 2). The leaf lower threshold is fixed at 0
-	// with downsizing below 50% occupancy, matching the paper's
-	// evaluation configuration.
-	RhoRoot, TauRoot, TauLeaf float64
 	// Adaptive forces adaptive rebalancing for local rebalances. It is
 	// implied by ModeOneByOne.
 	Adaptive bool
-	// PredictorSize bounds the per-gate adaptive predictor.
-	PredictorSize int
-	// DisableOptimisticReads forces Get and Scan onto the blocking
-	// shared-latch path instead of the seqlock fast path (read.go). The
-	// zero value — optimistic reads on — is the intended configuration;
-	// the switch exists for the before/after comparison in the bench
-	// harness (pmabench -experiment reads) and for diagnosing suspected
-	// fast-path issues.
+	// DisableOptimisticReads sets the seqlock attempt budget of every Get
+	// and Scan read to 0, so each one makes its single read under the
+	// shared latch (read.go): the same lookup, made consistent by the latch
+	// instead of the version. The zero value — optimistic reads on — is the
+	// intended configuration; the switch exists for the before/after
+	// comparison in the bench harness (pmabench -experiment reads) and the
+	// stress suite's latched runs.
 	DisableOptimisticReads bool
 	// DisableMetrics turns off the obs counters and histograms. The zero
 	// value — metrics on — is the intended configuration: enabled metrics
@@ -140,10 +134,6 @@ func DefaultConfig() Config {
 		SegmentsPerGate: 8,
 		Mode:            ModeBatch,
 		TDelay:          100 * time.Millisecond,
-		RhoRoot:         0.75,
-		TauRoot:         0.75,
-		TauLeaf:         1.0,
-		PredictorSize:   64,
 	}
 }
 
@@ -154,9 +144,6 @@ func (c Config) Validate() error {
 	}
 	if c.SegmentsPerGate < 1 || c.SegmentsPerGate > maxSegmentsPerGate || c.SegmentsPerGate&(c.SegmentsPerGate-1) != 0 {
 		return fmt.Errorf("core: segments per gate %d must be a power of two in [1, %d]", c.SegmentsPerGate, maxSegmentsPerGate)
-	}
-	if !(0 < c.RhoRoot && c.RhoRoot <= c.TauRoot && c.TauRoot < c.TauLeaf && c.TauLeaf <= 1) {
-		return fmt.Errorf("core: thresholds must satisfy 0 < rho_h <= tau_h < tau1 <= 1")
 	}
 	if c.Mode < ModeSync || c.Mode > ModeBatch {
 		return fmt.Errorf("core: unknown mode %d", int(c.Mode))
@@ -191,6 +178,18 @@ func (p *PMA) SetHook(h UpdateHook) { p.hook = h }
 // core section (read path, combining queues, rebalancer).
 type Stats = obs.CoreSnapshot
 
+// Calibrator-tree density thresholds (Section 2) at the paper's evaluation
+// values: the root's lower and upper bounds rhoRoot <= tauRoot and the leaf
+// upper bound tauLeaf, with state.thresholds interpolating the levels
+// between. The leaf lower threshold is fixed at 0, with downsizing below 50%
+// occupancy. predictorSize bounds the per-gate adaptive predictor.
+const (
+	rhoRoot       = 0.75
+	tauRoot       = 0.75
+	tauLeaf       = 1.0
+	predictorSize = 64
+)
+
 // state is one immutable-geometry generation of the sparse array. A resize
 // builds a fresh state and publishes it through PMA.state.
 type state struct {
@@ -220,13 +219,12 @@ func (st *state) slots() int { return st.numSegs * st.b }
 // thresholds interpolates the calibrator-tree density thresholds for level k
 // of a tree of height h (Section 2), with the evaluation's relaxed rho1 = 0.
 func (st *state) thresholds(k, h int) (rho, tau float64) {
-	c := st.p.cfg
 	if h <= 1 {
-		return c.RhoRoot, c.TauRoot
+		return rhoRoot, tauRoot
 	}
 	f := float64(h-k) / float64(h-1)
-	tau = c.TauRoot + (c.TauLeaf-c.TauRoot)*f
-	rho = c.RhoRoot * (1 - f) // rho1 = 0
+	tau = tauRoot + (tauLeaf-tauRoot)*f
+	rho = rhoRoot * (1 - f) // rho1 = 0
 	return rho, tau
 }
 
@@ -236,6 +234,10 @@ type PMA struct {
 	cfg      Config
 	adaptive bool
 	hook     UpdateHook
+	// attempts is the seqlock budget of a read before it takes the shared
+	// latch (read.go): optimisticAttempts, or 0 — every read latched — in
+	// race builds and under Config.DisableOptimisticReads.
+	attempts int
 
 	state atomic.Pointer[state]
 
@@ -293,17 +295,18 @@ func newShell(cfg Config) (*PMA, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = defaultWorkers()
 	}
-	if cfg.PredictorSize <= 0 {
-		cfg.PredictorSize = 64
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p := &PMA{
 		cfg:      cfg,
 		adaptive: cfg.Adaptive || cfg.Mode == ModeOneByOne,
+		attempts: optimisticAttempts,
 		pool:     rewire.NewPool(cfg.SegmentsPerGate*cfg.SegmentCapacity, 4*cfg.Workers+16),
 		events:   cfg.Events,
+	}
+	if cfg.DisableOptimisticReads || raceEnabled {
+		p.attempts = 0
 	}
 	if !cfg.DisableMetrics {
 		p.metrics = &obs.CoreMetrics{}
@@ -343,7 +346,7 @@ func (p *PMA) newState(numGates int) *state {
 	for i := range st.gates {
 		var pred *rma.Predictor
 		if p.adaptive {
-			pred = rma.NewPredictor(p.cfg.PredictorSize)
+			pred = rma.NewPredictor(predictorSize)
 		}
 		st.gates[i] = newGate(i, st.spg, st.b, pred)
 		p.attachStorage(st.gates[i])
@@ -406,9 +409,6 @@ func (p *PMA) Stats() Stats {
 	p.compressionStats(&s)
 	return s
 }
-
-// Mode returns the configured update-processing mode.
-func (p *PMA) Mode() Mode { return p.cfg.Mode }
 
 func defaultWorkers() int {
 	n := runtime.GOMAXPROCS(0)

@@ -514,16 +514,13 @@ func TestSentinelRejected(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{SegmentCapacity: 3, SegmentsPerGate: 8, RhoRoot: 0.75, TauRoot: 0.75, TauLeaf: 1},
-		{SegmentCapacity: 8, SegmentsPerGate: 3, RhoRoot: 0.75, TauRoot: 0.75, TauLeaf: 1},
-		{SegmentCapacity: 8, SegmentsPerGate: 16, RhoRoot: 0.75, TauRoot: 0.75, TauLeaf: 1},
-		{SegmentCapacity: 8, SegmentsPerGate: 8, RhoRoot: 0, TauRoot: 0.75, TauLeaf: 1},
-		{SegmentCapacity: 8, SegmentsPerGate: 8, RhoRoot: 0.8, TauRoot: 0.75, TauLeaf: 1},
-		{SegmentCapacity: 8, SegmentsPerGate: 8, RhoRoot: 0.75, TauRoot: 0.75, TauLeaf: 1, TDelay: -1},
+		{SegmentCapacity: 3, SegmentsPerGate: 8},
+		{SegmentCapacity: 8, SegmentsPerGate: 3},
+		{SegmentCapacity: 8, SegmentsPerGate: 16},
+		{SegmentCapacity: 8, SegmentsPerGate: 8, TDelay: -1},
 	}
 	for i, cfg := range bad {
 		cfg.Workers = 1
-		cfg.PredictorSize = 8
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}

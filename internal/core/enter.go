@@ -4,7 +4,7 @@ package core
 type latchMode int
 
 const (
-	latchShared    latchMode = iota // readers: the Get and Scan fallbacks, ScanBlocks
+	latchShared    latchMode = iota // ScanBlocks (Get and Scan latch the gate they read themselves)
 	latchExclusive                  // synchronous updates and batch runs
 	latchCombine                    // a Section 3.5 writer: exclusive, or its op joins an open queue
 )
@@ -13,8 +13,8 @@ const (
 // names a gate for key. The separators are read while rebalances rewrite
 // them, so the answer may be a neighbour of the owner (never out of range:
 // sindex.Lookup guarantees a valid gate number); whoever acts on it verifies
-// the fences — enter under the latch, the optimistic readers inside their
-// version window, the master latch-free (only it moves fences).
+// the fences — enter under the latch, Get and Scan in their one read of
+// the gate (read.go), the master latch-free (only it moves fences).
 func (st *state) route(key int64) int { return st.index.Lookup(key) }
 
 // enter is the one way into a gate, the protocol of Section 3.2: look the key

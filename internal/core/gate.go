@@ -59,15 +59,15 @@ type gate struct {
 	// are atomic loads, so under the Go memory model the odd bump
 	// happens-before the holder's plain writes become observable through a
 	// later even load, and a reader that loads the same even value before
-	// and after its plain reads (Get/Scan fast path, read.go) observed no
-	// concurrent mutation. The reads between the two loads are still racy
-	// by the letter of the model — they may observe torn or stale words —
-	// which is why the fast path clamps all derived indices (getRacy,
-	// collectRacy) and discards everything unless the version validates.
-	// Because those benign-by-construction races cannot be exempted from
-	// the race detector, -race builds compile the fast path out and read
-	// under the shared latch (race_on.go); the stress suite model-checks
-	// the seqlock protocol in normal builds instead.
+	// and after its plain reads (readBegin, readEnd) observed no concurrent
+	// mutation. The reads between the two loads are still racy by the
+	// letter of the model — they may observe torn or stale words — which is
+	// why the one lookup and the one copy (get, collect) clamp all derived
+	// indices and a result counts only once the version validates. The
+	// same lookup and copy run under the shared latch when the seqlock keeps
+	// failing, and always in -race builds: the detector cannot exempt the
+	// benign races (race_on.go), so it checks the primitives under the latch
+	// while the stress suite model-checks the seqlock in normal builds.
 	version atomic.Uint64
 
 	// --- latch-protected fields ---
@@ -77,7 +77,7 @@ type gate struct {
 	// Chunk storage, owned by the seam in cgate.go: a slot store sets buf,
 	// a block store sets enc (length spg, nil element = never-encoded empty
 	// segment) and cc. buf and enc are swapped whole under the latch, so the
-	// racy readers' torn-header discipline covers them.
+	// seqlock readers' torn-header discipline covers them.
 	buf *rewire.Buffer
 	cc  *cctx
 
@@ -237,7 +237,7 @@ func (g *gate) rebLock() {
 // --- chunk storage operations (caller holds the latch) ---
 
 // findSeg locates the segment within the chunk whose range covers k:
-// the rightmost segment whose cached minimum is <= k. The optimistic readers
+// the rightmost segment whose cached minimum is <= k. The seqlock readers
 // call it too: spg is fixed, so the result is in [0, spg) whatever minima
 // they load.
 func (g *gate) findSeg(k int64) int {
@@ -253,9 +253,8 @@ func (g *gate) findSeg(k int64) int {
 	return s
 }
 
-// clampCard bounds a racily-read segment cardinality to [0, b] so the
-// optimistic readers can never index out of a chunk buffer, whatever torn
-// value they loaded.
+// clampCard bounds a segment cardinality to [0, b] so a seqlock reader can
+// never index out of a chunk buffer, whatever torn value it loaded.
 func clampCard(c, b int) int {
 	if c < 0 {
 		return 0
@@ -266,20 +265,39 @@ func clampCard(c, b int) int {
 	return c
 }
 
-// get looks k up within the chunk.
-func (g *gate) get(k int64) (int64, bool) {
+// get looks k up within the chunk; good is false when the segment did not
+// parse (find). It is the one lookup of the package: the seqlock Get calls
+// it unsynchronised, possibly concurrent with an exclusive holder mutating
+// the chunk, and discards the result unless the gate's version was stable
+// across the call; the latched Get and a queued Delete call it under the
+// latch. The minima are inline and the geometry fixed, so findSeg stays in
+// bounds on any minima it loads, and find verifies the slice headers it
+// follows.
+func (g *gate) get(k int64) (v int64, found, good bool) {
 	return g.find(g.findSeg(k), k)
 }
 
-// getRacy is get for the optimistic read path: it runs without any
-// synchronisation, possibly concurrent with an exclusive holder mutating the
-// chunk, so every load may be torn or stale. The caller (read.go) discards
-// the result unless the gate's version was stable across the call; the job
-// here is merely to never fault on garbage. The minima are inline and the
-// geometry fixed, so findSeg stays in bounds on any minima it loads, and
-// findRacy verifies the slice headers it follows.
-func (g *gate) getRacy(k int64) (v int64, ok bool) {
-	return g.findRacy(g.findSeg(k), k)
+// readBegin opens one consistent read of the gate: under the shared latch
+// when latched, else by sampling the version, which must be even — ok is
+// false while an exclusive holder is active, and the attempt has failed.
+func (g *gate) readBegin(latched bool) (ver uint64, ok bool) {
+	if latched {
+		g.lockShared()
+		return 0, true
+	}
+	ver = g.version.Load()
+	return ver, ver&1 == 0
+}
+
+// readEnd closes the read readBegin opened and reports whether what was
+// read in between is one consistent snapshot: always under the latch, which
+// it drops; optimistically iff the version did not move.
+func (g *gate) readEnd(latched bool, ver uint64) bool {
+	if latched {
+		g.unlockShared()
+		return true
+	}
+	return g.version.Load() == ver
 }
 
 // putResult describes the outcome of an in-gate insert attempt.
@@ -503,7 +521,7 @@ func (g *gate) spreadLocal(ws, we int, ks, vs []int64, sc *cScratch) {
 // seek returns the first index of ks, segment s's keys, whose key is >= k.
 // The segment's own minimum and the next segment's (or the upper fence,
 // whichever is lower) bound its keys, and seekSeg interpolates between them.
-// The optimistic readers call it too: every bound it loads is only a hint.
+// The seqlock readers call it too: every bound it loads is only a hint.
 func (g *gate) seek(s int, ks []int64, k int64) int {
 	hi := g.fenceHi
 	if s+1 < g.spg && g.smin[s+1] < hi {
@@ -729,45 +747,24 @@ func (g *gate) mergeLocal(st *state, ins []op) (int, bool) {
 	return delta, true
 }
 
-// scanFrom visits the chunk's elements with key in [from, hi], in order,
-// returning false if fn stopped the scan.
-func (g *gate) scanFrom(from, hi int64, fn func(k, v int64) bool) bool {
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	for s := g.findSeg(from); s < g.spg; s++ {
-		ks, vs := g.view(s, sc)
-		i := 0
-		if len(ks) > 0 && ks[0] < from {
-			// Only the covering segment can hold keys below from: minima
-			// are non-decreasing, so every later segment starts above it.
-			i = searchKeys(ks, from)
-		}
-		for ; i < len(ks); i++ {
-			if ks[i] > hi {
-				return true
-			}
-			if !fn(ks[i], vs[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// collectRacy is scanFrom for the optimistic read path: it appends the
-// chunk's pairs with key in [from, hi] to ks/vs (equally long on entry)
-// without synchronisation, under the same torn-read discipline as getRacy —
-// at most spg*b appends, result meaningless unless the caller validates the
-// gate version afterwards. Each segment lands in the destination whole and
-// is trimmed by binary search: only the covering segment can hold keys
-// below from, and a key above hi ends the collection. Garbage keys can only
-// truncate the copy early or admit out-of-range elements; both are
-// discarded with the failed validation.
-func (g *gate) collectRacy(from, hi int64, ks, vs []int64) ([]int64, []int64) {
+// collect appends the chunk's pairs with key in [from, hi] to ks/vs (equally
+// long on entry) — the one chunk copy of the package, under the same
+// discipline as get: at most spg*b appends, a result that counts only once
+// the read proved consistent, and good false when a segment did not parse.
+// Each segment lands in the destination whole and is trimmed by binary
+// search: only the covering segment can hold keys below from (minima are
+// non-decreasing, so every later segment starts above it), and a key above
+// hi ends the collection. On a torn read garbage keys can only truncate the
+// copy early or admit out-of-range elements; both are discarded with the
+// failed validation.
+func (g *gate) collect(from, hi int64, ks, vs []int64) ([]int64, []int64, bool) {
 	first := true
 	for s := g.findSeg(from); s < g.spg; s++ {
 		kb := len(ks)
-		ks, vs = g.appendRacy(s, ks, vs)
+		var good bool
+		if ks, vs, good = g.appendSeg(s, ks, vs); !good {
+			return ks, vs, false
+		}
 		if len(ks) == kb {
 			continue
 		}
@@ -781,10 +778,10 @@ func (g *gate) collectRacy(from, hi int64, ks, vs []int64) ([]int64, []int64) {
 		}
 		if l := len(ks); l > kb && ks[l-1] > hi {
 			cut := kb + searchKeys(ks[kb:], hi+1)
-			return ks[:cut], vs[:cut]
+			return ks[:cut], vs[:cut], true
 		}
 	}
-	return ks, vs
+	return ks, vs, true
 }
 
 func log2(v int) int {

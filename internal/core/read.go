@@ -4,16 +4,21 @@ import (
 	"pmago/internal/rma"
 )
 
-// The read path is optimistic (a seqlock over each gate, Section 3.1's
-// latches demoted to a fallback): a reader samples the gate's version
-// counter, performs the unsynchronised chunk read, and accepts the result
-// only if the version is unchanged and was even (stable) throughout — in
-// which case no exclusive holder ran concurrently and the read is equivalent
-// to one under the shared latch. Readers therefore touch no mutex cache line
-// on the fast path and never contend with each other, with writers, or with
-// the rebalancer. After optimisticAttempts failed validations (a
-// writer-heavy gate) the reader falls back to the blocking shared latch, so
-// tail latency stays bounded by the same writer-priority protocol as before.
+// One read serves every Get and every chunk a Scan copies: sample the
+// gate's reader fields, look the key up (or copy the chunk out), and judge
+// the result once. There are two ways to make that read consistent, and
+// both run the same lookup and copy (cgate.go). The optimistic way is a
+// seqlock over the gate (Section 3.1's latches demoted to a fallback): the
+// reader samples the gate's version counter, reads the chunk unsynchronised,
+// and keeps the result only if the version is unchanged and was even
+// (stable) throughout — in which case no exclusive holder ran concurrently
+// and the read equals one under the shared latch. Such readers touch no
+// mutex cache line and never contend with each other, with writers, or with
+// the rebalancer. After PMA.attempts failed validations (a writer-heavy
+// gate) the reader makes the same read once under the shared latch, where
+// nothing can race it, so tail latency stays bounded by the same
+// writer-priority protocol as the writers'. A budget of 0 (see PMA.attempts)
+// makes every read latched.
 //
 // What a point Get touches, past the static index: the gate's reader line
 // (version, fences, invalid, storage pointer, geometry — one 64-byte line
@@ -25,22 +30,37 @@ import (
 // or so a binary search of a 1 KB segment misses on. Then the value, and
 // the version again.
 
-// optimisticAttempts bounds how often a reader retries the seqlock fast path
+// optimisticAttempts bounds how often a reader retries the seqlock read
 // before taking the shared latch. Attempts are cheap (two atomic loads plus
 // the chunk read), but under a steady writer they can fail indefinitely —
 // the fallback keeps reads latency-bounded rather than live-locked.
 const optimisticAttempts = 3
 
-// readStatus is the outcome of one validated gate read.
+// readStatus is the verdict on one consistent gate read.
 type readStatus int
 
 const (
-	readOK        readStatus = iota // snapshot consistent, result usable
-	readInvalid                     // gate retired by a resize: reload the state
-	readLeft                        // key below fenceLo: walk to the left neighbour
-	readRight                       // key above fenceHi: walk to the right neighbour
-	readContended                   // validation kept failing: take the shared latch
+	readOK      readStatus = iota // the read stands
+	readInvalid                   // gate retired by a resize: reload the state
+	readLeft                      // key below fenceLo: walk to the left neighbour
+	readRight                     // key above fenceHi: walk to the right neighbour
 )
+
+// judge is the verdict on a read of gate gi for key k, taken from the
+// fields the read sampled; it only counts once the read proved consistent.
+// A fence miss steps only to a neighbour that exists.
+func (st *state) judge(gi int, k int64) readStatus {
+	g := st.gates[gi]
+	switch {
+	case g.invalid:
+		return readInvalid
+	case k < g.fenceLo && gi > 0:
+		return readLeft
+	case k > g.fenceHi && gi < len(st.gates)-1:
+		return readRight
+	}
+	return readOK
+}
 
 // Get returns the value stored under k. Reads never block behind combining
 // queues: updates still queued are not yet visible (Section 3.5 semantics).
@@ -49,102 +69,78 @@ func (p *PMA) Get(k int64) (int64, bool) {
 	if k == rma.KeyMin || k == rma.KeyMax {
 		return 0, false
 	}
-	if !p.cfg.DisableOptimisticReads && !raceEnabled {
-	probe:
-		for {
-			st := p.state.Load()
-			for gi := st.route(k); ; {
-				v, ok, res, fails := p.getOptimistic(st.gates[gi], k)
-				// Record probe failures before any latched serve so that
-				// GetLatched <= GetProbeFails holds under concurrent Stats
-				// (the fallback's failures are visible before it is).
-				if m := p.metrics; m != nil && fails > 0 {
-					m.GetProbeFails.Add(uint64(fails))
-				}
-				switch res {
-				case readOK:
-					if m := p.metrics; m != nil {
-						m.GetOptimistic.Inc()
-					}
-					return v, ok
-				case readInvalid:
-					continue probe
-				case readLeft:
-					if gi > 0 {
-						gi--
-						continue
-					}
-				case readRight:
-					if gi < len(st.gates)-1 {
-						gi++
-						continue
-					}
-				}
-				// readContended (or a fence miss at the array boundary,
-				// which cannot happen with sentinel fences): shared latch.
-				break probe
+	for {
+		st := p.state.Load()
+		for gi := st.route(k); ; {
+			v, ok, res := p.getGate(st, gi, k)
+			switch res {
+			case readOK:
+				return v, ok
+			case readLeft:
+				gi--
+				continue
+			case readRight:
+				gi++
+				continue
 			}
+			break // readInvalid: the array was resized, reload the state
 		}
 	}
-	_, g := p.enter(k, latchShared, op{})
-	v, ok := g.get(k)
-	g.unlockShared()
-	if m := p.metrics; m != nil {
-		m.GetLatched.Inc()
-	}
-	return v, ok
 }
 
-// getOptimistic performs the seqlock read of one gate: version sample,
-// unsynchronised lookup, version validation. Every field read between the
-// two version loads (invalid, fences, chunk contents) belongs to one
-// consistent snapshot iff the versions match and are even; on any mismatch
-// the attempt is discarded and retried, and after optimisticAttempts the
-// caller is told to take the latch. Failed attempts retry immediately
-// rather than yielding: a writer's exclusive section is short, so either a
-// quick re-probe succeeds or the gate is genuinely writer-heavy and parking
-// on the shared latch (which writers wake on release) beats burning cycles.
-// The returned fails count is the number of discarded attempts (failed
-// seqlock validations), which the caller feeds the metrics.
-func (p *PMA) getOptimistic(g *gate, k int64) (int64, bool, readStatus, int) {
-	fails := 0
-	for attempt := 0; attempt < optimisticAttempts; attempt++ {
-		v1 := g.version.Load()
-		if v1&1 != 0 {
-			fails++
-			continue // exclusive holder active; snapshot cannot validate
+// getGate reads k from gate gi: up to p.attempts seqlock reads — sample the
+// version, look up, validate — then the same read under the shared latch.
+// Failed attempts retry immediately rather than yielding: a writer's
+// exclusive section is short, so either a quick re-probe succeeds or the
+// gate is genuinely writer-heavy and parking on the shared latch (which
+// writers wake on release) beats burning cycles. Only a read that stands
+// looks the key up in earnest: a retired gate's buffer may already serve
+// another gate, which a latched lookup must not read.
+func (p *PMA) getGate(st *state, gi int, k int64) (v int64, found bool, res readStatus) {
+	g := st.gates[gi]
+	for fails := 0; ; fails++ {
+		latched := fails == p.attempts
+		ver, ok := g.readBegin(latched)
+		if !ok {
+			continue
 		}
-		invalid := g.invalid
-		lo, hi := g.fenceLo, g.fenceHi
-		val, ok := g.getRacy(k)
-		if g.version.Load() != v1 {
-			fails++
-			continue // an exclusive holder intervened; discard everything
+		good := true
+		if res = st.judge(gi, k); res == readOK {
+			v, found, good = g.get(k)
 		}
-		switch {
-		case invalid:
-			return 0, false, readInvalid, fails
-		case k < lo:
-			return 0, false, readLeft, fails
-		case k > hi:
-			return 0, false, readRight, fails
-		default:
-			return val, ok, readOK, fails
+		if !g.readEnd(latched, ver) {
+			continue
 		}
+		if !good {
+			panic(corruptSegment)
+		}
+		// Probe failures are recorded before the latched serve, so
+		// GetLatched*attempts <= GetProbeFails holds under concurrent Stats.
+		if m := p.metrics; m != nil {
+			if fails > 0 {
+				m.GetProbeFails.Add(uint64(fails))
+			}
+			if res == readOK {
+				if latched {
+					m.GetLatched.Inc()
+				} else {
+					m.GetOptimistic.Inc()
+				}
+			}
+		}
+		return v, found, res
 	}
-	return 0, false, readContended, fails
 }
 
 // Scan visits all pairs with lo <= key <= hi in ascending key order,
-// stopping early when fn returns false. Each gate's chunk is copied out
-// under validation (optimistically, or under the shared latch after
-// contention) and fn runs on the copy with no latch held, so — unlike
-// earlier versions of this package — fn may call update operations of the
-// same PMA, including Put, Delete, the batch calls and Flush. The scan
-// observes each chunk atomically and the sequence of chunks at increasing
-// fence boundaries, which is the same guarantee the paper's scans provide;
-// updates applied to a chunk after it was copied are not reflected in the
-// callbacks for that chunk.
+// stopping early when fn returns false. Each gate's chunk is copied out by
+// one consistent read (snapshotGate) and fn runs on the copy with no latch
+// held, so — unlike earlier versions of this package — fn may call update
+// operations of the same PMA, including Put, Delete, the batch calls and
+// Flush. The scan observes each chunk atomically and the sequence of chunks
+// at increasing fence boundaries, which is the same guarantee the paper's
+// scans provide; updates applied to a chunk after it was copied are not
+// reflected in the callbacks for that chunk.
 func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 	p.checkOpen()
 	if lo > hi {
@@ -156,7 +152,6 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 	if hi == rma.KeyMax {
 		hi--
 	}
-	optimistic := !p.cfg.DisableOptimisticReads && !raceEnabled
 	sb := p.getScanBuf()
 	defer p.putScanBuf(sb)
 	from := lo
@@ -165,10 +160,7 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 		gi := st.route(from)
 	walk:
 		for {
-			fenceHi, res := int64(0), readContended
-			if optimistic {
-				fenceHi, res = p.snapshotGate(st, gi, from, hi, sb)
-			}
+			fenceHi, res := p.snapshotGate(st, gi, from, hi, sb)
 			switch res {
 			case readInvalid:
 				break walk
@@ -178,14 +170,8 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 			case readRight:
 				gi++
 				continue
-			case readContended:
-				// The walk carries on from wherever enter arrived, in the
-				// state it arrived in.
-				var g *gate
-				st, g = p.enter(from, latchShared, op{})
-				gi, fenceHi = g.idx, p.snapshotLatched(g, from, hi, sb)
 			}
-			// The chunk copy in sb is a validated snapshot; run the
+			// The chunk copy in sb is a consistent snapshot; run the
 			// callback outside every latch.
 			if !sb.each(fn) {
 				return
@@ -201,71 +187,45 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 	}
 }
 
-// snapshotGate copies gate gi's pairs with key in [from, hi] into sb as one
-// consistent snapshot, optimistically; after optimisticAttempts failures it
-// reports readContended and the caller takes the shared latch. On readOK the
-// returned fenceHi is the gate's upper fence from the same snapshot — the
-// scan's resume point. readLeft/readRight are only returned when the
-// corresponding neighbour exists, mirroring the fence-verification walk of
-// the latched path.
-func (p *PMA) snapshotGate(st *state, gi int, from, hi int64, sb *scanBuf) (int64, readStatus) {
+// snapshotGate copies gate gi's pairs with key in [from, hi] into sb by the
+// read getGate makes: up to p.attempts seqlock reads, then one under the
+// shared latch. On readOK the returned fenceHi is the gate's upper fence
+// from the same read — the scan's resume point.
+func (p *PMA) snapshotGate(st *state, gi int, from, hi int64, sb *scanBuf) (fenceHi int64, res readStatus) {
 	g := st.gates[gi]
-	m := p.metrics
-	fails := 0
-	for attempt := 0; attempt < optimisticAttempts; attempt++ {
-		v1 := g.version.Load()
-		if v1&1 != 0 {
-			fails++
+	for fails := 0; ; fails++ {
+		latched := fails == p.attempts
+		ver, ok := g.readBegin(latched)
+		if !ok {
 			continue
 		}
 		sb.reset(g.spg * g.b)
-		invalid := g.invalid
-		lo, fhi := g.fenceLo, g.fenceHi
-		sb.ks, sb.vs = g.collectRacy(from, hi, sb.ks, sb.vs)
-		if g.version.Load() != v1 {
-			fails++
+		good := true
+		if res, fenceHi = st.judge(gi, from), g.fenceHi; res == readOK {
+			sb.ks, sb.vs, good = g.collect(from, hi, sb.ks, sb.vs)
+		}
+		if !g.readEnd(latched, ver) {
 			continue
 		}
-		if m != nil && fails > 0 {
-			m.ScanProbeFails.Add(uint64(fails))
+		if !good {
+			panic(corruptSegment)
 		}
-		switch {
-		case invalid:
-			return 0, readInvalid
-		case from < lo && gi > 0:
-			return 0, readLeft
-		case from > fhi && gi < len(st.gates)-1:
-			return 0, readRight
-		default:
-			if m != nil {
-				m.ScanChunksOptimistic.Inc()
+		// As in getGate: failures first, so ScanChunksLatched*attempts
+		// <= ScanProbeFails holds under concurrent Stats.
+		if m := p.metrics; m != nil {
+			if fails > 0 {
+				m.ScanProbeFails.Add(uint64(fails))
 			}
-			return fhi, readOK
+			if res == readOK {
+				if latched {
+					m.ScanChunksLatched.Inc()
+				} else {
+					m.ScanChunksOptimistic.Inc()
+				}
+			}
 		}
+		return fenceHi, res
 	}
-	// All attempts failed; record them before the latched fallback so
-	// ScanChunksLatched <= ScanProbeFails holds under concurrent Stats.
-	if m != nil {
-		m.ScanProbeFails.Add(uint64(fails))
-	}
-	return 0, readContended
-}
-
-// snapshotLatched is snapshotGate under the shared latch, which the caller
-// took through enter and which is dropped here.
-func (p *PMA) snapshotLatched(g *gate, from, hi int64, sb *scanBuf) int64 {
-	sb.reset(g.spg * g.b)
-	g.scanFrom(from, hi, func(k, v int64) bool {
-		sb.ks = append(sb.ks, k)
-		sb.vs = append(sb.vs, v)
-		return true
-	})
-	fenceHi := g.fenceHi
-	g.unlockShared()
-	if m := p.metrics; m != nil {
-		m.ScanChunksLatched.Inc()
-	}
-	return fenceHi
 }
 
 // scanBuf is the per-Scan chunk copy, pooled on the PMA (the geometry is
@@ -275,8 +235,8 @@ type scanBuf struct {
 	ks, vs []int64
 }
 
-// reset empties the buffer, pre-growing it to one full chunk so the racy
-// collector never allocates mid-snapshot (appends stay within capacity).
+// reset empties the buffer, pre-growing it to one full chunk so the chunk
+// copy never allocates mid-read (appends stay within capacity).
 func (sb *scanBuf) reset(capacity int) {
 	if cap(sb.ks) < capacity {
 		sb.ks = make([]int64, 0, capacity)
@@ -320,8 +280,8 @@ func (p *PMA) ScanAll(fn func(k, v int64) bool) {
 	p.Scan(rma.KeyMin+1, rma.KeyMax-1, fn)
 }
 
-// Keys collects all stored keys in order (test/diagnostic helper). Like Len,
-// it needs no latches at all: it rides on Scan's validated chunk copies.
+// Keys collects all stored keys in order (test/diagnostic helper). It rides
+// on Scan's consistent chunk copies.
 func (p *PMA) Keys() []int64 {
 	out := make([]int64, 0, p.Len())
 	p.ScanAll(func(k, _ int64) bool { out = append(out, k); return true })

@@ -763,7 +763,7 @@ func (p *PMA) installState(st *state, plans []destPlan, total int) {
 // targetSegs is the power-of-two segment count that puts n elements at the
 // midpoint of the root thresholds, the density a resize and BulkLoad aim for.
 func (p *PMA) targetSegs(n int) int {
-	target := (p.cfg.RhoRoot + p.cfg.TauRoot) / 2
+	target := (rhoRoot + tauRoot) / 2
 	segs := nextPow2(ceilDiv(max(n, 1), int(float64(p.cfg.SegmentCapacity)*target)))
 	return max(segs, p.cfg.SegmentsPerGate)
 }
@@ -773,7 +773,7 @@ func (p *PMA) targetSegs(n int) int {
 // margin under the root threshold that guards against grow/shrink thrash.
 func (p *PMA) shrinkTo(st *state, n int) (segs int, ok bool) {
 	segs = p.targetSegs(n)
-	return segs, segs < st.numSegs && float64(n) <= (p.cfg.TauRoot-0.05)*float64(segs*st.b)
+	return segs, segs < st.numSegs && float64(n) <= (tauRoot-0.05)*float64(segs*st.b)
 }
 
 // maybeShrink re-validates the downsize condition and performs the resize.

@@ -16,15 +16,14 @@ import (
 // torn-read detector for the seqlock protocol.
 func stressVal(k int64) int64 { return k*31 + 7 }
 
-// TestOptimisticReadStress hammers the optimistic Get/Scan path against
-// concurrent point updates, batch updates, rebalances and resizes, in every
-// mode, validating all read results against the model — the torn-read
-// detector for the seqlock protocol. The last sub-test runs the same load
-// with DisableOptimisticReads so the shared-latch path keeps equivalent
-// coverage. Under -race every sub-test reads latched (the fast path is
-// compiled out; race_on.go), which is exactly the configuration the
-// detector can verify; normal builds are where the seqlock itself is
-// checked.
+// TestOptimisticReadStress hammers Get and Scan against concurrent point
+// updates, batch updates, rebalances and resizes, in every mode, validating
+// all read results against the model — the torn-read detector for the
+// seqlock protocol. The latched-fallback sub-tests run the same load with
+// DisableOptimisticReads, so every read is the same lookup made under the
+// shared latch. Under -race every sub-test reads latched (the attempt budget
+// is 0; race_on.go), which is exactly the configuration the detector can
+// verify; normal builds are where the seqlock itself is checked.
 func TestOptimisticReadStress(t *testing.T) {
 	for _, mode := range allModes() {
 		mode := mode

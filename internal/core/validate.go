@@ -124,17 +124,16 @@ func (p *PMA) validateStats() error {
 	if m == nil {
 		return nil
 	}
-	if !p.cfg.DisableOptimisticReads && !raceEnabled {
-		// A latched fallback only happens after failed probes, and the
-		// failures are recorded before the latched serve.
-		latched := m.GetLatched.Load()
-		if fails := m.GetProbeFails.Load(); latched > fails {
-			return fmt.Errorf("stats: latched gets %d > probe failures %d", latched, fails)
-		}
-		scanLatched := m.ScanChunksLatched.Load()
-		if fails := m.ScanProbeFails.Load(); scanLatched > fails {
-			return fmt.Errorf("stats: latched scan chunks %d > scan probe failures %d", scanLatched, fails)
-		}
+	// A latched read only happens after p.attempts failed probes, and the
+	// failures are recorded before the latched serve.
+	n := uint64(p.attempts)
+	latched := m.GetLatched.Load()
+	if fails := m.GetProbeFails.Load(); latched*n > fails {
+		return fmt.Errorf("stats: latched gets %d after %d probes each > probe failures %d", latched, n, fails)
+	}
+	scanLatched := m.ScanChunksLatched.Load()
+	if fails := m.ScanProbeFails.Load(); scanLatched*n > fails {
+		return fmt.Errorf("stats: latched scan chunks %d after %d probes each > scan probe failures %d", scanLatched, n, fails)
 	}
 	// Every absorbed op enters a combining queue, and every queue detach
 	// observes its length into DrainSize — so, with the still-queued ops

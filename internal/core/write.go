@@ -140,7 +140,10 @@ func (p *PMA) applyOwn(st *state, g *gate, o op, queued bool) (result bool) {
 	switch {
 	case queued:
 		if o.del {
-			_, result = g.get(o.key)
+			var good bool
+			if _, result, good = g.get(o.key); !good {
+				panic(corruptSegment)
+			}
 		}
 	case o.del:
 		result, _ = p.applyOp(st, g, o)

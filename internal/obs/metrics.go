@@ -12,10 +12,10 @@ package obs
 type CoreMetrics struct {
 	// Read path (read.go). A Get or Scan chunk is counted exactly once,
 	// at its serve point: Optimistic when a seqlock-validated snapshot
-	// was returned, Latched when it was served under the shared latch
-	// (after optimistic validation kept failing, or with the optimistic
-	// path disabled). ProbeFails counts individual failed seqlock
-	// validations, so fallbacks are bounded by probe failures.
+	// was returned, Latched when the same read was made under the shared
+	// latch (after the seqlock attempts all failed, or with a budget of
+	// none). ProbeFails counts individual failed seqlock attempts, and a
+	// latched read follows the whole budget of them.
 	GetOptimistic        Counter
 	GetLatched           Counter
 	GetProbeFails        Counter

@@ -426,13 +426,6 @@ func (w *Log) LiveBytes() int64 {
 	return n
 }
 
-// ActiveSeq returns the active segment number.
-func (w *Log) ActiveSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
 // TruncateBefore removes all segments numbered below seq — called after a
 // snapshot covering them has been durably written. Removal failures are
 // ignored: a leftover segment is re-deleted after the next snapshot, and

@@ -8,10 +8,7 @@
 // return to the pool as the "new spare pages" for the next rebalance.
 package rewire
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Buffer is one chunk worth of storage: parallel key and value arrays.
 type Buffer struct {
@@ -27,9 +24,6 @@ type Pool struct {
 	free []*Buffer
 
 	maxFree int
-
-	allocs atomic.Int64
-	reuses atomic.Int64
 }
 
 // NewPool creates a pool of buffers with the given number of element slots
@@ -42,22 +36,17 @@ func NewPool(slots, maxFree int) *Pool {
 	return &Pool{slots: slots, maxFree: maxFree}
 }
 
-// Slots returns the per-buffer element capacity.
-func (p *Pool) Slots() int { return p.slots }
-
-// Get returns a buffer with Keys and Vals of length Slots. Contents are
-// unspecified (the rebalance overwrites exactly the slots it publishes).
+// Get returns a buffer with Keys and Vals of the pool's slot count. Contents
+// are unspecified (the rebalance overwrites exactly the slots it publishes).
 func (p *Pool) Get() *Buffer {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		p.reuses.Add(1)
 		return b
 	}
 	p.mu.Unlock()
-	p.allocs.Add(1)
 	return &Buffer{Keys: make([]int64, p.slots), Vals: make([]int64, p.slots)}
 }
 
@@ -73,10 +62,3 @@ func (p *Pool) Put(b *Buffer) {
 	}
 	p.mu.Unlock()
 }
-
-// Allocs returns how many buffers were newly allocated.
-func (p *Pool) Allocs() int64 { return p.allocs.Load() }
-
-// Reuses returns how many Get calls were served from retired buffers — the
-// simulated "rewired pages".
-func (p *Pool) Reuses() int64 { return p.reuses.Load() }

@@ -62,9 +62,6 @@ func New(n int) *Index {
 // Len returns the number of gates indexed.
 func (ix *Index) Len() int { return ix.n }
 
-// Height returns the number of levels (1 for a single-node index).
-func (ix *Index) Height() int { return len(ix.levels) }
-
 // Set updates the separator key of gate g, propagating the value to the
 // ancestor copies whose position is derivable arithmetically (gate g is the
 // leftmost leaf of an ancestor node exactly when g is divisible by the

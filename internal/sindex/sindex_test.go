@@ -70,8 +70,8 @@ func TestLookupOnSeparatorBoundary(t *testing.T) {
 func TestSetPropagatesToAncestors(t *testing.T) {
 	n := Fanout*Fanout + 1 // forces three levels
 	ix, seps := buildSeps(n)
-	if ix.Height() != 3 {
-		t.Fatalf("height = %d, want 3", ix.Height())
+	if h := len(ix.levels); h != 3 {
+		t.Fatalf("height = %d, want 3", h)
 	}
 	// Gate Fanout^2 is the leftmost leaf of both its level-1 and level-2
 	// ancestors: updating it must update both copies, otherwise lookups
@@ -178,7 +178,7 @@ func TestHeightGrowth(t *testing.T) {
 		{Fanout * Fanout, 2}, {Fanout*Fanout + 1, 3},
 	}
 	for _, c := range cases {
-		if got := New(c.n).Height(); got != c.h {
+		if got := len(New(c.n).levels); got != c.h {
 			t.Errorf("Height(%d gates) = %d, want %d", c.n, got, c.h)
 		}
 	}

@@ -46,7 +46,7 @@ func testTopologies() map[string]Option {
 // DeleteBatch and Scan, for every topology and update mode, checking full
 // contents, global scan order, sub-range scans and exact cross-shard
 // DeleteBatch counts at every sync point. Under -race the same test doubles
-// as the latched-path checker (the optimistic read path is compiled out).
+// as the latched-read checker (every read is latched under -race).
 func TestShardedModelEquivalence(t *testing.T) {
 	for topoName, topo := range testTopologies() {
 		for _, mode := range []Mode{ModeSync, ModeOneByOne, ModeBatch} {
