@@ -16,9 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"pmago"
 	"pmago/internal/bench"
-	"pmago/internal/core"
-	"pmago/internal/graph"
 	"pmago/internal/workload"
 )
 
@@ -152,8 +151,7 @@ func BenchmarkScanOnly(b *testing.B) {
 // BenchmarkGraphEdgeStream: Section 6 — edge insertions into the CRS-on-PMA
 // representation with a concurrent neighbourhood-scanning analytics thread.
 func BenchmarkGraphEdgeStream(b *testing.B) {
-	cfg := core.DefaultConfig()
-	g, err := graph.New(cfg)
+	g, err := pmago.NewGraph()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -28,13 +28,14 @@
 //
 // Section 3.4 frees a retired state through epochs, so that no reader still
 // routing through it finds its memory reused. Here Go's garbage collector
-// and the seqlock's version validation do the epochs' job. A retired
-// state's chunk buffers go straight back to the buffer pool and may be
-// reissued while a racing reader still reads them; that reader validates a
-// version under which its gate is marked invalid, discards what it read and
-// restarts on the new state. The garbage collector frees the rest of the
-// state once nothing references it. A chunk buffer the collector cannot
-// free — file-backed or off-heap — would bring epochs back.
+// and the seqlock's version validation do the epochs' job. Nothing reuses a
+// chunk buffer: rebalances and resizes copy into fresh ones (Section 3.1's
+// single copy and O(1) swap), and a retired buffer is never reissued or
+// written again. A racing reader still copying from a retired gate
+// validates a version under which the gate is marked invalid, discards what
+// it read and restarts on the new state; the garbage collector frees the
+// retired state once no reader holds it. A chunk buffer the collector
+// cannot free — file-backed or off-heap — would bring epochs back.
 //
 // # Point and batch updates
 //

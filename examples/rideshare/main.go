@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"pmago"
-	"pmago/internal/spacefill"
 )
 
 const (
@@ -45,7 +44,7 @@ func main() {
 	var mu sync.Mutex // guards posX/posY bookkeeping only
 	for i := range posX {
 		posX[i], posY[i] = rng.Uint32()%grid, rng.Uint32()%grid
-		d := spacefill.HilbertEncode(order, posX[i], posY[i])
+		d := hilbertEncode(order, posX[i], posY[i])
 		p.Put(cellKey(d, uint32(i)), int64(i))
 	}
 	p.Flush()
@@ -68,7 +67,7 @@ func main() {
 			default:
 			}
 			rx, ry := rng.Uint32()%grid, rng.Uint32()%grid
-			d := spacefill.HilbertEncode(order, rx, ry)
+			d := hilbertEncode(order, rx, ry)
 			const window = 1 << 14 // Hilbert-distance radius
 			lo, hi := uint64(0), d+window
 			if d > window {
@@ -100,8 +99,8 @@ func main() {
 				ny := (oy + uint32(rng.Intn(17))) % grid
 				posX[id], posY[id] = nx, ny
 				mu.Unlock()
-				p.Delete(cellKey(spacefill.HilbertEncode(order, ox, oy), id))
-				p.Put(cellKey(spacefill.HilbertEncode(order, nx, ny), id), int64(id))
+				p.Delete(cellKey(hilbertEncode(order, ox, oy), id))
+				p.Put(cellKey(hilbertEncode(order, nx, ny), id), int64(id))
 			}
 		}(int64(w))
 	}

@@ -1,18 +1,19 @@
-// Package spacefill provides Z-order (Morton) and Hilbert space-filling
-// curve encodings. The paper's introduction motivates keeping graph and
-// spatial data sorted by such curves to recover locality (citing the
-// Hilbert-order scheme of Haase et al.); the ride-sharing example stores
-// moving vehicle positions in the concurrent PMA keyed by these encodings.
-package spacefill
+// Z-order (Morton) and Hilbert space-filling curve encodings. The paper's
+// introduction motivates keeping graph and spatial data sorted by such
+// curves to recover locality (citing the Hilbert-order scheme of Haase et
+// al.); this example keys moving vehicle positions by their Hilbert
+// distance.
 
-// ZEncode interleaves the bits of x and y into a Morton code: two
+package main
+
+// zEncode interleaves the bits of x and y into a Morton code: two
 // coordinates that are close in space share long code prefixes.
-func ZEncode(x, y uint32) uint64 {
+func zEncode(x, y uint32) uint64 {
 	return spread(x) | spread(y)<<1
 }
 
-// ZDecode inverts ZEncode.
-func ZDecode(z uint64) (x, y uint32) {
+// zDecode inverts zEncode.
+func zDecode(z uint64) (x, y uint32) {
 	return compact(z), compact(z >> 1)
 }
 
@@ -38,9 +39,9 @@ func compact(x uint64) uint32 {
 	return uint32(x)
 }
 
-// HilbertEncode maps (x, y) on the 2^order x 2^order grid to its distance
+// hilbertEncode maps (x, y) on the 2^order x 2^order grid to its distance
 // along the Hilbert curve. Coordinates must be < 1<<order; order <= 31.
-func HilbertEncode(order uint, x, y uint32) uint64 {
+func hilbertEncode(order uint, x, y uint32) uint64 {
 	var d uint64
 	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
 		var rx, ry uint32
@@ -56,8 +57,8 @@ func HilbertEncode(order uint, x, y uint32) uint64 {
 	return d
 }
 
-// HilbertDecode inverts HilbertEncode.
-func HilbertDecode(order uint, d uint64) (x, y uint32) {
+// hilbertDecode inverts hilbertEncode.
+func hilbertDecode(order uint, d uint64) (x, y uint32) {
 	t := d
 	for s := uint32(1); s < 1<<order; s <<= 1 {
 		rx := uint32(1) & uint32(t/2)

@@ -1,26 +1,15 @@
-package graph
+package pmago
 
 import (
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
-
-	"pmago/internal/core"
 )
 
-func testCfg() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.SegmentCapacity = 16
-	cfg.SegmentsPerGate = 2
-	cfg.TDelay = 0
-	cfg.Workers = 2
-	return cfg
-}
-
-func newTest(t *testing.T) *Graph {
+func newTestGraph(t *testing.T) *Graph {
 	t.Helper()
-	g, err := New(testCfg())
+	g, err := NewGraph(WithSegmentCapacity(16), WithSegmentsPerGate(2), WithTDelay(0), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +17,8 @@ func newTest(t *testing.T) *Graph {
 	return g
 }
 
-func TestEdgesAndVertices(t *testing.T) {
-	g := newTest(t)
+func TestGraphEdgesAndVertices(t *testing.T) {
+	g := newTestGraph(t)
 	g.AddEdge(1, 2, 10)
 	g.AddEdge(1, 3, 11)
 	g.AddEdge(2, 3, 12)
@@ -58,8 +47,8 @@ func TestEdgesAndVertices(t *testing.T) {
 	}
 }
 
-func TestNeighborsSortedAndScoped(t *testing.T) {
-	g := newTest(t)
+func TestGraphNeighborsSortedAndScoped(t *testing.T) {
+	g := newTestGraph(t)
 	// Adjacent sources with interleaved insertion order.
 	for _, dst := range []uint32{9, 3, 7, 1, 5} {
 		g.AddEdge(10, dst, int64(dst))
@@ -89,8 +78,8 @@ func TestNeighborsSortedAndScoped(t *testing.T) {
 	}
 }
 
-func TestEdgeKeyBoundaries(t *testing.T) {
-	g := newTest(t)
+func TestGraphEdgeKeyBoundaries(t *testing.T) {
+	g := newTestGraph(t)
 	g.AddEdge(0, 0, 1)
 	g.AddEdge(0, MaxVertex, 2)
 	g.AddEdge(MaxVertex, MaxVertex, 3)
@@ -108,8 +97,8 @@ func TestEdgeKeyBoundaries(t *testing.T) {
 	}
 }
 
-func TestVertexLimitPanics(t *testing.T) {
-	g := newTest(t)
+func TestGraphVertexLimitPanics(t *testing.T) {
+	g := newTestGraph(t)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversized vertex did not panic")
@@ -118,8 +107,8 @@ func TestVertexLimitPanics(t *testing.T) {
 	g.AddEdge(MaxVertex+1, 0, 1)
 }
 
-func TestBFS(t *testing.T) {
-	g := newTest(t)
+func TestGraphBFS(t *testing.T) {
+	g := newTestGraph(t)
 	// 0 -> 1 -> 2 -> 3, plus shortcut 0 -> 2, island 9.
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
@@ -139,8 +128,8 @@ func TestBFS(t *testing.T) {
 	}
 }
 
-func TestPageRankStar(t *testing.T) {
-	g := newTest(t)
+func TestGraphPageRankStar(t *testing.T) {
+	g := newTestGraph(t)
 	// Hub 0 pointed at by 1..5: PageRank must rank 0 highest.
 	for v := uint32(1); v <= 5; v++ {
 		g.AddEdge(v, 0, 1)
@@ -165,8 +154,8 @@ func TestPageRankStar(t *testing.T) {
 	}
 }
 
-func TestConcurrentUpdatesWithAnalytics(t *testing.T) {
-	g := newTest(t)
+func TestGraphConcurrentUpdatesWithAnalytics(t *testing.T) {
+	g := newTestGraph(t)
 	const vertices = 200
 	stop := make(chan struct{})
 	var analytics sync.WaitGroup

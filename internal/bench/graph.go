@@ -3,8 +3,7 @@ package bench
 import (
 	"time"
 
-	"pmago/internal/core"
-	"pmago/internal/graph"
+	"pmago"
 	"pmago/internal/workload"
 )
 
@@ -22,7 +21,7 @@ type GraphResult struct {
 // analytics goroutine repeatedly expands neighbourhoods; finally a PageRank
 // pass runs over the quiesced graph.
 func RunGraph(updates, vertices, updThreads int, seed int64) GraphResult {
-	g, err := graph.New(core.DefaultConfig())
+	g, err := pmago.NewGraph()
 	if err != nil {
 		panic(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"pmago/internal/rma"
 )
 
 // This file is the batch-update subsystem. Point updates (write.go) pay the
@@ -41,7 +39,7 @@ func (p *PMA) PutBatch(keys, vals []int64) {
 	}
 	ops := make([]op, len(keys))
 	for i, k := range keys {
-		if k == rma.KeyMin || k == rma.KeyMax {
+		if k == KeyMin || k == KeyMax {
 			panic("core: cannot store sentinel key")
 		}
 		ops[i] = op{key: k, val: vals[i]}
@@ -63,7 +61,7 @@ func (p *PMA) DeleteBatch(keys []int64) int {
 	p.checkOpen()
 	ops := make([]op, 0, len(keys))
 	for _, k := range keys {
-		if k == rma.KeyMin || k == rma.KeyMax {
+		if k == KeyMin || k == KeyMax {
 			continue
 		}
 		ops = append(ops, op{key: k, del: true})
@@ -328,7 +326,7 @@ func BulkLoad(cfg Config, keys, vals []int64) (*PMA, error) {
 	}
 	ops := make([]op, len(keys))
 	for i, k := range keys {
-		if k == rma.KeyMin || k == rma.KeyMax {
+		if k == KeyMin || k == KeyMax {
 			return nil, fmt.Errorf("core: BulkLoad key %d is a reserved sentinel", k)
 		}
 		ops[i] = op{key: k, val: vals[i]}
@@ -352,7 +350,7 @@ func (p *PMA) buildLoadedState(ks, vs []int64) *state {
 	n := len(ks)
 	numSegs := p.targetSegs(n)
 	st := p.newState(numSegs / p.cfg.SegmentsPerGate)
-	counts := rma.EvenCounts(n, numSegs)
+	counts := evenCounts(n, numSegs)
 	plans := make([]destPlan, len(st.gates))
 	src := &sliceSource{ks: ks, vs: vs}
 	for i := range st.gates {

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"pmago/internal/rma"
 )
 
 // checkAgainstModel verifies that the PMA holds exactly the model's pairs in
@@ -407,7 +405,7 @@ func TestBulkLoadErrors(t *testing.T) {
 	if _, err := BulkLoad(testConfig(ModeBatch), []int64{1, 2}, []int64{1}); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
-	if _, err := BulkLoad(testConfig(ModeBatch), []int64{rma.KeyMin}, []int64{1}); err == nil {
+	if _, err := BulkLoad(testConfig(ModeBatch), []int64{KeyMin}, []int64{1}); err == nil {
 		t.Fatal("sentinel key accepted")
 	}
 }
@@ -415,7 +413,7 @@ func TestBulkLoadErrors(t *testing.T) {
 func TestPutBatchPanics(t *testing.T) {
 	p := newTest(t, ModeBatch)
 	mustPanic(t, func() { p.PutBatch([]int64{1, 2}, []int64{1}) })
-	mustPanic(t, func() { p.PutBatch([]int64{rma.KeyMax}, []int64{1}) })
+	mustPanic(t, func() { p.PutBatch([]int64{KeyMax}, []int64{1}) })
 }
 
 func mustPanic(t *testing.T, fn func()) {

@@ -8,7 +8,6 @@ import (
 
 	"pmago/internal/codec"
 	"pmago/internal/obs"
-	"pmago/internal/rewire"
 )
 
 // The segment-storage seam. A gate's derived structure — segCard, smin,
@@ -17,8 +16,8 @@ import (
 // propagation, fence moves) is computed from it alone. How a segment's
 // pairs sit in memory is known only to this file:
 //
-//   - slots (the default): segment s is b fixed slots of the chunk's
-//     rewire.Buffer, pairs packed left; gate.buf is set, gate.cc is nil.
+//   - slots (the default): segment s is b fixed slots of the gate's
+//     chunkBuf, pairs packed left; gate.buf is set, gate.cc is nil.
 //   - blocks (Config.CompressedChunks, CPMA-style): segment s is one
 //     internal/codec delta block (uvarint count, zigzag first key, uvarint
 //     key gaps, zigzag values) in gate.enc[s]; gate.cc is the store-wide
@@ -85,7 +84,7 @@ const corruptSegment = "core: corrupt compressed segment"
 // cap and never resliced, so its slice header is immutable for the
 // pointee's lifetime; n is the payload's live prefix. Growing past cap
 // publishes a fresh *encSeg with a single pointer store into gate.enc —
-// the same single-word publication discipline as the rewire buffer swap, and
+// the same single-word publication discipline as install's chunk swap, and
 // the array it replaces is never written again, so a reader still holding
 // the old pointer decodes the old block — while rewrites and splices that fit
 // mutate data/n in place under the latch, which seqlock readers tolerate per
@@ -160,16 +159,6 @@ func (sc *cScratch) window(n int) (ks, vs []int64) {
 	return sc.mk[:0], sc.mv[:0]
 }
 
-// attachStorage gives a freshly made gate its empty chunk.
-func (p *PMA) attachStorage(g *gate) {
-	if p.cctx == nil {
-		g.buf = p.pool.Get()
-		return
-	}
-	g.cc = p.cctx
-	g.enc = make([]*encSeg, g.spg)
-}
-
 // Compressed reports whether the store uses the compressed chunk
 // representation (Config.CompressedChunks).
 func (p *PMA) Compressed() bool { return p.cctx != nil }
@@ -205,7 +194,7 @@ func (g *gate) view(s int, sc *cScratch) (ks, vs []int64) {
 	if g.cc == nil {
 		lo := s * g.b
 		hi, end := lo+g.segCard[s], lo+g.b
-		return g.buf.Keys[lo:hi:end], g.buf.Vals[lo:hi:end]
+		return g.buf.keys[lo:hi:end], g.buf.vals[lo:hi:end]
 	}
 	ks, vs, err := g.decodeSeg(s, sc)
 	if err != nil {
@@ -337,12 +326,12 @@ func (g *gate) appendSeg(s int, dk, dv []int64) ([]int64, []int64, bool) {
 // checked against the geometry, the cardinality clamped.
 func (g *gate) slots(s int) (ks, vs []int64) {
 	buf := g.buf
-	if buf == nil || len(buf.Keys) < g.spg*g.b || len(buf.Vals) < g.spg*g.b {
+	if buf == nil || len(buf.keys) < g.spg*g.b || len(buf.vals) < g.spg*g.b {
 		return nil, nil // torn headers; the version check will reject
 	}
 	lo := s * g.b
 	hi := lo + clampCard(g.segCard[s], g.b)
-	return buf.Keys[lo:hi], buf.Vals[lo:hi]
+	return buf.keys[lo:hi], buf.vals[lo:hi]
 }
 
 // payload is block s's encoded bytes, nil when the segment is empty. A
@@ -377,9 +366,9 @@ func (g *gate) payload(s int) []byte {
 func (g *gate) setSeg(s int, ks, vs []int64, sc *cScratch) {
 	g.segCard[s] = len(ks)
 	if g.cc == nil {
-		if lo := s * g.b; len(ks) > 0 && &ks[0] != &g.buf.Keys[lo] {
-			copy(g.buf.Keys[lo:lo+g.b], ks)
-			copy(g.buf.Vals[lo:lo+g.b], vs)
+		if lo := s * g.b; len(ks) > 0 && &ks[0] != &g.buf.keys[lo] {
+			copy(g.buf.keys[lo:lo+g.b], ks)
+			copy(g.buf.vals[lo:lo+g.b], vs)
 		}
 		return
 	}
@@ -527,12 +516,27 @@ func (g *gate) spliced(s int, e *encSeg, old int, r codec.Splice) {
 
 // --- chunk construction ---
 
+// chunkBuf is a slot gate's storage: parallel key and value arrays of spg*b
+// slots, segment s at [s*b, (s+1)*b). It stands in for the spare physical
+// pages of memory rewiring [Schuhknecht et al., RUMA]: a rebalance copies
+// its window once into fresh buffers and install swaps each in with one
+// pointer store. The buffer it replaces is never written again, so a
+// reader still copying from it reads the chunk as it was; the GC frees it
+// once no reader holds it.
+type chunkBuf struct {
+	keys, vals []int64
+}
+
+func newChunkBuf(slots int) *chunkBuf {
+	return &chunkBuf{keys: make([]int64, slots), vals: make([]int64, slots)}
+}
+
 // destPlan is the fully built replacement content for one gate, produced by
 // a worker (fillChunk) and published by the master.
 type destPlan struct {
-	buf      *rewire.Buffer // slots
-	enc      []*encSeg      // blocks
-	encBytes int64          // sum of the enc payload lengths
+	buf      *chunkBuf // slots
+	enc      []*encSeg // blocks
+	encBytes int64     // sum of the enc payload lengths
 	segCard  [maxSegmentsPerGate]int
 	smin     [maxSegmentsPerGate]int64
 	gcard    int
@@ -540,12 +544,12 @@ type destPlan struct {
 	hasKey   bool
 }
 
-// newPlan starts an empty replacement chunk: a spare buffer from the rewire
-// pool, or spg unset blocks.
+// newPlan starts an empty replacement chunk: a fresh buffer, or spg unset
+// blocks.
 func (p *PMA) newPlan(spg int) destPlan {
 	var pl destPlan
 	if p.cctx == nil {
-		pl.buf = p.pool.Get()
+		pl.buf = newChunkBuf(spg * p.cfg.SegmentCapacity)
 	} else {
 		pl.enc = make([]*encSeg, spg)
 	}
@@ -560,8 +564,8 @@ func (p *PMA) newPlan(spg int) destPlan {
 func (p *PMA) fillSeg(pl *destPlan, j, c int, src elemSource, sc *cScratch) int64 {
 	if p.cctx == nil {
 		lo := j * p.cfg.SegmentCapacity
-		src.copyInto(pl.buf.Keys[lo:lo+c], pl.buf.Vals[lo:lo+c])
-		return pl.buf.Keys[lo]
+		src.copyInto(pl.buf.keys[lo:lo+c], pl.buf.vals[lo:lo+c])
+		return pl.buf.keys[lo]
 	}
 	ks, vs := sc.ks[:c], sc.vs[:c]
 	src.copyInto(ks, vs)
@@ -578,17 +582,11 @@ func (p *PMA) fillSeg(pl *destPlan, j, c int, src elemSource, sc *cScratch) int6
 
 // install swaps the plan's chunk and metadata into the gate — the O(1)
 // "rewiring" step: one pointer store for the storage, a copy of the inline
-// minima and cardinalities — and recycles the storage it replaces. The
-// caller holds the latch exclusively, or the gate is not yet published.
-func (g *gate) install(pl *destPlan, pool *rewire.Pool) {
-	old := g.buf
+// minima and cardinalities. The storage it replaces is left to the GC,
+// unchanged. The caller holds the latch exclusively, or the gate is not yet
+// published.
+func (g *gate) install(pl *destPlan) {
 	g.buf, g.enc = pl.buf, pl.enc
 	g.encBytes.Store(pl.encBytes)
 	g.segCard, g.smin, g.gcard = pl.segCard, pl.smin, pl.gcard
-	pool.Put(old)
 }
-
-// retire returns a retired gate's buffer to the pool. The gate keeps its
-// reference: readers still holding the gate discard whatever they read from
-// it (see resize).
-func (g *gate) retire(pool *rewire.Pool) { pool.Put(g.buf) }

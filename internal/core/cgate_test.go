@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"pmago/internal/codec"
-	"pmago/internal/rma"
 )
 
 // testConfigC is testConfig with the compressed chunk representation on.
@@ -397,7 +396,7 @@ func TestCompressedSplice(t *testing.T) {
 			}
 			valid(t, p)
 		}
-		if g.segCard[s] != 0 || g.enc[s].n != 0 || g.encBytes.Load() != 0 || g.smin[s] != rma.KeyMax {
+		if g.segCard[s] != 0 || g.enc[s].n != 0 || g.encBytes.Load() != 0 || g.smin[s] != KeyMax {
 			t.Fatalf("emptied segment: segCard %d, %d live bytes, %d tracked, smin %d",
 				g.segCard[s], g.enc[s].n, g.encBytes.Load(), g.smin[s])
 		}
@@ -560,7 +559,7 @@ func TestMergeBySegmentAllOrNothing(t *testing.T) {
 					s.payload[i] = bytes.Clone(g.enc[i].data)
 				}
 			} else {
-				s.keys = append(slices.Clone(g.buf.Keys[:16]), g.buf.Vals[:16]...)
+				s.keys = append(slices.Clone(g.buf.keys[:16]), g.buf.vals[:16]...)
 			}
 			return s
 		}

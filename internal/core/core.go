@@ -3,32 +3,36 @@
 //
 // The sparse array is split into equal chunks protected by gates (read-write
 // latches plus fence keys and per-segment minima). A static B+-tree index
-// routes operations to gates in O(log_B N) without synchronisation; fence-key
-// verification absorbs racy index reads. That protocol (Section 3.2) is
-// written once, in enter (enter.go): look the key up, latch the gate the
-// index names, check under the latch that a resize has not retired it and
-// that its fences cover the key, step to the neighbour or reload the state
-// otherwise. Every writer that latches a gate arrives through it. Readers
-// make one read per gate and judge it themselves: each gate carries a
-// seqlock version counter (gate.go) that is odd while an exclusive holder
-// may be mutating the chunk, and Get/Scan validate an unsynchronised chunk
-// read against it, making the same read under the shared latch only on
-// sustained contention (read.go).
+// (index.go) routes operations to gates in O(log_B N) without
+// synchronisation; fence-key verification absorbs racy index reads. That
+// protocol (Section 3.2) is written once, in enter (enter.go): look the key
+// up, latch the gate the index names, check under the latch that a resize
+// has not retired it and that its fences cover the key, step to the
+// neighbour or reload the state otherwise. Every writer that latches a gate
+// arrives through it. Readers make one read per gate and judge it
+// themselves: each gate carries a seqlock version counter (gate.go) that is
+// odd while an exclusive holder may be mutating the chunk, and Get/Scan
+// validate an unsynchronised chunk read against it, making the same read
+// under the shared latch only on sustained contention (read.go).
 //
 // Rebalances that span multiple gates are executed by a centralised
 // rebalancer service (one master goroutine, a pool of workers) to which
 // writers transfer their latch ownership, so no client ever holds more than
-// one latch — the deadlock-freedom argument of Section 3.3. Resizes rebuild
-// array, gates and index behind an atomic state pointer (Section 3.4). The
-// paper's epochs, which keep a retired state's memory from being reused
-// under a reader still routing through it, have no counterpart: retired
-// chunk buffers return to the pool at once (rebalancer.go, resize), a racing
-// reader's version validation sees the gate invalid and discards the read,
-// and Go's GC frees the rest of the state once nothing references it. Skewed
-// writers are decoupled through per-gate combining queues with one-by-one or
-// batch processing and a tdelay rate limit on global rebalances (Section
-// 3.5): an uncontended writer updates in place; the queue is for writers
-// that arrive while the latch is held.
+// one latch — the deadlock-freedom argument of Section 3.3. A rebalance
+// spreads its window evenly or, in ModeOneByOne, by the adaptive policy
+// (spread.go); a multi-gate one copies the window once into fresh chunk
+// buffers that one pointer store each swaps in (Section 3.1's rewiring;
+// install in cgate.go). Resizes rebuild array, gates and index behind an
+// atomic state pointer (Section 3.4). The paper's epochs, which keep a
+// retired state's memory from being reused under a reader still routing
+// through it, have no counterpart: nothing reuses a retired chunk buffer —
+// it is never written again, and Go's GC frees it with the rest of the
+// state once no reader holds it — and a racing reader's version validation
+// sees the gate invalid and discards the read (rebalancer.go, resize).
+// Skewed writers are decoupled through per-gate combining queues with
+// one-by-one or batch processing and a tdelay rate limit on global
+// rebalances (Section 3.5): an uncontended writer updates in place; the
+// queue is for writers that arrive while the latch is held.
 //
 // Beyond the paper, batch.go adds a client-facing batch subsystem
 // (PutBatch, DeleteBatch, BulkLoad): sorted batches are partitioned along
@@ -45,9 +49,6 @@ import (
 	"time"
 
 	"pmago/internal/obs"
-	"pmago/internal/rewire"
-	"pmago/internal/rma"
-	"pmago/internal/sindex"
 )
 
 // Mode selects the update-processing scheme of Section 3.5.
@@ -97,9 +98,6 @@ type Config struct {
 	// Workers is the size of the rebalancer's worker pool (the paper
 	// uses 8, matching its cores). Defaults to GOMAXPROCS capped at 8.
 	Workers int
-	// Adaptive forces adaptive rebalancing for local rebalances. It is
-	// implied by ModeOneByOne.
-	Adaptive bool
 	// DisableOptimisticReads sets the seqlock attempt budget of every Get
 	// and Scan read to 0, so each one makes its single read under the
 	// shared latch (read.go): the same lookup, made consistent by the latch
@@ -195,7 +193,7 @@ const (
 type state struct {
 	p       *PMA
 	gates   []*gate
-	index   *sindex.Index
+	index   *staticIndex
 	spg     int
 	b       int
 	numSegs int // len(gates) * spg
@@ -231,9 +229,8 @@ func (st *state) thresholds(k, h int) (rho, tau float64) {
 // PMA is the concurrent packed memory array. All methods are safe for
 // concurrent use by any number of goroutines.
 type PMA struct {
-	cfg      Config
-	adaptive bool
-	hook     UpdateHook
+	cfg  Config
+	hook UpdateHook
 	// attempts is the seqlock budget of a read before it takes the shared
 	// latch (read.go): optimisticAttempts, or 0 — every read latched — in
 	// race builds and under Config.DisableOptimisticReads.
@@ -241,8 +238,7 @@ type PMA struct {
 
 	state atomic.Pointer[state]
 
-	pool *rewire.Pool
-	reb  *rebalancer
+	reb *rebalancer
 
 	// cctx is non-nil exactly when Config.CompressedChunks is set: the
 	// store's segments are delta blocks instead of slots (cgate.go).
@@ -274,7 +270,7 @@ func New(cfg Config) (*PMA, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.state.Store(p.newState(1))
+	p.state.Store(p.buildLoadedState(nil, nil)) // one gate, empty chunk
 	p.startServices()
 	return p, nil
 }
@@ -300,9 +296,7 @@ func newShell(cfg Config) (*PMA, error) {
 	}
 	p := &PMA{
 		cfg:      cfg,
-		adaptive: cfg.Adaptive || cfg.Mode == ModeOneByOne,
 		attempts: optimisticAttempts,
-		pool:     rewire.NewPool(cfg.SegmentsPerGate*cfg.SegmentCapacity, 4*cfg.Workers+16),
 		events:   cfg.Events,
 	}
 	if cfg.DisableOptimisticReads || raceEnabled {
@@ -332,7 +326,9 @@ func MustNew(cfg Config) *PMA {
 	return p
 }
 
-// newState builds an empty state with the given number of gates.
+// newState builds an empty state with the given number of gates and no
+// chunk storage: its builder (resize, buildLoadedState) installs a built
+// chunk in every gate before publishing it (installState).
 func (p *PMA) newState(numGates int) *state {
 	st := &state{
 		p:       p,
@@ -342,24 +338,24 @@ func (p *PMA) newState(numGates int) *state {
 	}
 	st.height = log2(st.numSegs) + 1
 	st.gates = make([]*gate, numGates)
-	st.index = sindex.New(numGates)
+	st.index = newStaticIndex(numGates)
 	for i := range st.gates {
-		var pred *rma.Predictor
-		if p.adaptive {
-			pred = rma.NewPredictor(predictorSize)
+		var pred *predictor
+		if p.cfg.Mode == ModeOneByOne {
+			pred = newPredictor(predictorSize)
 		}
 		st.gates[i] = newGate(i, st.spg, st.b, pred)
-		p.attachStorage(st.gates[i])
+		st.gates[i].cc = p.cctx
 	}
 	// Degenerate fences for an all-empty array: gate 0 owns everything.
-	st.gates[0].fenceLo = rma.KeyMin
-	st.gates[len(st.gates)-1].fenceHi = rma.KeyMax
+	st.gates[0].fenceLo = KeyMin
+	st.gates[len(st.gates)-1].fenceHi = KeyMax
 	for i := 1; i < len(st.gates); i++ {
-		st.gates[i].fenceLo = rma.KeyMax
-		st.gates[i-1].fenceHi = rma.KeyMax - 1
-		st.index.Set(i, rma.KeyMax)
+		st.gates[i].fenceLo = KeyMax
+		st.gates[i-1].fenceHi = KeyMax - 1
+		st.index.set(i, KeyMax)
 	}
-	st.index.Set(0, rma.KeyMin)
+	st.index.set(0, KeyMin)
 	return st
 }
 

@@ -12,10 +12,10 @@ const (
 // route is the unsynchronised half of the entry protocol: the static index
 // names a gate for key. The separators are read while rebalances rewrite
 // them, so the answer may be a neighbour of the owner (never out of range:
-// sindex.Lookup guarantees a valid gate number); whoever acts on it verifies
+// staticIndex.lookup guarantees a valid gate number); whoever acts on it verifies
 // the fences — enter under the latch, Get and Scan in their one read of
 // the gate (read.go), the master latch-free (only it moves fences).
-func (st *state) route(key int64) int { return st.index.Lookup(key) }
+func (st *state) route(key int64) int { return st.index.lookup(key) }
 
 // enter is the one way into a gate, the protocol of Section 3.2: look the key
 // up in the static index without synchronisation, latch the gate it names,

@@ -41,8 +41,8 @@ func TestEnter(t *testing.T) {
 				gate int
 				sep  int64
 			}{{mid, key + 1}, {mid + 1, key}} {
-				sep := st.index.Get(stale.gate)
-				st.index.Set(stale.gate, stale.sep)
+				sep := st.index.get(stale.gate)
+				st.index.set(stale.gate, stale.sep)
 				if gi := st.route(key); gi == mid {
 					t.Fatalf("separator %d of gate %d did not misroute key %d", stale.sep, stale.gate, key)
 				}
@@ -61,7 +61,7 @@ func TestEnter(t *testing.T) {
 				if v := owner.version.Load(); v&1 != 0 {
 					t.Fatalf("version %d odd after the release", v)
 				}
-				st.index.Set(stale.gate, sep)
+				st.index.set(stale.gate, sep)
 			}
 
 			if tc.mode == latchCombine {

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 
 	"pmago/internal/codec"
-	"pmago/internal/rewire"
-	"pmago/internal/rma"
 )
 
 // Latch states (Section 3.1/3.3). Positive values count shared holders.
@@ -78,7 +76,7 @@ type gate struct {
 	// a block store sets enc (length spg, nil element = never-encoded empty
 	// segment) and cc. buf and enc are swapped whole under the latch, so the
 	// seqlock readers' torn-header discipline covers them.
-	buf *rewire.Buffer
+	buf *chunkBuf
 	cc  *cctx
 
 	spg     int  // segments per gate, at most maxSegmentsPerGate (fixed)
@@ -93,7 +91,7 @@ type gate struct {
 	gcard   int    // elements stored in this chunk
 	rebGen  uint64 // bumped every time a global rebalance/resize covers this gate
 	lastReb int64  // monotonic nanos of the last global rebalance (tdelay)
-	pred    *rma.Predictor
+	pred    *predictor
 	enc     []*encSeg
 	// encBytes is the sum of the blocks' payload lengths, atomic so Stats
 	// can walk the live gates without latching them.
@@ -117,18 +115,18 @@ type gate struct {
 	_ [56]byte // to 448 bytes, a multiple of 64
 }
 
-func newGate(idx, spg, b int, pred *rma.Predictor) *gate {
+func newGate(idx, spg, b int, pred *predictor) *gate {
 	g := &gate{
 		idx:     idx,
 		spg:     spg,
 		b:       b,
-		fenceLo: rma.KeyMin,
-		fenceHi: rma.KeyMax,
+		fenceLo: KeyMin,
+		fenceHi: KeyMax,
 		pred:    pred,
 	}
 	g.cond.L = &g.mu
 	for i := range g.smin {
-		g.smin[i] = rma.KeyMax
+		g.smin[i] = KeyMax
 	}
 	return g
 }
@@ -361,7 +359,7 @@ func (g *gate) inserted(s int, k int64, min bool) {
 		g.setSegMin(s, k)
 	}
 	if g.pred != nil {
-		g.pred.Record(k)
+		g.pred.record(k)
 	}
 }
 
@@ -426,7 +424,7 @@ func (g *gate) setSegMin(s int, k int64) {
 }
 
 func (g *gate) clearSegMin(s int) {
-	inherit := int64(rma.KeyMax)
+	inherit := int64(KeyMax)
 	if s+1 < g.spg {
 		inherit = g.smin[s+1]
 	}
@@ -495,12 +493,12 @@ func (g *gate) spreadLocal(ws, we int, ks, vs []int64, sc *cScratch) {
 	m := we - ws
 	var counts []int
 	if g.pred != nil {
-		counts = g.pred.AdaptiveCounts(ks, m, g.b)
+		counts = g.pred.adaptiveCounts(ks, m, g.b)
 	} else {
-		counts = rma.EvenCounts(len(ks), m)
+		counts = evenCounts(len(ks), m)
 	}
 	pos := len(ks)
-	inherit := int64(rma.KeyMax)
+	inherit := int64(KeyMax)
 	if we < g.spg {
 		inherit = g.smin[we]
 	}
@@ -547,7 +545,7 @@ const seekWalk = 8
 // input — a torn racy read — the result is still in [0, len(ks)].
 func seekSeg(ks []int64, k, lo, hi int64) int {
 	n := len(ks)
-	if n == 0 || lo == rma.KeyMin || hi == rma.KeyMax {
+	if n == 0 || lo == KeyMin || hi == KeyMax {
 		return searchKeys(ks, k)
 	}
 	i := n - 1

@@ -6,8 +6,6 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
-
-	"pmago/internal/rma"
 )
 
 // TestGateReaderLine pins the gate layout the seqlock Get is tuned for. The
@@ -104,9 +102,9 @@ func FuzzSeekSegment(f *testing.F) {
 		{even, -5, 0, 256, true, false},
 		{even, 112, 200, 10, true, false},
 		{even, 112, 50, 50, true, false},
-		{even, 112, rma.KeyMin, 256, true, false},
-		{even, 112, 0, rma.KeyMax, true, false},
-		{even, 112, rma.KeyMin + 1, rma.KeyMax - 1, true, false},
+		{even, 112, KeyMin, 256, true, false},
+		{even, 112, 0, KeyMax, true, false},
+		{even, 112, KeyMin + 1, KeyMax - 1, true, false},
 		{even, 3, 0, 0, false, true},
 		{clustered, 1e9 + 1, 1, 1e9 + 4, true, false},
 		{clustered, 500, 1, 1e9 + 4, true, false},
@@ -162,7 +160,7 @@ func TestSeekSegmentBounds(t *testing.T) {
 		bounds := [][2]int64{
 			{first, last + 1}, {first - 100, last + 100}, {last, first},
 			{first, first}, {last + 5, last + 10}, {first - 10, first - 5},
-			{rma.KeyMin, last}, {first, rma.KeyMax}, {rma.KeyMin + 1, rma.KeyMax - 1},
+			{KeyMin, last}, {first, KeyMax}, {KeyMin + 1, KeyMax - 1},
 		}
 		for trial := 0; trial < 64; trial++ {
 			k := first - 3 + rng.Int63n(last-first+7)

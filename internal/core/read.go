@@ -1,8 +1,6 @@
 package core
 
-import (
-	"pmago/internal/rma"
-)
+import ()
 
 // One read serves every Get and every chunk a Scan copies: sample the
 // gate's reader fields, look the key up (or copy the chunk out), and judge
@@ -66,7 +64,7 @@ func (st *state) judge(gi int, k int64) readStatus {
 // queues: updates still queued are not yet visible (Section 3.5 semantics).
 func (p *PMA) Get(k int64) (int64, bool) {
 	p.checkOpen()
-	if k == rma.KeyMin || k == rma.KeyMax {
+	if k == KeyMin || k == KeyMax {
 		return 0, false
 	}
 	for {
@@ -94,8 +92,8 @@ func (p *PMA) Get(k int64) (int64, bool) {
 // exclusive section is short, so either a quick re-probe succeeds or the
 // gate is genuinely writer-heavy and parking on the shared latch (which
 // writers wake on release) beats burning cycles. Only a read that stands
-// looks the key up in earnest: a retired gate's buffer may already serve
-// another gate, which a latched lookup must not read.
+// looks the key up in earnest: a retired gate's chunk is the array as it
+// was before a resize, not the store's answer.
 func (p *PMA) getGate(st *state, gi int, k int64) (v int64, found bool, res readStatus) {
 	g := st.gates[gi]
 	for fails := 0; ; fails++ {
@@ -146,10 +144,10 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 	if lo > hi {
 		return
 	}
-	if lo == rma.KeyMin {
+	if lo == KeyMin {
 		lo++
 	}
-	if hi == rma.KeyMax {
+	if hi == KeyMax {
 		hi--
 	}
 	sb := p.getScanBuf()
@@ -176,7 +174,7 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 			if !sb.each(fn) {
 				return
 			}
-			if fenceHi >= hi || fenceHi == rma.KeyMax {
+			if fenceHi >= hi || fenceHi == KeyMax {
 				return
 			}
 			from = fenceHi + 1
@@ -277,7 +275,7 @@ func (p *PMA) putScanBuf(sb *scanBuf) {
 
 // ScanAll visits every stored pair in ascending key order.
 func (p *PMA) ScanAll(fn func(k, v int64) bool) {
-	p.Scan(rma.KeyMin+1, rma.KeyMax-1, fn)
+	p.Scan(KeyMin+1, KeyMax-1, fn)
 }
 
 // Keys collects all stored keys in order (test/diagnostic helper). It rides

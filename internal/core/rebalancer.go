@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pmago/internal/obs"
-	"pmago/internal/rma"
 )
 
 // reqKind enumerates the work items the rebalancer master serves.
@@ -502,7 +501,7 @@ func (p *PMA) fillChunk(segCounts []int, src elemSource) destPlan {
 		pl.segCard[j] = c
 		pl.gcard += c
 	}
-	inherit := int64(rma.KeyMax)
+	inherit := int64(KeyMax)
 	for j := len(segCounts) - 1; j >= 0; j-- {
 		if pl.segCard[j] > 0 {
 			inherit = pl.smin[j]
@@ -549,7 +548,7 @@ func (r *rebalancer) executeRebalance(st *state, glo, ghi int, ins []op) {
 		// parallel per source gate, then fill destinations from scratch.
 		total, source = r.materialize(st, glo, ghi, ins, nil), r.scratchSource
 	}
-	plans := r.fillPlans(rma.EvenCounts(total, (ghi-glo)*st.spg), source)
+	plans := r.fillPlans(evenCounts(total, (ghi-glo)*st.spg), source)
 	st.card.Add(int64(total - before))
 	r.p.publish(st, glo, ghi, plans, time.Now().UnixNano())
 }
@@ -623,27 +622,27 @@ func (r *rebalancer) materialize(st *state, glo, ghi int, ins []op, dels []int64
 	return total
 }
 
-// publish swaps the freshly built buffers into gates [glo, ghi), updates
+// publish swaps the freshly built buffers into gates [glo, ghi) — the O(1)
+// "rewiring" step; the old buffers are left unchanged to the GC — updates
 // fence keys right-to-left (interior boundaries move to the first key now
-// stored in each gate; the window's outer boundaries are preserved), mirrors
-// the new separators into the static index, and recycles the old buffers —
-// the O(1) "rewiring" step; stamp becomes the gates' last-rebalance time. In
-// a live state every gate in the window is rebLock'd, so its seqlock version
-// has been odd since before the first buffer or fence move: an optimistic
-// reader that sampled the pre-rebalance version cannot validate across any
-// part of this swap, and one that samples afterwards sees the completed
-// window.
+// stored in each gate; the window's outer boundaries are preserved) and
+// mirrors the new separators into the static index; stamp becomes the
+// gates' last-rebalance time. In a live state every gate in the window is
+// rebLock'd, so its seqlock version has been odd since before the first
+// buffer or fence move: an optimistic reader that sampled the pre-rebalance
+// version cannot validate across any part of this swap, and one that samples
+// afterwards sees the completed window.
 func (p *PMA) publish(st *state, glo, ghi int, plans []destPlan, stamp int64) {
-	nextLo := int64(rma.KeyMax)
+	nextLo := int64(KeyMax)
 	if ghi < len(st.gates) {
 		nextLo = st.gates[ghi].fenceLo
 	}
 	for i := ghi - 1; i >= glo; i-- {
 		g := st.gates[i]
 		pl := &plans[i-glo]
-		g.install(pl, p.pool)
-		if nextLo == rma.KeyMax {
-			g.fenceHi = rma.KeyMax
+		g.install(pl)
+		if nextLo == KeyMax {
+			g.fenceHi = KeyMax
 		} else {
 			g.fenceHi = nextLo - 1
 		}
@@ -653,7 +652,7 @@ func (p *PMA) publish(st *state, glo, ghi int, plans []destPlan, stamp int64) {
 				lo = pl.firstKey
 			}
 			g.fenceLo = lo
-			st.index.Set(i, lo)
+			st.index.set(i, lo)
 		}
 		g.rebGen++
 		g.lastReb = stamp
@@ -691,7 +690,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 	for _, g := range st.gates {
 		allOps = append(allOps, p.detachQueue(g)...)
 	}
-	finalIns, finalDels, _ := compactOps(allOps, rma.KeyMin+1, rma.KeyMax-1)
+	finalIns, finalDels, _ := compactOps(allOps, KeyMin+1, KeyMax-1)
 
 	total := r.materialize(st, 0, len(st.gates), finalIns, finalDels)
 
@@ -715,7 +714,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 	}
 
 	newSt := p.newState(newSegs / st.spg)
-	plans := r.fillPlans(rma.EvenCounts(total, newSegs), r.scratchSource)
+	plans := r.fillPlans(evenCounts(total, newSegs), r.scratchSource)
 
 	// Install plans and fences on the new state (not yet visible).
 	p.installState(newSt, plans, total)
@@ -726,21 +725,20 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 	// invalid flag and restart against the new state.
 	//
 	// Ordering matters for the optimistic readers: invalid is set before
-	// endExclusive bumps the version to even, and the buffer is recycled
-	// only after the bump. Every gate here has been rebLock'd (version
-	// odd) since before the new state was published, so the only even
-	// version an optimistic reader can ever validate against a retired
-	// gate is this final one — and that snapshot carries invalid=true, so
-	// the read is discarded and the reader restarts on the new state. A
-	// racy read of the buffer after the pool re-issues it to a new gate
-	// therefore can never be returned to a caller (the retired-gate
-	// regression test in stress_test.go pins this down).
+	// endExclusive bumps the version to even. Every gate here has been
+	// rebLock'd (version odd) since before the new state was published, so
+	// the only even version an optimistic reader can ever validate against
+	// a retired gate is this final one — and that snapshot carries
+	// invalid=true, so the read is discarded and the reader restarts on the
+	// new state, whose pairs may have moved to another gate (the
+	// retired-gate regression test in stress_test.go pins this down). The
+	// retired buffers are not written again: the GC frees them once no
+	// reader holds them.
 	for _, g := range st.gates {
 		g.mu.Lock()
 		g.invalid = true
 		g.releaseLocked()
 		g.mu.Unlock()
-		g.retire(p.pool)
 	}
 	if m := p.metrics; m != nil {
 		m.Resizes.Inc()
@@ -756,7 +754,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 // rebalance has run in it, so no tdelay stamp) — and sets its cardinality.
 // Shared by resize and BulkLoad's direct construction.
 func (p *PMA) installState(st *state, plans []destPlan, total int) {
-	p.publish(st, 0, len(st.gates), plans, 0) // replaces the empty chunks from newState
+	p.publish(st, 0, len(st.gates), plans, 0) // newState left every gate without storage
 	st.card.Store(int64(total))
 }
 

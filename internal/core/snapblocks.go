@@ -2,7 +2,6 @@ package core
 
 import (
 	"pmago/internal/codec"
-	"pmago/internal/rma"
 )
 
 // ScanBlocks streams the store's content as codec-encoded delta blocks in
@@ -27,11 +26,11 @@ func (p *PMA) ScanBlocks(fn func(payload []byte, pairs int) bool) bool {
 		offs    []int  // start of each payload within scratch
 		counts  []int  // pair count of each payload
 	)
-	from := int64(rma.KeyMin + 1)
+	from := int64(KeyMin + 1)
 	for {
 		_, g := p.enter(from, latchShared, op{})
 		scratch, offs, counts = scratch[:0], offs[:0], counts[:0]
-		if g.fenceLo >= from || from == rma.KeyMin+1 {
+		if g.fenceLo >= from || from == KeyMin+1 {
 			// Every key this gate stores is >= from: copy the encoded
 			// segments verbatim.
 			for s := 0; s < g.spg; s++ {
@@ -78,7 +77,7 @@ func (p *PMA) ScanBlocks(fn func(payload []byte, pairs int) bool) bool {
 			}
 		}
 		// The last gate's upper fence is KeyMax, so this ends the walk.
-		if fenceHi >= rma.KeyMax-1 {
+		if fenceHi >= KeyMax-1 {
 			return true
 		}
 		from = fenceHi + 1

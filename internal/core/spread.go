@@ -1,47 +1,48 @@
-// Package rma holds what the concurrent PMA of internal/core keeps of the
-// sequential Rewired Memory Array [De Leo & Boncz, ICDE 2019] it grew out of:
-// the sentinel keys, and the two policies that decide how a rebalance spreads
-// a window's elements over its segments — the traditional even spread and the
-// adaptive one driven by a predictor of recent insert positions. The
-// calibrator-tree thresholds that decide when to rebalance are core.Config's.
-package rma
+package core
 
 import (
 	"math"
 	"sort"
 )
 
-// KeyMin and KeyMax are reserved sentinel keys (used as -inf / +inf fence
-// keys by the concurrent layer); they cannot be stored in a PMA.
+// What the concurrent PMA keeps of the sequential Rewired Memory Array
+// [De Leo & Boncz, ICDE 2019] it grew out of: the sentinel keys, and the two
+// policies that decide how a rebalance spreads a window's elements over its
+// segments — the traditional even spread and the adaptive one driven by a
+// predictor of recent insert positions. The calibrator-tree thresholds that
+// decide when to rebalance are in core.go.
+
+// KeyMin and KeyMax are reserved sentinel keys (the -inf / +inf fence keys);
+// they cannot be stored in a PMA.
 const (
 	KeyMin = math.MinInt64
 	KeyMax = math.MaxInt64
 )
 
-// Predictor remembers the keys of the most recent insertions in a ring
+// predictor remembers the keys of the most recent insertions in a ring
 // buffer. During an adaptive rebalance the recorded keys are projected onto
 // the window's sorted elements to estimate which target segments will receive
 // future insertions; those segments are then given more gaps. This is a
 // practical rendition of the APMA predictor of Bender & Hu [TODS 2007], in
 // the same spirit as the Rewired Memory Array implementation the paper
-// extends. It is exported so the concurrent layer can attach one per gate.
+// extends. ModeOneByOne attaches one per gate.
 //
-// A Predictor is not safe for concurrent use; the concurrent PMA serialises
-// access under the gate latch.
-type Predictor struct {
+// A predictor is not safe for concurrent use; it is used under the gate's
+// exclusive latch.
+type predictor struct {
 	keys   []int64
 	pos    int
 	filled bool
 }
 
-// NewPredictor returns a predictor remembering the last size insertions;
+// newPredictor returns a predictor remembering the last size insertions;
 // size must be positive.
-func NewPredictor(size int) *Predictor {
-	return &Predictor{keys: make([]int64, size)}
+func newPredictor(size int) *predictor {
+	return &predictor{keys: make([]int64, size)}
 }
 
-// Record notes the key of a fresh insertion.
-func (pr *Predictor) Record(k int64) {
+// record notes the key of a fresh insertion.
+func (pr *predictor) record(k int64) {
 	pr.keys[pr.pos] = k
 	pr.pos++
 	if pr.pos == len(pr.keys) {
@@ -50,24 +51,24 @@ func (pr *Predictor) Record(k int64) {
 	}
 }
 
-// Size returns how many recorded entries are valid.
-func (pr *Predictor) Size() int {
+// size returns how many recorded entries are valid.
+func (pr *predictor) size() int {
 	if pr.filled {
 		return len(pr.keys)
 	}
 	return pr.pos
 }
 
-// Histogram buckets the recorded keys that fall inside the key range of the
+// histogram buckets the recorded keys that fall inside the key range of the
 // sorted slice ks into m equal-rank buckets and returns the per-bucket hit
 // counts. Buckets correspond to the m target segments of the rebalance.
-func (pr *Predictor) Histogram(ks []int64, m int) []int {
+func (pr *predictor) histogram(ks []int64, m int) []int {
 	hist := make([]int, m)
 	if len(ks) == 0 {
 		return hist
 	}
 	lo, hi := ks[0], ks[len(ks)-1]
-	n := pr.Size()
+	n := pr.size()
 	for i := 0; i < n; i++ {
 		q := pr.keys[i]
 		if q < lo || q > hi {
@@ -85,15 +86,15 @@ func (pr *Predictor) Histogram(ks []int64, m int) []int {
 	return hist
 }
 
-// AdaptiveCounts decides how many of n sorted elements (ks) each of m target
+// adaptiveCounts decides how many of n sorted elements (ks) each of m target
 // segments of capacity b receives under the adaptive policy: segments whose
 // key range saw more recent insertions receive more gaps (fewer elements).
 // Counts are clamped to [0, b-1] so every segment keeps a free slot, and
 // rounding drift is corrected round-robin. The caller guarantees
 // n <= m*(b-1).
-func (pr *Predictor) AdaptiveCounts(ks []int64, m, b int) []int {
+func (pr *predictor) adaptiveCounts(ks []int64, m, b int) []int {
 	n := len(ks)
-	hist := pr.Histogram(ks, m)
+	hist := pr.histogram(ks, m)
 	gaps := m*b - n
 
 	// Share the gaps proportionally to (1 + hits): hot regions get more
@@ -136,9 +137,9 @@ func (pr *Predictor) AdaptiveCounts(ks []int64, m, b int) []int {
 	return counts
 }
 
-// EvenCounts is the traditional policy: an even spread of n elements over m
+// evenCounts is the traditional policy: an even spread of n elements over m
 // segments (Figure 1b).
-func EvenCounts(n, m int) []int {
+func evenCounts(n, m int) []int {
 	counts := make([]int, m)
 	base, rem := n/m, n%m
 	for i := range counts {

@@ -1,4 +1,4 @@
-package rma
+package core
 
 import (
 	"slices"
@@ -17,19 +17,19 @@ import (
 // one while keeping every element and a free slot per segment.
 func TestFigure1Counts(t *testing.T) {
 	ks := []int64{10, 11, 12, 13, 20, 21, 22, 30, 40, 41, 42, 43}
-	if got, want := EvenCounts(len(ks), 4), []int{3, 3, 3, 3}; !slices.Equal(got, want) {
-		t.Fatalf("EvenCounts = %v, want %v (Figure 1b)", got, want)
+	if got, want := evenCounts(len(ks), 4), []int{3, 3, 3, 3}; !slices.Equal(got, want) {
+		t.Fatalf("evenCounts = %v, want %v (Figure 1b)", got, want)
 	}
-	if got, want := EvenCounts(14, 4), []int{4, 4, 3, 3}; !slices.Equal(got, want) {
-		t.Fatalf("EvenCounts = %v, want %v (remainder goes left)", got, want)
+	if got, want := evenCounts(14, 4), []int{4, 4, 3, 3}; !slices.Equal(got, want) {
+		t.Fatalf("evenCounts = %v, want %v (remainder goes left)", got, want)
 	}
 
-	pr := NewPredictor(8)
+	pr := newPredictor(8)
 	for _, k := range []int64{40, 41, 42, 43, 41, 42} {
-		pr.Record(k)
+		pr.record(k)
 	}
 	const b = 8
-	got := pr.AdaptiveCounts(ks, 4, b)
+	got := pr.adaptiveCounts(ks, 4, b)
 	sum := 0
 	for s, c := range got {
 		if c < 0 || c > b-1 {
@@ -38,13 +38,13 @@ func TestFigure1Counts(t *testing.T) {
 		sum += c
 	}
 	if sum != len(ks) {
-		t.Fatalf("AdaptiveCounts %v places %d elements, want %d", got, sum, len(ks))
+		t.Fatalf("adaptiveCounts %v places %d elements, want %d", got, sum, len(ks))
 	}
 	if got[3] >= got[0] {
-		t.Fatalf("AdaptiveCounts %v: the hot last segment must receive fewer elements than the cold first", got)
+		t.Fatalf("adaptiveCounts %v: the hot last segment must receive fewer elements than the cold first", got)
 	}
 	// With no recorded insertion in range the policy has nothing to skew by.
-	if cold := NewPredictor(8).AdaptiveCounts(ks, 4, b); !slices.Equal(cold, []int{3, 3, 3, 3}) {
-		t.Fatalf("cold AdaptiveCounts = %v, want the even spread", cold)
+	if cold := newPredictor(8).adaptiveCounts(ks, 4, b); !slices.Equal(cold, []int{3, 3, 3, 3}) {
+		t.Fatalf("cold adaptiveCounts = %v, want the even spread", cold)
 	}
 }

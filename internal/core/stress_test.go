@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,10 +12,10 @@ import (
 
 // stressVal is the model every stress writer maintains: the value stored
 // under k is always stressVal(k). A torn optimistic read — a value from a
-// half-completed mutation, a value paired with the wrong key, or data from a
-// retired gate's recycled buffer — is overwhelmingly likely to break the
-// relation, so checking it on every Get/Scan turns the readers into a
-// torn-read detector for the seqlock protocol.
+// half-completed mutation or a value paired with the wrong key — is
+// overwhelmingly likely to break the relation, so checking it on every
+// Get/Scan turns the readers into a torn-read detector for the seqlock
+// protocol.
 func stressVal(k int64) int64 { return k*31 + 7 }
 
 // TestOptimisticReadStress hammers Get and Scan against concurrent point
@@ -203,11 +205,12 @@ func stressReads(t *testing.T, mode Mode, disableOptimistic, compressed bool) {
 
 // TestReadDuringResizeHandOff pins down the retired-gate hand-off: while a
 // batch writer forces the array through repeated grow and shrink resizes
-// (which invalidate every gate and recycle its buffer into the new state),
+// (which invalidate every gate and move its pairs into the new state),
 // readers continuously Get and Scan a fixed set of canary keys that are
 // never mutated. If the optimistic path ever validated a read against a
-// retired gate — whose buffer may already hold another gate's data — a
-// canary would come back missing, with a wrong value, or out of order.
+// retired gate — the array as it was before a resize, whose fences no
+// longer say where a key lives — a canary would come back missing, twice,
+// or out of order.
 func TestReadDuringResizeHandOff(t *testing.T) {
 	cfg := testConfig(ModeBatch)
 	p, err := New(cfg)
@@ -341,6 +344,63 @@ func TestReadDuringResizeHandOff(t *testing.T) {
 		t.Fatalf("churn produced only %d resizes, want >= %d — test did not exercise the hand-off", got, wantResizes)
 	}
 	p.Flush()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetiredBufferNeverRewritten pins the rewiring contract of Section 3.1:
+// a rebalance or resize copies a chunk once into a fresh buffer and swaps it
+// in, and the buffer it replaces is never written again, so an optimistic
+// reader still copying from a retired buffer reads the chunk as it was.
+// Writes grow the array through resizes and global rebalances, then deletes
+// shrink it; after every round each buffer that left the live gates is
+// frozen, and no frozen buffer may serve a gate again or change.
+func TestRetiredBufferNeverRewritten(t *testing.T) {
+	p := newTest(t, ModeSync)
+	live := func() map[*chunkBuf]bool {
+		p.Flush()
+		bufs := make(map[*chunkBuf]bool)
+		for _, g := range p.state.Load().gates {
+			bufs[g.buf] = true
+		}
+		return bufs
+	}
+	type frozen struct{ keys, vals []int64 }
+	retired := make(map[*chunkBuf]frozen)
+	prev := live()
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 60; round++ {
+		for i := 0; i < 128; i++ {
+			k := rng.Int63n(4096)
+			if round < 40 {
+				p.Put(k, k)
+			} else {
+				p.Delete(k)
+			}
+		}
+		now := live()
+		for b := range now {
+			if _, ok := retired[b]; ok {
+				t.Fatalf("round %d: a retired buffer serves a live gate again", round)
+			}
+		}
+		for b := range prev {
+			if !now[b] {
+				retired[b] = frozen{slices.Clone(b.keys), slices.Clone(b.vals)}
+			}
+		}
+		prev = now
+	}
+	for b, f := range retired {
+		if !slices.Equal(b.keys, f.keys) || !slices.Equal(b.vals, f.vals) {
+			t.Fatal("a retired buffer was written after it left its gate")
+		}
+	}
+	rs := p.Stats().Rebalance
+	if rs.Resizes < 4 || rs.Global == 0 || rs.Local == 0 || len(retired) == 0 {
+		t.Fatalf("%+v, %d retired buffers: the writes did not exercise rebalances and resizes", rs, len(retired))
+	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-
-	"pmago/internal/rma"
 )
 
 // Validate checks the structural invariants of the whole concurrent PMA:
@@ -14,7 +12,7 @@ import (
 func (p *PMA) Validate() error {
 	st := p.state.Load()
 	total := 0
-	prevKey := int64(rma.KeyMin)
+	prevKey := int64(KeyMin)
 	var prevHi int64 // tiling check only applies from gate 1 onward
 	for gi, g := range st.gates {
 		g.lockShared()
@@ -32,16 +30,16 @@ func (p *PMA) Validate() error {
 			if g.idx != gi {
 				return fmt.Errorf("gate %d has idx %d", gi, g.idx)
 			}
-			if gi == 0 && g.fenceLo != rma.KeyMin {
+			if gi == 0 && g.fenceLo != KeyMin {
 				return fmt.Errorf("gate 0 fenceLo = %d, want KeyMin", g.fenceLo)
 			}
-			if gi == len(st.gates)-1 && g.fenceHi != rma.KeyMax {
+			if gi == len(st.gates)-1 && g.fenceHi != KeyMax {
 				return fmt.Errorf("last gate fenceHi = %d, want KeyMax", g.fenceHi)
 			}
 			if gi > 0 && g.fenceLo != prevHi+1 {
 				return fmt.Errorf("gate %d fenceLo %d does not tile with previous fenceHi %d", gi, g.fenceLo, prevHi)
 			}
-			if sep := st.index.Get(gi); gi > 0 && sep != g.fenceLo {
+			if sep := st.index.get(gi); gi > 0 && sep != g.fenceLo {
 				return fmt.Errorf("gate %d index separator %d != fenceLo %d", gi, sep, g.fenceLo)
 			}
 			// segKeys reads segment s's stored keys through the checked
@@ -60,7 +58,7 @@ func (p *PMA) Validate() error {
 				return fmt.Errorf("gate %d: %w", gi, err)
 			}
 			gtotal := 0
-			inherit := int64(rma.KeyMax)
+			inherit := int64(KeyMax)
 			for s := g.spg - 1; s >= 0; s-- {
 				c := g.segCard[s]
 				if c < 0 || c > g.b {

@@ -1,7 +1,5 @@
 package core
 
-import "pmago/internal/rma"
-
 // op is one pending update, as stored in a combining queue.
 type op struct {
 	key int64
@@ -35,7 +33,7 @@ func (p *PMA) detachQueue(g *gate) []op {
 // immediately following Get may not observe it.
 func (p *PMA) Put(k, v int64) {
 	p.checkOpen()
-	if k == rma.KeyMin || k == rma.KeyMax {
+	if k == KeyMin || k == KeyMax {
 		panic("core: cannot store sentinel key")
 	}
 	if h := p.hook; h != nil {
@@ -49,7 +47,7 @@ func (p *PMA) Put(k, v int64) {
 // matching the fire-and-forget semantics of Section 3.5.
 func (p *PMA) Delete(k int64) bool {
 	p.checkOpen()
-	if k == rma.KeyMin || k == rma.KeyMax {
+	if k == KeyMin || k == KeyMax {
 		return false
 	}
 	if h := p.hook; h != nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"testing"
-
-	"pmago/internal/rma"
 )
 
 // TestLoneWriterDoesNotAllocate: an uncontended writer of the async modes
@@ -63,7 +61,7 @@ func TestCompactOps(t *testing.T) {
 		{"delete then put", []op{del(12), del(13), put(12, 7)}},
 		{"put delete put delete", []op{put(15, 1), del(15), put(15, 2), del(15)}},
 		{"fence keys are inside", []op{put(lo, 1), put(hi, 2), del(lo - 1), put(hi+1, 3)}},
-		{"all out of fence, arrival order", []op{put(30, 1), del(2), put(30, 2), put(rma.KeyMax-1, 0), del(rma.KeyMin + 1)}},
+		{"all out of fence, arrival order", []op{put(30, 1), del(2), put(30, 2), put(KeyMax-1, 0), del(KeyMin + 1)}},
 		{"mixed", []op{put(25, 1), put(18, 1), del(3), put(18, 2), del(16), put(25, 2), put(16, 9), del(18)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -52,6 +52,20 @@ func TestMisappliedOptionsRejected(t *testing.T) {
 			_, err := Open(dir, WithShardWeights([]float64{1, 2}))
 			return err
 		}, "WithShardWeights"},
+		{"NewGraph+WithFsync", func() error {
+			g, err := NewGraph(WithFsync(FsyncAlways))
+			if err == nil {
+				g.Close()
+			}
+			return err
+		}, "WithFsync"},
+		{"NewGraph+WithShards", func() error {
+			g, err := NewGraph(WithShards(4))
+			if err == nil {
+				g.Close()
+			}
+			return err
+		}, "WithShards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

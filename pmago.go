@@ -6,14 +6,13 @@ import (
 
 	"pmago/internal/core"
 	"pmago/internal/persist"
-	"pmago/internal/rma"
 )
 
 // Reserved sentinel keys: the store holds any int64 key except these two,
 // which serve as the -inf/+inf fence keys internally.
 const (
-	KeyMin = rma.KeyMin
-	KeyMax = rma.KeyMax
+	KeyMin = core.KeyMin
+	KeyMax = core.KeyMax
 )
 
 // Mode selects how concurrent updates are processed (Section 3.5 of the
@@ -106,10 +105,6 @@ func WithTDelay(d time.Duration) Option { return func(c *config) { c.core.TDelay
 
 // WithWorkers sets the rebalancer worker-pool size (paper: 8).
 func WithWorkers(n int) Option { return func(c *config) { c.core.Workers = n } }
-
-// WithAdaptive forces adaptive rebalancing for local rebalances (implied by
-// ModeOneByOne).
-func WithAdaptive() Option { return func(c *config) { c.core.Adaptive = true } }
 
 // WithCompressedChunks stores each segment as a delta-encoded block instead
 // of fixed 16-byte slots: several times less memory for dense key runs, at

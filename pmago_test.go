@@ -76,7 +76,7 @@ func TestAllModesThroughPublicAPI(t *testing.T) {
 
 func TestOptionsApply(t *testing.T) {
 	p := newTest(t, WithMode(ModeBatch), WithSegmentCapacity(64),
-		WithSegmentsPerGate(4), WithTDelay(time.Millisecond), WithAdaptive())
+		WithSegmentsPerGate(4), WithTDelay(time.Millisecond))
 	for i := int64(0); i < 10_000; i++ {
 		p.Put(i, i)
 	}
