@@ -7,8 +7,8 @@
 //
 // Run with: go test -bench=. -benchmem
 //
-// This file is an external test package (pmago_test): internal/bench now
-// imports pmago for the durability drivers, so an in-package test here
+// This file is an external test package (pmago_test): internal/bench
+// imports pmago for the Section 6 graph driver, so an in-package test here
 // would be an import cycle.
 package pmago_test
 

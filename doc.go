@@ -46,7 +46,7 @@
 // pre-populated PMA directly at the array's target density in one pass over
 // the sorted data. Use them for bulk ingest — graph loading, snapshot
 // restore, telemetry backfill — where they beat point-update loops by large
-// factors (see internal/bench).
+// factors (the ingest phase of the benchmark in benchmark/ times them).
 //
 // # Durability
 //
@@ -122,8 +122,9 @@
 // WithCompressedChunks selects a CPMA-style in-memory representation:
 // each PMA segment stores its pairs as one delta block (varint key gaps
 // and zigzag values, the snapshot wire format) instead of fixed 16-byte
-// slots, cutting the live heap of dense key runs by several times — see
-// the memory experiment in internal/bench. Semantics are unchanged: the
+// slots, cutting the live heap of dense key runs by several times — the
+// benchmark in benchmark/ reports heap bytes per pair for its mem and
+// mem-compressed workloads side by side. Semantics are unchanged: the
 // same API, the same concurrency contract (optimistic readers decode
 // through a hardened decoder and validate against the seqlock version as
 // before), and the same snapshot format on disk, so a directory written

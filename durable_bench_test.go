@@ -1,0 +1,155 @@
+package pmago
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+)
+
+// benchKey spreads index i over the key space: the splitmix64 finalizer,
+// shifted clear of the KeyMin/KeyMax sentinels.
+func benchKey(i uint64) int64 {
+	z := i * 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64((z ^ (z >> 31)) >> 2)
+}
+
+// BenchmarkOpen prices recovery: Open of a closed FsyncNone store holding a
+// 2^20-pair snapshot and a WAL tail of point Puts of fresh keys, in both
+// chunk layouts (slots, and compressed blocks). ns/op is the whole Open;
+// ns/record is the replay phase alone (Stats().Recovery) per replayed
+// record. Every iteration reopens the same files: the empty segment each
+// Open leaves behind is removed before the next. -short stops the tail at
+// 2^18.
+func BenchmarkOpen(b *testing.B) {
+	const snapN = 1 << 20
+	tails := []int{0, 1 << 18, 1 << 20, 1 << 22}
+	if testing.Short() {
+		tails = tails[:2]
+	}
+	layouts := []struct {
+		name string
+		opts []Option
+	}{
+		{"slots", nil},
+		{"blocks", []Option{WithCompressedChunks()}},
+	}
+	for _, layout := range layouts {
+		opts := append([]Option{WithFsync(FsyncNone), WithCompactRatio(0)}, layout.opts...)
+		for _, tail := range tails {
+			dir := b.TempDir()
+			built := false
+			b.Run(fmt.Sprintf("%s/tail=%d", layout.name, tail), func(b *testing.B) {
+				if !built { // b.Run calls this once per b.N: build once
+					buildRecoveryDir(b, dir, snapN, tail, opts)
+					built = true
+				}
+				keep := dirNames(b, dir)
+				var replayNanos, records uint64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					db, err := Open(dir, opts...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					rec := db.Stats().Recovery
+					replayNanos += rec.WALReplayNanos
+					records += rec.WALRecords
+					if n := db.Len(); n != snapN+tail {
+						b.Fatalf("recovered %d pairs, want %d", n, snapN+tail)
+					}
+					if err := db.Close(); err != nil {
+						b.Fatal(err)
+					}
+					for name := range dirNames(b, dir) {
+						if keep[name] {
+							continue
+						}
+						if err := os.Remove(filepath.Join(dir, name)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+				}
+				if records > 0 {
+					b.ReportMetric(float64(replayNanos)/float64(records), "ns/record")
+				}
+			})
+			os.RemoveAll(dir)
+		}
+	}
+}
+
+// buildRecoveryDir writes a store of snapN pairs, checkpointed, followed by
+// tail point Puts of fresh keys, and closes it.
+func buildRecoveryDir(b *testing.B, dir string, snapN, tail int, opts []Option) {
+	db, err := Open(dir, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const chunk = 1 << 16
+	keys, vals := make([]int64, chunk), make([]int64, chunk)
+	for off := 0; off < snapN; off += chunk {
+		n := min(chunk, snapN-off)
+		for i := range n {
+			keys[i] = benchKey(uint64(off + i))
+			vals[i] = int64(off + i)
+		}
+		db.PutBatch(keys[:n], vals[:n])
+	}
+	if err := db.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	for i := snapN; i < snapN+tail; i++ {
+		db.Put(benchKey(uint64(i)), int64(i))
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func dirNames(b *testing.B, dir string) map[string]bool {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make(map[string]bool, len(ents))
+	for _, e := range ents {
+		names[e.Name()] = true
+	}
+	return names
+}
+
+// BenchmarkDurablePut prices a point Put of a fresh key into a durable store
+// under each fsync policy. b.RunParallel runs one writer per P, so
+// -cpu 1,2,4 is the writer sweep: under FsyncAlways the writers share each
+// group commit's fsync, and fsyncs/op (Stats().WAL) shows how many they
+// shared.
+func BenchmarkDurablePut(b *testing.B) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNone} {
+		b.Run("fsync="+policy.String(), func(b *testing.B) {
+			db, err := Open(b.TempDir(), WithFsync(policy), WithCompactRatio(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			var next atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := next.Add(1)
+					db.Put(benchKey(i), int64(i))
+				}
+			})
+			b.StopTimer()
+			b.ReportMetric(float64(db.Stats().WAL.Fsyncs)/float64(b.N), "fsyncs/op")
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

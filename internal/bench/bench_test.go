@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -91,6 +92,36 @@ func TestFigure3PlotsShape(t *testing.T) {
 	}
 	if !plots[3].Mixed {
 		t.Fatal("plot d must be mixed")
+	}
+}
+
+// TestFigurePartitionsWithinBudget: at small thread budgets every plot of
+// Figures 3 and 4, and the ablations' partition, hands Run at least one
+// update thread, never more threads than the budget, and a caption naming
+// the threads it runs.
+func TestFigurePartitionsWithinBudget(t *testing.T) {
+	sc := smallScale()
+	for _, threads := range []int{1, 2} {
+		figures := map[string][]Plot{
+			"Figure 3":  Figure3Plots(threads),
+			"Figure 4":  Figure4Plots(threads),
+			"ablations": {AblationPlot(threads)},
+		}
+		for fig, plots := range figures {
+			for _, p := range plots {
+				w := p.spec(workload.Uniform(), sc)
+				name := fmt.Sprintf("%s plot %s at %d threads (%q)", fig, p.ID, threads, p.Caption)
+				if w.UpdateThreads < 1 || w.UpdateThreads+w.ScanThreads > threads {
+					t.Errorf("%s: %d update + %d scan threads", name, w.UpdateThreads, w.ScanThreads)
+				}
+				if !strings.HasPrefix(p.Caption, fmt.Sprintf("%dt ", w.UpdateThreads)) {
+					t.Errorf("%s: caption does not start with the %d update threads", name, w.UpdateThreads)
+				}
+				if scans := fmt.Sprintf(", %dt scans", w.ScanThreads); (w.ScanThreads > 0) != strings.HasSuffix(p.Caption, scans) {
+					t.Errorf("%s: caption disagrees with %d scan threads", name, w.ScanThreads)
+				}
+			}
+		}
 	}
 }
 

@@ -38,18 +38,59 @@ type Plot struct {
 }
 
 // Figure3Plots returns the six sub-plots a-f for the given total thread
-// count (16 in the paper).
+// count (16 in the paper). Update threads are clamped to at least one before
+// the scan threads and the caption are derived from them, so a plot never
+// asks for more threads than the budget and its caption names what runs.
 func Figure3Plots(threads int) []Plot {
+	threads = max(threads, 1)
 	q := threads / 4
 	h := threads / 2
-	return []Plot{
-		{"a", threads, 0, false, fmt.Sprintf("%dt insertions only", threads)},
-		{"b", threads - q, q, false, fmt.Sprintf("%dt insertions, %dt scans", threads-q, q)},
-		{"c", h, h, false, fmt.Sprintf("%dt insertions, %dt scans", h, h)},
-		{"d", threads, 0, true, fmt.Sprintf("%dt updates only", threads)},
-		{"e", threads - q, q, true, fmt.Sprintf("%dt updates, %dt scans", threads-q, q)},
-		{"f", h, h, true, fmt.Sprintf("%dt updates, %dt scans", h, h)},
+	plot := func(id string, upd, scan int, mixed bool) Plot {
+		upd = max(upd, 1)
+		scan = min(scan, threads-upd)
+		verb := "insertions"
+		if mixed {
+			verb = "updates"
+		}
+		caption := fmt.Sprintf("%dt %s only", upd, verb)
+		if scan > 0 {
+			caption = fmt.Sprintf("%dt %s, %dt scans", upd, verb, scan)
+		}
+		return Plot{id, upd, scan, mixed, caption}
 	}
+	return []Plot{
+		plot("a", threads, 0, false),
+		plot("b", threads-q, q, false),
+		plot("c", h, h, false),
+		plot("d", threads, 0, true),
+		plot("e", threads-q, q, true),
+		plot("f", h, h, true),
+	}
+}
+
+// Figure4Plots returns the three sub-plots a-c of Figure 4. They share the
+// insert-only thread partitions of Figure 3a-c: 16, 12 and 8 update
+// threads of the paper's 16, the rest scanning.
+func Figure4Plots(threads int) []Plot {
+	return Figure3Plots(threads)[:3]
+}
+
+// spec is the Workload that plot p hands to Run for distribution d.
+func (p Plot) spec(d workload.Distribution, sc Scale) Workload {
+	w := Workload{
+		Dist:          d,
+		UpdateThreads: p.UpdateThreads,
+		ScanThreads:   p.ScanThreads,
+		Seed:          sc.Seed,
+	}
+	if p.Mixed {
+		w.LoadN = sc.LoadN
+		w.Ops = sc.MixedN
+		w.Mixed = true
+	} else {
+		w.Ops = sc.InsertN
+	}
+	return w
 }
 
 // RunFigure3 executes one sub-plot across the four structures and the four
@@ -58,20 +99,7 @@ func RunFigure3(plot Plot, factories []Factory, sc Scale) []Result {
 	var out []Result
 	for _, d := range workload.PaperDistributions() {
 		for _, f := range factories {
-			w := Workload{
-				Dist:          d,
-				UpdateThreads: plot.UpdateThreads,
-				ScanThreads:   plot.ScanThreads,
-				Seed:          sc.Seed,
-			}
-			if plot.Mixed {
-				w.LoadN = sc.LoadN
-				w.Ops = sc.MixedN
-				w.Mixed = true
-			} else {
-				w.Ops = sc.InsertN
-			}
-			out = append(out, Run(f, w))
+			out = append(out, Run(f, plot.spec(d, sc)))
 		}
 	}
 	return out
@@ -111,23 +139,16 @@ type SpeedupRow struct {
 	Speedup  []float64
 }
 
-// RunFigure4 reproduces one sub-plot of Figure 4 (a: 16, b: 12, c: 8 update
-// threads; the remaining threads scan), inserting InsertN elements and
-// reporting per-variant speedup over the synchronous baseline.
-func RunFigure4(updateThreads int, sc Scale) ([]Figure4Variant, []SpeedupRow) {
+// RunFigure4 reproduces one sub-plot of Figure 4 (Figure4Plots), inserting
+// InsertN elements and reporting per-variant speedup over the synchronous
+// baseline.
+func RunFigure4(plot Plot, sc Scale) ([]Figure4Variant, []SpeedupRow) {
 	variants := Figure4Variants()
-	scanThreads := sc.Threads - updateThreads
 	var rows []SpeedupRow
 	for _, d := range workload.PaperDistributions() {
 		row := SpeedupRow{Dist: d}
 		for i, v := range variants {
-			res := Run(PMAFactory("PMA-"+v.Name, v.Cfg), Workload{
-				Dist:          d,
-				Ops:           sc.InsertN,
-				UpdateThreads: updateThreads,
-				ScanThreads:   scanThreads,
-				Seed:          sc.Seed,
-			})
+			res := Run(PMAFactory("PMA-"+v.Name, v.Cfg), plot.spec(d, sc))
 			if i == 0 {
 				row.Baseline = res.UpdatesPerSec
 				row.Speedup = append(row.Speedup, 1.0)
@@ -140,6 +161,12 @@ func RunFigure4(updateThreads int, sc Scale) ([]Figure4Variant, []SpeedupRow) {
 	return variants, rows
 }
 
+// AblationPlot is the thread partition of the Section 4.1 ablations: the
+// insert-only half-and-half split of Figure 3c (8 + 8 of the paper's 16).
+func AblationPlot(threads int) Plot {
+	return Figure3Plots(threads)[2]
+}
+
 // RunSegmentAblation reproduces the Section 4.1 text experiment: doubling
 // the PMA segment size from 128 to 256 trades update throughput for scan
 // throughput.
@@ -150,13 +177,7 @@ func RunSegmentAblation(sc Scale) []Result {
 		cfg.SegmentCapacity = segCap
 		f := PMAFactory(fmt.Sprintf("PMA B=%d", segCap), cfg)
 		for _, d := range []workload.Distribution{workload.Uniform(), workload.Zipf(1.5)} {
-			out = append(out, Run(f, Workload{
-				Dist:          d,
-				Ops:           sc.InsertN,
-				UpdateThreads: sc.Threads / 2,
-				ScanThreads:   sc.Threads / 2,
-				Seed:          sc.Seed,
-			}))
+			out = append(out, Run(f, AblationPlot(sc.Threads).spec(d, sc)))
 		}
 	}
 	return out
@@ -174,13 +195,7 @@ func RunLeafAblation(sc Scale) []Result {
 	}
 	for _, f := range factories {
 		for _, d := range []workload.Distribution{workload.Uniform(), workload.Zipf(1.5)} {
-			out = append(out, Run(f, Workload{
-				Dist:          d,
-				Ops:           sc.InsertN,
-				UpdateThreads: sc.Threads / 2,
-				ScanThreads:   sc.Threads / 2,
-				Seed:          sc.Seed,
-			}))
+			out = append(out, Run(f, AblationPlot(sc.Threads).spec(d, sc)))
 		}
 	}
 	return out

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
 	"time"
-
-	"pmago/internal/obs"
 )
 
 // Machine-readable benchmark output. `pmabench -json FILE` collects every
@@ -74,66 +71,6 @@ func (r *Report) AddResults(experiment string, rs []Result, showScans bool) {
 		if showScans {
 			r.Add(experiment, "scanned", labels, "elements/s", res.ScansPerSec)
 		}
-	}
-}
-
-// AddReads flattens the read-path comparison into metric rows.
-func (r *Report) AddReads(rs []ReadsResult) {
-	if r == nil {
-		return
-	}
-	for _, res := range rs {
-		labels := map[string]string{
-			"variant":    res.Variant,
-			"writer_pct": fmt.Sprintf("%d", res.WriterPct),
-		}
-		r.Add("reads", "gets", labels, "ops/s", res.GetsPerSec)
-		if res.Writers > 0 {
-			r.Add("reads", "puts", labels, "ops/s", res.PutsPerSec)
-		}
-	}
-}
-
-// AddStats flattens a store's metrics snapshot into metric rows under the
-// given experiment, one row per counter and three (_count/_sum/_max) per
-// distribution — the `pmabench -stats` path, so a BENCH_*.json records not
-// just throughput but what the store structurally did to deliver it.
-// Nanosecond distributions are scaled to seconds like the Prometheus
-// exposition. The extra labels distinguish cells (e.g. the writer mix).
-func (r *Report) AddStats(experiment string, labels map[string]string, s obs.Snapshot) {
-	if r == nil {
-		return
-	}
-	for _, p := range s.Points() {
-		l := labels
-		if p.Labels != nil {
-			l = make(map[string]string, len(labels)+len(p.Labels))
-			for k, v := range labels {
-				l[k] = v
-			}
-			for k, v := range p.Labels {
-				l[k] = v
-			}
-		}
-		scale := p.Scale
-		if scale == 0 {
-			scale = 1
-		}
-		if p.Win != nil {
-			r.Add(experiment, "stats_"+p.Name+"_count", l, "observations", float64(p.Win.Count))
-			r.Add(experiment, "stats_"+p.Name+"_p50", l, p.Unit, p.Win.P50*scale)
-			r.Add(experiment, "stats_"+p.Name+"_p95", l, p.Unit, p.Win.P95*scale)
-			r.Add(experiment, "stats_"+p.Name+"_p99", l, p.Unit, p.Win.P99*scale)
-			r.Add(experiment, "stats_"+p.Name+"_p999", l, p.Unit, p.Win.P999*scale)
-			continue
-		}
-		if p.Dist == nil {
-			r.Add(experiment, "stats_"+p.Name, l, p.Unit, float64(p.Value)*scale)
-			continue
-		}
-		r.Add(experiment, "stats_"+p.Name+"_count", l, "observations", float64(p.Dist.Count))
-		r.Add(experiment, "stats_"+p.Name+"_sum", l, p.Unit, float64(p.Dist.Sum)*scale)
-		r.Add(experiment, "stats_"+p.Name+"_max", l, p.Unit, float64(p.Dist.Max)*scale)
 	}
 }
 

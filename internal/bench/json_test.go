@@ -16,14 +16,13 @@ func TestReportRoundTrip(t *testing.T) {
 	var nilReport *Report
 	nilReport.Add("x", "y", nil, "ops/s", 1) // must not panic
 	nilReport.AddResults("x", []Result{{}}, true)
-	nilReport.AddReads([]ReadsResult{{}})
 
 	r := NewReport(Scale{LoadN: 1, Threads: 2})
-	r.Add("reads", "gets", map[string]string{"variant": "optimistic"}, "ops/s", 123.5)
+	r.Add("figure4a", "updates", map[string]string{"variant": "1by1"}, "ops/s", 123.5)
 	r.AddResults("figure3a", []Result{{Store: "PMA", Dist: workload.Uniform(), UpdatesPerSec: 7, ScansPerSec: 9}}, true)
-	r.AddReads([]ReadsResult{{Variant: "latched", WriterPct: 25, Writers: 1, GetsPerSec: 5, PutsPerSec: 3}})
-	if len(r.Metrics) != 1+2+2 {
-		t.Fatalf("got %d metrics, want 5", len(r.Metrics))
+	r.AddResults("figure3d", []Result{{Store: "PMA", Dist: workload.Uniform(), UpdatesPerSec: 5, ScansPerSec: 3}}, false)
+	if len(r.Metrics) != 1+2+1 {
+		t.Fatalf("got %d metrics, want 4", len(r.Metrics))
 	}
 
 	path := filepath.Join(t.TempDir(), "report.json")
@@ -41,7 +40,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if back.SchemaVersion != 1 || len(back.Metrics) != len(r.Metrics) {
 		t.Fatalf("round trip lost data: schema %d, %d metrics", back.SchemaVersion, len(back.Metrics))
 	}
-	if back.Metrics[0].Labels["variant"] != "optimistic" {
+	if back.Metrics[0].Labels["variant"] != "1by1" {
 		t.Fatalf("labels lost: %+v", back.Metrics[0])
 	}
 }

@@ -1,10 +1,9 @@
 // Package bench is the experiment harness that regenerates the paper's
-// evaluation (Section 4): the thread-partitioned update/scan driver, the
-// store adapters for the four competitors, and the per-figure drivers used
-// by cmd/pmabench and the root benchmark suite. batch.go adds the
-// batch-subsystem comparisons (PutBatch and BulkLoad against their
-// point-update equivalents) and the BatchStore adapter; README.md in this
-// directory documents the methodology and recorded results.
+// evaluation (Section 4 and the Section 6 graph): the thread-partitioned
+// update/scan driver, the store adapters for the four competitors, and the
+// per-figure drivers used by cmd/pmabench and the root benchmark suite.
+// README.md in this directory maps each driver to its paper figure. The
+// system's own layers are measured by the benchmark in benchmark/.
 package bench
 
 import (

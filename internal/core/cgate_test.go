@@ -667,13 +667,14 @@ func TestCorruptBlockPanics(t *testing.T) {
 			name = "latched"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := testConfigC(ModeSync)
-			cfg.DisableOptimisticReads = latched
-			p, err := New(cfg)
+			p, err := New(testConfigC(ModeSync))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer p.Close()
+			if latched {
+				p.attempts = 0
+			}
 			keys, vals := make([]int64, 1000), make([]int64, 1000)
 			for i := range keys {
 				keys[i], vals[i] = int64(i), int64(i)
@@ -697,6 +698,9 @@ func TestCorruptBlockPanics(t *testing.T) {
 				if got := panicOf(read); !strings.Contains(got, corruptSegment) {
 					t.Errorf("%s across the corrupt block: panic %q, want %q", op, got, corruptSegment)
 				}
+			}
+			if latched {
+				assertLatched(t, p)
 			}
 		})
 	}

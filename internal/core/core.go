@@ -98,14 +98,6 @@ type Config struct {
 	// Workers is the size of the rebalancer's worker pool (the paper
 	// uses 8, matching its cores). Defaults to GOMAXPROCS capped at 8.
 	Workers int
-	// DisableOptimisticReads sets the seqlock attempt budget of every Get
-	// and Scan read to 0, so each one makes its single read under the
-	// shared latch (read.go): the same lookup, made consistent by the latch
-	// instead of the version. The zero value — optimistic reads on — is the
-	// intended configuration; the switch exists for the before/after
-	// comparison in the bench harness (pmabench -experiment reads) and the
-	// stress suite's latched runs.
-	DisableOptimisticReads bool
 	// DisableMetrics turns off the obs counters and histograms. The zero
 	// value — metrics on — is the intended configuration: enabled metrics
 	// cost striped-counter increments off the contended cache lines, and
@@ -233,7 +225,8 @@ type PMA struct {
 	hook UpdateHook
 	// attempts is the seqlock budget of a read before it takes the shared
 	// latch (read.go): optimisticAttempts, or 0 — every read latched — in
-	// race builds and under Config.DisableOptimisticReads.
+	// race builds. Tests set it to 0 after New, before the PMA is shared,
+	// to run the latched read in normal builds.
 	attempts int
 
 	state atomic.Pointer[state]
@@ -282,7 +275,6 @@ func newShell(cfg Config) (*PMA, error) {
 	if cfg.SegmentCapacity == 0 { // fill zero fields from the default
 		def := DefaultConfig()
 		def.Mode = cfg.Mode
-		def.DisableOptimisticReads = cfg.DisableOptimisticReads
 		def.DisableMetrics = cfg.DisableMetrics
 		def.Events = cfg.Events
 		def.CompressedChunks = cfg.CompressedChunks
@@ -299,7 +291,7 @@ func newShell(cfg Config) (*PMA, error) {
 		attempts: optimisticAttempts,
 		events:   cfg.Events,
 	}
-	if cfg.DisableOptimisticReads || raceEnabled {
+	if raceEnabled {
 		p.attempts = 0
 	}
 	if !cfg.DisableMetrics {

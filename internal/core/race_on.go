@@ -15,5 +15,6 @@ package core
 // verify the read primitives under the latch and every writer-side
 // interleaving, while the seqlock protocol itself is verified by the
 // model-checking stress suite in normal builds (stress_test.go; CI runs the
-// package both ways).
+// package both ways). Normal builds get the latched reads too: the stress
+// suite's latched-fallback subtests set the budget to 0 after New.
 const raceEnabled = true

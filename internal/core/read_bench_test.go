@@ -13,26 +13,27 @@ import (
 // The clustered cell stores runs of 48 consecutive keys 10^9 apart, so
 // every segment straddles a gap: the bad case for the interpolating segment
 // search (seekSeg). latched and metrics-off are the comparison cells: the
-// shared-latch path, and the observability overhead guard, which must stay
-// within a few percent of uniform. writer reads on every other gate while a
+// shared-latch path (the seqlock attempt budget set to 0 once the store is
+// loaded), and the observability overhead guard, which must stay within a
+// few percent of uniform. writer reads on every other gate while a
 // goroutine overwrites values on the gates between them, so it prices a
 // reader beside a writer it never conflicts with. Every cell runs
-// allocation-free (TestGetDoesNotAllocate pins the same); CI greps the
-// metrics-off cell for it.
+// allocation-free; TestGetDoesNotAllocate pins the same.
 func BenchmarkGetRandom(b *testing.B) {
 	uniform := func(i int64) int64 { return 16*i + 2*int64(splitmix(uint64(i))&7) }
 	clustered := func(i int64) int64 { return i/48*1e9 + i%48 }
 	for _, c := range []struct {
-		name   string
-		n      int64
-		key    func(i int64) int64
-		mutate func(*Config)
-		writer bool
+		name    string
+		n       int64
+		key     func(i int64) int64
+		mutate  func(*Config)
+		latched bool
+		writer  bool
 	}{
 		{name: "uniform-64Ki", n: 1 << 16, key: uniform},
 		{name: "uniform-4Mi", n: 1 << 22, key: uniform},
 		{name: "clustered-4Mi", n: 1 << 22, key: clustered},
-		{name: "latched-4Mi", n: 1 << 22, key: uniform, mutate: func(c *Config) { c.DisableOptimisticReads = true }},
+		{name: "latched-4Mi", n: 1 << 22, key: uniform, latched: true},
 		{name: "metrics-off-64Ki", n: 1 << 16, key: uniform, mutate: func(c *Config) { c.DisableMetrics = true }},
 		{name: "writer-64Ki", n: 1 << 16, key: uniform, writer: true},
 	} {
@@ -44,6 +45,9 @@ func BenchmarkGetRandom(b *testing.B) {
 					c.mutate(&cfg)
 				}
 				p = loadKeys(b, cfg, c.n, c.key)
+				if c.latched {
+					p.attempts = 0
+				}
 			}
 			if c.writer {
 				benchGetBesideWriter(b, p, c.n, c.key)
@@ -56,6 +60,9 @@ func BenchmarkGetRandom(b *testing.B) {
 				if _, ok := p.Get(c.key(int64((rng >> 16) % uint64(c.n)))); !ok {
 					b.Fatal("stored key missing")
 				}
+			}
+			if c.latched {
+				assertLatched(b, p)
 			}
 		})
 		if p != nil {
@@ -141,8 +148,7 @@ func splitmix(x uint64) uint64 {
 // both metrics modes and both chunk layouts: the striped counters increment
 // in place (the stripe index comes from a stack address, not a heap handle),
 // the disabled path is a single nil check, and a compressed Get seeks the
-// encoded block with no scratch at all. CI asserts the same property on the
-// output of BenchmarkGetRandom/metrics-off-64Ki.
+// encoded block with no scratch at all. CI's zero-allocation step runs it.
 func TestGetDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name                string

@@ -22,10 +22,11 @@ func stressVal(k int64) int64 { return k*31 + 7 }
 // updates, batch updates, rebalances and resizes, in every mode, validating
 // all read results against the model — the torn-read detector for the
 // seqlock protocol. The latched-fallback sub-tests run the same load with
-// DisableOptimisticReads, so every read is the same lookup made under the
-// shared latch. Under -race every sub-test reads latched (the attempt budget
-// is 0; race_on.go), which is exactly the configuration the detector can
-// verify; normal builds are where the seqlock itself is checked.
+// the seqlock attempt budget (PMA.attempts) set to 0, so every read is the
+// same lookup made under the shared latch. Under -race every sub-test reads
+// latched (the budget is 0; race_on.go), which is exactly the configuration
+// the detector can verify; normal builds are where the seqlock itself is
+// checked.
 func TestOptimisticReadStress(t *testing.T) {
 	for _, mode := range allModes() {
 		mode := mode
@@ -36,15 +37,17 @@ func TestOptimisticReadStress(t *testing.T) {
 	t.Run("latched-fallback-compressed", func(t *testing.T) { stressReads(t, ModeBatch, true, true) })
 }
 
-func stressReads(t *testing.T, mode Mode, disableOptimistic, compressed bool) {
+func stressReads(t *testing.T, mode Mode, latched, compressed bool) {
 	cfg := testConfig(mode)
-	cfg.DisableOptimisticReads = disableOptimistic
 	cfg.CompressedChunks = compressed
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	if latched {
+		p.attempts = 0
+	}
 
 	const domain = 1 << 14
 	keys := make([]int64, 0, domain/2)
@@ -189,7 +192,7 @@ func stressReads(t *testing.T, mode Mode, disableOptimistic, compressed bool) {
 	wg.Wait()
 	select {
 	case msg := <-fail:
-		t.Fatalf("mode %v (optimistic=%v): %s", mode, !disableOptimistic, msg)
+		t.Fatalf("mode %v (latched=%v): %s", mode, latched, msg)
 	default:
 	}
 	p.Flush()
@@ -199,8 +202,23 @@ func stressReads(t *testing.T, mode Mode, disableOptimistic, compressed bool) {
 	if reads.Load() == 0 || scans.Load() == 0 {
 		t.Fatalf("mode %v: readers made no progress (reads=%d scans=%d)", mode, reads.Load(), scans.Load())
 	}
-	t.Logf("mode %v optimistic=%v race=%v: %d gets, %d scans, stats %+v",
-		mode, !disableOptimistic, raceEnabled, reads.Load(), scans.Load(), p.Stats())
+	if latched {
+		assertLatched(t, p)
+	}
+	t.Logf("mode %v latched=%v race=%v: %d gets, %d scans, stats %+v",
+		mode, latched, raceEnabled, reads.Load(), scans.Load(), p.Stats())
+}
+
+// assertLatched fails tb unless p's seqlock attempt budget is still 0 and
+// no read on p was served optimistically: a test or benchmark that set the
+// budget to 0 cannot silently check or time the seqlock path instead.
+func assertLatched(tb testing.TB, p *PMA) {
+	tb.Helper()
+	r := p.Stats().Reads
+	if p.attempts != 0 || r.GetOptimistic != 0 || r.ScanChunksOptimistic != 0 {
+		tb.Fatalf("latched run read optimistically: budget %d, %d gets and %d scan chunks optimistic",
+			p.attempts, r.GetOptimistic, r.ScanChunksOptimistic)
+	}
 }
 
 // TestReadDuringResizeHandOff pins down the retired-gate hand-off: while a

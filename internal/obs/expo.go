@@ -8,9 +8,8 @@ import (
 )
 
 // Point is one flattened metric from a Snapshot: either a scalar counter
-// (Dist nil) or a distribution. The flat form backs both exposition
-// surfaces — the Prometheus text writer below and pmabench's -stats JSON
-// rows — so the metric catalog lives in exactly one place (Points).
+// (Dist nil) or a distribution. The flat form backs the Prometheus text
+// writer below, so the metric catalog lives in exactly one place (Points).
 type Point struct {
 	Name   string            // metric name without the exporter prefix
 	Labels map[string]string // nil for most points; shard index for routing
@@ -18,7 +17,6 @@ type Point struct {
 	Dist   *Distribution     // non-nil for histogram points (Value unused)
 	Win    *WindowSnapshot   // non-nil for sliding-window points (summary exposition)
 	Scale  float64           // exposition multiplier: 1e-9 for ns→seconds, else 0 (=1)
-	Unit   string            // "ops", "bytes", "seconds", ... (JSON rows only)
 	Gauge  bool              // TYPE gauge instead of counter
 }
 
@@ -26,65 +24,65 @@ type Point struct {
 // scalar points are included — a scrape of a fresh store should show the
 // whole catalog, not a shape that changes as counters first tick.
 func (s Snapshot) Points() []Point {
-	c := func(name, unit string, v uint64) Point { return Point{Name: name, Unit: unit, Value: v} }
-	d := func(name, unit string, dist Distribution, scale float64) Point {
+	c := func(name string, v uint64) Point { return Point{Name: name, Value: v} }
+	d := func(name string, dist Distribution, scale float64) Point {
 		dd := dist
-		return Point{Name: name, Unit: unit, Dist: &dd, Scale: scale}
+		return Point{Name: name, Dist: &dd, Scale: scale}
 	}
-	win := func(name, unit string, ws WindowSnapshot, scale float64, labels map[string]string) Point {
+	win := func(name string, ws WindowSnapshot, scale float64, labels map[string]string) Point {
 		ww := ws
-		return Point{Name: name, Unit: unit, Win: &ww, Scale: scale, Labels: labels}
+		return Point{Name: name, Win: &ww, Scale: scale, Labels: labels}
 	}
 	pts := []Point{
-		c("reads_get_optimistic_total", "ops", s.Reads.GetOptimistic),
-		c("reads_get_latched_total", "ops", s.Reads.GetLatched),
-		c("reads_get_probe_fails_total", "ops", s.Reads.GetProbeFails),
-		c("reads_scan_chunks_optimistic_total", "chunks", s.Reads.ScanChunksOptimistic),
-		c("reads_scan_chunks_latched_total", "chunks", s.Reads.ScanChunksLatched),
-		c("reads_scan_probe_fails_total", "chunks", s.Reads.ScanProbeFails),
-		c("updates_combined_ops_total", "ops", s.Updates.CombinedOps),
-		c("updates_deferred_batches_total", "batches", s.Updates.DeferredBatches),
-		d("updates_drain_size_ops", "ops", s.Updates.DrainSize, 0),
-		c("rebalance_local_total", "rebalances", s.Rebalance.Local),
-		c("rebalance_global_total", "rebalances", s.Rebalance.Global),
-		c("rebalance_resizes_total", "resizes", s.Rebalance.Resizes),
-		d("rebalance_duration_seconds", "seconds", s.Rebalance.RebalanceNanos, 1e-9),
-		d("resize_duration_seconds", "seconds", s.Rebalance.ResizeNanos, 1e-9),
+		c("reads_get_optimistic_total", s.Reads.GetOptimistic),
+		c("reads_get_latched_total", s.Reads.GetLatched),
+		c("reads_get_probe_fails_total", s.Reads.GetProbeFails),
+		c("reads_scan_chunks_optimistic_total", s.Reads.ScanChunksOptimistic),
+		c("reads_scan_chunks_latched_total", s.Reads.ScanChunksLatched),
+		c("reads_scan_probe_fails_total", s.Reads.ScanProbeFails),
+		c("updates_combined_ops_total", s.Updates.CombinedOps),
+		c("updates_deferred_batches_total", s.Updates.DeferredBatches),
+		d("updates_drain_size_ops", s.Updates.DrainSize, 0),
+		c("rebalance_local_total", s.Rebalance.Local),
+		c("rebalance_global_total", s.Rebalance.Global),
+		c("rebalance_resizes_total", s.Rebalance.Resizes),
+		d("rebalance_duration_seconds", s.Rebalance.RebalanceNanos, 1e-9),
+		d("resize_duration_seconds", s.Rebalance.ResizeNanos, 1e-9),
 	}
 	if s.Compression.Enabled {
 		pts = append(pts,
-			c("compressed_seg_decodes_total", "decodes", s.Compression.SegDecodes),
-			c("compressed_reencode_bytes_total", "bytes", s.Compression.ReencodeBytes),
-			Point{Name: "compressed_encoded_bytes", Unit: "bytes", Value: s.Compression.EncodedBytes, Gauge: true},
-			Point{Name: "compressed_pairs", Unit: "pairs", Value: s.Compression.Pairs, Gauge: true},
+			c("compressed_seg_decodes_total", s.Compression.SegDecodes),
+			c("compressed_reencode_bytes_total", s.Compression.ReencodeBytes),
+			Point{Name: "compressed_encoded_bytes", Value: s.Compression.EncodedBytes, Gauge: true},
+			Point{Name: "compressed_pairs", Value: s.Compression.Pairs, Gauge: true},
 		)
 	}
 	if s.Durable {
 		pts = append(pts,
-			c("wal_appends_total", "records", s.WAL.Appends),
-			c("wal_append_bytes_total", "bytes", s.WAL.AppendBytes),
-			c("wal_rotations_total", "rotations", s.WAL.Rotations),
-			c("wal_fsyncs_total", "fsyncs", s.WAL.Fsyncs),
-			d("wal_fsync_duration_seconds", "seconds", s.WAL.FsyncNanos, 1e-9),
-			d("wal_group_commit_records", "records", s.WAL.GroupCommitRecords, 0),
-			win("wal_append_window_seconds", "seconds", s.WAL.AppendWindow, 1e-9, nil),
-			win("wal_fsync_window_seconds", "seconds", s.WAL.FsyncWindow, 1e-9, nil),
-			c("checkpoint_snapshots_total", "snapshots", s.Checkpoint.Snapshots),
-			c("checkpoint_pairs_written_total", "pairs", s.Checkpoint.PairsWritten),
-			c("checkpoint_bytes_written_total", "bytes", s.Checkpoint.BytesWritten),
-			c("recovery_runs_total", "recoveries", s.Recovery.Recoveries),
-			c("recovery_snapshot_pairs_total", "pairs", s.Recovery.SnapshotPairs),
-			c("recovery_snapshot_bytes_total", "bytes", s.Recovery.SnapshotBytes),
-			Point{Name: "recovery_snapshot_load_seconds", Unit: "seconds", Value: s.Recovery.SnapshotLoadNanos, Scale: 1e-9, Gauge: true},
-			c("recovery_wal_records_total", "records", s.Recovery.WALRecords),
-			Point{Name: "recovery_wal_replay_seconds", Unit: "seconds", Value: s.Recovery.WALReplayNanos, Scale: 1e-9, Gauge: true},
+			c("wal_appends_total", s.WAL.Appends),
+			c("wal_append_bytes_total", s.WAL.AppendBytes),
+			c("wal_rotations_total", s.WAL.Rotations),
+			c("wal_fsyncs_total", s.WAL.Fsyncs),
+			d("wal_fsync_duration_seconds", s.WAL.FsyncNanos, 1e-9),
+			d("wal_group_commit_records", s.WAL.GroupCommitRecords, 0),
+			win("wal_append_window_seconds", s.WAL.AppendWindow, 1e-9, nil),
+			win("wal_fsync_window_seconds", s.WAL.FsyncWindow, 1e-9, nil),
+			c("checkpoint_snapshots_total", s.Checkpoint.Snapshots),
+			c("checkpoint_pairs_written_total", s.Checkpoint.PairsWritten),
+			c("checkpoint_bytes_written_total", s.Checkpoint.BytesWritten),
+			c("recovery_runs_total", s.Recovery.Recoveries),
+			c("recovery_snapshot_pairs_total", s.Recovery.SnapshotPairs),
+			c("recovery_snapshot_bytes_total", s.Recovery.SnapshotBytes),
+			Point{Name: "recovery_snapshot_load_seconds", Value: s.Recovery.SnapshotLoadNanos, Scale: 1e-9, Gauge: true},
+			c("recovery_wal_records_total", s.Recovery.WALRecords),
+			Point{Name: "recovery_wal_replay_seconds", Value: s.Recovery.WALReplayNanos, Scale: 1e-9, Gauge: true},
 		)
 	}
 	for i, sh := range s.Shards {
 		lbl := map[string]string{"shard": fmt.Sprint(i)}
 		pts = append(pts,
-			Point{Name: "shard_ops_total", Unit: "ops", Labels: lbl, Value: sh.Ops},
-			Point{Name: "shard_batch_keys_total", Unit: "keys", Labels: lbl, Value: sh.BatchKeys},
+			Point{Name: "shard_ops_total", Labels: lbl, Value: sh.Ops},
+			Point{Name: "shard_batch_keys_total", Labels: lbl, Value: sh.BatchKeys},
 		)
 	}
 	// Health gauge: 1 with the first background durability failure latched,
@@ -93,35 +91,35 @@ func (s Snapshot) Points() []Point {
 	if s.Err != "" {
 		unhealthy = 1
 	}
-	pts = append(pts, Point{Name: "unhealthy", Unit: "bool", Value: unhealthy, Gauge: true})
+	pts = append(pts, Point{Name: "unhealthy", Value: unhealthy, Gauge: true})
 	if sv := s.Server; sv != nil {
 		pts = append(pts,
-			c("server_conns_opened_total", "conns", sv.ConnsOpened),
-			c("server_conns_closed_total", "conns", sv.ConnsClosed),
-			c("server_bytes_read_total", "bytes", sv.BytesRead),
-			c("server_bytes_written_total", "bytes", sv.BytesWritten),
-			c("server_busy_total", "requests", sv.Busy),
-			c("server_errors_total", "requests", sv.Errors),
-			c("server_scan_chunks_total", "chunks", sv.ScanChunks),
-			c("server_scan_cancels_total", "scans", sv.ScanCancels),
-			d("server_commit_ops", "ops", sv.CommitOps, 0),
-			d("server_commit_keys", "keys", sv.CommitKeys, 0),
+			c("server_conns_opened_total", sv.ConnsOpened),
+			c("server_conns_closed_total", sv.ConnsClosed),
+			c("server_bytes_read_total", sv.BytesRead),
+			c("server_bytes_written_total", sv.BytesWritten),
+			c("server_busy_total", sv.Busy),
+			c("server_errors_total", sv.Errors),
+			c("server_scan_chunks_total", sv.ScanChunks),
+			c("server_scan_cancels_total", sv.ScanCancels),
+			d("server_commit_ops", sv.CommitOps, 0),
+			d("server_commit_keys", sv.CommitKeys, 0),
 		)
 		for _, op := range sv.Ops {
-			pts = append(pts, Point{Name: "server_requests_total", Unit: "requests",
+			pts = append(pts, Point{Name: "server_requests_total",
 				Labels: map[string]string{"op": op.Op}, Value: op.Requests})
 		}
 	}
 	if tr := s.Trace; tr != nil {
 		for _, op := range tr.Ops {
-			pts = append(pts, win("trace_request_window_seconds", "seconds", op.Total, 1e-9,
+			pts = append(pts, win("trace_request_window_seconds", op.Total, 1e-9,
 				map[string]string{"op": op.Op}))
 			for _, st := range op.Stages {
-				pts = append(pts, win("trace_stage_window_seconds", "seconds", st.Window, 1e-9,
+				pts = append(pts, win("trace_stage_window_seconds", st.Window, 1e-9,
 					map[string]string{"op": op.Op, "stage": st.Stage}))
 			}
 		}
-		pts = append(pts, win("trace_flush_window_seconds", "seconds", tr.Flush, 1e-9, nil))
+		pts = append(pts, win("trace_flush_window_seconds", tr.Flush, 1e-9, nil))
 	}
 	return pts
 }

@@ -19,15 +19,15 @@ import (
 
 // startServer serves store on a loopback listener and returns the server
 // plus its address. Cleanup closes the server (not the store).
-func startServer(t *testing.T, store pmago.Store, opts server.Options) (*server.Server, string) {
-	t.Helper()
+func startServer(tb testing.TB, store pmago.Store, opts server.Options) (*server.Server, string) {
+	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv := server.New(store, opts)
 	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
+	tb.Cleanup(func() { srv.Close() })
 	return srv, ln.Addr().String()
 }
 
