@@ -8,9 +8,10 @@
 //
 // Errors: ErrBusy reports the server's explicit backpressure response (the
 // request was not executed; retry). ErrTimeout reports a response that did
-// not arrive within Options.Timeout — for a write this is ambiguous (the op
-// may still apply). Connection failures poison every request in flight on
-// that connection; the next request redials.
+// not arrive within 10 s (a streaming scan's clock restarts at every chunk)
+// — for a write this is ambiguous (the op may still apply). Connection
+// failures poison every request in flight on that connection; the next
+// request redials.
 package client
 
 import (
@@ -32,7 +33,7 @@ import (
 // not executed and can be retried.
 var ErrBusy = errors.New("client: server busy")
 
-// ErrTimeout is returned when no response arrived within Options.Timeout.
+// ErrTimeout is returned when no response arrived within 10 s.
 // The request may or may not have been executed.
 var ErrTimeout = errors.New("client: request timed out")
 
@@ -45,39 +46,25 @@ type Options struct {
 	// over the pool; pipelining usually saturates a connection long before
 	// more are needed.
 	Conns int
-	// Timeout bounds each request's wait for a response (default 10s).
-	// Streaming scans reset it per chunk.
-	Timeout time.Duration
-	// MaxBatch chunks PutBatch/DeleteBatch calls into requests of at most
-	// this many pairs (default 65536), keeping frames under the protocol's
-	// payload bound.
-	MaxBatch int
-	// DisableMetrics turns off the client-side latency recording readable
-	// via LocalStats (queue wait, per-op RTT windows, outcome counters).
-	DisableMetrics bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.Conns <= 0 {
-		o.Conns = 1
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 10 * time.Second
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 65536
-	}
-	return o
-}
+const (
+	// requestTimeout bounds each request's wait for a response; streaming
+	// scans reset it per chunk.
+	requestTimeout = 10 * time.Second
+	// maxBatch chunks PutBatch/DeleteBatch calls into requests of at most
+	// this many pairs, keeping frames under the protocol's payload bound.
+	maxBatch = 65536
+)
 
 // Client is a pipelining connection pool to one server. All methods are
 // safe for concurrent use.
 type Client struct {
-	addr   string
-	opts   Options
-	m      *obs.ClientMetrics // nil when DisableMetrics
-	nextID atomic.Uint64
-	next   atomic.Uint64 // round-robin cursor
+	addr    string
+	timeout time.Duration // requestTimeout; tests shorten it before the first request
+	m       obs.ClientMetrics
+	nextID  atomic.Uint64
+	next    atomic.Uint64 // round-robin cursor
 
 	mu     sync.Mutex
 	conns  []*poolConn // lazily (re)dialed slots
@@ -87,11 +74,7 @@ type Client struct {
 // Dial connects to a pmago server. The first pool connection is dialed
 // eagerly so configuration errors surface here; the rest dial on demand.
 func Dial(addr string, opts Options) (*Client, error) {
-	c := &Client{addr: addr, opts: opts.withDefaults()}
-	if !c.opts.DisableMetrics {
-		c.m = &obs.ClientMetrics{}
-	}
-	c.conns = make([]*poolConn, c.opts.Conns)
+	c := &Client{addr: addr, conns: make([]*poolConn, max(opts.Conns, 1)), timeout: requestTimeout}
 	pc, err := c.dialSlot(0)
 	if err != nil {
 		return nil, err
@@ -150,15 +133,15 @@ func (c *Client) Delete(k int64) (bool, error) {
 	return resp.Found, nil
 }
 
-// PutBatch upserts all pairs, splitting into MaxBatch-sized requests. Each
-// request is acknowledged as one unit; the call as a whole is not atomic
-// (exactly like the embedded PutBatch).
+// PutBatch upserts all pairs, splitting into requests of at most 65536
+// pairs. Each request is acknowledged as one unit; the call as a whole is
+// not atomic (exactly like the embedded PutBatch).
 func (c *Client) PutBatch(keys, vals []int64) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("client: PutBatch: %d keys but %d vals", len(keys), len(vals))
 	}
-	for off := 0; off < len(keys); off += c.opts.MaxBatch {
-		end := min(off+c.opts.MaxBatch, len(keys))
+	for off := 0; off < len(keys); off += maxBatch {
+		end := min(off+maxBatch, len(keys))
 		resp, err := c.roundTrip(&wire.Request{Op: wire.OpPutBatch, Keys: keys[off:end], Vals: vals[off:end]})
 		if err != nil {
 			return err
@@ -174,8 +157,8 @@ func (c *Client) PutBatch(keys, vals []int64) error {
 // removed across its chunked requests.
 func (c *Client) DeleteBatch(keys []int64) (int, error) {
 	total := 0
-	for off := 0; off < len(keys); off += c.opts.MaxBatch {
-		end := min(off+c.opts.MaxBatch, len(keys))
+	for off := 0; off < len(keys); off += maxBatch {
+		end := min(off+maxBatch, len(keys))
 		resp, err := c.roundTrip(&wire.Request{Op: wire.OpDeleteBatch, Keys: keys[off:end]})
 		if err != nil {
 			return total, err
@@ -192,32 +175,22 @@ func (c *Client) DeleteBatch(keys []int64) (int, error) {
 // returns false. Chunks arrive as the server produces them; returning
 // false sends a cancel and drains the remaining stream.
 func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
-	var t0 time.Time
-	if c.m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	pc, err := c.conn()
 	if err != nil {
-		if c.m != nil {
-			c.m.Errors.Inc()
-		}
+		c.m.Errors.Inc()
 		return err
 	}
 	cl := c.acquireCall()
 	id := c.nextID.Add(1)
 	if err := pc.issue(id, cl, &wire.Request{Op: wire.OpScan, ID: id, Key: lo, Val: hi}); err != nil {
 		cl.abandon()
-		if c.m != nil {
-			c.m.Errors.Inc()
-		}
+		c.m.Errors.Inc()
 		return err
 	}
-	var tw time.Time
-	if c.m != nil {
-		tw = time.Now()
-		c.m.QueueWait.ObserveAt(tw.UnixNano(), uint64(tw.Sub(t0)))
-		c.m.Requests[obs.ServerOpScan].Inc()
-	}
+	tw := time.Now()
+	c.m.QueueWait.ObserveAt(tw.UnixNano(), uint64(tw.Sub(t0)))
+	c.m.Requests[obs.ServerOpScan].Inc()
 	cancelled := false
 	for {
 		select {
@@ -244,37 +217,27 @@ func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
 				if !cl.timer.Stop() {
 					<-cl.timer.C
 				}
-				cl.timer.Reset(c.opts.Timeout)
+				cl.timer.Reset(c.timeout)
 			case wire.StatusOK:
-				if c.m != nil {
-					// RTT of the whole stream: issue to final frame.
-					end := time.Now()
-					c.m.RTT[obs.ServerOpScan].ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
-				}
+				// RTT of the whole stream: issue to final frame.
+				end := time.Now()
+				c.m.RTT[obs.ServerOpScan].ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
 				return nil
 			case wire.StatusBusy:
-				if c.m != nil {
-					c.m.Busy.Inc()
-				}
+				c.m.Busy.Inc()
 				return ErrBusy
 			case wire.StatusErr:
-				if c.m != nil {
-					c.m.Errors.Inc()
-				}
+				c.m.Errors.Inc()
 				return fmt.Errorf("client: server error: %s", resp.Err)
 			}
 		case <-pc.broken:
 			cl.abandon()
-			if c.m != nil {
-				c.m.Errors.Inc()
-			}
+			c.m.Errors.Inc()
 			return pc.err()
 		case <-cl.timer.C:
 			pc.forget(id)
 			cl.abandon()
-			if c.m != nil {
-				c.m.Timeouts.Inc()
-			}
+			c.m.Timeouts.Inc()
 			return ErrTimeout
 		}
 	}
@@ -287,7 +250,7 @@ type ClientStats = obs.ClientSnapshot
 // (connection checkout + frame write), per-op RTT windows over the trailing
 // interval, and outcome counters. RTT minus the server's windowed request
 // total approximates network plus the server's inbound read queue — the two
-// sides together attribute a slow round trip. Zero when DisableMetrics.
+// sides together attribute a slow round trip.
 func (c *Client) LocalStats() ClientStats {
 	return c.m.Snapshot()
 }
@@ -322,66 +285,50 @@ func respErr(resp wire.Response) error {
 // roundTrip issues one single-response request and waits for its response
 // or the timeout.
 func (c *Client) roundTrip(req *wire.Request) (wire.Response, error) {
-	var t0 time.Time
-	if c.m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	pc, err := c.conn()
 	if err != nil {
-		if c.m != nil {
-			c.m.Errors.Inc()
-		}
+		c.m.Errors.Inc()
 		return wire.Response{}, err
 	}
 	cl := c.acquireCall()
 	req.ID = c.nextID.Add(1)
 	if err := pc.issue(req.ID, cl, req); err != nil {
 		cl.abandon()
-		if c.m != nil {
-			c.m.Errors.Inc()
-		}
+		c.m.Errors.Inc()
 		return wire.Response{}, err
 	}
-	var tw time.Time
 	op := obs.ServerOp(req.Op - wire.OpPut)
-	if c.m != nil {
-		tw = time.Now()
-		c.m.QueueWait.ObserveAt(tw.UnixNano(), uint64(tw.Sub(t0)))
-		c.m.Requests[op].Inc()
-	}
+	tw := time.Now()
+	c.m.QueueWait.ObserveAt(tw.UnixNano(), uint64(tw.Sub(t0)))
+	c.m.Requests[op].Inc()
 	select {
 	case resp := <-cl.ch:
 		cl.release()
-		if c.m != nil {
-			end := time.Now()
-			c.m.RTT[op].ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
-			switch resp.Status {
-			case wire.StatusBusy:
-				c.m.Busy.Inc()
-			case wire.StatusErr:
-				c.m.Errors.Inc()
-			}
+		end := time.Now()
+		c.m.RTT[op].ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
+		switch resp.Status {
+		case wire.StatusBusy:
+			c.m.Busy.Inc()
+		case wire.StatusErr:
+			c.m.Errors.Inc()
 		}
 		return resp, nil
 	case <-pc.broken:
 		cl.abandon()
-		if c.m != nil {
-			c.m.Errors.Inc()
-		}
+		c.m.Errors.Inc()
 		return wire.Response{}, pc.err()
 	case <-cl.timer.C:
 		pc.forget(req.ID)
 		cl.abandon()
-		if c.m != nil {
-			c.m.Timeouts.Inc()
-		}
+		c.m.Timeouts.Inc()
 		return wire.Response{}, ErrTimeout
 	}
 }
 
 // conn picks the next pool slot, redialing it if it is missing or dead.
 func (c *Client) conn() (*poolConn, error) {
-	slot := int(c.next.Add(1)) % c.opts.Conns
+	slot := int(c.next.Add(1)) % len(c.conns)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -417,9 +364,7 @@ func (c *Client) dialSlot(slot int) (*poolConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.m != nil {
-		c.m.Dials.Inc()
-	}
+	c.m.Dials.Inc()
 	pc := &poolConn{nc: nc, broken: make(chan struct{}),
 		pending: make(map[uint64]*call)}
 	go pc.reader()
@@ -453,7 +398,7 @@ var callPool = sync.Pool{New: func() any {
 
 func (c *Client) acquireCall() *call {
 	cl := callPool.Get().(*call)
-	cl.timer.Reset(c.opts.Timeout)
+	cl.timer.Reset(c.timeout)
 	return cl
 }
 

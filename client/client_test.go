@@ -11,17 +11,20 @@ import (
 	"pmago/server"
 )
 
+// serverChunk is the server's scan chunk size: 1024 pairs a frame.
+const serverChunk = 1024
+
 // serve fronts store with a server on loopback and dials one client.
-func serve(t *testing.T, store pmago.Store, sopts server.Options, copts Options) *Client {
+func serve(t *testing.T, store pmago.Store) *Client {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(store, sopts)
+	srv := server.New(store, server.Options{})
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	cl, err := Dial(ln.Addr().String(), copts)
+	cl, err := Dial(ln.Addr().String(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +54,8 @@ func loaded(t *testing.T, n int) *pmago.PMA {
 // the pair the server sent (and the race detector must see no write to a
 // slice the consumer is reading).
 func TestScanChunksIntactWhileReaderRunsAhead(t *testing.T) {
-	const chunk, n = 32, 32 * 200
-	cl := serve(t, loaded(t, n), server.Options{ScanChunkPairs: chunk}, Options{})
+	const chunk, n = serverChunk, serverChunk * 40
+	cl := serve(t, loaded(t, n))
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ { // two scans share the connection's reader
 		wg.Add(1)
@@ -83,18 +86,18 @@ func TestScanChunksIntactWhileReaderRunsAhead(t *testing.T) {
 // request and the connection stays in step.
 func TestScanEarlyStopDrains(t *testing.T) {
 	const n = 1 << 16
-	cl := serve(t, loaded(t, n), server.Options{ScanChunkPairs: 64}, Options{})
+	cl := serve(t, loaded(t, n))
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
 		seen := 0
 		if err := cl.Scan(0, n, func(k, v int64) bool {
 			seen++
-			return seen < 100 // stops inside the second chunk
+			return seen < serverChunk+100 // stops inside the second chunk
 		}); err != nil {
 			t.Fatalf("round %d: early-stop scan: %v", i, err)
 		}
-		if seen != 100 {
-			t.Fatalf("round %d: fn ran %d times, want 100", i, seen)
+		if seen != serverChunk+100 {
+			t.Fatalf("round %d: fn ran %d times, want %d", i, seen, serverChunk+100)
 		}
 		k := int64(i * 1000)
 		if v, ok, err := cl.Get(k); err != nil || !ok || v != -k {
@@ -139,9 +142,9 @@ func (g *gatedStore) PutBatch(keys, vals []int64) {
 
 // serveGated is serve over a gated store; the gate opens at the latest
 // when the test ends, before the server is closed.
-func serveGated(t *testing.T, s pmago.Store, copts Options) (*Client, *gatedStore) {
+func serveGated(t *testing.T, s pmago.Store) (*Client, *gatedStore) {
 	store := &gatedStore{Store: s, gate: make(chan struct{})}
-	cl := serve(t, store, server.Options{}, copts)
+	cl := serve(t, store)
 	t.Cleanup(store.open)
 	return cl, store
 }
@@ -151,7 +154,8 @@ func serveGated(t *testing.T, s pmago.Store, copts Options) (*Client, *gatedStor
 // that left nor the next request, which gets its own answer on the same
 // connection.
 func TestTimedOutCallIsForgotten(t *testing.T) {
-	cl, store := serveGated(t, loaded(t, 100), Options{Timeout: 50 * time.Millisecond})
+	cl, store := serveGated(t, loaded(t, 100))
+	cl.timeout = 50 * time.Millisecond
 	if _, _, err := cl.Get(7); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Get behind a closed gate: %v, want ErrTimeout", err)
 	}
@@ -178,7 +182,7 @@ func TestTimedOutCallIsForgotten(t *testing.T) {
 // request dials a new one.
 func TestKilledConnectionFailsInflight(t *testing.T) {
 	p := loaded(t, 100)
-	cl, store := serveGated(t, p, Options{Timeout: 30 * time.Second})
+	cl, store := serveGated(t, p)
 	const inflight = 8
 	errs := make(chan error, inflight+1)
 	for i := 0; i < inflight; i++ {

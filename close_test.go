@@ -34,8 +34,7 @@ func TestCloseStopsGoroutines(t *testing.T) {
 			return p.Put, func() error { p.Close(); return nil }
 		}},
 		{"durable", func(t *testing.T) (func(k, v int64), func() error) {
-			db, err := pmago.Open(t.TempDir(), pmago.WithFsync(pmago.FsyncInterval),
-				pmago.WithFsyncInterval(time.Millisecond), pmago.WithWALSegmentBytes(1<<20))
+			db, err := pmago.Open(t.TempDir(), pmago.WithFsync(pmago.FsyncInterval))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,12 +48,21 @@ func main() {
 		addr     = flag.String("addr", ":7070", "TCP listen address for the KV protocol")
 		httpAddr = flag.String("http", "", "side HTTP listen address for /debug/pmago metrics (off when empty)")
 		dir      = flag.String("dir", "", "store directory; empty serves a non-durable in-memory store")
-		fsync    = flag.String("fsync", "always", "WAL fsync policy for durable stores: always|interval|none")
+		fsync    = flag.String("fsync", "always", "WAL fsync policy of a durable store (needs -dir): always|interval|none")
 		shards   = flag.Int("shards", 0, "shard count; 0 serves an unsharded store")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		slow     = flag.Duration("slow", 0, "slow-op flight-recorder threshold (0 = default 20ms, negative disables)")
 	)
 	flag.Parse()
+	// An in-memory store has no WAL: an explicit -fsync there would be
+	// dropped, so it is a usage error.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "fsync" && *dir == "" {
+			fmt.Fprintln(os.Stderr, "pmaserve: -fsync applies only to a durable store (-dir)")
+			flag.Usage()
+			os.Exit(2)
+		}
+	})
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	store, closeStore, err := openStore(*dir, *fsync, *shards)

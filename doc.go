@@ -61,8 +61,7 @@
 //   - FsyncAlways (default): every write that returned is on stable
 //     storage — a crash loses nothing acknowledged. Concurrent writers
 //     share fsyncs through group commit.
-//   - FsyncInterval: writes become durable within WithFsyncInterval
-//     (50 ms default). A process crash loses nothing (the records are in
+//   - FsyncInterval: writes become durable within 50 ms. A process crash loses nothing (the records are in
 //     the kernel already); power loss can cost the last interval.
 //   - FsyncNone: durability is left to the OS write-back. Fastest; the
 //     same process-crash guarantee, none against power loss.
@@ -85,10 +84,11 @@
 //
 // Keys are placed by one of two schemes, fixed at creation:
 //
-//   - Weighted (default; WithShards or WithShardWeights): straw2-style
-//     placement — each key draws a weighted pseudo-random straw per shard
-//     and lands on the argmax. Spread follows the weights for any key
-//     distribution, and growing the topology only moves keys onto the new
+//   - Weighted (default; WithShards): straw2-style placement — each key
+//     draws a weighted pseudo-random straw per shard and lands on the
+//     argmax. WithShards weights every shard equally (a manifest may
+//     record other weights, and a reopen keeps them). Spread follows the
+//     weights for any key distribution, and growing the topology only moves keys onto the new
 //     shard. A scan merges per-shard cursors on the caller's goroutine:
 //     each copies a run of pairs out with its shard's own Scan (64 pairs
 //     at first, doubling to 1024 — the most a shard is read ahead of the

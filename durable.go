@@ -31,7 +31,7 @@ type inner = PMA
 //     the update is on stable storage; a crash at any point loses nothing
 //     acknowledged. Concurrent writers share fsyncs through group commit.
 //   - FsyncInterval: acknowledged updates reach stable storage within
-//     WithFsyncInterval (default 50 ms). A process crash (panic, kill)
+//     50 ms. A process crash (panic, kill)
 //     loses nothing — the records are already in the page cache through
 //     the mapped segment (see persist.Log); an OS crash or power loss may
 //     lose the last interval's acknowledgements.
@@ -40,8 +40,12 @@ type inner = PMA
 //
 // Under every policy recovery restores a prefix-consistent store: the log
 // preserves append order, so no surviving write was acknowledged after a
-// lost one. (Updates racing on the same key through different goroutines
-// are unordered, exactly as they are in memory.)
+// lost one. Log order is not apply order, though: an update is appended
+// before it reaches its gate, so two updates of one key that overlap in
+// time — from different goroutines, or a point update racing a batch that
+// holds the key — can be logged in one order and applied in the other. The
+// live store then keeps one value and recovery restores the other.
+// ROADMAP.md item 1 tracks the fix.
 type DB struct {
 	*inner
 	dir string
@@ -83,11 +87,11 @@ type DB struct {
 // Recovery runs first: the newest checksum-valid snapshot is bulk-loaded
 // in one pass and the write-ahead-log tail is replayed on top, truncating
 // a torn final record if a crash cut an append short. In-memory options
-// (mode, geometry, ...) apply as in New; WithFsync and friends tune the
-// durability layer. Topology options (WithShards, ...) are rejected with an
-// error — use OpenSharded. A directory is owned by at most one open DB at a
-// time, enforced with an advisory flock (on unix): a second Open fails
-// instead of corrupting the live owner's files.
+// (mode, geometry, ...) apply as in New; WithFsync and WithCompactRatio
+// tune the durability layer. Topology options (WithShards, ...) are
+// rejected with an error — use OpenSharded. A directory is owned by at
+// most one open DB at a time, enforced with an advisory flock (on unix): a
+// second Open fails instead of corrupting the live owner's files.
 func Open(dir string, opts ...Option) (*DB, error) {
 	cfg, err := resolveOptions("Open", opts, true, false)
 	if err != nil {

@@ -53,7 +53,7 @@ func TestDurableSegmentFaultIsError(t *testing.T) {
 // from a goroutine of its own.
 func TestShardedSegmentFaultReachesCaller(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSharded(dir, WithShards(4), WithFsync(FsyncNone), WithCompactRatio(0), WithWALSegmentBytes(1<<20))
+	s, err := OpenSharded(dir, WithShards(4), WithFsync(FsyncNone), WithCompactRatio(0), withWALSegmentBytes(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

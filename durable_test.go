@@ -28,7 +28,7 @@ func TestOpenFreshPutReopen(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNone} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			db, err := Open(dir, WithFsync(policy), WithFsyncInterval(time.Millisecond))
+			db, err := Open(dir, WithFsync(policy), withFsyncInterval(time.Millisecond))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ type crashOp struct {
 func TestCrashRecoveryProperty(t *testing.T) {
 	const segBytes = 64 << 10
 	dir := t.TempDir()
-	db, err := Open(dir, WithFsync(FsyncAlways), WithCompactRatio(0), WithWALSegmentBytes(segBytes))
+	db, err := Open(dir, WithFsync(FsyncAlways), WithCompactRatio(0), withWALSegmentBytes(segBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestAutoCompaction(t *testing.T) {
 	db, err := Open(dir,
 		WithFsync(FsyncNone),
 		WithCompactRatio(4),
-		WithCompactMinBytes(4<<10))
+		withCompactMinBytes(4<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestAutoCompaction(t *testing.T) {
 
 func TestConcurrentDurableWritersRecover(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, WithFsync(FsyncInterval), WithFsyncInterval(time.Millisecond))
+	db, err := Open(dir, WithFsync(FsyncInterval), withFsyncInterval(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

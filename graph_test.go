@@ -9,7 +9,7 @@ import (
 
 func newTestGraph(t *testing.T) *Graph {
 	t.Helper()
-	g, err := NewGraph(WithSegmentCapacity(16), WithSegmentsPerGate(2), WithTDelay(0), WithWorkers(2))
+	g, err := NewGraph(WithSegmentCapacity(16), withSegmentsPerGate(2), WithTDelay(0), withWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,7 @@ package obs
 // contention and a slow socket show up); RTT is request-written →
 // final-response-received per op, so RTT − server total ≈ network + the
 // server's inbound read queue. Same cost contract as every other metric
-// set: striped counters and window observes, no allocation, nil when
-// disabled.
+// set: striped counters and window observes, no allocation.
 type ClientMetrics struct {
 	Requests [NumServerOps]Counter
 	Busy     Counter
@@ -36,12 +35,8 @@ type ClientSnapshot struct {
 	Ops       []ClientOpSnapshot `json:"ops"`
 }
 
-// Snapshot copies the live counters (nil-safe: a disabled client reports
-// the zero snapshot).
+// Snapshot copies the live counters.
 func (m *ClientMetrics) Snapshot() ClientSnapshot {
-	if m == nil {
-		return ClientSnapshot{}
-	}
 	s := ClientSnapshot{
 		Busy:      m.Busy.Load(),
 		Timeouts:  m.Timeouts.Load(),

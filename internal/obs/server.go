@@ -4,7 +4,7 @@ package obs
 // set per Server, feeding the Server section of the snapshot its Stats
 // endpoint and side HTTP handler expose. Like every other metric set it is
 // hot-path cheap — striped counter increments and lock-free histogram
-// observes — and nil-safe to snapshot.
+// observes.
 type ServerMetrics struct {
 	// Per-op request counters, indexed by ServerOp. Handling latency per
 	// op is the trace section's Total window (TraceMetrics).
@@ -77,12 +77,8 @@ type ServerSnapshot struct {
 	Ops          []ServerOpSnapshot `json:"ops"`
 }
 
-// Snapshot copies the live counters (nil-safe: a disabled serving layer
-// reports nil, which omits the section entirely).
+// Snapshot copies the live counters.
 func (m *ServerMetrics) Snapshot() *ServerSnapshot {
-	if m == nil {
-		return nil
-	}
 	s := &ServerSnapshot{
 		ConnsOpened:  m.ConnsOpened.Load(),
 		ConnsClosed:  m.ConnsClosed.Load(),

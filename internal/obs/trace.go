@@ -47,7 +47,6 @@ var TraceStageNames = [NumTraceStages]string{
 // TraceMetrics is the serving layer's trace section: sliding-window
 // latency per op (Total), per op and stage (Stages), the outbound writer's
 // per-burst flush latency (Flush), and the slow-op flight recorder (Slow).
-// Nil when tracing is disabled; every method is nil-safe.
 type TraceMetrics struct {
 	Stages [NumServerOps][NumTraceStages]Window
 	Total  [NumServerOps]Window
@@ -59,7 +58,7 @@ type TraceMetrics struct {
 // into the op's windows, all at the same clock reading so every window
 // agrees on the slot. Allocation-free.
 func (m *TraceMetrics) Record(op ServerOp, now int64, stages *[NumTraceStages]uint64, total uint64) {
-	if m == nil || op < 0 || op >= NumServerOps {
+	if op < 0 || op >= NumServerOps {
 		return
 	}
 	for i := range stages {
@@ -88,12 +87,8 @@ type TraceSnapshot struct {
 	Flush WindowSnapshot    `json:"flush"`
 }
 
-// Snapshot folds every window (nil-safe: returns nil, omitting the
-// section).
+// Snapshot folds every window.
 func (m *TraceMetrics) Snapshot() *TraceSnapshot {
-	if m == nil {
-		return nil
-	}
 	t := &TraceSnapshot{Ops: make([]TraceOpSnapshot, NumServerOps)}
 	for op := range t.Ops {
 		o := TraceOpSnapshot{
@@ -167,9 +162,6 @@ type SlowRing struct {
 
 // Record captures one slow (or sampled) op.
 func (r *SlowRing) Record(rec SlowOp) {
-	if r == nil {
-		return
-	}
 	s := &r.slots[(r.next.Add(1)-1)%slowRingSize]
 	if !s.mu.TryLock() {
 		return
@@ -178,11 +170,8 @@ func (r *SlowRing) Record(rec SlowOp) {
 	s.mu.Unlock()
 }
 
-// Dump copies the captured records out, newest first. Nil-safe.
+// Dump copies the captured records out, newest first.
 func (r *SlowRing) Dump() []SlowOp {
-	if r == nil {
-		return nil
-	}
 	out := make([]SlowOp, 0, slowRingSize)
 	for i := range r.slots {
 		s := &r.slots[i]

@@ -67,8 +67,9 @@ func (p FsyncPolicy) String() string {
 	}
 }
 
-// Options tunes the durability layer. pmago mirrors each field as a
-// WithXxx option on Open.
+// Options tunes the durability layer. pmago's WithFsync and
+// WithCompactRatio set Fsync and CompactRatio; the other fields keep their
+// defaults outside tests.
 type Options struct {
 	// Fsync is the WAL durability policy.
 	Fsync FsyncPolicy
@@ -98,15 +99,16 @@ type Options struct {
 	// obs.WALMetrics). Nil disables WAL metrics at the cost of one nil
 	// check per instrumentation site.
 	Metrics *obs.WALMetrics
-	// Events receives OnFsyncStall callbacks. Stall events can fire from
-	// the rotation path, which holds the log's append mutex — the hook
-	// must be fast and must not call back into the log.
+	// Events receives an OnFsyncStall callback for every File.Sync that
+	// takes fsyncStallThreshold or longer. Stall events can fire from the
+	// rotation path, which holds the log's append mutex — the hook must be
+	// fast and must not call back into the log.
 	Events obs.EventHook
-	// FsyncStallThreshold is the File.Sync duration at or above which an
-	// OnFsyncStall event fires (default 100ms). Only consulted when
-	// Events is non-nil.
-	FsyncStallThreshold time.Duration
 }
+
+// fsyncStallThreshold is the File.Sync duration at or above which an
+// OnFsyncStall event fires.
+const fsyncStallThreshold = 100 * time.Millisecond
 
 // DefaultOptions returns the defaults described on each field.
 func DefaultOptions() Options {
@@ -135,9 +137,6 @@ func (o Options) normalize() Options {
 	}
 	if o.SnapshotBlockEntries <= 0 {
 		o.SnapshotBlockEntries = def.SnapshotBlockEntries
-	}
-	if o.FsyncStallThreshold <= 0 {
-		o.FsyncStallThreshold = 100 * time.Millisecond
 	}
 	return o
 }

@@ -383,8 +383,8 @@ func (w *Log) observeFsync(t0 time.Time, recsAtSync uint64) {
 			m.GroupCommit.Observe(delta)
 		}
 	}
-	if h := w.o.Events; h != nil && d >= w.o.FsyncStallThreshold {
-		h.OnFsyncStall(obs.FsyncStallEvent{Duration: d, Threshold: w.o.FsyncStallThreshold})
+	if h := w.o.Events; h != nil && d >= fsyncStallThreshold {
+		h.OnFsyncStall(obs.FsyncStallEvent{Duration: d, Threshold: fsyncStallThreshold})
 	}
 }
 

@@ -2,15 +2,48 @@ package pmago
 
 import (
 	"errors"
+	"io"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
+
+// Test-only settings: what the public options fix (the paper's segments per
+// gate, one rebalancer worker per core up to 8, a 50 ms fsync interval,
+// 64 MiB WAL segments, an 8 MiB compaction floor), lowered so tests run
+// small geometries, fast fsync timers and tiny WAL segments.
+func withSegmentsPerGate(n int) Option { return func(c *config) { c.core.SegmentsPerGate = n } }
+
+func withWorkers(n int) Option { return func(c *config) { c.core.Workers = n } }
+
+func withFsyncInterval(d time.Duration) Option {
+	return func(c *config) { c.durOpt("withFsyncInterval"); c.dur.FsyncEvery = d }
+}
+
+func withWALSegmentBytes(n int64) Option {
+	return func(c *config) { c.durOpt("withWALSegmentBytes"); c.dur.SegmentBytes = n }
+}
+
+func withCompactMinBytes(n int64) Option {
+	return func(c *config) { c.durOpt("withCompactMinBytes"); c.dur.CompactMinBytes = n }
+}
 
 // TestMisappliedOptionsRejected checks every constructor rejects the option
 // groups it cannot honor, naming the offending option — instead of the old
-// behavior of silently dropping it.
+// behavior of silently dropping it — and that the durable constructors
+// reject, by value, a durability setting they cannot honour: an unknown
+// fsync policy used to fsync nothing, and a NaN or infinite compaction
+// ratio used to compact at the 8 MiB floor.
 func TestMisappliedOptionsRejected(t *testing.T) {
 	dir := t.TempDir()
+	// opened closes a store that a row built although it should not have.
+	opened := func(c io.Closer, err error) error {
+		if err == nil {
+			c.Close()
+		}
+		return err
+	}
 	cases := []struct {
 		name    string
 		build   func() error
@@ -28,30 +61,45 @@ func TestMisappliedOptionsRejected(t *testing.T) {
 			_, err := New(WithCompactRatio(2))
 			return err
 		}, "WithCompactRatio"},
-		{"BulkLoad+WithWALSegmentBytes", func() error {
-			_, err := BulkLoad([]int64{1}, []int64{2}, WithWALSegmentBytes(1<<20))
+		{"BulkLoad+WithFsync", func() error {
+			_, err := BulkLoad([]int64{1}, []int64{2}, WithFsync(FsyncNone))
 			return err
-		}, "WithWALSegmentBytes"},
+		}, "WithFsync"},
 		{"BulkLoad+WithRangeSplits", func() error {
 			_, err := BulkLoad([]int64{1}, []int64{2}, WithRangeSplits([]int64{0}))
 			return err
 		}, "WithRangeSplits"},
-		{"NewSharded+WithFsyncInterval", func() error {
-			_, err := NewSharded(WithShards(2), WithFsyncInterval(1))
+		{"NewSharded+WithFsync", func() error {
+			_, err := NewSharded(WithShards(2), WithFsync(FsyncInterval))
 			return err
-		}, "WithFsyncInterval"},
-		{"BulkLoadSharded+WithCompactMinBytes", func() error {
-			_, err := BulkLoadSharded([]int64{1}, []int64{2}, WithShards(2), WithCompactMinBytes(1))
+		}, "WithFsync"},
+		{"BulkLoadSharded+WithCompactRatio", func() error {
+			_, err := BulkLoadSharded([]int64{1}, []int64{2}, WithShards(2), WithCompactRatio(1))
 			return err
-		}, "WithCompactMinBytes"},
+		}, "WithCompactRatio"},
 		{"Open+WithShards", func() error {
 			_, err := Open(dir, WithShards(2))
 			return err
 		}, "WithShards"},
-		{"Open+WithShardWeights", func() error {
-			_, err := Open(dir, WithShardWeights([]float64{1, 2}))
+		{"Open+WithRangeSplits", func() error {
+			_, err := Open(dir, WithRangeSplits([]int64{0}))
 			return err
-		}, "WithShardWeights"},
+		}, "WithRangeSplits"},
+		{"Open+WithFsync(7)", func() error {
+			return opened(Open(t.TempDir(), WithFsync(FsyncPolicy(7))))
+		}, "FsyncPolicy(7)"},
+		{"Open+WithCompactRatio(NaN)", func() error {
+			return opened(Open(t.TempDir(), WithCompactRatio(math.NaN())))
+		}, "WithCompactRatio(NaN)"},
+		{"Open+WithCompactRatio(+Inf)", func() error {
+			return opened(Open(t.TempDir(), WithCompactRatio(math.Inf(1))))
+		}, "WithCompactRatio(+Inf)"},
+		{"OpenSharded+WithFsync(7)", func() error {
+			return opened(OpenSharded(t.TempDir(), WithFsync(FsyncPolicy(7))))
+		}, "FsyncPolicy(7)"},
+		{"OpenSharded+WithCompactRatio(NaN)", func() error {
+			return opened(OpenSharded(t.TempDir(), WithCompactRatio(math.NaN())))
+		}, "WithCompactRatio(NaN)"},
 		{"NewGraph+WithFsync", func() error {
 			g, err := NewGraph(WithFsync(FsyncAlways))
 			if err == nil {
@@ -89,7 +137,7 @@ func TestValidOptionCombinationsAccepted(t *testing.T) {
 		t.Fatalf("Open with durability options: %v", err)
 	}
 	db.Close()
-	s, err := NewSharded(WithShards(2), WithWorkers(1))
+	s, err := NewSharded(WithShards(2), WithMode(ModeSync))
 	if err != nil {
 		t.Fatalf("NewSharded with topology+core options: %v", err)
 	}

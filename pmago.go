@@ -2,6 +2,7 @@ package pmago
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"pmago/internal/core"
@@ -82,6 +83,12 @@ func resolveOptions(constructor string, opts []Option, allowDur, allowShard bool
 		return cfg, fmt.Errorf("pmago: %s: option %s applies only to sharded stores (NewSharded/BulkLoadSharded/OpenSharded)",
 			constructor, cfg.shardOpts[0])
 	}
+	if p := cfg.dur.Fsync; p < FsyncAlways || p > FsyncNone {
+		return cfg, fmt.Errorf("pmago: %s: unknown fsync policy %v", constructor, p)
+	}
+	if r := cfg.dur.CompactRatio; math.IsNaN(r) || math.IsInf(r, 0) {
+		return cfg, fmt.Errorf("pmago: %s: WithCompactRatio(%v) is not finite", constructor, r)
+	}
 	return cfg, nil
 }
 
@@ -95,16 +102,9 @@ func WithMode(m Mode) Option { return func(c *config) { c.core.Mode = m } }
 // paper uses 128 and evaluates 256 as an ablation).
 func WithSegmentCapacity(b int) Option { return func(c *config) { c.core.SegmentCapacity = b } }
 
-// WithSegmentsPerGate sets the chunk granularity: a power of two from 1 to 8
-// (paper: 8, the default). Larger values make New and Open fail.
-func WithSegmentsPerGate(n int) Option { return func(c *config) { c.core.SegmentsPerGate = n } }
-
 // WithTDelay sets the minimum delay between global rebalances of one gate
 // in ModeBatch (paper: 100 ms, evaluated 0-800 ms).
 func WithTDelay(d time.Duration) Option { return func(c *config) { c.core.TDelay = d } }
-
-// WithWorkers sets the rebalancer worker-pool size (paper: 8).
-func WithWorkers(n int) Option { return func(c *config) { c.core.Workers = n } }
 
 // WithCompressedChunks stores each segment as a delta-encoded block instead
 // of fixed 16-byte slots: several times less memory for dense key runs, at
@@ -123,35 +123,19 @@ func (c *config) durOpt(name string) { c.durOpts = append(c.durOpts, name) }
 func (c *config) shardOpt(name string) { c.shardOpts = append(c.shardOpts, name) }
 
 // WithFsync selects the WAL fsync policy of a durable store (default
-// FsyncAlways). Only the durable constructors accept it.
+// FsyncAlways; FsyncInterval syncs every 50 ms). Only the durable
+// constructors accept it, and they reject a policy that is not one of the
+// three constants.
 func WithFsync(p FsyncPolicy) Option {
 	return func(c *config) { c.durOpt("WithFsync"); c.dur.Fsync = p }
 }
 
-// WithFsyncInterval sets the FsyncInterval period (default 50 ms).
-func WithFsyncInterval(d time.Duration) Option {
-	return func(c *config) { c.durOpt("WithFsyncInterval"); c.dur.FsyncEvery = d }
-}
-
-// WithWALSegmentBytes sets the WAL segment size (default 64 MiB). On Linux
-// the active segment is preallocated and mapped at this size, so each open
-// store, and each shard of a durable Sharded, reserves one segment on disk;
-// rotated segments shrink to the records they hold.
-func WithWALSegmentBytes(n int64) Option {
-	return func(c *config) { c.durOpt("WithWALSegmentBytes"); c.dur.SegmentBytes = n }
-}
-
 // WithCompactRatio makes a durable store snapshot itself automatically when
-// the live WAL exceeds ratio × the last snapshot's size (default 4; zero or
-// negative disables auto-compaction — Snapshot can still be called).
+// the live WAL exceeds ratio × the last snapshot's size, and 8 MiB in any
+// case (default 4; zero or negative disables auto-compaction — Snapshot can
+// still be called). A NaN or infinite ratio is rejected.
 func WithCompactRatio(r float64) Option {
 	return func(c *config) { c.durOpt("WithCompactRatio"); c.dur.CompactRatio = r }
-}
-
-// WithCompactMinBytes sets the WAL size below which auto-compaction never
-// fires, and the trigger while no snapshot exists yet (default 8 MiB).
-func WithCompactMinBytes(n int64) Option {
-	return func(c *config) { c.durOpt("WithCompactMinBytes"); c.dur.CompactMinBytes = n }
 }
 
 // PMA is a concurrent packed memory array mapping int64 keys to int64
@@ -170,13 +154,6 @@ func New(opts ...Option) (*PMA, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPMA(cfg)
-}
-
-// newPMA builds a PMA from a resolved config — the shared back end of New
-// and the per-shard loop of NewSharded (which consumes the topology options
-// itself and must not re-trigger their rejection).
-func newPMA(cfg config) (*PMA, error) {
 	c, err := core.New(cfg.core)
 	if err != nil {
 		return nil, err
@@ -198,7 +175,9 @@ func BulkLoad(keys, vals []int64, opts ...Option) (*PMA, error) {
 	return bulkLoadPMA(cfg, keys, vals)
 }
 
-// bulkLoadPMA is BulkLoad from a resolved config (see newPMA).
+// bulkLoadPMA is BulkLoad from a resolved config — also the per-shard
+// loader of NewSharded and BulkLoadSharded, which consume the topology
+// options themselves and must not re-trigger their rejection.
 func bulkLoadPMA(cfg config, keys, vals []int64) (*PMA, error) {
 	c, err := core.BulkLoad(cfg.core, keys, vals)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 
 func newTest(t *testing.T, opts ...Option) *PMA {
 	t.Helper()
-	opts = append([]Option{WithTDelay(0), WithWorkers(2)}, opts...)
+	opts = append([]Option{WithTDelay(0), withWorkers(2)}, opts...)
 	p, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestAllModesThroughPublicAPI(t *testing.T) {
 
 func TestOptionsApply(t *testing.T) {
 	p := newTest(t, WithMode(ModeBatch), WithSegmentCapacity(64),
-		WithSegmentsPerGate(4), WithTDelay(time.Millisecond))
+		withSegmentsPerGate(4), WithTDelay(time.Millisecond))
 	for i := int64(0); i < 10_000; i++ {
 		p.Put(i, i)
 	}
@@ -96,7 +96,7 @@ func TestInvalidOptionRejected(t *testing.T) {
 }
 
 func TestGraphPublicAPI(t *testing.T) {
-	g, err := NewGraph(WithTDelay(0), WithWorkers(2))
+	g, err := NewGraph(WithTDelay(0), withWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ var scanRunPool = sync.Pool{New: func() any { return new(scanRun) }}
 
 // conn is one client connection: a reader goroutine (frame decode +
 // dispatch), a writer goroutine (serialize + flush the outbound queue), and
-// up to MaxScansPerConn streaming scan goroutines.
+// up to maxScansPerConn streaming scan goroutines.
 //
 // The writer goroutine owns the socket's write side except while it is
 // parked with an empty queue: then the reader goroutine may borrow it (lent)
@@ -82,7 +82,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 	c := &conn{
 		srv:     s,
 		nc:      nc,
-		scanSem: make(chan struct{}, s.opts.MaxScansPerConn),
+		scanSem: make(chan struct{}, maxScansPerConn),
 		scans:   make(map[uint64]chan struct{}),
 	}
 	c.qcnd = sync.NewCond(&c.qmu)
@@ -114,11 +114,8 @@ func (c *conn) serve() {
 			return
 		}
 		buf = payload
-		var rt reqTimes
-		if m := c.srv.m; m != nil {
-			rt.start = time.Now()
-			m.BytesRead.Add(uint64(len(payload)) + 8)
-		}
+		rt := reqTimes{start: time.Now()}
+		c.srv.m.BytesRead.Add(uint64(len(payload)) + 8)
 		if err := wire.DecodeRequest(payload, &req); err != nil {
 			c.srv.opts.Logger.Warn("pmago server: bad request frame",
 				"remote", c.nc.RemoteAddr(), "err", err)
@@ -142,9 +139,6 @@ func (c *conn) serve() {
 func (c *conn) dispatch(req *wire.Request, rt reqTimes) {
 	s := c.srv
 	op := obs.ServerOp(req.Op - wire.OpPut)
-	if req.Op != wire.OpCancel && s.m != nil {
-		s.m.Requests[op].Inc()
-	}
 	if req.Op == wire.OpCancel {
 		// Cancels an in-flight scan by its request id; no response, no
 		// token — the scan terminates through its usual final frame.
@@ -156,20 +150,17 @@ func (c *conn) dispatch(req *wire.Request, rt reqTimes) {
 		c.scanMu.Unlock()
 		return
 	}
+	s.m.Requests[op].Inc()
 	errStr := validate(req)
-	if s.tr != nil {
-		rt.decoded = time.Now()
-	}
+	rt.decoded = time.Now()
 	if errStr != "" {
 		c.pending.Add(1)
 		c.inflight.Add(1)
-		if s.m != nil {
-			s.m.Errors.Inc()
-		}
+		s.m.Errors.Inc()
 		c.respondFromReader(&wire.Response{Status: wire.StatusErr, Op: req.Op, ID: req.ID, Err: errStr}, op, rt)
 		return
 	}
-	if c.inflight.Add(1) > int64(s.opts.MaxConnInflight) {
+	if c.inflight.Add(1) > maxConnInflight {
 		c.inflight.Add(-1)
 		c.busy(req)
 		return
@@ -178,25 +169,17 @@ func (c *conn) dispatch(req *wire.Request, rt reqTimes) {
 	switch req.Op {
 	case wire.OpGet:
 		resp := wire.Response{Status: wire.StatusOK, Op: wire.OpGet, ID: req.ID}
-		if s.tr != nil {
-			rt.applyStart = time.Now()
-		}
+		rt.applyStart = time.Now()
 		err := s.apply(func() { resp.Val, resp.Found = s.store.Get(req.Key) })
-		if s.tr != nil {
-			rt.applyEnd = time.Now()
-		}
+		rt.applyEnd = time.Now()
 		if err != nil {
 			resp = wire.Response{Status: wire.StatusErr, Op: wire.OpGet, ID: req.ID, Err: err.Error()}
 		}
 		c.respondFromReader(&resp, op, rt)
 	case wire.OpStats:
-		if s.tr != nil {
-			rt.applyStart = time.Now()
-		}
+		rt.applyStart = time.Now()
 		blob := s.statsJSON()
-		if s.tr != nil {
-			rt.applyEnd = time.Now()
-		}
+		rt.applyEnd = time.Now()
 		c.respondFromReader(&wire.Response{Status: wire.StatusOK, Op: wire.OpStats, ID: req.ID, Blob: blob}, op, rt)
 	case wire.OpScan:
 		select {
@@ -254,9 +237,7 @@ func validate(req *wire.Request) string {
 
 // busy sends the explicit backpressure response.
 func (c *conn) busy(req *wire.Request) {
-	if m := c.srv.m; m != nil {
-		m.Busy.Inc()
-	}
+	c.srv.m.Busy.Inc()
 	c.sendFromReader(encodeFrame(&wire.Response{Status: wire.StatusBusy, Op: req.Op, ID: req.ID}))
 }
 
@@ -277,7 +258,7 @@ func (c *conn) respondFromReader(resp *wire.Response, op obs.ServerOp, rt reqTim
 // answered attributes a request's latency to the trace section and
 // releases its token.
 func (c *conn) answered(op obs.ServerOp, rt reqTimes) {
-	if c.srv.tr != nil && op >= 0 && op < obs.NumServerOps {
+	if op >= 0 && op < obs.NumServerOps {
 		c.srv.recordTrace(op, rt, time.Now())
 	}
 	c.inflight.Add(-1)
@@ -333,10 +314,7 @@ func (c *conn) sendFromReader(f *frame) {
 	}
 	c.lent = true
 	c.qmu.Unlock()
-	var tw time.Time
-	if c.srv.tr != nil {
-		tw = time.Now()
-	}
+	tw := time.Now()
 	_, err := c.nc.Write(f.b)
 	c.wrote(len(f.b), tw, err)
 	framePool.Put(f)
@@ -353,14 +331,12 @@ func (c *conn) sendFromReader(f *frame) {
 
 // wrote accounts for one burst of n bytes put on the socket since tw.
 func (c *conn) wrote(n int, tw time.Time, err error) {
-	if m := c.srv.m; m != nil {
-		m.BytesWritten.Add(uint64(n))
-		if err == nil {
-			// One burst = one syscall; its duration is the outbound
-			// half of tail latency the per-stage timers can't see.
-			end := time.Now()
-			c.srv.tr.Flush.ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
-		}
+	c.srv.m.BytesWritten.Add(uint64(n))
+	if err == nil {
+		// One burst = one syscall; its duration is the outbound half of
+		// tail latency the per-stage timers can't see.
+		end := time.Now()
+		c.srv.tr.Flush.ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
 	}
 }
 
@@ -384,10 +360,7 @@ func (c *conn) writer() {
 		}
 		frames, c.q = c.q, frames[:0]
 		c.qmu.Unlock()
-		var tw time.Time
-		if c.srv.tr != nil {
-			tw = time.Now()
-		}
+		tw := time.Now()
 		var n int
 		var err error
 		for i, f := range frames {
@@ -437,11 +410,10 @@ func (c *conn) runScan(id uint64, lo, hi int64, cancel chan struct{}, rt reqTime
 		delete(c.scans, id)
 		c.scanMu.Unlock()
 	}()
-	pairs := s.opts.ScanChunkPairs
 	run := scanRunPool.Get().(*scanRun)
 	defer scanRunPool.Put(run)
-	if cap(run.keys) < pairs {
-		run.keys, run.vals = make([]int64, 0, pairs), make([]int64, 0, pairs)
+	if cap(run.keys) < scanChunkPairs {
+		run.keys, run.vals = make([]int64, 0, scanChunkPairs), make([]int64, 0, scanChunkPairs)
 	}
 	keys, vals := run.keys[:0], run.vals[:0]
 	// flush sends the collected pairs as one chunk; false means stop: the
@@ -459,41 +431,33 @@ func (c *conn) runScan(id uint64, lo, hi int64, cancel chan struct{}, rt reqTime
 		if !c.sendScanChunk(f) {
 			return false
 		}
-		if s.m != nil {
-			s.m.ScanChunks.Inc()
-		}
+		s.m.ScanChunks.Inc()
 		return true
 	}
 	stopped := false
-	if s.tr != nil {
-		rt.applyStart = time.Now()
-	}
+	rt.applyStart = time.Now()
 	err := s.apply(func() {
 		s.store.Scan(lo, hi, func(k, v int64) bool {
 			keys = append(keys, k)
 			vals = append(vals, v)
-			if len(keys) == pairs && !flush() {
+			if len(keys) == scanChunkPairs && !flush() {
 				stopped = true
 				return false
 			}
 			return true
 		})
 	})
-	if s.tr != nil {
-		rt.applyEnd = time.Now()
-	}
+	rt.applyEnd = time.Now()
 	if !stopped && err == nil && len(keys) > 0 && !flush() {
 		stopped = true
 	}
-	if stopped && s.m != nil {
+	if stopped {
 		s.m.ScanCancels.Inc()
 	}
 	resp := wire.Response{Status: wire.StatusOK, Op: wire.OpScan, ID: id}
 	if err != nil {
 		resp = wire.Response{Status: wire.StatusErr, Op: wire.OpScan, ID: id, Err: err.Error()}
-		if s.m != nil {
-			s.m.Errors.Inc()
-		}
+		s.m.Errors.Inc()
 	}
 	c.respond(&resp, obs.ServerOpScan, rt)
 }

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"errors"
 	"io"
 	"math"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pmago"
+	"pmago/client"
 	"pmago/internal/wire"
 )
 
@@ -51,7 +54,7 @@ func (p *pausingStore) Scan(lo, hi int64, fn func(k, v int64) bool) {
 // for a stop once per chunk, so after an OpCancel or a disconnect lands
 // mid-chunk the store's callback runs on for less than one chunk more.
 func TestScanStopsWithinOneChunk(t *testing.T) {
-	const chunk, total, pauseAt = 64, 64 * 50, 64*3 + 10
+	const chunk, total, pauseAt = scanChunkPairs, scanChunkPairs * 50, scanChunkPairs*3 + 10
 	keys := make([]int64, total)
 	for i := range keys {
 		keys[i] = int64(i)
@@ -70,7 +73,7 @@ func TestScanStopsWithinOneChunk(t *testing.T) {
 			}
 			defer p.Close()
 			store := &pausingStore{Store: p, pauseAt: pauseAt, paused: make(chan struct{}), resume: make(chan struct{})}
-			s := New(store, Options{ScanChunkPairs: chunk})
+			s := New(store, Options{})
 			defer s.Close()
 			c := testConn(t, s)
 			c.dispatch(&wire.Request{Op: wire.OpScan, ID: 1, Key: 0, Val: math.MaxInt64 - 1}, reqTimes{})
@@ -153,4 +156,73 @@ func TestDrainRunsPutAndDeleteConcurrently(t *testing.T) {
 		t.Fatalf("delete result %+v, want one key removed", r)
 	}
 	c.pending.Wait() // both answered
+}
+
+// stalledStore parks every PutBatch (what the committer makes of Puts)
+// until resume is called.
+type stalledStore struct {
+	pmago.Store
+	gate chan struct{}
+	once sync.Once
+}
+
+func (g *stalledStore) resume() { g.once.Do(func() { close(g.gate) }) }
+
+func (g *stalledStore) PutBatch(keys, vals []int64) {
+	<-g.gate
+	g.Store.PutBatch(keys, vals)
+}
+
+// TestBusyBackpressure: while the store is stalled, one connection gets
+// exactly maxConnInflight writes dispatched, and every write past that
+// window is answered busy at once instead of being buffered; the
+// dispatched ones complete when the store resumes.
+func TestBusyBackpressure(t *testing.T) {
+	p, err := pmago.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	store := &stalledStore{Store: p, gate: make(chan struct{})}
+	s := New(store, Options{})
+	defer s.Close()
+	defer store.resume() // before Close: a stalled committer would hold it up
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	cl, err := client.Dial(ln.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const n, over = maxConnInflight + 40, 40
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- cl.Put(int64(i), int64(i)) }()
+	}
+	for i := 0; i < over; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, client.ErrBusy) {
+				t.Fatalf("Put past the window with the store stalled: %v, want ErrBusy", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d writes past the window answered busy", i, over)
+		}
+	}
+	store.resume()
+	for i := 0; i < maxConnInflight; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("dispatched Put: %v", err)
+		}
+	}
+	if got := s.Stats().Server.Busy; got != over {
+		t.Fatalf("Busy = %d, want %d", got, over)
+	}
+	if p.Flush(); p.Len() != maxConnInflight {
+		t.Fatalf("%d keys stored, want the %d dispatched", p.Len(), maxConnInflight)
+	}
 }

@@ -21,15 +21,16 @@
 //
 // # Backpressure and shutdown
 //
-// In-flight work is bounded twice: per connection (MaxConnInflight) and
-// globally (the committer queue). A request over either bound is answered
-// with an explicit busy response — never buffered without bound — and the
-// client retries. Shutdown stops reads, lets every dispatched request
-// complete and flush, then closes; Close tears down immediately.
+// In-flight work is bounded twice: per connection (256 dispatched
+// requests) and globally (4096 writes queued for the committer). A request
+// over either bound is answered with an explicit busy response — never
+// buffered without bound — and the client retries. Shutdown stops reads,
+// lets every dispatched request complete and flush, then closes; Close
+// tears down immediately.
 //
 // # Scans and the socket
 //
-// A scan streams as StatusScanChunk frames of ScanChunkPairs pairs and ends
+// A scan streams as StatusScanChunk frames of 1024 pairs and ends
 // with a StatusOK frame. It is cancelled by OpCancel or by the client
 // disconnecting, which it notices once per chunk: the store's scan callback
 // only collects the pair, and after a cancel it runs for less than one
@@ -67,33 +68,11 @@ import (
 
 // Options tunes a Server. The zero value selects the defaults.
 type Options struct {
-	// MaxConnInflight bounds dispatched-but-unanswered requests per
-	// connection (default 256). The per-connection pipelining window.
-	MaxConnInflight int
-	// MaxScansPerConn bounds concurrently streaming scans per connection
-	// (default 4); further scans get busy responses.
-	MaxScansPerConn int
-	// CommitQueue bounds write requests queued for the committer across all
-	// connections (default 4096) — the global in-flight bound.
-	CommitQueue int
-	// MaxCommitOps caps how many queued write requests one committer drain
-	// coalesces (default 1024).
-	MaxCommitOps int
-	// ScanChunkPairs is the pair count per streamed scan chunk frame
-	// (default 1024).
-	ScanChunkPairs int
-	// DisableMetrics turns the serving-layer metric set off, including the
-	// request-path trace section and the slow-op flight recorder.
-	DisableMetrics bool
 	// SlowOpThreshold is the slow-op flight recorder's capture threshold: a
 	// request whose total handling time reaches it is recorded with its
 	// full stage breakdown, readable via SlowOps and the Handler's /slow
 	// endpoint (default 20ms; negative disables threshold capture).
 	SlowOpThreshold time.Duration
-	// SlowOpSampleEvery additionally captures every Nth request regardless
-	// of latency, so the recorder always holds a baseline to compare slow
-	// captures against (default 4096; negative disables sampling).
-	SlowOpSampleEvery int
 	// SummaryEvery enables a periodic slog summary line — ops/s plus the
 	// windowed p99 of every active op — at the given period (0 disables).
 	SummaryEvery time.Duration
@@ -102,32 +81,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxConnInflight <= 0 {
-		o.MaxConnInflight = 256
-	}
-	if o.MaxScansPerConn <= 0 {
-		o.MaxScansPerConn = 4
-	}
-	if o.CommitQueue <= 0 {
-		o.CommitQueue = 4096
-	}
-	if o.MaxCommitOps <= 0 {
-		o.MaxCommitOps = 1024
-	}
-	if o.ScanChunkPairs <= 0 {
-		o.ScanChunkPairs = 1024
-	}
 	switch {
 	case o.SlowOpThreshold == 0:
 		o.SlowOpThreshold = 20 * time.Millisecond
 	case o.SlowOpThreshold < 0:
 		o.SlowOpThreshold = 0 // disabled
-	}
-	switch {
-	case o.SlowOpSampleEvery == 0:
-		o.SlowOpSampleEvery = 4096
-	case o.SlowOpSampleEvery < 0:
-		o.SlowOpSampleEvery = 0 // disabled
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -135,13 +93,35 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// The serving layer's fixed bounds.
+const (
+	// maxConnInflight bounds dispatched-but-unanswered requests per
+	// connection: the per-connection pipelining window.
+	maxConnInflight = 256
+	// maxScansPerConn bounds concurrently streaming scans per connection;
+	// further scans get busy responses.
+	maxScansPerConn = 4
+	// commitQueue bounds write requests queued for the committer across
+	// all connections: the global in-flight bound.
+	commitQueue = 4096
+	// maxCommitOps caps how many queued write requests one committer drain
+	// coalesces.
+	maxCommitOps = 1024
+	// scanChunkPairs is the pair count per streamed scan chunk frame.
+	scanChunkPairs = 1024
+	// slowOpSampleEvery makes the flight recorder also capture every Nth
+	// request regardless of latency, so it always holds a baseline to
+	// compare slow captures against.
+	slowOpSampleEvery = 4096
+)
+
 // Server serves one pmago.Store over TCP. Create with New, start with
 // Serve or ListenAndServe, stop with Shutdown (graceful) or Close.
 type Server struct {
 	store pmago.Store
 	opts  Options
-	m     *obs.ServerMetrics // nil when disabled
-	tr    *obs.TraceMetrics  // request-path trace section; nil when disabled
+	m     obs.ServerMetrics
+	tr    obs.TraceMetrics // request-path trace section
 
 	sampleTick atomic.Uint64 // uniform 1-in-N flight-recorder sampling
 
@@ -166,20 +146,16 @@ type Server struct {
 // server — its lifetime stays with the caller.
 func New(store pmago.Store, opts Options) *Server {
 	s := &Server{
-		store: store,
-		opts:  opts.withDefaults(),
-		conns: make(map[*conn]struct{}),
+		store:    store,
+		opts:     opts.withDefaults(),
+		conns:    make(map[*conn]struct{}),
+		commitCh: make(chan commitReq, commitQueue),
 	}
-	if !s.opts.DisableMetrics {
-		s.m = &obs.ServerMetrics{}
-		s.tr = &obs.TraceMetrics{}
-		if s.opts.SummaryEvery > 0 {
-			s.sumStop = make(chan struct{})
-			s.sumWg.Add(1)
-			go s.summaryLoop()
-		}
+	if s.opts.SummaryEvery > 0 {
+		s.sumStop = make(chan struct{})
+		s.sumWg.Add(1)
+		go s.summaryLoop()
 	}
-	s.commitCh = make(chan commitReq, s.opts.CommitQueue)
 	s.commitWg.Add(1)
 	go s.committer()
 	return s
@@ -226,9 +202,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[c] = struct{}{}
 		s.connWg.Add(1)
 		s.mu.Unlock()
-		if s.m != nil {
-			s.m.ConnsOpened.Inc()
-		}
+		s.m.ConnsOpened.Inc()
 		go c.serve()
 	}
 }
@@ -255,13 +229,9 @@ func (s *Server) Stats() pmago.Stats {
 
 // SlowOps returns the slow-op flight recorder's captured requests, newest
 // first: every request whose total handling time reached SlowOpThreshold,
-// plus the 1-in-SlowOpSampleEvery uniform sample. Empty with metrics
-// disabled. pmago.Handler serves the same dump as JSON on paths ending in
-// "/slow".
+// plus a uniform 1-in-4096 sample. pmago.Handler serves the same dump as
+// JSON on paths ending in "/slow".
 func (s *Server) SlowOps() []obs.SlowOp {
-	if s.tr == nil {
-		return nil
-	}
 	return s.tr.Slow.Dump()
 }
 
@@ -387,9 +357,7 @@ func (s *Server) removeConn(c *conn) {
 	delete(s.conns, c)
 	s.mu.Unlock()
 	if live {
-		if s.m != nil {
-			s.m.ConnsClosed.Inc()
-		}
+		s.m.ConnsClosed.Inc()
 		s.connWg.Done()
 	}
 }
@@ -397,7 +365,7 @@ func (s *Server) removeConn(c *conn) {
 // reqTimes carries one request's pipeline timestamps from frame decode to
 // response enqueue — the per-request trace context. A zero time marks a
 // stage the request never entered (reads skip picked; error responses skip
-// the apply pair). All stamps are taken only when metrics are enabled.
+// the apply pair).
 type reqTimes struct {
 	start      time.Time // frame payload in hand, decode begins
 	decoded    time.Time // request decoded and validated
@@ -420,18 +388,16 @@ type commitReq struct {
 
 // committer is the single goroutine all write requests funnel through: it
 // blocks for the first queued request, drains whatever else arrived (up to
-// MaxCommitOps), and applies the drain as one group commit — see the
+// maxCommitOps), and applies the drain as one group commit — see the
 // package doc. It never blocks sending responses (connection queues are
 // bounded by the in-flight tokens their entries hold), so one slow client
 // cannot stall another's acknowledgments.
 func (s *Server) committer() {
 	defer s.commitWg.Done()
 	d := drain{s: s}
-	var batch []commitReq // grows to the largest drain seen, at most MaxCommitOps
+	var batch []commitReq // grows to the largest drain seen, at most maxCommitOps
 	for first := range s.commitCh {
-		if s.tr != nil {
-			first.rt.picked = time.Now()
-		}
+		first.rt.picked = time.Now()
 		batch = append(batch[:0], first)
 		// Collect window: the channel send that delivered `first` made this
 		// goroutine runnable immediately, often before the other connections'
@@ -442,12 +408,9 @@ func (s *Server) committer() {
 		for spin := 0; ; spin++ {
 			// One queue-exit stamp per drain round, shared by the round's
 			// requests: per-request precision isn't worth a clock read per op.
-			var now time.Time
-			if s.tr != nil {
-				now = time.Now()
-			}
+			now := time.Now()
 		drain:
-			for len(batch) < s.opts.MaxCommitOps {
+			for len(batch) < maxCommitOps {
 				select {
 				case r, ok := <-s.commitCh:
 					if !ok {
@@ -459,7 +422,7 @@ func (s *Server) committer() {
 					break drain
 				}
 			}
-			if spin >= 2 || len(batch) >= s.opts.MaxCommitOps {
+			if spin >= 2 || len(batch) >= maxCommitOps {
 				break
 			}
 			runtime.Gosched()
@@ -524,10 +487,7 @@ func (d *drain) apply(batch []commitReq) {
 	if len(d.putKeys) > 0 {
 		d.calls = append(d.calls, putCall)
 	}
-	var tApply time.Time
-	if s.tr != nil {
-		tApply = time.Now()
-	}
+	tApply := time.Now()
 	if last := len(d.calls) - 1; last >= 0 { // an empty PutBatch alone makes no call
 		for _, i := range d.calls[:last] {
 			d.wg.Add(1)
@@ -539,20 +499,16 @@ func (d *drain) apply(batch []commitReq) {
 		d.call(d.calls[last])
 		d.wg.Wait()
 	}
-	if s.tr != nil {
-		// The shared store call is every batched request's apply stage: the
-		// group commit is one WAL record and one fsync, so its cost is the
-		// cost each rider experienced.
-		tApplied := time.Now()
-		for i := range batch {
-			batch[i].rt.applyStart = tApply
-			batch[i].rt.applyEnd = tApplied
-		}
+	// The shared store call is every batched request's apply stage: the
+	// group commit is one WAL record and one fsync, so its cost is the cost
+	// each rider experienced.
+	tApplied := time.Now()
+	for i := range batch {
+		batch[i].rt.applyStart = tApply
+		batch[i].rt.applyEnd = tApplied
 	}
-	if s.m != nil {
-		s.m.CommitOps.Observe(uint64(len(batch)))
-		s.m.CommitKeys.Observe(uint64(len(d.putKeys)))
-	}
+	s.m.CommitOps.Observe(uint64(len(batch)))
+	s.m.CommitKeys.Observe(uint64(len(d.putKeys)))
 	for i := range batch {
 		r := &batch[i]
 		resp := wire.Response{Status: wire.StatusOK, Op: r.op, ID: r.id}
@@ -569,9 +525,7 @@ func (d *drain) apply(batch []commitReq) {
 		}
 		if err != nil {
 			resp = wire.Response{Status: wire.StatusErr, Op: r.op, ID: r.id, Err: err.Error()}
-			if s.m != nil {
-				s.m.Errors.Inc()
-			}
+			s.m.Errors.Inc()
 		}
 		r.c.respond(&resp, obs.ServerOp(r.op-wire.OpPut), r.rt)
 	}
@@ -623,8 +577,7 @@ func nanosBetween(a, b time.Time) uint64 {
 // commit-wait → apply → respond); reads leave queue and commit-wait at 0.
 // Allocation-free: window observes and a struct copy into the slow ring.
 func (s *Server) recordTrace(op obs.ServerOp, rt reqTimes, end time.Time) {
-	tr := s.tr
-	if tr == nil || rt.start.IsZero() {
+	if rt.start.IsZero() {
 		return
 	}
 	var stages [obs.NumTraceStages]uint64
@@ -639,14 +592,11 @@ func (s *Server) recordTrace(op obs.ServerOp, rt reqTimes, end time.Time) {
 	stages[obs.StageRespond] = nanosBetween(respondFrom, end)
 	total := nanosBetween(rt.start, end)
 	now := end.UnixNano()
-	tr.Record(op, now, &stages, total)
-	sampled := false
-	if n := uint64(s.opts.SlowOpSampleEvery); n > 0 {
-		sampled = s.sampleTick.Add(1)%n == 0
-	}
+	s.tr.Record(op, now, &stages, total)
+	sampled := s.sampleTick.Add(1)%slowOpSampleEvery == 0
 	slow := s.opts.SlowOpThreshold > 0 && total >= uint64(s.opts.SlowOpThreshold)
 	if slow || sampled {
-		tr.Slow.Record(obs.SlowOp{
+		s.tr.Slow.Record(obs.SlowOp{
 			Op:         obs.ServerOpNames[op],
 			UnixNanos:  now,
 			TotalNanos: total,

@@ -230,56 +230,6 @@ func (s slowStore) PutBatch(keys, vals []int64) {
 	s.Store.PutBatch(keys, vals)
 }
 
-// TestBusyBackpressure drives more pipelined writes than the in-flight
-// bounds allow against a slow store: the overflow must be answered with
-// explicit busy responses, not buffered.
-func TestBusyBackpressure(t *testing.T) {
-	p, err := pmago.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	srv, addr := startServer(t, slowStore{p, 30 * time.Millisecond},
-		server.Options{MaxConnInflight: 2, CommitQueue: 2})
-	cl, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	const n = 20
-	var wg sync.WaitGroup
-	var busy, ok32 int32
-	var mu sync.Mutex
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			err := cl.Put(int64(i), int64(i))
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				ok32++
-			case errors.Is(err, client.ErrBusy):
-				busy++
-			default:
-				t.Errorf("Put(%d): %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if busy == 0 {
-		t.Fatalf("expected busy responses (ok=%d busy=%d)", ok32, busy)
-	}
-	if ok32 == 0 {
-		t.Fatal("every request rejected")
-	}
-	if st := srv.Stats(); st.Server == nil || st.Server.Busy == 0 {
-		t.Fatal("busy metric not recorded")
-	}
-}
-
 // TestGracefulShutdown issues a write that the store applies slowly, then
 // shuts the server down mid-flight: the dispatched write must still be
 // acknowledged (and flushed) before the connection closes.

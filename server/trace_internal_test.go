@@ -20,10 +20,7 @@ func TestServeRecordingDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	s := New(p, Options{
-		SlowOpThreshold:   time.Nanosecond, // force the slow-ring capture path
-		SlowOpSampleEvery: 1,
-	})
+	s := New(p, Options{SlowOpThreshold: time.Nanosecond}) // force the slow-ring capture path
 	defer s.Close()
 
 	start := time.Now()
@@ -39,6 +36,32 @@ func TestServeRecordingDoesNotAllocate(t *testing.T) {
 		s.recordTrace(obs.ServerOpPut, rt, end)
 	}); n != 0 {
 		t.Fatalf("recordTrace allocates %v/op", n)
+	}
+}
+
+// TestSlowOpSampling disables threshold capture: the recorder then holds
+// exactly the uniform sample, one Sampled record per slowOpSampleEvery
+// answered requests.
+func TestSlowOpSampling(t *testing.T) {
+	p, err := pmago.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	s := New(p, Options{SlowOpThreshold: -1})
+	defer s.Close()
+	start := time.Now()
+	rt := reqTimes{start: start, decoded: start.Add(time.Microsecond)}
+	for i := 1; i <= 2*slowOpSampleEvery; i++ {
+		s.recordTrace(obs.ServerOpGet, rt, start.Add(time.Duration(i)*time.Microsecond))
+		if got, want := len(s.SlowOps()), i/slowOpSampleEvery; got != want {
+			t.Fatalf("after %d requests the recorder holds %d records, want %d", i, got, want)
+		}
+	}
+	for _, op := range s.SlowOps() {
+		if !op.Sampled {
+			t.Fatalf("sampler capture not marked sampled: %+v", op)
+		}
 	}
 }
 
@@ -62,8 +85,7 @@ func TestScanChunkEncodeDoesNotAllocate(t *testing.T) {
 	defer b.Close()
 	c := newConn(s, a) // no writer goroutine: the test plays its part
 
-	pairs := s.opts.ScanChunkPairs
-	keys, vals := make([]int64, pairs), make([]int64, pairs)
+	keys, vals := make([]int64, scanChunkPairs), make([]int64, scanChunkPairs)
 	for i := range keys {
 		keys[i], vals[i] = int64(i)<<20, -int64(i)<<40
 	}

@@ -160,39 +160,6 @@ func TestSlowOpsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSlowOpSampling disables threshold capture and samples every request:
-// the recorder must fill with Sampled records.
-func TestSlowOpSampling(t *testing.T) {
-	p, err := pmago.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	srv, addr := startServer(t, p, server.Options{
-		SlowOpThreshold:   -1, // disable threshold capture
-		SlowOpSampleEvery: 1,  // sample everything
-	})
-	cl, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for i := 0; i < 20; i++ {
-		if err := cl.Put(int64(i), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ops := srv.SlowOps()
-	if len(ops) == 0 {
-		t.Fatal("no sampled ops captured at sample-every-1")
-	}
-	for _, op := range ops {
-		if !op.Sampled {
-			t.Fatalf("sampler capture not marked sampled: %+v", op)
-		}
-	}
-}
-
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing slog output.
 type syncBuffer struct {
 	mu  sync.Mutex
@@ -251,7 +218,7 @@ func TestSummaryLogger(t *testing.T) {
 }
 
 // TestClientLocalStats checks the client-side mirror: per-op RTT windows
-// and queue-wait recording, plus the DisableMetrics zero path.
+// and queue-wait recording.
 func TestClientLocalStats(t *testing.T) {
 	p, err := pmago.New()
 	if err != nil {
@@ -293,17 +260,5 @@ func TestClientLocalStats(t *testing.T) {
 	}
 	if !foundPut {
 		t.Fatal("no put section in client stats")
-	}
-
-	off, err := client.Dial(addr, client.Options{DisableMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	if err := off.Put(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if st := off.LocalStats(); st.QueueWait.Count != 0 || st.Dials != 0 {
-		t.Fatalf("disabled client recorded metrics: %+v", st)
 	}
 }

@@ -28,10 +28,12 @@ import (
 // in the store's manifest:
 //
 //   - Weighted (straw2, the default): each key draws a weighted pseudo-random
-//     straw per shard and lands on the argmax. Placement is uniform (in
-//     proportion to the weights), depends only on (key, shard count, weights),
-//     and is stable in the CRUSH sense — growing the cluster moves keys only
-//     onto the new shard, never between old ones.
+//     straw per shard and lands on the argmax. WithShards gives every shard
+//     weight 1; a manifest that records other weights keeps routing by them.
+//     Placement is uniform in proportion to the weights, depends only on
+//     (key, shard count, weights), and is stable in the CRUSH sense —
+//     growing the cluster moves keys only onto the new shard, never between
+//     old ones.
 //   - Range (WithRangeSplits): shard i holds the keys between split points
 //     i-1 and i. Shard order equals key order, so a scan is the shards'
 //     scans one after the other; the caller owns balance.
@@ -85,31 +87,20 @@ const DefaultShards = 4
 // shardConfig carries the sharding options until a constructor resolves them
 // into a placement.
 type shardConfig struct {
-	n       int
-	weights []float64
-	splits  []int64
+	n      int
+	splits []int64
 }
 
 // specified reports whether the caller expressed any topology at all —
 // OpenSharded adopts the on-disk manifest when it did not.
 func (sc shardConfig) specified() bool {
-	return sc.n != 0 || sc.weights != nil || sc.splits != nil
+	return sc.n != 0 || sc.splits != nil
 }
 
 // WithShards shards the store across n equally weighted shards (straw2
 // placement). Only the Sharded constructors accept this option.
 func WithShards(n int) Option {
 	return func(c *config) { c.shardOpt("WithShards"); c.shard.n = n }
-}
-
-// WithShardWeights shards the store across len(weights) shards, shard i
-// receiving keys in proportion to weights[i] (straw2 placement). All weights
-// must be positive and finite.
-func WithShardWeights(weights []float64) Option {
-	return func(c *config) {
-		c.shardOpt("WithShardWeights")
-		c.shard.weights = append([]float64(nil), weights...)
-	}
 }
 
 // WithRangeSplits shards the store by key range: len(splits)+1 shards, shard
@@ -126,14 +117,10 @@ func WithRangeSplits(splits []int64) Option {
 // resolve turns the options into a placement and the manifest describing it.
 func (sc shardConfig) resolve() (placement.Placement, persist.ShardManifest, error) {
 	var none persist.ShardManifest
-	if sc.weights != nil && sc.splits != nil {
-		return nil, none, errors.New("pmago: WithShardWeights and WithRangeSplits are mutually exclusive")
-	}
 	if sc.n < 0 {
 		return nil, none, fmt.Errorf("pmago: shard count %d", sc.n)
 	}
-	switch {
-	case sc.splits != nil:
+	if sc.splits != nil {
 		if sc.n != 0 && sc.n != len(sc.splits)+1 {
 			return nil, none, fmt.Errorf("pmago: WithShards(%d) conflicts with %d range splits (%d shards)",
 				sc.n, len(sc.splits), len(sc.splits)+1)
@@ -148,31 +135,25 @@ func (sc shardConfig) resolve() (placement.Placement, persist.ShardManifest, err
 			Placement: persist.PlacementRange,
 			Splits:    append([]int64(nil), sc.splits...),
 		}, nil
-	default:
-		weights := sc.weights
-		if weights == nil {
-			n := sc.n
-			if n == 0 {
-				n = DefaultShards
-			}
-			weights = make([]float64, n)
-			for i := range weights {
-				weights[i] = 1
-			}
-		} else if sc.n != 0 && sc.n != len(weights) {
-			return nil, none, fmt.Errorf("pmago: WithShards(%d) conflicts with %d shard weights", sc.n, len(weights))
-		}
-		p, err := placement.NewStraw2(weights)
-		if err != nil {
-			return nil, none, err
-		}
-		return p, persist.ShardManifest{
-			Version:   1,
-			Shards:    p.Shards(),
-			Placement: persist.PlacementStraw2,
-			Weights:   append([]float64(nil), weights...),
-		}, nil
 	}
+	n := sc.n
+	if n == 0 {
+		n = DefaultShards
+	}
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = 1
+	}
+	p, err := placement.NewStraw2(weights)
+	if err != nil {
+		return nil, none, err
+	}
+	return p, persist.ShardManifest{
+		Version:   1,
+		Shards:    p.Shards(),
+		Placement: persist.PlacementStraw2,
+		Weights:   weights,
+	}, nil
 }
 
 // placementFromManifest rebuilds the placement a manifest records.
@@ -186,10 +167,10 @@ func placementFromManifest(m persist.ShardManifest) (placement.Placement, error)
 }
 
 // NewSharded creates an empty in-memory sharded store. The sharding options
-// (WithShards, WithShardWeights, WithRangeSplits) pick the topology —
-// DefaultShards equal-weight shards when none is given; every other
-// in-memory option applies to each shard as it does in New. Durability
-// options are rejected with an error (use OpenSharded).
+// (WithShards, WithRangeSplits) pick the topology — DefaultShards
+// equal-weight shards when none is given; every other in-memory option
+// applies to each shard as it does in New. Durability options are rejected
+// with an error (use OpenSharded).
 func NewSharded(opts ...Option) (*Sharded, error) {
 	cfg, err := resolveOptions("NewSharded", opts, false, true)
 	if err != nil {
@@ -199,17 +180,7 @@ func NewSharded(opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := newSharded(place, cfg)
-	for i := 0; i < place.Shards(); i++ {
-		p, err := newPMA(cfg)
-		if err != nil {
-			s.closeAll()
-			return nil, err
-		}
-		s.mems = append(s.mems, p)
-		s.stores = append(s.stores, p)
-	}
-	return s, nil
+	return loadSharded(place, cfg, nil, nil)
 }
 
 // BulkLoadSharded creates an in-memory sharded store already containing the
@@ -228,12 +199,19 @@ func BulkLoadSharded(keys, vals []int64, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
+	return loadSharded(place, cfg, keys, vals)
+}
+
+// loadSharded builds the in-memory shards of place concurrently, each
+// bulk-loaded with its part of keys/vals (an empty part loads an empty
+// shard): the back end of NewSharded and BulkLoadSharded.
+func loadSharded(place placement.Placement, cfg config, keys, vals []int64) (*Sharded, error) {
 	sp := splitByShard(place, keys)
 	partK, partV := sp.parts(keys), sp.parts(vals)
 	s := newSharded(place, cfg)
 	s.mems = make([]*PMA, place.Shards())
 	s.stores = make([]Store, place.Shards())
-	err = eachShard(len(s.stores), func(i int) error {
+	err := eachShard(len(s.stores), func(i int) error {
 		p, err := bulkLoadPMA(cfg, partK[i], partV[i])
 		if err != nil {
 			return err

@@ -14,6 +14,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pmago/internal/persist"
+	"pmago/internal/placement"
 )
 
 // stressOpts is the seqlock stress configuration (tiny segments and chunks,
@@ -23,21 +26,42 @@ func stressOpts(mode Mode) []Option {
 	return []Option{
 		WithMode(mode),
 		WithSegmentCapacity(8),
-		WithSegmentsPerGate(2),
+		withSegmentsPerGate(2),
 		WithTDelay(0),
-		WithWorkers(2),
+		withWorkers(2),
 	}
 }
 
+// topology builds an in-memory sharded store holding keys/vals (nil for an
+// empty store) under opts.
+type topology func(keys, vals []int64, opts ...Option) (*Sharded, error)
+
 // topologies every cross-shard test should pass on: multi-shard straw2
 // (scans must k-way merge), skewed weights, range splits (scans walk shards
-// in key order), and the single-shard degenerate case.
-func testTopologies() map[string]Option {
-	return map[string]Option{
-		"straw2-3":  WithShards(3),
-		"weighted":  WithShardWeights([]float64{1, 4}),
-		"range":     WithRangeSplits([]int64{-50, 700}),
-		"one-shard": WithShards(1),
+// in key order), and the single-shard degenerate case. No option asks for
+// skewed weights; a manifest can record them, and "weighted" builds that
+// placement in memory.
+func testTopologies() map[string]topology {
+	with := func(topo Option) topology {
+		return func(keys, vals []int64, opts ...Option) (*Sharded, error) {
+			return BulkLoadSharded(keys, vals, append(opts, topo)...)
+		}
+	}
+	return map[string]topology{
+		"straw2-3": with(WithShards(3)),
+		"weighted": func(keys, vals []int64, opts ...Option) (*Sharded, error) {
+			cfg, err := resolveOptions("weighted", opts, false, true)
+			if err != nil {
+				return nil, err
+			}
+			place, err := placement.NewStraw2([]float64{1, 4})
+			if err != nil {
+				return nil, err
+			}
+			return loadSharded(place, cfg, keys, vals)
+		},
+		"range":     with(WithRangeSplits([]int64{-50, 700})),
+		"one-shard": with(WithShards(1)),
 	}
 }
 
@@ -51,14 +75,14 @@ func TestShardedModelEquivalence(t *testing.T) {
 	for topoName, topo := range testTopologies() {
 		for _, mode := range []Mode{ModeSync, ModeOneByOne, ModeBatch} {
 			t.Run(fmt.Sprintf("%s/%v", topoName, mode), func(t *testing.T) {
-				testShardedModel(t, append(stressOpts(mode), topo))
+				testShardedModel(t, topo, stressOpts(mode))
 			})
 		}
 	}
 }
 
-func testShardedModel(t *testing.T, opts []Option) {
-	s, err := NewSharded(opts...)
+func testShardedModel(t *testing.T, topo topology, opts []Option) {
+	s, err := topo(nil, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +202,7 @@ func compareShardedToModel(t *testing.T, s *Sharded, model map[int64]int64) {
 func TestShardedScanWindows(t *testing.T) {
 	for topoName, topo := range testTopologies() {
 		t.Run(topoName, func(t *testing.T) {
-			empty, err := NewSharded(topo)
+			empty, err := topo(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +222,7 @@ func TestShardedScanWindows(t *testing.T) {
 			for i, k := range keys {
 				vals[i] = k * 2
 			}
-			s, err := BulkLoadSharded(keys, vals, topo)
+			s, err := topo(keys, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -621,7 +645,7 @@ func TestBulkLoadSharded(t *testing.T) {
 				vals[i] = rng.Int63()
 				model[keys[i]] = vals[i]
 			}
-			s, err := BulkLoadSharded(keys, vals, topo)
+			s, err := topo(keys, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -637,24 +661,60 @@ func TestBulkLoadSharded(t *testing.T) {
 	}
 }
 
-// TestShardedPlacementBalance sanity-checks that weighted placement shows up
-// in the shard fill: with weights 1:3 the heavy shard holds about 3x the
-// keys.
+// TestShardedPlacementBalance: a manifest that records unequal weights — no
+// option writes one, but a store directory can hold it — opens, and routes
+// every key by those weights exactly as before: with 1:3 over keys
+// 0..39999 the shards hold 9 951 and 30 049 keys, the split straw2 made
+// when the weights were an option. A reopen asking for equal weights is
+// refused, and the keys survive a bare one.
 func TestShardedPlacementBalance(t *testing.T) {
-	var keys, vals []int64
-	for k := int64(0); k < 40_000; k++ {
-		keys = append(keys, k)
-		vals = append(vals, k)
-	}
-	s, err := BulkLoadSharded(keys, vals, WithShardWeights([]float64{1, 3}))
+	dir := t.TempDir()
+	weights := []float64{1, 3}
+	err := persist.SaveManifest(dir, persist.ShardManifest{
+		Version: 1, Shards: 2, Placement: persist.PlacementStraw2, Weights: weights,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := range weights {
+		if err := os.Mkdir(filepath.Join(dir, shardDirName(i)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var keys, vals []int64
+	for k := int64(0); k < 40_000; k++ {
+		keys = append(keys, k)
+		vals = append(vals, -k)
+	}
+	s, err := OpenSharded(dir, WithFsync(FsyncNone), WithCompactRatio(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PutBatch(keys, vals)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSharded(dir, WithShards(2)); err == nil || !strings.Contains(err.Error(), "topology mismatch") {
+		t.Fatalf("reopen of a 1:3 store with equal weights: %v, want a topology mismatch", err)
+	}
+	if s, err = OpenSharded(dir); err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
-	lens := s.ShardLens()
-	ratio := float64(lens[1]) / float64(lens[0])
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("weight-3 shard holds %dx the keys of weight-1 shard (lens %v), want ~3x", int(ratio), lens)
+	if lens := s.ShardLens(); !reflect.DeepEqual(lens, []int{9951, 30049}) {
+		t.Fatalf("weights 1:3 put %v keys on the shards, want [9951 30049]", lens)
+	}
+	place, err := placement.NewStraw2(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range s.stores {
+		st.ScanAll(func(k, v int64) bool {
+			if place.Shard(k) != i || v != -k {
+				t.Fatalf("shard %d holds %d/%d", i, k, v)
+			}
+			return true
+		})
 	}
 }
 
@@ -664,11 +724,8 @@ func TestShardedOptionErrors(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"weights-and-splits", []Option{WithShardWeights([]float64{1, 1}), WithRangeSplits([]int64{0})}},
 		{"negative-count", []Option{WithShards(-2)}},
-		{"count-vs-weights", []Option{WithShards(3), WithShardWeights([]float64{1, 1})}},
 		{"count-vs-splits", []Option{WithShards(5), WithRangeSplits([]int64{0})}},
-		{"bad-weight", []Option{WithShardWeights([]float64{1, -1})}},
 		{"bad-splits", []Option{WithRangeSplits([]int64{5, 5})}},
 	}
 	for _, tc := range cases {
@@ -676,13 +733,9 @@ func TestShardedOptionErrors(t *testing.T) {
 			t.Errorf("%s: NewSharded accepted invalid topology", tc.name)
 		}
 	}
-	// Consistent count + weights/splits is fine.
-	s, err := NewSharded(WithShards(2), WithShardWeights([]float64{1, 2}))
+	// A count consistent with the splits is fine.
+	s, err := NewSharded(WithShards(2), WithRangeSplits([]int64{0}))
 	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if s, err = NewSharded(WithShards(2), WithRangeSplits([]int64{0})); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -748,9 +801,8 @@ func TestShardedDurableReopen(t *testing.T) {
 	}
 	re.Close()
 	for name, opt := range map[string]Option{
-		"count":  WithShards(5),
-		"kind":   WithRangeSplits([]int64{100}),
-		"weight": WithShardWeights([]float64{1, 1, 2}),
+		"count": WithShards(5),
+		"kind":  WithRangeSplits([]int64{100}),
 	} {
 		if _, err := OpenSharded(dir, opt); err == nil {
 			t.Fatalf("reopen with mismatched %s topology succeeded", name)
@@ -864,7 +916,7 @@ func TestShardedInMemoryDurableOps(t *testing.T) {
 // sentinel keys — removes nothing, does not panic with nothing to fan out,
 // and costs no shard a WAL record.
 func TestShardedEmptyBatches(t *testing.T) {
-	durable, err := OpenSharded(t.TempDir(), WithShards(4), WithWALSegmentBytes(1<<20)) // FsyncAlways
+	durable, err := OpenSharded(t.TempDir(), WithShards(4), withWALSegmentBytes(1<<20)) // FsyncAlways
 	if err != nil {
 		t.Fatal(err)
 	}
