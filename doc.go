@@ -191,14 +191,14 @@
 // JSON on any path, Prometheus text exposition (version 0.0.4) on paths
 // ending in "/metrics" — with zero dependencies.
 //
-// Metrics are on by default because their cost is small: hot paths increment
-// striped, cache-line-padded counters with no allocation, and clock reads
-// are confined to service goroutines (rebalancer, fsync), the served request
-// path and appends that had to wait. WithoutMetrics disables the layer
-// entirely, reducing every site to one nil check; WithEventHook installs a
-// synchronous structural event tracer (rebalances, compactions, recovery,
-// fsync stalls), which NewSlogHook adapts onto log/slog. Hooks run on
-// service goroutines and must be fast and must not call back into the store.
+// Every store counts, and there is no switch to turn metrics off, because
+// their cost is small: hot paths increment striped, cache-line-padded
+// counters with no allocation, and clock reads are confined to service
+// goroutines (rebalancer, fsync), the served request path and appends that
+// had to wait. WithEventHook installs a synchronous structural event tracer
+// (rebalances, compactions, recovery, fsync stalls), which NewSlogHook
+// adapts onto log/slog. Hooks run on service goroutines and must be fast and
+// must not call back into the store.
 //
 // # Serving
 //

@@ -74,11 +74,10 @@ type DB struct {
 	bg         sync.WaitGroup
 	unlock     func() // releases the directory flock
 
-	// wal and ckpt are the durable layers' metric sets (nil with
-	// WithoutMetrics); recovery is written once by Open before the DB is
-	// shared; events is the structural-event hook (nil means none).
-	wal      *obs.WALMetrics
-	ckpt     *obs.CheckpointMetrics
+	// ckpt counts checkpoints (the WAL's metrics live in the log);
+	// recovery is written once by Open before the DB is shared; events is
+	// the structural-event hook (nil means none).
+	ckpt     obs.CheckpointMetrics
 	events   obs.EventHook
 	recovery obs.RecoverySnapshot
 }
@@ -146,10 +145,6 @@ func openDB(dir string, cfg config) (*DB, error) {
 	// filled — is "WAL replay".
 	snapLoad := loadDone.Sub(start)
 	walReplay := time.Since(start) - snapLoad
-	// The durable layers share the metrics switch with the core config.
-	if !cfg.core.DisableMetrics {
-		cfg.dur.Metrics = &obs.WALMetrics{}
-	}
 	log, err := persist.OpenLog(dir, rec.NextSeq, cfg.dur)
 	if err != nil {
 		c.Close()
@@ -157,10 +152,7 @@ func openDB(dir string, cfg config) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{inner: &PMA{c: c}, dir: dir, dur: cfg.dur, log: log, unlock: unlock,
-		wal: cfg.dur.Metrics, events: cfg.dur.Events}
-	if !cfg.core.DisableMetrics {
-		db.ckpt = &obs.CheckpointMetrics{}
-	}
+		events: cfg.dur.Events}
 	db.recovery = obs.RecoverySnapshot{
 		Recoveries:        1,
 		SnapshotPairs:     uint64(snapPairs),
@@ -361,11 +353,9 @@ func (db *DB) snapshot(auto bool) error {
 	// garbage now.
 	db.log.TruncateBefore(cut)
 	persist.RemoveSnapshotsBefore(db.dir, cut)
-	if m := db.ckpt; m != nil {
-		m.Snapshots.Inc()
-		m.PairsWritten.Add(uint64(count))
-		m.BytesWritten.Add(uint64(size))
-	}
+	db.ckpt.Snapshots.Inc()
+	db.ckpt.PairsWritten.Add(uint64(count))
+	db.ckpt.BytesWritten.Add(uint64(size))
 	if h := db.events; h != nil {
 		h.OnCompaction(obs.CompactionEvent{Auto: auto, Pairs: count, Bytes: size, Duration: time.Since(t0)})
 	}
@@ -409,7 +399,7 @@ func (db *DB) maybeCompact() {
 func (db *DB) Stats() Stats {
 	s := db.inner.Stats()
 	s.Durable = true
-	s.WAL = db.wal.Snapshot()
+	s.WAL = db.log.Metrics().Snapshot()
 	s.Checkpoint = db.ckpt.Snapshot()
 	s.Recovery = db.recovery
 	if err := db.Err(); err != nil {
@@ -425,14 +415,12 @@ func (db *DB) Validate() error {
 	if err := db.inner.Validate(); err != nil {
 		return err
 	}
-	if db.wal != nil {
-		// Group-commit deltas advance towards the appended-record count
-		// and never past it, and appends are counted before any fsync can
-		// cover them.
-		w := db.wal.Snapshot()
-		if w.GroupCommitRecords.Sum > w.Appends {
-			return fmt.Errorf("stats: group-commit record sum %d > wal appends %d", w.GroupCommitRecords.Sum, w.Appends)
-		}
+	// Group-commit deltas advance towards the appended-record count and
+	// never past it, and appends are counted before any fsync can cover
+	// them.
+	w := db.log.Metrics().Snapshot()
+	if w.GroupCommitRecords.Sum > w.Appends {
+		return fmt.Errorf("stats: group-commit record sum %d > wal appends %d", w.GroupCommitRecords.Sum, w.Appends)
 	}
 	return nil
 }

@@ -26,9 +26,7 @@ func (p *PMA) drainQueue(st *state, g *gate, reroute []op, released bool) {
 		}
 		g.qOps, g.qSpare = g.qSpare, nil
 		g.mu.Unlock()
-		if m := p.metrics; m != nil {
-			m.DrainSize.Observe(uint64(len(ops)))
-		}
+		p.metrics.DrainSize.Observe(uint64(len(ops)))
 
 		var rest []op
 		if p.cfg.Mode == ModeOneByOne {
@@ -116,9 +114,7 @@ func (p *PMA) handOffBatch(st *state, g *gate, ins []op, wait bool) {
 		// lastReb is read under the latch we still hold.
 		nb := time.Unix(0, g.lastReb).Add(p.cfg.TDelay)
 		if time.Now().Before(nb) {
-			if m := p.metrics; m != nil {
-				m.DeferredBatches.Inc()
-			}
+			p.metrics.DeferredBatches.Inc()
 			notBefore = nb
 		}
 	}
@@ -170,40 +166,6 @@ func fenceSplit(ops []op, lo, hi int64, out []op) (in, rest []op) {
 	return in, out
 }
 
-// mergeSorted merges the chunk elements exK/exV with sorted unique insert
-// ops, upsert-style (an insert with an existing key replaces its value).
-func mergeSorted(exK, exV []int64, ins []op) (ks, vs []int64) {
-	ks = make([]int64, 0, len(exK)+len(ins))
-	vs = make([]int64, 0, len(exK)+len(ins))
-	i, j := 0, 0
-	for i < len(exK) && j < len(ins) {
-		switch {
-		case exK[i] < ins[j].key:
-			ks = append(ks, exK[i])
-			vs = append(vs, exV[i])
-			i++
-		case exK[i] == ins[j].key:
-			ks = append(ks, ins[j].key)
-			vs = append(vs, ins[j].val)
-			i++
-			j++
-		default:
-			ks = append(ks, ins[j].key)
-			vs = append(vs, ins[j].val)
-			j++
-		}
-	}
-	for ; i < len(exK); i++ {
-		ks = append(ks, exK[i])
-		vs = append(vs, exV[i])
-	}
-	for ; j < len(ins); j++ {
-		ks = append(ks, ins[j].key)
-		vs = append(vs, ins[j].val)
-	}
-	return ks, vs
-}
-
 // Flush forces every combining queue and every deferred batch to be applied.
 // After Flush returns (and provided no new updates raced with it), reads
 // observe all previously accepted updates. In ModeSync it is a no-op beyond
@@ -239,9 +201,7 @@ func (p *PMA) sweepQueues() bool {
 		}
 		g.mu.Unlock()
 		if len(ops) > 0 {
-			if m := p.metrics; m != nil {
-				m.DrainSize.Observe(uint64(len(ops)))
-			}
+			p.metrics.DrainSize.Observe(uint64(len(ops)))
 			stole = true
 			for _, o := range ops {
 				p.updateSync(o)

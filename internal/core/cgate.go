@@ -200,8 +200,8 @@ func (g *gate) view(s int, sc *cScratch) (ks, vs []int64) {
 	if err != nil {
 		panic(corruptSegment + ": " + err.Error())
 	}
-	if m := g.cc.metrics; m != nil && len(ks) > 0 {
-		m.SegDecodes.Inc()
+	if len(ks) > 0 {
+		g.cc.metrics.SegDecodes.Inc()
 	}
 	return ks, vs
 }
@@ -316,9 +316,7 @@ func (g *gate) appendSeg(s int, dk, dv []int64) ([]int64, []int64, bool) {
 	if err != nil {
 		return dk, dv, false
 	}
-	if m := g.cc.metrics; m != nil {
-		m.SegDecodes.Inc()
-	}
+	g.cc.metrics.SegDecodes.Inc()
 	return ks, vs, true
 }
 
@@ -400,9 +398,7 @@ func (g *gate) storePayload(s int, p []byte) {
 		g.enc[s] = &encSeg{data: nd, n: int32(len(p))}
 	}
 	g.encBytes.Add(int64(len(p)) - old)
-	if m := g.cc.metrics; m != nil {
-		m.ReencodeBytes.Add(uint64(len(p)))
-	}
+	g.cc.metrics.ReencodeBytes.Add(uint64(len(p)))
 }
 
 // stageMerge readies segment s to take the key-sorted, deduplicated run as
@@ -509,9 +505,7 @@ func (g *gate) spliced(s int, e *encSeg, old int, r codec.Splice) {
 	e.n = int32(r.Len)
 	g.enc[s] = e
 	g.encBytes.Add(int64(r.Len - old))
-	if m := g.cc.metrics; m != nil {
-		m.ReencodeBytes.Add(uint64(r.Written))
-	}
+	g.cc.metrics.ReencodeBytes.Add(uint64(r.Written))
 }
 
 // --- chunk construction ---
@@ -574,9 +568,7 @@ func (p *PMA) fillSeg(pl *destPlan, j, c int, src elemSource, sc *cScratch) int6
 	copy(data, payload)
 	pl.enc[j] = &encSeg{data: data, n: int32(len(payload))}
 	pl.encBytes += int64(len(payload))
-	if m := p.metrics; m != nil {
-		m.ReencodeBytes.Add(uint64(len(payload)))
-	}
+	p.metrics.ReencodeBytes.Add(uint64(len(payload)))
 	return ks[0]
 }
 

@@ -98,16 +98,9 @@ type Config struct {
 	// Workers is the size of the rebalancer's worker pool (the paper
 	// uses 8, matching its cores). Defaults to GOMAXPROCS capped at 8.
 	Workers int
-	// DisableMetrics turns off the obs counters and histograms. The zero
-	// value — metrics on — is the intended configuration: enabled metrics
-	// cost striped-counter increments off the contended cache lines, and
-	// disabling them reduces every instrumentation site to a single nil
-	// check (Stats then reports zeros).
-	DisableMetrics bool
 	// Events receives structural-event callbacks (global rebalances and
-	// resizes) from the rebalancer master goroutine. Independent of
-	// DisableMetrics; nil means no callbacks. See obs.EventHook for the
-	// reentrancy and latency contract.
+	// resizes) from the rebalancer master goroutine; nil means no
+	// callbacks. See obs.EventHook for the reentrancy and latency contract.
 	Events obs.EventHook
 	// CompressedChunks stores each segment delta-encoded (cgate.go) instead
 	// of as fixed 16-byte slots: ~2-4x less memory for dense key runs, at
@@ -245,9 +238,9 @@ type PMA struct {
 	shrinkPending atomic.Bool
 	closed        atomic.Bool
 
-	// metrics is nil when Config.DisableMetrics is set; every
-	// instrumentation site guards with `if m := p.metrics; m != nil`.
-	// events is the structural-event hook (nil means none).
+	// metrics is always set: the store always counts, in striped counters
+	// off the contended cache lines. events is the structural-event hook
+	// (nil means none).
 	metrics *obs.CoreMetrics
 	events  obs.EventHook
 
@@ -275,7 +268,6 @@ func newShell(cfg Config) (*PMA, error) {
 	if cfg.SegmentCapacity == 0 { // fill zero fields from the default
 		def := DefaultConfig()
 		def.Mode = cfg.Mode
-		def.DisableMetrics = cfg.DisableMetrics
 		def.Events = cfg.Events
 		def.CompressedChunks = cfg.CompressedChunks
 		cfg = def
@@ -289,13 +281,11 @@ func newShell(cfg Config) (*PMA, error) {
 	p := &PMA{
 		cfg:      cfg,
 		attempts: optimisticAttempts,
+		metrics:  &obs.CoreMetrics{},
 		events:   cfg.Events,
 	}
 	if raceEnabled {
 		p.attempts = 0
-	}
-	if !cfg.DisableMetrics {
-		p.metrics = &obs.CoreMetrics{}
 	}
 	if cfg.CompressedChunks {
 		p.cctx = newCctx(cfg.SegmentsPerGate, cfg.SegmentCapacity, p.metrics)
@@ -389,9 +379,8 @@ func (p *PMA) NumGates() int {
 	return len(p.state.Load().gates)
 }
 
-// Stats returns a snapshot of the metrics. With DisableMetrics set, every
-// counter is zero; a compressed store still fills in its gauges, which are
-// read off the live array.
+// Stats returns a snapshot of the metrics. A compressed store also fills in
+// its gauges, which are read off the live array.
 func (p *PMA) Stats() Stats {
 	s := p.metrics.Snapshot()
 	p.compressionStats(&s)

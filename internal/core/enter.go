@@ -48,9 +48,7 @@ func (p *PMA) enter(key int64, mode latchMode, o op) (*state, *gate) {
 			default:
 				switch g.lockOrCombine(o, st, gen) {
 				case lockEnqueued:
-					if m := p.metrics; m != nil {
-						m.CombinedOps.Inc()
-					}
+					p.metrics.CombinedOps.Inc()
 					return nil, nil
 				case lockStale:
 					break walk

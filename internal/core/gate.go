@@ -339,9 +339,7 @@ func (g *gate) put(st *state, k, v int64) putResult {
 			return putNeedsGlobal
 		}
 		g.rebalanceLocal(ws, we, sc)
-		if m := st.p.metrics; m != nil {
-			m.LocalRebalances.Inc()
-		}
+		st.p.metrics.LocalRebalances.Inc()
 		s = g.findSeg(k)
 		ks, vs = g.view(s, sc)
 		i = g.seek(s, ks, k)
@@ -466,13 +464,14 @@ func (g *gate) localWindow(st *state, s0, s1, pending int) (ws, we int, ok bool)
 // rebalanceLocal redistributes segments [ws, we) of this chunk (a "local
 // rebalance", Section 3.3).
 func (g *gate) rebalanceLocal(ws, we int, sc *cScratch) {
-	ks, vs := g.gatherLocal(ws, we, sc)
+	ks, vs := g.gatherLocal(ws, we, 0, sc)
 	g.spreadLocal(ws, we, ks, vs, sc)
 }
 
-// gatherLocal copies the window's elements out of the chunk in key order.
-func (g *gate) gatherLocal(ws, we int, sc *cScratch) (ks, vs []int64) {
-	n := 0
+// gatherLocal copies the window's elements out of the chunk in key order,
+// into buffers with room for extra more.
+func (g *gate) gatherLocal(ws, we, extra int, sc *cScratch) (ks, vs []int64) {
+	n := extra
 	for s := ws; s < we; s++ {
 		n += g.segCard[s]
 	}
@@ -732,17 +731,17 @@ func (g *gate) mergeLocal(st *state, ins []op) (int, bool) {
 	if !ok {
 		return 0, false
 	}
+	// The window holds n more pairs (localWindow checked), so a block
+	// store's chunk-sized scratch has room for the merge too.
 	sc := g.cc.get()
 	defer g.cc.put(sc)
-	exK, exV := g.gatherLocal(ws, we, sc)
-	ks, vs := mergeSorted(exK, exV, ins)
+	ks, vs := g.gatherLocal(ws, we, n, sc)
+	fresh := countFresh(ks, ins)
+	ks, vs = mergeRun(ks, vs, ins, fresh)
 	g.spreadLocal(ws, we, ks, vs, sc)
-	delta := len(ks) - len(exK)
-	g.gcard += delta
-	if m := st.p.metrics; m != nil {
-		m.LocalRebalances.Inc()
-	}
-	return delta, true
+	g.gcard += fresh
+	st.p.metrics.LocalRebalances.Inc()
+	return fresh, true
 }
 
 // collect appends the chunk's pairs with key in [from, hi] to ks/vs (equally

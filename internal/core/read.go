@@ -114,16 +114,15 @@ func (p *PMA) getGate(st *state, gi int, k int64) (v int64, found bool, res read
 		}
 		// Probe failures are recorded before the latched serve, so
 		// GetLatched*attempts <= GetProbeFails holds under concurrent Stats.
-		if m := p.metrics; m != nil {
-			if fails > 0 {
-				m.GetProbeFails.Add(uint64(fails))
-			}
-			if res == readOK {
-				if latched {
-					m.GetLatched.Inc()
-				} else {
-					m.GetOptimistic.Inc()
-				}
+		m := p.metrics
+		if fails > 0 {
+			m.GetProbeFails.Add(uint64(fails))
+		}
+		if res == readOK {
+			if latched {
+				m.GetLatched.Inc()
+			} else {
+				m.GetOptimistic.Inc()
 			}
 		}
 		return v, found, res
@@ -210,16 +209,15 @@ func (p *PMA) snapshotGate(st *state, gi int, from, hi int64, sb *scanBuf) (fenc
 		}
 		// As in getGate: failures first, so ScanChunksLatched*attempts
 		// <= ScanProbeFails holds under concurrent Stats.
-		if m := p.metrics; m != nil {
-			if fails > 0 {
-				m.ScanProbeFails.Add(uint64(fails))
-			}
-			if res == readOK {
-				if latched {
-					m.ScanChunksLatched.Inc()
-				} else {
-					m.ScanChunksOptimistic.Inc()
-				}
+		m := p.metrics
+		if fails > 0 {
+			m.ScanProbeFails.Add(uint64(fails))
+		}
+		if res == readOK {
+			if latched {
+				m.ScanChunksLatched.Inc()
+			} else {
+				m.ScanChunksOptimistic.Inc()
 			}
 		}
 		return fenceHi, res

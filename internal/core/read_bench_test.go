@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -12,12 +13,11 @@ import (
 // 2^16 pairs sit in the L2 cache, 2^22 pairs are where every level misses.
 // The clustered cell stores runs of 48 consecutive keys 10^9 apart, so
 // every segment straddles a gap: the bad case for the interpolating segment
-// search (seekSeg). latched and metrics-off are the comparison cells: the
-// shared-latch path (the seqlock attempt budget set to 0 once the store is
-// loaded), and the observability overhead guard, which must stay within a
-// few percent of uniform. writer reads on every other gate while a
-// goroutine overwrites values on the gates between them, so it prices a
-// reader beside a writer it never conflicts with. Every cell runs
+// search (seekSeg). latched is the comparison cell: the shared-latch path
+// (the seqlock attempt budget set to 0 once the store is loaded). writer
+// reads on every other gate while a goroutine overwrites values on the
+// gates between them, so it prices a reader beside a writer it never
+// conflicts with. Every cell runs
 // allocation-free; TestGetDoesNotAllocate pins the same.
 func BenchmarkGetRandom(b *testing.B) {
 	uniform := func(i int64) int64 { return 16*i + 2*int64(splitmix(uint64(i))&7) }
@@ -26,7 +26,6 @@ func BenchmarkGetRandom(b *testing.B) {
 		name    string
 		n       int64
 		key     func(i int64) int64
-		mutate  func(*Config)
 		latched bool
 		writer  bool
 	}{
@@ -34,17 +33,12 @@ func BenchmarkGetRandom(b *testing.B) {
 		{name: "uniform-4Mi", n: 1 << 22, key: uniform},
 		{name: "clustered-4Mi", n: 1 << 22, key: clustered},
 		{name: "latched-4Mi", n: 1 << 22, key: uniform, latched: true},
-		{name: "metrics-off-64Ki", n: 1 << 16, key: uniform, mutate: func(c *Config) { c.DisableMetrics = true }},
 		{name: "writer-64Ki", n: 1 << 16, key: uniform, writer: true},
 	} {
 		var p *PMA
 		b.Run(c.name, func(b *testing.B) {
 			if p == nil { // b.Run calls this once per b.N: load once
-				cfg := DefaultConfig()
-				if c.mutate != nil {
-					c.mutate(&cfg)
-				}
-				p = loadKeys(b, cfg, c.n, c.key)
+				p = loadKeys(b, DefaultConfig(), c.n, c.key)
 				if c.latched {
 					p.attempts = 0
 				}
@@ -120,6 +114,66 @@ func benchGetBesideWriter(b *testing.B, p *PMA, n int64, key func(int64) int64) 
 	<-done
 }
 
+// BenchmarkScanAll measures a full ScanAll on one goroutine over 2^22
+// bulk-loaded pairs with keys 16i+1, per layout and per value width: values
+// that encode (zigzag varint) to 1, 3 and 9 bytes. Slots store every value
+// in 8 bytes whatever its width; blocks decode it, so the width is the cost
+// a block scan pays beyond the key gaps. ns/pair is the figure to compare.
+func BenchmarkScanAll(b *testing.B) {
+	const n = 1 << 22
+	widths := []struct {
+		bytes int
+		val   func(i int64) int64
+	}{
+		{1, func(i int64) int64 { return i & 63 }},
+		{3, func(i int64) int64 { return 1<<14 + i&0xffff }},
+		{9, func(i int64) int64 { return 1<<60 + i }},
+	}
+	keys, vals := make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i] = 16*int64(i) + 1
+	}
+	for _, compressed := range []bool{false, true} {
+		layout := "slots"
+		if compressed {
+			layout = "blocks"
+		}
+		for _, w := range widths {
+			var p *PMA
+			b.Run(fmt.Sprintf("%s/value=%dB", layout, w.bytes), func(b *testing.B) {
+				if p == nil { // b.Run calls this once per b.N: load once
+					for i := range vals {
+						vals[i] = w.val(int64(i))
+					}
+					cfg := DefaultConfig()
+					cfg.CompressedChunks = compressed
+					var err error
+					if p, err = BulkLoad(cfg, keys, vals); err != nil {
+						b.Fatal(err)
+					}
+					runtime.GC()
+				}
+				b.ResetTimer()
+				pairs := 0
+				for i := 0; i < b.N; i++ {
+					p.ScanAll(func(k, v int64) bool {
+						pairs++
+						return true
+					})
+				}
+				b.StopTimer()
+				if pairs != b.N*n {
+					b.Fatalf("scanned %d pairs, want %d", pairs, b.N*n)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pair")
+			})
+			if p != nil {
+				p.Close()
+			}
+		}
+	}
+}
+
 // loadKeys bulk-loads key(0) < ... < key(n-1), each its own value, and
 // collects the input before returning, so a benchmark's heap is the store's.
 func loadKeys(tb testing.TB, cfg Config, n int64, key func(int64) int64) *PMA {
@@ -145,18 +199,17 @@ func splitmix(x uint64) uint64 {
 }
 
 // TestGetDoesNotAllocate pins the read path's zero-allocation contract in
-// both metrics modes and both chunk layouts: the striped counters increment
-// in place (the stripe index comes from a stack address, not a heap handle),
-// the disabled path is a single nil check, and a compressed Get seeks the
-// encoded block with no scratch at all. CI's zero-allocation step runs it.
+// both chunk layouts: the striped counters increment in place (the stripe
+// index comes from a stack address, not a heap handle), and a compressed Get
+// seeks the encoded block with no scratch at all. CI's zero-allocation step
+// runs it.
 func TestGetDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
-		name                string
-		disable, compressed bool
-	}{{"metrics-on", false, false}, {"metrics-off", true, false}, {"compressed", false, true}} {
+		name       string
+		compressed bool
+	}{{"metrics-on", false}, {"compressed", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.DisableMetrics = tc.disable
 			cfg.CompressedChunks = tc.compressed
 			const n = 1 << 12
 			keys := make([]int64, n)

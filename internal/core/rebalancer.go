@@ -317,10 +317,7 @@ func (r *rebalancer) process(req *request) []op {
 	// one latch. The search is timed as part of the rebalance: escalation
 	// cost belongs to the rebalance duration. Only the (single) master
 	// goroutine reaches this code, so the clock reads cannot contend.
-	var t0 time.Time
-	if p.metrics != nil || p.events != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	glo, ghi := g.idx, g.idx+1
 	pending := req.pending + len(ins)
 	chunkLevel := log2(st.spg) + 1
@@ -370,12 +367,11 @@ func (r *rebalancer) process(req *request) []op {
 		for i := glo; i < ghi; i++ {
 			st.gates[i].release()
 		}
-		if m := p.metrics; m != nil {
-			m.GlobalRebalances.Inc()
-			m.RebalanceNanos.ObserveDuration(time.Since(t0))
-		}
+		d := time.Since(t0)
+		p.metrics.GlobalRebalances.Inc()
+		p.metrics.RebalanceNanos.ObserveDuration(d)
 		if h := p.events; h != nil {
-			h.OnRebalance(obs.RebalanceEvent{Gates: ghi - glo, Duration: time.Since(t0)})
+			h.OnRebalance(obs.RebalanceEvent{Gates: ghi - glo, Duration: d})
 		}
 	} else {
 		r.resize(st, glo, ghi, ins, true)
@@ -670,10 +666,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 	p := r.p
 	// Timed from here (latching the world is part of the cost); the
 	// abandoned-shrink early return below deliberately counts nothing.
-	var t0 time.Time
-	if p.metrics != nil || p.events != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	for i := 0; i < heldLo; i++ {
 		st.gates[i].rebLock()
 	}
@@ -740,12 +733,11 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 		g.releaseLocked()
 		g.mu.Unlock()
 	}
-	if m := p.metrics; m != nil {
-		m.Resizes.Inc()
-		m.ResizeNanos.ObserveDuration(time.Since(t0))
-	}
+	d := time.Since(t0)
+	p.metrics.Resizes.Inc()
+	p.metrics.ResizeNanos.ObserveDuration(d)
 	if h := p.events; h != nil {
-		h.OnRebalance(obs.RebalanceEvent{Gates: len(st.gates), Resize: true, Duration: time.Since(t0)})
+		h.OnRebalance(obs.RebalanceEvent{Gates: len(st.gates), Resize: true, Duration: d})
 	}
 }
 

@@ -119,9 +119,6 @@ func (p *PMA) Validate() error {
 // the instrumented paths, making the inequality stable under races.
 func (p *PMA) validateStats() error {
 	m := p.metrics
-	if m == nil {
-		return nil
-	}
 	// A latched read only happens after p.attempts failed probes, and the
 	// failures are recorded before the latched serve.
 	n := uint64(p.attempts)

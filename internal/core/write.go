@@ -22,8 +22,8 @@ func (p *PMA) detachQueue(g *gate) []op {
 	g.mu.Lock()
 	ops := g.takeQueue()
 	g.mu.Unlock()
-	if m := p.metrics; m != nil && len(ops) > 0 {
-		m.DrainSize.Observe(uint64(len(ops)))
+	if len(ops) > 0 {
+		p.metrics.DrainSize.Observe(uint64(len(ops)))
 	}
 	return ops
 }

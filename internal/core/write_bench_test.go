@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"pmago/internal/obs"
 )
 
 // BenchmarkLoneWriter prices the uncontended point-update path per mode: one
@@ -58,7 +60,9 @@ func BenchmarkLoneWriter(b *testing.B) {
 // drawn from a Zipf(1.1) over 65536 key ranges so hot segments fill up and
 // are hit again and again. Only the PutBatch is timed; once the batches have
 // added n/4 keys the store is loaded afresh, so it stays between n and 1.25n
-// pairs however long the run. ns/key is the figure to compare.
+// pairs however long the run. ns/key is the figure to compare; global/batch,
+// local/batch and resizes/batch count the rebalances behind it, summed over
+// every store a run loads.
 func BenchmarkPutBatchClustered(b *testing.B) {
 	const batch, cluster, buckets = 1024, 32, 65536
 	for _, n := range []int{1 << 16, 1 << 22} {
@@ -78,8 +82,17 @@ func BenchmarkPutBatchClustered(b *testing.B) {
 				cfg := DefaultConfig()
 				cfg.CompressedChunks = compressed
 				var p *PMA
+				var reb obs.RebalanceStats // summed over the stores load retires
+				tally := func() {
+					p.Flush()
+					r := p.Stats().Rebalance
+					reb.Global += r.Global
+					reb.Local += r.Local
+					reb.Resizes += r.Resizes
+				}
 				load := func() {
 					if p != nil {
+						tally()
 						p.Close()
 					}
 					var err error
@@ -112,7 +125,12 @@ func BenchmarkPutBatchClustered(b *testing.B) {
 					b.StartTimer()
 					p.PutBatch(ks, vs)
 				}
+				b.StopTimer()
+				tally()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+				b.ReportMetric(float64(reb.Global)/float64(b.N), "global/batch")
+				b.ReportMetric(float64(reb.Local)/float64(b.N), "local/batch")
+				b.ReportMetric(float64(reb.Resizes)/float64(b.N), "resizes/batch")
 			})
 		}
 	}

@@ -48,12 +48,8 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 }
 
 // Snapshot copies the histogram into a Distribution, dropping empty
-// buckets. Safe on a nil receiver (returns the zero Distribution), so
-// disabled-metrics owners can snapshot unconditionally.
+// buckets.
 func (h *Histogram) Snapshot() Distribution {
-	if h == nil {
-		return Distribution{}
-	}
 	var t tally
 	t.add(h)
 	return t.dist()

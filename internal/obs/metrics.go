@@ -1,11 +1,8 @@
 package obs
 
-// The live metric sets. Each layer of the store owns one (core.PMA a
-// *CoreMetrics, persist.Log a *WALMetrics, pmago.DB a *CheckpointMetrics),
-// nil when metrics are disabled — every instrumentation site guards with a
-// single nil check, which is the entire disabled-mode cost. Snapshot
-// methods are nil-safe for the same reason: a disabled layer reports zero
-// counters rather than forcing callers to branch.
+// The live metric sets. Each layer of the store owns one, allocated with
+// the layer itself: core.PMA a *CoreMetrics, persist.Log a *WALMetrics,
+// pmago.DB a *CheckpointMetrics.
 
 // CoreMetrics instruments the in-memory PMA: the seqlock read path, the
 // Section 3.5 combining queues, and the rebalancer.
@@ -110,12 +107,8 @@ type CoreSnapshot struct {
 	Compression CompressionStats `json:"compression"`
 }
 
-// Snapshot copies the live counters. Nil-safe: a disabled core reports
-// zeros.
+// Snapshot copies the live counters.
 func (m *CoreMetrics) Snapshot() CoreSnapshot {
-	if m == nil {
-		return CoreSnapshot{}
-	}
 	return CoreSnapshot{
 		Reads: ReadStats{
 			GetOptimistic:        m.GetOptimistic.Load(),
@@ -204,11 +197,8 @@ type WALSnapshot struct {
 	FsyncWindow        WindowSnapshot `json:"fsync_window"`
 }
 
-// Snapshot copies the live counters (nil-safe).
+// Snapshot copies the live counters.
 func (m *WALMetrics) Snapshot() WALSnapshot {
-	if m == nil {
-		return WALSnapshot{}
-	}
 	s := WALSnapshot{
 		Appends:            m.Appends.Load(),
 		AppendBytes:        m.AppendBytes.Load(),
@@ -250,11 +240,8 @@ type CheckpointSnapshot struct {
 	BytesWritten uint64 `json:"bytes_written"`
 }
 
-// Snapshot copies the live counters (nil-safe).
+// Snapshot copies the live counters.
 func (m *CheckpointMetrics) Snapshot() CheckpointSnapshot {
-	if m == nil {
-		return CheckpointSnapshot{}
-	}
 	return CheckpointSnapshot{
 		Snapshots:    m.Snapshots.Load(),
 		PairsWritten: m.PairsWritten.Load(),

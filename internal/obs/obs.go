@@ -19,9 +19,8 @@
 // Everything here is allocation-free on the update path; snapshot and
 // exposition allocate, but those run at scrape frequency, not op frequency.
 //
-// All instruments are nil-tolerant at their owner: the store keeps a nil
-// metrics pointer when metrics are disabled, so the disabled hot-path cost
-// is one pointer nil check and no call.
+// There is no metrics-off mode: every layer allocates its metric set with
+// itself, and every instrumentation site records unconditionally.
 package obs
 
 import (

@@ -70,11 +70,8 @@ func (w *Window) slotOf(now int64) int64 {
 }
 
 // ObserveAt records v at the clock reading now (Unix nanoseconds), which
-// picks the sub-window. Nil-safe.
+// picks the sub-window.
 func (w *Window) ObserveAt(now int64, v uint64) {
-	if w == nil {
-		return
-	}
 	slot := w.slotOf(now)
 	s := &w.slots[uint64(slot)%winSlots]
 	s.rotate(slot + 1)
@@ -112,18 +109,14 @@ func (s *winSlot) rotate(want int64) {
 	}
 }
 
-// Snapshot is SnapshotAt the current time. Nil-safe.
+// Snapshot is SnapshotAt the current time.
 func (w *Window) Snapshot() WindowSnapshot {
 	return w.SnapshotAt(time.Now().UnixNano())
 }
 
 // SnapshotAt folds the slots still inside the trailing interval at the
 // clock reading now into a WindowSnapshot with precomputed quantiles.
-// Nil-safe.
 func (w *Window) SnapshotAt(now int64) WindowSnapshot {
-	if w == nil {
-		return WindowSnapshot{}
-	}
 	cur := w.slotOf(now)
 	var t tally
 	for i := range w.slots {

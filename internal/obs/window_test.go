@@ -104,10 +104,6 @@ func TestWindowQuantileEdges(t *testing.T) {
 	if ws.P50 != 0 || ws.P99 != 0 || ws.P999 != 0 {
 		t.Fatalf("empty window quantiles = %v/%v/%v, want all 0", ws.P50, ws.P99, ws.P999)
 	}
-	var nilW *Window
-	if got := nilW.Snapshot(); got.Count != 0 || got.P99 != 0 {
-		t.Fatalf("nil window snapshot = %+v, want zero", got)
-	}
 
 	single := NewWindow(time.Second)
 	for i := 0; i < 100; i++ {

@@ -94,11 +94,6 @@ type Options struct {
 	// SnapshotBlockEntries is the number of pairs per snapshot block
 	// (default 8192); each block carries its own checksum.
 	SnapshotBlockEntries int
-	// Metrics receives the log's counters and latency histograms when
-	// non-nil (the owning store allocates and snapshots it; see
-	// obs.WALMetrics). Nil disables WAL metrics at the cost of one nil
-	// check per instrumentation site.
-	Metrics *obs.WALMetrics
 	// Events receives an OnFsyncStall callback for every File.Sync that
 	// takes fsyncStallThreshold or longer. Stall events can fire from the
 	// rotation path, which holds the log's append mutex — the hook must be

@@ -53,7 +53,7 @@ func testOptions() Options {
 
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenLog(dir, 1, testOptions())
+	w, err := OpenLog(dir, 1, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +67,14 @@ func TestWALRoundTrip(t *testing.T) {
 	must(w.AppendDelete(1))
 	must(w.AppendPutBatch([]int64{7, 8, 7}, []int64{70, 80, 71}))
 	must(w.AppendDeleteBatch([]int64{8, 999}))
+	_, err = w.Rotate()
+	must(err)
+	// A log opened with the defaults counts without being asked: each
+	// FsyncAlways append is one fsync, and the rotation fsyncs the
+	// segment it seals.
+	if s := w.Metrics().Snapshot(); s.Appends != 5 || s.Rotations != 1 || s.Fsyncs != 6 {
+		t.Fatalf("appends %d, rotations %d, fsyncs %d; want 5, 1, 6", s.Appends, s.Rotations, s.Fsyncs)
+	}
 	must(w.Close())
 
 	got := collect(t, dir, 1)

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"pmago/internal/obs"
 )
 
 // segSizes returns the on-disk size of every WAL segment in dir, by number.
@@ -170,7 +168,6 @@ func TestProbeSkipsZerosSameAnswer(t *testing.T) {
 func TestAppendWindowRecordsOnlyWaits(t *testing.T) {
 	o := testOptions()
 	o.SegmentBytes = 4096
-	o.Metrics = &obs.WALMetrics{}
 	w, err := OpenLog(t.TempDir(), 1, o)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +178,7 @@ func TestAppendWindowRecordsOnlyWaits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := o.Metrics.Snapshot(); s.Appends != 1000 || s.Rotations == 0 || s.AppendWindow.Count != 0 {
+	if s := w.Metrics().Snapshot(); s.Appends != 1000 || s.Rotations == 0 || s.AppendWindow.Count != 0 {
 		t.Fatalf("after 1000 sequential appends: appends %d, rotations %d, append window count %d; want 1000, > 0, 0",
 			s.Appends, s.Rotations, s.AppendWindow.Count)
 	}
@@ -196,7 +193,7 @@ func TestAppendWindowRecordsOnlyWaits(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	s := o.Metrics.Snapshot()
+	s := w.Metrics().Snapshot()
 	if s.Appends != 1001 || s.AppendWindow.Count != 1 || s.AppendWindow.Sum < uint64(hold) {
 		t.Fatalf("after one blocked append: appends %d, append window count %d sum %v; want 1001, 1, >= %v",
 			s.Appends, s.AppendWindow.Count, time.Duration(s.AppendWindow.Sum), hold)
@@ -222,32 +219,22 @@ func waitAppendBlocked(t *testing.T) {
 }
 
 // BenchmarkAppendPut prices one logged point update through the log alone:
-// encode, checksum, the copy into the active segment, and the rotations a
-// default-sized segment amortises — with the log's metrics off and on.
+// encode, checksum, the copy into the active segment, the two counter adds,
+// and the rotations a default-sized segment amortises.
 func BenchmarkAppendPut(b *testing.B) {
-	for _, metrics := range []bool{false, true} {
-		name := "metrics=off"
-		o := testOptions()
-		if metrics {
-			name = "metrics=on"
-			o.Metrics = &obs.WALMetrics{}
+	w, err := OpenLog(b.TempDir(), 1, testOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.AppendPut(int64(i), int64(i)); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			w, err := OpenLog(b.TempDir(), 1, o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.AppendPut(int64(i), int64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
+	}
+	b.StopTimer()
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
 	}
 }

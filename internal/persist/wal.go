@@ -30,8 +30,9 @@ import (
 // one writer's fsync advances synced past many waiters at once, and
 // rotation — which always fsyncs the outgoing segment — does the same.
 type Log struct {
-	dir string
-	o   Options
+	dir     string
+	o       Options
+	metrics *obs.WALMetrics // the log's counters and latency histograms
 
 	mu      sync.Mutex       // guards the fields below (append/rotate path)
 	seg     *segment         // active segment; nil once sealed for good
@@ -49,7 +50,7 @@ type Log struct {
 
 	// recsSynced mirrors synced in record units, purely for metrics: the
 	// amount each fsync advances it is that fsync's group-commit batch
-	// size. Only maintained when o.Metrics is set.
+	// size.
 	recsSynced atomic.Uint64
 
 	stop chan struct{} // interval-fsync loop, nil unless FsyncInterval
@@ -92,7 +93,7 @@ func listSegments(dir string) ([]uint64, error) {
 // adopts any older segments still in dir into the live-size accounting.
 func OpenLog(dir string, seq uint64, o Options) (*Log, error) {
 	o = o.normalize()
-	w := &Log{dir: dir, o: o, seq: seq, live: map[uint64]int64{}}
+	w := &Log{dir: dir, o: o, metrics: &obs.WALMetrics{}, seq: seq, live: map[uint64]int64{}}
 	seqs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -215,10 +216,8 @@ func (w *Log) append(encode func([]byte) []byte) error {
 	w.recs++
 	// Counted under mu, before any fsync can cover the record, so
 	// GroupCommit.Sum <= Appends holds even against a concurrent Stats.
-	if m := w.o.Metrics; m != nil {
-		m.Appends.Inc()
-		m.AppendBytes.Add(uint64(len(rec)))
-	}
+	w.metrics.Appends.Inc()
+	w.metrics.AppendBytes.Add(uint64(len(rec)))
 	target := w.written
 	w.mu.Unlock()
 
@@ -236,15 +235,10 @@ func (w *Log) lockAppend() {
 	if w.mu.TryLock() {
 		return
 	}
-	m := w.o.Metrics
-	if m == nil {
-		w.mu.Lock()
-		return
-	}
 	t0 := time.Now()
 	w.mu.Lock()
 	t1 := time.Now()
-	m.AppendWindow.ObserveAt(t1.UnixNano(), uint64(t1.Sub(t0)))
+	w.metrics.AppendWindow.ObserveAt(t1.UnixNano(), uint64(t1.Sub(t0)))
 }
 
 // rotateLocked seals the active segment and opens the next one, of size
@@ -257,9 +251,7 @@ func (w *Log) rotateLocked(size int64) error {
 		w.err = fmt.Errorf("persist: wal rotate: %w", err)
 		return w.err
 	}
-	if m := w.o.Metrics; m != nil {
-		m.Rotations.Inc()
-	}
+	w.metrics.Rotations.Inc()
 	w.live[w.seq] = w.segSize
 	w.seq++
 	seg, err := openSegment(filepath.Join(w.dir, segName(w.seq)), size)
@@ -276,24 +268,18 @@ func (w *Log) rotateLocked(size int64) error {
 // Called with mu held. Because the sealed segment is fsynced, synced can
 // jump to everything written so far.
 func (w *Log) sealLocked() error {
-	var t0 time.Time
-	track := w.o.Metrics != nil || w.o.Events != nil
-	if track {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	err := w.seg.seal(w.segSize)
 	w.seg = nil
 	if err != nil {
 		return err
 	}
 	advanceMax(&w.synced, w.written)
-	if track {
-		// Every appended record is in this or an older (already fsynced)
-		// segment, so this fsync covers all w.recs records. The observe
-		// runs with mu held — acceptable, because both the metrics update
-		// and any stall hook are required to be fast.
-		w.observeFsync(t0, w.recs)
-	}
+	// Every appended record is in this or an older (already fsynced)
+	// segment, so this fsync covers all w.recs records. The observe runs
+	// with mu held — acceptable, because both the metrics update and any
+	// stall hook are required to be fast.
+	w.observeFsync(t0, w.recs)
 	return nil
 }
 
@@ -342,11 +328,7 @@ func (w *Log) syncTo(target uint64) error {
 	if err != nil {
 		return err
 	}
-	var t0 time.Time
-	track := w.o.Metrics != nil || w.o.Events != nil
-	if track {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	// On Linux fsync also writes back the pages appends dirtied through
 	// the segment's mapping: they are the file's page cache.
 	if err := seg.sync(); err != nil {
@@ -362,9 +344,7 @@ func (w *Log) syncTo(target uint64) error {
 		return err
 	}
 	advanceMax(&w.synced, written)
-	if track {
-		w.observeFsync(t0, recs)
-	}
+	w.observeFsync(t0, recs)
 	return nil
 }
 
@@ -376,12 +356,10 @@ func (w *Log) syncTo(target uint64) error {
 func (w *Log) observeFsync(t0 time.Time, recsAtSync uint64) {
 	now := time.Now()
 	d := now.Sub(t0)
-	if m := w.o.Metrics; m != nil {
-		m.FsyncNanos.ObserveDuration(d)
-		m.FsyncWindow.ObserveAt(now.UnixNano(), uint64(d))
-		if delta := advanceMaxDelta(&w.recsSynced, recsAtSync); delta > 0 {
-			m.GroupCommit.Observe(delta)
-		}
+	w.metrics.FsyncNanos.ObserveDuration(d)
+	w.metrics.FsyncWindow.ObserveAt(now.UnixNano(), uint64(d))
+	if delta := advanceMaxDelta(&w.recsSynced, recsAtSync); delta > 0 {
+		w.metrics.GroupCommit.Observe(delta)
 	}
 	if h := w.o.Events; h != nil && d >= fsyncStallThreshold {
 		h.OnFsyncStall(obs.FsyncStallEvent{Duration: d, Threshold: fsyncStallThreshold})
@@ -411,6 +389,10 @@ func advanceMaxDelta(a *atomic.Uint64, v uint64) uint64 {
 		}
 	}
 }
+
+// Metrics returns the log's live counters and latency histograms; the
+// owning store snapshots them for Stats.
+func (w *Log) Metrics() *obs.WALMetrics { return w.metrics }
 
 // LiveBytes returns the bytes appended to all live segments — the replay
 // work a crash would cost right now, and the input to the compaction

@@ -62,22 +62,20 @@ type Sharded struct {
 
 	// routedOps/routedBatch count the point ops and batch keys routed to
 	// each shard — the observed placement balance in request (rather than
-	// resident-key) terms, reported as Stats().Shards. Nil with
-	// WithoutMetrics.
+	// resident-key) terms, reported as Stats().Shards.
 	routedOps   []obs.Counter
 	routedBatch []obs.Counter
 }
 
 // newSharded returns a Sharded that has its placement but no shards yet:
-// what every constructor starts from. The routing counters stay nil when
-// metrics are disabled.
-func newSharded(place placement.Placement, cfg config) *Sharded {
-	s := &Sharded{place: place, ordered: place.Ordered() || place.Shards() == 1}
-	if !cfg.core.DisableMetrics {
-		s.routedOps = make([]obs.Counter, place.Shards())
-		s.routedBatch = make([]obs.Counter, place.Shards())
+// what every constructor starts from.
+func newSharded(place placement.Placement) *Sharded {
+	return &Sharded{
+		place:       place,
+		ordered:     place.Ordered() || place.Shards() == 1,
+		routedOps:   make([]obs.Counter, place.Shards()),
+		routedBatch: make([]obs.Counter, place.Shards()),
 	}
-	return s
 }
 
 // DefaultShards is the shard count used when none of the sharding options is
@@ -208,7 +206,7 @@ func BulkLoadSharded(keys, vals []int64, opts ...Option) (*Sharded, error) {
 func loadSharded(place placement.Placement, cfg config, keys, vals []int64) (*Sharded, error) {
 	sp := splitByShard(place, keys)
 	partK, partV := sp.parts(keys), sp.parts(vals)
-	s := newSharded(place, cfg)
+	s := newSharded(place)
 	s.mems = make([]*PMA, place.Shards())
 	s.stores = make([]Store, place.Shards())
 	err := eachShard(len(s.stores), func(i int) error {
@@ -311,7 +309,7 @@ func OpenSharded(dir string, opts ...Option) (*Sharded, error) {
 		}
 	}
 
-	s := newSharded(place, cfg)
+	s := newSharded(place)
 	s.dir, s.unlock = dir, unlock
 	s.dbs = make([]*DB, place.Shards())
 	s.stores = make([]Store, place.Shards())
@@ -439,9 +437,7 @@ func (s *Sharded) checkOpen() {
 func (s *Sharded) Put(k, v int64) {
 	s.checkOpen()
 	i := s.place.Shard(k)
-	if s.routedOps != nil {
-		s.routedOps[i].Inc()
-	}
+	s.routedOps[i].Inc()
 	s.stores[i].Put(k, v)
 }
 
@@ -449,9 +445,7 @@ func (s *Sharded) Put(k, v int64) {
 func (s *Sharded) Get(k int64) (int64, bool) {
 	s.checkOpen()
 	i := s.place.Shard(k)
-	if s.routedOps != nil {
-		s.routedOps[i].Inc()
-	}
+	s.routedOps[i].Inc()
 	return s.stores[i].Get(k)
 }
 
@@ -459,9 +453,7 @@ func (s *Sharded) Get(k int64) (int64, bool) {
 func (s *Sharded) Delete(k int64) bool {
 	s.checkOpen()
 	i := s.place.Shard(k)
-	if s.routedOps != nil {
-		s.routedOps[i].Inc()
-	}
+	s.routedOps[i].Inc()
 	return s.stores[i].Delete(k)
 }
 
@@ -480,9 +472,7 @@ func (s *Sharded) PutBatch(keys, vals []int64) {
 	partK, partV, live := sp.parts(keys), sp.parts(vals), sp.live()
 	eachShard(len(live), func(j int) error {
 		i := live[j]
-		if s.routedBatch != nil {
-			s.routedBatch[i].Add(uint64(len(partK[i])))
-		}
+		s.routedBatch[i].Add(uint64(len(partK[i])))
 		s.stores[i].PutBatch(partK[i], partV[i])
 		return nil
 	})
@@ -498,9 +488,7 @@ func (s *Sharded) DeleteBatch(keys []int64) int {
 	var total atomic.Int64
 	eachShard(len(live), func(j int) error {
 		i := live[j]
-		if s.routedBatch != nil {
-			s.routedBatch[i].Add(uint64(len(partK[i])))
-		}
+		s.routedBatch[i].Add(uint64(len(partK[i])))
 		total.Add(int64(s.stores[i].DeleteBatch(partK[i])))
 		return nil
 	})
@@ -563,13 +551,11 @@ func (s *Sharded) Stats() Stats {
 	for _, st := range s.stores {
 		t = t.Merge(st.Stats())
 	}
-	if s.routedOps != nil {
-		t.Shards = make([]obs.ShardStats, len(s.stores))
-		for i := range t.Shards {
-			t.Shards[i] = obs.ShardStats{
-				Ops:       s.routedOps[i].Load(),
-				BatchKeys: s.routedBatch[i].Load(),
-			}
+	t.Shards = make([]obs.ShardStats, len(s.stores))
+	for i := range t.Shards {
+		t.Shards[i] = obs.ShardStats{
+			Ops:       s.routedOps[i].Load(),
+			BatchKeys: s.routedBatch[i].Load(),
 		}
 	}
 	return t

@@ -41,12 +41,6 @@ func NewSlogHook(logger *slog.Logger, slow time.Duration) EventHook {
 	return obs.NewSlogHook(logger, slow)
 }
 
-// WithoutMetrics disables the metrics layer for this store: Stats reports
-// zeros and every instrumentation site reduces to a nil check. Metrics are
-// on by default — their hot-path cost is a striped, allocation-free counter
-// increment.
-func WithoutMetrics() Option { return func(c *config) { c.core.DisableMetrics = true } }
-
 // WithEventHook installs h as the store's structural-event hook, covering
 // both the in-memory layer (OnRebalance) and, for durable stores, the WAL
 // and checkpoint layers (OnFsyncStall, OnCompaction, OnRecovery).

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -173,33 +172,6 @@ func TestHandler(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("Prometheus exposition missing %q", want)
 		}
-	}
-}
-
-// TestWithoutMetrics pins the disabled mode: Stats of an uncompressed
-// in-memory store is the zero Stats, Validate still passes, and the handler
-// still serves the full catalog shape.
-func TestWithoutMetrics(t *testing.T) {
-	p, err := pmago.New(pmago.WithoutMetrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for i := int64(0); i < 10_000; i++ {
-		p.Put(i, i)
-	}
-	p.Get(1)
-	p.Flush()
-	if st := p.Stats(); !reflect.DeepEqual(st, pmago.Stats{}) {
-		t.Errorf("metrics disabled but Stats is not zero: %+v", st)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	pmago.Handler(p).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if !strings.Contains(rec.Body.String(), "pmago_reads_get_optimistic_total 0") {
-		t.Error("disabled store should still expose the zero-valued catalog")
 	}
 }
 
