@@ -147,9 +147,9 @@
 // and re-encode whole segments; Get, Put, Delete and a batch that fits
 // the segments it lands in do not, and pay a walk over the segment's key
 // gaps and a move or copy of its bytes instead (the README has the
-// measured price table). BulkLoad and Snapshot get
-// faster (one encode pass rides the layout pass; a checkpoint streams
-// the already-encoded blocks to disk without touching pairs). Enable it
+// measured price table). BulkLoad gets faster (one encode pass rides the
+// layout pass); a checkpoint scans the pairs as any store's does and
+// writes the same file, so it pays the scan's decode. Enable it
 // for memory-bound, scan- and ingest-heavy workloads with locally dense
 // keys; leave it off when single-key latency dominates. The option is
 // per store — under WithShards it applies to every shard.

@@ -331,20 +331,10 @@ func (db *DB) snapshot(auto bool) error {
 	// documents. Syncing after the scan covers every record the scan could
 	// have seen, and a sync failure aborts the snapshot before the rename,
 	// so a checkpoint never supersedes WAL records that are not durable.
-	var count, size int64
-	if db.inner.c.Compressed() {
-		// Compressed fast path: segments stream to disk as the delta
-		// blocks they already are — no decode, no per-pair re-encode.
-		count, size, err = persist.WriteSnapshotBlocks(db.dir, cut, func(yield func(payload []byte, pairs int) bool) error {
-			db.inner.c.ScanBlocks(yield)
-			return db.log.Sync()
-		})
-	} else {
-		count, size, err = persist.WriteSnapshot(db.dir, cut, func(yield func(k, v int64) bool) error {
-			db.inner.ScanAll(yield)
-			return db.log.Sync()
-		}, db.dur)
-	}
+	count, size, err := persist.WriteSnapshot(db.dir, cut, func(yield func(k, v int64) bool) error {
+		db.inner.ScanAll(yield)
+		return db.log.Sync()
+	}, db.dur)
 	if err != nil {
 		return err
 	}

@@ -84,6 +84,52 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshot prices a checkpoint: Snapshot of an open FsyncNone store
+// holding 2^20 pairs (2^16 under -short), in both chunk layouts. Both take
+// the same path — the cut, a ScanAll re-cut into snapshot blocks, the WAL
+// sync, the file's fsync and rename — so blocks differ from slots only in
+// the scan's decode. The store is loaded, checkpointed and reopened before
+// the timer starts, so every timed Snapshot finds an empty WAL tail.
+// ns/pair is ns/op over the store's pairs.
+func BenchmarkSnapshot(b *testing.B) {
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 16
+	}
+	for _, layout := range []struct {
+		name string
+		opts []Option
+	}{
+		{"slots", nil},
+		{"blocks", []Option{WithCompressedChunks()}},
+	} {
+		opts := append([]Option{WithFsync(FsyncNone), WithCompactRatio(0)}, layout.opts...)
+		dir := b.TempDir()
+		var db *DB
+		b.Run(fmt.Sprintf("%s/pairs=%d", layout.name, n), func(b *testing.B) {
+			if db == nil { // b.Run calls this once per b.N: build once
+				buildRecoveryDir(b, dir, n, 0, opts)
+				var err error
+				if db, err = Open(dir, opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := db.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pair")
+		})
+		if db != nil {
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // buildRecoveryDir writes a store of snapN pairs, checkpointed, followed by
 // tail point Puts of fresh keys, and closes it.
 func buildRecoveryDir(b *testing.B, dir string, snapN, tail int, opts []Option) {

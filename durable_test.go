@@ -1,6 +1,7 @@
 package pmago
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -491,9 +492,9 @@ func TestDurableUseAfterClosePanics(t *testing.T) {
 }
 
 // TestCompressedSnapshotInterop: snapshots are a representation-neutral
-// interchange format. A snapshot cut by a compressed store (which streams
-// its encoded blocks verbatim to disk) must reopen into an uncompressed
-// store, and vice versa, with identical content in both directions.
+// interchange format. A snapshot cut by a compressed store must reopen into
+// an uncompressed store, and vice versa, with identical content in both
+// directions.
 func TestCompressedSnapshotInterop(t *testing.T) {
 	dir := t.TempDir()
 	model := map[int64]int64{}
@@ -518,7 +519,7 @@ func TestCompressedSnapshotInterop(t *testing.T) {
 	if !db.Stats().Compression.Enabled {
 		t.Fatal("compressed store reports compression disabled")
 	}
-	if err := db.Snapshot(); err != nil { // cut via the encoded block fast path
+	if err := db.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -542,7 +543,7 @@ func TestCompressedSnapshotInterop(t *testing.T) {
 		model[k] = v
 	}
 	db2.Flush()
-	if err := db2.Snapshot(); err != nil { // pair-at-a-time snapshot path
+	if err := db2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db2.Close(); err != nil {
@@ -566,6 +567,50 @@ func TestCompressedSnapshotInterop(t *testing.T) {
 	}
 	if err := db3.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotLayoutNeutral: a checkpoint is one scan of the pairs, whatever
+// the chunk layout. The same pairs, spread over many segments, in a slot
+// store and a block store checkpoint to byte-identical snapshot files.
+func TestSnapshotLayoutNeutral(t *testing.T) {
+	const n = 20_000
+	rng := rand.New(rand.NewSource(11))
+	keys, vals := make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i], vals[i] = rng.Int63n(1<<40), rng.Int63n(1<<20)-(1<<19)
+	}
+	snap := func(opts ...Option) (name string, data []byte) {
+		dir := t.TempDir()
+		opts = append([]Option{WithFsync(FsyncNone), WithCompactRatio(0), withWALSegmentBytes(1 << 20)}, opts...)
+		db, err := Open(dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.PutBatch(keys, vals)
+		if err := db.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.pma"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("snapshot files %v, %v; want one", snaps, err)
+		}
+		data, err = os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Base(snaps[0]), data
+	}
+	slotName, slots := snap()
+	blockName, blocks := snap(WithCompressedChunks())
+	if slotName != blockName {
+		t.Fatalf("slot store wrote %s, block store %s", slotName, blockName)
+	}
+	if !bytes.Equal(slots, blocks) {
+		t.Fatalf("slot store wrote %d snapshot bytes, block store %d, and they differ", len(slots), len(blocks))
 	}
 }
 

@@ -29,8 +29,7 @@
 // values it keeps as byte ranges. The splices and the merge are canonical:
 // they store the shortest varints, the ones AppendBlock would store for the
 // edited pairs, and only move or copy the rest, so a block is byte-identical
-// to AppendBlock of its pairs however it came to hold them, and snapshots
-// may carry blocks verbatim.
+// to AppendBlock of its pairs however it came to hold them.
 // Seek shares the decoder's hardening; a seqlock reader that runs it on a
 // block mid-splice sees some mix of the bytes before and after the edit and
 // gets an error or an answer its version check throws away.
@@ -207,15 +206,4 @@ func grow(s []int64, n int) []int64 {
 		return s[:len(s)+n]
 	}
 	return append(s, make([]int64, n)...)
-}
-
-// BlockCount reads just the pair count from a block payload without
-// decoding the pairs — the cheap header peek framing layers use to account
-// pairs in pre-encoded blocks. The count is validated against maxPairs.
-func BlockCount(p []byte, maxPairs int) (int, error) {
-	c, un := binary.Uvarint(p)
-	if un <= 0 || c == 0 || c > uint64(maxPairs) {
-		return 0, ErrCount
-	}
-	return int(c), nil
 }

@@ -133,20 +133,6 @@ func TestMaxPairsBound(t *testing.T) {
 	}
 }
 
-func TestBlockCount(t *testing.T) {
-	enc := AppendBlock(nil, []int64{1, 2, 3}, []int64{0, 0, 0})
-	n, err := BlockCount(enc, 8)
-	if err != nil || n != 3 {
-		t.Fatalf("got %d, %v; want 3, nil", n, err)
-	}
-	if _, err := BlockCount(enc, 2); err != ErrCount {
-		t.Fatalf("count above maxPairs: got %v, want ErrCount", err)
-	}
-	if _, err := BlockCount(nil, 8); err != ErrCount {
-		t.Fatalf("empty: got %v, want ErrCount", err)
-	}
-}
-
 func BenchmarkDecodeBlock(b *testing.B) {
 	n := 1024
 	keys := make([]int64, n)

@@ -48,10 +48,10 @@ import (
 //   - spliceUpsert / spliceRemove: blocks only — edit one pair of a
 //     non-empty block in place (codec.Upsert / codec.Remove), moving bytes
 //     instead of re-encoding the segment. The splice writes what setSeg's
-//     encode would have, byte for byte, so a block's history does not show
-//     in ScanBlocks or a snapshot. Slots, empty segments and an insert into
-//     a full segment are the caller's view -> setSeg route, which is why both
-//     layouts still decide every rebalance alike.
+//     encode would have, byte for byte, so a block's bytes do not depend on
+//     its history. Slots, empty segments and an insert into a full segment
+//     are the caller's view -> setSeg route, which is why both layouts still
+//     decide every rebalance alike.
 //   - newPlan / fillSeg / install: build a fresh chunk segment by segment
 //     for the rebalancer and BulkLoad, and swap it into a gate.
 //
@@ -159,10 +159,6 @@ func (sc *cScratch) window(n int) (ks, vs []int64) {
 	return sc.mk[:0], sc.mv[:0]
 }
 
-// Compressed reports whether the store uses the compressed chunk
-// representation (Config.CompressedChunks).
-func (p *PMA) Compressed() bool { return p.cctx != nil }
-
 // compressionStats fills the snapshot's gauges for a block store; the
 // encoded-byte sum walks the live gates without latching them.
 func (p *PMA) compressionStats(s *Stats) {
@@ -247,9 +243,9 @@ func (g *gate) decodeSeg(s int, sc *cScratch) (ks, vs []int64, err error) {
 
 // checkStorage verifies the layout's own bookkeeping for Validate: empty
 // blocks hold no bytes, every other block is canonical — byte for byte
-// AppendBlock of its pairs, which ScanBlocks hands to snapshots verbatim and
-// the splices and merges keep by copying — and encBytes is the sum of the
-// payload lengths.
+// AppendBlock of its pairs, because the splices and MergeBlock edit a block
+// by copying its byte ranges and so keep whatever encoding they find — and
+// encBytes is the sum of the payload lengths.
 func (g *gate) checkStorage() error {
 	if g.cc == nil {
 		return nil

@@ -128,8 +128,8 @@ func TestCompressedBulkLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if !p.Compressed() {
-		t.Fatal("Compressed() = false")
+	if !p.Stats().Compression.Enabled {
+		t.Fatal("Stats().Compression.Enabled = false")
 	}
 	if p.Len() != n {
 		t.Fatalf("Len = %d, want %d", p.Len(), n)
@@ -153,72 +153,6 @@ func TestCompressedBulkLoad(t *testing.T) {
 	// raw bytes per pair of the uncompressed representation.
 	if bpp := float64(st.Compression.EncodedBytes) / float64(n); bpp > 8 {
 		t.Fatalf("%.2f bytes/pair, want <= 8", bpp)
-	}
-}
-
-// TestCompressedScanBlocks checks the snapshot fast path: the streamed
-// blocks decode back to exactly the store's content, in order, with
-// strictly ascending block first keys.
-func TestCompressedScanBlocks(t *testing.T) {
-	p := newTestC(t, ModeBatch)
-	rng := rand.New(rand.NewSource(3))
-	model := make(map[int64]int64)
-	for i := 0; i < 20_000; i++ {
-		k := rng.Int63n(1 << 40)
-		model[k] = int64(i)
-		p.Put(k, int64(i))
-	}
-	p.Flush()
-
-	var gotK, gotV []int64
-	prevFirst := int64(-1 << 62)
-	done := p.ScanBlocks(func(payload []byte, pairs int) bool {
-		ks, vs, err := codec.DecodeBlock(payload, nil, nil, pairs)
-		if err != nil {
-			t.Fatalf("block decode: %v", err)
-		}
-		if len(ks) != pairs {
-			t.Fatalf("block claims %d pairs, decoded %d", pairs, len(ks))
-		}
-		if ks[0] <= prevFirst {
-			t.Fatalf("block first keys not ascending: %d after %d", ks[0], prevFirst)
-		}
-		prevFirst = ks[0]
-		gotK = append(gotK, ks...)
-		gotV = append(gotV, vs...)
-		return true
-	})
-	if !done {
-		t.Fatal("ScanBlocks stopped early")
-	}
-	if len(gotK) != len(model) {
-		t.Fatalf("streamed %d pairs, model has %d", len(gotK), len(model))
-	}
-	for i, k := range gotK {
-		if i > 0 && k <= gotK[i-1] {
-			t.Fatalf("keys not ascending at %d", i)
-		}
-		if want, ok := model[k]; !ok || gotV[i] != want {
-			t.Fatalf("pair %d/%d, model %d,%v", k, gotV[i], want, ok)
-		}
-	}
-
-	// Early stop propagates.
-	calls := 0
-	if p.ScanBlocks(func([]byte, int) bool { calls++; return false }) {
-		t.Fatal("ScanBlocks did not report the early stop")
-	}
-	if calls != 1 {
-		t.Fatalf("fn called %d times after stopping, want 1", calls)
-	}
-}
-
-// TestCompressedScanBlocksEmpty: an empty compressed store streams zero
-// blocks and completes.
-func TestCompressedScanBlocksEmpty(t *testing.T) {
-	p := newTestC(t, ModeSync)
-	if !p.ScanBlocks(func([]byte, int) bool { t.Fatal("block from empty store"); return false }) {
-		t.Fatal("ScanBlocks returned false on empty store")
 	}
 }
 
@@ -632,8 +566,8 @@ func TestCompressedBatchMergesEncoded(t *testing.T) {
 
 // TestValidateRejectsPaddedBlock: a block that decodes to the right pairs
 // but is not what AppendBlock writes for them — here its count is padded to
-// two bytes — fails Validate, since snapshots stream blocks verbatim and the
-// merge copies their bytes.
+// two bytes — fails Validate, since the splices and the merge copy a block's
+// bytes and would carry the padding on.
 func TestValidateRejectsPaddedBlock(t *testing.T) {
 	p := newTestC(t, ModeSync)
 	for _, k := range []int64{3, 5, 7} {

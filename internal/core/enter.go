@@ -4,8 +4,7 @@ package core
 type latchMode int
 
 const (
-	latchShared    latchMode = iota // ScanBlocks (Get and Scan latch the gate they read themselves)
-	latchExclusive                  // synchronous updates and batch runs
+	latchExclusive latchMode = iota // synchronous updates and batch runs
 	latchCombine                    // a Section 3.5 writer: exclusive, or its op joins an open queue
 )
 
@@ -17,21 +16,21 @@ const (
 // the gate (read.go), the master latch-free (only it moves fences).
 func (st *state) route(key int64) int { return st.index.lookup(key) }
 
-// enter is the one way into a gate, the protocol of Section 3.2: look the key
-// up in the static index without synchronisation, latch the gate it names,
+// enter is the writers' way into a gate, the protocol of Section 3.2: look the
+// key up in the static index without synchronisation, latch the gate it names,
 // and verify under the latch that the gate is still part of the array and
 // that its fences cover the key — stepping to the neighbour when a racy index
 // read landed one off, reloading the state when a resize retired the gate. It
-// returns the current state and the gate that owns key, latched in the
-// requested mode; the caller releases it (unlockShared, or release for the
-// exclusive modes).
+// returns the current state and the gate that owns key, latched
+// exclusively; the caller releases it (release). Readers do not come this
+// way: Get, Scan and Validate latch the gates they read themselves.
 //
 // latchCombine is the writer's entry of Section 3.5: where the gate's
 // combining queue is open, o is appended to it instead and enter returns nil
 // gates — the queue's owner applies o. That append is the one step taken
 // without the latch, so without the fences: it is guarded by the state's
 // fence generation instead, sampled here before the lookup and compared
-// under the queue's mutex (lockOrCombine). The other modes ignore o.
+// under the queue's mutex (lockOrCombine). latchExclusive ignores o.
 func (p *PMA) enter(key int64, mode latchMode, o op) (*state, *gate) {
 	for {
 		st := p.state.Load()
@@ -40,12 +39,9 @@ func (p *PMA) enter(key int64, mode latchMode, o op) (*state, *gate) {
 	walk:
 		for {
 			g := st.gates[gi]
-			switch mode {
-			case latchShared:
-				g.lockShared()
-			case latchExclusive:
+			if mode == latchExclusive {
 				g.lockX()
-			default:
+			} else {
 				switch g.lockOrCombine(o, st, gen) {
 				case lockEnqueued:
 					p.metrics.CombinedOps.Inc()
@@ -59,11 +55,7 @@ func (p *PMA) enter(key int64, mode latchMode, o op) (*state, *gate) {
 			if !invalid && (key >= lo || gi == 0) && (key <= hi || gi == len(st.gates)-1) {
 				return st, g
 			}
-			if mode == latchShared {
-				g.unlockShared()
-			} else {
-				g.release()
-			}
+			g.release()
 			switch {
 			case invalid:
 				break walk // the array was resized: restart on the new state

@@ -5,30 +5,23 @@ import (
 	"testing"
 )
 
-// TestEnter drives the entry routine through its three latch modes. In each:
+// TestEnter drives the entry routine through its two latch modes. In each:
 // index separators stale in either direction still lead to the owning gate
-// (the fence walk), the version is odd exactly while an exclusive mode holds
-// the gate and untouched by the shared one, and a gate retired by a resize
-// sends the caller to the new state. Combine mode on a closed queue is an
-// exclusive acquisition (the cases above); on an open one the op is appended.
+// (the fence walk), the version is odd exactly while the caller holds the
+// gate, and a gate retired by a resize sends the caller to the new state.
+// Combine mode on a closed queue is an exclusive acquisition (the cases
+// above); on an open one the op is appended.
 func TestEnter(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mode latchMode
-	}{{"shared", latchShared}, {"exclusive", latchExclusive}, {"combine", latchCombine}} {
+	}{{"exclusive", latchExclusive}, {"combine", latchCombine}} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newTest(t, ModeBatch)
 			for k := int64(0); k < 400; k++ {
 				p.Put(k*10, k)
 			}
 			p.Flush()
-			leave := func(g *gate) {
-				if tc.mode == latchShared {
-					g.unlockShared()
-				} else {
-					g.release()
-				}
-			}
 			st := p.state.Load()
 			mid := len(st.gates) / 2
 			owner := st.gates[mid]
@@ -51,13 +44,10 @@ func TestEnter(t *testing.T) {
 				if gst != st || g != owner {
 					t.Fatalf("enter with gate %d's separator at %d arrived at %+v, want gate %d", stale.gate, stale.sep, g, mid)
 				}
-				switch v := owner.version.Load(); {
-				case tc.mode == latchShared && v != before:
-					t.Fatalf("version %d -> %d under the shared latch", before, v)
-				case tc.mode != latchShared && v != before+1:
+				if v := owner.version.Load(); v != before+1 {
 					t.Fatalf("version %d -> %d under an exclusive latch, want odd", before, v)
 				}
-				leave(g)
+				g.release()
 				if v := owner.version.Load(); v&1 != 0 {
 					t.Fatalf("version %d odd after the release", v)
 				}
@@ -108,7 +98,7 @@ func TestEnter(t *testing.T) {
 			if g == nil || g.invalid || g != grown.gates[g.idx] || key < g.fenceLo || key > g.fenceHi {
 				t.Fatalf("enter came back from a retired gate with %+v", g)
 			}
-			leave(g)
+			g.release()
 			if err := p.Validate(); err != nil {
 				t.Fatal(err)
 			}

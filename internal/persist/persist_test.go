@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"pmago/internal/codec"
 )
 
 // collect replays dir into a model map, the reference the WAL tests check
@@ -568,8 +566,7 @@ func TestWriteSnapshotIteratorErrorAborts(t *testing.T) {
 }
 
 // TestSnapshotWritersSameBytes pins the snapshot file format: for a fixed
-// pair set and block size, the pair writer and the pre-encoded block writer
-// produce byte-identical files, and those bytes hash to what the format has
+// pair set and block size, the writer's bytes hash to what the format has
 // always produced.
 func TestSnapshotWritersSameBytes(t *testing.T) {
 	const (
@@ -585,8 +582,8 @@ func TestSnapshotWritersSameBytes(t *testing.T) {
 	}
 	o := testOptions()
 	o.SnapshotBlockEntries = blockEntries
-	pairDir, blockDir := t.TempDir(), t.TempDir()
-	if _, _, err := WriteSnapshot(pairDir, 9, func(yield func(k, v int64) bool) error {
+	dir := t.TempDir()
+	if _, _, err := WriteSnapshot(dir, 9, func(yield func(k, v int64) bool) error {
 		for i := range keys {
 			if !yield(keys[i], vals[i]) {
 				break
@@ -596,27 +593,9 @@ func TestSnapshotWritersSameBytes(t *testing.T) {
 	}, o); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := WriteSnapshotBlocks(blockDir, 9, func(yield func(payload []byte, pairs int) bool) error {
-		for lo := 0; lo < len(keys); lo += blockEntries {
-			hi := min(lo+blockEntries, len(keys))
-			if !yield(codec.AppendBlock(nil, keys[lo:hi], vals[lo:hi]), hi-lo) {
-				break
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := os.ReadFile(filepath.Join(pairDir, snapName(9)))
+	pairs, err := os.ReadFile(filepath.Join(dir, snapName(9)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	blocks, err := os.ReadFile(filepath.Join(blockDir, snapName(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pairs, blocks) {
-		t.Fatalf("pair writer wrote %d bytes, block writer %d, and they differ", len(pairs), len(blocks))
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(pairs)); got != wantSHA256 {
 		t.Fatalf("snapshot file hashes to %s, want %s", got, wantSHA256)

@@ -25,8 +25,9 @@ import (
 // key gaps as plain uvarints, then the values as zigzag varints — see the
 // codec docs), the same encoding the core uses for compressed in-memory
 // chunks. A sorted int64 store snapshots at a few bytes per pair instead
-// of 16, and a compressed store can stream its segments into snapshot
-// blocks without ever decoding (WriteSnapshotBlocks).
+// of 16. Every store, whatever its chunk layout, is written the same way:
+// its pairs are scanned and re-cut into blocks of SnapshotBlockEntries
+// pairs, so the same content gives the same file.
 //
 // The file is written as snap-<seq>.pma.tmp, fsynced, then renamed: a
 // crash mid-snapshot leaves only a .tmp that recovery ignores. A snapshot
@@ -73,66 +74,16 @@ func listSnapshots(dir string) ([]uint64, error) {
 
 // WriteSnapshot streams the pairs produced by iter (which must yield
 // strictly increasing keys — a PMA scan does) into a durable snapshot file
-// covering WAL segments below walSeq. A non-nil error from iter — raised
-// after the scan, e.g. when the caller fails to sync the WAL records the
-// scan may have observed — aborts the snapshot before it is published.
-// It reports the pair count and the file size, the latter feeding the
-// compaction trigger.
+// covering WAL segments below walSeq: it creates snap-<walSeq>.pma.tmp,
+// writes the header, the block frames and the trailer, flushes, fsyncs,
+// closes and renames the file into place and syncs the directory. A non-nil
+// error from iter — raised after the scan, e.g. when the caller fails to
+// sync the WAL records the scan may have observed — aborts before the
+// trailer and rename: the temp file is removed and no checkpoint is
+// published. It reports the pair count and the file size, the latter
+// feeding the compaction trigger.
 func WriteSnapshot(dir string, walSeq uint64, iter func(yield func(k, v int64) bool) error, o Options) (count, size int64, err error) {
 	o = o.normalize()
-	return writeSnapshotFile(dir, walSeq, func(bw *bufio.Writer) (int64, error) {
-		var (
-			blockK  = make([]int64, 0, o.SnapshotBlockEntries)
-			blockV  = make([]int64, 0, o.SnapshotBlockEntries)
-			scratch []byte
-			count   int64
-			prev    int64
-			iterErr error
-		)
-		flush := func() error {
-			if len(blockK) == 0 {
-				return nil
-			}
-			scratch = encodeSnapBlock(scratch[:0], blockK, blockV)
-			blockK, blockV = blockK[:0], blockV[:0]
-			_, werr := bw.Write(scratch)
-			return werr
-		}
-		cbErr := iter(func(k, v int64) bool {
-			if count > 0 && k <= prev {
-				iterErr = fmt.Errorf("persist: snapshot iterator not strictly increasing at key %d", k)
-				return false
-			}
-			prev = k
-			count++
-			blockK = append(blockK, k)
-			blockV = append(blockV, v)
-			if len(blockK) >= o.SnapshotBlockEntries {
-				if werr := flush(); werr != nil {
-					iterErr = werr
-					return false
-				}
-			}
-			return true
-		})
-		if iterErr != nil {
-			return 0, iterErr
-		}
-		if cbErr != nil {
-			return 0, cbErr
-		}
-		return count, flush()
-	})
-}
-
-// writeSnapshotFile is the one snapshot file writer: it creates the temp
-// file, writes the header, lets body write the block frames and report the
-// pair count, then writes the trailer, flushes, fsyncs, closes and renames
-// the file into place and syncs the directory. An error from body — an
-// iterator failure, e.g. the caller could not make the scanned state
-// durable — aborts before the trailer and rename: the temp file is removed
-// and no checkpoint is published.
-func writeSnapshotFile(dir string, walSeq uint64, body func(bw *bufio.Writer) (int64, error)) (count, size int64, err error) {
 	tmp := filepath.Join(dir, snapName(walSeq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -149,9 +100,48 @@ func writeSnapshotFile(dir string, walSeq uint64, body func(bw *bufio.Writer) (i
 	if _, err = bw.Write(header); err != nil {
 		return 0, 0, err
 	}
-	if count, err = body(bw); err != nil {
+
+	var (
+		blockK  = make([]int64, 0, o.SnapshotBlockEntries)
+		blockV  = make([]int64, 0, o.SnapshotBlockEntries)
+		scratch []byte
+		prev    int64
+	)
+	flush := func() error {
+		if len(blockK) == 0 {
+			return nil
+		}
+		scratch = encodeSnapBlock(scratch[:0], blockK, blockV)
+		blockK, blockV = blockK[:0], blockV[:0]
+		_, werr := bw.Write(scratch)
+		return werr
+	}
+	cbErr := iter(func(k, v int64) bool {
+		if count > 0 && k <= prev {
+			err = fmt.Errorf("persist: snapshot iterator not strictly increasing at key %d", k)
+			return false
+		}
+		prev = k
+		count++
+		blockK = append(blockK, k)
+		blockV = append(blockV, v)
+		if len(blockK) >= o.SnapshotBlockEntries {
+			if err = flush(); err != nil {
+				return false
+			}
+		}
+		return true
+	})
+	if err != nil {
 		return 0, 0, err
 	}
+	if err = cbErr; err != nil {
+		return 0, 0, err
+	}
+	if err = flush(); err != nil {
+		return 0, 0, err
+	}
+
 	trailer := make([]byte, 0, 13)
 	trailer = append(trailer, frameTrailer)
 	trailer = binary.LittleEndian.AppendUint64(trailer, uint64(count))
@@ -188,68 +178,6 @@ func encodeSnapBlock(b []byte, keys, vals []int64) []byte {
 	binary.LittleEndian.PutUint32(b[start+1:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[start+5:], crc32.Checksum(payload, crcTable))
 	return b
-}
-
-// appendRawBlock frames an already-encoded codec block payload — the
-// compressed store's snapshot fast path, which never decodes its segments.
-func appendRawBlock(b, payload []byte) []byte {
-	b = append(b, frameBlock, 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(b[len(b)-8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(payload, crcTable))
-	return append(b, payload...)
-}
-
-// WriteSnapshotBlocks is WriteSnapshot for a store whose chunks are already
-// codec-encoded: iter yields whole block payloads (with their pair counts)
-// instead of pairs, and each payload is framed and checksummed as-is — the
-// pairs are never decoded on the way to disk. Payloads must be valid codec
-// blocks in ascending key order; each block's header is re-parsed here so a
-// corrupt count or out-of-order first key aborts the snapshot rather than
-// publishing a checkpoint recovery would then reject wholesale.
-func WriteSnapshotBlocks(dir string, walSeq uint64, iter func(yield func(payload []byte, pairs int) bool) error) (count, size int64, err error) {
-	return writeSnapshotFile(dir, walSeq, func(bw *bufio.Writer) (int64, error) {
-		var (
-			scratch   []byte
-			count     int64
-			prevFirst int64
-			iterErr   error
-		)
-		cbErr := iter(func(payload []byte, pairs int) bool {
-			c, cerr := codec.BlockCount(payload, maxRecordBytes/2)
-			if cerr != nil || c != pairs {
-				iterErr = fmt.Errorf("persist: snapshot block header disagrees with caller: %d pairs claimed", pairs)
-				return false
-			}
-			first, ok := blockFirstKey(payload)
-			if !ok || (count > 0 && first <= prevFirst) {
-				iterErr = fmt.Errorf("persist: snapshot blocks not in ascending key order")
-				return false
-			}
-			prevFirst = first
-			count += int64(pairs)
-			scratch = appendRawBlock(scratch[:0], payload)
-			if _, werr := bw.Write(scratch); werr != nil {
-				iterErr = werr
-				return false
-			}
-			return true
-		})
-		if iterErr != nil {
-			return 0, iterErr
-		}
-		return count, cbErr
-	})
-}
-
-// blockFirstKey peeks a codec block's first key without decoding the pairs:
-// the cheap cross-block ordering check WriteSnapshotBlocks runs per block.
-func blockFirstKey(p []byte) (int64, bool) {
-	_, un := binary.Uvarint(p)
-	if un <= 0 {
-		return 0, false
-	}
-	k, vn := binary.Varint(p[un:])
-	return k, vn > 0
 }
 
 // LoadSnapshot reads and fully validates a snapshot file, returning its
