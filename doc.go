@@ -53,9 +53,11 @@
 // Open turns the in-memory PMA into a durable store: every update is
 // appended to a write-ahead log in the store's directory before it is
 // applied, Snapshot checkpoints a consistent scan into a delta-encoded,
-// checksummed file, and the next Open recovers by bulk-loading the newest
-// valid snapshot and replaying the WAL tail (truncating a record torn by a
-// crash mid-append). Which acknowledged writes survive a crash depends on
+// checksummed file, and the next Open recovers with one bulk load: the
+// WAL tail (less a record torn by a crash mid-append, which is truncated)
+// is folded into the newest valid snapshot's sorted pairs, each key taking
+// its last logged update, and the result is loaded in one pass. Which
+// acknowledged writes survive a crash depends on
 // the fsync policy (WithFsync):
 //
 //   - FsyncAlways (default): every write that returned is on stable

@@ -83,14 +83,16 @@ type DB struct {
 }
 
 // Open opens (creating it if necessary) a durable PMA rooted at dir.
-// Recovery runs first: the newest checksum-valid snapshot is bulk-loaded
-// in one pass and the write-ahead-log tail is replayed on top, truncating
-// a torn final record if a crash cut an append short. In-memory options
-// (mode, geometry, ...) apply as in New; WithFsync and WithCompactRatio
-// tune the durability layer. Topology options (WithShards, ...) are
-// rejected with an error — use OpenSharded. A directory is owned by at
-// most one open DB at a time, enforced with an advisory flock (on unix): a
-// second Open fails instead of corrupting the live owner's files.
+// Recovery runs first and is one bulk load: the newest checksum-valid
+// snapshot is read, the write-ahead-log tail after it is read (truncating a
+// torn final record if a crash cut an append short), each key's last update
+// in the tail is merged into the snapshot's sorted pairs, and the result is
+// bulk-loaded in one pass. In-memory options (mode, geometry, ...) apply as
+// in New; WithFsync and WithCompactRatio tune the durability layer.
+// Topology options (WithShards, ...) are rejected with an error — use
+// OpenSharded. A directory is owned by at most one open DB at a time,
+// enforced with an advisory flock (on unix): a second Open fails instead of
+// corrupting the live owner's files.
 func Open(dir string, opts ...Option) (*DB, error) {
 	cfg, err := resolveOptions("Open", opts, true, false)
 	if err != nil {
@@ -110,41 +112,18 @@ func openDB(dir string, cfg config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	var c *core.PMA
-	var (
-		start     = time.Now()
-		loadDone  time.Time
-		snapPairs int
-		walRecs   int64
-	)
-	rec, err := persist.Recover(dir,
-		func(keys, vals []int64) error {
-			var err error
-			c, err = core.BulkLoad(cfg.core, keys, vals)
-			snapPairs = len(keys)
-			loadDone = time.Now()
-			return err
-		},
-		func(r *persist.Record) error {
-			walRecs++
-			applyRecord(c, r)
-			return nil
-		})
+	rec, err := persist.Recover(dir)
 	if err != nil {
-		if c != nil {
-			c.Close()
-		}
 		unlock()
 		return nil, err
 	}
-	// Replayed updates may sit in combining queues or deferred batches
-	// (TDelay); drain them so the store Open returns is fully caught up.
-	c.Flush()
-	// Phase split: everything until the bulk load returned is "snapshot
-	// load"; the rest — replaying the tail and flushing the queues it
-	// filled — is "WAL replay".
-	snapLoad := loadDone.Sub(start)
-	walReplay := time.Since(start) - snapLoad
+	t0 := time.Now()
+	c, err := core.BulkLoad(cfg.core, rec.Keys, rec.Vals)
+	if err != nil {
+		unlock()
+		return nil, err
+	}
+	snapLoad := rec.SnapshotLoad + time.Since(t0)
 	log, err := persist.OpenLog(dir, rec.NextSeq, cfg.dur)
 	if err != nil {
 		c.Close()
@@ -155,41 +134,26 @@ func openDB(dir string, cfg config) (*DB, error) {
 		events: cfg.dur.Events}
 	db.recovery = obs.RecoverySnapshot{
 		Recoveries:        1,
-		SnapshotPairs:     uint64(snapPairs),
+		SnapshotPairs:     uint64(rec.SnapshotPairs),
 		SnapshotBytes:     uint64(rec.SnapshotBytes),
 		SnapshotLoadNanos: uint64(snapLoad),
-		WALRecords:        uint64(walRecs),
-		WALReplayNanos:    uint64(walReplay),
+		WALRecords:        uint64(rec.WALRecords),
+		WALReplayNanos:    uint64(rec.WALReplay),
 	}
 	db.snapBytes.Store(rec.SnapshotBytes)
 	if h := db.events; h != nil {
 		h.OnRecovery(obs.RecoveryEvent{
-			SnapshotPairs: int64(snapPairs),
+			SnapshotPairs: int64(rec.SnapshotPairs),
 			SnapshotBytes: rec.SnapshotBytes,
 			SnapshotLoad:  snapLoad,
-			WALRecords:    walRecs,
-			WALReplay:     walReplay,
+			WALRecords:    rec.WALRecords,
+			WALReplay:     rec.WALReplay,
 		})
 	}
-	// Install the write-ahead hook only now: replay above must not re-log
-	// the records it applies.
+	// Install the write-ahead hook only now, on a store that already holds
+	// what the files hold.
 	c.SetHook(walHook{db})
 	return db, nil
-}
-
-// applyRecord replays one WAL record through the ordinary update paths;
-// batch records re-sort and re-dedup exactly as the original call did.
-func applyRecord(c *core.PMA, r *persist.Record) {
-	switch r.Kind {
-	case persist.KindPut:
-		c.Put(r.Keys[0], r.Vals[0])
-	case persist.KindDelete:
-		c.Delete(r.Keys[0])
-	case persist.KindPutBatch:
-		c.PutBatch(r.Keys, r.Vals)
-	case persist.KindDeleteBatch:
-		c.DeleteBatch(r.Keys)
-	}
 }
 
 // walHook implements core.UpdateHook: it runs at the top of every update,

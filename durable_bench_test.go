@@ -2,6 +2,7 @@ package pmago
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -17,46 +18,55 @@ func benchKey(i uint64) int64 {
 	return int64((z ^ (z >> 31)) >> 2)
 }
 
-// BenchmarkOpen prices recovery: Open of a closed FsyncNone store holding a
-// 2^20-pair snapshot and a WAL tail of point Puts of fresh keys, in both
-// chunk layouts (slots, and compressed blocks). ns/op is the whole Open;
-// ns/record is the replay phase alone (Stats().Recovery) per replayed
-// record. Every iteration reopens the same files: the empty segment each
-// Open leaves behind is removed before the next. -short stops the tail at
-// 2^18.
+// BenchmarkOpen prices recovery: reopening a closed FsyncNone store holding
+// a 2^20-pair snapshot and a WAL tail of point Puts of fresh keys, in both
+// chunk layouts (slots, and compressed blocks) and as a 4-shard store of
+// slots (sharded, whose shards recover in parallel). Recovery reads the
+// snapshot and the tail, folds the tail into the snapshot's pairs and
+// bulk-loads the result once. ns/op and B/op are the whole Open. From
+// Stats().Recovery, summed over shards: load-ns/op is the snapshot load
+// phase (reading the snapshot, and the one bulk load), ns/record the WAL
+// replay phase (reading the tail and folding it in) per tail record. Every
+// iteration reopens the same files: the empty segments each Open leaves
+// behind are removed before the next. -short stops the tail at 2^18.
 func BenchmarkOpen(b *testing.B) {
 	const snapN = 1 << 20
 	tails := []int{0, 1 << 18, 1 << 20, 1 << 22}
 	if testing.Short() {
 		tails = tails[:2]
 	}
-	layouts := []struct {
+	base := []Option{WithFsync(FsyncNone), WithCompactRatio(0)}
+	stores := []struct {
 		name string
-		opts []Option
+		open durableOpener
 	}{
-		{"slots", nil},
-		{"blocks", []Option{WithCompressedChunks()}},
+		{"slots", openWith(base...)},
+		{"blocks", openWith(append(base, WithCompressedChunks())...)},
+		{"sharded", func(dir string) (DurableStore, error) {
+			return OpenSharded(dir, append(base, WithShards(4))...)
+		}},
 	}
-	for _, layout := range layouts {
-		opts := append([]Option{WithFsync(FsyncNone), WithCompactRatio(0)}, layout.opts...)
+	for _, store := range stores {
 		for _, tail := range tails {
 			dir := b.TempDir()
 			built := false
-			b.Run(fmt.Sprintf("%s/tail=%d", layout.name, tail), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/tail=%d", store.name, tail), func(b *testing.B) {
 				if !built { // b.Run calls this once per b.N: build once
-					buildRecoveryDir(b, dir, snapN, tail, opts)
+					buildRecoveryDir(b, dir, snapN, tail, store.open)
 					built = true
 				}
-				keep := dirNames(b, dir)
-				var replayNanos, records uint64
+				keep := dirFiles(b, dir)
+				var loadNanos, replayNanos, records uint64
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					db, err := Open(dir, opts...)
+					db, err := store.open(dir)
 					if err != nil {
 						b.Fatal(err)
 					}
 					b.StopTimer()
 					rec := db.Stats().Recovery
+					loadNanos += rec.SnapshotLoadNanos
 					replayNanos += rec.WALReplayNanos
 					records += rec.WALRecords
 					if n := db.Len(); n != snapN+tail {
@@ -65,16 +75,17 @@ func BenchmarkOpen(b *testing.B) {
 					if err := db.Close(); err != nil {
 						b.Fatal(err)
 					}
-					for name := range dirNames(b, dir) {
-						if keep[name] {
+					for path := range dirFiles(b, dir) {
+						if keep[path] {
 							continue
 						}
-						if err := os.Remove(filepath.Join(dir, name)); err != nil {
+						if err := os.Remove(path); err != nil {
 							b.Fatal(err)
 						}
 					}
 					b.StartTimer()
 				}
+				b.ReportMetric(float64(loadNanos)/float64(b.N), "load-ns/op")
 				if records > 0 {
 					b.ReportMetric(float64(replayNanos)/float64(records), "ns/record")
 				}
@@ -82,6 +93,14 @@ func BenchmarkOpen(b *testing.B) {
 			os.RemoveAll(dir)
 		}
 	}
+}
+
+// durableOpener opens (creating it if necessary) the store in dir.
+type durableOpener func(dir string) (DurableStore, error)
+
+// openWith opens a DB with opts.
+func openWith(opts ...Option) durableOpener {
+	return func(dir string) (DurableStore, error) { return Open(dir, opts...) }
 }
 
 // BenchmarkSnapshot prices a checkpoint: Snapshot of an open FsyncNone store
@@ -108,7 +127,7 @@ func BenchmarkSnapshot(b *testing.B) {
 		var db *DB
 		b.Run(fmt.Sprintf("%s/pairs=%d", layout.name, n), func(b *testing.B) {
 			if db == nil { // b.Run calls this once per b.N: build once
-				buildRecoveryDir(b, dir, n, 0, opts)
+				buildRecoveryDir(b, dir, n, 0, openWith(opts...))
 				var err error
 				if db, err = Open(dir, opts...); err != nil {
 					b.Fatal(err)
@@ -132,8 +151,8 @@ func BenchmarkSnapshot(b *testing.B) {
 
 // buildRecoveryDir writes a store of snapN pairs, checkpointed, followed by
 // tail point Puts of fresh keys, and closes it.
-func buildRecoveryDir(b *testing.B, dir string, snapN, tail int, opts []Option) {
-	db, err := Open(dir, opts...)
+func buildRecoveryDir(b *testing.B, dir string, snapN, tail int, open durableOpener) {
+	db, err := open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -158,16 +177,19 @@ func buildRecoveryDir(b *testing.B, dir string, snapN, tail int, opts []Option) 
 	}
 }
 
-func dirNames(b *testing.B, dir string) map[string]bool {
-	ents, err := os.ReadDir(dir)
+// dirFiles lists the paths of the files under dir.
+func dirFiles(b *testing.B, dir string) map[string]bool {
+	files := map[string]bool{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files[path] = true
+		}
+		return err
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	names := make(map[string]bool, len(ents))
-	for _, e := range ents {
-		names[e.Name()] = true
-	}
-	return names
+	return files
 }
 
 // BenchmarkDurablePut prices a point Put of a fresh key into a durable store

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // quickOps is a generated random operation sequence.
@@ -32,8 +33,12 @@ func (quickOps) Generate(r *rand.Rand, size int) reflect.Value {
 
 // TestQuickModelEquivalence: after any op sequence (in any mode, flushed),
 // the concurrent PMA equals a model map, in sorted order, with every
-// structural invariant intact.
+// structural invariant intact. The generator's seed is logged and named on
+// failure: the same seed regenerates the same op sequences (their
+// interleaving with the store's goroutines is the scheduler's).
 func TestQuickModelEquivalence(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
 	property := func(q quickOps) bool {
 		p, err := New(testConfig(q.mode))
 		if err != nil {
@@ -76,8 +81,8 @@ func TestQuickModelEquivalence(t *testing.T) {
 		})
 		return ok && i == len(want)
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+	if err := quick.Check(property, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 

@@ -39,11 +39,11 @@ type CompactionEvent struct {
 
 // RecoveryEvent describes one completed Open() restore.
 type RecoveryEvent struct {
-	SnapshotPairs int64 // pairs bulk-loaded from the snapshot
+	SnapshotPairs int64 // pairs in the snapshot
 	SnapshotBytes int64
-	SnapshotLoad  time.Duration // snapshot read + bulk load
-	WALRecords    int64         // records replayed from the log tail
-	WALReplay     time.Duration // replay + index flush
+	SnapshotLoad  time.Duration // snapshot read + the one bulk load
+	WALRecords    int64         // records in the log tail
+	WALReplay     time.Duration // tail read + fold into the snapshot's pairs
 }
 
 // FsyncStallEvent reports a File.Sync that exceeded the configured stall

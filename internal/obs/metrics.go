@@ -261,12 +261,16 @@ func (s CheckpointSnapshot) merge(o CheckpointSnapshot) CheckpointSnapshot {
 // suffice; a sharded store's sections sum across shards (Recoveries then
 // counts the shards).
 type RecoverySnapshot struct {
-	Recoveries        uint64 `json:"recoveries"`
-	SnapshotPairs     uint64 `json:"snapshot_pairs"`
-	SnapshotBytes     uint64 `json:"snapshot_bytes"`
+	Recoveries    uint64 `json:"recoveries"`
+	SnapshotPairs uint64 `json:"snapshot_pairs"` // pairs in the snapshot
+	SnapshotBytes uint64 `json:"snapshot_bytes"`
+	// SnapshotLoadNanos times reading the snapshot plus the one BulkLoad
+	// of the recovered pairs.
 	SnapshotLoadNanos uint64 `json:"snapshot_load_nanos"`
-	WALRecords        uint64 `json:"wal_records"`
-	WALReplayNanos    uint64 `json:"wal_replay_nanos"`
+	WALRecords        uint64 `json:"wal_records"` // records in the WAL tail
+	// WALReplayNanos times reading the WAL tail and folding it into the
+	// snapshot's pairs.
+	WALReplayNanos uint64 `json:"wal_replay_nanos"`
 }
 
 func (s RecoverySnapshot) merge(o RecoverySnapshot) RecoverySnapshot {

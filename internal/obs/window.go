@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// DefaultWindowInterval is the trailing interval a zero-value Window covers.
+// DefaultWindowInterval is the trailing interval every Window covers.
 const DefaultWindowInterval = 10 * time.Second
 
 // winSlots is the sub-window count of a Window: the trailing interval is
@@ -15,6 +15,9 @@ const DefaultWindowInterval = 10 * time.Second
 // the roll-off (old observations leave one slot at a time); eight keeps the
 // footprint small while the newest ~7/8 of the interval is always covered.
 const winSlots = 8
+
+// winSlotNanos is the width of one slot.
+const winSlotNanos = int64(DefaultWindowInterval / winSlots)
 
 // winSlot is one sub-window: a Histogram plus the absolute slot number it
 // currently holds. id publishes slot+1 (0 = never used); claim is the
@@ -32,8 +35,7 @@ type winSlot struct {
 // answer "since the process started". ObserveAt is allocation-free — plain
 // atomics, like Counter and Histogram — and takes the clock reading from
 // the caller, which already holds one for the duration it records. The
-// zero value is ready to use with DefaultWindowInterval; NewWindow picks
-// another interval.
+// zero value is ready to use and covers DefaultWindowInterval.
 //
 // Consistency: each sub-window is monotonic under concurrent observes but a
 // snapshot is not a consistent cut, and an observe that is a whole lap late
@@ -43,36 +45,19 @@ type winSlot struct {
 // Observes racing an ordinary rotation are never lost. Quantiles interpolate within log2 buckets, so they carry the
 // buckets' relative error (below ~41% of the value, typically far less).
 type Window struct {
-	interval time.Duration // immutable after construction; zero = default
-	slots    [winSlots]winSlot
-}
-
-// NewWindow returns a Window covering the trailing interval (0 or negative
-// selects DefaultWindowInterval).
-func NewWindow(interval time.Duration) *Window {
-	if interval <= 0 {
-		interval = DefaultWindowInterval
-	}
-	return &Window{interval: interval}
-}
-
-func (w *Window) span() time.Duration {
-	if w.interval <= 0 {
-		return DefaultWindowInterval
-	}
-	return w.interval
+	slots [winSlots]winSlot
 }
 
 // slotOf is the absolute slot number of a clock reading (negative clamps
 // to slot 0).
-func (w *Window) slotOf(now int64) int64 {
-	return max(now, 0) / (int64(w.span()) / winSlots)
+func slotOf(now int64) int64 {
+	return max(now, 0) / winSlotNanos
 }
 
 // ObserveAt records v at the clock reading now (Unix nanoseconds), which
 // picks the sub-window.
 func (w *Window) ObserveAt(now int64, v uint64) {
-	slot := w.slotOf(now)
+	slot := slotOf(now)
 	s := &w.slots[uint64(slot)%winSlots]
 	s.rotate(slot + 1)
 	s.h.Observe(v)
@@ -117,7 +102,7 @@ func (w *Window) Snapshot() WindowSnapshot {
 // SnapshotAt folds the slots still inside the trailing interval at the
 // clock reading now into a WindowSnapshot with precomputed quantiles.
 func (w *Window) SnapshotAt(now int64) WindowSnapshot {
-	cur := w.slotOf(now)
+	cur := slotOf(now)
 	var t tally
 	for i := range w.slots {
 		s := &w.slots[i]
@@ -125,7 +110,7 @@ func (w *Window) SnapshotAt(now int64) WindowSnapshot {
 			t.add(&s.h)
 		}
 	}
-	ws := WindowSnapshot{Distribution: t.dist(), IntervalNanos: uint64(w.span())}
+	ws := WindowSnapshot{Distribution: t.dist(), IntervalNanos: uint64(DefaultWindowInterval)}
 	ws.fillQuantiles()
 	return ws
 }

@@ -16,7 +16,7 @@ import (
 // snapshot. Run under -race this also proves the rotation latch is
 // data-race-free.
 func TestWindowRotationConcurrentFakeClock(t *testing.T) {
-	w := NewWindow(8000 * time.Nanosecond) // 1000ns slots
+	var w Window
 	var clk atomic.Int64
 
 	const (
@@ -31,7 +31,7 @@ func TestWindowRotationConcurrentFakeClock(t *testing.T) {
 		defer wg.Done()
 		for i := 1; i <= steps; i++ {
 			time.Sleep(200 * time.Microsecond)
-			clk.Store(int64(i) * 1000)
+			clk.Store(int64(i) * winSlotNanos)
 		}
 		close(stop)
 	}()
@@ -73,23 +73,24 @@ func TestWindowRotationConcurrentFakeClock(t *testing.T) {
 // the clock moves a full interval past them, and that a slot is cleanly
 // reused on its next lap.
 func TestWindowExpiry(t *testing.T) {
-	w := NewWindow(8000 * time.Nanosecond)
+	var w Window
+	const slot = winSlotNanos
 
-	w.ObserveAt(0, 100)    // slot 0
-	w.ObserveAt(3000, 200) // slot 3
-	if got := w.SnapshotAt(3000).Count; got != 2 {
+	w.ObserveAt(0, 100)      // slot 0
+	w.ObserveAt(3*slot, 200) // slot 3
+	if got := w.SnapshotAt(3 * slot).Count; got != 2 {
 		t.Fatalf("count before expiry = %d, want 2", got)
 	}
 
 	// Move past slot 0's coverage (snapshot keeps slots [cur-7, cur]).
-	ws := w.SnapshotAt(9000) // cur slot 9, oldest kept = 2
+	ws := w.SnapshotAt(9 * slot) // cur slot 9, oldest kept = 2
 	if ws.Count != 1 || ws.Sum != 200 {
 		t.Fatalf("after expiry: count=%d sum=%d, want 1/200", ws.Count, ws.Sum)
 	}
 
 	// Lap onto slot 0's ring position (slot 8): old contents must clear.
-	w.ObserveAt(8000, 300)
-	ws = w.SnapshotAt(9000)
+	w.ObserveAt(8*slot, 300)
+	ws = w.SnapshotAt(9 * slot)
 	if ws.Count != 2 || ws.Sum != 500 {
 		t.Fatalf("after lap: count=%d sum=%d, want 2/500", ws.Count, ws.Sum)
 	}
@@ -105,7 +106,7 @@ func TestWindowQuantileEdges(t *testing.T) {
 		t.Fatalf("empty window quantiles = %v/%v/%v, want all 0", ws.P50, ws.P99, ws.P999)
 	}
 
-	single := NewWindow(time.Second)
+	var single Window
 	for i := 0; i < 100; i++ {
 		single.ObserveAt(0, 100) // all in bucket (64,127]
 	}
@@ -117,7 +118,7 @@ func TestWindowQuantileEdges(t *testing.T) {
 		t.Fatalf("p999 %v exceeds max %d", ws.P999, ws.Max)
 	}
 
-	zeros := NewWindow(time.Second)
+	var zeros Window
 	for i := 0; i < 10; i++ {
 		zeros.ObserveAt(0, 0)
 	}
@@ -126,7 +127,7 @@ func TestWindowQuantileEdges(t *testing.T) {
 		t.Fatalf("all-zero quantiles = %v/%v max %d, want 0", ws.P50, ws.P999, ws.Max)
 	}
 
-	mixed := NewWindow(time.Second)
+	var mixed Window
 	for i := uint64(1); i <= 1000; i++ {
 		mixed.ObserveAt(0, i)
 	}
@@ -184,8 +185,7 @@ func TestHistogramMaxClampRegression(t *testing.T) {
 // TestWindowSnapshotMerge checks the sharded-store fold: counts merge
 // exactly and quantiles are recomputed from merged buckets.
 func TestWindowSnapshotMerge(t *testing.T) {
-	a := NewWindow(time.Second)
-	b := NewWindow(time.Second)
+	var a, b Window
 	for i := 0; i < 100; i++ {
 		a.ObserveAt(0, 10)
 		b.ObserveAt(0, 1000)
@@ -308,7 +308,7 @@ func TestTraceSnapshot(t *testing.T) {
 // zero-allocation contract: window observes, trace records, and slow-ring
 // captures must all run without allocating.
 func TestTraceRecordDoesNotAllocate(t *testing.T) {
-	w := NewWindow(time.Second)
+	var w Window
 	now := time.Now().UnixNano()
 	if n := testing.AllocsPerRun(1000, func() { w.ObserveAt(now, 123) }); n != 0 {
 		t.Fatalf("Window.ObserveAt allocates %v/op", n)

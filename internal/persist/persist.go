@@ -15,13 +15,16 @@
 // streamed into blocks of delta-encoded key/value pairs, written to a
 // temporary file and atomically renamed; its header names the WAL segment
 // recovery must replay from, so finishing a snapshot makes every older
-// segment garbage (log truncation). Recovery finds the newest snapshot that
-// passes all its checksums, bulk-loads it, and replays the WAL tail,
-// truncating a torn final record where a crash cut an append short.
+// segment garbage (log truncation). Recovery (Recover) finds the newest
+// snapshot that passes all its checksums, reads the WAL tail after it —
+// truncating a torn final record where a crash cut an append short — and
+// folds the tail into the snapshot's sorted pairs: each key keeps its last
+// update in log order, deleted keys drop out.
 //
 // The package is deliberately independent of the PMA: it moves int64 pairs
-// and opaque op records. pmago.Open owns the glue — it implements
-// core.UpdateHook with Log appends and feeds LoadSnapshot into BulkLoad.
+// and op records. pmago.Open owns the glue — it bulk-loads the pairs
+// Recover returns in one pass and implements core.UpdateHook with Log
+// appends; it never sees a record.
 package persist
 
 import (

@@ -381,26 +381,17 @@ func TestRecoverPicksNewestValidSnapshot(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var tail []Record
-	var loadedK, loadedV []int64
-	rec, err := Recover(dir, func(keys, vals []int64) error {
-		loadedK, loadedV = keys, vals
-		return nil
-	}, func(r *Record) error {
-		tail = append(tail, Record{Kind: r.Kind, Keys: append([]int64(nil), r.Keys...), Vals: append([]int64(nil), r.Vals...)})
-		return nil
-	})
+	rec, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loadedK) != 1 || loadedK[0] != 1 || loadedV[0] != 100 {
-		t.Fatalf("expected fallback snapshot contents, got keys=%v vals=%v", loadedK, loadedV)
+	// The fallback snapshot's {1: 100} with the 1-record tail folded in.
+	if !reflect.DeepEqual(rec.Keys, []int64{1, 9}) || !reflect.DeepEqual(rec.Vals, []int64{100, 9}) {
+		t.Fatalf("recovered keys=%v vals=%v, want [1 9] / [100 9]", rec.Keys, rec.Vals)
 	}
-	if len(tail) != 1 || tail[0].Keys[0] != 9 {
-		t.Fatalf("expected WAL tail replay of 1 record, got %v", tail)
-	}
-	if rec.NextSeq != 3 {
-		t.Fatalf("NextSeq %d, want 3", rec.NextSeq)
+	if rec.SnapshotPairs != 1 || rec.WALRecords != 1 || rec.NextSeq != 3 {
+		t.Fatalf("SnapshotPairs %d, WALRecords %d, NextSeq %d; want 1, 1, 3",
+			rec.SnapshotPairs, rec.WALRecords, rec.NextSeq)
 	}
 }
 
@@ -435,7 +426,7 @@ func TestRecoverRefusesWhenOnlySnapshotInvalid(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir, func(_, _ []int64) error { return nil }, func(*Record) error { return nil }); err == nil {
+	if _, err := Recover(dir); err == nil {
 		t.Fatal("Recover accepted a store whose only snapshot is corrupt")
 	}
 	// Same refusal when the snapshot file is gone entirely but the WAL
@@ -443,7 +434,7 @@ func TestRecoverRefusesWhenOnlySnapshotInvalid(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir, func(_, _ []int64) error { return nil }, func(*Record) error { return nil }); err == nil {
+	if _, err := Recover(dir); err == nil {
 		t.Fatal("Recover accepted a WAL that starts past segment 1 with no snapshot")
 	}
 }
@@ -477,7 +468,7 @@ func TestRecoverRefusesFallbackPastTruncatedSegments(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir, func(_, _ []int64) error { return nil }, func(*Record) error { return nil }); err == nil {
+	if _, err := Recover(dir); err == nil {
 		t.Fatal("Recover silently skipped truncated WAL segments")
 	}
 }
@@ -530,16 +521,12 @@ func TestAppendBatchChunksOversized(t *testing.T) {
 
 func TestRecoverFreshDir(t *testing.T) {
 	dir := t.TempDir()
-	loaded := -1
-	rec, err := Recover(dir, func(keys, _ []int64) error {
-		loaded = len(keys)
-		return nil
-	}, func(*Record) error { return nil })
+	rec, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded != 0 || rec.NextSeq != 1 {
-		t.Fatalf("fresh dir: loaded=%d nextSeq=%d", loaded, rec.NextSeq)
+	if len(rec.Keys) != 0 || rec.NextSeq != 1 {
+		t.Fatalf("fresh dir: recovered %d pairs, nextSeq=%d", len(rec.Keys), rec.NextSeq)
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 //	KindPutBatch:    count, then count keys, then count vals
 //	KindDeleteBatch: count, then count keys
 //
-// Batch records keep the caller's original order and duplicates — replay
-// re-applies them through the same batch entry points, which sort and
-// last-wins-dedup exactly as the original call did. The frame CRC is what
+// Batch records keep the caller's original order and duplicates; recovery
+// lets the last of a key's duplicates win, as the batch call did. The
+// frame CRC is what
 // lets recovery distinguish a torn append (garbage tail) from a valid
 // record; the length field is additionally sanity-bounded so a corrupt
 // length cannot make the reader allocate gigabytes.

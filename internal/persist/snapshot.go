@@ -7,7 +7,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"time"
 
 	"pmago/internal/codec"
 )
@@ -182,7 +184,7 @@ func encodeSnapBlock(b []byte, keys, vals []int64) []byte {
 
 // LoadSnapshot reads and fully validates a snapshot file, returning its
 // sorted pairs and the WAL segment recovery must replay from. Any checksum,
-// framing or count mismatch invalidates the whole file.
+// framing, ordering or count mismatch invalidates the whole file.
 func LoadSnapshot(path string) (keys, vals []int64, walSeq uint64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -192,6 +194,14 @@ func LoadSnapshot(path string) (keys, vals []int64, walSeq uint64, err error) {
 		return nil, nil, 0, fmt.Errorf("persist: %s: bad snapshot magic", filepath.Base(path))
 	}
 	walSeq = binary.LittleEndian.Uint64(data[len(snapMagic):])
+	// Presize from the trailer's count when its checksum holds. Every
+	// encoded pair takes at least 2 bytes, so capping the count at half
+	// the file keeps a forged one from forcing a large allocation; the
+	// frame walk below still decides whether the file is valid.
+	if t := data[len(data)-13:]; t[0] == frameTrailer && crc32.Checksum(t[1:9], crcTable) == binary.LittleEndian.Uint32(t[9:]) {
+		n := min(binary.LittleEndian.Uint64(t[1:]), uint64(len(data)/2))
+		keys, vals = make([]int64, 0, n), make([]int64, 0, n)
+	}
 	p := data[len(snapMagic)+8:]
 	for {
 		if len(p) == 0 {
@@ -210,9 +220,13 @@ func LoadSnapshot(path string) (keys, vals []int64, walSeq uint64, err error) {
 			if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(p[5:]) {
 				return nil, nil, 0, fmt.Errorf("persist: %s: block checksum mismatch", filepath.Base(path))
 			}
+			before := len(keys)
 			keys, vals, err = decodeSnapBlock(payload, keys, vals)
 			if err != nil {
 				return nil, nil, 0, fmt.Errorf("persist: %s: %w", filepath.Base(path), err)
+			}
+			if before > 0 && keys[before] <= keys[before-1] {
+				return nil, nil, 0, fmt.Errorf("persist: %s: block keys out of order", filepath.Base(path))
 			}
 			p = p[9+int(n):]
 		case frameTrailer:
@@ -269,23 +283,33 @@ func RemoveSnapshotsBefore(dir string, seq uint64) {
 	}
 }
 
-// Recovered is what Recover hands back to the store layer.
+// Recovered is the store's state as its files hold it, and what reading it
+// cost.
 type Recovered struct {
-	// SnapshotBytes is the restored snapshot's file size (0 without
-	// one), seeding the compaction trigger.
+	// Keys and Vals are the snapshot's pairs with the WAL tail folded in,
+	// in strictly ascending key order.
+	Keys, Vals []int64
+	// SnapshotBytes is the snapshot's file size, which seeds the
+	// compaction trigger (0 without a snapshot).
+	SnapshotPairs int
 	SnapshotBytes int64
+	WALRecords    int64 // tail records folded in
+	// SnapshotLoad times reading the snapshot, WALReplay reading the tail
+	// and folding it in.
+	SnapshotLoad, WALReplay time.Duration
 	// NextSeq is the segment number the log must be opened at: one past
 	// everything replayed.
 	NextSeq uint64
 }
 
-// Recover performs the read side of crash recovery: it picks the newest
-// snapshot that validates and hands its sorted pairs to load exactly once
-// (with empty slices when no usable snapshot exists), then replays the WAL
-// tail through replay, in log order. The two callbacks rebuild the store:
-// load bulk-constructs the base state, replay applies the tail on top.
-func Recover(dir string, load func(keys, vals []int64) error, replay func(*Record) error) (Recovered, error) {
+// Recover performs the read side of crash recovery, as a pure function of
+// the files: it loads the newest snapshot that validates (none, when no
+// usable snapshot exists), reads the WAL tail after it in log order, and
+// folds the tail into the snapshot's pairs (foldTail). Building the store
+// from Keys and Vals is one bulk load.
+func Recover(dir string) (Recovered, error) {
 	var rec Recovered
+	start := time.Now()
 	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return rec, err
@@ -327,13 +351,101 @@ func Recover(dir string, load func(keys, vals []int64) error, replay func(*Recor
 			fromSeq = 1
 		}
 	}
-	if err := load(keys, vals); err != nil {
-		return rec, err
-	}
-	lastSeq, err := Replay(dir, fromSeq, replay)
+	rec.SnapshotPairs = len(keys)
+	rec.SnapshotLoad = time.Since(start)
+	var tail []tailOp
+	lastSeq, err := Replay(dir, fromSeq, func(r *Record) error {
+		rec.WALRecords++
+		del := r.Kind == KindDelete || r.Kind == KindDeleteBatch
+		if len(tail)+len(r.Keys) > cap(tail) {
+			// Double: append grows a large slice by a quarter at a time.
+			tail = slices.Grow(tail, max(len(tail), len(r.Keys)))
+		}
+		for i, k := range r.Keys {
+			o := tailOp{key: k, del: del}
+			if !del {
+				o.val = r.Vals[i]
+			}
+			tail = append(tail, o)
+		}
+		return nil
+	})
 	if err != nil {
 		return rec, err
 	}
+	rec.Keys, rec.Vals = foldTail(keys, vals, tail)
+	rec.WALReplay = time.Since(start) - rec.SnapshotLoad
 	rec.NextSeq = lastSeq + 1
 	return rec, nil
+}
+
+// tailOp is one key's update read from the WAL tail.
+type tailOp struct {
+	key, val int64
+	del      bool
+}
+
+// foldTail merges the tail into the snapshot's sorted pairs. Records carry
+// absolute values and a batch keeps the last of its duplicates, so each key
+// ends as its last update in log order says: that update replaces or adds
+// the key, or, for a delete, drops it (if present: a DeleteBatch may name
+// absent keys and sentinels). An empty tail returns keys and vals as given.
+func foldTail(keys, vals []int64, tail []tailOp) ([]int64, []int64) {
+	if len(tail) == 0 {
+		return keys, vals
+	}
+	tail = sortTail(tail)
+	outK := make([]int64, 0, len(keys)+len(tail))
+	outV := make([]int64, 0, len(keys)+len(tail))
+	i := 0
+	for j, o := range tail {
+		if j+1 < len(tail) && tail[j+1].key == o.key {
+			continue // a later update of the key wins
+		}
+		for ; i < len(keys) && keys[i] < o.key; i++ {
+			outK = append(outK, keys[i])
+			outV = append(outV, vals[i])
+		}
+		if i < len(keys) && keys[i] == o.key {
+			i++
+		}
+		if !o.del {
+			outK = append(outK, o.key)
+			outV = append(outV, o.val)
+		}
+	}
+	return append(outK, keys[i:]...), append(outV, vals[i:]...)
+}
+
+// sortTail sorts a non-empty tail by key, keeping log order among a key's
+// updates: a least-significant-digit radix sort, one stable counting pass
+// per key byte, skipping the bytes every key shares. A tail can hold tens
+// of millions of updates to a few hot key ranges; a comparison sort's
+// n log n compares then dominate recovery, where this costs one pass per
+// key byte that varies.
+func sortTail(tail []tailOp) []tailOp {
+	digit := func(k int64, b int) byte { return byte((uint64(k) ^ 1<<63) >> (8 * b)) } // sign flipped: negative keys first
+	var counts [8][256]int
+	for _, o := range tail {
+		for b := range counts {
+			counts[b][digit(o.key, b)]++
+		}
+	}
+	buf := make([]tailOp, len(tail))
+	for b := range counts {
+		if counts[b][digit(tail[0].key, b)] == len(tail) {
+			continue
+		}
+		sum := 0
+		for d, c := range counts[b] {
+			counts[b][d], sum = sum, sum+c
+		}
+		for _, o := range tail {
+			d := digit(o.key, b)
+			buf[counts[b][d]] = o
+			counts[b][d]++
+		}
+		tail, buf = buf, tail
+	}
+	return tail
 }

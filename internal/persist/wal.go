@@ -146,9 +146,10 @@ func (w *Log) AppendDelete(k int64) error {
 
 // maxBatchPairs caps the pairs per batch record so no record can approach
 // maxRecordBytes (worst case ~10 bytes per varint pair → ~80 MiB). Larger
-// client batches are logged as consecutive chunk records; each chunk
-// replays atomically, which is exactly the guarantee the in-memory batch
-// gives anyway (a batch is applied gate by gate, not atomically). A var,
+// client batches are logged as consecutive chunk records; recovery restores
+// each chunk whole or not at all, which is exactly the guarantee the
+// in-memory batch gives anyway (a batch is applied gate by gate, not
+// atomically). A var,
 // not a const, so tests can exercise the chunking cheaply.
 var maxBatchPairs = 1 << 22
 
