@@ -162,22 +162,24 @@
 // snapshot (Stats/obs.Snapshot) covering the read path (optimistic seqlock
 // serves vs latched fallbacks and probe retries), the combining queues
 // (absorbed ops, drain-size histogram, deferred batches), the rebalancer
-// (local/global/resize counts, duration histograms), and — on durable stores
-// — WAL activity (appends, fsync latency, group-commit batch sizes,
-// rotations, waits for the log), checkpoints and the recovery phase split.
+// (local/global/resize counts, duration histograms, and a sliding window of
+// the exclusive holds writers wait behind), and — on durable stores — WAL
+// activity (appends, fsync latency, group-commit batch sizes, rotations,
+// waits for the log), checkpoints (counts, auto compactions, durations) and
+// the recovery phase split.
 // Each quantity is recorded by one instrument. Sharded stores merge the
 // per-shard snapshots and add per-shard routing counters. Counter reads
 // during concurrent operation are safe and monotonic per stripe but not a
 // consistent cut; quiesce first for exact totals.
 //
 // Sliding-window histograms (internal/obs.Window) extend the same contract
-// to tail latency: WAL append waits and fsync timings, the served request
-// path and the client's RTT recording each keep a ring of bucketed
-// sub-windows rotated on a coarse clock, so snapshots answer "p99 over the
-// trailing ~10s" instead of "since process start". A window takes its clock
-// reading from the caller, which already holds one for the duration it
-// records, and an append that finds the log uncontended records nothing and
-// reads no clock at all. Window consistency mirrors the counters: each
+// to tail latency: rebalance stalls, WAL append waits and fsync timings, the
+// served request path and the client's RTT recording each keep a ring of
+// bucketed sub-windows rotated on a coarse clock, so snapshots answer "p99
+// over the trailing ~10s" instead of "since process start". A window takes
+// its clock reading from the caller, which already holds one for the
+// duration it records, and an append that finds the log uncontended records
+// nothing and reads no clock at all. Window consistency mirrors the counters: each
 // sub-window is monotonic under concurrent observes, but a snapshot is not a
 // consistent cut — an observation whose goroutine stalls for about a whole
 // interval can land in a newer lap or (rarely, bounded) be dropped, and the
@@ -188,19 +190,21 @@
 //
 // The snapshots obey documented cross-counter invariants, and Validate
 // checks them live: latched Get serves never exceed recorded probe
-// failures, and combined (queue-absorbed) ops never exceed drained plus
-// still-queued ops. Handler serves the same snapshot over HTTP — indented
+// failures, combined (queue-absorbed) ops never exceed drained plus
+// still-queued ops, the stall window never holds more than the global
+// rebalances and resizes, and a durable store never times more checkpoints
+// than it counts. Handler serves the same snapshot over HTTP — indented
 // JSON on any path, Prometheus text exposition (version 0.0.4) on paths
 // ending in "/metrics" — with zero dependencies.
 //
 // Every store counts, and there is no switch to turn metrics off, because
 // their cost is small: hot paths increment striped, cache-line-padded
 // counters with no allocation, and clock reads are confined to service
-// goroutines (rebalancer, fsync), the served request path and appends that
-// had to wait. WithEventHook installs a synchronous structural event tracer
-// (rebalances, compactions, recovery, fsync stalls), which NewSlogHook
-// adapts onto log/slog. Hooks run on service goroutines and must be fast and
-// must not call back into the store.
+// goroutines (rebalancer, fsync, checkpoint), the served request path and
+// appends that had to wait. Stats and Handler are the one channel out of the
+// store: structural events — rebalances, resizes, checkpoints, recovery, a
+// stalled fsync — are instruments to read, not callbacks, so no user code
+// runs inside a store goroutine and none can deadlock one.
 //
 // # Serving
 //

@@ -75,10 +75,8 @@ type DB struct {
 	unlock     func() // releases the directory flock
 
 	// ckpt counts checkpoints (the WAL's metrics live in the log);
-	// recovery is written once by Open before the DB is shared; events is
-	// the structural-event hook (nil means none).
+	// recovery is written once by Open before the DB is shared.
 	ckpt     obs.CheckpointMetrics
-	events   obs.EventHook
 	recovery obs.RecoverySnapshot
 }
 
@@ -130,8 +128,7 @@ func openDB(dir string, cfg config) (*DB, error) {
 		unlock()
 		return nil, err
 	}
-	db := &DB{inner: &PMA{c: c}, dir: dir, dur: cfg.dur, log: log, unlock: unlock,
-		events: cfg.dur.Events}
+	db := &DB{inner: &PMA{c: c}, dir: dir, dur: cfg.dur, log: log, unlock: unlock}
 	db.recovery = obs.RecoverySnapshot{
 		Recoveries:        1,
 		SnapshotPairs:     uint64(rec.SnapshotPairs),
@@ -141,15 +138,6 @@ func openDB(dir string, cfg config) (*DB, error) {
 		WALReplayNanos:    uint64(rec.WALReplay),
 	}
 	db.snapBytes.Store(rec.SnapshotBytes)
-	if h := db.events; h != nil {
-		h.OnRecovery(obs.RecoveryEvent{
-			SnapshotPairs: int64(rec.SnapshotPairs),
-			SnapshotBytes: rec.SnapshotBytes,
-			SnapshotLoad:  snapLoad,
-			WALRecords:    rec.WALRecords,
-			WALReplay:     rec.WALReplay,
-		})
-	}
 	// Install the write-ahead hook only now, on a store that already holds
 	// what the files hold.
 	c.SetHook(walHook{db})
@@ -265,14 +253,11 @@ func (db *DB) Snapshot() error {
 
 // snapshot checkpoints the store; auto marks the WAL-growth-triggered
 // background compactions apart from explicit Snapshot calls in the
-// compaction event.
+// checkpoint metrics.
 func (db *DB) snapshot(auto bool) error {
 	db.snapMu.Lock()
 	defer db.snapMu.Unlock()
-	var t0 time.Time
-	if db.events != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 
 	// The cut: block writers, drain every combining queue so all updates
 	// logged so far are applied (and thus visible to the scan below),
@@ -308,11 +293,12 @@ func (db *DB) snapshot(auto bool) error {
 	db.log.TruncateBefore(cut)
 	persist.RemoveSnapshotsBefore(db.dir, cut)
 	db.ckpt.Snapshots.Inc()
+	if auto {
+		db.ckpt.AutoCompactions.Inc()
+	}
 	db.ckpt.PairsWritten.Add(uint64(count))
 	db.ckpt.BytesWritten.Add(uint64(size))
-	if h := db.events; h != nil {
-		h.OnCompaction(obs.CompactionEvent{Auto: auto, Pairs: count, Bytes: size, Duration: time.Since(t0)})
-	}
+	db.ckpt.DurationNanos.ObserveDuration(time.Since(t0))
 	return nil
 }
 
@@ -375,6 +361,11 @@ func (db *DB) Validate() error {
 	w := db.log.Metrics().Snapshot()
 	if w.GroupCommitRecords.Sum > w.Appends {
 		return fmt.Errorf("stats: group-commit record sum %d > wal appends %d", w.GroupCommitRecords.Sum, w.Appends)
+	}
+	// A checkpoint is counted before its duration is observed.
+	timed := db.ckpt.DurationNanos.Snapshot().Count
+	if snaps := db.ckpt.Snapshots.Load(); timed > snaps {
+		return fmt.Errorf("stats: checkpoint durations %d > checkpoints %d", timed, snaps)
 	}
 	return nil
 }

@@ -85,6 +85,9 @@ func TestSnapshotTruncatesWALAndRecovers(t *testing.T) {
 	if post := db.WALBytes(); post >= pre/2 {
 		t.Fatalf("snapshot did not truncate the WAL: %d -> %d bytes", pre, post)
 	}
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	// Tail writes after the checkpoint land in the WAL only.
 	for i := int64(0); i < 500; i++ {
 		db.Put(-i-1, i)
@@ -400,6 +403,78 @@ func TestAutoCompaction(t *testing.T) {
 	re.Flush()
 	if got := scanToMap(t, re); !reflect.DeepEqual(got, model) {
 		t.Fatalf("post-compaction recovery mismatch: %d keys, want %d", len(got), len(model))
+	}
+}
+
+// TestStructuralEventsInStats checks that the structural events a store goes
+// through show in Stats: every checkpoint is timed and an auto compaction is
+// counted apart from a Snapshot call; every global rebalance and resize lands
+// in the stall window with its duration, and a Sharded store's window is the
+// merge of its shards'.
+func TestStructuralEventsInStats(t *testing.T) {
+	db, err := Open(t.TempDir(), WithFsync(FsyncNone), WithCompactRatio(4),
+		withCompactMinBytes(64<<10), withWALSegmentBytes(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := int64(0); i < 100; i++ {
+		db.Put(i, i)
+	}
+	if err := db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if ck := db.Stats().Checkpoint; ck.Snapshots != 1 || ck.DurationNanos.Count != 1 || ck.AutoCompactions != 0 {
+		t.Fatalf("after Snapshot: %d checkpoints, %d timed, %d auto; want 1, 1, 0",
+			ck.Snapshots, ck.DurationNanos.Count, ck.AutoCompactions)
+	}
+	// Grow the WAL past the compaction floor until the trigger fires.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := int64(100); db.Stats().Checkpoint.AutoCompactions == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("auto-compaction never ran")
+		}
+		db.Put(i, i)
+	}
+	db.Flush()
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if ck := db.Stats().Checkpoint; ck.Snapshots != 2 || ck.DurationNanos.Count != 2 || ck.AutoCompactions != 1 {
+		t.Fatalf("after auto compaction: %d checkpoints, %d timed, %d auto; want 2, 2, 1",
+			ck.Snapshots, ck.DurationNanos.Count, ck.AutoCompactions)
+	}
+
+	// Ascending keys in a small geometry make every shard resize and run
+	// global rebalances.
+	s, err := NewSharded(WithShards(2), WithMode(ModeSync), WithSegmentCapacity(8), withSegmentsPerGate(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := int64(0); i < 30_000; i++ {
+		s.Put(i, i)
+	}
+	s.Flush()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The drive takes far less than the window's trailing interval, so the
+	// window still holds every hold.
+	var perShard uint64
+	for i, m := range s.mems {
+		rb := m.Stats().Rebalance
+		if rb.Global == 0 || rb.Resizes == 0 {
+			t.Fatalf("shard %d: %d global rebalances, %d resizes; the drive must cause both", i, rb.Global, rb.Resizes)
+		}
+		if w := rb.StallWindow; w.Count != rb.Global+rb.Resizes || w.Max != max(rb.RebalanceNanos.Max, rb.ResizeNanos.Max) {
+			t.Errorf("shard %d: stall window count %d max %d; want %d holds, max %d",
+				i, w.Count, w.Max, rb.Global+rb.Resizes, max(rb.RebalanceNanos.Max, rb.ResizeNanos.Max))
+		}
+		perShard += rb.StallWindow.Count
+	}
+	if w := s.Stats().Rebalance.StallWindow; w.Count != perShard || w.P99 == 0 {
+		t.Errorf("merged stall window: count %d p99 %g; want the shards' %d holds and a p99", w.Count, w.P99, perShard)
 	}
 }
 

@@ -9,10 +9,8 @@
 // Part two makes the retained window durable: the events are ingested into
 // a pmago.Open store, checkpointed with Snapshot, written to past the
 // checkpoint (a WAL tail), and the process "restart" is simulated by
-// closing and reopening the store — everything must survive. The durable
-// store carries a slog event hook, so checkpoints, recoveries and slow
-// structural events land in the process log like any other operational
-// event.
+// closing and reopening the store — everything must survive. The store's
+// own Stats report what the checkpoint and the recovery cost.
 //
 // Part three is the ops view: pmago.Handler mounted on a loopback HTTP
 // server, scraped once in each exposition format — JSON for humans with
@@ -24,7 +22,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net"
 	"net/http"
@@ -189,14 +186,7 @@ func durable(p pmago.Store) {
 	}
 	defer os.RemoveAll(dir)
 
-	// The event hook routes structural events into the process log:
-	// checkpoints and recoveries at Info, anything slower than 2ms — and
-	// every fsync stall — at Warn. The snapshot below is big enough to
-	// cross the threshold, so a "slow compaction" warning is expected.
-	hook := pmago.NewSlogHook(
-		slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{Level: slog.LevelInfo})),
-		2*time.Millisecond)
-	db, err := pmago.Open(dir, pmago.WithFsync(pmago.FsyncInterval), pmago.WithEventHook(hook))
+	db, err := pmago.Open(dir, pmago.WithFsync(pmago.FsyncInterval))
 	if err != nil {
 		panic(err)
 	}
@@ -226,6 +216,12 @@ func durable(p pmago.Store) {
 	if err := db.Snapshot(); err != nil {
 		panic(err)
 	}
+	ck := db.Stats().Checkpoint
+	if ck.Snapshots != 1 || ck.DurationNanos.Count != 1 || ck.PairsWritten != uint64(ingested) {
+		panic(fmt.Sprintf("checkpoint stats: %+v, want one checkpoint of %d pairs", ck, ingested))
+	}
+	fmt.Printf("checkpoint: %d pairs, %d bytes in %v\n", ck.PairsWritten, ck.BytesWritten,
+		time.Duration(ck.DurationNanos.Sum).Round(time.Microsecond))
 	for c := 0; c < collectors; c++ {
 		db.Put(key(int64(events+c+1), c), int64(c))
 	}
@@ -233,9 +229,8 @@ func durable(p pmago.Store) {
 		panic(err)
 	}
 
-	// "Restart": recover from snapshot + WAL tail. The same hook reports
-	// the recovery split (snapshot load vs WAL replay).
-	re, err := pmago.Open(dir, pmago.WithEventHook(hook))
+	// "Restart": recover from snapshot + WAL tail.
+	re, err := pmago.Open(dir)
 	if err != nil {
 		panic(err)
 	}
@@ -252,8 +247,12 @@ func durable(p pmago.Store) {
 	if err := re.Validate(); err != nil {
 		panic(err)
 	}
-	rst := re.Stats()
+	rec := re.Stats().Recovery
+	if rec.SnapshotPairs != uint64(ingested) || rec.WALRecords != collectors {
+		panic(fmt.Sprintf("recovery stats: %+v, want %d snapshot pairs and %d WAL records", rec, ingested, collectors))
+	}
 	fmt.Printf("durable store: %d events survived snapshot + WAL-tail restart\n", re.Len())
-	fmt.Printf("recovery split: %d pairs from the snapshot, %d WAL records replayed\n",
-		rst.Recovery.SnapshotPairs, rst.Recovery.WALRecords)
+	fmt.Printf("recovery split: %d snapshot pairs loaded in %v, %d WAL records folded in %v\n",
+		rec.SnapshotPairs, time.Duration(rec.SnapshotLoadNanos).Round(time.Microsecond),
+		rec.WALRecords, time.Duration(rec.WALReplayNanos).Round(time.Microsecond))
 }

@@ -314,8 +314,10 @@ func hasDeletes(ops []op) bool {
 // sorted and deduplicated (later occurrences win, as with sequential Puts)
 // and written directly into a sparse array sized for the calibrator tree's
 // target density — O(n log n) for unsorted input, a single O(n) pass for
-// sorted input — instead of n point inserts with their O(n log² n) total
-// rebalancing work. The returned PMA is fully started; callers must Close it.
+// strictly ascending input — instead of n point inserts with their
+// O(n log² n) total rebalancing work. Ascending input is laid out straight
+// from the caller's slices, which the fill copies and does not retain. The
+// returned PMA is fully started; callers must Close it.
 func BulkLoad(cfg Config, keys, vals []int64) (*PMA, error) {
 	if len(keys) != len(vals) {
 		return nil, fmt.Errorf("core: BulkLoad got %d keys but %d values", len(keys), len(vals))
@@ -324,19 +326,26 @@ func BulkLoad(cfg Config, keys, vals []int64) (*PMA, error) {
 	if err != nil {
 		return nil, err
 	}
-	ops := make([]op, len(keys))
+	ascending := true
 	for i, k := range keys {
 		if k == KeyMin || k == KeyMax {
 			return nil, fmt.Errorf("core: BulkLoad key %d is a reserved sentinel", k)
 		}
-		ops[i] = op{key: k, val: vals[i]}
+		if i > 0 && k <= keys[i-1] {
+			ascending = false
+		}
 	}
-	ops = sortDedupOps(ops)
-	ks := make([]int64, len(ops))
-	vs := make([]int64, len(ops))
-	for i, o := range ops {
-		ks[i] = o.key
-		vs[i] = o.val
+	ks, vs := keys, vals
+	if !ascending {
+		ops := make([]op, len(keys))
+		for i, k := range keys {
+			ops[i] = op{key: k, val: vals[i]}
+		}
+		ops = sortDedupOps(ops)
+		ks, vs = make([]int64, len(ops)), make([]int64, len(ops))
+		for i, o := range ops {
+			ks[i], vs[i] = o.key, o.val
+		}
 	}
 	p.state.Store(p.buildLoadedState(ks, vs))
 	p.startServices()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -382,6 +383,36 @@ func TestBulkLoadUnsortedWithDuplicates(t *testing.T) {
 	checkAgainstModel(t, p, model, "bulkload-dups")
 }
 
+// TestBulkLoadRetainsNoInput overwrites the caller's slices after BulkLoad —
+// ascending input is laid out straight from them, other input through a
+// sorted copy — and finds the store unchanged, in both chunk layouts.
+func TestBulkLoadRetainsNoInput(t *testing.T) {
+	for _, cfg := range []Config{testConfig(ModeSync), testConfigC(ModeSync)} {
+		for _, ascending := range []bool{true, false} {
+			keys := make([]int64, 5_000)
+			vals := make([]int64, 5_000)
+			model := map[int64]int64{}
+			for i := range keys {
+				keys[i] = int64(i) * 3
+				if !ascending {
+					keys[i] = int64(len(keys)-i) * 3
+				}
+				vals[i] = int64(i)
+				model[keys[i]] = vals[i]
+			}
+			p, err := BulkLoad(cfg, keys, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range keys {
+				keys[i], vals[i] = 1, -1
+			}
+			checkAgainstModel(t, p, model, fmt.Sprintf("compressed=%v ascending=%v", cfg.CompressedChunks, ascending))
+			p.Close()
+		}
+	}
+}
+
 func TestBulkLoadEmpty(t *testing.T) {
 	p, err := BulkLoad(testConfig(ModeBatch), nil, nil)
 	if err != nil {
@@ -405,8 +436,10 @@ func TestBulkLoadErrors(t *testing.T) {
 	if _, err := BulkLoad(testConfig(ModeBatch), []int64{1, 2}, []int64{1}); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
-	if _, err := BulkLoad(testConfig(ModeBatch), []int64{KeyMin}, []int64{1}); err == nil {
-		t.Fatal("sentinel key accepted")
+	for _, keys := range [][]int64{{KeyMin}, {1, KeyMax}, {2, 1, KeyMax}} {
+		if _, err := BulkLoad(testConfig(ModeBatch), keys, make([]int64, len(keys))); err == nil {
+			t.Fatalf("sentinel key accepted in %v", keys)
+		}
 	}
 }
 

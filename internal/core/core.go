@@ -98,10 +98,6 @@ type Config struct {
 	// Workers is the size of the rebalancer's worker pool (the paper
 	// uses 8, matching its cores). Defaults to GOMAXPROCS capped at 8.
 	Workers int
-	// Events receives structural-event callbacks (global rebalances and
-	// resizes) from the rebalancer master goroutine; nil means no
-	// callbacks. See obs.EventHook for the reentrancy and latency contract.
-	Events obs.EventHook
 	// CompressedChunks stores each segment delta-encoded (cgate.go) instead
 	// of as fixed 16-byte slots: ~2-4x less memory for dense key runs, at
 	// the cost of a bounded per-segment decode on reads and a re-encode on
@@ -239,10 +235,8 @@ type PMA struct {
 	closed        atomic.Bool
 
 	// metrics is always set: the store always counts, in striped counters
-	// off the contended cache lines. events is the structural-event hook
-	// (nil means none).
+	// off the contended cache lines.
 	metrics *obs.CoreMetrics
-	events  obs.EventHook
 
 	// onReload, when set, runs each time enter gives up on a retired gate
 	// and loads the state again; tests synchronise on it.
@@ -268,7 +262,6 @@ func newShell(cfg Config) (*PMA, error) {
 	if cfg.SegmentCapacity == 0 { // fill zero fields from the default
 		def := DefaultConfig()
 		def.Mode = cfg.Mode
-		def.Events = cfg.Events
 		def.CompressedChunks = cfg.CompressedChunks
 		cfg = def
 	}
@@ -282,7 +275,6 @@ func newShell(cfg Config) (*PMA, error) {
 		cfg:      cfg,
 		attempts: optimisticAttempts,
 		metrics:  &obs.CoreMetrics{},
-		events:   cfg.Events,
 	}
 	if raceEnabled {
 		p.attempts = 0

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"pmago/internal/obs"
 )
 
 // reqKind enumerates the work items the rebalancer master serves.
@@ -367,12 +365,11 @@ func (r *rebalancer) process(req *request) []op {
 		for i := glo; i < ghi; i++ {
 			st.gates[i].release()
 		}
-		d := time.Since(t0)
+		now := time.Now()
+		d := now.Sub(t0)
 		p.metrics.GlobalRebalances.Inc()
 		p.metrics.RebalanceNanos.ObserveDuration(d)
-		if h := p.events; h != nil {
-			h.OnRebalance(obs.RebalanceEvent{Gates: ghi - glo, Duration: d})
-		}
+		p.metrics.StallWindow.ObserveAt(now.UnixNano(), uint64(d))
 	} else {
 		r.resize(st, glo, ghi, ins, true)
 	}
@@ -733,12 +730,11 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 		g.releaseLocked()
 		g.mu.Unlock()
 	}
-	d := time.Since(t0)
+	now := time.Now()
+	d := now.Sub(t0)
 	p.metrics.Resizes.Inc()
 	p.metrics.ResizeNanos.ObserveDuration(d)
-	if h := p.events; h != nil {
-		h.OnRebalance(obs.RebalanceEvent{Gates: len(st.gates), Resize: true, Duration: d})
-	}
+	p.metrics.StallWindow.ObserveAt(now.UnixNano(), uint64(d))
 }
 
 // installState wires freshly built chunk plans into a not-yet-published

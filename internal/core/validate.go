@@ -140,6 +140,12 @@ func (p *PMA) validateStats() error {
 	if combined > drained {
 		return fmt.Errorf("stats: combined ops %d > drained+queued ops %d", combined, drained)
 	}
+	// Every stall-window observation follows the increment of its global
+	// rebalance or resize counter, and the window only drops old ones.
+	stalls := m.StallWindow.Snapshot().Count
+	if holds := m.GlobalRebalances.Load() + m.Resizes.Load(); stalls > holds {
+		return fmt.Errorf("stats: stall window count %d > global rebalances + resizes %d", stalls, holds)
+	}
 	return nil
 }
 

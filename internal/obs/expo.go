@@ -48,6 +48,7 @@ func (s Snapshot) Points() []Point {
 		c("rebalance_resizes_total", s.Rebalance.Resizes),
 		d("rebalance_duration_seconds", s.Rebalance.RebalanceNanos, 1e-9),
 		d("resize_duration_seconds", s.Rebalance.ResizeNanos, 1e-9),
+		win("rebalance_stall_window_seconds", s.Rebalance.StallWindow, 1e-9, nil),
 	}
 	if s.Compression.Enabled {
 		pts = append(pts,
@@ -68,8 +69,10 @@ func (s Snapshot) Points() []Point {
 			win("wal_append_window_seconds", s.WAL.AppendWindow, 1e-9, nil),
 			win("wal_fsync_window_seconds", s.WAL.FsyncWindow, 1e-9, nil),
 			c("checkpoint_snapshots_total", s.Checkpoint.Snapshots),
+			c("checkpoint_auto_compactions_total", s.Checkpoint.AutoCompactions),
 			c("checkpoint_pairs_written_total", s.Checkpoint.PairsWritten),
 			c("checkpoint_bytes_written_total", s.Checkpoint.BytesWritten),
+			d("checkpoint_duration_seconds", s.Checkpoint.DurationNanos, 1e-9),
 			c("recovery_runs_total", s.Recovery.Recoveries),
 			c("recovery_snapshot_pairs_total", s.Recovery.SnapshotPairs),
 			c("recovery_snapshot_bytes_total", s.Recovery.SnapshotBytes),

@@ -34,11 +34,17 @@ type CoreMetrics struct {
 	DrainSize       Histogram
 
 	// Rebalancer (gate.go local path, rebalancer.go global path).
+	// StallWindow observes every global rebalance and resize over the
+	// trailing interval, with the same duration and clock reading as
+	// RebalanceNanos or ResizeNanos: the exclusive holds writers wait
+	// behind, live. Its count never exceeds GlobalRebalances + Resizes,
+	// which are incremented first.
 	LocalRebalances  Counter
 	GlobalRebalances Counter
 	Resizes          Counter
 	RebalanceNanos   Histogram
 	ResizeNanos      Histogram
+	StallWindow      Window
 
 	// Compressed chunks (core/cgate.go). SegDecodes counts whole-segment
 	// decodes that succeeded (scans, batches that move pairs between
@@ -76,11 +82,12 @@ type UpdateStats struct {
 
 // RebalanceStats is the rebalancer section of a snapshot.
 type RebalanceStats struct {
-	Local          uint64       `json:"local"`
-	Global         uint64       `json:"global"`
-	Resizes        uint64       `json:"resizes"`
-	RebalanceNanos Distribution `json:"rebalance_nanos"`
-	ResizeNanos    Distribution `json:"resize_nanos"`
+	Local          uint64         `json:"local"`
+	Global         uint64         `json:"global"`
+	Resizes        uint64         `json:"resizes"`
+	RebalanceNanos Distribution   `json:"rebalance_nanos"`
+	ResizeNanos    Distribution   `json:"resize_nanos"`
+	StallWindow    WindowSnapshot `json:"stall_window"`
 }
 
 // CompressionStats is the compressed-chunks section of a snapshot. For an
@@ -129,6 +136,7 @@ func (m *CoreMetrics) Snapshot() CoreSnapshot {
 			Resizes:        m.Resizes.Load(),
 			RebalanceNanos: m.RebalanceNanos.Snapshot(),
 			ResizeNanos:    m.ResizeNanos.Snapshot(),
+			StallWindow:    m.StallWindow.Snapshot(),
 		},
 		Compression: CompressionStats{
 			SegDecodes:    m.SegDecodes.Load(),
@@ -153,6 +161,7 @@ func (s CoreSnapshot) merge(o CoreSnapshot) CoreSnapshot {
 	s.Rebalance.Resizes += o.Rebalance.Resizes
 	s.Rebalance.RebalanceNanos = s.Rebalance.RebalanceNanos.merge(o.Rebalance.RebalanceNanos)
 	s.Rebalance.ResizeNanos = s.Rebalance.ResizeNanos.merge(o.Rebalance.ResizeNanos)
+	s.Rebalance.StallWindow = s.Rebalance.StallWindow.merge(o.Rebalance.StallWindow)
 	s.Compression.Enabled = s.Compression.Enabled || o.Compression.Enabled
 	s.Compression.SegDecodes += o.Compression.SegDecodes
 	s.Compression.ReencodeBytes += o.Compression.ReencodeBytes
@@ -226,33 +235,45 @@ func (s WALSnapshot) merge(o WALSnapshot) WALSnapshot {
 
 // CheckpointMetrics instruments snapshots/compaction (pmago durable layer).
 type CheckpointMetrics struct {
-	// Snapshots counts completed checkpoints; Pairs/Bytes accumulate what
-	// the checkpoint files contained.
-	Snapshots    Counter
-	PairsWritten Counter
-	BytesWritten Counter
+	// Snapshots counts completed checkpoints, AutoCompactions those the
+	// WAL-growth trigger started rather than a Snapshot call; Pairs/Bytes
+	// accumulate what the checkpoint files contained. DurationNanos times
+	// each completed checkpoint from the cut to the old files' removal; it
+	// is observed after Snapshots is incremented, so its count never
+	// exceeds Snapshots.
+	Snapshots       Counter
+	AutoCompactions Counter
+	PairsWritten    Counter
+	BytesWritten    Counter
+	DurationNanos   Histogram
 }
 
 // CheckpointSnapshot is the checkpoint section of a snapshot.
 type CheckpointSnapshot struct {
-	Snapshots    uint64 `json:"snapshots"`
-	PairsWritten uint64 `json:"pairs_written"`
-	BytesWritten uint64 `json:"bytes_written"`
+	Snapshots       uint64       `json:"snapshots"`
+	AutoCompactions uint64       `json:"auto_compactions"`
+	PairsWritten    uint64       `json:"pairs_written"`
+	BytesWritten    uint64       `json:"bytes_written"`
+	DurationNanos   Distribution `json:"duration_nanos"`
 }
 
 // Snapshot copies the live counters.
 func (m *CheckpointMetrics) Snapshot() CheckpointSnapshot {
 	return CheckpointSnapshot{
-		Snapshots:    m.Snapshots.Load(),
-		PairsWritten: m.PairsWritten.Load(),
-		BytesWritten: m.BytesWritten.Load(),
+		Snapshots:       m.Snapshots.Load(),
+		AutoCompactions: m.AutoCompactions.Load(),
+		PairsWritten:    m.PairsWritten.Load(),
+		BytesWritten:    m.BytesWritten.Load(),
+		DurationNanos:   m.DurationNanos.Snapshot(),
 	}
 }
 
 func (s CheckpointSnapshot) merge(o CheckpointSnapshot) CheckpointSnapshot {
 	s.Snapshots += o.Snapshots
+	s.AutoCompactions += o.AutoCompactions
 	s.PairsWritten += o.PairsWritten
 	s.BytesWritten += o.BytesWritten
+	s.DurationNanos = s.DurationNanos.merge(o.DurationNanos)
 	return s
 }
 

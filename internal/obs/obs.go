@@ -1,9 +1,11 @@
 // Package obs is the observability layer of the store: cache-line-padded
 // striped counters, log2-bucketed histograms and their sliding-window ring,
-// structural-event hooks and the exposition code behind
-// pmago.Stats/pmago.Handler. It has no dependencies beyond the standard
-// library and is deliberately a leaf package — core, persist and the public
-// pmago layer all report through it.
+// and the exposition code behind pmago.Stats/pmago.Handler. It has no
+// dependencies beyond the standard library and is deliberately a leaf
+// package — core, persist and the public pmago layer all report through it.
+// Stats is the store's one outward channel: structural events (rebalances,
+// resizes, checkpoints, recovery) are instruments here, never callbacks, so
+// no user code runs inside a store goroutine.
 //
 // The design constraints come from where the instruments sit. Counters on
 // the Get fast path are incremented by every reader concurrently, so a

@@ -219,13 +219,18 @@ func TestSnapshotMerge(t *testing.T) {
 	a.Reads.GetOptimistic = 10
 	a.WAL.Appends = 5
 	a.Recovery.Recoveries = 1
+	a.Checkpoint.AutoCompactions = 1
+	a.Checkpoint.DurationNanos = Distribution{Count: 1, Sum: 5, Max: 5}
 	a.Shards = []ShardStats{{Ops: 3}}
 	b := Snapshot{}
 	b.Reads.GetOptimistic = 7
+	b.Checkpoint.AutoCompactions = 2
+	b.Checkpoint.DurationNanos = Distribution{Count: 2, Sum: 9, Max: 7}
 	b.Shards = []ShardStats{{Ops: 9, BatchKeys: 4}}
 	m := a.Merge(b)
 	if !m.Durable || m.Reads.GetOptimistic != 17 || m.WAL.Appends != 5 ||
-		m.Recovery.Recoveries != 1 {
+		m.Recovery.Recoveries != 1 || m.Checkpoint.AutoCompactions != 3 ||
+		m.Checkpoint.DurationNanos.Count != 3 || m.Checkpoint.DurationNanos.Max != 7 {
 		t.Fatalf("merge wrong: %+v", m)
 	}
 	if len(m.Shards) != 2 || m.Shards[1].BatchKeys != 4 {
@@ -241,6 +246,8 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(uint64(2 * time.Millisecond))
 	h.Observe(uint64(130 * time.Millisecond))
 	s.WAL.FsyncNanos = h.Snapshot()
+	s.Checkpoint.DurationNanos = h.Snapshot()
+	s.Checkpoint.AutoCompactions = 1
 	s.Shards = []ShardStats{{Ops: 1}, {Ops: 2, BatchKeys: 3}}
 
 	var b strings.Builder
@@ -254,6 +261,9 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE pmago_wal_fsync_duration_seconds histogram\n",
 		"pmago_wal_fsync_duration_seconds_bucket{le=\"+Inf\"} 2\n",
 		"pmago_wal_fsync_duration_seconds_count 2\n",
+		"pmago_checkpoint_duration_seconds_count 2\n",
+		"pmago_checkpoint_auto_compactions_total 1\n",
+		"# TYPE pmago_rebalance_stall_window_seconds summary\n",
 		"pmago_shard_ops_total{shard=\"0\"} 1\n",
 		"pmago_shard_ops_total{shard=\"1\"} 2\n",
 		"pmago_shard_batch_keys_total{shard=\"1\"} 3\n",
@@ -274,13 +284,4 @@ func TestWritePrometheus(t *testing.T) {
 	if !strings.Contains(out, "} 1\npmago_wal_fsync_duration_seconds_bucket") {
 		t.Errorf("cumulative bucket chain wrong\n---\n%s", out)
 	}
-}
-
-func TestSlogHookDoesNotPanic(t *testing.T) {
-	h := NewSlogHook(nil, 10*time.Millisecond)
-	h.OnRebalance(RebalanceEvent{Gates: 4, Duration: time.Millisecond}) // below slow: silent
-	h.OnRebalance(RebalanceEvent{Gates: 512, Resize: true, Duration: time.Second})
-	h.OnCompaction(CompactionEvent{Auto: true, Pairs: 10, Bytes: 100, Duration: time.Millisecond})
-	h.OnRecovery(RecoveryEvent{SnapshotPairs: 5, WALRecords: 2})
-	h.OnFsyncStall(FsyncStallEvent{Duration: time.Second, Threshold: 100 * time.Millisecond})
 }

@@ -111,32 +111,11 @@ func SaveManifest(dir string, m ShardManifest) error {
 		return err
 	}
 	data = append(data, '\n')
-	path := filepath.Join(dir, manifestName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	_, err = writeDurable(filepath.Join(dir, manifestName), func(f *os.File) error {
+		_, err := f.Write(data)
 		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(dir)
-	return nil
+	})
+	return err
 }
 
 // LoadManifest reads the manifest from dir. ok is false when none exists;

@@ -30,9 +30,8 @@ package persist
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
-
-	"pmago/internal/obs"
 )
 
 // FsyncPolicy selects when appended WAL records are forced to stable
@@ -87,8 +86,9 @@ type Options struct {
 	SegmentBytes int64
 	// CompactRatio triggers an automatic snapshot (and WAL truncation)
 	// when the live WAL exceeds this multiple of the last snapshot's
-	// size (default 4). Zero or negative disables auto-compaction;
-	// Snapshot can still be called explicitly.
+	// size (default 4); pmago counts these apart from explicit Snapshot
+	// calls in Stats().Checkpoint.AutoCompactions. Zero or negative
+	// disables auto-compaction; Snapshot can still be called explicitly.
 	CompactRatio float64
 	// CompactMinBytes is the WAL size floor below which auto-compaction
 	// never fires, whatever the ratio says (default 8 MiB). It also
@@ -97,16 +97,7 @@ type Options struct {
 	// SnapshotBlockEntries is the number of pairs per snapshot block
 	// (default 8192); each block carries its own checksum.
 	SnapshotBlockEntries int
-	// Events receives an OnFsyncStall callback for every File.Sync that
-	// takes fsyncStallThreshold or longer. Stall events can fire from the
-	// rotation path, which holds the log's append mutex — the hook must be
-	// fast and must not call back into the log.
-	Events obs.EventHook
 }
-
-// fsyncStallThreshold is the File.Sync duration at or above which an
-// OnFsyncStall event fires.
-const fsyncStallThreshold = 100 * time.Millisecond
 
 // DefaultOptions returns the defaults described on each field.
 func DefaultOptions() Options {
@@ -137,6 +128,43 @@ func (o Options) normalize() Options {
 		o.SnapshotBlockEntries = def.SnapshotBlockEntries
 	}
 	return o
+}
+
+// writeDurable replaces path with the bytes write produces, so that a crash
+// leaves either the old file or the new one, never a torn one: write streams
+// into path+".tmp", which is fsynced, closed, renamed over path, and the
+// directory synced. On any error — write's included — the temp file is
+// removed and path is untouched. It returns the new file's size.
+func writeDurable(path string, write func(f *os.File) error) (size int64, err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if err = write(f); err != nil {
+		return 0, err
+	}
+	if err = f.Sync(); err != nil {
+		return 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	if err = f.Close(); err != nil {
+		return 0, err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return 0, err
+	}
+	syncDir(filepath.Dir(path))
+	return fi.Size(), nil
 }
 
 // syncDir fsyncs a directory so renames and removals inside it survive a

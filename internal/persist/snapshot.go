@@ -76,99 +76,73 @@ func listSnapshots(dir string) ([]uint64, error) {
 
 // WriteSnapshot streams the pairs produced by iter (which must yield
 // strictly increasing keys — a PMA scan does) into a durable snapshot file
-// covering WAL segments below walSeq: it creates snap-<walSeq>.pma.tmp,
-// writes the header, the block frames and the trailer, flushes, fsyncs,
-// closes and renames the file into place and syncs the directory. A non-nil
-// error from iter — raised after the scan, e.g. when the caller fails to
-// sync the WAL records the scan may have observed — aborts before the
-// trailer and rename: the temp file is removed and no checkpoint is
-// published. It reports the pair count and the file size, the latter
-// feeding the compaction trigger.
+// covering WAL segments below walSeq: it writes the header, the block frames
+// and the trailer through writeDurable (snap-<walSeq>.pma.tmp, fsync,
+// rename, directory sync). A non-nil error from iter — raised after the
+// scan, e.g. when the caller fails to sync the WAL records the scan may have
+// observed — aborts before the trailer and rename: the temp file is removed
+// and no checkpoint is published. It reports the pair count and the file
+// size, the latter feeding the compaction trigger.
 func WriteSnapshot(dir string, walSeq uint64, iter func(yield func(k, v int64) bool) error, o Options) (count, size int64, err error) {
 	o = o.normalize()
-	tmp := filepath.Join(dir, snapName(walSeq)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
+	size, err = writeDurable(filepath.Join(dir, snapName(walSeq)), func(f *os.File) error {
+		bw := bufio.NewWriterSize(f, 1<<20)
+		header := binary.LittleEndian.AppendUint64([]byte(snapMagic), walSeq)
+		if _, err := bw.Write(header); err != nil {
+			return err
 		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	header := binary.LittleEndian.AppendUint64([]byte(snapMagic), walSeq)
-	if _, err = bw.Write(header); err != nil {
-		return 0, 0, err
-	}
-
-	var (
-		blockK  = make([]int64, 0, o.SnapshotBlockEntries)
-		blockV  = make([]int64, 0, o.SnapshotBlockEntries)
-		scratch []byte
-		prev    int64
-	)
-	flush := func() error {
-		if len(blockK) == 0 {
-			return nil
+		var (
+			blockK  = make([]int64, 0, o.SnapshotBlockEntries)
+			blockV  = make([]int64, 0, o.SnapshotBlockEntries)
+			scratch []byte
+			prev    int64
+			werr    error
+		)
+		flush := func() error {
+			if len(blockK) == 0 {
+				return nil
+			}
+			scratch = encodeSnapBlock(scratch[:0], blockK, blockV)
+			blockK, blockV = blockK[:0], blockV[:0]
+			_, err := bw.Write(scratch)
+			return err
 		}
-		scratch = encodeSnapBlock(scratch[:0], blockK, blockV)
-		blockK, blockV = blockK[:0], blockV[:0]
-		_, werr := bw.Write(scratch)
-		return werr
-	}
-	cbErr := iter(func(k, v int64) bool {
-		if count > 0 && k <= prev {
-			err = fmt.Errorf("persist: snapshot iterator not strictly increasing at key %d", k)
-			return false
-		}
-		prev = k
-		count++
-		blockK = append(blockK, k)
-		blockV = append(blockV, v)
-		if len(blockK) >= o.SnapshotBlockEntries {
-			if err = flush(); err != nil {
+		cbErr := iter(func(k, v int64) bool {
+			if count > 0 && k <= prev {
+				werr = fmt.Errorf("persist: snapshot iterator not strictly increasing at key %d", k)
 				return false
 			}
+			prev = k
+			count++
+			blockK = append(blockK, k)
+			blockV = append(blockV, v)
+			if len(blockK) >= o.SnapshotBlockEntries {
+				werr = flush()
+			}
+			return werr == nil
+		})
+		if werr != nil {
+			return werr
 		}
-		return true
+		if cbErr != nil {
+			return cbErr
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+		trailer := make([]byte, 0, 13)
+		trailer = append(trailer, frameTrailer)
+		trailer = binary.LittleEndian.AppendUint64(trailer, uint64(count))
+		trailer = binary.LittleEndian.AppendUint32(trailer, crc32.Checksum(trailer[1:9], crcTable))
+		if _, err := bw.Write(trailer); err != nil {
+			return err
+		}
+		return bw.Flush()
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	if err = cbErr; err != nil {
-		return 0, 0, err
-	}
-	if err = flush(); err != nil {
-		return 0, 0, err
-	}
-
-	trailer := make([]byte, 0, 13)
-	trailer = append(trailer, frameTrailer)
-	trailer = binary.LittleEndian.AppendUint64(trailer, uint64(count))
-	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.Checksum(trailer[1:9], crcTable))
-	if _, err = bw.Write(trailer); err != nil {
-		return 0, 0, err
-	}
-	if err = bw.Flush(); err != nil {
-		return 0, 0, err
-	}
-	if err = f.Sync(); err != nil {
-		return 0, 0, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, err
-	}
-	if err = f.Close(); err != nil {
-		return 0, 0, err
-	}
-	if err = os.Rename(tmp, filepath.Join(dir, snapName(walSeq))); err != nil {
-		return 0, 0, err
-	}
-	syncDir(dir)
-	return count, fi.Size(), nil
+	return count, size, nil
 }
 
 // encodeSnapBlock appends one framed, delta-encoded block to b.

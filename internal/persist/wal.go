@@ -350,10 +350,9 @@ func (w *Log) syncTo(target uint64) error {
 }
 
 // observeFsync records one File.Sync begun at t0 and completed now: its
-// latency, the records it newly made durable (the group-commit batch size),
-// and a stall event when it breached the threshold. Called from syncTo (no
-// locks held) and from rotateLocked (mu held) — hooks must honour the
-// EventHook latency contract.
+// latency and the records it newly made durable (the group-commit batch
+// size). Called from syncTo (no locks held) and from rotateLocked (mu held).
+// A stalled fsync shows as the max of FsyncNanos and FsyncWindow.
 func (w *Log) observeFsync(t0 time.Time, recsAtSync uint64) {
 	now := time.Now()
 	d := now.Sub(t0)
@@ -361,9 +360,6 @@ func (w *Log) observeFsync(t0 time.Time, recsAtSync uint64) {
 	w.metrics.FsyncWindow.ObserveAt(now.UnixNano(), uint64(d))
 	if delta := advanceMaxDelta(&w.recsSynced, recsAtSync); delta > 0 {
 		w.metrics.GroupCommit.Observe(delta)
-	}
-	if h := w.o.Events; h != nil && d >= fsyncStallThreshold {
-		h.OnFsyncStall(obs.FsyncStallEvent{Duration: d, Threshold: fsyncStallThreshold})
 	}
 }
 

@@ -2,10 +2,8 @@ package pmago
 
 import (
 	"encoding/json"
-	"log/slog"
 	"net/http"
 	"strings"
-	"time"
 
 	"pmago/internal/obs"
 )
@@ -17,39 +15,6 @@ import (
 // routing entry per shard. See the README's metric catalog and the field
 // docs in internal/obs for exact tick semantics.
 type Stats = obs.Snapshot
-
-// EventHook receives structural events — global rebalances and resizes,
-// checkpoints, recovery, fsync stalls — synchronously from store service
-// goroutines. Implementations must be fast and must not call back into the
-// store; see obs.EventHook. Install with WithEventHook.
-type EventHook = obs.EventHook
-
-// The event payloads EventHook receives; see the field docs in internal/obs.
-type (
-	RebalanceEvent  = obs.RebalanceEvent
-	CompactionEvent = obs.CompactionEvent
-	RecoveryEvent   = obs.RecoveryEvent
-	FsyncStallEvent = obs.FsyncStallEvent
-)
-
-// NewSlogHook returns an EventHook that logs events through logger
-// (slog.Default when nil): compactions and recoveries at Info, anything
-// slower than slow — and every fsync stall — at Warn. Rebalances are logged
-// only when slower than slow (they are frequent; the histograms count
-// them).
-func NewSlogHook(logger *slog.Logger, slow time.Duration) EventHook {
-	return obs.NewSlogHook(logger, slow)
-}
-
-// WithEventHook installs h as the store's structural-event hook, covering
-// both the in-memory layer (OnRebalance) and, for durable stores, the WAL
-// and checkpoint layers (OnFsyncStall, OnCompaction, OnRecovery).
-func WithEventHook(h EventHook) Option {
-	return func(c *config) {
-		c.core.Events = h
-		c.dur.Events = h
-	}
-}
 
 // StatsSource is anything whose metrics Handler can serve: *PMA, *DB,
 // *Sharded, *Graph all implement it.

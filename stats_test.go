@@ -168,81 +168,10 @@ func TestHandler(t *testing.T) {
 		"# TYPE pmago_reads_get_optimistic_total counter",
 		"pmago_rebalance_local_total",
 		"pmago_updates_drain_size_ops_bucket",
+		"pmago_rebalance_stall_window_seconds_count",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("Prometheus exposition missing %q", want)
 		}
 	}
 }
-
-// TestEventHookFires covers the event-tracing path end to end: a durable
-// store with a hook must report compaction and recovery events with
-// plausible payloads.
-func TestEventHookFires(t *testing.T) {
-	var mu sync.Mutex
-	var compactions, recoveries int
-	var lastPairs int64
-	hook := eventRecorder{
-		onCompaction: func(e pmago.CompactionEvent) {
-			mu.Lock()
-			compactions++
-			lastPairs = e.Pairs
-			mu.Unlock()
-		},
-		onRecovery: func(e pmago.RecoveryEvent) {
-			mu.Lock()
-			recoveries++
-			mu.Unlock()
-		},
-	}
-	dir := t.TempDir()
-	db, err := pmago.Open(dir, pmago.WithEventHook(hook), pmago.WithFsync(pmago.FsyncNone))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 1_000; i++ {
-		db.Put(i, i)
-	}
-	if err := db.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := pmago.Open(dir, pmago.WithEventHook(hook))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if compactions != 1 {
-		t.Errorf("OnCompaction fired %d times, want 1", compactions)
-	}
-	if lastPairs != 1_000 {
-		t.Errorf("compaction reported %d pairs, want 1000", lastPairs)
-	}
-	if recoveries != 2 {
-		t.Errorf("OnRecovery fired %d times, want 2 (both Opens)", recoveries)
-	}
-}
-
-// eventRecorder is a test EventHook with optional callbacks.
-type eventRecorder struct {
-	onCompaction func(pmago.CompactionEvent)
-	onRecovery   func(pmago.RecoveryEvent)
-}
-
-func (r eventRecorder) OnRebalance(pmago.RebalanceEvent) {}
-func (r eventRecorder) OnCompaction(e pmago.CompactionEvent) {
-	if r.onCompaction != nil {
-		r.onCompaction(e)
-	}
-}
-func (r eventRecorder) OnRecovery(e pmago.RecoveryEvent) {
-	if r.onRecovery != nil {
-		r.onRecovery(e)
-	}
-}
-func (r eventRecorder) OnFsyncStall(pmago.FsyncStallEvent) {}
