@@ -19,23 +19,26 @@
 // may call update operations of the same PMA and may be slow without
 // blocking writers. Rebalances that would span several gates are delegated
 // to a centralised rebalancer service (one master goroutine plus a worker
-// pool, Section 3.3), so no client ever holds more than one latch. Resizes
-// rebuild the whole array behind an atomic state pointer (Section 3.4), and
-// contended writers are decoupled through per-gate combining queues with
-// one-by-one or batch processing (Section 3.5): an uncontended writer
-// updates in place; the queue is for writers that arrive while the latch is
-// held.
+// pool, Section 3.3): a writer releases its latch before it submits, and
+// only the master ever holds more than one latch, so none can deadlock.
+// Resizes rebuild the whole array behind an atomic state pointer (Section
+// 3.4), and contended writers are decoupled through per-gate combining
+// queues with one-by-one or batch processing (Section 3.5): an uncontended
+// writer updates in place; the queue is for writers that arrive while the
+// latch is held.
 //
 // Section 3.4 frees a retired state through epochs, so that no reader still
 // routing through it finds its memory reused. Here Go's garbage collector
 // and the seqlock's version validation do the epochs' job. Nothing reuses a
-// chunk buffer: rebalances and resizes copy into fresh ones (Section 3.1's
-// single copy and O(1) swap), and a retired buffer is never reissued or
-// written again. A racing reader still copying from a retired gate
-// validates a version under which the gate is marked invalid, discards what
-// it read and restarts on the new state; the garbage collector frees the
-// retired state once no reader holds it. A chunk buffer the collector
-// cannot free — file-backed or off-heap — would bring epochs back.
+// chunk buffer: rebalances and resizes merge the window with its inserts
+// into scratch and fill fresh buffers from it, which an O(1) swap installs
+// (Section 3.1's rewiring, though not its single copy), and a retired
+// buffer is never reissued or written again. A racing reader still copying
+// from a retired gate validates a version under which the gate is marked
+// invalid, discards what it read and restarts on the new state; the garbage
+// collector frees the retired state once no reader holds it. A chunk buffer
+// the collector cannot free — file-backed or off-heap — would bring epochs
+// back.
 //
 // # Point and batch updates
 //

@@ -409,8 +409,9 @@ func TestAutoCompaction(t *testing.T) {
 // TestStructuralEventsInStats checks that the structural events a store goes
 // through show in Stats: every checkpoint is timed and an auto compaction is
 // counted apart from a Snapshot call; every global rebalance and resize lands
-// in the stall window with its duration, and a Sharded store's window is the
-// merge of its shards'.
+// in the stall window with its duration, each ModeSync Put that caused one
+// waited once for its hand-off, and a Sharded store's windows are the merge
+// of its shards'.
 func TestStructuralEventsInStats(t *testing.T) {
 	db, err := Open(t.TempDir(), WithFsync(FsyncNone), WithCompactRatio(4),
 		withCompactMinBytes(64<<10), withWALSegmentBytes(1<<20))
@@ -461,12 +462,17 @@ func TestStructuralEventsInStats(t *testing.T) {
 	}
 	// The drive takes far less than the window's trailing interval, so the
 	// window still holds every hold.
-	var perShard uint64
+	var perShard, waits uint64
 	for i, m := range s.mems {
 		rb := m.Stats().Rebalance
 		if rb.Global == 0 || rb.Resizes == 0 {
 			t.Fatalf("shard %d: %d global rebalances, %d resizes; the drive must cause both", i, rb.Global, rb.Resizes)
 		}
+		// ModeSync: each of them is a Put that waited for its hand-off.
+		if w := rb.HandOffWait.Count; w != rb.Global+rb.Resizes {
+			t.Errorf("shard %d: %d hand-off waits, want one per global rebalance or resize (%d)", i, w, rb.Global+rb.Resizes)
+		}
+		waits += rb.HandOffWait.Count
 		if w := rb.StallWindow; w.Count != rb.Global+rb.Resizes || w.Max != max(rb.RebalanceNanos.Max, rb.ResizeNanos.Max) {
 			t.Errorf("shard %d: stall window count %d max %d; want %d holds, max %d",
 				i, w.Count, w.Max, rb.Global+rb.Resizes, max(rb.RebalanceNanos.Max, rb.ResizeNanos.Max))
@@ -475,6 +481,9 @@ func TestStructuralEventsInStats(t *testing.T) {
 	}
 	if w := s.Stats().Rebalance.StallWindow; w.Count != perShard || w.P99 == 0 {
 		t.Errorf("merged stall window: count %d p99 %g; want the shards' %d holds and a p99", w.Count, w.P99, perShard)
+	}
+	if w := s.Stats().Rebalance.HandOffWait; w.Count != waits {
+		t.Errorf("merged hand-off wait: count %d, want the shards' %d", w.Count, waits)
 	}
 }
 

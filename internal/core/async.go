@@ -47,9 +47,11 @@ func (p *PMA) drainQueue(st *state, g *gate, reroute []op, released bool) {
 
 // drainOneByOne processes ops in arrival order through the normal in-gate
 // path, preserving adaptive rebalancing. When an op forces a global
-// rebalance, the writer stops accepting new updates (detaching pQ), transfers
-// its latch to the rebalancer, and returns the residue for re-routing —
-// exactly the policy described for the one-by-one scheme.
+// rebalance, the writer hands the residue — that op and the ones after it,
+// older than anything combined since — to the rebalancer at the front of its
+// queue and waits until it has been served, as the one-by-one scheme's
+// writer waits for its global rebalance. Writers arriving meanwhile combine
+// behind the residue, so none of their updates can overtake it.
 func (p *PMA) drainOneByOne(st *state, g *gate, ops []op) (reroute []op, released bool) {
 	for i, o := range ops {
 		if o.key < g.fenceLo || o.key > g.fenceHi {
@@ -57,10 +59,8 @@ func (p *PMA) drainOneByOne(st *state, g *gate, ops []op) (reroute []op, release
 			continue
 		}
 		if _, done := p.applyOp(st, g, o); !done {
-			extra := p.detachQueue(g) // stop accepting
-			p.requestGlobalAndWait(st, g, 1)
-			reroute = append(reroute, ops[i:]...)
-			return append(reroute, extra...), true
+			p.handOff(st, g, ops[i:], nil, true)
+			return reroute, true
 		}
 	}
 	return reroute, false
@@ -92,46 +92,48 @@ func (p *PMA) drainBatch(st *state, g *gate, ops []op) (reroute []op, released b
 		return reroute, false
 	}
 
-	p.handOffBatch(st, g, ins, false)
+	p.handOff(st, g, ins, nil, false)
 	return reroute, true
 }
 
-// handOffBatch hands key-sorted insert ops to the rebalancer as a batch
-// request for gate g. The caller must hold the gate exclusively; the latch
-// is released with the queue left open, so it keeps absorbing updates until
-// the rebalancer picks it up.
+// handOff is the one way a writer gives an overflow to the rebalancer: it
+// releases g, which it holds exclusively, with the combining queue left
+// open, and submits a batch request for the gate, so arriving writers keep
+// combining until the master picks the queue up and merges it. Releasing
+// before submitting is what keeps the master deadlock-free: a writer never
+// holds a latch while it waits on the master.
 //
-// On the asynchronous path (wait=false; the caller is the active writer and
-// its queue is open) the ops are prepended to the queue — they are older than
-// anything writers combined meanwhile — and the request carries the gate's
-// tdelay rate limit. On the synchronous batch path (wait=true) the ops ride
-// on the request itself so they supersede any older op the master
-// redistributes into the queue before pickup; the request is immediate and
-// the call blocks until it has been served.
-func (p *PMA) handOffBatch(st *state, g *gate, ins []op, wait bool) {
-	var notBefore time.Time
-	if !wait {
-		// lastReb is read under the latch we still hold.
-		nb := time.Unix(0, g.lastReb).Add(p.cfg.TDelay)
-		if time.Now().Before(nb) {
-			p.metrics.DeferredBatches.Inc()
-			notBefore = nb
-		}
-	}
-	req := &request{kind: reqBatch, st: st, g: g, notBefore: notBefore}
-	g.mu.Lock()
+// front holds ops the caller has already acknowledged (an active writer's
+// drain, a one-by-one residue, a replay). They go to the head of the queue:
+// they are older than anything that combines behind them, and the master
+// keeps the later op per key. ins is a PutBatch or DeleteBatch run or a
+// ModeSync insert, which rides on the request instead, so it supersedes
+// anything the master redistributes into the queue before pickup.
+//
+// wait=false is the active writer of ModeBatch: the request carries the
+// gate's tdelay rate limit and the caller does not wait. Otherwise the call
+// returns once the request and the redistributions it caused have been
+// served (handle); that wait is observed into HandOffWait.
+func (p *PMA) handOff(st *state, g *gate, front, ins []op, wait bool) {
+	req := &request{kind: reqBatch, st: st, g: g, ins: ins}
 	if wait {
-		req.ins = ins
 		req.done = make(chan struct{})
-	} else {
-		g.qOps = slices.Insert(g.qOps, 0, ins...)
+	} else if nb := time.Unix(0, g.lastReb).Add(p.cfg.TDelay); time.Now().Before(nb) {
+		// lastReb is read under the latch we still hold.
+		p.metrics.DeferredBatches.Inc()
+		req.notBefore = nb
 	}
+	g.mu.Lock()
+	g.qOps = slices.Insert(g.qOps, 0, front...)
 	g.qOpen = true
 	g.releaseLocked() // chunk mutations done; queue hand-off is mu-protected
 	g.mu.Unlock()
 	p.reb.submit(req)
 	if wait {
+		t0 := time.Now()
 		<-req.done
+		now := time.Now()
+		p.metrics.HandOffWait.ObserveAt(now.UnixNano(), uint64(now.Sub(t0)))
 	}
 }
 

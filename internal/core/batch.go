@@ -26,9 +26,10 @@ import (
 // is latched exactly once, so a batch is far cheaper than the equivalent
 // point-Put loop but is not atomic: a concurrent scan may observe a gate
 // that already carries its run next to one that does not. When PutBatch
-// returns the whole batch has been applied — displaced stragglers are
-// drained through a rebalancer barrier first — but updates to the same keys
-// from concurrent calls remain unordered with respect to the batch.
+// returns the whole batch has been applied — a run handed to the rebalancer
+// returns only once the master has also applied what it displaced — but
+// updates to the same keys from concurrent calls remain unordered with
+// respect to the batch.
 func (p *PMA) PutBatch(keys, vals []int64) {
 	p.checkOpen()
 	if len(keys) != len(vals) {
@@ -96,43 +97,20 @@ func (p *PMA) applyBatchParallel(ops []op) int64 {
 		workers = n / minChunk
 	}
 	if workers <= 1 {
-		removed, handedOff := p.applyBatch(ops, ops)
-		if handedOff {
-			p.barrier()
-		}
-		return removed
+		return p.applyBatch(ops, ops)
 	}
 	var removed atomic.Int64
-	var anyHandOff atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		chunk := ops[n*w/workers : n*(w+1)/workers]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rem, handedOff := p.applyBatch(chunk, ops)
-			removed.Add(rem)
-			if handedOff {
-				anyHandOff.Store(true)
-			}
+			removed.Add(p.applyBatch(chunk, ops))
 		}()
 	}
 	wg.Wait()
-	if anyHandOff.Load() {
-		p.barrier()
-	}
 	return removed.Load()
-}
-
-// barrier round-trips the rebalancer master. Because the master serves every
-// due zero-delay batch before reading its channel, a completed barrier means
-// every op this call displaced into another gate's queue (a rebalance moved
-// the fences mid-flight) has been applied — a later batch can therefore
-// never be overwritten by this batch's stragglers.
-func (p *PMA) barrier() {
-	req := &request{kind: reqBarrier, done: make(chan struct{})}
-	p.reb.submit(req)
-	<-req.done
 }
 
 // sortDedupOps puts ops in ascending key order keeping only the last op per
@@ -176,24 +154,20 @@ func sortDedupOps(ops []op) []op {
 }
 
 // applyBatch routes a key-sorted, deduplicated op slice gate by gate in
-// ascending key order, returning the number of elements deleted and whether
-// any run was handed to the rebalancer (the caller then barriers so no
-// displaced op outlives the call). all is the complete batch the slice
-// belongs to — the whole slice again, or the full op set when workers split
-// it — used to keep absorbed stale ops from clobbering any part of the
-// batch. Like the point-update path it reaches each gate through enter; unlike
+// ascending key order, returning the number of elements deleted. all is the
+// complete batch the slice belongs to — the whole slice again, or the full
+// op set when workers split it — used to keep absorbed stale ops from
+// clobbering any part of the batch. Like the point-update path it reaches each gate through enter; unlike
 // it, every op covered by one gate's fences is handled under a single latch
 // acquisition.
-func (p *PMA) applyBatch(ops, all []op) (int64, bool) {
+func (p *PMA) applyBatch(ops, all []op) int64 {
 	removedTotal := int64(0)
-	anyHandOff := false
 	for rem := ops; len(rem) > 0; {
 		st, g := p.enter(rem[0].key, latchExclusive, op{})
 		run := opRange(rem, g.fenceLo, g.fenceHi) // a prefix of rem
 		rem = rem[len(run):]
-		removed, leftovers, handedOff := p.applyGateBatch(st, g, run)
+		removed, leftovers := p.applyGateBatch(st, g, run)
 		removedTotal += removed
-		anyHandOff = anyHandOff || handedOff
 		// Absorbed queue ops whose keys fall outside the gate's fences are
 		// replayed through the synchronous path, as drainQueue does — except
 		// keys the batch also carries (anywhere in it, including other
@@ -207,7 +181,7 @@ func (p *PMA) applyBatch(ops, all []op) (int64, bool) {
 		}
 	}
 	p.maybeRequestShrink(p.state.Load())
-	return removedTotal, anyHandOff
+	return removedTotal
 }
 
 // applyGateBatch applies one gate's run while holding its latch exclusively
@@ -219,13 +193,11 @@ func (p *PMA) applyBatch(ops, all []op) (int64, bool) {
 // merging the run (mergeLocal), and finally a hand-off to the rebalancer,
 // which merges the run into the global rebalance it performs —
 // applyGateBatch blocks until that completes. Absorbed ops routed outside
-// the fences are returned for the caller to replay, and handedOff reports
-// whether the rebalancer was involved (the batch caller then barriers).
-func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, leftovers []op, handedOff bool) {
+// the fences are returned for the caller to replay.
+func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, leftovers []op) {
 	orig := run // the batch's own ops: only their deletions count
 	// A parked batch — we hold the latch, so no active writer owns the
-	// queue. Its outstanding rebalancer request completes vacuously on the
-	// emptied queue.
+	// queue. Its outstanding rebalancer request finds the queue emptied.
 	parked := p.detachQueue(g)
 	absorbed := len(parked) > 0
 	if absorbed {
@@ -269,22 +241,22 @@ func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, lefto
 	}
 	if len(ins) == 0 {
 		g.release()
-		return removed, leftovers, false
+		return removed, leftovers
 	}
 	if delta, ok := g.mergeBySegment(ins); ok {
 		st.card.Add(int64(delta))
 		g.release()
-		return removed, leftovers, false
+		return removed, leftovers
 	}
 	if delta, ok := g.mergeLocal(st, ins); ok {
 		st.card.Add(int64(delta))
 		g.release()
-		return removed, leftovers, false
+		return removed, leftovers
 	}
-	// The run overflows the chunk. Clip so queue appends cannot stomp the
-	// caller's remaining ops, then hand the gate to the rebalancer.
-	p.handOffBatch(st, g, slices.Clip(ins), true)
-	return removed, leftovers, true
+	// The run overflows the chunk: it rides on the request. Clip it so
+	// appends to it cannot stomp the caller's remaining ops.
+	p.handOff(st, g, nil, slices.Clip(ins), true)
+	return removed, leftovers
 }
 
 // searchOps returns the first index in key-sorted ops with key >= k.
@@ -361,9 +333,9 @@ func (p *PMA) buildLoadedState(ks, vs []int64) *state {
 	st := p.newState(numSegs / p.cfg.SegmentsPerGate)
 	counts := evenCounts(n, numSegs)
 	plans := make([]destPlan, len(st.gates))
-	src := &sliceSource{ks: ks, vs: vs}
-	for i := range st.gates {
-		plans[i] = p.fillChunk(counts[i*st.spg:(i+1)*st.spg], src)
+	for i, off := 0, 0; i < len(st.gates); i++ {
+		plans[i] = p.fillChunk(counts[i*st.spg:(i+1)*st.spg], ks[off:], vs[off:])
+		off += plans[i].gcard
 	}
 	p.installState(st, plans, n)
 	return st

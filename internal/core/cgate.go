@@ -546,19 +546,17 @@ func (p *PMA) newPlan(spg int) destPlan {
 	return pl
 }
 
-// fillSeg pulls the next c > 0 pairs from src into the plan's segment j and
-// returns the segment's first key. Slots are written in place — the single
-// copy that rewiring allows; blocks are staged through scratch and encoded
-// exactly sized: rebalanced chunks carry no slack, the first rewrite that
-// outgrows a payload adds it (setSeg).
-func (p *PMA) fillSeg(pl *destPlan, j, c int, src elemSource, sc *cScratch) int64 {
+// fillSeg writes the sorted pairs ks/vs (at least one) into the plan's
+// segment j and returns the segment's first key. Slots are copied in place;
+// blocks are encoded exactly sized: rebalanced chunks carry no slack, the
+// first rewrite that outgrows a payload adds it (setSeg).
+func (p *PMA) fillSeg(pl *destPlan, j int, ks, vs []int64, sc *cScratch) int64 {
 	if p.cctx == nil {
 		lo := j * p.cfg.SegmentCapacity
-		src.copyInto(pl.buf.keys[lo:lo+c], pl.buf.vals[lo:lo+c])
-		return pl.buf.keys[lo]
+		copy(pl.buf.keys[lo:], ks)
+		copy(pl.buf.vals[lo:], vs)
+		return ks[0]
 	}
-	ks, vs := sc.ks[:c], sc.vs[:c]
-	src.copyInto(ks, vs)
 	payload := codec.AppendBlock(sc.eb[:0], ks, vs)
 	data := make([]byte, len(payload))
 	copy(data, payload)

@@ -16,12 +16,15 @@
 // under the shared latch only on sustained contention (read.go).
 //
 // Rebalances that span multiple gates are executed by a centralised
-// rebalancer service (one master goroutine, a pool of workers) to which
-// writers transfer their latch ownership, so no client ever holds more than
-// one latch — the deadlock-freedom argument of Section 3.3. A rebalance
-// spreads its window evenly or, in ModeOneByOne, by the adaptive policy
-// (spread.go); a multi-gate one copies the window once into fresh chunk
-// buffers that one pointer store each swaps in (Section 3.1's rewiring;
+// rebalancer service (one master goroutine, a pool of workers). A writer
+// whose inserts overflow its chunk hands them off in one way (handOff,
+// async.go): it releases its latch with the gate's combining queue open and
+// submits a batch request. A writer releases its latch before it submits,
+// and only the master ever holds more than one latch — the deadlock-freedom
+// argument of Section 3.3. A rebalance spreads its window evenly or, in
+// ModeOneByOne, by the adaptive policy (spread.go); a multi-gate one merges
+// the window with its inserts into scratch and fills fresh chunk buffers
+// from it, which one pointer store each swaps in (Section 3.1's rewiring;
 // install in cgate.go). Resizes rebuild array, gates and index behind an
 // atomic state pointer (Section 3.4). The paper's epochs, which keep a
 // retired state's memory from being reused under a reader still routing

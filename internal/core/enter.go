@@ -88,12 +88,13 @@ const (
 // writer first reaches its gate, then publishes pQ.
 //
 // gen is st's fence generation as sampled before the index lookup that chose
-// g. The master bumps it after a rebalance moved fences and before it
-// re-parks what the moves displaced, taking each window queue's mu: an append
-// that still sees gen under mu precedes that pass on this queue (the pass
-// moves the op along if the key left the gate), and one that follows it sees
-// the bump and routes again — no op is left queued at a gate that lost its
-// key, where a later update of the key would overtake it.
+// g. A global rebalance publishes new fences and separators, bumps it and
+// re-parks what the moves displaced while it holds every window queue's mu
+// (executeRebalance): an append that still sees gen under mu precedes all of
+// that (the re-parking moves the op along if the key left the gate), and one
+// that follows it sees the bump and routes again — no op is left queued at a
+// gate that lost its key, and none joins the new owner's queue ahead of the
+// displaced ops of its key, where they would overwrite it.
 func (g *gate) lockOrCombine(o op, st *state, gen uint64) lockResult {
 	g.mu.Lock()
 	g.wWaiting++ // readers yield while an update is pending here

@@ -70,12 +70,16 @@ func TestEnter(t *testing.T) {
 				}
 			}
 
-			// A request for more room than the array has makes it grow: owner
-			// is retired. Putting the retired state back makes enter start on
-			// it for certain; the current one is swapped in once enter went
-			// through its reload, which the onReload hook reports.
-			owner.lockX()
-			p.requestGlobalAndWait(st, owner, st.slots())
+			// A batch of more new keys than the array has slots makes it
+			// grow: owner is retired. Putting the retired state back makes
+			// enter start on it for certain; the current one is swapped in
+			// once enter went through its reload, which the onReload hook
+			// reports.
+			keys, vals := make([]int64, st.slots()), make([]int64, st.slots())
+			for i := range keys {
+				keys[i] = 4000 + int64(i) // above every stored key
+			}
+			p.PutBatch(keys, vals)
 			grown := p.state.Load()
 			if grown == st || !owner.invalid {
 				t.Fatal("the forced resize did not retire the gate")

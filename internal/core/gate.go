@@ -10,10 +10,9 @@ import (
 
 // Latch states (Section 3.1/3.3). Positive values count shared holders.
 const (
-	lsFree        int32 = 0
-	lsWriter      int32 = -1 // held exclusively by a client writer
-	lsTransferred int32 = -2 // a writer handed its exclusive latch to the rebalancer
-	lsReb         int32 = -3 // held exclusively by the rebalancer service
+	lsFree   int32 = 0
+	lsWriter int32 = -1 // held exclusively by a client writer
+	lsReb    int32 = -2 // held exclusively by the rebalancer service
 )
 
 // maxSegmentsPerGate bounds Config.SegmentsPerGate: the per-segment minima
@@ -49,9 +48,7 @@ type gate struct {
 	// mutating the latch-protected fields, and even while they are stable.
 	// Every transition into exclusive ownership bumps it to odd
 	// (beginExclusive) and every transition out bumps it to even
-	// (endExclusive); the writer→transferred→rebalancer hand-off keeps the
-	// latch exclusively owned throughout, so it bumps neither. Shared
-	// holders never bump: they do not mutate.
+	// (endExclusive). Shared holders never bump: they do not mutate.
 	//
 	// Memory ordering: the bumps are atomic adds and the readers' fences
 	// are atomic loads, so under the Go memory model the odd bump
@@ -88,9 +85,8 @@ type gate struct {
 	smin    [maxSegmentsPerGate]int64
 	segCard [maxSegmentsPerGate]int
 
-	gcard   int    // elements stored in this chunk
-	rebGen  uint64 // bumped every time a global rebalance/resize covers this gate
-	lastReb int64  // monotonic nanos of the last global rebalance (tdelay)
+	gcard   int   // elements stored in this chunk
+	lastReb int64 // monotonic nanos of the last global rebalance (tdelay)
 	pred    *predictor
 	enc     []*encSeg
 	// encBytes is the sum of the blocks' payload lengths, atomic so Stats
@@ -112,7 +108,7 @@ type gate struct {
 	// the buffer drainQueue swaps in while it works through qOps.
 	qOps, qSpare []op
 
-	_ [56]byte // to 448 bytes, a multiple of 64
+	_ [64]byte // to 448 bytes, a multiple of 64
 }
 
 func newGate(idx, spg, b int, pred *predictor) *gate {
@@ -184,7 +180,7 @@ func (g *gate) lockX() {
 
 // release drops an exclusive hold, whoever took it: a client (lockX, or
 // lockOrCombine for a writer that has not opened its queue — one that has
-// releases through drainQueue) or the rebalancer (rebLock, fresh or adopted).
+// releases through drainQueue) or the rebalancer (rebLock).
 func (g *gate) release() {
 	g.mu.Lock()
 	g.releaseLocked()
@@ -192,7 +188,7 @@ func (g *gate) release() {
 }
 
 // releaseLocked is release for a holder that already has mu, because it hands
-// the combining queue over in the same section (drainQueue, handOffBatch) or
+// the combining queue over in the same section (drainQueue, handOff) or
 // retires the gate (resize).
 func (g *gate) releaseLocked() {
 	g.endExclusive() // all mutations precede this; publish to optimistic readers
@@ -200,33 +196,16 @@ func (g *gate) releaseLocked() {
 	g.cond.Broadcast()
 }
 
-// transferToReb converts the caller's exclusive hold into the transferred
-// state: the latch stays exclusive, but the rebalancer may adopt it without
-// waiting. This is what prevents the master from deadlocking against writers
-// that queued rebalance requests behind the one being served. The version
-// stays odd across the whole hand-off — the latch never becomes free. The
-// broadcast wakes a master already parked in rebLock on this gate (it reached
-// it while widening another request's window).
-func (g *gate) transferToReb() {
-	g.mu.Lock()
-	g.lstate = lsTransferred
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// rebLock acquires the latch on behalf of the rebalancer, adopting
-// transferred latches immediately and taking priority over waiting clients.
+// rebLock acquires the latch on behalf of the rebalancer, taking priority
+// over waiting clients. No writer waits on the master while it holds a
+// latch, so the master's wait here always ends.
 func (g *gate) rebLock() {
 	g.mu.Lock()
 	g.rebWanted = true
-	for g.lstate != lsFree && g.lstate != lsTransferred {
+	for g.lstate != lsFree {
 		g.cond.Wait()
 	}
-	if g.lstate == lsFree {
-		// Adopted transferred latches are already odd (the transferring
-		// writer bumped at acquisition); only a fresh acquisition does.
-		g.beginExclusive()
-	}
+	g.beginExclusive()
 	g.lstate = lsReb
 	g.rebWanted = false
 	g.mu.Unlock()

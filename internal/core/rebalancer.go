@@ -10,11 +10,9 @@ import (
 type reqKind int
 
 const (
-	reqRebalance    reqKind = iota // a writer's insert needs a multi-gate window
-	reqBatch                       // a gate's combining queue needs a global merge
+	reqBatch        reqKind = iota // a gate handed off its overflow: merge its queue and run
 	reqShrink                      // occupancy dropped below the downsize threshold
 	reqFlushDelayed                // force all delayed batches through (Flush)
-	reqBarrier                     // no-op: completes once everything ahead of it ran
 )
 
 // request is one unit of work submitted to the master.
@@ -22,10 +20,8 @@ type request struct {
 	kind      reqKind
 	st        *state
 	g         *gate
-	gen       uint64    // g.rebGen at submission; stale requests complete vacuously
-	pending   int       // inserts the rebalanced window must make room for
 	notBefore time.Time // batch rate limiting (tdelay); zero = immediate
-	ins       []op      // a synchronous batch's key-sorted inserts (reqBatch);
+	ins       []op      // a batch run's or a ModeSync insert's key-sorted inserts;
 	// carried on the request rather than the queue so they supersede any op
 	// redistributed into the gate's queue before pickup
 	done chan struct{}
@@ -44,6 +40,7 @@ type rebalancer struct {
 
 	// master-only state
 	delayed  []*request
+	waiter   bool // serving a waited request: park schedules every gate it fills
 	timer    *time.Timer
 	scratchK []int64
 	scratchV []int64
@@ -70,9 +67,9 @@ func newRebalancer(p *PMA, workers int) *rebalancer {
 	return r
 }
 
-// submit hands a request to the master. Callers must have released or
-// transferred every gate latch they hold: the master never blocks on a
-// latch in state transferred, so latch-free submitters guarantee progress.
+// submit hands a request to the master. Callers must have released every
+// gate latch they hold: only the master ever holds more than one, so a
+// latch-free submitter cannot deadlock against it.
 func (r *rebalancer) submit(req *request) {
 	select {
 	case r.ch <- req:
@@ -100,15 +97,7 @@ func (r *rebalancer) run() {
 	defer close(r.doneCh)
 	for {
 		var timerC <-chan time.Time
-		if len(r.delayed) > 0 {
-			i := r.earliestDelayed()
-			d := time.Until(r.delayed[i].notBefore)
-			if d <= 0 {
-				req := r.delayed[i]
-				r.delayed = append(r.delayed[:i], r.delayed[i+1:]...)
-				r.handle(req)
-				continue
-			}
+		if d := r.serveDue(); d > 0 {
 			if r.timer == nil {
 				r.timer = time.NewTimer(d)
 			} else {
@@ -149,6 +138,22 @@ func (r *rebalancer) dispatch(req *request) {
 	}
 }
 
+// serveDue handles every delayed request whose tdelay has expired, the
+// zero-delay redistributions included, and returns how long the earliest
+// remaining one still has to wait (0 when none is left).
+func (r *rebalancer) serveDue() time.Duration {
+	for len(r.delayed) > 0 {
+		i := r.earliestDelayed()
+		if d := time.Until(r.delayed[i].notBefore); d > 0 {
+			return d
+		}
+		req := r.delayed[i]
+		r.delayed = append(r.delayed[:i], r.delayed[i+1:]...)
+		r.handle(req)
+	}
+	return 0
+}
+
 func (r *rebalancer) earliestDelayed() int {
 	best := 0
 	for i := 1; i < len(r.delayed); i++ {
@@ -186,34 +191,54 @@ func (r *rebalancer) shutdown() {
 // handle serves one request; updates that had to be re-routed because
 // fences moved are redistributed into their new gates' combining queues in
 // bulk (applying them one by one could trigger a global rebalance per op).
-// Redistribution happens before the requester is released so that by the
-// time a synchronous waiter (requestGlobalAndWait, handOffBatch with wait)
-// resumes, every displaced op is at least parked in a queue a later batch
-// will absorb.
+//
+// A waiter (handOff with wait) is released only once nothing its request
+// moved is still parked: while it is served, park schedules an immediate
+// batch for every gate it parks into, whether or not the queue already had
+// an owner, and serveDue then serves them all, with whatever they park in
+// turn. A later owner's request finds the queue emptied. So a ModeSync
+// insert or a batch run that fences or a resize re-routed, and the queue ops
+// a rebalance displaced, are applied before the call returns, and a later
+// in-place update of the same key cannot be overwritten by them.
 func (r *rebalancer) handle(req *request) {
-	leftovers := r.process(req)
-	if len(leftovers) > 0 {
+	if req.done != nil {
+		r.waiter = true
+	}
+	if leftovers := r.process(req); len(leftovers) > 0 {
 		r.redistribute(leftovers)
+	}
+	if req.done != nil {
+		r.serveDue()
+		r.waiter = false
 	}
 	r.complete(req)
 }
 
 // redistribute routes misdirected ops to their current gates and parks them
-// in combining queues, scheduling immediate batch requests to apply them.
-// Fence keys only move under this (single) master goroutine, so routing
-// reads them without latches.
+// in combining queues (park).
 //
 // Parked ops carry no version: an update of the same key that reaches the
 // new gate first is overwritten by the replay. A global rebalance therefore
-// re-parks what its fence moves displaced before it unlatches the window
-// (process), so later updates combine behind it; ops a racy index read
-// queued at the wrong gate keep the caveat. Batch callers stay ordered
+// re-parks what its fence moves displaced before any writer can reach the
+// new gates (executeRebalance), so later updates combine behind it; ops a
+// racy index read queued at the wrong gate keep the caveat. Batch callers stay ordered
 // regardless: they absorb same-gate queues, filter their own keys from
-// leftovers, and barrier the master after any hand-off, so none of their
-// ops is still parked when the call returns.
+// leftovers, and wait for their hand-off, whose handle serves the batches
+// scheduled here before it releases them.
 func (r *rebalancer) redistribute(ops []op) {
-	p := r.p
-	st := p.state.Load()
+	st := r.p.state.Load()
+	for gi, group := range groupByGate(st, ops) {
+		g := st.gates[gi]
+		g.mu.Lock()
+		r.park(st, g, group)
+		g.mu.Unlock()
+	}
+}
+
+// groupByGate routes ops to the gates that now own their keys. Fence keys
+// only move under the (single) master goroutine, so it reads them without
+// latches.
+func groupByGate(st *state, ops []op) map[int][]op {
 	groups := make(map[int][]op)
 	for _, o := range ops {
 		gi := st.route(o.key)
@@ -225,19 +250,22 @@ func (r *rebalancer) redistribute(ops []op) {
 		}
 		groups[gi] = append(groups[gi], o)
 	}
-	for gi, group := range groups {
-		g := st.gates[gi]
-		g.mu.Lock()
-		open := g.qOpen
-		g.qOps = append(g.qOps, group...)
-		g.qOpen = true
-		g.cond.Broadcast()
-		g.mu.Unlock()
-		if open {
-			continue // an active writer or a pending batch will absorb them
-		}
-		// Schedule through the master's own pending list (never through
-		// the channel: we are the master, and the channel may be full).
+	return groups
+}
+
+// park appends displaced ops to g's combining queue, opening it; the caller
+// holds g.mu. A queue that was open already has an owner that will absorb
+// them (an active writer, or a batch pending at the master). The gate is
+// scheduled as an immediate batch through the master's own pending list
+// (never through the channel: we are the master, and it may be full) when
+// its queue was closed, or while a waited request is served, whose waiter
+// must not be released before the ops are applied (handle).
+func (r *rebalancer) park(st *state, g *gate, ops []op) {
+	open := g.qOpen
+	g.qOps = append(g.qOps, ops...)
+	g.qOpen = true
+	g.cond.Broadcast()
+	if !open || r.waiter {
 		r.delayed = append(r.delayed, &request{kind: reqBatch, st: st, g: g})
 	}
 }
@@ -246,12 +274,6 @@ func (r *rebalancer) redistribute(ops []op) {
 // re-routed through the normal update path.
 func (r *rebalancer) process(req *request) []op {
 	p := r.p
-	if req.kind == reqBarrier {
-		// Nothing to do: the master reads its channel only when no due
-		// delayed batch remains, so reaching this request means every
-		// zero-delay redistribution queued before it has been applied.
-		return nil
-	}
 	if req.kind == reqShrink {
 		r.maybeShrink()
 		p.shrinkPending.Store(false)
@@ -261,8 +283,9 @@ func (r *rebalancer) process(req *request) []op {
 	if req.st != st {
 		// The array was resized since submission: queues were absorbed
 		// into the rebuild and waiting writers retry against the new
-		// state. Request-carried batch inserts were NOT in any queue, so
-		// they re-route into the current state's gates.
+		// state. Request-carried inserts (a batch run, a ModeSync insert)
+		// were NOT in any queue, so they re-route into the current state's
+		// gates.
 		return req.ins
 	}
 	g := req.g
@@ -271,16 +294,13 @@ func (r *rebalancer) process(req *request) []op {
 		g.release()
 		return req.ins
 	}
-	if req.kind == reqRebalance && g.rebGen != req.gen {
-		// A covering rebalance already ran; the writer just retries.
-		g.release()
-		return nil
-	}
 
 	// Absorb the gate's combining queue into this job. The request's own
-	// batch inserts go after the queue ops: compactOps keeps the later op
-	// per key, so the synchronous batch supersedes anything older that was
-	// redistributed into the queue between hand-off and pickup.
+	// inserts go after the queue ops: compactOps keeps the later op per
+	// key, so they supersede anything older that was redistributed into
+	// the queue between hand-off and pickup. A queue a
+	// writer or batch latching the gate since emptied leaves nothing, or
+	// only what fits in the chunk (mergeLocal below).
 	ops := p.detachQueue(g)
 	ops = append(ops, req.ins...)
 	ins, dels, leftovers := compactOps(ops, g.fenceLo, g.fenceHi)
@@ -296,17 +316,15 @@ func (r *rebalancer) process(req *request) []op {
 		st.card.Add(-removed)
 	}
 
-	if req.kind == reqBatch {
-		if len(ins) == 0 {
-			g.release()
-			return leftovers
-		}
-		// Deletions may have freed enough space to keep the batch local.
-		if delta, ok := g.mergeLocal(st, ins); ok {
-			st.card.Add(int64(delta))
-			g.release()
-			return leftovers
-		}
+	if len(ins) == 0 {
+		g.release()
+		return leftovers
+	}
+	// Deletions may have freed enough space to keep the batch local.
+	if delta, ok := g.mergeLocal(st, ins); ok {
+		st.card.Add(int64(delta))
+		g.release()
+		return leftovers
 	}
 
 	// Window search above the chunk level (Section 3.3): expand aligned
@@ -317,7 +335,7 @@ func (r *rebalancer) process(req *request) []op {
 	// goroutine reaches this code, so the clock reads cannot contend.
 	t0 := time.Now()
 	glo, ghi := g.idx, g.idx+1
-	pending := req.pending + len(ins)
+	pending := len(ins)
 	chunkLevel := log2(st.spg) + 1
 	found := false
 	for k := chunkLevel + 1; k <= st.height; k++ {
@@ -343,22 +361,7 @@ func (r *rebalancer) process(req *request) []op {
 		}
 	}
 	if found {
-		r.executeRebalance(st, glo, ghi, ins)
-		// Queued ops follow their keys: what the fence moves left out of
-		// range in a window gate's queue is parked where it now belongs
-		// while the window is still latched, so a later update of the key
-		// combines behind it instead of overtaking it. The generation bump
-		// comes before the first queue is looked at: a writer that routed
-		// by the old fences and has not appended by then will refuse to
-		// (lockOrCombine).
-		st.fenceGen.Add(1)
-		for i := glo; i < ghi; i++ {
-			h := st.gates[i]
-			h.mu.Lock()
-			h.qOps, leftovers = fenceSplit(h.qOps, h.fenceLo, h.fenceHi, leftovers)
-			h.mu.Unlock()
-		}
-		if len(leftovers) > 0 {
+		if leftovers = append(leftovers, r.executeRebalance(st, glo, ghi, ins)...); len(leftovers) > 0 {
 			r.redistribute(leftovers)
 			leftovers = nil
 		}
@@ -378,118 +381,17 @@ func (r *rebalancer) process(req *request) []op {
 
 // --- data movement ---
 
-// elemSource provides elements in key order for the fill phase.
-type elemSource interface {
-	copyInto(dk, dv []int64)
-	release() // the fill is done
-}
-
-// gateCursor reads the window's existing elements in key order directly from
-// the (untouched) source chunks — the single-copy path that memory rewiring
-// enables: destinations are spare chunks, sources stay intact until the
-// publish step swaps them.
-type gateCursor struct {
-	st  *state
-	ghi int
-	g   int // current absolute gate
-	s   int // current segment within gate
-	off int // offset within segment
-
-	// The view of segment viewS of gate viewG (-1 = none), kept across calls
-	// so the forward-only walk views each source segment once; sc is the
-	// scratch backing it.
-	ks, vs       []int64
-	viewG, viewS int
-	sc           *cScratch
-}
-
-// newGateCursor positions a cursor skip elements into gates [glo, ghi).
-func newGateCursor(st *state, glo, ghi, skip int) *gateCursor {
-	c := &gateCursor{st: st, ghi: ghi, g: glo, viewG: -1, viewS: -1, sc: st.p.cctx.get()}
-	for skip > 0 && c.g < ghi {
-		gc := st.gates[c.g].gcard
-		if skip >= gc {
-			skip -= gc
-			c.g++
-			continue
-		}
-		g := st.gates[c.g]
-		for {
-			sc := g.segCard[c.s]
-			if skip >= sc {
-				skip -= sc
-				c.s++
-				continue
-			}
-			c.off = skip
-			return c
-		}
-	}
-	return c
-}
-
-func (c *gateCursor) release() { c.st.p.cctx.put(c.sc) }
-
-func (c *gateCursor) copyInto(dk, dv []int64) {
-	need := len(dk)
-	pos := 0
-	for pos < need {
-		g := c.st.gates[c.g]
-		if c.s >= g.spg {
-			c.g++
-			c.s, c.off = 0, 0
-			continue
-		}
-		run := g.segCard[c.s] - c.off
-		if run <= 0 {
-			c.s++
-			c.off = 0
-			continue
-		}
-		if run > need-pos {
-			run = need - pos
-		}
-		if c.viewG != c.g || c.viewS != c.s {
-			c.ks, c.vs = g.view(c.s, c.sc)
-			c.viewG, c.viewS = c.g, c.s
-		}
-		copy(dk[pos:pos+run], c.ks[c.off:c.off+run])
-		copy(dv[pos:pos+run], c.vs[c.off:c.off+run])
-		c.off += run
-		pos += run
-	}
-}
-
-// sliceSource feeds elements from the master's scratch arrays.
-type sliceSource struct {
-	ks, vs []int64
-	off    int
-}
-
-func (s *sliceSource) copyInto(dk, dv []int64) {
-	n := len(dk)
-	copy(dk, s.ks[s.off:s.off+n])
-	copy(dv, s.vs[s.off:s.off+n])
-	s.off += n
-}
-
-func (s *sliceSource) release() {}
-
-// scratchSource reads what materialize left in the master's scratch arrays.
-func (r *rebalancer) scratchSource(skip int) elemSource {
-	return &sliceSource{ks: r.scratchK, vs: r.scratchV, off: skip}
-}
-
-// fillChunk builds a fresh chunk laid out per segCounts from src and derives
-// the chunk metadata. It is shared by the rebalancer's workers and by
+// fillChunk builds a fresh chunk laid out per segCounts from the leading
+// sorted pairs of ks/vs and derives the chunk metadata; it consumes the
+// plan's gcard pairs. It is shared by the rebalancer's workers and by
 // BulkLoad's direct construction.
-func (p *PMA) fillChunk(segCounts []int, src elemSource) destPlan {
+func (p *PMA) fillChunk(segCounts []int, ks, vs []int64) destPlan {
 	pl := p.newPlan(len(segCounts))
 	sc := p.cctx.get()
 	defer p.cctx.put(sc)
 	for j, c := range segCounts {
 		if c > 0 {
-			pl.smin[j] = p.fillSeg(&pl, j, c, src, sc)
+			pl.smin[j] = p.fillSeg(&pl, j, ks[pl.gcard:pl.gcard+c], vs[pl.gcard:pl.gcard+c], sc)
 		}
 		pl.segCard[j] = c
 		pl.gcard += c
@@ -527,29 +429,57 @@ func (r *rebalancer) parallel(tasks []func()) {
 }
 
 // executeRebalance redistributes gates [glo, ghi) evenly (the traditional
-// policy used for all global rebalances), merging the optional batch inserts
-// in. The master holds all the window's latches.
-func (r *rebalancer) executeRebalance(st *state, glo, ghi int, ins []op) {
+// policy used for all global rebalances), merging the batch inserts in: it
+// materialises (existing ∪ inserts) into scratch in parallel per source gate,
+// then fills the destinations from scratch. The master holds all the
+// window's latches.
+//
+// Queued ops follow their keys: what the fence moves leave out of range in a
+// window gate's queue is parked at the gate that now owns its key, so a later
+// update of the key combines behind it instead of overtaking it. The master
+// holds every window queue's mu from before it publishes the new fences and
+// index separators until the last displaced op is parked, and bumps the
+// fence generation in between: a writer that sampled the old generation,
+// whatever index it read, and has not appended by then refuses to
+// (lockOrCombine); one that sampled the new generation read the new index,
+// and appends behind the displaced ops. Ops whose new gate lies outside the
+// window are returned, for redistribute.
+func (r *rebalancer) executeRebalance(st *state, glo, ghi int, ins []op) (stray []op) {
 	before := 0
 	for i := glo; i < ghi; i++ {
 		before += st.gates[i].gcard
 	}
-	// Without inserts the destinations fill straight from the source chunks.
-	total, source := before, func(skip int) elemSource { return newGateCursor(st, glo, ghi, skip) }
-	if len(ins) > 0 {
-		// Merge path: materialise (existing ∪ inserts) into scratch in
-		// parallel per source gate, then fill destinations from scratch.
-		total, source = r.materialize(st, glo, ghi, ins, nil), r.scratchSource
-	}
-	plans := r.fillPlans(evenCounts(total, (ghi-glo)*st.spg), source)
+	total := r.materialize(st, glo, ghi, ins, nil)
+	plans := r.fillPlans(evenCounts(total, (ghi-glo)*st.spg))
 	st.card.Add(int64(total - before))
+
+	window := st.gates[glo:ghi]
+	for _, h := range window {
+		h.mu.Lock()
+	}
 	r.p.publish(st, glo, ghi, plans, time.Now().UnixNano())
+	st.fenceGen.Add(1)
+	var moved []op
+	for _, h := range window {
+		h.qOps, moved = fenceSplit(h.qOps, h.fenceLo, h.fenceHi, moved)
+	}
+	for gi, group := range groupByGate(st, moved) {
+		if gi < glo || gi >= ghi {
+			stray = append(stray, group...)
+			continue
+		}
+		r.park(st, st.gates[gi], group)
+	}
+	for _, h := range window {
+		h.mu.Unlock()
+	}
+	return stray
 }
 
 // fillPlans builds the destination chunks of a rebalance or resize in
-// parallel, one per spg segment counts; source positions an element source
-// skip elements into the window's sorted content.
-func (r *rebalancer) fillPlans(counts []int, source func(skip int) elemSource) []destPlan {
+// parallel, one per spg segment counts, from the sorted pairs materialize
+// left in the master's scratch arrays.
+func (r *rebalancer) fillPlans(counts []int) []destPlan {
 	spg := r.p.cfg.SegmentsPerGate
 	plans := make([]destPlan, len(counts)/spg)
 	tasks := make([]func(), len(plans))
@@ -557,15 +487,11 @@ func (r *rebalancer) fillPlans(counts []int, source func(skip int) elemSource) [
 	for i := range tasks {
 		i := i
 		segCounts := counts[i*spg : (i+1)*spg]
-		skip := prefix
+		ks, vs := r.scratchK[prefix:], r.scratchV[prefix:]
 		for _, c := range segCounts {
 			prefix += c
 		}
-		tasks[i] = func() {
-			src := source(skip)
-			plans[i] = r.p.fillChunk(segCounts, src)
-			src.release()
-		}
+		tasks[i] = func() { plans[i] = r.p.fillChunk(segCounts, ks, vs) }
 	}
 	r.parallel(tasks)
 	return plans
@@ -647,7 +573,6 @@ func (p *PMA) publish(st *state, glo, ghi int, plans []destPlan, stamp int64) {
 			g.fenceLo = lo
 			st.index.set(i, lo)
 		}
-		g.rebGen++
 		g.lastReb = stamp
 		nextLo = g.fenceLo
 	}
@@ -704,7 +629,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 	}
 
 	newSt := p.newState(newSegs / st.spg)
-	plans := r.fillPlans(evenCounts(total, newSegs), r.scratchSource)
+	plans := r.fillPlans(evenCounts(total, newSegs))
 
 	// Install plans and fences on the new state (not yet visible).
 	p.installState(newSt, plans, total)

@@ -218,32 +218,51 @@ func TestLoneWriterOverflowTakesTDelay(t *testing.T) {
 	}
 }
 
-// displacedScene sets up the displaced-op tests: sibling gates g and h of a
-// flushed store, g thinned out so that a global rebalance around it evens the
-// pair out by moving h's low keys over, and h's queue open on an update (to
-// value 1) of every key h stores. rebalance runs that rebalance and checks it
-// moved parked[0]'s key.
-func displacedScene(t *testing.T) (p *PMA, st *state, h *gate, parked []op, rebalance func()) {
+// displacedScene sets up the displaced-op tests: in a flushed store, the
+// aligned four-gate window g0, g1, h, g3 with g0 and g1 emptied and h's
+// queue open on an update (to value 1) of every key h stores. rebalance puts
+// batch into g3, more fresh keys than the pair (h, g3) has slots: the master
+// rebalances the four gates evenly, which moves every key h stored to the
+// left. It checks that parked[0]'s key moved.
+func displacedScene(t *testing.T) (p *PMA, st *state, h *gate, parked, batch []op, rebalance func()) {
 	p = newTest(t, ModeBatch)
 	for k := int64(0); k < 400; k++ {
 		p.Put(k*10, 0)
 	}
 	p.Flush()
 	st = p.state.Load()
-	g, h := st.gates[len(st.gates)/2&^1], st.gates[len(st.gates)/2|1] // siblings
-	for k := g.fenceLo; g.gcard >= h.gcard-1; k++ {                   // thin out the left one
-		p.Delete(k)
-	}
+	w := len(st.gates) / 2 &^ 3
+	g0, g1, h, g3 := st.gates[w], st.gates[w+1], st.gates[w+2], st.gates[w+3]
+	var gone []int64
+	p.Scan(g0.fenceLo, g1.fenceHi, func(k, _ int64) bool {
+		gone = append(gone, k)
+		return true
+	})
+	p.DeleteBatch(gone)
 	p.Scan(h.fenceLo, h.fenceHi, func(k, _ int64) bool {
 		parked = append(parked, op{key: k, val: 1})
 		return true
 	})
+	// In all 5/8 of the four gates' slots: more than the pair (h, g3) has,
+	// and within the window of four's density threshold (tau >= 0.75).
+	total := 5 * st.spg * st.b / 2
+	for k := g3.fenceLo + 1; len(batch) < total-h.gcard-g3.gcard; k++ {
+		if k%10 != 0 {
+			batch = append(batch, op{key: k, val: -k})
+		}
+	}
+	if last := batch[len(batch)-1].key; last > g3.fenceHi {
+		t.Fatalf("gate %d [%d, %d] has no room for fresh key %d", g3.idx, g3.fenceLo, g3.fenceHi, last)
+	}
 	h.mu.Lock()
 	h.qOpen, h.qOps = true, append([]op(nil), parked...)
 	h.mu.Unlock()
-	return p, st, h, parked, func() {
-		g.lockX()
-		p.requestGlobalAndWait(st, g, 0)
+	return p, st, h, parked, batch, func() {
+		keys, vals := make([]int64, len(batch)), make([]int64, len(batch))
+		for i, o := range batch {
+			keys[i], vals[i] = o.key, o.val
+		}
+		p.PutBatch(keys, vals)
 		if k := parked[0].key; p.state.Load() != st || k >= h.fenceLo {
 			t.Fatalf("the rebalance did not move key %d out of its gate (fenceLo %d)", k, h.fenceLo)
 		}
@@ -275,7 +294,7 @@ func checkDisplaced(t *testing.T, p *PMA, parked []op, k, want int64) {
 // and was then overwritten by the older op when that finally moved over. The
 // master now parks them at their new gate before it unlatches the window.
 func TestWriterCombinesBehindDisplacedOps(t *testing.T) {
-	p, st, _, parked, rebalance := displacedScene(t)
+	p, st, _, parked, _, rebalance := displacedScene(t)
 	rebalance()
 	for _, x := range st.gates {
 		x.mu.Lock()
@@ -299,7 +318,7 @@ func TestWriterCombinesBehindDisplacedOps(t *testing.T) {
 // the Flush. The two halves of the writer's entry are run here with the
 // rebalance in between: the second must notice the fence generation moved.
 func TestCombinerRechecksFences(t *testing.T) {
-	p, st, h, parked, rebalance := displacedScene(t)
+	p, st, h, parked, _, rebalance := displacedScene(t)
 	k := parked[0].key
 	gen, gi := st.fenceGen.Load(), st.route(k) // enter, up to the lookup
 	if gi != h.idx {
@@ -313,4 +332,25 @@ func TestCombinerRechecksFences(t *testing.T) {
 	}
 	p.Put(k, 3) // what enter does next: route again
 	checkDisplaced(t, p, parked, k, 3)
+}
+
+// TestBatchHandOffAppliesDisplaced pins what a waited hand-off promises: a
+// PutBatch whose overflow displaced ops parked in another gate's queue
+// returns only once the master has applied them too, so a quiet store holds
+// nothing queued, the displaced updates read back without a Flush, and the
+// batch's own values are intact.
+func TestBatchHandOffAppliesDisplaced(t *testing.T) {
+	p, _, _, parked, batch, rebalance := displacedScene(t)
+	rebalance()
+	if q := p.QueuedOps(); q != 0 {
+		t.Fatalf("%d ops still queued after the batch returned", q)
+	}
+	for _, o := range append(parked, batch...) {
+		if v, ok := p.Get(o.key); !ok || v != o.val {
+			t.Fatalf("Get(%d) = %d,%v, want %d", o.key, v, ok, o.val)
+		}
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -72,26 +72,35 @@ func (p *PMA) update(o op) bool {
 
 // updateSync is the baseline path (Section 3.3), ModeSync's update and in
 // every mode the replay of ops that lost their gate (drainQueue, Flush, batch
-// leftovers): enter exclusively, apply in place, or transfer the latch to the
-// rebalancer, wait, and route the op again.
+// leftovers): enter exclusively and apply in place, or hand an insert that
+// overflows the chunk to the rebalancer and wait until it has been served.
+// A replay is older than anything combined behind it, so it goes to the
+// front of the queue. In ModeSync nothing combines: what the queue holds
+// was parked there before, and the op rides on the request like a batch
+// run, which also keeps a concurrent batch or Flush from taking it out of
+// the queue and applying it after this call returned.
 func (p *PMA) updateSync(o op) bool {
-	for {
-		st, g := p.enter(o.key, latchExclusive, o)
-		if result, done := p.applyOp(st, g, o); done {
-			g.release()
-			if o.del {
-				p.maybeRequestShrink(st)
-			}
-			return result
+	st, g := p.enter(o.key, latchExclusive, o)
+	result, done := p.applyOp(st, g, o)
+	if !done {
+		if own := []op{o}; p.cfg.Mode == ModeSync {
+			p.handOff(st, g, nil, own, true)
+		} else {
+			p.handOff(st, g, own, nil, true)
 		}
-		p.requestGlobalAndWait(st, g, 1)
+		return true
 	}
+	g.release()
+	if o.del {
+		p.maybeRequestShrink(st)
+	}
+	return result
 }
 
 // applyOp applies one op to gate g, which the caller holds exclusively and
 // whose fences cover the key, and keeps the state's cardinality. done=false
 // is an insert that no in-chunk window can absorb: nothing was modified and
-// the caller, still holding the latch, takes it to the rebalancer.
+// the caller, still holding the latch, hands it to the rebalancer.
 func (p *PMA) applyOp(st *state, g *gate, o op) (result, done bool) {
 	if o.del {
 		if result = g.del(o.key); result {
@@ -153,28 +162,12 @@ func (p *PMA) applyOwn(st *state, g *gate, o op, queued bool) (result bool) {
 		if delta, ok := g.mergeLocal(st, own[:]); ok {
 			st.card.Add(int64(delta))
 		} else {
-			p.handOffBatch(st, g, []op{o}, false)
+			p.handOff(st, g, own[:], nil, false)
 			released = true
 		}
 	}
 	p.drainQueue(st, g, reroute, released)
 	return result
-}
-
-// requestGlobalAndWait transfers the caller's exclusive latch to the
-// rebalancer, asks it to rebalance around g, and blocks until done.
-func (p *PMA) requestGlobalAndWait(st *state, g *gate, pending int) {
-	req := &request{
-		kind:    reqRebalance,
-		st:      st,
-		g:       g,
-		gen:     g.rebGen,
-		pending: pending,
-		done:    make(chan struct{}),
-	}
-	g.transferToReb()
-	p.reb.submit(req)
-	<-req.done
 }
 
 // maybeRequestShrink notifies the rebalancer (once) when occupancy dropped

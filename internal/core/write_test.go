@@ -3,14 +3,16 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 )
 
-// TestLoneWriterDoesNotAllocate: an uncontended writer of the async modes
-// applies its op in the chunk and never enters its own combining queue, so a
-// warmed Put+Delete cycle allocates nothing in either layout.
+// TestLoneWriterDoesNotAllocate: an uncontended writer applies its op in the
+// chunk — in the async modes it never enters its own combining queue — so a
+// warmed Put+Delete cycle allocates nothing in any mode or layout.
 func TestLoneWriterDoesNotAllocate(t *testing.T) {
-	for _, mode := range []Mode{ModeBatch, ModeOneByOne} {
+	for _, mode := range allModes() {
 		for _, compressed := range []bool{false, true} {
 			if got := updateCycleAllocs(t, mode, compressed); got != 0 {
 				t.Errorf("%v compressed=%v: Put+Delete allocates %.2f objects, want 0", mode, compressed, got)
@@ -122,5 +124,281 @@ func TestPutBatchAllocs(t *testing.T) {
 		if allocs > 2 {
 			t.Errorf("compressed=%v: a 1024-key PutBatch over %d gates allocates %v times, want at most 2", compressed, clusters, allocs)
 		}
+	}
+}
+
+// TestWriterLastValueWins is a regression test for two lost updates. In
+// ModeOneByOne a holder whose drain overflowed its chunk took the combined
+// ops it had already acknowledged off the queue, handed its latch to the
+// rebalancer and replayed them after the gate was free again, so a writer's
+// later update of the same key, applied in place meanwhile, was overwritten
+// by its earlier one. In ModeBatch a writer whose key a global rebalance had
+// just moved could join the key's new gate before the rebalance re-parked
+// the key's older ops there, behind it. Each writer here rewrites its own
+// keys round after round, with a fresh insert after every Put to keep chunks
+// overflowing; at the end every key must hold its writer's last round.
+func TestWriterLastValueWins(t *testing.T) {
+	const writers, keys, rounds, trials = 4, 64, 40, 30
+	for _, mode := range allModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			for trial := 0; trial < trials; trial++ {
+				p := newTest(t, mode)
+				var wg sync.WaitGroup
+				for w := int64(0); w < writers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for r := int64(0); r < rounds; r++ {
+							for i := int64(0); i < keys; i++ {
+								k := (i*writers + w) * 1000
+								p.Put(k, r)
+								p.Put(k+1+r, -1) // fresh: no earlier round wrote it
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				p.Flush()
+				for w := int64(0); w < writers; w++ {
+					for i := int64(0); i < keys; i++ {
+						k := (i*writers + w) * 1000
+						if v, ok := p.Get(k); !ok || v != rounds-1 {
+							t.Fatalf("trial %d: writer %d's key %d holds %d,%v after its last round %d", trial, w, k, v, ok, rounds-1)
+						}
+					}
+				}
+				if err := p.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				p.Close()
+			}
+		})
+	}
+}
+
+// overflowKey puts fresh keys into gate g of a ModeSync store, each applied
+// in place, until the next fresh key would overflow the chunk — its segment
+// is full and no in-chunk window can take one more — and returns that key.
+func overflowKey(t *testing.T, p *PMA, g *gate) int64 {
+	t.Helper()
+	st := p.state.Load()
+	for k := g.fenceLo + 1; k <= g.fenceHi; k++ {
+		if _, ok := p.Get(k); ok {
+			continue
+		}
+		s := g.findSeg(k)
+		if _, _, ok := g.localWindow(st, s, s, 1); !ok && g.segCard[s] == g.b {
+			return k
+		}
+		p.Put(k, k)
+	}
+	t.Fatalf("gate %d [%d, %d] never filled up", g.idx, g.fenceLo, g.fenceHi)
+	return 0
+}
+
+// preloaded returns a ModeSync store holding the keys 0, 10, ..., 3990.
+func preloaded(t *testing.T) *PMA {
+	p := newTest(t, ModeSync)
+	for k := int64(0); k < 400; k++ {
+		p.Put(k*10, k)
+	}
+	return p
+}
+
+// TestSyncOverflowIsVisible: a ModeSync Put whose insert overflows its chunk
+// hands it to the rebalancer and returns only once it has been applied —
+// also when the master is busy with a resize that retires the gate before
+// it picks the request up: the request, for a retired state, routes the
+// insert into the new array, and the master applies it before it releases
+// the Put.
+func TestSyncOverflowIsVisible(t *testing.T) {
+	t.Run("rebalance", func(t *testing.T) {
+		p := preloaded(t)
+		st := p.state.Load()
+		k := overflowKey(t, p, st.gates[1])
+		p.Put(k, -1)
+		if v, ok := p.Get(k); !ok || v != -1 {
+			t.Fatalf("Get(%d) = %d,%v after its Put returned", k, v, ok)
+		}
+		if rs := p.Stats().Rebalance; rs.Global+rs.Resizes == 0 {
+			t.Fatalf("%+v: the Put did not overflow", rs)
+		}
+	})
+	t.Run("resized meanwhile", func(t *testing.T) {
+		p := preloaded(t)
+		st := p.state.Load()
+		g := st.gates[1]
+		k := overflowKey(t, p, g)
+		// The master stops at gate 0, latching the whole array for a batch
+		// the array cannot hold, while the Put hands off at gate 1.
+		a := st.gates[0]
+		a.lockX()
+		keys, vals := make([]int64, st.slots()), make([]int64, st.slots())
+		for i := range keys {
+			keys[i] = 4000 + int64(i) // above every stored key
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); p.PutBatch(keys, vals) }()
+		waitFor(t, a, func() bool { return a.rebWanted })
+		go func() { defer wg.Done(); p.Put(k, -1) }()
+		waitFor(t, g, func() bool { return g.qOpen && g.lstate == lsFree })
+		a.release()
+		wg.Wait()
+		if p.state.Load() == st || !g.invalid {
+			t.Fatal("the batch did not resize the array")
+		}
+		if v, ok := p.Get(k); !ok || v != -1 {
+			t.Fatalf("Get(%d) = %d,%v after its Put returned", k, v, ok)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// waitFor polls cond under g.mu until it holds.
+func waitFor(t *testing.T, g *gate, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		g.mu.Lock()
+		ok := cond()
+		g.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gate %d never reached the awaited state", g.idx)
+		}
+	}
+}
+
+// TestHandOffWaitObservedOnce: the one place a writer waits on the master is
+// timed, and only there — an overflowing ModeSync insert observes exactly
+// one hand-off wait, and the in-place Puts that filled its chunk none.
+func TestHandOffWaitObservedOnce(t *testing.T) {
+	p := preloaded(t)
+	waits := func() uint64 { return p.Stats().Rebalance.HandOffWait.Count }
+	before := waits()
+	k := overflowKey(t, p, p.state.Load().gates[1])
+	if n := waits() - before; n != 0 {
+		t.Fatalf("%d hand-off waits observed for in-place Puts", n)
+	}
+	p.Put(k, -1)
+	if n := waits() - before; n != 1 {
+		t.Fatalf("%d hand-off waits observed for one overflowing insert, want 1", n)
+	}
+}
+
+// TestWaitedHandOffAppliesRerouted: a waited hand-off — a ModeSync Put, or a
+// batch run, whose insert overflows its chunk — returns only once its insert
+// is applied, also when a global rebalance ahead of it in the master's
+// channel moved the key to a gate whose combining queue is already open, so
+// parking the insert there schedules nothing of its own. The master is held
+// at two far gates the test latches: at the first while both hand-offs at
+// gate 1 reach the channel, a stall request for the second between them; at
+// the second, after the first hand-off's rebalance moved the key, while the
+// key's new gate z is handed off (its queue open, its request behind the
+// insert's in the channel) and a ModeSync writer latches it in place. The
+// insert's hand-off may not return while the insert sits in z's queue; after
+// it does, a second update of the key, applied in place, must outlast z's
+// request, which would otherwise apply the queued insert over it.
+func TestWaitedHandOffAppliesRerouted(t *testing.T) {
+	for name, put := range map[string]func(p *PMA, k, v int64){
+		"Put":      func(p *PMA, k, v int64) { p.Put(k, v) },
+		"PutBatch": func(p *PMA, k, v int64) { p.PutBatch([]int64{k}, []int64{v}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := preloaded(t)
+			st := p.state.Load()
+			g := st.gates[1]
+			overflows := func(k int64) bool {
+				s := g.findSeg(k)
+				_, _, ok := g.localWindow(st, s, s, 1)
+				return !ok && g.segCard[s] == g.b
+			}
+			// Fill gate 1 but for its lowest fresh key ka: every fresh key
+			// that would overflow is skipped, and the last one is kb.
+			ka, kb := g.fenceLo+1, int64(-1)
+			for k := ka + 1; k <= g.fenceHi; k++ {
+				if _, ok := p.Get(k); ok {
+					continue
+				}
+				if overflows(k) {
+					kb = k
+					continue
+				}
+				p.Put(k, k)
+			}
+			if _, ok := p.Get(ka); ok || kb < 0 || !overflows(ka) || !overflows(kb) {
+				t.Fatalf("gate 1 [%d, %d] did not fill up around keys %d and %d", g.fenceLo, g.fenceHi, ka, kb)
+			}
+			n := len(st.gates)
+			s0, s1 := st.gates[n-1], st.gates[n-2]
+			s0.lockX()
+			s1.lockX()
+			p.reb.submit(&request{kind: reqBatch, st: st, g: s0})
+			waitFor(t, s0, func() bool { return s0.rebWanted })
+
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() { defer wg.Done(); p.Put(kb, -1) }()
+			waitFor(t, g, func() bool { return g.qOpen && g.lstate == lsFree })
+			p.reb.submit(&request{kind: reqBatch, st: st, g: s1})
+			aDone := make(chan struct{})
+			go func() { defer close(aDone); put(p, ka, 1) }()
+			waitFor(t, g, func() bool { return len(p.reb.ch) == 3 })
+
+			s0.release()
+			waitFor(t, s1, func() bool { return s1.rebWanted })
+			wg.Wait()
+			if ka >= g.fenceLo {
+				t.Fatalf("the rebalance did not move key %d out of gate 1 [%d, %d]", ka, g.fenceLo, g.fenceHi)
+			}
+			z := st.gates[st.route(ka)]
+			z.mu.Lock()
+			if z.qOpen {
+				t.Fatalf("gate %d's queue is open already", z.idx)
+			}
+			z.qOpen = true
+			z.mu.Unlock()
+			p.reb.submit(&request{kind: reqBatch, st: st, g: z})
+			z.lockX()
+			s1.release()
+
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				select {
+				case <-aDone:
+					z.mu.Lock()
+					q := append([]op(nil), z.qOps...)
+					z.mu.Unlock()
+					z.release() // for Close
+					t.Fatalf("the hand-off returned with key %d still queued at gate %d: %v", ka, z.idx, q)
+				default:
+				}
+				z.mu.Lock()
+				wanted := z.rebWanted
+				z.mu.Unlock()
+				if wanted {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the master never asked for the key's new gate")
+				}
+			}
+			z.release()
+			<-aDone
+			if v, ok := p.Get(ka); !ok || v != 1 {
+				t.Fatalf("Get(%d) = %d,%v after its hand-off returned", ka, v, ok)
+			}
+			p.Put(ka, 2)
+			p.Flush()
+			if v, ok := p.Get(ka); !ok || v != 2 {
+				t.Fatalf("Get(%d) = %d,%v after a second Put of 2", ka, v, ok)
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

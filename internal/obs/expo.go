@@ -49,6 +49,7 @@ func (s Snapshot) Points() []Point {
 		d("rebalance_duration_seconds", s.Rebalance.RebalanceNanos, 1e-9),
 		d("resize_duration_seconds", s.Rebalance.ResizeNanos, 1e-9),
 		win("rebalance_stall_window_seconds", s.Rebalance.StallWindow, 1e-9, nil),
+		win("rebalance_handoff_wait_seconds", s.Rebalance.HandOffWait, 1e-9, nil),
 	}
 	if s.Compression.Enabled {
 		pts = append(pts,

@@ -38,13 +38,17 @@ type CoreMetrics struct {
 	// trailing interval, with the same duration and clock reading as
 	// RebalanceNanos or ResizeNanos: the exclusive holds writers wait
 	// behind, live. Its count never exceeds GlobalRebalances + Resizes,
-	// which are incremented first.
+	// which are incremented first. HandOffWait observes, over the same
+	// trailing interval, each wait of a writer that handed an overflow to
+	// the master and blocks until it is served (core/async.go, handOff): the
+	// stall as the writer sees it, queueing behind other requests included.
 	LocalRebalances  Counter
 	GlobalRebalances Counter
 	Resizes          Counter
 	RebalanceNanos   Histogram
 	ResizeNanos      Histogram
 	StallWindow      Window
+	HandOffWait      Window
 
 	// Compressed chunks (core/cgate.go). SegDecodes counts whole-segment
 	// decodes that succeeded (scans, batches that move pairs between
@@ -88,6 +92,7 @@ type RebalanceStats struct {
 	RebalanceNanos Distribution   `json:"rebalance_nanos"`
 	ResizeNanos    Distribution   `json:"resize_nanos"`
 	StallWindow    WindowSnapshot `json:"stall_window"`
+	HandOffWait    WindowSnapshot `json:"handoff_wait"`
 }
 
 // CompressionStats is the compressed-chunks section of a snapshot. For an
@@ -137,6 +142,7 @@ func (m *CoreMetrics) Snapshot() CoreSnapshot {
 			RebalanceNanos: m.RebalanceNanos.Snapshot(),
 			ResizeNanos:    m.ResizeNanos.Snapshot(),
 			StallWindow:    m.StallWindow.Snapshot(),
+			HandOffWait:    m.HandOffWait.Snapshot(),
 		},
 		Compression: CompressionStats{
 			SegDecodes:    m.SegDecodes.Load(),
@@ -162,6 +168,7 @@ func (s CoreSnapshot) merge(o CoreSnapshot) CoreSnapshot {
 	s.Rebalance.RebalanceNanos = s.Rebalance.RebalanceNanos.merge(o.Rebalance.RebalanceNanos)
 	s.Rebalance.ResizeNanos = s.Rebalance.ResizeNanos.merge(o.Rebalance.ResizeNanos)
 	s.Rebalance.StallWindow = s.Rebalance.StallWindow.merge(o.Rebalance.StallWindow)
+	s.Rebalance.HandOffWait = s.Rebalance.HandOffWait.merge(o.Rebalance.HandOffWait)
 	s.Compression.Enabled = s.Compression.Enabled || o.Compression.Enabled
 	s.Compression.SegDecodes += o.Compression.SegDecodes
 	s.Compression.ReencodeBytes += o.Compression.ReencodeBytes

@@ -264,6 +264,7 @@ func TestWritePrometheus(t *testing.T) {
 		"pmago_checkpoint_duration_seconds_count 2\n",
 		"pmago_checkpoint_auto_compactions_total 1\n",
 		"# TYPE pmago_rebalance_stall_window_seconds summary\n",
+		"# TYPE pmago_rebalance_handoff_wait_seconds summary\n",
 		"pmago_shard_ops_total{shard=\"0\"} 1\n",
 		"pmago_shard_ops_total{shard=\"1\"} 2\n",
 		"pmago_shard_batch_keys_total{shard=\"1\"} 3\n",
