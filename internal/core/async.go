@@ -45,20 +45,24 @@ func (p *PMA) drainQueue(st *state, g *gate, reroute []op, released bool) {
 	}
 }
 
-// drainOneByOne processes ops in arrival order through the normal in-gate
-// path, preserving adaptive rebalancing. When an op forces a global
-// rebalance, the writer hands the residue — that op and the ones after it,
-// older than anything combined since — to the rebalancer at the front of its
-// queue and waits until it has been served, as the one-by-one scheme's
-// writer waits for its global rebalance. Writers arriving meanwhile combine
-// behind the residue, so none of their updates can overtake it.
+// drainOneByOne processes ops in arrival order, each insert a run of one
+// through mergeLocal, so the gate's predictor sees every insert and its
+// adaptive spread keeps its input. When an op forces a global rebalance, the
+// writer hands the residue — that op and the ones after it, older than
+// anything combined since — to the rebalancer at the front of its queue and
+// waits until it has been served, as the one-by-one scheme's writer waits
+// for its global rebalance. Writers arriving meanwhile combine behind the
+// residue, so none of their updates can overtake it.
 func (p *PMA) drainOneByOne(st *state, g *gate, ops []op) (reroute []op, released bool) {
 	for i, o := range ops {
-		if o.key < g.fenceLo || o.key > g.fenceHi {
+		switch {
+		case o.key < g.fenceLo || o.key > g.fenceHi:
 			reroute = append(reroute, o)
-			continue
-		}
-		if _, done := p.applyOp(st, g, o); !done {
+		case o.del:
+			if g.del(o.key) {
+				st.card.Add(-1)
+			}
+		case !g.mergeLocal(st, ops[i:i+1]):
 			p.handOff(st, g, ops[i:], nil, true)
 			return reroute, true
 		}
@@ -66,32 +70,17 @@ func (p *PMA) drainOneByOne(st *state, g *gate, ops []op) (reroute []op, release
 	return reroute, false
 }
 
-// drainBatch implements batch processing: deletions first, then the smallest
-// calibrator window that fits all insertions is rebalanced with them merged
-// in. When no in-chunk window fits, the batch is handed to the rebalancer,
-// rate-limited by TDelay per gate; the latch is released but the queue stays
-// open and keeps absorbing updates until the rebalancer picks it up.
+// drainBatch implements batch processing: deletions first, then all
+// insertions in one mergeLocal. When they do not fit in the chunk, the batch
+// is handed to the rebalancer, rate-limited by TDelay per gate; the latch is
+// released but the queue stays open and keeps absorbing updates until the
+// rebalancer picks it up.
 func (p *PMA) drainBatch(st *state, g *gate, ops []op) (reroute []op, released bool) {
-	ins, dels, out := compactOps(ops, g.fenceLo, g.fenceHi)
-	reroute = out
-
-	removed := int64(0)
-	for _, dk := range dels {
-		if g.del(dk) {
-			removed++
-		}
-	}
-	if removed > 0 {
-		st.card.Add(-removed)
-	}
-	if len(ins) == 0 {
+	ins, dels, reroute := compactOps(ops, g.fenceLo, g.fenceHi)
+	g.deleteRun(st, dels, nil)
+	if g.mergeLocal(st, ins) {
 		return reroute, false
 	}
-	if delta, ok := g.mergeLocal(st, ins); ok {
-		st.card.Add(int64(delta))
-		return reroute, false
-	}
-
 	p.handOff(st, g, ins, nil, false)
 	return reroute, true
 }
@@ -139,14 +128,14 @@ func (p *PMA) handOff(st *state, g *gate, front, ins []op, wait bool) {
 
 // compactOps reduces an op sequence to its final effect per key (later ops
 // supersede earlier ones on the same key), split into key-sorted insert ops,
-// sorted delete keys, and ops outside [lo, hi] that must be re-routed, in
+// key-sorted delete ops, and ops outside [lo, hi] that must be re-routed, in
 // arrival order. It reorders ops in place and ins aliases it.
-func compactOps(ops []op, lo, hi int64) (ins []op, dels []int64, reroute []op) {
+func compactOps(ops []op, lo, hi int64) (ins, dels, reroute []op) {
 	ops, reroute = fenceSplit(ops, lo, hi, nil)
 	ins = ops[:0]
 	for _, o := range sortDedupOps(ops) {
 		if o.del {
-			dels = append(dels, o.key)
+			dels = append(dels, o)
 		} else {
 			ins = append(ins, o)
 		}

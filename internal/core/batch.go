@@ -187,69 +187,25 @@ func (p *PMA) applyBatch(ops, all []op) int64 {
 // applyGateBatch applies one gate's run while holding its latch exclusively
 // and releases the latch. Any ops parked in the gate's combining queue are
 // absorbed first — they are older than the batch and applying them later
-// would revert it (the batch wins per key through the dedup). Deletions go
-// first (they only lower density), then the insert run is merged with
-// escalating effort: per-segment single-pass merges, an in-chunk rebalance
-// merging the run (mergeLocal), and finally a hand-off to the rebalancer,
-// which merges the run into the global rebalance it performs —
-// applyGateBatch blocks until that completes. Absorbed ops routed outside
-// the fences are returned for the caller to replay.
+// would revert it (the batch wins per key through compactOps). Deletions go
+// first (they only lower density), then the inserts take one mergeLocal, and
+// what does not fit in the chunk is handed to the rebalancer, which merges
+// the run into the global rebalance it performs — applyGateBatch blocks
+// until that completes. Absorbed ops routed outside the fences are returned
+// for the caller to replay.
 func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, leftovers []op) {
-	orig := run // the batch's own ops: only their deletions count
 	// A parked batch — we hold the latch, so no active writer owns the
 	// queue. Its outstanding rebalancer request finds the queue emptied.
-	parked := p.detachQueue(g)
-	absorbed := len(parked) > 0
-	if absorbed {
-		merged := make([]op, 0, len(parked)+len(run))
-		merged = append(merged, parked...)
-		merged = append(merged, run...)
-		merged = sortDedupOps(merged)
-		run = opRange(merged, g.fenceLo, g.fenceHi)
-		if len(run) != len(merged) {
-			a := searchOps(merged, g.fenceLo)
-			leftovers = append(leftovers, merged[:a]...)
-			leftovers = append(leftovers, merged[a+len(run):]...)
-		}
+	ins, dels := run, []op(nil)
+	if parked := p.detachQueue(g); len(parked) > 0 {
+		// compactOps works in place: the caller's batch must stay as it is.
+		ops := append(append(make([]op, 0, len(parked)+len(run)), parked...), run...)
+		ins, dels, leftovers = compactOps(ops, g.fenceLo, g.fenceHi)
+	} else if run[0].del { // a batch is all puts (PutBatch) or all deletes
+		ins, dels = nil, run
 	}
-	ins := run
-	if hasDeletes(run) {
-		ins = make([]op, 0, len(run))
-		cardRemoved := int64(0)
-		for _, o := range run {
-			if !o.del {
-				ins = append(ins, o)
-				continue
-			}
-			if g.del(o.key) {
-				cardRemoved++
-				// Deletes that rode in from the absorbed queue belong to
-				// concurrent point callers, not to this batch: keep them
-				// out of the returned count (DeleteBatch's exact-count
-				// contract). An op that survived the last-wins dedup with
-				// its key present in orig is the batch's own.
-				if !absorbed {
-					removed++
-				} else if i := searchOps(orig, o.key); i < len(orig) && orig[i].key == o.key {
-					removed++
-				}
-			}
-		}
-		if cardRemoved > 0 {
-			st.card.Add(-cardRemoved)
-		}
-	}
-	if len(ins) == 0 {
-		g.release()
-		return removed, leftovers
-	}
-	if delta, ok := g.mergeBySegment(ins); ok {
-		st.card.Add(int64(delta))
-		g.release()
-		return removed, leftovers
-	}
-	if delta, ok := g.mergeLocal(st, ins); ok {
-		st.card.Add(int64(delta))
+	removed = g.deleteRun(st, dels, run)
+	if g.mergeLocal(st, ins) {
 		g.release()
 		return removed, leftovers
 	}
@@ -271,15 +227,6 @@ func searchOps(ops []op, k int64) int {
 		}
 	}
 	return lo
-}
-
-func hasDeletes(ops []op) bool {
-	for _, o := range ops {
-		if o.del {
-			return true
-		}
-	}
-	return false
 }
 
 // BulkLoad builds a PMA already containing the given pairs. The elements are

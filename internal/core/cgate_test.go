@@ -166,10 +166,9 @@ func TestCompressedBulkLoad(t *testing.T) {
 // ModeBatch hand-offs are served asynchronously by the master), so the
 // structure is a function of the op sequence alone. Its batches are shaped to
 // take every insert path: sparse ones merge by segment, short clustered ones
-// overflow a segment into a window mergeLocal (in ModeBatch each point Put is
-// a one-op batch through single-segment mergeLocal), long ones are handed to
-// the rebalancer, and range deletes bring the array back down through
-// shrinks.
+// overflow a segment into mergeLocal's window (each point Put, in every mode,
+// is a run of one through mergeLocal), long ones are handed to the
+// rebalancer, and range deletes bring the array back down through shrinks.
 func TestCompressedMatchesUncompressed(t *testing.T) {
 	for _, mode := range allModes() {
 		cu := newTest(t, mode)
@@ -452,8 +451,8 @@ func TestCompressedUpdateDoesNotAllocate(t *testing.T) {
 // merged block before storing any: in the test geometry (one gate, two
 // segments of 8) a run whose first group fits segment 0 and whose second
 // overflows the full segment 1 leaves both segments as they were — the same
-// block, the same bytes, the same segCard and smin — for mergeLocal to take
-// over, which PutBatch then does.
+// block, the same bytes, the same segCard and smin — for mergeLocal's window
+// tier to take over, which PutBatch then does.
 func TestMergeBySegmentAllOrNothing(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		p := newTest(t, ModeSync)
@@ -516,9 +515,11 @@ func TestMergeBySegmentAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestCompressedBatchMergesEncoded: a batch that fits each target segment is
-// merged into the encoded blocks — no whole-segment decode is counted — and
-// ReencodeBytes grows by exactly the bytes of the blocks stored.
+// TestCompressedBatchMergesEncoded: a batch whose runs each fit their target
+// segments is merged into the encoded blocks — no whole-segment decode is
+// counted — and ReencodeBytes grows by exactly the bytes of the blocks
+// stored. A one-key run is a lone insert, which splices its block instead
+// (mergeLocal's first tier): no decode and no rebalance either.
 func TestCompressedBatchMergesEncoded(t *testing.T) {
 	keys, vals := make([]int64, 4096), make([]int64, 4096)
 	for i := range keys {
@@ -529,7 +530,7 @@ func TestCompressedBatchMergesEncoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	batch, bv := []int64{1, 17, 33, 8001, 8003, 40001}, []int64{1, 2, 3, 4, 5, 6}
+	batch, bv := []int64{1, 17, 33, 8001, 8003}, []int64{1, 2, 3, 4, 5}
 	touched := map[*encSeg]bool{}
 	for _, k := range batch {
 		g, s := gateOf(t, p, k)
@@ -561,6 +562,23 @@ func TestCompressedBatchMergesEncoded(t *testing.T) {
 		if v, ok := p.Get(k); !ok || v != bv[i] {
 			t.Fatalf("Get(%d) = %d, %v", k, v, ok)
 		}
+	}
+
+	const lone = 40001
+	if g, _ := gateOf(t, p, lone); g.fenceLo <= batch[len(batch)-1] {
+		t.Fatalf("key %d shares gate [%d, %d] with the batch", lone, g.fenceLo, g.fenceHi)
+	}
+	before = p.Stats().Compression
+	p.PutBatch([]int64{lone}, []int64{6})
+	after = p.Stats().Compression
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats().Rebalance.Local != 0 || after.SegDecodes != before.SegDecodes {
+		t.Fatalf("a one-key run: decodes %d -> %d, %+v", before.SegDecodes, after.SegDecodes, p.Stats().Rebalance)
+	}
+	if v, ok := p.Get(lone); !ok || v != 6 {
+		t.Fatalf("Get(%d) = %d, %v", lone, v, ok)
 	}
 }
 

@@ -15,10 +15,15 @@
 // validate an unsynchronised chunk read against it, making the same read
 // under the shared latch only on sustained contention (read.go).
 //
-// Rebalances that span multiple gates are executed by a centralised
-// rebalancer service (one master goroutine, a pool of workers). A writer
-// whose inserts overflow its chunk hands them off in one way (handOff,
-// async.go): it releases its latch with the gate's combining queue open and
+// Inside its chunk every writer inserts one way, mergeLocal (gate.go): a
+// point Put is a run of one, a combining queue's drain or a batch run a
+// longer one. A lone op whose segment has room goes straight in, a run that
+// fits its target segments is merged into each of them, and otherwise the
+// smallest in-chunk calibrator window that fits is rebalanced with the run
+// merged in (Section 3.3's local rebalance). Rebalances that span multiple
+// gates are executed by a centralised rebalancer service (one master
+// goroutine, a pool of workers). A writer whose inserts overflow its chunk
+// hands them off in one way (handOff, async.go): it releases its latch with the gate's combining queue open and
 // submits a batch request. A writer releases its latch before it submits,
 // and only the master ever holds more than one latch — the deadlock-freedom
 // argument of Section 3.3. A rebalance spreads its window evenly or, in

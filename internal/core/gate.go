@@ -277,69 +277,6 @@ func (g *gate) readEnd(latched bool, ver uint64) bool {
 	return g.version.Load() == ver
 }
 
-// putResult describes the outcome of an in-gate insert attempt.
-type putResult int
-
-const (
-	putInserted    putResult = iota // new element placed
-	putReplaced                     // existing value overwritten
-	putNeedsGlobal                  // no in-chunk window can absorb the insert
-)
-
-// put upserts k/v within the chunk, rebalancing inside the chunk when the
-// target segment is full. Returns putNeedsGlobal when even the whole chunk
-// cannot absorb the insert under its calibrator threshold, in which case
-// nothing was modified.
-func (g *gate) put(st *state, k, v int64) putResult {
-	s := g.findSeg(k)
-	if g.cc != nil && g.segCard[s] > 0 {
-		// A block with pairs in it is edited in place; only a new key
-		// for a full segment needs the view, for the rebalance below.
-		switch r := g.spliceUpsert(s, k, v); r.Status {
-		case codec.Replaced:
-			return putReplaced
-		case codec.Inserted:
-			g.inserted(s, k, r.First == k)
-			return putInserted
-		}
-	}
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	ks, vs := g.view(s, sc)
-	i := g.seek(s, ks, k)
-	if i < len(ks) && ks[i] == k {
-		vs[i] = v
-		g.setSeg(s, ks, vs, sc)
-		return putReplaced
-	}
-	if len(ks) == g.b {
-		ws, we, ok := g.localWindow(st, s, s, 1)
-		if !ok {
-			return putNeedsGlobal
-		}
-		g.rebalanceLocal(ws, we, sc)
-		st.p.metrics.LocalRebalances.Inc()
-		s = g.findSeg(k)
-		ks, vs = g.view(s, sc)
-		i = g.seek(s, ks, k)
-	}
-	ks, vs = insertPair(ks, vs, i, k, v)
-	g.setSeg(s, ks, vs, sc)
-	g.inserted(s, k, i == 0)
-	return putInserted
-}
-
-// inserted books one new key k in segment s, its minimum now if min.
-func (g *gate) inserted(s int, k int64, min bool) {
-	g.gcard++
-	if min {
-		g.setSegMin(s, k)
-	}
-	if g.pred != nil {
-		g.pred.record(k)
-	}
-}
-
 // insertPair places k/v at offset i of the viewed pairs, which have room to
 // grow in place (the segment has a gap, so the view has spare capacity).
 func insertPair(ks, vs []int64, i int, k, v int64) ([]int64, []int64) {
@@ -393,6 +330,30 @@ func (g *gate) del(k int64) bool {
 	return true
 }
 
+// deleteRun removes the keys of the key-sorted delete ops from the chunk and
+// keeps the state's cardinality. It returns how many of the removed keys own,
+// also key-sorted, holds: a DeleteBatch run's own removals, which its exact
+// count reports, not those of queue ops absorbed with it.
+func (g *gate) deleteRun(st *state, dels, own []op) (owned int64) {
+	removed, j := int64(0), 0
+	for _, o := range dels {
+		if !g.del(o.key) {
+			continue
+		}
+		removed++
+		for j < len(own) && own[j].key < o.key {
+			j++
+		}
+		if j < len(own) && own[j].key == o.key {
+			owned++
+		}
+	}
+	if removed > 0 {
+		st.card.Add(-removed)
+	}
+	return owned
+}
+
 func (g *gate) setSegMin(s int, k int64) {
 	g.smin[s] = k
 	for t := s - 1; t >= 0 && g.segCard[t] == 0; t-- {
@@ -438,13 +399,6 @@ func (g *gate) localWindow(st *state, s0, s1, pending int) (ws, we int, ok bool)
 		}
 	}
 	return 0, 0, false
-}
-
-// rebalanceLocal redistributes segments [ws, we) of this chunk (a "local
-// rebalance", Section 3.3).
-func (g *gate) rebalanceLocal(ws, we int, sc *cScratch) {
-	ks, vs := g.gatherLocal(ws, we, 0, sc)
-	g.spreadLocal(ws, we, ks, vs, sc)
 }
 
 // gatherLocal copies the window's elements out of the chunk in key order,
@@ -614,13 +568,94 @@ func mergeRun(ks, vs []int64, run []op, fresh int) ([]int64, []int64) {
 	return ks, vs
 }
 
-// mergeBySegment is the cheapest batch-insert path: the key-sorted,
-// deduplicated run (all within this gate's fences) is partitioned into
+// mergeLocal is the one in-chunk insert (Sections 3.3 and 3.5): it upserts
+// the key-sorted, deduplicated ops, all within this gate's fences, which the
+// caller holds exclusively, and keeps gcard and the state's cardinality. A
+// point insert is a run of one. Three tiers, cheapest first:
+//
+//  1. a lone op whose segment has room goes straight in (upsertLone);
+//  2. a run whose every target segment can take its keys is merged into
+//     each of them in one pass (mergeBySegment), which is also where an
+//     upsert of a key a full segment holds stays in place;
+//  3. otherwise the smallest in-chunk calibrator window that fits the run
+//     is rebalanced with the run merged in during the spread (a local
+//     rebalance).
+//
+// A gate with a predictor (ModeOneByOne) records the keys of every run that
+// created elements: they are what its adaptive spread skews by. false means
+// no in-chunk window fits: nothing was modified, and the caller hands the
+// run to the rebalancer.
+func (g *gate) mergeLocal(st *state, ins []op) bool {
+	n := len(ins)
+	if n == 0 {
+		return true
+	}
+	s0 := g.findSeg(ins[0].key)
+	fresh, ok := 0, n == 1 && g.segCard[s0] < g.b
+	if ok {
+		fresh = g.upsertLone(s0, ins[0])
+	} else if fresh, ok = g.mergeBySegment(ins); !ok {
+		ws, we, fits := g.localWindow(st, s0, g.findSeg(ins[n-1].key), n)
+		if !fits {
+			return false
+		}
+		// The window holds n more pairs (localWindow checked), so a block
+		// store's chunk-sized scratch has room for the merge too. No defer:
+		// this function is also every lone writer's path.
+		sc := g.cc.get()
+		ks, vs := g.gatherLocal(ws, we, n, sc)
+		fresh = countFresh(ks, ins)
+		ks, vs = mergeRun(ks, vs, ins, fresh)
+		g.spreadLocal(ws, we, ks, vs, sc)
+		g.cc.put(sc)
+		st.p.metrics.LocalRebalances.Inc()
+	}
+	if fresh > 0 {
+		g.gcard += fresh
+		st.card.Add(int64(fresh))
+		if g.pred != nil {
+			for _, o := range ins {
+				g.pred.record(o.key)
+			}
+		}
+	}
+	return true
+}
+
+// upsertLone puts o into segment s, which has room for one more pair, with
+// one interpolating seek of the slots or one splice of a non-empty block,
+// and no allocation. It returns 1 when o's key is new, else 0.
+func (g *gate) upsertLone(s int, o op) int {
+	c := g.segCard[s]
+	if g.cc != nil && c > 0 {
+		g.spliceUpsert(s, o.key, o.val) // there is room: never Full
+	} else {
+		sc := g.cc.get()
+		ks, vs := g.view(s, sc)
+		if i := g.seek(s, ks, o.key); i < len(ks) && ks[i] == o.key {
+			vs[i] = o.val
+		} else {
+			ks, vs = insertPair(ks, vs, i, o.key, o.val)
+		}
+		g.setSeg(s, ks, vs, sc)
+		g.cc.put(sc)
+	}
+	// An empty segment's inherited minimum lies above the key. Comparing
+	// against ks[0] instead would touch a cache line the seek and the shift
+	// may have left alone.
+	if o.key < g.smin[s] {
+		g.setSegMin(s, o.key)
+	}
+	return g.segCard[s] - c
+}
+
+// mergeBySegment is mergeLocal's second tier: the run is partitioned into
 // per-segment groups, and when every target segment can absorb its group's
 // genuinely new keys within capacity, each segment takes its group in one
 // merge pass — no window search, no rebalance. Every group is staged before
 // any is committed (stageMerge, commitMerge). Returns the number of newly
-// created elements and whether the run fit; on false nothing was modified.
+// created elements, which gcard does not count yet, and whether the run
+// fit; on false nothing was modified.
 func (g *gate) mergeBySegment(ins []op) (int, bool) {
 	sc := g.cc.get()
 	defer g.cc.put(sc)
@@ -647,7 +682,6 @@ func (g *gate) mergeBySegment(ins []op) (int, bool) {
 	for i, gr := range groups[:n] {
 		empty := g.segCard[gr.s] == 0
 		g.commitMerge(i, gr.s, ins[gr.lo:gr.hi], gr.fresh, sc)
-		g.gcard += gr.fresh
 		delta += gr.fresh
 		// The run is sorted, so only its first key can have become the
 		// segment's minimum; an empty segment's was inherited.
@@ -656,71 +690,6 @@ func (g *gate) mergeBySegment(ins []op) (int, bool) {
 		}
 	}
 	return delta, true
-}
-
-// mergeLocal applies key-sorted, deduplicated insert ops (all within this
-// gate's fences) by rebalancing the smallest in-chunk calibrator window that
-// fits them, merging the insertions during the spread — the second pass of
-// batch processing (Section 3.5). It returns the number of newly created
-// elements and whether the batch fit locally; on false nothing was modified.
-func (g *gate) mergeLocal(st *state, ins []op) (int, bool) {
-	n := len(ins)
-	if n == 0 {
-		return 0, true
-	}
-	s0 := g.findSeg(ins[0].key)
-	s1 := g.findSeg(ins[n-1].key)
-
-	// Level 1: all insertions target a single segment with enough gaps
-	// (tau_1 = 1 allows filling it completely). Upserted one by one: the
-	// usual caller is a combining queue that absorbed a single op, which
-	// this serves with one search.
-	if s0 == s1 && g.segCard[s0]+n <= g.b {
-		c := g.segCard[s0]
-		if g.cc != nil && c > 0 {
-			for _, o := range ins { // there is room for all: never Full
-				g.spliceUpsert(s0, o.key, o.val)
-			}
-		} else {
-			sc := g.cc.get()
-			ks, vs := g.view(s0, sc)
-			for _, o := range ins {
-				if i := g.seek(s0, ks, o.key); i < len(ks) && ks[i] == o.key {
-					vs[i] = o.val
-				} else {
-					ks, vs = insertPair(ks, vs, i, o.key, o.val)
-				}
-			}
-			g.setSeg(s0, ks, vs, sc)
-			g.cc.put(sc)
-		}
-		fresh := g.segCard[s0] - c
-		g.gcard += fresh
-		// The run is sorted, so only its first key can have become the
-		// minimum (an empty segment's inherited minimum lies above it).
-		// Comparing against ks[0] instead would touch a cache line the
-		// search and the shift may have left alone.
-		if ins[0].key < g.smin[s0] {
-			g.setSegMin(s0, ins[0].key)
-		}
-		return fresh, true
-	}
-
-	ws, we, ok := g.localWindow(st, s0, s1, n)
-	if !ok {
-		return 0, false
-	}
-	// The window holds n more pairs (localWindow checked), so a block
-	// store's chunk-sized scratch has room for the merge too.
-	sc := g.cc.get()
-	defer g.cc.put(sc)
-	ks, vs := g.gatherLocal(ws, we, n, sc)
-	fresh := countFresh(ks, ins)
-	ks, vs = mergeRun(ks, vs, ins, fresh)
-	g.spreadLocal(ws, we, ks, vs, sc)
-	g.gcard += fresh
-	st.p.metrics.LocalRebalances.Inc()
-	return fresh, true
 }
 
 // collect appends the chunk's pairs with key in [from, hi] to ks/vs (equally

@@ -298,31 +298,15 @@ func (r *rebalancer) process(req *request) []op {
 	// Absorb the gate's combining queue into this job. The request's own
 	// inserts go after the queue ops: compactOps keeps the later op per
 	// key, so they supersede anything older that was redistributed into
-	// the queue between hand-off and pickup. A queue a
-	// writer or batch latching the gate since emptied leaves nothing, or
-	// only what fits in the chunk (mergeLocal below).
+	// the queue between hand-off and pickup. A queue a writer or batch
+	// latching the gate since emptied leaves nothing, or only what fits in
+	// the chunk. Deletions only lower density and go first, so they may
+	// free enough space to keep the inserts local (mergeLocal).
 	ops := p.detachQueue(g)
 	ops = append(ops, req.ins...)
 	ins, dels, leftovers := compactOps(ops, g.fenceLo, g.fenceHi)
-
-	// Batch pass one: deletions only lower density, apply them in place.
-	removed := int64(0)
-	for _, dk := range dels {
-		if g.del(dk) {
-			removed++
-		}
-	}
-	if removed > 0 {
-		st.card.Add(-removed)
-	}
-
-	if len(ins) == 0 {
-		g.release()
-		return leftovers
-	}
-	// Deletions may have freed enough space to keep the batch local.
-	if delta, ok := g.mergeLocal(st, ins); ok {
-		st.card.Add(int64(delta))
+	g.deleteRun(st, dels, nil)
+	if g.mergeLocal(st, ins) {
 		g.release()
 		return leftovers
 	}
@@ -500,7 +484,7 @@ func (r *rebalancer) fillPlans(counts []int) []destPlan {
 // materialize merges each source gate's elements with its slice of the
 // sorted batch inserts (minus deletes, when given) into the master's scratch
 // arrays, in parallel, and returns the total element count.
-func (r *rebalancer) materialize(st *state, glo, ghi int, ins []op, dels []int64) int {
+func (r *rebalancer) materialize(st *state, glo, ghi int, ins, dels []op) int {
 	m := ghi - glo
 	counts := make([]int, m)
 	countTasks := make([]func(), m)
@@ -508,7 +492,7 @@ func (r *rebalancer) materialize(st *state, glo, ghi int, ins []op, dels []int64
 		i := i
 		g := st.gates[glo+i]
 		gIns := opRange(ins, g.fenceLo, g.fenceHi)
-		gDels := keyRange(dels, g.fenceLo, g.fenceHi)
+		gDels := opRange(dels, g.fenceLo, g.fenceHi)
 		countTasks[i] = func() { counts[i] = countMerged(g, gIns, gDels) }
 	}
 	r.parallel(countTasks)
@@ -531,7 +515,7 @@ func (r *rebalancer) materialize(st *state, glo, ghi int, ins []op, dels []int64
 		i := i
 		g := st.gates[glo+i]
 		gIns := opRange(ins, g.fenceLo, g.fenceHi)
-		gDels := keyRange(dels, g.fenceLo, g.fenceHi)
+		gDels := opRange(dels, g.fenceLo, g.fenceHi)
 		off, end := offsets[i], offsets[i]+counts[i]
 		writeTasks[i] = func() {
 			mergeInto(r.scratchK[off:end], r.scratchV[off:end], g, gIns, gDels)
@@ -715,17 +699,10 @@ func opRange(ops []op, lo, hi int64) []op {
 	return ops[a:b]
 }
 
-// keyRange returns the subslice of sorted keys in [lo, hi].
-func keyRange(ks []int64, lo, hi int64) []int64 {
-	a := sort.Search(len(ks), func(i int) bool { return ks[i] >= lo })
-	b := sort.Search(len(ks), func(i int) bool { return ks[i] > hi })
-	return ks[a:b]
-}
-
 // countMerged computes |(existing \ dels) ∪ ins| for one gate without
 // allocating. ins and dels are key-disjoint (compactOps keeps one final op
 // per key).
-func countMerged(g *gate, ins []op, dels []int64) int {
+func countMerged(g *gate, ins, dels []op) int {
 	count := g.gcard + len(ins)
 	i, j := 0, 0
 	forEachPair(g, func(k, _ int64) {
@@ -737,10 +714,10 @@ func countMerged(g *gate, ins []op, dels []int64) int {
 			i++
 			return
 		}
-		for j < len(dels) && dels[j] < k {
+		for j < len(dels) && dels[j].key < k {
 			j++
 		}
-		if j < len(dels) && dels[j] == k {
+		if j < len(dels) && dels[j].key == k {
 			count-- // deleted existing element
 			j++
 		}
@@ -750,7 +727,7 @@ func countMerged(g *gate, ins []op, dels []int64) int {
 
 // mergeInto writes (existing \ dels) ∪ ins for one gate into dk/dv in key
 // order. The destination length must equal countMerged's result.
-func mergeInto(dk, dv []int64, g *gate, ins []op, dels []int64) {
+func mergeInto(dk, dv []int64, g *gate, ins, dels []op) {
 	pos, i, j := 0, 0, 0
 	forEachPair(g, func(k, v int64) {
 		for i < len(ins) && ins[i].key < k {
@@ -764,10 +741,10 @@ func mergeInto(dk, dv []int64, g *gate, ins []op, dels []int64) {
 			i++
 			return
 		}
-		for j < len(dels) && dels[j] < k {
+		for j < len(dels) && dels[j].key < k {
 			j++
 		}
-		if j < len(dels) && dels[j] == k {
+		if j < len(dels) && dels[j].key == k {
 			j++ // drop the deleted element
 			return
 		}

@@ -48,3 +48,60 @@ func TestFigure1Counts(t *testing.T) {
 		t.Fatalf("cold adaptiveCounts = %v, want the even spread", cold)
 	}
 }
+
+// TestAdaptiveSpreadFedByInserts drives the adaptive policy end to end: a
+// gate of cold bulk-loaded keys takes ascending point inserts at its top
+// until its last segment is full and the next insert rebalances the smallest
+// window around it. In ModeOneByOne every insert fed the gate's predictor,
+// so the spread leaves the hot segment more gaps than the even spread would;
+// ModeSync and ModeBatch gates carry no predictor and spread evenly.
+func TestAdaptiveSpreadFedByInserts(t *testing.T) {
+	for _, mode := range allModes() {
+		cfg := testConfig(mode)
+		cfg.SegmentCapacity, cfg.SegmentsPerGate = 32, 4
+		keys, vals := make([]int64, 64), make([]int64, 64)
+		for i := range keys {
+			keys[i] = int64(i) * 1000
+		}
+		p, err := BulkLoad(cfg, keys, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := p.state.Load()
+		if len(st.gates) != 1 {
+			t.Fatalf("%v: test geometry changed: %d gates", mode, len(st.gates))
+		}
+		g := st.gates[0]
+		if (g.pred != nil) != (mode == ModeOneByOne) {
+			t.Fatalf("%v: predictor %v, want one only in ModeOneByOne", mode, g.pred)
+		}
+		k := keys[len(keys)-1]
+		for p.Stats().Rebalance.Local == 0 {
+			k++
+			s := g.findSeg(k)
+			ws, we, ok := g.localWindow(st, s, s, 1)
+			if !ok || s != g.spg-1 {
+				t.Fatalf("%v: key %d lands in segment %d, window ok %v", mode, k, s, ok)
+			}
+			p.Put(k, k)
+			if p.Stats().Rebalance.Local == 0 {
+				continue
+			}
+			got, total := g.segCard[ws:we], 0
+			for _, c := range got {
+				total += c
+			}
+			even := evenCounts(total, we-ws)
+			if mode == ModeOneByOne && got[s-ws] >= even[s-ws] {
+				t.Errorf("%v: window %d-%d spread %v, no more gaps in hot segment %d than the even %v", mode, ws, we, got, s, even)
+			}
+			if mode != ModeOneByOne && !slices.Equal(got, even) {
+				t.Errorf("%v: window %d-%d spread %v, want the even %v", mode, ws, we, got, even)
+			}
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+	}
+}

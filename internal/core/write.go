@@ -72,21 +72,25 @@ func (p *PMA) update(o op) bool {
 
 // updateSync is the baseline path (Section 3.3), ModeSync's update and in
 // every mode the replay of ops that lost their gate (drainQueue, Flush, batch
-// leftovers): enter exclusively and apply in place, or hand an insert that
-// overflows the chunk to the rebalancer and wait until it has been served.
-// A replay is older than anything combined behind it, so it goes to the
-// front of the queue. In ModeSync nothing combines: what the queue holds
-// was parked there before, and the op rides on the request like a batch
-// run, which also keeps a concurrent batch or Flush from taking it out of
-// the queue and applying it after this call returned.
+// leftovers): enter exclusively and apply in place through mergeLocal, or
+// hand an insert that overflows the chunk to the rebalancer and wait until it
+// has been served. A replay is older than anything combined behind it, so it
+// goes to the front of the queue. In ModeSync nothing combines: what the
+// queue holds was parked there before, and the op rides on the request like a
+// batch run, which also keeps a concurrent batch or Flush from taking it out
+// of the queue and applying it after this call returned.
 func (p *PMA) updateSync(o op) bool {
 	st, g := p.enter(o.key, latchExclusive, o)
-	result, done := p.applyOp(st, g, o)
-	if !done {
-		if own := []op{o}; p.cfg.Mode == ModeSync {
-			p.handOff(st, g, nil, own, true)
+	result := true
+	if o.del {
+		if result = g.del(o.key); result {
+			st.card.Add(-1)
+		}
+	} else if own := [1]op{o}; !g.mergeLocal(st, own[:]) {
+		if ins := []op{o}; p.cfg.Mode == ModeSync {
+			p.handOff(st, g, nil, ins, true)
 		} else {
-			p.handOff(st, g, own, nil, true)
+			p.handOff(st, g, ins, nil, true)
 		}
 		return true
 	}
@@ -95,26 +99,6 @@ func (p *PMA) updateSync(o op) bool {
 		p.maybeRequestShrink(st)
 	}
 	return result
-}
-
-// applyOp applies one op to gate g, which the caller holds exclusively and
-// whose fences cover the key, and keeps the state's cardinality. done=false
-// is an insert that no in-chunk window can absorb: nothing was modified and
-// the caller, still holding the latch, hands it to the rebalancer.
-func (p *PMA) applyOp(st *state, g *gate, o op) (result, done bool) {
-	if o.del {
-		if result = g.del(o.key); result {
-			st.card.Add(-1)
-		}
-		return result, true
-	}
-	switch g.put(st, o.key, o.val) {
-	case putNeedsGlobal:
-		return false, false
-	case putInserted:
-		st.card.Add(1)
-	}
-	return true, true
 }
 
 // openQueue publishes the latch holder's combining queue, waking writers
@@ -153,18 +137,16 @@ func (p *PMA) applyOwn(st *state, g *gate, o op, queued bool) (result bool) {
 			}
 		}
 	case o.del:
-		result, _ = p.applyOp(st, g, o)
+		if result = g.del(o.key); result {
+			st.card.Add(-1)
+		}
 	case p.cfg.Mode == ModeOneByOne:
 		reroute, released = p.drainOneByOne(st, g, own[:])
-	default:
-		// mergeLocal is where drainBatch ends too: a lone insert takes the
-		// structural decisions, and the hand-off, a queued one would.
-		if delta, ok := g.mergeLocal(st, own[:]); ok {
-			st.card.Add(int64(delta))
-		} else {
-			p.handOff(st, g, own[:], nil, false)
-			released = true
-		}
+	case !g.mergeLocal(st, own[:]):
+		// The chunk cannot take it: handed off as drainBatch hands off a
+		// drained queue, rate-limited by TDelay and not waited for.
+		p.handOff(st, g, own[:], nil, false)
+		released = true
 	}
 	p.drainQueue(st, g, reroute, released)
 	return result

@@ -21,9 +21,45 @@ func TestLoneWriterDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestOverwriteInFullSegmentStaysInPlace: a Put of a key that its full
+// segment already holds replaces the value where it is, in every mode and
+// layout. A lone point insert is a run of one, and a run that creates no
+// element fits its segment, so nothing rebalances, resizes or hands off.
+func TestOverwriteInFullSegmentStaysInPlace(t *testing.T) {
+	for _, mode := range allModes() {
+		for _, compressed := range []bool{false, true} {
+			p := newTest(t, mode)
+			if compressed {
+				p = newTestC(t, mode)
+			}
+			for k := int64(1); k <= 8; k++ {
+				p.Put(k, k)
+			}
+			if g, s := gateOf(t, p, 5); g.segCard[s] != g.b {
+				t.Fatalf("%v compressed=%v: segment %d holds %d of %d", mode, compressed, s, g.segCard[s], g.b)
+			}
+			counts := func() [4]uint64 {
+				r := p.Stats().Rebalance
+				return [4]uint64{r.Local, r.Global, r.Resizes, r.HandOffWait.Count}
+			}
+			before := counts()
+			p.Put(5, -5)
+			if after := counts(); after != before {
+				t.Errorf("%v compressed=%v: the overwrite moved local, global, resizes, hand-off waits from %v to %v", mode, compressed, before, after)
+			}
+			if v, ok := p.Get(5); !ok || v != -5 {
+				t.Errorf("%v compressed=%v: Get(5) = %d,%v after the overwrite", mode, compressed, v, ok)
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // compactOpsRef is compactOps the straightforward way: a map holds the last
 // in-fence op per key.
-func compactOpsRef(ops []op, lo, hi int64) (ins []op, dels []int64, reroute []op) {
+func compactOpsRef(ops []op, lo, hi int64) (ins, dels, reroute []op) {
 	final := map[int64]op{}
 	for _, o := range ops {
 		if o.key < lo || o.key > hi {
@@ -34,13 +70,13 @@ func compactOpsRef(ops []op, lo, hi int64) (ins []op, dels []int64, reroute []op
 	}
 	for _, o := range final {
 		if o.del {
-			dels = append(dels, o.key)
+			dels = append(dels, o)
 		} else {
 			ins = append(ins, o)
 		}
 	}
 	sort.Slice(ins, func(i, j int) bool { return ins[i].key < ins[j].key })
-	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
+	sort.Slice(dels, func(i, j int) bool { return dels[i].key < dels[j].key })
 	return ins, dels, reroute
 }
 
