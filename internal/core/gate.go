@@ -573,10 +573,10 @@ func mergeRun(ks, vs []int64, run []op, fresh int) ([]int64, []int64) {
 // caller holds exclusively, and keeps gcard and the state's cardinality. A
 // point insert is a run of one. Three tiers, cheapest first:
 //
-//  1. a lone op whose segment has room goes straight in (upsertLone);
-//  2. a run whose every target segment can take its keys is merged into
-//     each of them in one pass (mergeBySegment), which is also where an
-//     upsert of a key a full segment holds stays in place;
+//  1. a lone op goes into its segment when the segment has room or already
+//     holds the key (upsertLone), so an overwrite never rebalances;
+//  2. a longer run whose every target segment can take its keys is merged
+//     into each of them in one pass (mergeBySegment);
 //  3. otherwise the smallest in-chunk calibrator window that fits the run
 //     is rebalanced with the run merged in during the spread (a local
 //     rebalance).
@@ -591,10 +591,14 @@ func (g *gate) mergeLocal(st *state, ins []op) bool {
 		return true
 	}
 	s0 := g.findSeg(ins[0].key)
-	fresh, ok := 0, n == 1 && g.segCard[s0] < g.b
-	if ok {
-		fresh = g.upsertLone(s0, ins[0])
-	} else if fresh, ok = g.mergeBySegment(ins); !ok {
+	var fresh int
+	var ok bool
+	if n == 1 {
+		fresh, ok = g.upsertLone(s0, ins[0])
+	} else {
+		fresh, ok = g.mergeBySegment(ins)
+	}
+	if !ok {
 		ws, we, fits := g.localWindow(st, s0, g.findSeg(ins[n-1].key), n)
 		if !fits {
 			return false
@@ -622,19 +626,26 @@ func (g *gate) mergeLocal(st *state, ins []op) bool {
 	return true
 }
 
-// upsertLone puts o into segment s, which has room for one more pair, with
+// upsertLone is mergeLocal's first tier: it upserts o into segment s with
 // one interpolating seek of the slots or one splice of a non-empty block,
-// and no allocation. It returns 1 when o's key is new, else 0.
-func (g *gate) upsertLone(s int, o op) int {
+// and no allocation. It returns 1 when o's key is new, else 0, and false —
+// nothing modified — when the key is new and the segment is full.
+func (g *gate) upsertLone(s int, o op) (int, bool) {
 	c := g.segCard[s]
 	if g.cc != nil && c > 0 {
-		g.spliceUpsert(s, o.key, o.val) // there is room: never Full
+		if g.spliceUpsert(s, o.key, o.val).Status == codec.Full {
+			return 0, false
+		}
 	} else {
 		sc := g.cc.get()
 		ks, vs := g.view(s, sc)
-		if i := g.seek(s, ks, o.key); i < len(ks) && ks[i] == o.key {
+		switch i := g.seek(s, ks, o.key); {
+		case i < len(ks) && ks[i] == o.key:
 			vs[i] = o.val
-		} else {
+		case len(ks) == g.b:
+			g.cc.put(sc)
+			return 0, false
+		default:
 			ks, vs = insertPair(ks, vs, i, o.key, o.val)
 		}
 		g.setSeg(s, ks, vs, sc)
@@ -646,7 +657,7 @@ func (g *gate) upsertLone(s int, o op) int {
 	if o.key < g.smin[s] {
 		g.setSegMin(s, o.key)
 	}
-	return g.segCard[s] - c
+	return g.segCard[s] - c, true
 }
 
 // mergeBySegment is mergeLocal's second tier: the run is partitioned into
