@@ -17,10 +17,10 @@
 //
 // Inside its chunk every writer inserts one way, mergeLocal (gate.go): a
 // point Put is a run of one, a combining queue's drain or a batch run a
-// longer one. A lone op whose segment has room goes straight in, a run that
-// fits its target segments is merged into each of them, and otherwise the
-// smallest in-chunk calibrator window that fits is rebalanced with the run
-// merged in (Section 3.3's local rebalance). Rebalances that span multiple
+// longer one. A lone op goes into its segment when the segment has room or
+// holds the key, a longer run that fits its target segments is merged into
+// each of them, and otherwise the smallest in-chunk calibrator window that
+// fits is rebalanced with the run merged in (Section 3.3's local rebalance). Rebalances that span multiple
 // gates are executed by a centralised rebalancer service (one master
 // goroutine, a pool of workers). A writer whose inserts overflow its chunk
 // hands them off in one way (handOff, async.go): it releases its latch with the gate's combining queue open and
