@@ -13,6 +13,7 @@
 package pmago_test
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -144,6 +145,69 @@ func BenchmarkScanOnly(b *testing.B) {
 				s.ScanAll(func(_, _ int64) bool { total++; return true })
 			}
 			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "scanelts/s")
+		})
+	}
+}
+
+// BenchmarkShardedScan prices the straw2 merge: 65 536-key windows over
+// 2^22 random-value pairs (keys 0..2^22-1), in one store, in 4 straw2 shards
+// (each window a merge of four cursors) and in 4 range shards (the shards
+// walked in key order, no merge). ns/pair is the figure to compare; the
+// straw2 row over the one-store row is what a merge costs.
+func BenchmarkShardedScan(b *testing.B) {
+	const n, window = 1 << 22, 1 << 16
+	keys, vals := make([]int64, n), make([]int64, n)
+	rng := rand.New(rand.NewSource(1))
+	for i := range keys {
+		keys[i], vals[i] = int64(i), int64(rng.Uint64())
+	}
+	for _, c := range []struct {
+		name string
+		load func() (pmago.Store, func(), error)
+	}{
+		{"one-store", func() (pmago.Store, func(), error) {
+			p, err := pmago.BulkLoad(keys, vals)
+			if err != nil {
+				return nil, nil, err
+			}
+			return p, p.Close, nil
+		}},
+		{"straw2-4", func() (pmago.Store, func(), error) {
+			s, err := pmago.BulkLoadSharded(keys, vals, pmago.WithShards(4))
+			if err != nil {
+				return nil, nil, err
+			}
+			return s, func() { s.Close() }, nil
+		}},
+		{"range-4", func() (pmago.Store, func(), error) {
+			s, err := pmago.BulkLoadSharded(keys, vals, pmago.WithRangeSplits([]int64{n / 4, n / 2, 3 * n / 4}))
+			if err != nil {
+				return nil, nil, err
+			}
+			return s, func() { s.Close() }, nil
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			st, closeStore, err := c.load()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer closeStore()
+			pairs := 0
+			los := rand.New(rand.NewSource(2))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := los.Int63n(n - window)
+				st.Scan(lo, lo+window-1, func(_, _ int64) bool {
+					pairs++
+					return true
+				})
+			}
+			b.StopTimer()
+			if pairs != b.N*window {
+				b.Fatalf("%d windows visited %d pairs, want %d", b.N, pairs, b.N*window)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -179,6 +180,61 @@ func TestScanRange(t *testing.T) {
 		if count != 7 {
 			t.Fatalf("%v: early stop visited %d", mode, count)
 		}
+	}
+}
+
+// TestAppendRunWholeChunks pins AppendRun's contract: whole chunks, the copy
+// ending after the chunk that reaches n pairs, and a resume key that is the
+// next chunk's lower fence, so runs over a range read each chunk once and
+// together hand out exactly what Scan does.
+func TestAppendRunWholeChunks(t *testing.T) {
+	p := loadKeys(t, DefaultConfig(), 1<<15, func(i int64) int64 { return 3 * i })
+	defer p.Close()
+	chunks := func() uint64 {
+		r := p.Stats().Reads
+		return r.ScanChunksOptimistic + r.ScanChunksLatched
+	}
+	for _, n := range []int{1, 64, 1000, 5000} {
+		const lo, hi = 1000, 70_000
+		var want []int64
+		before := chunks()
+		p.Scan(lo, hi, func(k, _ int64) bool { want = append(want, k); return true })
+		scanned := chunks() - before
+		st := p.state.Load()
+		var got, ks, vs []int64
+		before = chunks()
+		for from, more := int64(lo), true; more; {
+			ks, vs, from, more = p.AppendRun(from, hi, n, ks[:0], vs[:0])
+			if more && len(ks) < n {
+				t.Fatalf("n=%d: a run of %d pairs leaves pairs owed", n, len(ks))
+			}
+			if l := len(ks); l > 0 {
+				last := st.gates[st.route(ks[l-1])].fenceLo
+				if before := sort.Search(l, func(i int) bool { return ks[i] >= last }); before >= n {
+					t.Fatalf("n=%d: %d pairs came before the run's last chunk", n, before)
+				}
+			}
+			if more {
+				if gi := st.route(from); st.gates[gi].fenceLo != from {
+					t.Fatalf("n=%d: resume key %d is not a lower fence (gate %d starts at %d)", n, from, gi, st.gates[gi].fenceLo)
+				}
+			}
+			for i, k := range ks {
+				if vs[i] != k {
+					t.Fatalf("n=%d: value %d under key %d", n, vs[i], k)
+				}
+			}
+			got = append(got, ks...)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: runs hand out %d keys, Scan %d", n, len(got), len(want))
+		}
+		if read := chunks() - before; read != scanned {
+			t.Fatalf("n=%d: runs read %d chunks, Scan %d", n, read, scanned)
+		}
+	}
+	if ks, _, _, more := p.AppendRun(10, 5, 1, nil, nil); len(ks) != 0 || more {
+		t.Fatalf("AppendRun(10, 5) = %v, more %v", ks, more)
 	}
 }
 

@@ -1,6 +1,6 @@
 package core
 
-import ()
+import "slices"
 
 // One read serves every Get and every chunk a Scan copies: sample the
 // gate's reader fields, look the key up (or copy the chunk out), and judge
@@ -140,63 +140,101 @@ func (p *PMA) getGate(st *state, gi int, k int64) (v int64, found bool, res read
 // reflected in the callbacks for that chunk.
 func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) {
 	p.checkOpen()
-	if lo > hi {
-		return
-	}
-	if lo == KeyMin {
-		lo++
-	}
-	if hi == KeyMax {
-		hi--
-	}
 	sb := p.getScanBuf()
 	defer p.putScanBuf(sb)
-	from := lo
-	for {
-		st := p.state.Load()
-		gi := st.route(from)
-	walk:
-		for {
-			fenceHi, res := p.snapshotGate(st, gi, from, hi, sb)
-			switch res {
-			case readInvalid:
-				break walk
-			case readLeft:
-				gi--
-				continue
-			case readRight:
-				gi++
-				continue
-			}
-			// The chunk copy in sb is a consistent snapshot; run the
-			// callback outside every latch.
-			if !sb.each(fn) {
-				return
-			}
-			if fenceHi >= hi || fenceHi == KeyMax {
-				return
-			}
-			from = fenceHi + 1
-			if gi++; gi >= len(st.gates) {
-				return
-			}
+	for w := p.walk(lo, hi); w.next(sb); sb.reset() {
+		// The chunk copy in sb is a consistent snapshot; run the
+		// callback outside every latch.
+		if !sb.each(fn) {
+			return
 		}
 	}
 }
 
-// snapshotGate copies gate gi's pairs with key in [from, hi] into sb by the
+// AppendRun appends the pairs with lo <= key <= hi to ks and vs in ascending
+// key order, a whole chunk at a time: each chunk is copied by the one
+// consistent read Scan makes of it, and the copy stops after the chunk that
+// brings ks to at least n pairs. It returns the extended slices, the key the
+// range resumes at — the lower fence of the next chunk, so a caller that
+// continues with AppendRun(resume, hi, ...) copies no chunk twice — and
+// whether pairs in [resume, hi] may remain. The pairs carry Scan's
+// guarantee: each chunk is observed atomically, the chunks at increasing
+// fence boundaries.
+func (p *PMA) AppendRun(lo, hi int64, n int, ks, vs []int64) (_, _ []int64, resume int64, more bool) {
+	p.checkOpen()
+	sb := scanBuf{ks, vs}
+	w := p.walk(lo, hi)
+	for len(sb.ks) < n && w.next(&sb) {
+	}
+	return sb.ks, sb.vs, w.from, !w.done
+}
+
+// gateWalk is the one walk over the gates of every scan: Scan hands each
+// chunk it copies to fn, AppendRun keeps them. It routes its position to a
+// gate, steps to a neighbour on a fence miss, reloads the state when a
+// resize retired the gate it read, and resumes past the upper fence of each
+// chunk it copied.
+type gateWalk struct {
+	p        *PMA
+	st       *state // nil: route from the current state
+	gi       int
+	from, hi int64 // the chunks still to copy cover [from, hi]
+	done     bool
+}
+
+// walk starts a gateWalk over [lo, hi], sentinels excluded.
+func (p *PMA) walk(lo, hi int64) gateWalk {
+	lo, hi = max(lo, KeyMin+1), min(hi, KeyMax-1)
+	return gateWalk{p: p, from: lo, hi: hi, done: lo > hi}
+}
+
+// next appends the next chunk's pairs in [from, hi] to sb and reports
+// whether there was a chunk left to copy (it may have held no such pair).
+func (w *gateWalk) next(sb *scanBuf) bool {
+	if w.done {
+		return false
+	}
+	for {
+		if w.st == nil {
+			w.st = w.p.state.Load()
+			w.gi = w.st.route(w.from)
+		}
+		fenceHi, res := w.p.snapshotGate(w.st, w.gi, w.from, w.hi, sb)
+		switch res {
+		case readInvalid: // the array was resized, reload the state
+			w.st = nil
+			continue
+		case readLeft:
+			w.gi--
+			continue
+		case readRight:
+			w.gi++
+			continue
+		}
+		if fenceHi >= w.hi || w.gi == len(w.st.gates)-1 {
+			w.done = true
+		} else {
+			w.from, w.gi = fenceHi+1, w.gi+1
+		}
+		return true
+	}
+}
+
+// snapshotGate appends gate gi's pairs with key in [from, hi] to sb by the
 // read getGate makes: up to p.attempts seqlock reads, then one under the
-// shared latch. On readOK the returned fenceHi is the gate's upper fence
-// from the same read — the scan's resume point.
+// shared latch; a failed attempt's pairs are dropped again. On readOK the
+// returned fenceHi is the gate's upper fence from the same read — the
+// scan's resume point.
 func (p *PMA) snapshotGate(st *state, gi int, from, hi int64, sb *scanBuf) (fenceHi int64, res readStatus) {
 	g := st.gates[gi]
+	base := sb.grow(g.spg * g.b)
 	for fails := 0; ; fails++ {
 		latched := fails == p.attempts
 		ver, ok := g.readBegin(latched)
 		if !ok {
 			continue
 		}
-		sb.reset(g.spg * g.b)
+		sb.ks, sb.vs = sb.ks[:base], sb.vs[:base]
 		good := true
 		if res, fenceHi = st.judge(gi, from), g.fenceHi; res == readOK {
 			sb.ks, sb.vs, good = g.collect(from, hi, sb.ks, sb.vs)
@@ -224,23 +262,27 @@ func (p *PMA) snapshotGate(st *state, gi int, from, hi int64, sb *scanBuf) (fenc
 	}
 }
 
-// scanBuf is the per-Scan chunk copy, pooled on the PMA (the geometry is
-// fixed, so one chunk's worth of capacity fits every gate for the store's
-// lifetime).
+// scanBuf is a chunk copy: Scan's, pooled on the PMA (the geometry is fixed,
+// so one chunk's worth of capacity fits every gate for the store's
+// lifetime), or AppendRun's run of chunks in the caller's slices.
 type scanBuf struct {
 	ks, vs []int64
 }
 
-// reset empties the buffer, pre-growing it to one full chunk so the chunk
-// copy never allocates mid-read (appends stay within capacity).
-func (sb *scanBuf) reset(capacity int) {
-	if cap(sb.ks) < capacity {
-		sb.ks = make([]int64, 0, capacity)
-		sb.vs = make([]int64, 0, capacity)
-		return
+// grow makes room for n more pairs, so a chunk copy never allocates
+// mid-read (appends stay within capacity), and returns the current length.
+func (sb *scanBuf) grow(n int) int {
+	l := len(sb.ks)
+	if cap(sb.ks)-l < n || cap(sb.vs)-l < n {
+		sb.ks = slices.Grow(sb.ks, n)
+		sb.vs = slices.Grow(sb.vs[:l], n)
 	}
-	sb.ks = sb.ks[:0]
-	sb.vs = sb.vs[:0]
+	return l
+}
+
+// reset empties the buffer, keeping its capacity.
+func (sb *scanBuf) reset() {
+	sb.ks, sb.vs = sb.ks[:0], sb.vs[:0]
 }
 
 // each runs fn over the copied pairs, reporting false if fn stopped it. This
@@ -267,7 +309,10 @@ func (p *PMA) getScanBuf() *scanBuf {
 	return &scanBuf{}
 }
 
+// putScanBuf returns sb to the pool, emptied: a Scan whose fn panicked
+// puts back whatever its last chunk copy held.
 func (p *PMA) putScanBuf(sb *scanBuf) {
+	sb.reset()
 	p.scanBufs.Put(sb)
 }
 

@@ -233,6 +233,12 @@ func (p *PMA) Scan(lo, hi int64, fn func(k, v int64) bool) { p.c.Scan(lo, hi, fn
 // ScanAll visits every pair in ascending key order.
 func (p *PMA) ScanAll(fn func(k, v int64) bool) { p.c.ScanAll(fn) }
 
+// appendRun is what a Sharded merge cursor reads its shard through (see
+// core.PMA.AppendRun); a DB has it through its embedded store.
+func (p *PMA) appendRun(lo, hi int64, n int, ks, vs []int64) ([]int64, []int64, int64, bool) {
+	return p.c.AppendRun(lo, hi, n, ks, vs)
+}
+
 // Len returns the number of stored elements (excluding not-yet-applied
 // combined updates; Flush first for an exact count).
 func (p *PMA) Len() int { return p.c.Len() }

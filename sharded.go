@@ -3,9 +3,9 @@ package pmago
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,7 +46,8 @@ import (
 // portions independently (each shard recovers its own acknowledged-durable
 // prefix). Scan hands out one globally ascending stream, merged from
 // per-shard cursors that each read their shard at most scanRefillMax pairs
-// ahead; each chunk within a shard is still observed atomically.
+// plus one chunk ahead; each chunk within a shard is still observed
+// atomically.
 type Sharded struct {
 	place  placement.Placement
 	stores []Store
@@ -644,16 +645,17 @@ func (s *Sharded) Close() error {
 // ascending key order until fn returns false, on the caller's goroutine.
 // Where shard order is key order (range placement, or one shard) the shards
 // are scanned one after the other. Under straw2 a cursor per shard copies a
-// run of pairs out with the shard's own Scan, fn is handed the smallest head
-// among the cursors, and a drained cursor resumes its shard from the key
-// after the last one it copied; a run is at most scanRefillMax pairs, which
-// bounds how far a shard is read ahead of what fn has seen. Either way fn
-// inherits PMA.Scan's callback freedom: it runs on copied-out pairs with no
-// latch held and may update or re-scan the same store (a pair already copied
-// does not reflect a later update). Chunk atomicity is per shard, a cursor's
-// run may end inside a chunk, and there is no cross-shard snapshot (a
-// concurrent cross-shard batch may be visible on one shard and not yet on
-// another).
+// run of whole chunks out of its shard, each by the one consistent read the
+// shard's own Scan makes of it, fn is handed the smallest head among the
+// cursors, and a drained cursor resumes its shard at the next chunk's lower
+// fence, so no chunk is read twice. A run stops after the chunk that brings
+// it to scanRefillMax pairs, which bounds how far a shard is read ahead of
+// what fn has seen to that plus one chunk. Either way fn inherits PMA.Scan's
+// callback freedom: it runs on copied-out pairs with no latch held and may
+// update or re-scan the same store (a pair already copied does not reflect a
+// later update). Chunk atomicity is per shard, and there is no cross-shard
+// snapshot (a concurrent cross-shard batch may be visible on one shard and
+// not yet on another).
 func (s *Sharded) Scan(lo, hi int64, fn func(k, v int64) bool) {
 	s.checkOpen()
 	if s.ordered {
@@ -690,52 +692,52 @@ func (s *Sharded) ScanAll(fn func(k, v int64) bool) {
 	s.Scan(KeyMin+1, KeyMax-1, fn)
 }
 
-// A merge cursor's first run is scanRefillMin pairs and each later one twice
-// as long up to scanRefillMax: a short window or an early stop copies little
-// that fn never sees, and a long scan re-seeks its shard (an index descent,
-// and the chunk the last run ended inside copied again) once per
-// scanRefillMax pairs, about a chunk at the default geometry.
+// A merge cursor's first run is the whole chunks that hold at least
+// scanRefillMin pairs and each later one twice as many up to scanRefillMax:
+// a short window or an early stop copies little that fn never sees, and a
+// long scan re-seeks its shard (an index descent) about once per
+// scanRefillMax pairs. A run ends on a chunk boundary, so a shard is read at
+// most scanRefillMax pairs plus one chunk ahead of fn, and the next run
+// resumes at the next chunk's lower fence: no chunk is copied twice.
 const (
 	scanRefillMin = 64
 	scanRefillMax = 1024
 )
 
+// runSource is what a merge cursor reads its shard through: *PMA has it,
+// and *DB through its embedded store.
+type runSource interface {
+	appendRun(lo, hi int64, n int, ks, vs []int64) ([]int64, []int64, int64, bool)
+}
+
 // shardCursor is one shard's position in a merge: a run of pairs copied out
 // of the shard, and where the shard's scan resumes when the run is drained.
 type shardCursor struct {
-	st         Store
+	src        runSource
 	keys, vals []int64 // the run; keys[pos:] have not been handed to fn
 	pos        int
-	size       int                   // pairs the next refill copies
-	next, hi   int64                 // the shard still owes the pairs in [next, hi]
-	more       bool                  // false once a refill has reached hi
-	push       func(k, v int64) bool // c.add, bound once so a refill allocates nothing
+	size       int   // pairs the next refill copies at least
+	next, hi   int64 // the shard still owes the pairs in [next, hi]
+	more       bool  // false once a refill has reached hi
 }
 
-func (c *shardCursor) head() int64 { return c.keys[c.pos] }
-
-func (c *shardCursor) add(k, v int64) bool {
-	c.keys = append(c.keys, k)
-	c.vals = append(c.vals, v)
-	return len(c.keys) < c.size
-}
-
-// refill replaces the drained run with the shard's next pairs and reports
-// whether there were any.
-func (c *shardCursor) refill() bool {
-	c.keys, c.vals, c.pos = c.keys[:0], c.vals[:0], 0
-	if !c.more {
-		return false
+// head is the cursor's next key, KeyMax once it is drained.
+func (c *shardCursor) head() int64 {
+	if c.pos < len(c.keys) {
+		return c.keys[c.pos]
 	}
-	c.st.Scan(c.next, c.hi, c.push)
-	n := len(c.keys)
-	if n < c.size || c.keys[n-1] == c.hi {
-		c.more = false
-	} else {
-		c.next = c.keys[n-1] + 1
+	return KeyMax
+}
+
+// refill replaces the drained run with the shard's next pairs, if it owes
+// any. A run that leaves pairs owed holds at least one, so one copy settles
+// it.
+func (c *shardCursor) refill() {
+	c.keys, c.vals, c.pos = c.keys[:0], c.vals[:0], 0
+	if c.more {
+		c.keys, c.vals, c.next, c.more = c.src.appendRun(c.next, c.hi, c.size, c.keys, c.vals)
 		c.size = min(2*c.size, scanRefillMax)
 	}
-	return n > 0
 }
 
 // mergeState is the cursors of one merging Scan, pooled on the Sharded so a
@@ -743,17 +745,16 @@ func (c *shardCursor) refill() bool {
 // of its own.
 type mergeState struct {
 	cursors []shardCursor
-	live    []*shardCursor // cursors with a pair to hand out
+	heads   []int64 // heads[i] is cursor i's next key, KeyMax once it is drained
 }
 
 func newMergeState(stores []Store) *mergeState {
 	m := &mergeState{
 		cursors: make([]shardCursor, len(stores)),
-		live:    make([]*shardCursor, 0, len(stores)),
+		heads:   make([]int64, len(stores)),
 	}
 	for i := range m.cursors {
-		c := &m.cursors[i]
-		c.st, c.push = stores[i], c.add
+		m.cursors[i].src = stores[i].(runSource)
 	}
 	return m
 }
@@ -761,36 +762,41 @@ func newMergeState(stores []Store) *mergeState {
 // run merges the shards' pairs in [lo, hi] into fn. It sets every field a
 // previous scan left behind, however that scan ended.
 func (m *mergeState) run(lo, hi int64, fn func(k, v int64) bool) {
-	m.live = m.live[:0]
 	for i := range m.cursors {
 		c := &m.cursors[i]
 		c.size, c.next, c.hi, c.more = scanRefillMin, lo, hi, true
-		if c.refill() {
-			m.live = append(m.live, c)
-		}
+		c.refill()
+		m.heads[i] = c.head()
 	}
-	for len(m.live) > 0 {
-		// The smallest head is next; its cursor is drained up to bound, the
-		// smallest head of the others (a key lives on one shard, so heads
-		// never tie; with no others every key is below KeyMax).
-		best, bound := 0, int64(KeyMax)
-		for i := 1; i < len(m.live); i++ {
-			switch k, b := m.live[i].head(), m.live[best].head(); {
-			case k < b:
-				best, bound = i, b
-			case k < bound:
-				bound = k
-			}
+	heads := m.heads
+	for {
+		// The smallest head is next. Shards interleave every pair or two,
+		// so a compare the CPU predicts wrong half the time would cost more
+		// than the rest of the step: the argmin is branch-free instead, the
+		// borrow of an unsigned subtraction of sign-flipped keys (their
+		// signed order) widened to a mask. A key lives on one shard, so
+		// heads tie only at KeyMax, which no pair has.
+		best, bk := 0, heads[0]
+		for i := 1; i < len(heads); i++ {
+			h := heads[i]
+			_, less := bits.Sub64(uint64(h)^signBit, uint64(bk)^signBit, 0)
+			mask := -int64(less)
+			best ^= (best ^ i) & int(mask)
+			bk ^= (bk ^ h) & mask
 		}
-		c := m.live[best]
-		for c.head() < bound {
-			if !fn(c.keys[c.pos], c.vals[c.pos]) {
-				return
-			}
-			if c.pos++; c.pos == len(c.keys) && !c.refill() {
-				m.live = slices.Delete(m.live, best, best+1)
-				break
-			}
+		if bk == KeyMax {
+			return
 		}
+		c := &m.cursors[best]
+		if !fn(bk, c.vals[c.pos]) {
+			return
+		}
+		if c.pos++; c.pos == len(c.keys) {
+			c.refill()
+		}
+		heads[best] = c.head()
 	}
 }
+
+// signBit flips a key's sign so that unsigned order is signed order.
+const signBit = 1 << 63

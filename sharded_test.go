@@ -333,6 +333,148 @@ func TestShardedScanRunsOnCaller(t *testing.T) {
 	}
 }
 
+// TestShardedScanCopiesEachChunkOnce pins that a merging scan reads its
+// shards at the shards' own cost: a cursor's run ends on a chunk boundary
+// and the next run resumes at the next chunk's lower fence, so on a
+// quiescent store a merged ScanAll and a long window read exactly the chunks
+// the shards' own scans of the same range read. A run that ended inside a
+// chunk and resumed after its last key read that chunk again: 3 082 chunks
+// against 2 048 for this ScanAll.
+func TestShardedScanCopiesEachChunkOnce(t *testing.T) {
+	const n = 1 << 20
+	keys, vals := make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i], vals[i] = int64(i), int64(i)*7
+	}
+	s, err := BulkLoadSharded(keys, vals, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	chunks := func() uint64 {
+		r := s.Stats().Reads
+		return r.ScanChunksOptimistic + r.ScanChunksLatched
+	}
+	for _, w := range [][2]int64{{KeyMin, KeyMax}, {n / 5, n/5 + n/2}} {
+		lo, hi := w[0], w[1]
+		before := chunks()
+		for _, st := range s.stores {
+			st.Scan(lo, hi, func(k, v int64) bool { return true })
+		}
+		own := chunks() - before
+		visited, last := 0, int64(KeyMin)
+		before = chunks()
+		s.Scan(lo, hi, func(k, v int64) bool {
+			if k <= last || v != k*7 {
+				t.Fatalf("Scan[%d,%d]: pair (%d, %d) after key %d", lo, hi, k, v, last)
+			}
+			visited, last = visited+1, k
+			return true
+		})
+		merged := chunks() - before
+		if want := min(hi, n-1) - max(lo, 0) + 1; int64(visited) != want {
+			t.Fatalf("Scan[%d,%d] visited %d pairs, want %d", lo, hi, visited, want)
+		}
+		if merged != own {
+			t.Errorf("Scan[%d,%d] read %d chunks, the shards' own scans %d", lo, hi, merged, own)
+		}
+	}
+}
+
+// TestShardedScanBesideWriter runs long merging scans, each across many
+// cursor refills, while one writer overwrites a fixed key set on every shard
+// and inserts and deletes odd keys, under the stress geometry (chunks of 16
+// slots) so fences move throughout. Each scan must be strictly ascending, see
+// every key the writer leaves alone exactly once with its loaded value, and
+// read every other key with a value the writer wrote: a run resumed at a
+// stale fence would skip or repeat pairs.
+func TestShardedScanBesideWriter(t *testing.T) {
+	const n, window = 1 << 17, 1 << 16 // even keys below n are loaded
+	var keys, vals []int64
+	for k := int64(0); k < n; k += 2 {
+		keys, vals = append(keys, k), append(vals, k)
+	}
+	s, err := BulkLoadSharded(keys, vals, append(stressOpts(ModeBatch), WithShards(4))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Keys divisible by 8 are overwritten, odd keys come and go; a written
+	// value carries its key in the low 32 bits and the round above them.
+	touched := func(k int64) bool { return k%8 == 0 || k%2 != 0 }
+	wrote := func(k, v int64) bool { return v&(1<<32-1) == k && v>>32 > 0 }
+	if perShard := window / 2 / len(s.stores); perShard < 4*scanRefillMax {
+		t.Fatalf("a window holds ~%d keys per shard: too few for many refills per scan", perShard)
+	}
+
+	var stop atomic.Bool
+	var rounds atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(9))
+		var odd []int64
+		for r := int64(1); !stop.Load(); r++ {
+			for k := int64(0); k < n; k += 8 << (r % 4) {
+				s.Put(k, k|r<<32)
+			}
+			if len(odd) > 0 && r%2 == 0 {
+				s.DeleteBatch(odd)
+				s.Delete(odd[0] + 2*int64(len(odd)))
+			}
+			base := rng.Int63n(n/2) | 1
+			odd = odd[:0]
+			vs := make([]int64, 0, 512)
+			for k := base; k < base+1024; k += 2 {
+				odd, vs = append(odd, k), append(vs, k|r<<32)
+			}
+			s.PutBatch(odd, vs)
+			s.Put(base+1024, (base+1024)|r<<32)
+			rounds.Store(r)
+		}
+	}()
+	defer func() { stop.Store(true); wg.Wait() }()
+
+	rng := rand.New(rand.NewSource(10))
+	// At least 24 scans, and as many as it takes for the writer to go
+	// round 50 times beside them.
+	for scan := 0; scan < 24 || rounds.Load() < 50; scan++ {
+		lo := rng.Int63n(n - window)
+		hi := lo + window - 1
+		untouched, last := 0, int64(KeyMin)
+		s.Scan(lo, hi, func(k, v int64) bool {
+			switch {
+			case k <= last || k < lo || k > hi:
+				t.Fatalf("Scan[%d,%d]: key %d after %d", lo, hi, k, last)
+			case !touched(k):
+				if v != k {
+					t.Fatalf("Scan[%d,%d]: untouched key %d holds %d", lo, hi, k, v)
+				}
+				untouched++
+			case !wrote(k, v) && !(k%2 == 0 && v == k):
+				t.Fatalf("Scan[%d,%d]: key %d holds %d, which was never written", lo, hi, k, v)
+			}
+			last = k
+			return true
+		})
+		want := 0
+		for k := lo + lo%2; k <= hi; k += 2 {
+			if !touched(k) {
+				want++
+			}
+		}
+		if untouched != want {
+			t.Fatalf("Scan[%d,%d] saw %d untouched keys, want %d", lo, hi, untouched, want)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // raceBuild reports whether the test binary was built with -race, under
 // which allocation counts are not what a normal build pays.
 func raceBuild() bool {
