@@ -95,9 +95,12 @@
 //     record other weights, and a reopen keeps them). Spread follows the
 //     weights for any key distribution, and growing the topology only moves keys onto the new
 //     shard. A scan merges per-shard cursors on the caller's goroutine:
-//     each copies a run of pairs out with its shard's own Scan (64 pairs
-//     at first, doubling to 1024 — the most a shard is read ahead of the
-//     callback) and resumes after the last key it copied.
+//     each copies a run of whole chunks out of its shard, each chunk by the
+//     one consistent read the shard's own Scan makes (at least 64 pairs at
+//     first, doubling to 1024; a run ends on a chunk boundary, so a shard is
+//     read at most 1024 pairs plus one chunk ahead of the callback), and
+//     resumes at the next chunk's lower fence, so no chunk is read twice.
+//     The next pair is picked without a branch per shard.
 //   - Range (WithRangeSplits): shard i owns one contiguous key range.
 //     Shard order is key order, so scans walk shards sequentially with no
 //     merge; the caller owns balance.
