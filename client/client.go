@@ -194,7 +194,8 @@ func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
 	cancelled := false
 	for {
 		select {
-		case resp := <-cl.ch:
+		case r := <-cl.ch:
+			resp := &r.resp
 			if resp.Status != wire.StatusScanChunk {
 				// The stream's final frame: the reader has dropped the id and
 				// is done with the call.
@@ -213,6 +214,9 @@ func (c *Client) Scan(lo, hi int64, fn func(k, v int64) bool) error {
 							break
 						}
 					}
+				}
+				if r.chunk != nil { // done with the pairs: the reader may decode over them
+					chunkPool.Put(r.chunk)
 				}
 				if !cl.timer.Stop() {
 					<-cl.timer.C
@@ -303,7 +307,8 @@ func (c *Client) roundTrip(req *wire.Request) (wire.Response, error) {
 	c.m.QueueWait.ObserveAt(tw.UnixNano(), uint64(tw.Sub(t0)))
 	c.m.Requests[op].Inc()
 	select {
-	case resp := <-cl.ch:
+	case r := <-cl.ch:
+		resp := r.resp
 		cl.release()
 		end := time.Now()
 		c.m.RTT[op].ObserveAt(end.UnixNano(), uint64(end.Sub(tw)))
@@ -379,7 +384,7 @@ func (c *Client) dialSlot(slot int) (*poolConn, error) {
 // instead: closing done releases a reader blocked on delivery, and the call
 // is never reused, so a late delivery cannot reach another request.
 type call struct {
-	ch    chan wire.Response
+	ch    chan reply
 	done  chan struct{}
 	timer *time.Timer // the response deadline, armed by acquireCall
 }
@@ -393,8 +398,29 @@ const scanDepth = 16
 var callPool = sync.Pool{New: func() any {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
-	return &call{ch: make(chan wire.Response, scanDepth), done: make(chan struct{}), timer: t}
+	return &call{ch: make(chan reply, scanDepth), done: make(chan struct{}), timer: t}
 }}
+
+// reply is one response on its way to a parked caller. A scan chunk's pairs
+// come in chunk, which resp.Keys and resp.Vals alias; nil for every other
+// response.
+type reply struct {
+	resp  wire.Response
+	chunk *chunkBuf
+}
+
+// chunkBuf is one scan chunk's decoded pairs. The connection's reader
+// decodes a chunk into a chunkBuf from chunkPool and gives it away with the
+// reply; Scan puts it back once its loop over the chunk is done (an early
+// stop, or draining after a cancel, included), so a scan in steady state
+// decodes into the slices of chunks it has finished with and allocates only
+// when none are free. A chunkBuf is in one hand at a time: the reader's, a
+// reply's or the pool's, and nothing writes it while a consumer reads it.
+// Between scans the pool holds them, so an idle connection keeps none alive
+// across two collections.
+type chunkBuf struct{ keys, vals []int64 }
+
+var chunkPool = sync.Pool{New: func() any { return new(chunkBuf) }}
 
 func (c *Client) acquireCall() *call {
 	cl := callPool.Get().(*call)
@@ -493,9 +519,9 @@ func (pc *poolConn) fail(err error) {
 
 // reader routes response frames to their parked callers by id. The caller
 // consumes the response asynchronously, so nothing it is handed may be
-// decoded over: a chunk's Keys/Vals are given away and the next frame
-// decodes into fresh slices, and the Blob (which aliases the frame buffer)
-// is copied out.
+// decoded over: a chunk's pairs go with their chunkBuf and the next frame
+// decodes into another, and the Blob (which aliases the frame buffer) is
+// copied out.
 func (pc *poolConn) reader() {
 	br := bufio.NewReaderSize(pc.nc, 64<<10)
 	var buf []byte
@@ -507,7 +533,19 @@ func (pc *poolConn) reader() {
 			return
 		}
 		buf = payload
-		if err := wire.DecodeResponse(payload, &resp); err != nil {
+		// A payload opens with its status byte: a scan chunk decodes into
+		// a recycled chunkBuf, every other response into nothing.
+		var cb *chunkBuf
+		resp.Keys, resp.Vals = nil, nil
+		if payload[0] == wire.StatusScanChunk {
+			cb = chunkPool.Get().(*chunkBuf)
+			resp.Keys, resp.Vals = cb.keys, cb.vals
+		}
+		err = wire.DecodeResponse(payload, &resp)
+		if cb != nil {
+			cb.keys, cb.vals = resp.Keys, resp.Vals // keep what decoding grew
+		}
+		if err != nil {
 			pc.fail(err)
 			return
 		}
@@ -520,21 +558,26 @@ func (pc *poolConn) reader() {
 		}
 		pc.pmu.Unlock()
 		if cl == nil {
+			if cb != nil {
+				chunkPool.Put(cb)
+			}
 			continue // timed-out or cancelled caller; drop
 		}
-		out := resp
-		if len(out.Keys) > 0 {
-			resp.Keys, resp.Vals = nil, nil
-		}
-		if len(out.Blob) > 0 {
-			out.Blob = append([]byte(nil), out.Blob...)
+		out := reply{resp: resp, chunk: cb}
+		resp.Keys, resp.Vals = nil, nil
+		if len(out.resp.Blob) > 0 {
+			out.resp.Blob = append([]byte(nil), out.resp.Blob...)
 		}
 		// Blocking send preserves chunk order and applies backpressure to
 		// the socket when a scan consumer is slow; cl.done releases the
-		// reader if the caller stopped listening.
+		// reader if the caller stopped listening, and the chunk it was not
+		// handed goes back to the pool.
 		select {
 		case cl.ch <- out:
 		case <-cl.done:
+			if cb != nil {
+				chunkPool.Put(cb)
+			}
 		}
 	}
 }

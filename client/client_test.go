@@ -2,8 +2,10 @@ package client
 
 import (
 	"errors"
+	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,7 +13,8 @@ import (
 	"pmago/server"
 )
 
-// serverChunk is the server's scan chunk size: 1024 pairs a frame.
+// serverChunk is the pairs a server scan frame holds at least (every frame
+// but the last): 1024, plus at most one chunk of the store.
 const serverChunk = 1024
 
 // serve fronts store with a server on loopback and dials one client.
@@ -78,6 +81,126 @@ func TestScanChunksIntactWhileReaderRunsAhead(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestScanChunkDecodeDoesNotAllocate: once warm, the connection's reader
+// decodes every chunk into the slices of chunks the scan has finished
+// with, so what a whole Scan allocates — client and server together — is a
+// few objects a scan, about as many for 64 chunks as for 4, not two slices
+// a chunk.
+func TestScanChunkDecodeDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const n = 1 << 16
+	cl := serve(t, loaded(t, n))
+	allocs := func(hi int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			got := int64(0)
+			if err := cl.Scan(0, hi, func(k, v int64) bool { got++; return true }); err != nil || got != hi+1 {
+				t.Fatalf("Scan[0,%d] delivered %d pairs: %v", hi, got, err)
+			}
+		})
+	}
+	short, whole := allocs(4*serverChunk-1), allocs(n-1)
+	t.Logf("allocations a scan: %v of 4 chunks, %v of 64", short, whole)
+	if whole > 16 || whole > short+4 {
+		t.Fatalf("a scan of 4 chunks allocates %v times, of 64 chunks %v: decoding allocates per chunk", short, whole)
+	}
+}
+
+// TestServedScanBesideWriter runs wide scans through the client while one
+// writer overwrites every 8th key and inserts and deletes odd keys of the
+// served store, whose small segments keep fences moving. The server reads a
+// *PMA a run of whole chunks at a time and resumes each run at the next
+// chunk's lower fence: a scan must be strictly ascending, see every loaded
+// key exactly once (the writer overwrites some but deletes none), those the
+// writer leaves alone with their loaded values, and read every other key
+// with a value the writer wrote — a run resumed past a fence would skip
+// pairs, one resumed at a stale fence repeat them.
+func TestServedScanBesideWriter(t *testing.T) {
+	const n, window = 1 << 17, 1 << 15 // even keys below n are loaded: 2^16 pairs
+	var keys, vals []int64
+	for k := int64(0); k < n; k += 2 {
+		keys, vals = append(keys, k), append(vals, k)
+	}
+	p, err := pmago.BulkLoad(keys, vals, pmago.WithMode(pmago.ModeBatch), pmago.WithSegmentCapacity(8), pmago.WithTDelay(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	cl := serve(t, p)
+	// Keys divisible by 8 are overwritten, odd keys come and go; a written
+	// value carries its key in the low 32 bits and the round above them.
+	touched := func(k int64) bool { return k%8 == 0 || k%2 != 0 }
+	wrote := func(k, v int64) bool { return v&(1<<32-1) == k && v>>32 > 0 }
+
+	var stop atomic.Bool
+	var rounds atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(9))
+		var odd []int64
+		for r := int64(1); !stop.Load(); r++ {
+			for k := int64(0); k < n; k += 8 << (r % 4) {
+				p.Put(k, k|r<<32)
+			}
+			if len(odd) > 0 && r%2 == 0 {
+				p.DeleteBatch(odd)
+				p.Delete(odd[0] + 2*int64(len(odd)))
+			}
+			base := rng.Int63n(n/2) | 1
+			odd = odd[:0]
+			vs := make([]int64, 0, 512)
+			for k := base; k < base+1024; k += 2 {
+				odd, vs = append(odd, k), append(vs, k|r<<32)
+			}
+			p.PutBatch(odd, vs)
+			p.Put(base+1024, (base+1024)|r<<32)
+			rounds.Store(r)
+		}
+	}()
+	defer func() { stop.Store(true); wg.Wait() }()
+
+	rng := rand.New(rand.NewSource(10))
+	// At least 24 scans, and as many as it takes for the writer to go
+	// round 50 times beside them.
+	for scan := 0; scan < 24 || rounds.Load() < 50; scan++ {
+		lo := rng.Int63n(n - window)
+		hi := lo + window - 1
+		loadedSeen, last := 0, int64(pmago.KeyMin)
+		var bad string
+		err := cl.Scan(lo, hi, func(k, v int64) bool {
+			switch {
+			case k <= last || k < lo || k > hi:
+				bad = "out of order or out of range"
+			case !touched(k) && v != k:
+				bad = "a key the writer leaves alone changed its value"
+			case touched(k) && v != k && !wrote(k, v):
+				bad = "a value nobody wrote"
+			}
+			if bad != "" {
+				t.Errorf("Scan[%d,%d]: key %d (after %d) value %#x: %s", lo, hi, k, last, v, bad)
+				return false
+			}
+			if k%2 == 0 {
+				loadedSeen++
+			}
+			last = k
+			return true
+		})
+		if err != nil {
+			t.Fatalf("Scan[%d,%d]: %v", lo, hi, err)
+		}
+		if bad != "" {
+			return
+		}
+		if want := int(hi/2 - (lo+1)/2 + 1); loadedSeen != want { // the even keys in [lo, hi], lo >= 0
+			t.Fatalf("Scan[%d,%d] saw %d of its %d loaded keys", lo, hi, loadedSeen, want)
+		}
+	}
 }
 
 // TestScanEarlyStopDrains: a consumer that stops early still reads the

@@ -22,6 +22,23 @@
 // chosen by the client and echoed verbatim; a client pipelines by issuing
 // many ids before the first response arrives, and matches responses back by
 // id (the server may reorder: reads overtake queued writes).
+//
+// Every pair-bearing body — a scan chunk, a PutBatch or DeleteBatch
+// request — has one layout:
+//
+//	count uvarint | count keys | count values (absent for DeleteBatch)
+//
+// Each key is the zigzag uvarint of its wrapping difference from the key
+// before it (the first from 0): an ascending run of dense keys costs a
+// byte a key, and an unsorted batch round-trips all the same. Each value is
+// 8 little-endian bytes, whatever it holds — a small value pays up to 7
+// bytes more than a varint would, a random or hashed one 1–2 bytes less —
+// so the value block is copied, not parsed. Point keys and values stay
+// zigzag varints.
+//
+// The protocol carries no version: client and server must come from the
+// same build. A frame from a peer speaking another layout can pass its CRC
+// and then decode to different pairs.
 package wire
 
 import (
@@ -174,20 +191,29 @@ func AppendResponse(dst []byte, r *Response) []byte {
 	})
 }
 
-// appendPairs appends count | keys | vals. The worst case is reserved once,
-// so the per-value loop stores by index: a buffer that held one chunk holds
-// the next without growing, and a nil one is sized by a single allocation
-// instead of a dozen doublings.
+// appendPairs appends count | key deltas | fixed-width vals (see the package
+// doc). The worst case is reserved once, so both loops store by index: a
+// buffer that held one chunk holds the next without growing, and a nil one
+// is sized by a single allocation instead of a dozen doublings.
 func appendPairs(p []byte, keys, vals []int64) []byte {
 	p = binary.AppendUvarint(p, uint64(len(keys)))
 	n := len(p)
-	p = slices.Grow(p, (len(keys)+len(vals))*binary.MaxVarintLen64)
+	p = slices.Grow(p, len(keys)*binary.MaxVarintLen64+8*len(vals))
 	p = p[:cap(p)]
+	prev := int64(0)
 	for _, k := range keys {
-		n += binary.PutVarint(p[n:], k)
+		d := k - prev
+		prev = k
+		if zz := uint64(d<<1) ^ uint64(d>>63); zz < 0x80 {
+			p[n] = byte(zz)
+			n++
+		} else {
+			n += binary.PutUvarint(p[n:], zz)
+		}
 	}
 	for _, v := range vals {
-		n += binary.PutVarint(p[n:], v)
+		binary.LittleEndian.PutUint64(p[n:], uint64(v))
+		n += 8
 	}
 	return p[:n]
 }
@@ -209,14 +235,19 @@ func frame(b []byte, fill func([]byte) []byte) []byte {
 // only when the stream ends cleanly between frames; every other failure is
 // ErrFrame or the underlying read error.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into buf too: a header array of its own would
+	// escape through the io.Reader and cost an allocation a frame.
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader, 512)
+	}
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: torn header", ErrFrame)
 		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n, sum := binary.LittleEndian.Uint32(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:])
 	if n == 0 || n > MaxPayload {
 		return nil, fmt.Errorf("%w: payload length %d", ErrFrame, n)
 	}
@@ -230,7 +261,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if crc32.Checksum(buf, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
+	if crc32.Checksum(buf, crcTable) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrFrame)
 	}
 	return buf, nil
@@ -368,27 +399,47 @@ func readVarint(p []byte) (int64, []byte, error) {
 	return unzigzag(zz), p[n:], nil
 }
 
-// readPairs decodes count | keys | vals (vals only when withVals) into keys
-// and vals, reusing their capacity, and returns the rest of p. The count is
-// bounded by the remaining payload before allocating — every key costs at
-// least one byte — so a crafted count cannot force a huge slice.
+// readPairs decodes count | key deltas | fixed-width vals (vals only when
+// withVals) into keys and vals, reusing their capacity, and returns the rest
+// of p. The count is bounded by the remaining payload before allocating —
+// every key costs at least one byte and every value eight — so a crafted
+// count cannot force a huge slice.
 func readPairs(p []byte, keys, vals []int64, withVals bool) ([]int64, []int64, []byte, error) {
 	c, i := codec.Uvarint(p, 0)
-	if i == 0 || c > uint64(len(p)-i) {
+	per := uint64(1)
+	if withVals {
+		per = 9
+	}
+	if i == 0 || c > uint64(len(p)-i)/per {
 		return keys, vals, p, fmt.Errorf("%w: pair count", ErrFrame)
 	}
 	keys, vals = slices.Grow(keys[:0], int(c))[:c], vals[:0]
-	if withVals {
-		vals = slices.Grow(vals, int(c))[:c]
-	}
-	for _, run := range [2][]int64{keys, vals} {
-		for j := range run {
-			zz, n := codec.Uvarint(p, i)
-			if n == 0 {
-				return keys, vals, p, errVarint
-			}
-			run[j], i = unzigzag(zz), i+n
+	prev := int64(0)
+	for j := range keys {
+		// A dense ascending run's deltas are one byte each: taking those
+		// without the word-at-a-time read halves the decode.
+		if i < len(p) && p[i] < 0x80 {
+			prev += unzigzag(uint64(p[i]))
+			keys[j], i = prev, i+1
+			continue
 		}
+		zz, n := codec.Uvarint(p, i)
+		if n == 0 {
+			return keys, vals, p, errVarint
+		}
+		prev += unzigzag(zz)
+		keys[j], i = prev, i+n
+	}
+	if withVals {
+		if uint64(len(p)-i) < 8*c {
+			return keys, vals, p, fmt.Errorf("%w: truncated value block", ErrFrame)
+		}
+		vals = slices.Grow(vals, int(c))[:c]
+		block := p[i : i+8*int(c)]
+		for j := range vals {
+			vals[j] = int64(binary.LittleEndian.Uint64(block[8*j:]))
+		}
+		i += len(block)
 	}
 	return keys, vals, p[i:], nil
 }

@@ -138,7 +138,8 @@ func TestReadFrameTruncation(t *testing.T) {
 // BenchmarkScanChunk prices one 1024-pair scan chunk the way the served
 // path pays for it: encode into a buffer that held the previous chunk, then
 // frame read and decode into slices that did. Keys are PMA-like (ascending,
-// gaps near 16), values random 64-bit.
+// gaps near 16), values random 64-bit. ns/pair and B/pair (the frame's
+// bytes) read the pair layout's cost directly.
 func BenchmarkScanChunk(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	keys := make([]int64, 1024)
@@ -148,17 +149,24 @@ func BenchmarkScanChunk(b *testing.B) {
 		vals[i] = int64(rng.Uint64())
 	}
 	chunk := Response{Status: StatusScanChunk, Op: OpScan, ID: 1, Keys: keys, Vals: vals}
+	perPair := func(b *testing.B, frame []byte) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/pair")
+		b.ReportMetric(float64(len(frame))/float64(len(keys)), "B/pair")
+	}
 	b.Run("encode", func(b *testing.B) {
 		var frame []byte
 		for i := 0; i < b.N; i++ {
 			frame = AppendResponse(frame[:0], &chunk)
 		}
+		perPair(b, frame)
 	})
 	b.Run("encode-nil", func(b *testing.B) {
 		b.ReportAllocs()
+		var frame []byte
 		for i := 0; i < b.N; i++ {
-			AppendResponse(nil, &chunk)
+			frame = AppendResponse(nil, &chunk)
 		}
+		perPair(b, frame)
 	})
 	b.Run("decode", func(b *testing.B) {
 		frame := AppendResponse(nil, &chunk)
@@ -176,5 +184,6 @@ func BenchmarkScanChunk(b *testing.B) {
 			}
 			buf = p
 		}
+		perPair(b, frame)
 	})
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -22,6 +23,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendResponse(nil, &Response{Status: StatusOK, Op: OpGet, ID: 6, Found: true, Val: 42}))
 	f.Add(AppendResponse(nil, &Response{Status: StatusScanChunk, Op: OpScan, ID: 7, Keys: []int64{1}, Vals: []int64{2}}))
 	f.Add(AppendResponse(nil, &Response{Status: StatusErr, Op: OpPut, ID: 8, Err: "x"}))
+	// The pair layout's edges: an unsorted batch (negative deltas), the
+	// extreme keys next to each other (deltas that wrap), a multi-byte
+	// delta, and a chunk whose value block is one byte short, framed with
+	// a good CRC so the decoder sees it and must reject it.
+	f.Add(AppendRequest(nil, &Request{Op: OpPutBatch, ID: 9, Keys: []int64{50, -3, 7, 7, -90}, Vals: []int64{1, -1, 1 << 40, 0, -1 << 62}}))
+	f.Add(AppendRequest(nil, &Request{Op: OpDeleteBatch, ID: 10, Keys: []int64{math.MinInt64 + 1, math.MaxInt64 - 1, math.MinInt64 + 1}}))
+	f.Add(AppendResponse(nil, &Response{Status: StatusScanChunk, Op: OpScan, ID: 11, Keys: []int64{1, 1 + 1<<20, 2 + 1<<20}, Vals: []int64{3, 4, 5}}))
+	good := AppendResponse(nil, &Response{Status: StatusScanChunk, Op: OpScan, ID: 12, Keys: []int64{16, 32}, Vals: []int64{-1, 1}})
+	f.Add(frame(nil, func(p []byte) []byte { return append(p, good[frameHeader:len(good)-1]...) }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The bytes as a bare payload too: behind the CRC the fuzzer rarely
 		// gets a mutated payload as far as the decoders.

@@ -19,27 +19,34 @@ func refVarint(p []byte) (int64, []byte, bool) {
 	return v, p[n:], true
 }
 
+// refPairs reads count | keys | vals as the package doc specifies it: each
+// key the binary.Varint difference from the key before it (the first from
+// 0, wrapping), then, with values, 8 little-endian bytes a value.
 func refPairs(p []byte, withVals bool) (keys, vals []int64, rest []byte, ok bool) {
 	c, n := binary.Uvarint(p)
-	if n <= 0 || c > uint64(len(p)-n) {
+	if n <= 0 {
 		return nil, nil, p, false
 	}
 	p = p[n:]
-	runs := 1
-	if withVals {
-		runs = 2
+	prev := int64(0)
+	for i := uint64(0); i < c; i++ {
+		var d int64
+		if d, p, ok = refVarint(p); !ok {
+			return nil, nil, p, false
+		}
+		prev += d
+		keys = append(keys, prev)
 	}
-	out := make([][]int64, 2)
-	for r := 0; r < runs; r++ {
+	if withVals {
+		if uint64(len(p)) < 8*c {
+			return nil, nil, p, false
+		}
 		for i := uint64(0); i < c; i++ {
-			var v int64
-			if v, p, ok = refVarint(p); !ok {
-				return nil, nil, p, false
-			}
-			out[r] = append(out[r], v)
+			vals = append(vals, int64(binary.LittleEndian.Uint64(p)))
+			p = p[8:]
 		}
 	}
-	return out[0], out[1], p, true
+	return keys, vals, p, true
 }
 
 func refRequest(p []byte) (req Request, ok bool) {
@@ -129,9 +136,12 @@ func sameAsReference(t *testing.T, payload []byte) {
 // TestVarintNearPayloadEnd walks the word-at-a-time reader's three regimes
 // (a whole word available, ten bytes available, the tail): a varint of every
 // length 1–10, canonical and zero-padded, sits 0–9 bytes before the end of
-// the payload, as a batch key and as a chunk key. The overflow forms — an
+// the payload, as a batch key and as a point key. The overflow forms — an
 // eleventh byte, a tenth byte above 1 — must be rejected wherever they sit,
-// exactly as binary.Uvarint rejects them.
+// exactly as binary.Uvarint rejects them. As the first key of a scan chunk
+// the form has the value block behind it: the chunk must be accepted
+// exactly when the form is well formed, and never with its value block one
+// byte short.
 func TestVarintNearPayloadEnd(t *testing.T) {
 	var forms [][]byte
 	for n := 1; n <= binary.MaxVarintLen64; n++ {
@@ -163,21 +173,36 @@ func TestVarintNearPayloadEnd(t *testing.T) {
 			req = append(req, form...)
 			req = append(req, make([]byte, after)...)
 			sameAsReference(t, req)
-			// Scan chunk of one pair: key = form, value = `after` bytes.
-			if after == 0 {
-				continue
+			// A point key: Get's ends the payload, Put's has an `after`-byte
+			// value behind it.
+			point := []byte{OpGet, 7}
+			if after > 0 {
+				point[0] = OpPut
 			}
-			chunk := []byte{StatusScanChunk, OpScan, 7, 1}
+			point = append(point, form...)
+			if after > 0 {
+				point = append(point, binary.AppendUvarint(nil, 1<<(7*uint(after-1)))...)
+			}
+			sameAsReference(t, point)
+			// Scan chunk of 1+after pairs: the form, `after` one-byte
+			// deltas, the value block.
+			chunk := []byte{StatusScanChunk, OpScan, 7, byte(1 + after)}
 			chunk = append(chunk, form...)
-			chunk = append(chunk, binary.AppendUvarint(nil, 1<<(7*uint(after-1)))...)
+			chunk = append(chunk, make([]byte, after)...)
+			chunk = append(chunk, make([]byte, 8*(1+after))...)
+			short := chunk[:len(chunk)-1]
 			sameAsReference(t, chunk)
+			sameAsReference(t, short)
 			var resp Response
 			if DecodeResponse(chunk, &resp) == nil {
 				accepted++
 			}
+			if DecodeResponse(short, &resp) == nil {
+				t.Fatalf("chunk % x with its value block one byte short accepted", short)
+			}
 		}
 	}
-	if want := len(forms) * 9; accepted != want {
+	if want := len(forms) * 10; accepted != want {
 		t.Fatalf("%d chunks accepted, want the %d well-formed ones and no overflow form", accepted, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"pmago/internal/core"
 	"pmago/internal/persist"
+	"pmago/internal/runs"
 )
 
 // Reserved sentinel keys: the store holds any int64 key except these two,
@@ -237,6 +238,17 @@ func (p *PMA) ScanAll(fn func(k, v int64) bool) { p.c.ScanAll(fn) }
 // core.PMA.AppendRun); a DB has it through its embedded store.
 func (p *PMA) appendRun(lo, hi int64, n int, ks, vs []int64) ([]int64, []int64, int64, bool) {
 	return p.c.AppendRun(lo, hi, n, ks, vs)
+}
+
+// A served *PMA or *DB streams its scans a run of whole chunks at a time,
+// as a Sharded merge cursor reads it.
+func init() {
+	runs.Register(func(store any) runs.Reader {
+		if src, ok := store.(runSource); ok {
+			return src.appendRun
+		}
+		return nil
+	})
 }
 
 // Len returns the number of stored elements (excluding not-yet-applied

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,4 +58,37 @@ func BenchmarkGroupCommit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServedScan prices a whole-store scan of 2^16 pairs through
+// server, loopback TCP and client, the scan the benchmark's served workload
+// runs long windows of: ns/pair is a served pair's cost, B/op what one scan
+// allocates on both sides of the socket.
+func BenchmarkServedScan(b *testing.B) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	keys, vals := make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i], vals[i] = int64(16*i), int64(rng.Uint64())
+	}
+	p, err := pmago.BulkLoad(keys, vals)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	_, addr := startServer(b, p, server.Options{})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got := 0
+		if err := cl.Scan(pmago.KeyMin+1, pmago.KeyMax-1, func(k, v int64) bool { got++; return true }); err != nil || got != n {
+			b.Fatalf("scan delivered %d of %d pairs: %v", got, n, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pair")
 }

@@ -12,6 +12,7 @@ import (
 
 	"pmago"
 	"pmago/internal/obs"
+	"pmago/internal/runs"
 	"pmago/internal/wire"
 )
 
@@ -40,7 +41,7 @@ func encodeFrame(resp *wire.Response) *frame {
 	return f
 }
 
-// scanRun is one streaming scan's key/value runs, recycled across scans.
+// scanRun is one streaming scan's frame of pairs, recycled across scans.
 type scanRun struct{ keys, vals []int64 }
 
 var scanRunPool = sync.Pool{New: func() any { return new(scanRun) }}
@@ -396,12 +397,14 @@ func (c *conn) waitFlushed() {
 	c.qmu.Unlock()
 }
 
-// runScan streams one scan as chunked frames, ending with a StatusOK frame
-// for the same id. It stops early on OpCancel, client disconnect, or
-// shutdown teardown, which it notices once per chunk — the store's scan
-// callback does nothing but collect the pair, and runs for at most one more
-// chunk after the cancel lands. The final frame is still attempted so a
-// cancelling client sees the stream terminate.
+// runScan streams one scan as StatusScanChunk frames, ending with a StatusOK
+// frame for the same id. One loop fills a frame with a run of whole chunks
+// (scanChunkPairs pairs plus at most one chunk), checks for a stop, encodes
+// and sends the frame, and resumes where the run ended. It stops early on
+// OpCancel, client disconnect, or shutdown teardown, which it notices once
+// per frame, so after a cancel lands at most one more frame is copied. The
+// final frame is still attempted so a cancelling client sees the stream
+// terminate.
 func (c *conn) runScan(id uint64, lo, hi int64, cancel chan struct{}, rt reqTimes) {
 	s := c.srv
 	defer func() {
@@ -412,45 +415,30 @@ func (c *conn) runScan(id uint64, lo, hi int64, cancel chan struct{}, rt reqTime
 	}()
 	run := scanRunPool.Get().(*scanRun)
 	defer scanRunPool.Put(run)
-	if cap(run.keys) < scanChunkPairs {
-		run.keys, run.vals = make([]int64, 0, scanChunkPairs), make([]int64, 0, scanChunkPairs)
-	}
-	keys, vals := run.keys[:0], run.vals[:0]
-	// flush sends the collected pairs as one chunk; false means stop: the
-	// scan was cancelled (the chunk is dropped) or the connection is dead.
-	flush := func() bool {
+	stopped := false
+	var err error
+	rt.applyStart = time.Now()
+	for from, more := lo, true; more; {
+		err = s.apply(func() {
+			run.keys, run.vals, from, more = s.readRun(from, hi, scanChunkPairs, run.keys[:0], run.vals[:0])
+		})
+		if err != nil || len(run.keys) == 0 { // an empty run is the last
+			break
+		}
 		select {
 		case <-cancel:
-			return false
+			stopped = true
 		default:
+			stopped = !c.sendScanChunk(encodeFrame(&wire.Response{
+				Status: wire.StatusScanChunk, Op: wire.OpScan, ID: id, Keys: run.keys, Vals: run.vals,
+			}))
 		}
-		f := encodeFrame(&wire.Response{
-			Status: wire.StatusScanChunk, Op: wire.OpScan, ID: id, Keys: keys, Vals: vals,
-		})
-		keys, vals = keys[:0], vals[:0]
-		if !c.sendScanChunk(f) {
-			return false
+		if stopped {
+			break
 		}
 		s.m.ScanChunks.Inc()
-		return true
 	}
-	stopped := false
-	rt.applyStart = time.Now()
-	err := s.apply(func() {
-		s.store.Scan(lo, hi, func(k, v int64) bool {
-			keys = append(keys, k)
-			vals = append(vals, v)
-			if len(keys) == scanChunkPairs && !flush() {
-				stopped = true
-				return false
-			}
-			return true
-		})
-	})
 	rt.applyEnd = time.Now()
-	if !stopped && err == nil && len(keys) > 0 && !flush() {
-		stopped = true
-	}
 	if stopped {
 		s.m.ScanCancels.Inc()
 	}
@@ -462,6 +450,24 @@ func (c *conn) runScan(id uint64, lo, hi int64, cancel chan struct{}, rt reqTime
 	c.respond(&resp, obs.ServerOpScan, rt)
 }
 
+// scanRuns is the run reader of a store that has none of its own (a
+// Sharded store, a wrapper): a run is Scan stopped after n pairs, and the
+// next resumes at the key after its last.
+func scanRuns(store pmago.Store) runs.Reader {
+	return func(lo, hi int64, n int, ks, vs []int64) ([]int64, []int64, int64, bool) {
+		resume, more := hi, false
+		store.Scan(lo, hi, func(k, v int64) bool {
+			ks, vs = append(ks, k), append(vs, v)
+			if len(ks) < n {
+				return true
+			}
+			resume, more = k+1, k < hi // k < hi: k+1 does not overflow
+			return false
+		})
+		return ks, vs, resume, more
+	}
+}
+
 // beginDrain (graceful shutdown) stops the reader by expiring its blocked
 // read; dispatched requests keep completing.
 func (c *conn) beginDrain() {
@@ -470,7 +476,7 @@ func (c *conn) beginDrain() {
 }
 
 // teardown kills the connection now: marks it dead (senders drop, so a scan
-// stops at its next chunk), wakes the writer and throttled scans, and closes
+// stops at its next frame), wakes the writer and throttled scans, and closes
 // the socket.
 func (c *conn) teardown() {
 	c.tearOnce.Do(func() {

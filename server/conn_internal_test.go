@@ -92,6 +92,70 @@ func TestScanStopsWithinOneChunk(t *testing.T) {
 	}
 }
 
+// TestScanRunStopsWithinOneFrame is the same pin for a store read a run of
+// whole chunks at a time: a *PMA, whose runs the test counts and pauses at
+// the server's run reader. The stop lands just before a run; that run is
+// still copied and none after it, so after an OpCancel or a disconnect the
+// store copies at most one frame more — scanChunkPairs pairs plus one
+// chunk.
+func TestScanRunStopsWithinOneFrame(t *testing.T) {
+	// Segments of 8 slots, the default 8 to a gate: a chunk holds at most 64
+	// pairs.
+	const chunkSlots, total, pauseAt = 8 * 8, scanChunkPairs * 50, 4
+	keys := make([]int64, total)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	for _, tc := range []struct {
+		name string
+		stop func(c *conn)
+	}{
+		{"cancel", func(c *conn) { c.dispatch(&wire.Request{Op: wire.OpCancel, ID: 1}, reqTimes{}) }},
+		{"disconnect", func(c *conn) { c.teardown() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := pmago.BulkLoad(keys, keys, pmago.WithSegmentCapacity(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			s := New(p, Options{})
+			defer s.Close()
+			read := s.readRun
+			var runs, copied, atStop atomic.Int64
+			paused, resume := make(chan struct{}), make(chan struct{})
+			s.readRun = func(lo, hi int64, n int, ks, vs []int64) ([]int64, []int64, int64, bool) {
+				if runs.Add(1) == pauseAt {
+					atStop.Store(copied.Load())
+					close(paused)
+					<-resume
+				}
+				ks, vs, from, more := read(lo, hi, n, ks, vs)
+				if more && (len(ks) < n || len(ks) >= n+chunkSlots) {
+					t.Errorf("a run of %d pairs: a frame holds %d plus less than one chunk", len(ks), n)
+				}
+				copied.Add(int64(len(ks)))
+				return ks, vs, from, more
+			}
+			c := testConn(t, s)
+			c.dispatch(&wire.Request{Op: wire.OpScan, ID: 1, Key: 0, Val: math.MaxInt64 - 1}, reqTimes{})
+			<-paused
+			tc.stop(c)
+			close(resume)
+			c.pending.Wait() // the scan answered: its goroutine is past its last run
+			if n := runs.Load(); n != pauseAt {
+				t.Fatalf("%d runs read, %d of them after the stop; want the one in progress", n, n-pauseAt+1)
+			}
+			if after := copied.Load() - atStop.Load(); after >= scanChunkPairs+chunkSlots {
+				t.Fatalf("%d pairs copied after the stop, more than one frame", after)
+			}
+			if got := s.Stats().Server.ScanCancels; got != 1 {
+				t.Fatalf("ScanCancels = %d, want 1", got)
+			}
+		})
+	}
+}
+
 // meetingStore makes PutBatch and Delete wait for each other: each returns
 // only once both are inside the store.
 type meetingStore struct {

@@ -30,13 +30,16 @@
 //
 // # Scans and the socket
 //
-// A scan streams as StatusScanChunk frames of 1024 pairs and ends
-// with a StatusOK frame. It is cancelled by OpCancel or by the client
-// disconnecting, which it notices once per chunk: the store's scan callback
-// only collects the pair, and after a cancel it runs for less than one
-// chunk more. Chunks wait in the connection's outbound queue, at most
-// scanHighWater of them, so a client that reads slowly throttles its own
-// scans and nothing else.
+// A scan streams as StatusScanChunk frames and ends with a StatusOK frame.
+// A frame is a run of whole chunks copied out of the store the way its Scan
+// copies them, stopped once it holds 1024 pairs: 1024 plus at most one
+// chunk, fewer only in the last frame. A *PMA or *DB is read that way
+// directly; any other Store through Scan, stopped after 1024 pairs and
+// resumed at the next key. A scan is cancelled by OpCancel or by the client
+// disconnecting, which it notices once per frame, so after a cancel it
+// copies at most one more frame. Frames wait in the connection's outbound
+// queue, at most scanHighWater of them, so a client that reads slowly
+// throttles its own scans and nothing else.
 //
 // A connection's socket has one writer at a time. The writer goroutine
 // drains the outbound queue, one flush per burst; everything the committer
@@ -63,6 +66,7 @@ import (
 
 	"pmago"
 	"pmago/internal/obs"
+	"pmago/internal/runs"
 	"pmago/internal/wire"
 )
 
@@ -107,7 +111,9 @@ const (
 	// maxCommitOps caps how many queued write requests one committer drain
 	// coalesces.
 	maxCommitOps = 1024
-	// scanChunkPairs is the pair count per streamed scan chunk frame.
+	// scanChunkPairs is the pairs a streamed scan frame holds at least
+	// before its last chunk: a frame is a run of whole chunks that stops
+	// once it reaches this many, and only a scan's last frame holds fewer.
 	scanChunkPairs = 1024
 	// slowOpSampleEvery makes the flight recorder also capture every Nth
 	// request regardless of latency, so it always holds a baseline to
@@ -118,10 +124,11 @@ const (
 // Server serves one pmago.Store over TCP. Create with New, start with
 // Serve or ListenAndServe, stop with Shutdown (graceful) or Close.
 type Server struct {
-	store pmago.Store
-	opts  Options
-	m     obs.ServerMetrics
-	tr    obs.TraceMetrics // request-path trace section
+	store   pmago.Store
+	readRun runs.Reader // the store's scan, a run of whole chunks at a time
+	opts    Options
+	m       obs.ServerMetrics
+	tr      obs.TraceMetrics // request-path trace section
 
 	sampleTick atomic.Uint64 // uniform 1-in-N flight-recorder sampling
 
@@ -147,9 +154,13 @@ type Server struct {
 func New(store pmago.Store, opts Options) *Server {
 	s := &Server{
 		store:    store,
+		readRun:  runs.For(store),
 		opts:     opts.withDefaults(),
 		conns:    make(map[*conn]struct{}),
 		commitCh: make(chan commitReq, commitQueue),
+	}
+	if s.readRun == nil {
+		s.readRun = scanRuns(store)
 	}
 	if s.opts.SummaryEvery > 0 {
 		s.sumStop = make(chan struct{})

@@ -66,14 +66,19 @@ func TestSlowOpSampling(t *testing.T) {
 }
 
 // TestScanChunkEncodeDoesNotAllocate guards the streamed-scan path: once
-// the pools are warm, a chunk is framed into a recycled buffer, queued and
-// handed back after the write without a single allocation — what the store
-// scans in 4 ns a pair must not cost a 20 KB buffer per kilopair to send.
+// the pools are warm, a frame is filled by a run of whole chunks into the
+// recycled pairs, framed into a recycled buffer, queued and handed back
+// after the write without a single allocation — what the store scans in 1
+// ns a pair must not cost a 20 KB buffer per kilopair to send.
 func TestScanChunkEncodeDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	p, err := pmago.New()
+	keys := make([]int64, 1<<14)
+	for i := range keys {
+		keys[i] = int64(i) << 20
+	}
+	p, err := pmago.BulkLoad(keys, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +89,8 @@ func TestScanChunkEncodeDoesNotAllocate(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	c := newConn(s, a) // no writer goroutine: the test plays its part
-
-	keys, vals := make([]int64, scanChunkPairs), make([]int64, scanChunkPairs)
-	for i := range keys {
-		keys[i], vals[i] = int64(i)<<20, -int64(i)<<40
-	}
-	chunk := wire.Response{Status: wire.StatusScanChunk, Op: wire.OpScan, ID: 9, Keys: keys, Vals: vals}
-	if n := testing.AllocsPerRun(1000, func() {
-		if !c.sendScanChunk(encodeFrame(&chunk)) {
+	send := func(chunk *wire.Response) {
+		if !c.sendScanChunk(encodeFrame(chunk)) {
 			t.Fatal("chunk refused")
 		}
 		// The writer's half: take the burst, recycle each frame.
@@ -100,8 +99,30 @@ func TestScanChunkEncodeDoesNotAllocate(t *testing.T) {
 			c.q[i] = nil
 		}
 		c.q = c.q[:0]
-	}); n != 0 {
+	}
+
+	vals := make([]int64, scanChunkPairs)
+	for i := range vals {
+		vals[i] = -int64(i) << 40
+	}
+	chunk := wire.Response{Status: wire.StatusScanChunk, Op: wire.OpScan, ID: 9, Keys: keys[:scanChunkPairs], Vals: vals}
+	if n := testing.AllocsPerRun(1000, func() { send(&chunk) }); n != 0 {
 		t.Fatalf("streaming a scan chunk allocates %v/chunk", n)
+	}
+
+	// What runScan does per frame, round and round the store.
+	run := scanRunPool.Get().(*scanRun)
+	defer scanRunPool.Put(run)
+	from := int64(pmago.KeyMin + 1)
+	if n := testing.AllocsPerRun(100, func() {
+		var more bool
+		run.keys, run.vals, from, more = s.readRun(from, pmago.KeyMax-1, scanChunkPairs, run.keys[:0], run.vals[:0])
+		if !more {
+			from = pmago.KeyMin + 1
+		}
+		send(&wire.Response{Status: wire.StatusScanChunk, Op: wire.OpScan, ID: 9, Keys: run.keys, Vals: run.vals})
+	}); n != 0 {
+		t.Fatalf("filling and streaming a frame from a run allocates %v/frame", n)
 	}
 }
 

@@ -704,8 +704,9 @@ const (
 	scanRefillMax = 1024
 )
 
-// runSource is what a merge cursor reads its shard through: *PMA has it,
-// and *DB through its embedded store.
+// runSource is what a merge cursor reads its shard through, and a served
+// scan its store (see the init in pmago.go): *PMA has it, and *DB through
+// its embedded store.
 type runSource interface {
 	appendRun(lo, hi int64, n int, ks, vs []int64) ([]int64, []int64, int64, bool)
 }
