@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -153,6 +154,52 @@ func TestScanRunStopsWithinOneFrame(t *testing.T) {
 				t.Fatalf("ScanCancels = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestScanRunsResume: the runs of a store read through Scan (a wrapper hides
+// the *PMA's run reader), each resumed where the last one ended, hand over
+// every pair of the range once and in order, n pairs a run; a run whose
+// n-th pair is hi reports nothing left, a range whose last run is full
+// ends with an empty one, and an empty range reads nothing.
+func TestScanRunsResume(t *testing.T) {
+	const n = scanChunkPairs
+	keys := make([]int64, 3*n) // key i at index i: a resume past the next key skips a pair
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	p, err := pmago.BulkLoad(keys, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	read := scanRuns(struct{ pmago.Store }{p})
+	for _, tc := range []struct {
+		hi   int64
+		runs int
+	}{
+		{keys[2*n-1], 2},           // the second run's n-th pair is hi
+		{keys[len(keys)-1] + 1, 4}, // three full runs, then an empty one
+		{keys[n+7], 2},             // the second run stops at hi
+	} {
+		hi := tc.hi
+		var got []int64
+		runs := 0
+		for from, more := int64(0), true; more; runs++ {
+			var ks []int64
+			ks, _, from, more = read(from, hi, n, nil, nil)
+			if more && len(ks) != n {
+				t.Fatalf("hi %d: run %d holds %d pairs and more remain, want %d", hi, runs, len(ks), n)
+			}
+			got = append(got, ks...)
+		}
+		want := keys[:min(hi+1, int64(len(keys)))]
+		if !slices.Equal(got, want) || runs != tc.runs {
+			t.Fatalf("hi %d: %d runs read %d pairs, want %d runs of the %d in order", hi, runs, len(got), tc.runs, len(want))
+		}
+	}
+	if ks, _, _, more := read(10, 5, n, nil, nil); len(ks) != 0 || more {
+		t.Fatalf("empty range: %d pairs, more %v", len(ks), more)
 	}
 }
 
