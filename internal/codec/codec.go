@@ -11,6 +11,22 @@
 // A dense PMA segment or snapshot block encodes at a few bytes per pair
 // instead of the 16 an uncompressed pair costs.
 //
+// The package also holds the store's one varint reader (Uvarint, Varint)
+// and writer (varint.go), which persist's WAL records and the wire protocol
+// use too.
+// Both work a word at a time and keep encoding/binary's bytes exactly. The
+// writer spreads a value's 7-bit groups over a word (expand7, the inverse of
+// the reader's compact7), sets the continuation bits with one mask picked by
+// the value's bit length, and stores the word and the two bytes a nine- or
+// ten-byte varint adds, whatever the varint's length: no branch on the
+// length, the coin flip a random 64-bit value makes of a byte loop. The
+// price is room: a write may touch MaxVarintLen64 bytes from where the
+// varint starts, past its end. With less room than that spare, AppendUvarint
+// and AppendVarint write the varint aside and append it, and PutUvarint
+// falls back to a byte loop. AppendBlock checks for MaxEncodedLen spare
+// bytes once per block, which holds the room for every varint of the block,
+// and MergeBlock reserves it per varint (merge.go).
+//
 // The decoder is hardened for both of its callers' threat models — bytes
 // read back from a crashed disk, and bytes read racily from a chunk a
 // concurrent writer is re-encoding (the seqlock read path discards the
@@ -39,6 +55,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"slices"
 )
 
 // Decode errors. Callers that frame blocks (persist) wrap them with file
@@ -55,21 +72,45 @@ var (
 // AppendBlock appends one encoded block for the given pairs to dst and
 // returns the extended slice. keys must be strictly ascending and non-empty;
 // len(vals) must equal len(keys). The caller owns framing (length, CRC).
+//
+// Capacity is checked once, for the worst case: with MaxEncodedLen(len(keys))
+// spare bytes in dst it does not allocate, and otherwise it grows dst once.
+// The varints are then written a word at a time (putUvarint), each into the
+// MaxVarintLen64 bytes the bound holds for it; a one-byte gap or value, a
+// dense run's or a small one, is a single byte store.
 func AppendBlock(dst []byte, keys, vals []int64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	dst = binary.AppendVarint(dst, keys[0])
-	for i := 1; i < len(keys); i++ {
-		dst = binary.AppendUvarint(dst, uint64(keys[i]-keys[i-1]))
+	i := len(dst)
+	if need := MaxEncodedLen(len(keys)); cap(dst)-i < need {
+		dst = slices.Grow(dst, need)
+	}
+	p := dst[:cap(dst)]
+	i += putUvarint(p, i, uint64(len(keys)))
+	i += putUvarint(p, i, zigzag(keys[0]))
+	for j := 1; j < len(keys); j++ {
+		if d := uint64(keys[j] - keys[j-1]); d < 0x80 { // a dense run's 1-byte gap
+			p[i] = byte(d)
+			i++
+		} else {
+			i += putUvarint(p, i, d)
+		}
 	}
 	for _, v := range vals {
-		dst = binary.AppendVarint(dst, v)
+		if zz := zigzag(v); zz < 0x80 {
+			p[i] = byte(zz)
+			i++
+		} else {
+			i += putUvarint(p, i, zz)
+		}
 	}
-	return dst
+	return dst[:i]
 }
 
 // MaxEncodedLen bounds the encoded size of a block of n pairs: the count,
 // a worst-case varint per key delta and per value. Useful for sizing
-// fixed scratch buffers.
+// fixed scratch buffers. It already holds the word-at-a-time writer's spare
+// bytes: the j-th varint starts at most MaxVarintLen64*(j-1) bytes in and is
+// written with at most MaxVarintLen64 bytes from its start, so nothing is
+// stored past the bound.
 func MaxEncodedLen(n int) int {
 	const maxVarint = binary.MaxVarintLen64
 	return maxVarint + 2*n*maxVarint
@@ -188,6 +229,12 @@ func Uvarint(p []byte, i int) (x uint64, n int) {
 	return x, n
 }
 
+// Varint is Uvarint for a zigzag-encoded signed value (binary.Varint).
+func Varint(p []byte, i int) (int64, int) {
+	zz, n := Uvarint(p, i)
+	return unzigzag(zz), n
+}
+
 // compact7 drops bit 7 of each byte of w and closes the gaps: byte j's low
 // seven bits land at bit 7j.
 func compact7(w uint64) uint64 {
@@ -195,8 +242,6 @@ func compact7(w uint64) uint64 {
 	w = w&0x3fff00003fff0000>>2 | w&0x00003fff00003fff
 	return w&0x0fffffff00000000>>4 | w&0x000000000fffffff
 }
-
-func unzigzag(x uint64) int64 { return int64(x>>1) ^ -int64(x&1) }
 
 // grow extends s by n elements (values unspecified), reusing capacity when
 // it fits — the common case for the pooled fixed-capacity scratch buffers

@@ -67,7 +67,11 @@ func MergeBlock(dst, p []byte, keys, vals []int64, maxPairs int) ([]byte, int, e
 
 	// The gaps are written after room for the count and first key, the
 	// values after room for the gaps (each run key adds at most one varint
-	// to either section); both move down into place at the end.
+	// to either section); both move down into place at the end. The room is
+	// MaxVarintLen64 bytes for each varint written, so every word-at-a-time
+	// write's spare bytes land in its own reservation: the count's and the
+	// first key's in the header's, a run key's gap or value in the one the
+	// run key holds in its section, ahead of anything written there yet.
 	const hdr = 2 * binary.MaxVarintLen64
 	kLim := hdr + v0 - ki + m*binary.MaxVarintLen64
 	need := kLim + len(p) - v0 + m*binary.MaxVarintLen64
@@ -97,7 +101,11 @@ func MergeBlock(dst, p []byte, keys, vals []int64, maxPairs int) ([]byte, int, e
 					cp = gOff
 				}
 			default:
-				kw += binary.PutUvarint(out[kw:], uint64(cur-prev))
+				// This gap replaces cur's own, which is no shorter
+				// (a run key now sits between cur and the key it
+				// followed) but has no reservation to spill into, so it
+				// is written only within the key section.
+				kw += PutUvarint(out[kw:kLim], uint64(cur-prev))
 			}
 			if cp < 0 {
 				cp = ki
@@ -143,7 +151,7 @@ func MergeBlock(dst, p []byte, keys, vals []int64, maxPairs int) ([]byte, int, e
 			if !started {
 				head, started = k, true
 			} else {
-				kw += binary.PutUvarint(out[kw:], uint64(k-prev))
+				kw += putUvarint(out, kw, uint64(k-prev))
 			}
 		}
 		if vn > 0 {
@@ -154,7 +162,7 @@ func MergeBlock(dst, p []byte, keys, vals []int64, maxPairs int) ([]byte, int, e
 			vw += copy(out[vw:], p[vi:e])
 			vi, vn = e, 0
 		}
-		vw += binary.PutVarint(out[vw:], vals[j])
+		vw += putUvarint(out, vw, zigzag(vals[j]))
 		prev = k
 		if !found {
 			follows = false
@@ -184,8 +192,8 @@ func MergeBlock(dst, p []byte, keys, vals []int64, maxPairs int) ([]byte, int, e
 	}
 	vw += copy(out[vw:], p[vi:])
 
-	hl := binary.PutUvarint(out, uint64(n+fresh)) // over bytes nothing was written to
-	hl += binary.PutVarint(out[hl:], head)
+	hl := putUvarint(out, 0, uint64(n+fresh)) // over bytes nothing was written to
+	hl += putUvarint(out, hl, zigzag(head))
 	kl := copy(out[hl:], out[hdr:kw])
 	vl := copy(out[hl+kl:], out[kLim:vw])
 	return dst[:base+hl+kl+vl], fresh, nil

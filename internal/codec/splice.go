@@ -155,9 +155,12 @@ func Upsert(buf []byte, n int, k, v int64, maxPairs int) Splice {
 	if err != nil {
 		return Splice{}
 	}
+	// Each new varint is written a word at a time into an array with
+	// MaxVarintLen64 bytes for it: kb's second varint starts within the
+	// first's ten.
 	var cb, vb [binary.MaxVarintLen64]byte
 	var kb [2 * binary.MaxVarintLen64]byte
-	val := edit{c.valOff, c.valEnd, vb[:binary.PutVarint(vb[:], v)]}
+	val := edit{c.valOff, c.valEnd, vb[:putUvarint(vb[:], 0, zigzag(v))]}
 	if c.Found {
 		return rewrite(buf, n, &[3]edit{{}, {}, val}, Splice{Status: Replaced, First: c.first})
 	}
@@ -168,15 +171,15 @@ func Upsert(buf []byte, n int, k, v int64, maxPairs int) Splice {
 	first := c.first
 	if c.Rank == 0 {
 		first = k
-		kl = binary.PutVarint(kb[:], k)
+		kl = putUvarint(kb[:], 0, zigzag(k))
 	} else {
-		kl = binary.PutUvarint(kb[:], uint64(k-c.prev))
+		kl = putUvarint(kb[:], 0, uint64(k-c.prev))
 	}
 	if c.Rank < c.N { // the key that was placed here is now a gap away
-		kl += binary.PutUvarint(kb[kl:], uint64(c.next-k))
+		kl += putUvarint(kb[:], kl, uint64(c.next-k))
 	}
 	return rewrite(buf, n, &[3]edit{
-		{0, c.cntEnd, cb[:binary.PutUvarint(cb[:], uint64(c.N+1))]},
+		{0, c.cntEnd, cb[:putUvarint(cb[:], 0, uint64(c.N+1))]},
 		{c.keyOff, c.keyEnd, kb[:kl]},
 		val,
 	}, Splice{Status: Inserted, First: first})
@@ -197,7 +200,7 @@ func Remove(buf []byte, n int, k int64, maxPairs int) Splice {
 	if c.N == 1 {
 		return Splice{Status: Removed}
 	}
-	var cb [binary.MaxVarintLen64]byte
+	var cb [binary.MaxVarintLen64]byte // one varint each, as in Upsert
 	var kb [binary.MaxVarintLen64]byte
 	var kl int
 	first, keyEnd := c.first, c.keyEnd
@@ -209,13 +212,13 @@ func Remove(buf []byte, n int, k int64, maxPairs int) Splice {
 		keyEnd += dn
 		if c.Rank == 0 {
 			first = k + int64(d)
-			kl = binary.PutVarint(kb[:], first)
+			kl = putUvarint(kb[:], 0, zigzag(first))
 		} else {
-			kl = binary.PutUvarint(kb[:], uint64(k-c.prev)+d)
+			kl = putUvarint(kb[:], 0, uint64(k-c.prev)+d)
 		}
 	}
 	return rewrite(buf, n, &[3]edit{
-		{0, c.cntEnd, cb[:binary.PutUvarint(cb[:], uint64(c.N-1))]},
+		{0, c.cntEnd, cb[:putUvarint(cb[:], 0, uint64(c.N-1))]},
 		{c.keyOff, keyEnd, kb[:kl]},
 		{c.valOff, c.valEnd, nil},
 	}, Splice{Status: Removed, First: first})

@@ -79,6 +79,20 @@ func FuzzDecodeSnapBlock(f *testing.F) {
 	})
 }
 
+// TestDecodeSnapBlockShortBlockClaimsMany: seven bytes claiming 2^29-1
+// pairs must be refused without sizing the output for the claimed count
+// (FuzzDecodeSnapBlock's corpus holds the same bytes).
+func TestDecodeSnapBlockShortBlockClaimsMany(t *testing.T) {
+	p := []byte{0xff, 0xff, 0xff, 0xff, 0x01, 0x02, 0x04}
+	keys, vals, err := decodeSnapBlock(p, nil, nil)
+	if err == nil {
+		t.Fatal("accepted a block too short for its count")
+	}
+	if cap(keys) > len(p) || cap(vals) > len(p) {
+		t.Fatalf("output sized %d/%d pairs for a %d-byte block", cap(keys), cap(vals), len(p))
+	}
+}
+
 func FuzzLoadSnapshot(f *testing.F) {
 	valid := func(pairs int) []byte {
 		dir := f.TempDir()

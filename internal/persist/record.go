@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"pmago/internal/codec"
 )
 
 // WAL record wire format. Each record is framed as
@@ -48,17 +50,15 @@ type Record struct {
 	Vals []int64
 }
 
-// putUvarint/putVarint append to a byte slice (binary.AppendUvarint spelled
-// out for clarity at the call sites).
-func appendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+// The varints are codec's word-at-a-time writer's, the bytes
+// binary.AppendVarint writes.
 
 // encodePut appends a framed KindPut record to b.
 func encodePut(b []byte, k, v int64) []byte {
 	return frame(b, func(p []byte) []byte {
 		p = append(p, KindPut)
-		p = appendVarint(p, k)
-		p = appendVarint(p, v)
+		p = codec.AppendVarint(p, k)
+		p = codec.AppendVarint(p, v)
 		return p
 	})
 }
@@ -67,7 +67,7 @@ func encodePut(b []byte, k, v int64) []byte {
 func encodeDelete(b []byte, k int64) []byte {
 	return frame(b, func(p []byte) []byte {
 		p = append(p, KindDelete)
-		p = appendVarint(p, k)
+		p = codec.AppendVarint(p, k)
 		return p
 	})
 }
@@ -76,12 +76,12 @@ func encodeDelete(b []byte, k int64) []byte {
 func encodeBatch(b []byte, kind byte, keys, vals []int64) []byte {
 	return frame(b, func(p []byte) []byte {
 		p = append(p, kind)
-		p = appendUvarint(p, uint64(len(keys)))
+		p = codec.AppendUvarint(p, uint64(len(keys)))
 		for _, k := range keys {
-			p = appendVarint(p, k)
+			p = codec.AppendVarint(p, k)
 		}
 		for _, v := range vals {
-			p = appendVarint(p, v)
+			p = codec.AppendVarint(p, v)
 		}
 		return p
 	})
@@ -128,8 +128,8 @@ func decodePayload(p []byte, rec *Record) bool {
 	rec.Kind = p[0]
 	p = p[1:]
 	readVarint := func() (int64, bool) {
-		v, n := binary.Varint(p)
-		if n <= 0 {
+		v, n := codec.Varint(p, 0)
+		if n == 0 {
 			return 0, false
 		}
 		p = p[n:]
@@ -152,11 +152,11 @@ func decodePayload(p []byte, rec *Record) bool {
 		rec.Keys = append(rec.Keys[:0], k)
 		rec.Vals = rec.Vals[:0]
 	case KindPutBatch, KindDeleteBatch:
-		c, un := binary.Uvarint(p)
+		c, un := codec.Uvarint(p, 0)
 		// Every key costs at least one payload byte, so a count beyond the
 		// remaining payload is corruption — checked before allocating, so
 		// a crafted count cannot force a multi-GiB slice.
-		if un <= 0 || c > uint64(len(p)-un) {
+		if un == 0 || c > uint64(len(p)-un) {
 			return false
 		}
 		p = p[un:]

@@ -225,9 +225,12 @@ func LoadSnapshot(path string) (keys, vals []int64, walSeq uint64, err error) {
 // overflow check and all other consistency rules live in internal/codec
 // (this used to be a duplicated copy of the core's decoder). A decode error
 // invalidates the whole snapshot, so the partially-appended pairs codec may
-// leave behind are discarded by the caller.
+// leave behind are discarded by the caller. A pair takes two bytes at least,
+// so the block's own length bounds its count: the decoder sizes its output by
+// the count before reading the pairs, and a few bytes claiming 2^29 pairs
+// would otherwise cost a 4 GiB allocation.
 func decodeSnapBlock(p []byte, keys, vals []int64) ([]int64, []int64, error) {
-	return codec.DecodeBlock(p, keys, vals, maxRecordBytes/2)
+	return codec.DecodeBlock(p, keys, vals, min(maxRecordBytes, len(p))/2)
 }
 
 // RemoveSnapshotsBefore deletes snapshots older than seq; called after the

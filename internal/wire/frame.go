@@ -125,16 +125,16 @@ type Response struct {
 func AppendRequest(dst []byte, r *Request) []byte {
 	return frame(dst, func(p []byte) []byte {
 		p = append(p, r.Op)
-		p = binary.AppendUvarint(p, r.ID)
+		p = codec.AppendUvarint(p, r.ID)
 		switch r.Op {
 		case OpPut:
-			p = binary.AppendVarint(p, r.Key)
-			p = binary.AppendVarint(p, r.Val)
+			p = codec.AppendVarint(p, r.Key)
+			p = codec.AppendVarint(p, r.Val)
 		case OpGet, OpDelete:
-			p = binary.AppendVarint(p, r.Key)
+			p = codec.AppendVarint(p, r.Key)
 		case OpScan:
-			p = binary.AppendVarint(p, r.Key)
-			p = binary.AppendVarint(p, r.Val)
+			p = codec.AppendVarint(p, r.Key)
+			p = codec.AppendVarint(p, r.Val)
 		case OpPutBatch:
 			p = appendPairs(p, r.Keys, r.Vals)
 		case OpDeleteBatch:
@@ -152,7 +152,7 @@ func AppendRequest(dst []byte, r *Request) []byte {
 func AppendResponse(dst []byte, r *Response) []byte {
 	return frame(dst, func(p []byte) []byte {
 		p = append(p, r.Status, r.Op)
-		p = binary.AppendUvarint(p, r.ID)
+		p = codec.AppendUvarint(p, r.ID)
 		switch r.Status {
 		case StatusBusy:
 			// header only
@@ -165,7 +165,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 			case OpGet:
 				if r.Found {
 					p = append(p, 1)
-					p = binary.AppendVarint(p, r.Val)
+					p = codec.AppendVarint(p, r.Val)
 				} else {
 					p = append(p, 0)
 				}
@@ -176,7 +176,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 					p = append(p, 0)
 				}
 			case OpDeleteBatch:
-				p = binary.AppendUvarint(p, uint64(r.Val))
+				p = codec.AppendUvarint(p, uint64(r.Val))
 			case OpStats:
 				p = append(p, r.Blob...)
 			case OpPut, OpPutBatch, OpScan:
@@ -196,7 +196,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 // buffer that held one chunk holds the next without growing, and a nil one
 // is sized by a single allocation instead of a dozen doublings.
 func appendPairs(p []byte, keys, vals []int64) []byte {
-	p = binary.AppendUvarint(p, uint64(len(keys)))
+	p = codec.AppendUvarint(p, uint64(len(keys)))
 	n := len(p)
 	p = slices.Grow(p, len(keys)*binary.MaxVarintLen64+8*len(vals))
 	p = p[:cap(p)]
@@ -207,8 +207,8 @@ func appendPairs(p []byte, keys, vals []int64) []byte {
 		if zz := uint64(d<<1) ^ uint64(d>>63); zz < 0x80 {
 			p[n] = byte(zz)
 			n++
-		} else {
-			n += binary.PutUvarint(p[n:], zz)
+		} else { // within the MaxVarintLen64 bytes reserved for this key
+			n += codec.PutUvarint(p[n:], zz)
 		}
 	}
 	for _, v := range vals {
@@ -278,8 +278,8 @@ func DecodeRequest(p []byte, req *Request) error {
 		return fmt.Errorf("%w: unknown op %d", ErrFrame, req.Op)
 	}
 	p = p[1:]
-	id, n := binary.Uvarint(p)
-	if n <= 0 {
+	id, n := codec.Uvarint(p, 0)
+	if n == 0 {
 		return fmt.Errorf("%w: request id", ErrFrame)
 	}
 	req.ID = id
@@ -324,8 +324,8 @@ func DecodeResponse(p []byte, resp *Response) error {
 		return fmt.Errorf("%w: unknown op %d", ErrFrame, resp.Op)
 	}
 	p = p[2:]
-	id, n := binary.Uvarint(p)
-	if n <= 0 {
+	id, n := codec.Uvarint(p, 0)
+	if n == 0 {
 		return fmt.Errorf("%w: response id", ErrFrame)
 	}
 	resp.ID = id
@@ -364,8 +364,8 @@ func DecodeResponse(p []byte, resp *Response) error {
 			resp.Found = p[0] == 1
 			p = p[1:]
 		case OpDeleteBatch:
-			c, n := binary.Uvarint(p)
-			if n <= 0 {
+			c, n := codec.Uvarint(p, 0)
+			if n == 0 {
 				return fmt.Errorf("%w: delete-batch count", ErrFrame)
 			}
 			resp.Val = int64(c)
@@ -386,8 +386,9 @@ func DecodeResponse(p []byte, resp *Response) error {
 
 var errVarint = fmt.Errorf("%w: truncated varint", ErrFrame)
 
-// Varints are read with codec's word-at-a-time reader: one implementation,
-// one set of overflow rules (binary.Uvarint's).
+// Varints are read and written by codec's word-at-a-time reader and writer:
+// one implementation, one set of overflow rules (binary.Uvarint's), and the
+// bytes binary.AppendUvarint writes.
 
 func unzigzag(x uint64) int64 { return int64(x>>1) ^ -int64(x&1) }
 
