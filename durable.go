@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,12 +41,14 @@ type inner = PMA
 //
 // Under every policy recovery restores a prefix-consistent store: the log
 // preserves append order, so no surviving write was acknowledged after a
-// lost one. Log order is not apply order, though: an update is appended
-// before it reaches its gate, so two updates of one key that overlap in
+// lost one. DB's update methods write the log: each rejects what the
+// in-memory store rejects, with its panic, and skips a no-op batch, then
+// appends under mu's shared hold and applies through the embedded PMA. Log
+// order is not apply order, though: two updates of one key that overlap in
 // time — from different goroutines, or a point update racing a batch that
-// holds the key — can be logged in one order and applied in the other. The
-// live store then keeps one value and recovery restores the other.
-// ROADMAP.md item 1 tracks the fix.
+// holds the key — can append in one order and apply in the other. The live
+// store then keeps one value and recovery restores the other. ROADMAP.md
+// item 1 tracks the fix: hold a key's append and apply together.
 type DB struct {
 	*inner
 	dir string
@@ -138,31 +141,7 @@ func openDB(dir string, cfg config) (*DB, error) {
 		WALReplayNanos:    uint64(rec.WALReplay),
 	}
 	db.snapBytes.Store(rec.SnapshotBytes)
-	// Install the write-ahead hook only now, on a store that already holds
-	// what the files hold.
-	c.SetHook(walHook{db})
 	return db, nil
-}
-
-// walHook implements core.UpdateHook: it runs at the top of every update,
-// appending the record (and, under FsyncAlways, waiting for the group
-// commit) before the in-memory apply begins.
-type walHook struct{ db *DB }
-
-func (h walHook) Put(k, v int64) {
-	h.db.logErr(h.db.log.AppendPut(k, v))
-}
-
-func (h walHook) Delete(k int64) {
-	h.db.logErr(h.db.log.AppendDelete(k))
-}
-
-func (h walHook) PutBatch(keys, vals []int64) {
-	h.db.logErr(h.db.log.AppendPutBatch(keys, vals))
-}
-
-func (h walHook) DeleteBatch(keys []int64) {
-	h.db.logErr(h.db.log.AppendDeleteBatch(keys))
 }
 
 // logErr turns a WAL append failure into a panic: the store cannot keep its
@@ -199,29 +178,55 @@ func (db *DB) Err() error {
 
 // Put inserts or replaces k/v durably (see DB for per-policy guarantees).
 func (db *DB) Put(k, v int64) {
+	db.checkOpen()
+	if k == KeyMin || k == KeyMax {
+		panic("core: cannot store sentinel key")
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.logErr(db.log.AppendPut(k, v))
 	db.inner.Put(k, v)
 }
 
 // Delete removes k durably.
 func (db *DB) Delete(k int64) bool {
+	db.checkOpen()
+	if k == KeyMin || k == KeyMax {
+		return false
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.logErr(db.log.AppendDelete(k))
 	return db.inner.Delete(k)
 }
 
 // PutBatch upserts the batch durably, logging it as a single record.
 func (db *DB) PutBatch(keys, vals []int64) {
+	db.checkOpen()
+	if len(keys) != len(vals) {
+		panic(fmt.Sprintf("core: PutBatch got %d keys but %d values", len(keys), len(vals)))
+	}
+	if len(keys) == 0 {
+		return
+	}
+	if slices.Contains(keys, KeyMin) || slices.Contains(keys, KeyMax) {
+		panic("core: cannot store sentinel key")
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.logErr(db.log.AppendPutBatch(keys, vals))
 	db.inner.PutBatch(keys, vals)
 }
 
 // DeleteBatch removes the keys durably, logging them as a single record.
 func (db *DB) DeleteBatch(keys []int64) int {
+	db.checkOpen()
+	if !slices.ContainsFunc(keys, func(k int64) bool { return k != KeyMin && k != KeyMax }) {
+		return 0
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	db.logErr(db.log.AppendDeleteBatch(keys))
 	return db.inner.DeleteBatch(keys)
 }
 

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -487,28 +489,97 @@ func TestStructuralEventsInStats(t *testing.T) {
 	}
 }
 
+// TestConcurrentDurableWritersRecover: point writers and one batch writer,
+// each on keys of its own, rewrite their keys while snapshots run back to
+// back. Every update is appended and applied under the cut's shared hold, so
+// a snapshot covers exactly the records before its Rotate: after Close and
+// reopen every key holds the last value its writer was acknowledged for.
 func TestConcurrentDurableWritersRecover(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, WithFsync(FsyncInterval), withFsyncInterval(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers, per = 8, 500
-	done := make(chan struct{})
+	const workers, per, width = 8, 500, 64
+	var snaps atomic.Int64
+	stop, snapErr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				snapErr <- nil
+				return
+			default:
+			}
+			if err := db.Snapshot(); err != nil {
+				snapErr <- err
+				return
+			}
+			snaps.Add(1)
+		}
+	}()
+	// A writer keeps rewriting its keys until a few snapshots have cut
+	// through its rounds.
+	more := func(round int) bool { return round < 2 || snaps.Load() < 4 && round < 100 }
+	want := make([]map[int64]int64, workers+1) // one per writer: no sharing
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		want[w] = map[int64]int64{}
+		wg.Add(1)
 		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < per; i++ {
-				db.Put(int64(w*per+i), int64(w))
+			defer wg.Done()
+			for round := 0; more(round); round++ {
+				for i := 0; i < per; i++ {
+					k, v := int64(w*per+i), int64(round*100+w)
+					if (i+round)%5 == 0 {
+						db.Delete(k)
+						delete(want[w], k)
+						continue
+					}
+					db.Put(k, v)
+					want[w][k] = v
+				}
 			}
 		}(w)
 	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	// A snapshot races nothing here, but exercises the cut under load.
-	if err := db.Snapshot(); err != nil {
+	want[workers] = map[int64]int64{}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		keys, vals := make([]int64, width), make([]int64, width)
+		for round := 0; more(round); round++ {
+			for b := 0; b < per/width; b++ {
+				for i := range keys {
+					// Batches overlap by half: the next rewrites a key.
+					keys[i] = int64(workers*per + b*width/2 + i)
+					vals[i] = int64(round*100 + b)
+					want[workers][keys[i]] = vals[i]
+				}
+				db.PutBatch(keys, vals)
+				if (b+round)%3 == 0 {
+					db.DeleteBatch(keys[:width/4])
+					for _, k := range keys[:width/4] {
+						delete(want[workers], k)
+					}
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-snapErr; err != nil {
 		t.Fatal(err)
+	}
+	t.Logf("%d snapshots ran beside the writers", snaps.Load())
+	all := map[int64]int64{}
+	for _, m := range want {
+		for k, v := range m {
+			all[k] = v
+		}
+	}
+	db.Flush()
+	if got := scanToMap(t, db); !reflect.DeepEqual(got, all) {
+		t.Errorf("live store holds %d keys, want %d; first differences: %v", len(got), len(all), mapDiff(got, all, 5))
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -518,10 +589,28 @@ func TestConcurrentDurableWritersRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	re.Flush()
-	if re.Len() != workers*per {
-		t.Fatalf("recovered %d keys, want %d", re.Len(), workers*per)
+	if got := scanToMap(t, re); !reflect.DeepEqual(got, all) {
+		t.Fatalf("recovered %d keys, want %d; first differences: %v", len(got), len(all), mapDiff(got, all, 5))
 	}
+}
+
+// mapDiff names up to n keys on which got and want differ.
+func mapDiff(got, want map[int64]int64, n int) []string {
+	var out []string
+	for k, w := range want {
+		if g, ok := got[k]; !ok || g != w {
+			out = append(out, fmt.Sprintf("%d: got %d (present %t), want %d", k, g, ok, w))
+		}
+	}
+	for k, g := range got {
+		if _, ok := want[k]; !ok {
+			out = append(out, fmt.Sprintf("%d: got %d, want absent", k, g))
+		}
+	}
+	if len(out) > n {
+		out = out[:n]
+	}
+	return out
 }
 
 func mustPanic(t *testing.T, want string, fn func()) {
@@ -573,6 +662,14 @@ func TestDurableUseAfterClosePanics(t *testing.T) {
 	mustPanic(t, msg, func() { db.Get(1) })
 	mustPanic(t, msg, func() { _ = db.Snapshot() })
 	mustPanic(t, msg, func() { _ = db.Sync() })
+	mustPanic(t, msg, func() { db.Delete(1) })
+	mustPanic(t, msg, func() { db.PutBatch([]int64{1}, []int64{1}) })
+	mustPanic(t, msg, func() { db.DeleteBatch([]int64{1}) })
+	// An update that reached the closed log would have failed its append
+	// and marked the store sick.
+	if err := db.Err(); err != nil {
+		t.Fatalf("an update after Close reached the log: %v", err)
+	}
 }
 
 // TestCompressedSnapshotInterop: snapshots are a representation-neutral
@@ -698,15 +795,22 @@ func TestSnapshotLayoutNeutral(t *testing.T) {
 	}
 }
 
-// TestEmptyBatchesLogNothing: a batch call that changes nothing — no keys, or
-// for DeleteBatch only sentinel keys — returns before the write-ahead hook, so
-// it costs neither a WAL record nor, under FsyncAlways, an fsync.
+// TestEmptyBatchesLogNothing: an update call that changes nothing — a batch
+// of no keys, or a DeleteBatch of sentinel keys only — or that the store
+// rejects — a sentinel key, mismatched batch lengths — returns or panics
+// before it appends, so it costs neither a WAL record nor, under
+// FsyncAlways, an fsync. A rejected call panics exactly as a PMA does.
 func TestEmptyBatchesLogNothing(t *testing.T) {
 	db, err := Open(t.TempDir()) // FsyncAlways
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	p, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 	db.Put(1, 1)
 	bytes, appends := db.WALBytes(), db.Stats().WAL.Appends
 	db.PutBatch(nil, nil)
@@ -714,13 +818,36 @@ func TestEmptyBatchesLogNothing(t *testing.T) {
 	if n := db.DeleteBatch(nil) + db.DeleteBatch([]int64{KeyMin, KeyMax, KeyMin}); n != 0 {
 		t.Fatalf("empty DeleteBatches removed %d keys", n)
 	}
+	if db.Delete(KeyMax) {
+		t.Fatal("Delete(KeyMax) reported a removal")
+	}
+	for _, c := range []struct {
+		name string
+		call func(Store)
+	}{
+		{"Put(KeyMin)", func(s Store) { s.Put(KeyMin, 1) }},
+		{"PutBatch with KeyMax", func(s Store) { s.PutBatch([]int64{2, KeyMax, 3}, []int64{2, 2, 3}) }},
+		{"PutBatch of 2 keys and 1 value", func(s Store) { s.PutBatch([]int64{2, 3}, []int64{2}) }},
+	} {
+		want, got := panicValue(func() { c.call(p) }), panicValue(func() { c.call(db) })
+		if want == nil || got != want {
+			t.Fatalf("%s: DB panicked with %v, PMA with %v", c.name, got, want)
+		}
+	}
 	if b, a := db.WALBytes(), db.Stats().WAL.Appends; b != bytes || a != appends {
-		t.Fatalf("empty batches moved the WAL: %d -> %d bytes, %d -> %d appends", bytes, b, appends, a)
+		t.Fatalf("no-op and rejected updates moved the WAL: %d -> %d bytes, %d -> %d appends", bytes, b, appends, a)
 	}
 	db.DeleteBatch([]int64{KeyMin, 1})
 	if a := db.Stats().WAL.Appends; a != appends+1 {
 		t.Fatalf("a DeleteBatch with one real key appended %d records, want 1", a-appends)
 	}
+}
+
+// panicValue runs fn and returns what it panicked with, or nil.
+func panicValue(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
 }
 
 // TestReplayAcceptsEmptyBatchRecords: logs written before empty batches

@@ -93,11 +93,12 @@ func (p *PMA) drainBatch(st *state, g *gate, ops []op) (reroute []op, released b
 // holds a latch while it waits on the master.
 //
 // front holds ops the caller has already acknowledged (an active writer's
-// drain, a one-by-one residue, a replay). They go to the head of the queue:
-// they are older than anything that combines behind them, and the master
-// keeps the later op per key. ins is a PutBatch or DeleteBatch run or a
-// ModeSync insert, which rides on the request instead, so it supersedes
-// anything the master redistributes into the queue before pickup.
+// drain, a one-by-one residue, a replay, what a batch run absorbed from the
+// queue). They go to the head of the queue: they are older than anything
+// that combines behind them, and the master keeps the later op per key. ins
+// is a PutBatch or DeleteBatch run or a ModeSync insert, which rides on the
+// request instead, so it supersedes anything the master redistributes into
+// the queue before pickup.
 //
 // wait=false is the active writer of ModeBatch: the request carries the
 // gate's tdelay rate limit and the caller does not wait. Otherwise the call
@@ -174,30 +175,30 @@ func (p *PMA) Flush() {
 	}
 }
 
-// sweepQueues steals every idle gate's combining queue and replays its ops
-// synchronously, reporting whether anything was found.
+// sweepQueues becomes the active writer of every idle gate's combining
+// queue, as a writer that won the latch would, and drains it, reporting
+// whether anything was found. The queue stays open while the ops apply under
+// the latch, so an update that arrives meanwhile combines behind them instead
+// of being overwritten by their replay.
 func (p *PMA) sweepQueues() bool {
-	stole := false
+	found := false
 	st := p.state.Load()
-	for gi := 0; gi < len(st.gates); gi++ {
-		g := st.gates[gi]
+	for _, g := range st.gates {
 		g.mu.Lock()
 		if g.invalid {
 			g.mu.Unlock()
 			return true // resized under us: report dirty so Flush retries
 		}
-		var ops []op
-		if g.qOpen && g.lstate == lsFree && !g.rebWanted {
-			ops = g.takeQueue()
+		idle := g.qOpen && g.lstate == lsFree && !g.rebWanted
+		if idle {
+			g.lstate = lsWriter
+			g.beginExclusive()
 		}
 		g.mu.Unlock()
-		if len(ops) > 0 {
-			p.metrics.DrainSize.Observe(uint64(len(ops)))
-			stole = true
-			for _, o := range ops {
-				p.updateSync(o)
-			}
+		if idle {
+			found = true
+			p.drainQueue(st, g, nil, false)
 		}
 	}
-	return stole
+	return found
 }

@@ -35,18 +35,12 @@ func (p *PMA) PutBatch(keys, vals []int64) {
 	if len(keys) != len(vals) {
 		panic(fmt.Sprintf("core: PutBatch got %d keys but %d values", len(keys), len(vals)))
 	}
-	if len(keys) == 0 {
-		return // nothing to log: a durable store would pay a record and an fsync for it
-	}
 	ops := make([]op, len(keys))
 	for i, k := range keys {
 		if k == KeyMin || k == KeyMax {
 			panic("core: cannot store sentinel key")
 		}
 		ops[i] = op{key: k, val: vals[i]}
-	}
-	if h := p.hook; h != nil {
-		h.PutBatch(keys, vals)
 	}
 	ops = sortDedupOps(ops)
 	p.applyBatchParallel(ops)
@@ -67,12 +61,6 @@ func (p *PMA) DeleteBatch(keys []int64) int {
 		}
 		ops = append(ops, op{key: k, del: true})
 	}
-	if len(ops) == 0 {
-		return 0 // as for an empty PutBatch: no-ops never reach the hook
-	}
-	if h := p.hook; h != nil {
-		h.DeleteBatch(keys)
-	}
 	ops = sortDedupOps(ops)
 	return int(p.applyBatchParallel(ops))
 }
@@ -82,7 +70,8 @@ func (p *PMA) DeleteBatch(keys []int64) int {
 // property a point-update loop cannot have: chunks cover disjoint key
 // ranges, every op still applies under its gate's latch, and at most the
 // two gates straddling a chunk boundary see more than one worker. Small
-// batches run inline.
+// batches run inline; an empty one (no keys, or a DeleteBatch of sentinels
+// only) returns at once.
 func (p *PMA) applyBatchParallel(ops []op) int64 {
 	n := len(ops)
 	if n == 0 {
@@ -197,7 +186,8 @@ func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, lefto
 	// A parked batch — we hold the latch, so no active writer owns the
 	// queue. Its outstanding rebalancer request finds the queue emptied.
 	ins, dels := run, []op(nil)
-	if parked := p.detachQueue(g); len(parked) > 0 {
+	parked := p.detachQueue(g)
+	if len(parked) > 0 {
 		// compactOps works in place: the caller's batch must stay as it is.
 		ops := append(append(make([]op, 0, len(parked)+len(run)), parked...), run...)
 		ins, dels, leftovers = compactOps(ops, g.fenceLo, g.fenceHi)
@@ -209,9 +199,22 @@ func (p *PMA) applyGateBatch(st *state, g *gate, run []op) (removed int64, lefto
 		g.release()
 		return removed, leftovers
 	}
-	// The run overflows the chunk: it rides on the request. Clip it so
-	// appends to it cannot stomp the caller's remaining ops.
-	p.handOff(st, g, nil, slices.Clip(ins), true)
+	// The run overflows the chunk: it rides on the request, which the master
+	// applies after the queue. What it absorbed of other keys goes back to
+	// the queue's front instead, ahead of what writers combine behind it.
+	// Clip the run so appends to it cannot stomp the caller's remaining ops.
+	own, front := ins, []op(nil)
+	if len(parked) > 0 {
+		own = nil
+		for _, o := range ins {
+			if i := searchOps(run, o.key); i < len(run) && run[i].key == o.key {
+				own = append(own, o)
+			} else {
+				front = append(front, o)
+			}
+		}
+	}
+	p.handOff(st, g, front, slices.Clip(own), true)
 	return removed, leftovers
 }
 

@@ -141,26 +141,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// UpdateHook observes every accepted update before it is applied to the
-// array. It is the seam the durability layer hangs off: a write-ahead log
-// implements UpdateHook and pmago.Open installs it with SetHook, so a hook
-// that blocks until its record is durable makes every acknowledged update
-// recoverable. The hook is invoked with the caller's original arguments
-// (unsorted, duplicates intact, after sentinel validation) and must be safe
-// for concurrent use; when no hook is installed the only hot-path cost is a
-// nil check.
-type UpdateHook interface {
-	Put(k, v int64)
-	Delete(k int64)
-	PutBatch(keys, vals []int64)
-	DeleteBatch(keys []int64)
-}
-
-// SetHook installs the update hook. It must be called before the PMA is
-// shared with other goroutines (pmago.Open installs it between recovery and
-// returning the store); there is no synchronisation on the field itself.
-func (p *PMA) SetHook(h UpdateHook) { p.hook = h }
-
 // Stats is the typed metrics snapshot returned by PMA.Stats: the obs-layer
 // core section (read path, combining queues, rebalancer).
 type Stats = obs.CoreSnapshot
@@ -218,8 +198,7 @@ func (st *state) thresholds(k, h int) (rho, tau float64) {
 // PMA is the concurrent packed memory array. All methods are safe for
 // concurrent use by any number of goroutines.
 type PMA struct {
-	cfg  Config
-	hook UpdateHook
+	cfg Config
 	// attempts is the seqlock budget of a read before it takes the shared
 	// latch (read.go): optimisticAttempts, or 0 — every read latched — in
 	// race builds. Tests set it to 0 after New, before the PMA is shared,

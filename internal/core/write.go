@@ -7,20 +7,13 @@ type op struct {
 	del bool
 }
 
-// takeQueue closes the gate's combining queue and returns what it held, now
-// the caller's to apply. The caller holds mu.
-func (g *gate) takeQueue() []op {
-	ops := g.qOps
-	g.qOpen, g.qOps = false, nil
-	return ops
-}
-
-// detachQueue takes the queue of a gate the caller holds exclusively: the
-// master or a batch run folding it into their job, or a one-by-one writer
-// that stops accepting.
+// detachQueue closes the combining queue of a gate the caller holds
+// exclusively and returns what it held, now the caller's to apply: the
+// master or a batch run folding it into their job.
 func (p *PMA) detachQueue(g *gate) []op {
 	g.mu.Lock()
-	ops := g.takeQueue()
+	ops := g.qOps
+	g.qOpen, g.qOps = false, nil
 	g.mu.Unlock()
 	if len(ops) > 0 {
 		p.metrics.DrainSize.Observe(uint64(len(ops)))
@@ -36,9 +29,6 @@ func (p *PMA) Put(k, v int64) {
 	if k == KeyMin || k == KeyMax {
 		panic("core: cannot store sentinel key")
 	}
-	if h := p.hook; h != nil {
-		h.Put(k, v)
-	}
 	p.update(op{key: k, val: v})
 }
 
@@ -49,9 +39,6 @@ func (p *PMA) Delete(k int64) bool {
 	p.checkOpen()
 	if k == KeyMin || k == KeyMax {
 		return false
-	}
-	if h := p.hook; h != nil {
-		h.Delete(k)
 	}
 	return p.update(op{key: k, del: true})
 }

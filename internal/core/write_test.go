@@ -212,6 +212,105 @@ func TestWriterLastValueWins(t *testing.T) {
 	}
 }
 
+// TestLastValueWinsBesideBatchesAndFlush: point writers rewrite and delete
+// keys of their own round after round, while a batch writer overflows chunks
+// beside them and Flush runs in a loop; at the end every key must hold its
+// writer's last update. Two replays used to overwrite newer updates of a
+// key: a batch run that absorbed its gate's queue and overflowed handed the
+// absorbed ops to the master on its request, which is applied after the
+// newer ops combined behind the hand-off; and Flush took an idle queue and
+// replayed its ops with the gate released, after a writer had updated the
+// same key in place.
+func TestLastValueWinsBesideBatchesAndFlush(t *testing.T) {
+	const writers, keys, rounds, width, trials = 4, 200, 30, 32, 10
+	for _, mode := range allModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			for trial := 0; trial < trials; trial++ {
+				p := newTest(t, mode)
+				want := make([]map[int64]int64, writers+1) // one per writer
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					want[w] = map[int64]int64{}
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for r := 0; r < rounds; r++ {
+							for i := 0; i < keys; i++ {
+								k := int64(w*keys + i + 1)
+								if (i+r)%5 == 0 {
+									p.Delete(k)
+									delete(want[w], k)
+									continue
+								}
+								p.Put(k, int64(r))
+								want[w][k] = int64(r)
+							}
+						}
+					}(w)
+				}
+				want[writers] = map[int64]int64{}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					m := want[writers]
+					ks, vs := make([]int64, width), make([]int64, width)
+					for r := 0; r < rounds; r++ {
+						for b := 0; b < keys/width; b++ {
+							for i := range ks {
+								// Batches overlap by half: the next rewrites a key.
+								ks[i], vs[i] = int64(writers*keys+b*width/2+i+1), int64(r)
+								m[ks[i]] = vs[i]
+							}
+							p.PutBatch(ks, vs)
+							if (b+r)%3 == 0 {
+								p.DeleteBatch(ks[:width/4])
+								for _, k := range ks[:width/4] {
+									delete(m, k)
+								}
+							}
+						}
+					}
+				}()
+				stop, flushed := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(flushed)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							p.Flush()
+						}
+					}
+				}()
+				wg.Wait()
+				close(stop)
+				<-flushed
+				p.Flush()
+				all := map[int64]int64{}
+				for _, m := range want {
+					for k, v := range m {
+						all[k] = v
+					}
+				}
+				got := map[int64]int64{}
+				p.Scan(KeyMin+1, KeyMax-1, func(k, v int64) bool {
+					got[k] = v
+					return true
+				})
+				for k, v := range all {
+					if g, ok := got[k]; !ok || g != v {
+						t.Fatalf("trial %d: key %d holds %d,%v; its last update wrote %d", trial, k, g, ok, v)
+					}
+				}
+				if len(got) != len(all) {
+					t.Fatalf("trial %d: %d keys present, want %d", trial, len(got), len(all))
+				}
+			}
+		})
+	}
+}
+
 // overflowKey puts fresh keys into gate g of a ModeSync store, each applied
 // in place, until the next fresh key would overflow the chunk — its segment
 // is full and no in-chunk window can take one more — and returns that key.

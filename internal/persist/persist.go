@@ -22,9 +22,9 @@
 // update in log order, deleted keys drop out.
 //
 // The package is deliberately independent of the PMA: it moves int64 pairs
-// and op records. pmago.Open owns the glue — it bulk-loads the pairs
-// Recover returns in one pass and implements core.UpdateHook with Log
-// appends; it never sees a record.
+// and op records. pmago owns the glue: Open bulk-loads the pairs Recover
+// returns in one pass, and DB's update methods append to the Log before
+// they apply; neither sees a record.
 package persist
 
 import (

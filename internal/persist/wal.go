@@ -278,8 +278,7 @@ func (w *Log) sealLocked() error {
 	advanceMax(&w.synced, w.written)
 	// Every appended record is in this or an older (already fsynced)
 	// segment, so this fsync covers all w.recs records. The observe runs
-	// with mu held — acceptable, because both the metrics update and any
-	// stall hook are required to be fast.
+	// with mu held — acceptable, because the metrics update is fast.
 	w.observeFsync(t0, w.recs)
 	return nil
 }
