@@ -18,8 +18,9 @@
 // chunk out and runs the callback on the copy with no latch held: callbacks
 // may call update operations of the same PMA and may be slow without
 // blocking writers. Rebalances that would span several gates are delegated
-// to a centralised rebalancer service (one master goroutine plus a worker
-// pool, Section 3.3): a writer releases its latch before it submits, and
+// to a centralised rebalancer service (one master goroutine, Section 3.3;
+// the master fans a window out over up to Workers goroutines, GOMAXPROCS
+// capped at 8): a writer releases its latch before it submits, and
 // only the master ever holds more than one latch, so none can deadlock.
 // Resizes rebuild the whole array behind an atomic state pointer (Section
 // 3.4), and contended writers are decoupled through per-gate combining

@@ -1,7 +1,6 @@
 package pmago
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -49,6 +48,11 @@ type inner = PMA
 // holds the key — can append in one order and apply in the other. The live
 // store then keeps one value and recovery restores the other. ROADMAP.md
 // item 1 tracks the fix: hold a key's append and apply together.
+//
+// The store's failure state is its log's: the first append, rotation or
+// fsync that fails latches the log for good. The writer that met it panics,
+// and a serving layer may recover that panic, so Err, Sync, Stats and Close
+// keep reporting the failure from the log for health checks.
 type DB struct {
 	*inner
 	dir string
@@ -61,13 +65,6 @@ type DB struct {
 	// which everything logged before the cut is fully visible to the
 	// snapshot scan, and everything after it is replayed from the tail.
 	mu sync.RWMutex
-
-	// errMu guards firstErr, the first background WAL failure (append or
-	// sync). Once set the store is sick: the panic the failing writer raised
-	// may have been recovered by a serving layer, so Sync, Close and Stats
-	// all keep reporting it for health checks.
-	errMu    sync.Mutex
-	firstErr error
 
 	snapMu     sync.Mutex // one snapshot at a time
 	snapBytes  atomic.Int64
@@ -147,40 +144,27 @@ func openDB(dir string, cfg config) (*DB, error) {
 // logErr turns a WAL append failure into a panic: the store cannot keep its
 // durability promise once the log stops accepting records, and the update
 // signatures (inherited from PMA) have no error channel. Disk-full and
-// similar conditions surface here. The error is recorded first, so even if
-// a serving layer recovers the panic, Err/Sync/Close/Stats keep reporting
-// the store as sick.
+// similar conditions surface here. The log has latched the failure before
+// the append returned it, so even if a serving layer recovers the panic,
+// Err/Sync/Close/Stats keep reporting the store as sick.
 func (db *DB) logErr(err error) {
 	if err != nil {
-		db.recordErr(err)
 		panic(fmt.Sprintf("pmago: write-ahead log append failed: %v", err))
 	}
 	db.maybeCompact()
 }
 
-// recordErr keeps the first background WAL failure.
-func (db *DB) recordErr(err error) {
-	db.errMu.Lock()
-	if db.firstErr == nil {
-		db.firstErr = err
-	}
-	db.errMu.Unlock()
-}
-
-// Err reports the first background WAL failure (append or sync), or nil
-// while the store is healthy. Once non-nil it stays non-nil: the log is
-// sticky-failed and no later write can be considered durable.
-func (db *DB) Err() error {
-	db.errMu.Lock()
-	defer db.errMu.Unlock()
-	return db.firstErr
-}
+// Err reports the failure that stopped the store's log — a failed append,
+// rotation or fsync — or nil while the store is healthy and after a clean
+// Close. Once non-nil it stays non-nil: no later write can be considered
+// durable.
+func (db *DB) Err() error { return db.log.Err() }
 
 // Put inserts or replaces k/v durably (see DB for per-policy guarantees).
 func (db *DB) Put(k, v int64) {
 	db.checkOpen()
-	if k == KeyMin || k == KeyMax {
-		panic("core: cannot store sentinel key")
+	if err := core.CheckKey(k); err != nil {
+		panic(err.Error())
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -191,7 +175,7 @@ func (db *DB) Put(k, v int64) {
 // Delete removes k durably.
 func (db *DB) Delete(k int64) bool {
 	db.checkOpen()
-	if k == KeyMin || k == KeyMax {
+	if core.CheckKey(k) != nil {
 		return false
 	}
 	db.mu.RLock()
@@ -203,14 +187,11 @@ func (db *DB) Delete(k int64) bool {
 // PutBatch upserts the batch durably, logging it as a single record.
 func (db *DB) PutBatch(keys, vals []int64) {
 	db.checkOpen()
-	if len(keys) != len(vals) {
-		panic(fmt.Sprintf("core: PutBatch got %d keys but %d values", len(keys), len(vals)))
+	if err := core.CheckBatch(keys, vals); err != nil {
+		panic(err.Error())
 	}
 	if len(keys) == 0 {
 		return
-	}
-	if slices.Contains(keys, KeyMin) || slices.Contains(keys, KeyMax) {
-		panic("core: cannot store sentinel key")
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -221,7 +202,7 @@ func (db *DB) PutBatch(keys, vals []int64) {
 // DeleteBatch removes the keys durably, logging them as a single record.
 func (db *DB) DeleteBatch(keys []int64) int {
 	db.checkOpen()
-	if !slices.ContainsFunc(keys, func(k int64) bool { return k != KeyMin && k != KeyMax }) {
+	if !slices.ContainsFunc(keys, func(k int64) bool { return core.CheckKey(k) == nil }) {
 		return 0
 	}
 	db.mu.RLock()
@@ -236,14 +217,7 @@ func (db *DB) DeleteBatch(keys []int64) int {
 // Sync: the barrier cannot be provided any more.
 func (db *DB) Sync() error {
 	db.checkOpen()
-	if err := db.Err(); err != nil {
-		return fmt.Errorf("pmago: log failed earlier: %w", err)
-	}
-	err := db.log.Sync()
-	if err != nil {
-		db.recordErr(err)
-	}
-	return err
+	return db.log.Sync()
 }
 
 // Snapshot checkpoints the store: a consistent full scan is streamed into a
@@ -347,7 +321,7 @@ func (db *DB) Stats() Stats {
 	s.WAL = db.log.Metrics().Snapshot()
 	s.Checkpoint = db.ckpt.Snapshot()
 	s.Recovery = db.recovery
-	if err := db.Err(); err != nil {
+	if err := db.log.Err(); err != nil {
 		s.Err = err.Error()
 	}
 	return s
@@ -383,7 +357,7 @@ func (db *DB) WALBytes() int64 { return db.log.LiveBytes() }
 func (db *DB) Dir() string { return db.dir }
 
 // Close flushes pending in-memory work, forces the log to stable storage
-// and releases all resources. A WAL failure recorded earlier (see Err) is
+// and releases all resources. A WAL failure latched earlier (see Err) is
 // returned too — a caller treating a nil Close as "everything acknowledged
 // is durable" must see the broken promise. Close is idempotent; any other
 // method panics afterwards. As with PMA.Close, concurrent operations must
@@ -396,7 +370,7 @@ func (db *DB) Close() error {
 	db.inner.Close() // applies pending combined updates (already logged)
 	err := db.log.Close()
 	db.unlock()
-	return errors.Join(db.Err(), err)
+	return err
 }
 
 func (db *DB) checkOpen() {

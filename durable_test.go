@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -840,6 +841,67 @@ func TestEmptyBatchesLogNothing(t *testing.T) {
 	db.DeleteBatch([]int64{KeyMin, 1})
 	if a := db.Stats().WAL.Appends; a != appends+1 {
 		t.Fatalf("a DeleteBatch with one real key appended %d records, want 1", a-appends)
+	}
+}
+
+// TestRejectedBatchChangesNothing: every front rejects a PutBatch that
+// holds a sentinel key, or has more keys than values, before any part of it
+// is applied or logged — a sharded store before it splits the batch — and
+// panics with the message of the in-memory store's own check.
+func TestRejectedBatchChangesNothing(t *testing.T) {
+	mem, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	db, err := Open(t.TempDir(), withWALSegmentBytes(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	memSharded, err := NewSharded(WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer memSharded.Close()
+	durSharded, err := OpenSharded(t.TempDir(), WithShards(4), withWALSegmentBytes(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durSharded.Close()
+
+	keys := []int64{1, 2, 3, 4, 5, 6, 7, 8, KeyMax}
+	vals := make([]int64, len(keys))
+	calls := []struct {
+		name string
+		call func(Store)
+	}{
+		{"PutBatch of keys 1-8 and KeyMax", func(s Store) { s.PutBatch(keys, vals) }},
+		{"PutBatch of 8 keys and 7 values", func(s Store) { s.PutBatch(keys[:8], vals[:7]) }},
+	}
+	for _, c := range calls {
+		want := panicValue(func() { c.call(mem) })
+		if msg, ok := want.(string); !ok || !strings.HasPrefix(msg, "core: ") {
+			t.Fatalf("%s: PMA panicked with %v, want core's message", c.name, want)
+		}
+		for name, s := range map[string]Store{"PMA": mem, "DB": db, "NewSharded": memSharded, "OpenSharded": durSharded} {
+			walBytes := func() int64 {
+				if d, ok := s.(DurableStore); ok {
+					return d.WALBytes()
+				}
+				return 0
+			}
+			size, appends := walBytes(), s.Stats().WAL.Appends
+			if got := panicValue(func() { c.call(s) }); got != want {
+				t.Fatalf("%s: %s panicked with %v, PMA with %v", c.name, name, got, want)
+			}
+			if n := s.Len(); n != 0 {
+				t.Errorf("%s: %s holds %d keys after the rejected batch", c.name, name, n)
+			}
+			if b, a := walBytes(), s.Stats().WAL.Appends; b != size || a != appends {
+				t.Errorf("%s: %s's log moved: %d -> %d bytes, %d -> %d appends", c.name, name, size, b, appends, a)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"pmago"
+	"pmago/internal/core"
 	"pmago/internal/workload"
 )
 
@@ -47,26 +48,20 @@ func RunGraph(updates, vertices, updThreads int, seed int64) GraphResult {
 	}()
 
 	start := time.Now()
-	done := make(chan struct{})
 	per := updates / updThreads
-	for w := 0; w < updThreads; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			gen := workload.NewGenerator(workload.Zipf(1), int64(vertices), seed+int64(w))
-			for i := 0; i < per; i++ {
-				src := uint32(gen.Next() - 1)
-				dst := uint32(gen.Next() - 1)
-				if i%6 == 5 {
-					g.DeleteEdge(src, dst)
-				} else {
-					g.AddEdge(src, dst, 1)
-				}
+	core.Fan(updThreads, updThreads, func(w int) error {
+		gen := workload.NewGenerator(workload.Zipf(1), int64(vertices), seed+int64(w))
+		for i := 0; i < per; i++ {
+			src := uint32(gen.Next() - 1)
+			dst := uint32(gen.Next() - 1)
+			if i%6 == 5 {
+				g.DeleteEdge(src, dst)
+			} else {
+				g.AddEdge(src, dst, 1)
 			}
-		}(w)
-	}
-	for w := 0; w < updThreads; w++ {
-		<-done
-	}
+		}
+		return nil
+	})
 	g.Flush()
 	wall := time.Since(start)
 	close(stop)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pmago/internal/core"
 	"pmago/internal/workload"
 )
 
@@ -98,50 +99,45 @@ func Run(f Factory, w Workload) Result {
 	}
 
 	perThread := w.Ops / w.UpdateThreads
-	var updWG sync.WaitGroup
 	start := time.Now()
-	for t := 0; t < w.UpdateThreads; t++ {
-		updWG.Add(1)
-		go func(t int) {
-			defer updWG.Done()
-			seed := w.Seed + int64(t)*7919
-			if !w.Mixed {
-				gen := workload.NewGenerator(w.Dist, w.Domain, seed)
-				for i := 0; i < perThread; i++ {
-					k := gen.Next()
-					s.Put(k, k)
-				}
-				return
+	core.Fan(w.UpdateThreads, w.UpdateThreads, func(t int) error {
+		seed := w.Seed + int64(t)*7919
+		if !w.Mixed {
+			gen := workload.NewGenerator(w.Dist, w.Domain, seed)
+			for i := 0; i < perThread; i++ {
+				k := gen.Next()
+				s.Put(k, k)
 			}
-			// Mixed: rounds of MixedChunk inserts followed by the
-			// same keys deleted (replayed from the same seed), so
-			// the store size stays near the preloaded base.
-			done := 0
-			round := int64(0)
-			for done < perThread {
-				chunk := w.MixedChunk
-				if rem := (perThread - done) / 2; rem < chunk {
-					chunk = rem
-				}
-				if chunk == 0 {
-					break
-				}
-				rs := seed + round*104729
-				gen := workload.NewGenerator(w.Dist, w.Domain, rs)
-				for i := 0; i < chunk; i++ {
-					k := gen.Next()
-					s.Put(k, k)
-				}
-				gen = workload.NewGenerator(w.Dist, w.Domain, rs)
-				for i := 0; i < chunk; i++ {
-					s.Delete(gen.Next())
-				}
-				done += 2 * chunk
-				round++
+			return nil
+		}
+		// Mixed: rounds of MixedChunk inserts followed by the
+		// same keys deleted (replayed from the same seed), so
+		// the store size stays near the preloaded base.
+		done := 0
+		round := int64(0)
+		for done < perThread {
+			chunk := w.MixedChunk
+			if rem := (perThread - done) / 2; rem < chunk {
+				chunk = rem
 			}
-		}(t)
-	}
-	updWG.Wait()
+			if chunk == 0 {
+				break
+			}
+			rs := seed + round*104729
+			gen := workload.NewGenerator(w.Dist, w.Domain, rs)
+			for i := 0; i < chunk; i++ {
+				k := gen.Next()
+				s.Put(k, k)
+			}
+			gen = workload.NewGenerator(w.Dist, w.Domain, rs)
+			for i := 0; i < chunk; i++ {
+				s.Delete(gen.Next())
+			}
+			done += 2 * chunk
+			round++
+		}
+		return nil
+	})
 	if fl, ok := s.(Flusher); ok {
 		fl.Flush()
 	}
@@ -167,19 +163,14 @@ func load(s Store, w Workload) {
 		threads = 1
 	}
 	per := w.LoadN / threads
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			gen := workload.NewGenerator(workload.Uniform(), w.Domain, w.Seed^int64(t*31+1))
-			for i := 0; i < per; i++ {
-				k := gen.Next()
-				s.Put(k, k)
-			}
-		}(t)
-	}
-	wg.Wait()
+	core.Fan(threads, threads, func(t int) error {
+		gen := workload.NewGenerator(workload.Uniform(), w.Domain, w.Seed^int64(t*31+1))
+		for i := 0; i < per; i++ {
+			k := gen.Next()
+			s.Put(k, k)
+		}
+		return nil
+	})
 	if fl, ok := s.(Flusher); ok {
 		fl.Flush()
 	}

@@ -13,7 +13,9 @@
 //
 // The package also holds the store's one varint reader (Uvarint, Varint)
 // and writer (varint.go), which persist's WAL records and the wire protocol
-// use too.
+// use too, and the store's one checksummed frame (frame.go: payload length,
+// CRC32-C, payload) with its one Castagnoli table, which wraps every WAL
+// record, snapshot block and wire message.
 // Both work a word at a time and keep encoding/binary's bytes exactly. The
 // writer spreads a value's 7-bit groups over a word (expand7, the inverse of
 // the reader's compact7), sets the continuation bits with one mask picked by

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -32,14 +30,11 @@ import (
 // respect to the batch.
 func (p *PMA) PutBatch(keys, vals []int64) {
 	p.checkOpen()
-	if len(keys) != len(vals) {
-		panic(fmt.Sprintf("core: PutBatch got %d keys but %d values", len(keys), len(vals)))
+	if err := CheckBatch(keys, vals); err != nil {
+		panic(err.Error())
 	}
 	ops := make([]op, len(keys))
 	for i, k := range keys {
-		if k == KeyMin || k == KeyMax {
-			panic("core: cannot store sentinel key")
-		}
 		ops[i] = op{key: k, val: vals[i]}
 	}
 	ops = sortDedupOps(ops)
@@ -56,7 +51,7 @@ func (p *PMA) DeleteBatch(keys []int64) int {
 	p.checkOpen()
 	ops := make([]op, 0, len(keys))
 	for _, k := range keys {
-		if k == KeyMin || k == KeyMax {
+		if CheckKey(k) != nil {
 			continue
 		}
 		ops = append(ops, op{key: k, del: true})
@@ -66,7 +61,7 @@ func (p *PMA) DeleteBatch(keys []int64) int {
 }
 
 // applyBatchParallel splits a key-sorted, deduplicated op slice into
-// contiguous chunks applied by concurrent workers — the batch-parallel
+// contiguous chunks applied concurrently (Fan) — the batch-parallel
 // property a point-update loop cannot have: chunks cover disjoint key
 // ranges, every op still applies under its gate's latch, and at most the
 // two gates straddling a chunk boundary see more than one worker. Small
@@ -78,27 +73,15 @@ func (p *PMA) applyBatchParallel(ops []op) int64 {
 		return 0
 	}
 	const minChunk = 1024 // below this, goroutine handoff costs more than it buys
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p.cfg.Workers {
-		workers = p.cfg.Workers
-	}
-	if workers > n/minChunk {
-		workers = n / minChunk
-	}
+	workers := min(runtime.GOMAXPROCS(0), p.cfg.Workers, n/minChunk)
 	if workers <= 1 {
 		return p.applyBatch(ops, ops)
 	}
 	var removed atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		chunk := ops[n*w/workers : n*(w+1)/workers]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			removed.Add(p.applyBatch(chunk, ops))
-		}()
-	}
-	wg.Wait()
+	Fan(workers, workers, func(w int) error {
+		removed.Add(p.applyBatch(ops[n*w/workers:n*(w+1)/workers], ops))
+		return nil
+	})
 	return removed.Load()
 }
 
@@ -241,21 +224,13 @@ func searchOps(ops []op, k int64) int {
 // from the caller's slices, which the fill copies and does not retain. The
 // returned PMA is fully started; callers must Close it.
 func BulkLoad(cfg Config, keys, vals []int64) (*PMA, error) {
-	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("core: BulkLoad got %d keys but %d values", len(keys), len(vals))
+	ascending, err := checkBatch(keys, vals)
+	if err != nil {
+		return nil, err
 	}
 	p, err := newShell(cfg)
 	if err != nil {
 		return nil, err
-	}
-	ascending := true
-	for i, k := range keys {
-		if k == KeyMin || k == KeyMax {
-			return nil, fmt.Errorf("core: BulkLoad key %d is a reserved sentinel", k)
-		}
-		if i > 0 && k <= keys[i-1] {
-			ascending = false
-		}
 	}
 	ks, vs := keys, vals
 	if !ascending {

@@ -21,8 +21,9 @@
 // holds the key, a longer run that fits its target segments is merged into
 // each of them, and otherwise the smallest in-chunk calibrator window that
 // fits is rebalanced with the run merged in (Section 3.3's local rebalance). Rebalances that span multiple
-// gates are executed by a centralised rebalancer service (one master
-// goroutine, a pool of workers). A writer whose inserts overflow its chunk
+// gates are executed by a centralised rebalancer service: one master
+// goroutine, which fans a window out over up to Config.Workers goroutines
+// (Fan). A writer whose inserts overflow its chunk
 // hands them off in one way (handOff, async.go): it releases its latch with the gate's combining queue open and
 // submits a batch request. A writer releases its latch before it submits,
 // and only the master ever holds more than one latch — the deadlock-freedom
@@ -103,8 +104,10 @@ type Config struct {
 	// TDelay is the minimum time between global rebalances of the same
 	// gate in ModeBatch (the paper evaluates 0-800ms, default 100ms).
 	TDelay time.Duration
-	// Workers is the size of the rebalancer's worker pool (the paper
-	// uses 8, matching its cores). Defaults to GOMAXPROCS capped at 8.
+	// Workers bounds the goroutines, the caller's included, that a
+	// rebalance or resize fans its window out over and that a batch is
+	// applied by (the paper's 8 workers, matching its cores). Defaults to
+	// GOMAXPROCS capped at 8.
 	Workers int
 	// CompressedChunks stores each segment delta-encoded (cgate.go) instead
 	// of as fixed 16-byte slots: ~2-4x less memory for dense key runs, at
@@ -253,7 +256,7 @@ func newShell(cfg Config) (*PMA, error) {
 		cfg = def
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = defaultWorkers()
+		cfg.Workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -275,7 +278,7 @@ func newShell(cfg Config) (*PMA, error) {
 // startServices launches the rebalancer. The state must be installed first:
 // the rebalancer dereferences it on its first request.
 func (p *PMA) startServices() {
-	p.reb = newRebalancer(p, p.cfg.Workers)
+	p.reb = newRebalancer(p)
 }
 
 // MustNew is New for configurations known statically valid.
@@ -364,15 +367,4 @@ func (p *PMA) Stats() Stats {
 	s := p.metrics.Snapshot()
 	p.compressionStats(&s)
 	return s
-}
-
-func defaultWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }

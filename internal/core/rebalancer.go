@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -28,15 +27,13 @@ type request struct {
 }
 
 // rebalancer is the centralised service of Section 3.3: a single master
-// goroutine that owns all multi-gate coordination, plus a pool of workers
-// that redistribute partitions of a window in parallel.
+// goroutine that owns all multi-gate coordination and fans the partitions
+// of a window out over up to Config.Workers goroutines (Fan).
 type rebalancer struct {
-	p       *PMA
-	ch      chan *request
-	stopCh  chan struct{}
-	doneCh  chan struct{}
-	workCh  chan func()
-	workers sync.WaitGroup
+	p      *PMA
+	ch     chan *request
+	stopCh chan struct{}
+	doneCh chan struct{}
 
 	// master-only state
 	delayed  []*request
@@ -46,22 +43,12 @@ type rebalancer struct {
 	scratchV []int64
 }
 
-func newRebalancer(p *PMA, workers int) *rebalancer {
+func newRebalancer(p *PMA) *rebalancer {
 	r := &rebalancer{
 		p:      p,
 		ch:     make(chan *request, 4096),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
-		workCh: make(chan func(), workers),
-	}
-	for i := 0; i < workers; i++ {
-		r.workers.Add(1)
-		go func() {
-			defer r.workers.Done()
-			for f := range r.workCh {
-				f()
-			}
-		}()
 	}
 	go r.run()
 	return r
@@ -87,8 +74,6 @@ func (r *rebalancer) complete(req *request) {
 func (r *rebalancer) close() {
 	close(r.stopCh)
 	<-r.doneCh
-	close(r.workCh)
-	r.workers.Wait()
 }
 
 // run is the master loop: it serves requests in order, parking rate-limited
@@ -367,7 +352,7 @@ func (r *rebalancer) process(req *request) []op {
 
 // fillChunk builds a fresh chunk laid out per segCounts from the leading
 // sorted pairs of ks/vs and derives the chunk metadata; it consumes the
-// plan's gcard pairs. It is shared by the rebalancer's workers and by
+// plan's gcard pairs. It is shared by the rebalancer's fan-out and by
 // BulkLoad's direct construction.
 func (p *PMA) fillChunk(segCounts []int, ks, vs []int64) destPlan {
 	pl := p.newPlan(len(segCounts))
@@ -393,23 +378,6 @@ func (p *PMA) fillChunk(segCounts []int, ks, vs []int64) destPlan {
 		pl.hasKey = true
 	}
 	return pl
-}
-
-// parallel runs the tasks on the worker pool, executing inline when the pool
-// is saturated, and waits for all of them.
-func (r *rebalancer) parallel(tasks []func()) {
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, t := range tasks {
-		t := t
-		select {
-		case r.workCh <- func() { defer wg.Done(); t() }:
-		default:
-			t()
-			wg.Done()
-		}
-	}
-	wg.Wait()
 }
 
 // executeRebalance redistributes gates [glo, ghi) evenly (the traditional
@@ -466,18 +434,17 @@ func (r *rebalancer) executeRebalance(st *state, glo, ghi int, ins []op) (stray 
 func (r *rebalancer) fillPlans(counts []int) []destPlan {
 	spg := r.p.cfg.SegmentsPerGate
 	plans := make([]destPlan, len(counts)/spg)
-	tasks := make([]func(), len(plans))
-	prefix := 0
-	for i := range tasks {
-		i := i
-		segCounts := counts[i*spg : (i+1)*spg]
-		ks, vs := r.scratchK[prefix:], r.scratchV[prefix:]
-		for _, c := range segCounts {
-			prefix += c
+	offsets := make([]int, len(plans))
+	for i, off := 0, 0; i < len(plans); i++ {
+		offsets[i] = off
+		for _, c := range counts[i*spg : (i+1)*spg] {
+			off += c
 		}
-		tasks[i] = func() { plans[i] = r.p.fillChunk(segCounts, ks, vs) }
 	}
-	r.parallel(tasks)
+	Fan(len(plans), r.p.cfg.Workers, func(i int) error {
+		plans[i] = r.p.fillChunk(counts[i*spg:(i+1)*spg], r.scratchK[offsets[i]:], r.scratchV[offsets[i]:])
+		return nil
+	})
 	return plans
 }
 
@@ -487,15 +454,11 @@ func (r *rebalancer) fillPlans(counts []int) []destPlan {
 func (r *rebalancer) materialize(st *state, glo, ghi int, ins, dels []op) int {
 	m := ghi - glo
 	counts := make([]int, m)
-	countTasks := make([]func(), m)
-	for i := 0; i < m; i++ {
-		i := i
+	Fan(m, r.p.cfg.Workers, func(i int) error {
 		g := st.gates[glo+i]
-		gIns := opRange(ins, g.fenceLo, g.fenceHi)
-		gDels := opRange(dels, g.fenceLo, g.fenceHi)
-		countTasks[i] = func() { counts[i] = countMerged(g, gIns, gDels) }
-	}
-	r.parallel(countTasks)
+		counts[i] = countMerged(g, opRange(ins, g.fenceLo, g.fenceHi), opRange(dels, g.fenceLo, g.fenceHi))
+		return nil
+	})
 
 	total := 0
 	offsets := make([]int, m)
@@ -510,18 +473,12 @@ func (r *rebalancer) materialize(st *state, glo, ghi int, ins, dels []op) int {
 	r.scratchK = r.scratchK[:total]
 	r.scratchV = r.scratchV[:total]
 
-	writeTasks := make([]func(), m)
-	for i := 0; i < m; i++ {
-		i := i
+	Fan(m, r.p.cfg.Workers, func(i int) error {
 		g := st.gates[glo+i]
-		gIns := opRange(ins, g.fenceLo, g.fenceHi)
-		gDels := opRange(dels, g.fenceLo, g.fenceHi)
 		off, end := offsets[i], offsets[i]+counts[i]
-		writeTasks[i] = func() {
-			mergeInto(r.scratchK[off:end], r.scratchV[off:end], g, gIns, gDels)
-		}
-	}
-	r.parallel(writeTasks)
+		mergeInto(r.scratchK[off:end], r.scratchV[off:end], g, opRange(ins, g.fenceLo, g.fenceHi), opRange(dels, g.fenceLo, g.fenceHi))
+		return nil
+	})
 	return total
 }
 

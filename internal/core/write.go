@@ -1,5 +1,47 @@
 package core
 
+import (
+	"errors"
+	"fmt"
+)
+
+// errSentinelKey is what every store front reports for a sentinel key.
+var errSentinelKey = errors.New("core: cannot store sentinel key")
+
+// CheckKey reports whether a store may hold k: every key but the sentinels
+// KeyMin and KeyMax. Put panics with the error's text, and Delete and
+// DeleteBatch ignore such a key.
+func CheckKey(k int64) error {
+	if k == KeyMin || k == KeyMax {
+		return errSentinelKey
+	}
+	return nil
+}
+
+// CheckBatch reports whether PutBatch and BulkLoad accept keys and vals: one
+// value per key and no sentinel key. PutBatch panics with the error's text
+// before it applies any pair.
+func CheckBatch(keys, vals []int64) error {
+	_, err := checkBatch(keys, vals)
+	return err
+}
+
+// checkBatch is CheckBatch, also reporting whether the keys ascend strictly:
+// BulkLoad learns both in one pass.
+func checkBatch(keys, vals []int64) (ascending bool, err error) {
+	if len(keys) != len(vals) {
+		return false, fmt.Errorf("core: batch of %d keys but %d values", len(keys), len(vals))
+	}
+	ascending = true
+	for i, k := range keys {
+		if k == KeyMin || k == KeyMax {
+			return false, errSentinelKey
+		}
+		ascending = ascending && (i == 0 || k > keys[i-1])
+	}
+	return ascending, nil
+}
+
 // op is one pending update, as stored in a combining queue.
 type op struct {
 	key int64
@@ -26,8 +68,8 @@ func (p *PMA) detachQueue(g *gate) []op {
 // immediately following Get may not observe it.
 func (p *PMA) Put(k, v int64) {
 	p.checkOpen()
-	if k == KeyMin || k == KeyMax {
-		panic("core: cannot store sentinel key")
+	if err := CheckKey(k); err != nil {
+		panic(err.Error())
 	}
 	p.update(op{key: k, val: v})
 }
@@ -37,7 +79,7 @@ func (p *PMA) Put(k, v int64) {
 // matching the fire-and-forget semantics of Section 3.5.
 func (p *PMA) Delete(k int64) bool {
 	p.checkOpen()
-	if k == KeyMin || k == KeyMax {
+	if CheckKey(k) != nil {
 		return false
 	}
 	return p.update(op{key: k, del: true})

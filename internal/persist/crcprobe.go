@@ -5,6 +5,8 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"slices"
+
+	"pmago/internal/codec"
 )
 
 // The torn-tail probe (hasValidRecordAfter in wal.go) must decide, after a
@@ -58,7 +60,7 @@ func matSquare(m *crcMat) crcMat {
 // zeroStep advances the (reflected Castagnoli) CRC register by one zero
 // byte. Linear in r: the CRC table satisfies tab[a^b] = tab[a]^tab[b].
 func zeroStep(r uint32) uint32 {
-	return crcTable[byte(r)] ^ (r >> 8)
+	return codec.CRC32C[byte(r)] ^ (r >> 8)
 }
 
 // zeroMatPow[j] advances the register by 2^j zero bytes. 2^30 bytes tops
@@ -93,7 +95,7 @@ func crcOfWindow(rs, rj uint32, length int) uint32 {
 }
 
 // probeCand is one header-plausible frame candidate: payload data[start:end]
-// must hash to want for a record to start at start-frameHeader.
+// must hash to want for a record to start at start-codec.FrameHeader.
 type probeCand struct {
 	start, end int
 	want       uint32
@@ -118,7 +120,7 @@ var probeChunkSize = 1 << 20
 // field lies inside a zero run can start one.
 func hasValidRecordAfter(data []byte, off int) bool {
 	cands := make([]probeCand, 0, min(probeChunkSize, 1024))
-	for i := off + 1; i+frameHeader <= len(data); i++ {
+	for i := off + 1; i+codec.FrameHeader <= len(data); i++ {
 		if binary.LittleEndian.Uint64(data[i:]) == 0 {
 			j := i + 8
 			for j+8 <= len(data) && binary.LittleEndian.Uint64(data[j:]) == 0 {
@@ -129,14 +131,14 @@ func hasValidRecordAfter(data []byte, off int) bool {
 			i = j - 4
 			continue
 		}
-		n := binary.LittleEndian.Uint32(data[i:])
-		if n == 0 || n > maxRecordBytes || int(n) > len(data)-i-frameHeader {
+		n, sum := codec.ParseFrameHeader(data[i:])
+		if n == 0 || n > maxRecordBytes || int(n) > len(data)-i-codec.FrameHeader {
 			continue
 		}
 		cands = append(cands, probeCand{
-			start: i + frameHeader,
-			end:   i + frameHeader + int(n),
-			want:  binary.LittleEndian.Uint32(data[i+4:]),
+			start: i + codec.FrameHeader,
+			end:   i + codec.FrameHeader + int(n),
+			want:  sum,
 		})
 		if len(cands) >= probeChunkSize {
 			if probeChunk(data, cands) {
@@ -166,7 +168,7 @@ func probeChunk(data []byte, cands []probeCand) bool {
 	prefix := make([]uint32, len(offs))
 	cur, last := uint32(0), offs[0]
 	for i, o := range offs {
-		cur = crc32.Update(cur, crcTable, data[last:o])
+		cur = crc32.Update(cur, codec.CRC32C, data[last:o])
 		last = o
 		prefix[i] = cur
 	}
@@ -179,7 +181,7 @@ func probeChunk(data []byte, cands []probeCand) bool {
 		if crcOfWindow(at(c.start), at(c.end), c.end-c.start) != c.want {
 			continue
 		}
-		if _, ok := decodeRecord(data[c.start-frameHeader:], &rec); ok {
+		if _, ok := decodeRecord(data[c.start-codec.FrameHeader:], &rec); ok {
 			return true
 		}
 	}

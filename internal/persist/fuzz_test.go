@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pmago/internal/codec"
 )
 
 // Fuzz targets for the two decode surfaces that parse bytes a crash (or bit
@@ -28,7 +30,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if !ok {
 			return
 		}
-		if n < frameHeader || n > len(data) {
+		if n < codec.FrameHeader || n > len(data) {
 			t.Fatalf("decodeRecord consumed %d of %d bytes", n, len(data))
 		}
 		switch rec.Kind {

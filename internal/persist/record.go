@@ -1,20 +1,14 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"pmago/internal/codec"
 )
 
-// WAL record wire format. Each record is framed as
-//
-//	u32 payload length (little endian)
-//	u32 CRC32-C of the payload
-//	payload
-//
-// and the payload is a kind byte followed by zigzag varints:
+// WAL record wire format. Each record is one codec frame (payload length,
+// CRC32-C of the payload, payload), and the payload is a kind byte followed
+// by zigzag varints:
 //
 //	KindPut:         key, val
 //	KindDelete:      key
@@ -38,10 +32,6 @@ const (
 // length above this is treated as corruption, not an allocation request.
 const maxRecordBytes = 1 << 30
 
-const frameHeader = 8 // length + crc
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // Record is one decoded WAL entry. Keys/Vals alias the decode buffer only
 // for the duration of the replay callback.
 type Record struct {
@@ -55,7 +45,7 @@ type Record struct {
 
 // encodePut appends a framed KindPut record to b.
 func encodePut(b []byte, k, v int64) []byte {
-	return frame(b, func(p []byte) []byte {
+	return codec.AppendFrame(b, func(p []byte) []byte {
 		p = append(p, KindPut)
 		p = codec.AppendVarint(p, k)
 		p = codec.AppendVarint(p, v)
@@ -65,7 +55,7 @@ func encodePut(b []byte, k, v int64) []byte {
 
 // encodeDelete appends a framed KindDelete record to b.
 func encodeDelete(b []byte, k int64) []byte {
-	return frame(b, func(p []byte) []byte {
+	return codec.AppendFrame(b, func(p []byte) []byte {
 		p = append(p, KindDelete)
 		p = codec.AppendVarint(p, k)
 		return p
@@ -74,7 +64,7 @@ func encodeDelete(b []byte, k int64) []byte {
 
 // encodeBatch appends a framed batch record (vals nil for deletes) to b.
 func encodeBatch(b []byte, kind byte, keys, vals []int64) []byte {
-	return frame(b, func(p []byte) []byte {
+	return codec.AppendFrame(b, func(p []byte) []byte {
 		p = append(p, kind)
 		p = codec.AppendUvarint(p, uint64(len(keys)))
 		for _, k := range keys {
@@ -87,38 +77,16 @@ func encodeBatch(b []byte, kind byte, keys, vals []int64) []byte {
 	})
 }
 
-// frame reserves the 8-byte header, lets fill append the payload, then
-// back-patches length and CRC.
-func frame(b []byte, fill func([]byte) []byte) []byte {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
-	b = fill(b)
-	payload := b[start+frameHeader:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, crcTable))
-	return b
-}
-
 // decodeRecord parses one framed record from the front of b, returning the
 // record and the total frame size. ok=false means b does not start with a
 // complete, checksum-valid record — a torn or corrupt tail from the reader's
 // point of view.
 func decodeRecord(b []byte, rec *Record) (frameLen int, ok bool) {
-	if len(b) < frameHeader {
+	payload, ok := codec.NextFrame(b, maxRecordBytes)
+	if !ok || !decodePayload(payload, rec) {
 		return 0, false
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if n == 0 || n > maxRecordBytes || int(n) > len(b)-frameHeader {
-		return 0, false
-	}
-	payload := b[frameHeader : frameHeader+int(n)]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
-		return 0, false
-	}
-	if !decodePayload(payload, rec) {
-		return 0, false
-	}
-	return frameHeader + int(n), true
+	return codec.FrameHeader + len(payload), true
 }
 
 func decodePayload(p []byte, rec *Record) bool {

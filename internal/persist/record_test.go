@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pmago/internal/codec"
 )
 
 // refRecord frames a record payload written with encoding/binary alone: the
@@ -27,7 +29,7 @@ func refRecord(kind byte, keys, vals []int64) []byte {
 		p = binary.AppendVarint(p, v)
 	}
 	b := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, crcTable))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, codec.CRC32C))
 	return append(b, p...)
 }
 

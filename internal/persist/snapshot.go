@@ -22,6 +22,7 @@ import (
 //	frames  { u8 frameBlock, u32 payloadLen, u32 CRC32-C, payload }*
 //	trailer { u8 frameTrailer, u64 pair count, u32 CRC32-C of the count }
 //
+// After its kind byte a block frame is a codec frame, as a WAL record is.
 // Block payloads are delta-encoded by the shared internal/codec package
 // (pair count, the block's first key as a zigzag varint, then successive
 // key gaps as plain uvarints, then the values as zigzag varints — see the
@@ -133,7 +134,7 @@ func WriteSnapshot(dir string, walSeq uint64, iter func(yield func(k, v int64) b
 		trailer := make([]byte, 0, 13)
 		trailer = append(trailer, frameTrailer)
 		trailer = binary.LittleEndian.AppendUint64(trailer, uint64(count))
-		trailer = binary.LittleEndian.AppendUint32(trailer, crc32.Checksum(trailer[1:9], crcTable))
+		trailer = binary.LittleEndian.AppendUint32(trailer, crc32.Checksum(trailer[1:9], codec.CRC32C))
 		if _, err := bw.Write(trailer); err != nil {
 			return err
 		}
@@ -147,13 +148,7 @@ func WriteSnapshot(dir string, walSeq uint64, iter func(yield func(k, v int64) b
 
 // encodeSnapBlock appends one framed, delta-encoded block to b.
 func encodeSnapBlock(b []byte, keys, vals []int64) []byte {
-	start := len(b)
-	b = append(b, frameBlock, 0, 0, 0, 0, 0, 0, 0, 0)
-	b = codec.AppendBlock(b, keys, vals)
-	payload := b[start+9:]
-	binary.LittleEndian.PutUint32(b[start+1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+5:], crc32.Checksum(payload, crcTable))
-	return b
+	return codec.AppendFrame(append(b, frameBlock), func(p []byte) []byte { return codec.AppendBlock(p, keys, vals) })
 }
 
 // LoadSnapshot reads and fully validates a snapshot file, returning its
@@ -171,8 +166,11 @@ func LoadSnapshot(path string) (keys, vals []int64, walSeq uint64, err error) {
 	// Presize from the trailer's count when its checksum holds. Every
 	// encoded pair takes at least 2 bytes, so capping the count at half
 	// the file keeps a forged one from forcing a large allocation; the
-	// frame walk below still decides whether the file is valid.
-	if t := data[len(data)-13:]; t[0] == frameTrailer && crc32.Checksum(t[1:9], crcTable) == binary.LittleEndian.Uint32(t[9:]) {
+	// frame walk below still decides whether the file is valid, and that
+	// the trailer it ends on is this one.
+	t := data[len(data)-13:]
+	trailerOK := t[0] == frameTrailer && crc32.Checksum(t[1:9], codec.CRC32C) == binary.LittleEndian.Uint32(t[9:])
+	if trailerOK {
 		n := min(binary.LittleEndian.Uint64(t[1:]), uint64(len(data)/2))
 		keys, vals = make([]int64, 0, n), make([]int64, 0, n)
 	}
@@ -183,16 +181,9 @@ func LoadSnapshot(path string) (keys, vals []int64, walSeq uint64, err error) {
 		}
 		switch p[0] {
 		case frameBlock:
-			if len(p) < 9 {
-				return nil, nil, 0, fmt.Errorf("persist: %s: truncated block frame", filepath.Base(path))
-			}
-			n := binary.LittleEndian.Uint32(p[1:])
-			if n == 0 || n > maxRecordBytes || int(n) > len(p)-9 {
-				return nil, nil, 0, fmt.Errorf("persist: %s: bad block length", filepath.Base(path))
-			}
-			payload := p[9 : 9+int(n)]
-			if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(p[5:]) {
-				return nil, nil, 0, fmt.Errorf("persist: %s: block checksum mismatch", filepath.Base(path))
+			payload, ok := codec.NextFrame(p[1:], maxRecordBytes)
+			if !ok {
+				return nil, nil, 0, fmt.Errorf("persist: %s: bad block frame", filepath.Base(path))
 			}
 			before := len(keys)
 			keys, vals, err = decodeSnapBlock(payload, keys, vals)
@@ -202,13 +193,10 @@ func LoadSnapshot(path string) (keys, vals []int64, walSeq uint64, err error) {
 			if before > 0 && keys[before] <= keys[before-1] {
 				return nil, nil, 0, fmt.Errorf("persist: %s: block keys out of order", filepath.Base(path))
 			}
-			p = p[9+int(n):]
+			p = p[1+codec.FrameHeader+len(payload):]
 		case frameTrailer:
-			if len(p) != 13 {
+			if len(p) != 13 || !trailerOK {
 				return nil, nil, 0, fmt.Errorf("persist: %s: bad trailer", filepath.Base(path))
-			}
-			if crc32.Checksum(p[1:9], crcTable) != binary.LittleEndian.Uint32(p[9:]) {
-				return nil, nil, 0, fmt.Errorf("persist: %s: trailer checksum mismatch", filepath.Base(path))
 			}
 			if want := binary.LittleEndian.Uint64(p[1:]); want != uint64(len(keys)) {
 				return nil, nil, 0, fmt.Errorf("persist: %s: count mismatch: trailer %d, blocks %d",

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pmago/internal/codec"
 	"pmago/internal/obs"
 )
 
@@ -190,12 +192,12 @@ func (w *Log) append(encode func([]byte) []byte) error {
 	}
 	w.scratch = encode(w.scratch[:0])
 	rec := w.scratch
-	if len(rec)-frameHeader > maxRecordBytes {
+	if len(rec)-codec.FrameHeader > maxRecordBytes {
 		// Never write a record replay would reject as corrupt: that
 		// would acknowledge an update and then silently truncate it
 		// (and everything after it) on the next recovery.
 		w.mu.Unlock()
-		return fmt.Errorf("persist: record payload %d bytes exceeds the %d limit", len(rec)-frameHeader, maxRecordBytes)
+		return fmt.Errorf("persist: record payload %d bytes exceeds the %d limit", len(rec)-codec.FrameHeader, maxRecordBytes)
 	}
 	if n := int64(len(rec)); w.segSize+n > w.segCap {
 		// A record larger than SegmentBytes gets a segment of its own
@@ -420,10 +422,27 @@ func (w *Log) TruncateBefore(seq uint64) {
 	syncDir(w.dir)
 }
 
+// errClosed is the sticky error of a cleanly closed log: appends fail with
+// it, but it is no failure, and Err does not report it.
+var errClosed = errors.New("persist: log closed")
+
+// Err returns the failure that stopped the log — a failed append, rotation
+// or fsync — or nil while it is healthy and after a clean Close. Once set it
+// stays set: no later record can be made durable, and every append, Sync and
+// Rotate returns it.
+func (w *Log) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == errClosed {
+		return nil
+	}
+	return w.err
+}
+
 // Close seals the active segment: it is cut to the bytes appended, fsynced
-// and closed. A write failure recorded earlier is returned in preference to
-// the seal's own. The log must not be used afterwards; Close is idempotent
-// only through its owner (pmago.DB guards).
+// and closed. A failure latched earlier is returned in preference to the
+// seal's own, which is latched too. The log must not be used afterwards;
+// Close is idempotent only through its owner (pmago.DB guards).
 func (w *Log) Close() error {
 	if w.stop != nil {
 		close(w.stop)
@@ -431,14 +450,14 @@ func (w *Log) Close() error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	err := w.err
 	if w.seg != nil {
-		if serr := w.sealLocked(); err == nil && serr != nil {
-			err = fmt.Errorf("persist: wal close: %w", serr)
+		if err := w.sealLocked(); err != nil && w.err == nil {
+			w.err = fmt.Errorf("persist: wal close: %w", err)
 		}
 	}
-	if w.err == nil {
-		w.err = fmt.Errorf("persist: log closed")
+	err := w.err
+	if err == nil {
+		w.err = errClosed
 	}
 	return err
 }

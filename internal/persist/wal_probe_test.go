@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"pmago/internal/codec"
 )
 
 // TestCRCOfWindowMatchesDirect pins the combine identity the probe is built
@@ -21,18 +23,18 @@ func TestCRCOfWindowMatchesDirect(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		s := base + rng.Intn(len(data)-base-1)
 		j := s + rng.Intn(len(data)-s)
-		rs := crc32.Checksum(data[base:s], crcTable)
-		rj := crc32.Checksum(data[base:j], crcTable)
-		want := crc32.Checksum(data[s:j], crcTable)
+		rs := crc32.Checksum(data[base:s], codec.CRC32C)
+		rj := crc32.Checksum(data[base:j], codec.CRC32C)
+		want := crc32.Checksum(data[s:j], codec.CRC32C)
 		if got := crcOfWindow(rs, rj, j-s); got != want {
 			t.Fatalf("crcOfWindow(data[%d:%d]) = %08x, want %08x", s, j, got, want)
 		}
 	}
 	// Degenerate windows: empty, whole buffer.
-	if got := crcOfWindow(0, crc32.Checksum(data, crcTable), len(data)); got != crc32.Checksum(data, crcTable) {
+	if got := crcOfWindow(0, crc32.Checksum(data, codec.CRC32C), len(data)); got != crc32.Checksum(data, codec.CRC32C) {
 		t.Fatal("whole-buffer window mismatch")
 	}
-	if got := crcOfWindow(crc32.Checksum(data[:99], crcTable), crc32.Checksum(data[:99], crcTable), 0); got != 0 {
+	if got := crcOfWindow(crc32.Checksum(data[:99], codec.CRC32C), crc32.Checksum(data[:99], codec.CRC32C), 0); got != 0 {
 		t.Fatalf("empty window = %08x, want 0 (CRC of no bytes)", got)
 	}
 }

@@ -1,14 +1,9 @@
 // Package wire is the framed binary protocol spoken between pmago/server
-// and pmago/client. It is deliberately shaped like the WAL record format
-// (persist/record.go): every frame is
-//
-//	u32 payload length (little endian)
-//	u32 CRC32-C of the payload
-//	payload
-//
-// so a torn or corrupted TCP stream is detected exactly the way a torn WAL
-// tail is, and the varint payload encoding reuses the same zigzag scheme.
-// A request payload is
+// and pmago/client. Every message is one codec frame (internal/codec owns
+// the format, which WAL records share: payload length, CRC32-C of the
+// payload, payload), so a torn or corrupted TCP stream is detected exactly
+// the way a torn WAL tail is, and the varint payload encoding reuses the
+// same zigzag scheme. A request payload is
 //
 //	op byte | request id uvarint | op-specific body
 //
@@ -84,10 +79,6 @@ const (
 // across frames by the client.
 const MaxPayload = 1 << 24
 
-const frameHeader = 8 // length + crc
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrFrame reports a malformed frame: bad length, bad checksum, or a
 // payload that does not decode. The stream is unsynchronized past it —
 // connections die on ErrFrame, they do not resync.
@@ -123,7 +114,7 @@ type Response struct {
 
 // AppendRequest appends r as one framed request to dst.
 func AppendRequest(dst []byte, r *Request) []byte {
-	return frame(dst, func(p []byte) []byte {
+	return codec.AppendFrame(dst, func(p []byte) []byte {
 		p = append(p, r.Op)
 		p = codec.AppendUvarint(p, r.ID)
 		switch r.Op {
@@ -150,7 +141,7 @@ func AppendRequest(dst []byte, r *Request) []byte {
 
 // AppendResponse appends r as one framed response to dst.
 func AppendResponse(dst []byte, r *Response) []byte {
-	return frame(dst, func(p []byte) []byte {
+	return codec.AppendFrame(dst, func(p []byte) []byte {
 		p = append(p, r.Status, r.Op)
 		p = codec.AppendUvarint(p, r.ID)
 		switch r.Status {
@@ -218,18 +209,6 @@ func appendPairs(p []byte, keys, vals []int64) []byte {
 	return p[:n]
 }
 
-// frame reserves the 8-byte header, lets fill append the payload, then
-// back-patches length and CRC (the WAL's framing, verbatim).
-func frame(b []byte, fill func([]byte) []byte) []byte {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
-	b = fill(b)
-	payload := b[start+frameHeader:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, crcTable))
-	return b
-}
-
 // ReadFrame reads one frame from r, reusing buf when it is large enough,
 // and returns the checksum-verified payload. io.EOF is returned unwrapped
 // only when the stream ends cleanly between frames; every other failure is
@@ -237,17 +216,17 @@ func frame(b []byte, fill func([]byte) []byte) []byte {
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	// The header is read into buf too: a header array of its own would
 	// escape through the io.Reader and cost an allocation a frame.
-	if cap(buf) < frameHeader {
-		buf = make([]byte, frameHeader, 512)
+	if cap(buf) < codec.FrameHeader {
+		buf = make([]byte, codec.FrameHeader, 512)
 	}
-	hdr := buf[:frameHeader]
+	hdr := buf[:codec.FrameHeader]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: torn header", ErrFrame)
 		}
 		return nil, err
 	}
-	n, sum := binary.LittleEndian.Uint32(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:])
+	n, sum := codec.ParseFrameHeader(hdr)
 	if n == 0 || n > MaxPayload {
 		return nil, fmt.Errorf("%w: payload length %d", ErrFrame, n)
 	}
@@ -261,7 +240,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if crc32.Checksum(buf, crcTable) != sum {
+	if crc32.Checksum(buf, codec.CRC32C) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrFrame)
 	}
 	return buf, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"pmago/internal/codec"
 )
 
 // FuzzDecodeFrame drives the full receive path — frame read (length bound,
@@ -31,7 +33,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendRequest(nil, &Request{Op: OpDeleteBatch, ID: 10, Keys: []int64{math.MinInt64 + 1, math.MaxInt64 - 1, math.MinInt64 + 1}}))
 	f.Add(AppendResponse(nil, &Response{Status: StatusScanChunk, Op: OpScan, ID: 11, Keys: []int64{1, 1 + 1<<20, 2 + 1<<20}, Vals: []int64{3, 4, 5}}))
 	good := AppendResponse(nil, &Response{Status: StatusScanChunk, Op: OpScan, ID: 12, Keys: []int64{16, 32}, Vals: []int64{-1, 1}})
-	f.Add(frame(nil, func(p []byte) []byte { return append(p, good[frameHeader:len(good)-1]...) }))
+	f.Add(codec.AppendFrame(nil, func(p []byte) []byte { return append(p, good[codec.FrameHeader:len(good)-1]...) }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The bytes as a bare payload too: behind the CRC the fuzzer rarely
 		// gets a mutated payload as far as the decoders.

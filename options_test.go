@@ -3,7 +3,10 @@ package pmago
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -149,28 +152,39 @@ func TestValidOptionCombinationsAccepted(t *testing.T) {
 	s2.Close()
 }
 
-// TestWALErrorSurfaces injects a background-append failure the way logErr
-// records one and checks it surfaces everywhere the API promises: Err,
-// Sync, Stats, and Close.
+// TestWALErrorSurfaces latches a failure in the store's log — the next
+// segment's name is taken, so the rotation a checkpoint makes cannot create
+// it — and checks it surfaces everywhere the API promises: Err, Sync, Stats,
+// and Close. The first failure is sticky: a later append fails with it and
+// does not replace it.
 func TestWALErrorSurfaces(t *testing.T) {
-	db, err := Open(t.TempDir(), WithFsync(FsyncNone))
+	dir := t.TempDir()
+	db, err := Open(dir, WithFsync(FsyncNone), WithCompactRatio(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Put(1, 2)
-
-	boom := errors.New("disk on fire")
-	db.recordErr(boom)
-	db.recordErr(errors.New("later error")) // first error is sticky
-
-	if got := db.Err(); !errors.Is(got, boom) {
-		t.Fatalf("Err() = %v, want %v", got, boom)
+	if err := os.Mkdir(filepath.Join(dir, "wal-00000000000000000002.log"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Snapshot(); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("Snapshot() = %v, want the rotation's failure", err)
+	}
+	boom := db.Err()
+	if !errors.Is(boom, fs.ErrExist) {
+		t.Fatalf("Err() = %v, want the rotation's failure", boom)
+	}
+	if r := panicValue(func() { db.Put(3, 4) }); r == nil {
+		t.Fatal("Put on a failed log did not panic")
+	}
+	if got := db.Err(); got != boom {
+		t.Fatalf("Err() = %v after a later append, want the first failure %v", got, boom)
 	}
 	if err := db.Sync(); !errors.Is(err, boom) {
 		t.Fatalf("Sync() = %v, want wrapped %v", err, boom)
 	}
-	if st := db.Stats(); !strings.Contains(st.Err, "disk on fire") {
-		t.Fatalf("Stats().Err = %q, want the recorded error", st.Err)
+	if st := db.Stats(); st.Err != boom.Error() {
+		t.Fatalf("Stats().Err = %q, want the latched error", st.Err)
 	}
 	if err := db.Close(); !errors.Is(err, boom) {
 		t.Fatalf("Close() = %v, want wrapped %v", err, boom)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pmago"
+	"pmago/internal/core"
 	"pmago/internal/obs"
 	"pmago/internal/runs"
 	"pmago/internal/wire"
@@ -152,13 +153,13 @@ func (c *conn) dispatch(req *wire.Request, rt reqTimes) {
 		return
 	}
 	s.m.Requests[op].Inc()
-	errStr := validate(req)
+	err := validate(req)
 	rt.decoded = time.Now()
-	if errStr != "" {
+	if err != nil {
 		c.pending.Add(1)
 		c.inflight.Add(1)
 		s.m.Errors.Inc()
-		c.respondFromReader(&wire.Response{Status: wire.StatusErr, Op: req.Op, ID: req.ID, Err: errStr}, op, rt)
+		c.respondFromReader(&wire.Response{Status: wire.StatusErr, Op: req.Op, ID: req.ID, Err: err.Error()}, op, rt)
 		return
 	}
 	if c.inflight.Add(1) > maxConnInflight {
@@ -216,24 +217,18 @@ func (c *conn) dispatch(req *wire.Request, rt reqTimes) {
 	}
 }
 
-// validate rejects requests the store would panic on: the reserved
-// sentinel keys (KeyMin/KeyMax fence the array internally) and mismatched
-// batch slices (impossible to encode, checked anyway).
-func validate(req *wire.Request) string {
-	sentinel := func(k int64) bool { return k == pmago.KeyMin || k == pmago.KeyMax }
+// validate rejects, with the store's own error, what the store would panic
+// on: a put of a sentinel key (KeyMin/KeyMax fence the array internally) and
+// a batch of mismatched slices (impossible to encode, checked anyway). A
+// delete of a sentinel key reaches the store, which ignores it.
+func validate(req *wire.Request) error {
 	switch req.Op {
-	case wire.OpPut, wire.OpDelete:
-		if sentinel(req.Key) {
-			return "reserved sentinel key"
-		}
-	case wire.OpPutBatch, wire.OpDeleteBatch:
-		for _, k := range req.Keys {
-			if sentinel(k) {
-				return "reserved sentinel key"
-			}
-		}
+	case wire.OpPut:
+		return core.CheckKey(req.Key)
+	case wire.OpPutBatch:
+		return core.CheckBatch(req.Keys, req.Vals)
 	}
-	return ""
+	return nil
 }
 
 // busy sends the explicit backpressure response.

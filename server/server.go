@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"pmago"
+	"pmago/internal/core"
 	"pmago/internal/obs"
 	"pmago/internal/runs"
 	"pmago/internal/wire"
@@ -445,7 +446,8 @@ func (s *Server) committer() {
 // drain is the committer's working state for one drain of the commit queue.
 // The one committer goroutine owns it and resets it per drain — every store
 // call a drain spawns has returned before the next drain starts — so a
-// drain allocates nothing of its own.
+// drain reuses its scratch, and only one of several store calls allocates
+// (their fan-out).
 type drain struct {
 	s                *Server
 	batch            []commitReq
@@ -453,7 +455,6 @@ type drain struct {
 	putErr           error
 	results          []delResult // indexed like batch
 	calls            []int       // the drain's store calls: putCall, or a delete's index in batch
-	wg               sync.WaitGroup
 }
 
 // delResult is one Delete or DeleteBatch's outcome.
@@ -475,8 +476,8 @@ const maxKeptPutKeys = 1 << 14
 // dedup faithful); deletes run as individual concurrent store calls so
 // each op's removed result is exact — their WAL appends still share fsyncs
 // through the log's own group commit. The committer makes one of the
-// drain's store calls itself and spawns goroutines only for the others, so
-// a lone Put or Delete costs no hand-off.
+// drain's store calls itself and fans the others out over a goroutine each
+// (core.Fan), so a lone Put or Delete costs no hand-off and no allocation.
 func (d *drain) apply(batch []commitReq) {
 	s := d.s
 	d.batch, d.putErr = batch, nil
@@ -499,16 +500,13 @@ func (d *drain) apply(batch []commitReq) {
 		d.calls = append(d.calls, putCall)
 	}
 	tApply := time.Now()
-	if last := len(d.calls) - 1; last >= 0 { // an empty PutBatch alone makes no call
-		for _, i := range d.calls[:last] {
-			d.wg.Add(1)
-			go func() {
-				defer d.wg.Done()
-				d.call(i)
-			}()
-		}
-		d.call(d.calls[last])
-		d.wg.Wait()
+	if len(d.calls) == 1 { // the common lone Put or Delete: no fan-out to allocate
+		d.call(d.calls[0])
+	} else { // several calls, or none: an empty PutBatch alone makes no call
+		core.Fan(len(d.calls), len(d.calls), func(j int) error {
+			d.call(d.calls[j])
+			return nil
+		})
 	}
 	// The shared store call is every batched request's apply stage: the
 	// group commit is one WAL record and one fsync, so its cost is the cost
@@ -617,9 +615,9 @@ func (s *Server) recordTrace(op obs.ServerOp, rt reqTimes, end time.Time) {
 	}
 }
 
-// apply runs one store call, converting a panic into an error. The store
-// records WAL failures before panicking, so a sick backend also stays
-// visible through Stats().Err.
+// apply runs one store call, converting a panic into an error. A durable
+// store's log latches a WAL failure before the writer panics, so a sick
+// backend also stays visible through Stats().Err.
 func (s *Server) apply(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

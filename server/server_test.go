@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -471,7 +472,8 @@ func TestStatsOverWire(t *testing.T) {
 }
 
 // TestSentinelKeyRejected checks reserved keys come back as protocol
-// errors, not store panics.
+// errors, not store panics, carrying the store's own message, and that a
+// delete of one is answered as the store answers it.
 func TestSentinelKeyRejected(t *testing.T) {
 	p, err := pmago.New()
 	if err != nil {
@@ -489,6 +491,18 @@ func TestSentinelKeyRejected(t *testing.T) {
 	}
 	if err := cl.Put(pmago.KeyMax, 1); err == nil {
 		t.Fatal("Put(KeyMax) accepted")
+	}
+	if err := cl.PutBatch([]int64{1, pmago.KeyMax}, []int64{1, 1}); err == nil || !strings.Contains(err.Error(), "core: cannot store sentinel key") {
+		t.Fatalf("PutBatch with KeyMax: %v, want the store's rejection", err)
+	}
+	if found, err := cl.Delete(pmago.KeyMin); found || err != nil {
+		t.Fatalf("Delete(KeyMin) = %v, %v; the store answers false, nil", found, err)
+	}
+	if n, err := cl.DeleteBatch([]int64{pmago.KeyMin, pmago.KeyMax}); n != 0 || err != nil {
+		t.Fatalf("DeleteBatch of sentinels = %d, %v; the store answers 0, nil", n, err)
+	}
+	if p.Len() != 0 {
+		t.Fatalf("store holds %d keys after rejected puts", p.Len())
 	}
 	// The connection and store survive the rejection.
 	if err := cl.Put(1, 2); err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pmago/internal/core"
 	"pmago/internal/obs"
 	"pmago/internal/persist"
 	"pmago/internal/placement"
@@ -187,8 +188,8 @@ func NewSharded(opts ...Option) (*Sharded, error) {
 // bulk-loaded concurrently, with BulkLoad's semantics per shard (unsorted
 // input is sorted, duplicate keys collapse to their last occurrence).
 func BulkLoadSharded(keys, vals []int64, opts ...Option) (*Sharded, error) {
-	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("pmago: BulkLoadSharded: %d keys but %d vals", len(keys), len(vals))
+	if err := core.CheckBatch(keys, vals); err != nil {
+		return nil, err
 	}
 	cfg, err := resolveOptions("BulkLoadSharded", opts, false, true)
 	if err != nil {
@@ -210,7 +211,7 @@ func loadSharded(place placement.Placement, cfg config, keys, vals []int64) (*Sh
 	s := newSharded(place)
 	s.mems = make([]*PMA, place.Shards())
 	s.stores = make([]Store, place.Shards())
-	err := eachShard(len(s.stores), func(i int) error {
+	err := core.Fan(len(s.stores), len(s.stores), func(i int) error {
 		p, err := bulkLoadPMA(cfg, partK[i], partV[i])
 		if err != nil {
 			return err
@@ -314,7 +315,7 @@ func OpenSharded(dir string, opts ...Option) (*Sharded, error) {
 	s.dir, s.unlock = dir, unlock
 	s.dbs = make([]*DB, place.Shards())
 	s.stores = make([]Store, place.Shards())
-	err = eachShard(len(s.stores), func(i int) error {
+	err = core.Fan(len(s.stores), len(s.stores), func(i int) error {
 		db, err := openDB(filepath.Join(dir, shardDirName(i)), cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", shardDirName(i), err)
@@ -391,42 +392,6 @@ func (sp shardSplit) parts(src []int64) [][]int64 {
 	return parts
 }
 
-// eachShard runs fn(0) … fn(n-1) concurrently, waits for all of them and
-// joins their errors. Index 0 runs on the caller and every other index on a
-// goroutine of its own. A panic in any index is recovered there, so it
-// cannot kill the process from a spawned goroutine, and once every index has
-// finished the lowest-indexed panic is raised again on the caller.
-func eachShard(n int, fn func(i int) error) error {
-	switch n {
-	case 0:
-		return nil
-	case 1:
-		return fn(0)
-	}
-	errs := make([]error, n)
-	panics := make([]any, n)
-	run := func(i int) {
-		defer func() { panics[i] = recover() }()
-		errs[i] = fn(i)
-	}
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for i := 1; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			run(i)
-		}(i)
-	}
-	run(0)
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	return errors.Join(errs...)
-}
-
 func (s *Sharded) checkOpen() {
 	if s.closed.Load() {
 		panic("pmago: use after Close")
@@ -466,12 +431,12 @@ func (s *Sharded) Delete(k int64) bool {
 // and the split preserves order.
 func (s *Sharded) PutBatch(keys, vals []int64) {
 	s.checkOpen()
-	if len(keys) != len(vals) {
-		panic(fmt.Sprintf("pmago: PutBatch: %d keys but %d vals", len(keys), len(vals)))
+	if err := core.CheckBatch(keys, vals); err != nil {
+		panic(err.Error())
 	}
 	sp := splitByShard(s.place, keys)
 	partK, partV, live := sp.parts(keys), sp.parts(vals), sp.live()
-	eachShard(len(live), func(j int) error {
+	core.Fan(len(live), len(live), func(j int) error {
 		i := live[j]
 		s.routedBatch[i].Add(uint64(len(partK[i])))
 		s.stores[i].PutBatch(partK[i], partV[i])
@@ -487,7 +452,7 @@ func (s *Sharded) DeleteBatch(keys []int64) int {
 	sp := splitByShard(s.place, keys)
 	partK, live := sp.parts(keys), sp.live()
 	var total atomic.Int64
-	eachShard(len(live), func(j int) error {
+	core.Fan(len(live), len(live), func(j int) error {
 		i := live[j]
 		s.routedBatch[i].Add(uint64(len(partK[i])))
 		total.Add(int64(s.stores[i].DeleteBatch(partK[i])))
@@ -500,7 +465,7 @@ func (s *Sharded) DeleteBatch(keys []int64) int {
 // shard.
 func (s *Sharded) Flush() {
 	s.checkOpen()
-	eachShard(len(s.stores), func(i int) error {
+	core.Fan(len(s.stores), len(s.stores), func(i int) error {
 		s.stores[i].Flush()
 		return nil
 	})
@@ -567,7 +532,7 @@ func (s *Sharded) Stats() Stats {
 // must run without concurrent updates.
 func (s *Sharded) Validate() error {
 	s.checkOpen()
-	return eachShard(len(s.stores), func(i int) (err error) {
+	return core.Fan(len(s.stores), len(s.stores), func(i int) (err error) {
 		if err := s.stores[i].Validate(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -588,7 +553,7 @@ func (s *Sharded) Sync() error {
 	if s.dbs == nil {
 		return errors.New("pmago: Sync on a non-durable sharded store")
 	}
-	return eachShard(len(s.dbs), func(i int) error { return s.dbs[i].Sync() })
+	return core.Fan(len(s.dbs), len(s.dbs), func(i int) error { return s.dbs[i].Sync() })
 }
 
 // Snapshot checkpoints every shard (see DB.Snapshot), shards in parallel.
@@ -600,7 +565,7 @@ func (s *Sharded) Snapshot() error {
 	if s.dbs == nil {
 		return errors.New("pmago: Snapshot on a non-durable sharded store")
 	}
-	return eachShard(len(s.dbs), func(i int) error { return s.dbs[i].Snapshot() })
+	return core.Fan(len(s.dbs), len(s.dbs), func(i int) error { return s.dbs[i].Snapshot() })
 }
 
 // WALBytes reports the total live write-ahead-log size across shards (zero
@@ -628,7 +593,7 @@ func (s *Sharded) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	err := eachShard(len(s.stores), func(i int) error {
+	err := core.Fan(len(s.stores), len(s.stores), func(i int) error {
 		if s.dbs != nil {
 			return s.dbs[i].Close()
 		}
