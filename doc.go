@@ -20,8 +20,9 @@
 // blocking writers. Rebalances that would span several gates are delegated
 // to a centralised rebalancer service (one master goroutine, Section 3.3;
 // the master fans a window out over up to Workers goroutines, GOMAXPROCS
-// capped at 8): a writer releases its latch before it submits, and
-// only the master ever holds more than one latch, so none can deadlock.
+// capped at 8, which also fill BulkLoad's chunks): a writer releases its
+// latch before it submits, and only the master ever holds more than one
+// latch, so none can deadlock.
 // Resizes rebuild the whole array behind an atomic state pointer (Section
 // 3.4), and contended writers are decoupled through per-gate combining
 // queues with one-by-one or batch processing (Section 3.5): an uncontended
@@ -59,10 +60,11 @@
 // applied, Snapshot checkpoints a consistent scan into a delta-encoded,
 // checksummed file, and the next Open recovers with one bulk load: the
 // WAL tail (less a record torn by a crash mid-append, which is truncated)
-// is folded into the newest valid snapshot's sorted pairs, each key taking
-// its last logged update, and the result is loaded in one pass. Which
-// acknowledged writes survive a crash depends on
-// the fsync policy (WithFsync):
+// is folded into the newest valid snapshot's sorted pairs (its frames
+// checksummed and decoded in parallel), each key taking its last logged
+// update, and the result is loaded in one pass, its chunks filled in
+// parallel. Which acknowledged writes survive a crash depends on the fsync
+// policy (WithFsync):
 //
 //   - FsyncAlways (default): every write that returned is on stable
 //     storage — a crash loses nothing acknowledged. Concurrent writers

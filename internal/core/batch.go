@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -221,47 +222,48 @@ func searchOps(ops []op, k int64) int {
 // target density — O(n log n) for unsorted input, a single O(n) pass for
 // strictly ascending input — instead of n point inserts with their
 // O(n log² n) total rebalancing work. Ascending input is laid out straight
-// from the caller's slices, which the fill copies and does not retain. The
-// returned PMA is fully started; callers must Close it.
+// from the caller's slices (copied, not retained), each chunk's fill task
+// checking its keys, and the key before them, first. The returned PMA is
+// fully started; callers must Close it.
 func BulkLoad(cfg Config, keys, vals []int64) (*PMA, error) {
-	ascending, err := checkBatch(keys, vals)
-	if err != nil {
-		return nil, err
+	if len(keys) != len(vals) {
+		return nil, CheckBatch(keys, vals) // the length mismatch
 	}
 	p, err := newShell(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ks, vs := keys, vals
-	if !ascending {
+	st, err := p.buildState(p.targetSegs(len(keys)), keys, vals, func(lo, hi int) error {
+		var err error // a sentinel further on still wins
+		for i := lo; i < hi; i++ {
+			if CheckKey(keys[i]) != nil {
+				return errSentinelKey
+			}
+			if i > 0 && keys[i] <= keys[i-1] {
+				err = errUnsorted
+			}
+		}
+		return err
+	})
+	if errors.Is(err, errSentinelKey) {
+		return nil, errSentinelKey
+	}
+	if err != nil { // lay out a sorted, deduplicated copy instead
 		ops := make([]op, len(keys))
 		for i, k := range keys {
 			ops[i] = op{key: k, val: vals[i]}
 		}
 		ops = sortDedupOps(ops)
-		ks, vs = make([]int64, len(ops)), make([]int64, len(ops))
+		ks, vs := make([]int64, len(ops)), make([]int64, len(ops))
 		for i, o := range ops {
 			ks[i], vs[i] = o.key, o.val
 		}
+		st, _ = p.buildState(p.targetSegs(len(ks)), ks, vs, nil)
 	}
-	p.state.Store(p.buildLoadedState(ks, vs))
+	p.state.Store(st)
 	p.startServices()
 	return p, nil
 }
 
-// buildLoadedState lays the sorted unique pairs out across a fresh state
-// whose capacity puts the array at the midpoint of the root thresholds —
-// the same density a resize targets — with an even spread per segment.
-func (p *PMA) buildLoadedState(ks, vs []int64) *state {
-	n := len(ks)
-	numSegs := p.targetSegs(n)
-	st := p.newState(numSegs / p.cfg.SegmentsPerGate)
-	counts := evenCounts(n, numSegs)
-	plans := make([]destPlan, len(st.gates))
-	for i, off := 0, 0; i < len(st.gates); i++ {
-		plans[i] = p.fillChunk(counts[i*st.spg:(i+1)*st.spg], ks[off:], vs[off:])
-		off += plans[i].gcard
-	}
-	p.installState(st, plans, n)
-	return st
-}
+// errUnsorted is BulkLoad's verdict on a key range that does not ascend.
+var errUnsorted = errors.New("core: keys do not ascend")

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -500,5 +502,164 @@ func TestBatchAbsorbsParkedQueue(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chunkImage is everything a gate stores: fences, per-segment metadata and
+// the chunk's slots or block bytes.
+type chunkImage struct {
+	fenceLo, fenceHi int64
+	segCard          [maxSegmentsPerGate]int
+	smin             [maxSegmentsPerGate]int64
+	gcard            int
+	keys, vals       []int64
+	blocks           [][]byte
+}
+
+func imageOf(p *PMA) []chunkImage {
+	st := p.state.Load()
+	img := make([]chunkImage, len(st.gates))
+	for i, g := range st.gates {
+		c := chunkImage{fenceLo: g.fenceLo, fenceHi: g.fenceHi, segCard: g.segCard, smin: g.smin, gcard: g.gcard}
+		if g.buf != nil {
+			c.keys, c.vals = g.buf.keys, g.buf.vals
+		}
+		for _, e := range g.enc {
+			if e == nil {
+				c.blocks = append(c.blocks, nil)
+			} else {
+				c.blocks = append(c.blocks, e.data[:e.n])
+			}
+		}
+		img[i] = c
+	}
+	return img
+}
+
+// sameImage fails unless both stores hold the same chunks, byte for byte.
+func sameImage(t *testing.T, label string, got, want *PMA) {
+	t.Helper()
+	a, b := imageOf(got), imageOf(want)
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d gates, want %d", label, len(a), len(b))
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Fatalf("%s: gate %d differs from the serial fill's", label, i)
+		}
+	}
+}
+
+// TestBulkLoadWorkersBuildOneStore: BulkLoad's chunks are filled in
+// parallel over Workers goroutines, and whatever the count, the store is
+// the one a single worker builds — fences, segment counts and minima, slots
+// or block bytes — in both chunk layouts.
+func TestBulkLoadWorkersBuildOneStore(t *testing.T) {
+	const n = 1<<18 - 333 // no multiple of the segment count: the remainder goes left
+	rng := rand.New(rand.NewSource(50))
+	keys, vals := make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i)*16 + rng.Int63n(16)
+		vals[i] = int64(rng.Uint64())
+	}
+	for _, compressed := range []bool{false, true} {
+		var ref *PMA
+		for _, workers := range []int{1, 2, 3} {
+			cfg := DefaultConfig()
+			cfg.CompressedChunks, cfg.Workers = compressed, workers
+			p, err := BulkLoad(cfg, keys, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			label := fmt.Sprintf("compressed=%v workers=%d", compressed, workers)
+			if err := p.Validate(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if p.Len() != n {
+				t.Fatalf("%s: Len = %d, want %d", label, p.Len(), n)
+			}
+			if ref == nil {
+				// The spread is evenCounts', segment by segment.
+				st := p.state.Load()
+				counts := evenCounts(n, st.numSegs)
+				for i, c := range imageOf(p) {
+					if !slices.Equal(c.segCard[:st.spg], counts[i*st.spg:(i+1)*st.spg]) {
+						t.Fatalf("%s: gate %d segment counts %v, want %v", label, i, c.segCard[:st.spg], counts[i*st.spg:(i+1)*st.spg])
+					}
+				}
+				ref = p
+				continue
+			}
+			sameImage(t, label, p, ref)
+		}
+	}
+}
+
+// TestBulkLoadCheckSeams puts a sentinel, a duplicate or a descending key
+// at every seam the parallel check has — the first and last key of each
+// chunk's range — and in the middle of each range. At every worker count a
+// sentinel is refused with the sentinel error, and any other input loads
+// as the sorted, deduplicated store, byte for byte the one a single worker
+// builds.
+func TestBulkLoadCheckSeams(t *testing.T) {
+	const n = 512
+	base, vals := make([]int64, n), make([]int64, n)
+	for i := range base {
+		base[i], vals[i] = int64(i)*4+2, int64(i)
+	}
+	for _, cfg := range []Config{testConfig(ModeSync), testConfigC(ModeSync)} {
+		cfg.Workers = 1
+		ref, err := BulkLoad(cfg, base, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at []int // range starts, range ends and midpoints
+		off := 0
+		for _, g := range ref.state.Load().gates {
+			if g.gcard > 0 {
+				at = append(at, off, off+g.gcard/2, off+g.gcard-1)
+			}
+			off += g.gcard
+		}
+		ref.Close()
+		if len(at) < 3*16 {
+			t.Fatalf("only %d seams: the store is too small to split", len(at))
+		}
+		for _, pos := range at {
+			prev := int64(0)
+			if pos > 0 {
+				prev = base[pos-1]
+			}
+			for _, bad := range []int64{KeyMin, KeyMax, prev, prev - 3} {
+				keys := slices.Clone(base)
+				keys[pos] = bad
+				model := map[int64]int64{}
+				for i, k := range keys {
+					model[k] = vals[i]
+				}
+				var loaded []*PMA
+				for _, workers := range []int{1, 2, 3} {
+					cfg.Workers = workers
+					label := fmt.Sprintf("compressed=%v workers=%d key[%d]=%d", cfg.CompressedChunks, workers, pos, bad)
+					p, err := BulkLoad(cfg, keys, vals)
+					if bad == KeyMin || bad == KeyMax {
+						if err == nil || err.Error() != "core: cannot store sentinel key" {
+							t.Fatalf("%s: err = %v, want the sentinel error", label, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					loaded = append(loaded, p)
+					checkAgainstModel(t, p, model, label)
+					sameImage(t, label, p, loaded[0])
+				}
+				for _, p := range loaded {
+					p.Close()
+				}
+			}
+		}
 	}
 }

@@ -518,7 +518,8 @@ type chunkBuf struct {
 }
 
 func newChunkBuf(slots int) *chunkBuf {
-	return &chunkBuf{keys: make([]int64, slots), vals: make([]int64, slots)}
+	kv := make([]int64, 2*slots) // one allocation: the allocator's cost is per object
+	return &chunkBuf{keys: kv[:slots:slots], vals: kv[slots:]}
 }
 
 // destPlan is the fully built replacement content for one gate, produced by

@@ -105,9 +105,9 @@ type Config struct {
 	// gate in ModeBatch (the paper evaluates 0-800ms, default 100ms).
 	TDelay time.Duration
 	// Workers bounds the goroutines, the caller's included, that a
-	// rebalance or resize fans its window out over and that a batch is
-	// applied by (the paper's 8 workers, matching its cores). Defaults to
-	// GOMAXPROCS capped at 8.
+	// rebalance or resize fans its window out over, that BulkLoad fills and
+	// checks its chunks with and that a batch is applied by (the paper's 8
+	// workers, matching its cores). Defaults to GOMAXPROCS capped at 8.
 	Workers int
 	// CompressedChunks stores each segment delta-encoded (cgate.go) instead
 	// of as fixed 16-byte slots: ~2-4x less memory for dense key runs, at
@@ -240,7 +240,8 @@ func New(cfg Config) (*PMA, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.state.Store(p.buildLoadedState(nil, nil)) // one gate, empty chunk
+	st, _ := p.buildState(p.targetSegs(0), nil, nil, nil) // one gate, empty chunk
+	p.state.Store(st)
 	p.startServices()
 	return p, nil
 }
@@ -291,8 +292,8 @@ func MustNew(cfg Config) *PMA {
 }
 
 // newState builds an empty state with the given number of gates and no
-// chunk storage: its builder (resize, buildLoadedState) installs a built
-// chunk in every gate before publishing it (installState).
+// chunk storage: buildState installs a built chunk in every gate before
+// the state is published.
 func (p *PMA) newState(numGates int) *state {
 	st := &state{
 		p:       p,

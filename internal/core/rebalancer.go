@@ -352,8 +352,7 @@ func (r *rebalancer) process(req *request) []op {
 
 // fillChunk builds a fresh chunk laid out per segCounts from the leading
 // sorted pairs of ks/vs and derives the chunk metadata; it consumes the
-// plan's gcard pairs. It is shared by the rebalancer's fan-out and by
-// BulkLoad's direct construction.
+// plan's gcard pairs. fillPlans runs it once per chunk.
 func (p *PMA) fillChunk(segCounts []int, ks, vs []int64) destPlan {
 	pl := p.newPlan(len(segCounts))
 	sc := p.cctx.get()
@@ -380,6 +379,32 @@ func (p *PMA) fillChunk(segCounts []int, ks, vs []int64) destPlan {
 	return pl
 }
 
+// fillPlans spreads the sorted pairs of ks/vs over numSegs segments as
+// evenCounts does and fills one chunk per spg of them in parallel (Fan over
+// Workers). check, when set, vets a chunk's keys ks[lo:hi] in its task
+// first: a refused chunk stays unbuilt and the errors are joined.
+func (p *PMA) fillPlans(numSegs int, ks, vs []int64, check func(lo, hi int) error) ([]destPlan, error) {
+	spg := p.cfg.SegmentsPerGate
+	base, rem := len(ks)/numSegs, len(ks)%numSegs
+	start := func(s int) int { return s*base + min(s, rem) } // segment s's first pair
+	plans := make([]destPlan, numSegs/spg)
+	err := Fan(len(plans), p.cfg.Workers, func(i int) error {
+		lo := start(i * spg)
+		if check != nil {
+			if err := check(lo, start((i+1)*spg)); err != nil {
+				return err
+			}
+		}
+		var counts [maxSegmentsPerGate]int
+		for j := range spg {
+			counts[j] = start(i*spg+j+1) - start(i*spg+j)
+		}
+		plans[i] = p.fillChunk(counts[:spg], ks[lo:], vs[lo:])
+		return nil
+	})
+	return plans, err
+}
+
 // executeRebalance redistributes gates [glo, ghi) evenly (the traditional
 // policy used for all global rebalances), merging the batch inserts in: it
 // materialises (existing ∪ inserts) into scratch in parallel per source gate,
@@ -402,7 +427,7 @@ func (r *rebalancer) executeRebalance(st *state, glo, ghi int, ins []op) (stray 
 		before += st.gates[i].gcard
 	}
 	total := r.materialize(st, glo, ghi, ins, nil)
-	plans := r.fillPlans(evenCounts(total, (ghi-glo)*st.spg))
+	plans, _ := r.p.fillPlans((ghi-glo)*st.spg, r.scratchK, r.scratchV, nil) // materialize cut them to total
 	st.card.Add(int64(total - before))
 
 	window := st.gates[glo:ghi]
@@ -426,26 +451,6 @@ func (r *rebalancer) executeRebalance(st *state, glo, ghi int, ins []op) (stray 
 		h.mu.Unlock()
 	}
 	return stray
-}
-
-// fillPlans builds the destination chunks of a rebalance or resize in
-// parallel, one per spg segment counts, from the sorted pairs materialize
-// left in the master's scratch arrays.
-func (r *rebalancer) fillPlans(counts []int) []destPlan {
-	spg := r.p.cfg.SegmentsPerGate
-	plans := make([]destPlan, len(counts)/spg)
-	offsets := make([]int, len(plans))
-	for i, off := 0, 0; i < len(plans); i++ {
-		offsets[i] = off
-		for _, c := range counts[i*spg : (i+1)*spg] {
-			off += c
-		}
-	}
-	Fan(len(plans), r.p.cfg.Workers, func(i int) error {
-		plans[i] = r.p.fillChunk(counts[i*spg:(i+1)*spg], r.scratchK[offsets[i]:], r.scratchV[offsets[i]:])
-		return nil
-	})
-	return plans
 }
 
 // materialize merges each source gate's elements with its slice of the
@@ -569,12 +574,7 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 		newSegs = max(newSegs, st.numSegs)
 	}
 
-	newSt := p.newState(newSegs / st.spg)
-	plans := r.fillPlans(evenCounts(total, newSegs))
-
-	// Install plans and fences on the new state (not yet visible).
-	p.installState(newSt, plans, total)
-
+	newSt, _ := p.buildState(newSegs, r.scratchK, r.scratchV, nil) // not yet visible
 	p.state.Store(newSt)
 
 	// Invalidate and release the old gates; waiting clients observe the
@@ -603,13 +603,18 @@ func (r *rebalancer) resize(st *state, heldLo, heldHi int, ins []op, grow bool) 
 	p.metrics.StallWindow.ObserveAt(now.UnixNano(), uint64(d))
 }
 
-// installState wires freshly built chunk plans into a not-yet-published
-// state — one window over all of it, whose outer boundaries newState set (no
-// rebalance has run in it, so no tdelay stamp) — and sets its cardinality.
-// Shared by resize and BulkLoad's direct construction.
-func (p *PMA) installState(st *state, plans []destPlan, total int) {
+// buildState spreads the sorted unique pairs of ks/vs evenly over a fresh,
+// unpublished state of numSegs segments (fillPlans, passing check on) and
+// wires the chunks in as one window whose outer boundaries newState set.
+func (p *PMA) buildState(numSegs int, ks, vs []int64, check func(lo, hi int) error) (*state, error) {
+	st := p.newState(numSegs / p.cfg.SegmentsPerGate)
+	plans, err := p.fillPlans(numSegs, ks, vs, check)
+	if err != nil {
+		return nil, err
+	}
 	p.publish(st, 0, len(st.gates), plans, 0) // newState left every gate without storage
-	st.card.Store(int64(total))
+	st.card.Store(int64(len(ks)))
+	return st, nil
 }
 
 // targetSegs is the power-of-two segment count that puts n elements at the

@@ -22,24 +22,15 @@ func CheckKey(k int64) error {
 // value per key and no sentinel key. PutBatch panics with the error's text
 // before it applies any pair.
 func CheckBatch(keys, vals []int64) error {
-	_, err := checkBatch(keys, vals)
-	return err
-}
-
-// checkBatch is CheckBatch, also reporting whether the keys ascend strictly:
-// BulkLoad learns both in one pass.
-func checkBatch(keys, vals []int64) (ascending bool, err error) {
 	if len(keys) != len(vals) {
-		return false, fmt.Errorf("core: batch of %d keys but %d values", len(keys), len(vals))
+		return fmt.Errorf("core: batch of %d keys but %d values", len(keys), len(vals))
 	}
-	ascending = true
-	for i, k := range keys {
-		if k == KeyMin || k == KeyMax {
-			return false, errSentinelKey
+	for _, k := range keys {
+		if err := CheckKey(k); err != nil {
+			return err
 		}
-		ascending = ascending && (i == 0 || k > keys[i-1])
 	}
-	return ascending, nil
+	return nil
 }
 
 // op is one pending update, as stored in a combining queue.

@@ -135,3 +135,46 @@ func BenchmarkPutBatchClustered(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBulkLoad prices BulkLoad of 2^22 ascending pairs with random
+// 64-bit values, the benchmark module's preload, per chunk layout: the
+// chunk fill and its key check run over Workers goroutines (GOMAXPROCS
+// capped at 8, so -cpu sets them). As the benchmark module's set-up does,
+// each load runs while the previous store is still alive. Reports ns/pair.
+func BenchmarkBulkLoad(b *testing.B) {
+	const n = 1 << 22
+	rng := rand.New(rand.NewSource(22))
+	keys, vals := make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i)*16 + 2*rng.Int63n(8)
+		vals[i] = int64(rng.Uint64())
+	}
+	for _, compressed := range []bool{false, true} {
+		name := "slots"
+		if compressed {
+			name = "blocks"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.CompressedChunks = compressed
+			var prev *PMA
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := BulkLoad(cfg, keys, vals)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if prev != nil {
+					prev.Close()
+				}
+				prev = p
+				b.StartTimer()
+			}
+			b.StopTimer()
+			prev.Close()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/pair")
+		})
+	}
+}

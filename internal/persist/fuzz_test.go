@@ -1,8 +1,14 @@
 package persist
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"pmago/internal/codec"
@@ -126,14 +132,22 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(valid(10))
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
+	f.Add(snapOf(5, [][]int64{{1, 2}, {3}, {4, 5}, {6}, {7}, {8}, {9}, {10, 11}}, 11))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), snapName(1))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		keys, vals, _, err := LoadSnapshot(path)
+		keys, vals, seq, err := LoadSnapshot(path)
+		rk, rv, rseq, rerr := loadSnapshotSerial(data, snapName(1))
+		if fmt.Sprint(err) != fmt.Sprint(rerr) {
+			t.Fatalf("LoadSnapshot: %v; serial reference: %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if seq != rseq || !slices.Equal(keys, rk) || !slices.Equal(vals, rv) {
+			t.Fatalf("LoadSnapshot read %d pairs at seq %d, the serial reference %d at %d", len(keys), seq, len(rk), rseq)
 		}
 		if len(keys) != len(vals) {
 			t.Fatalf("accepted snapshot with %d keys / %d vals", len(keys), len(vals))
@@ -144,4 +158,143 @@ func FuzzLoadSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// loadSnapshotSerial is the specification LoadSnapshot's parallel decode is
+// held to: one walk over the frames in file order, each block checksummed,
+// decoded and checked against the previous block's last key as it is
+// reached, the first fault ending the walk.
+func loadSnapshotSerial(data []byte, name string) (keys, vals []int64, walSeq uint64, err error) {
+	if len(data) < len(snapMagic)+8 || string(data[:len(snapMagic)]) != snapMagic {
+		return nil, nil, 0, fmt.Errorf("persist: %s: bad snapshot magic", name)
+	}
+	walSeq = binary.LittleEndian.Uint64(data[len(snapMagic):])
+	t := data[len(data)-13:]
+	trailerOK := t[0] == frameTrailer && crc32.Checksum(t[1:9], codec.CRC32C) == binary.LittleEndian.Uint32(t[9:])
+	for p := data[len(snapMagic)+8:]; ; {
+		if len(p) == 0 {
+			return nil, nil, 0, fmt.Errorf("persist: %s: missing trailer", name)
+		}
+		switch p[0] {
+		case frameBlock:
+			payload, ok := codec.NextFrame(p[1:], maxRecordBytes)
+			if !ok {
+				return nil, nil, 0, fmt.Errorf("persist: %s: bad block frame", name)
+			}
+			before := len(keys)
+			keys, vals, err = decodeSnapBlock(payload, keys, vals)
+			if err != nil {
+				return nil, nil, 0, fmt.Errorf("persist: %s: %w", name, err)
+			}
+			if before > 0 && keys[before] <= keys[before-1] {
+				return nil, nil, 0, fmt.Errorf("persist: %s: block keys out of order", name)
+			}
+			p = p[1+codec.FrameHeader+len(payload):]
+		case frameTrailer:
+			if len(p) != 13 || !trailerOK {
+				return nil, nil, 0, fmt.Errorf("persist: %s: bad trailer", name)
+			}
+			if want := binary.LittleEndian.Uint64(p[1:]); want != uint64(len(keys)) {
+				return nil, nil, 0, fmt.Errorf("persist: %s: count mismatch: trailer %d, blocks %d", name, want, len(keys))
+			}
+			return keys, vals, walSeq, nil
+		default:
+			return nil, nil, 0, fmt.Errorf("persist: %s: unknown frame %d", name, p[0])
+		}
+	}
+}
+
+// snapOf builds a snapshot file from the given blocks (values are the
+// negated keys) with count in its trailer.
+func snapOf(walSeq uint64, blocks [][]int64, count uint64) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte(snapMagic), walSeq)
+	for _, ks := range blocks {
+		vs := make([]int64, len(ks))
+		for i, k := range ks {
+			vs[i] = -k
+		}
+		b = encodeSnapBlock(b, ks, vs)
+	}
+	b = binary.LittleEndian.AppendUint64(append(b, frameTrailer), count)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(b)-8:], codec.CRC32C))
+}
+
+// TestLoadSnapshotFaults holds LoadSnapshot to its serial reference on
+// files of ten blocks with one fault each, where the fault decides which
+// frame a parallel decode must blame.
+func TestLoadSnapshotFaults(t *testing.T) {
+	blocks := make([][]int64, 10)
+	for i := range blocks {
+		blocks[i] = []int64{int64(10 * i), int64(10*i + 3), int64(10*i + 7)}
+	}
+	good := snapOf(9, blocks, 30)
+	// frames[i] is the offset of block i's kind byte.
+	var frames []int
+	for off := len(snapMagic) + 8; good[off] == frameBlock; {
+		frames = append(frames, off)
+		n, _ := codec.ParseFrameHeader(good[off+1:])
+		off += 1 + codec.FrameHeader + int(n)
+	}
+	flipPayload := func(i int) []byte {
+		b := slices.Clone(good)
+		b[frames[i]+1+codec.FrameHeader+1] ^= 0x40
+		return b
+	}
+	disordered := slices.Clone(blocks)
+	disordered[5] = []int64{47, 48} // block 4 ends at 47
+	forged := slices.Clone(good)
+	// Block 3 claims 2^28 pairs in a five-byte uvarint: a frame with a valid
+	// checksum whose count no placement may trust.
+	{
+		var p []byte
+		p = codec.AppendUvarint(p, 1<<28)
+		p = append(p, 0x10, 0x06, 0x08, 0x06, 0x05, 0x07)
+		head := good[:frames[3]]
+		tail := good[frames[4]:]
+		forged = append(slices.Clone(head), frameBlock)
+		forged = codec.AppendFrame(forged, func(b []byte) []byte { return append(b, p...) })
+		forged = append(forged, tail...)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want string // in the error; "" = loads
+	}{
+		{"valid", good, ""},
+		{"crc first", flipPayload(0), "bad block frame"},
+		{"crc middle", flipPayload(5), "bad block frame"},
+		{"crc last", flipPayload(9), "bad block frame"},
+		{"crc middle and last", flipPayload(5)[:len(good)-3], "bad block frame"},
+		{"disordered", snapOf(9, disordered, 29), "block keys out of order"},
+		{"count above", snapOf(9, blocks, 31), "count mismatch: trailer 31, blocks 30"},
+		{"count below", snapOf(9, blocks, 29), "count mismatch: trailer 29, blocks 30"},
+		{"forged count", forged, codec.ErrCount.Error()},
+		{"truncated", good[:frames[7]+5], "bad block frame"},
+		{"no trailer", good[:frames[9]], "missing trailer"},
+		{"trailer kind alone", good[:len(good)-12], "bad trailer"},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		path := filepath.Join(dir, snapName(1))
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		keys, _, seq, err := LoadSnapshot(path)
+		runtime.ReadMemStats(&m1)
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a %d-byte file", c.name, alloc, len(c.data))
+		}
+		_, _, _, rerr := loadSnapshotSerial(c.data, snapName(1))
+		if fmt.Sprint(err) != fmt.Sprint(rerr) {
+			t.Errorf("%s: LoadSnapshot: %v; serial reference: %v", c.name, err, rerr)
+		}
+		switch {
+		case c.want == "" && (err != nil || seq != 9 || len(keys) != 30):
+			t.Errorf("%s: %d pairs at seq %d, err %v; want 30 at 9", c.name, len(keys), seq, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err %v, want %q", c.name, err, c.want)
+		}
+	}
 }

@@ -7,11 +7,13 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
 
 	"pmago/internal/codec"
+	"pmago/internal/core"
 )
 
 // Snapshot wire format. A snapshot is one consistent full scan of the
@@ -153,73 +155,114 @@ func encodeSnapBlock(b []byte, keys, vals []int64) []byte {
 
 // LoadSnapshot reads and fully validates a snapshot file, returning its
 // sorted pairs and the WAL segment recovery must replay from. Any checksum,
-// framing, ordering or count mismatch invalidates the whole file.
+// framing, ordering or count mismatch invalidates the whole file; the fault
+// reported is the first in file order.
+//
+// One serial walk reads each frame's kind and length and each block's
+// leading pair count, whose prefix sums give every block its place in one
+// output allocation. The blocks' checksums and decodes then run in parallel
+// (core.Fan over GOMAXPROCS), and the key order across block boundaries and
+// the trailer's count are checked after.
 func LoadSnapshot(path string) (keys, vals []int64, walSeq uint64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	name := filepath.Base(path)
 	if len(data) < len(snapMagic)+8 || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, nil, 0, fmt.Errorf("persist: %s: bad snapshot magic", filepath.Base(path))
+		return nil, nil, 0, fmt.Errorf("persist: %s: bad snapshot magic", name)
 	}
 	walSeq = binary.LittleEndian.Uint64(data[len(snapMagic):])
-	// Presize from the trailer's count when its checksum holds. Every
-	// encoded pair takes at least 2 bytes, so capping the count at half
-	// the file keeps a forged one from forcing a large allocation; the
-	// frame walk below still decides whether the file is valid, and that
-	// the trailer it ends on is this one.
-	t := data[len(data)-13:]
-	trailerOK := t[0] == frameTrailer && crc32.Checksum(t[1:9], codec.CRC32C) == binary.LittleEndian.Uint32(t[9:])
-	if trailerOK {
-		n := min(binary.LittleEndian.Uint64(t[1:]), uint64(len(data)/2))
-		keys, vals = make([]int64, 0, n), make([]int64, 0, n)
+	type block struct {
+		frame  []byte // the codec frame after the kind byte
+		lo, hi int    // its pairs' place in the output
 	}
-	p := data[len(snapMagic)+8:]
-	for {
-		if len(p) == 0 {
-			return nil, nil, 0, fmt.Errorf("persist: %s: missing trailer", filepath.Base(path))
-		}
-		switch p[0] {
-		case frameBlock:
-			payload, ok := codec.NextFrame(p[1:], maxRecordBytes)
-			if !ok {
-				return nil, nil, 0, fmt.Errorf("persist: %s: bad block frame", filepath.Base(path))
+	var (
+		blocks  []block
+		total   int
+		trailer uint64
+		walkErr error // the framing fault that ended the walk, if any
+	)
+walk:
+	for p := data[len(snapMagic)+8:]; ; {
+		switch {
+		case len(p) == 0:
+			walkErr = fmt.Errorf("persist: %s: missing trailer", name)
+			break walk
+		case p[0] == frameBlock:
+			var n uint32 // NextFrame's bounds, without the checksum
+			if len(p) >= 1+codec.FrameHeader {
+				n, _ = codec.ParseFrameHeader(p[1:])
 			}
-			before := len(keys)
-			keys, vals, err = decodeSnapBlock(payload, keys, vals)
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("persist: %s: %w", filepath.Base(path), err)
+			if n == 0 || int64(n) > int64(min(maxRecordBytes, len(p)-1-codec.FrameHeader)) {
+				walkErr = fmt.Errorf("persist: %s: bad block frame", name)
+				break walk
 			}
-			if before > 0 && keys[before] <= keys[before-1] {
-				return nil, nil, 0, fmt.Errorf("persist: %s: block keys out of order", filepath.Base(path))
+			frame := p[1 : 1+codec.FrameHeader+int(n)]
+			// A count the decoder refuses places nothing: that block's
+			// task reports it, or the bad checksum that hides it.
+			c, cn := codec.Uvarint(frame[codec.FrameHeader:], 0)
+			if cn == 0 || c > uint64(maxSnapBlockPairs(int(n))) {
+				c = 0
 			}
-			p = p[1+codec.FrameHeader+len(payload):]
-		case frameTrailer:
-			if len(p) != 13 || !trailerOK {
-				return nil, nil, 0, fmt.Errorf("persist: %s: bad trailer", filepath.Base(path))
+			blocks = append(blocks, block{frame, total, total + int(c)})
+			total += int(c)
+			p = p[len(frame)+1:]
+		case p[0] == frameTrailer:
+			if len(p) == 13 && crc32.Checksum(p[1:9], codec.CRC32C) == binary.LittleEndian.Uint32(p[9:]) {
+				trailer = binary.LittleEndian.Uint64(p[1:])
+			} else {
+				walkErr = fmt.Errorf("persist: %s: bad trailer", name)
 			}
-			if want := binary.LittleEndian.Uint64(p[1:]); want != uint64(len(keys)) {
-				return nil, nil, 0, fmt.Errorf("persist: %s: count mismatch: trailer %d, blocks %d",
-					filepath.Base(path), want, len(keys))
-			}
-			return keys, vals, walSeq, nil
+			break walk
 		default:
-			return nil, nil, 0, fmt.Errorf("persist: %s: unknown frame %d", filepath.Base(path), p[0])
+			walkErr = fmt.Errorf("persist: %s: unknown frame %d", name, p[0])
+			break walk
 		}
 	}
+	keys, vals = make([]int64, total), make([]int64, total)
+	errs := make([]error, len(blocks))
+	core.Fan(len(blocks), runtime.GOMAXPROCS(0), func(i int) error {
+		b := blocks[i]
+		if payload, ok := codec.NextFrame(b.frame, maxRecordBytes); !ok {
+			errs[i] = fmt.Errorf("persist: %s: bad block frame", name)
+		} else if _, _, err := decodeSnapBlock(payload, keys[b.lo:b.lo:b.hi], vals[b.lo:b.lo:b.hi]); err != nil {
+			errs[i] = fmt.Errorf("persist: %s: %w", name, err)
+		}
+		return nil
+	})
+	for i, b := range blocks {
+		if errs[i] != nil {
+			return nil, nil, 0, errs[i]
+		}
+		if b.lo > 0 && keys[b.lo] <= keys[b.lo-1] {
+			return nil, nil, 0, fmt.Errorf("persist: %s: block keys out of order", name)
+		}
+	}
+	if walkErr != nil {
+		return nil, nil, 0, walkErr
+	}
+	if trailer != uint64(total) {
+		return nil, nil, 0, fmt.Errorf("persist: %s: count mismatch: trailer %d, blocks %d", name, trailer, total)
+	}
+	return keys, vals, walSeq, nil
 }
 
 // decodeSnapBlock delegates to the shared hardened decoder; the key-delta
 // overflow check and all other consistency rules live in internal/codec
 // (this used to be a duplicated copy of the core's decoder). A decode error
 // invalidates the whole snapshot, so the partially-appended pairs codec may
-// leave behind are discarded by the caller. A pair takes two bytes at least,
-// so the block's own length bounds its count: the decoder sizes its output by
-// the count before reading the pairs, and a few bytes claiming 2^29 pairs
-// would otherwise cost a 4 GiB allocation.
+// leave behind are discarded by the caller.
 func decodeSnapBlock(p []byte, keys, vals []int64) ([]int64, []int64, error) {
-	return codec.DecodeBlock(p, keys, vals, min(maxRecordBytes, len(p))/2)
+	return codec.DecodeBlock(p, keys, vals, maxSnapBlockPairs(len(p)))
 }
+
+// maxSnapBlockPairs bounds the pair count of an n-byte block payload. A pair
+// takes two bytes at least, so the block's own length bounds its count: the
+// decoder, and LoadSnapshot's placement, size the output by the count before
+// reading the pairs, and a few bytes claiming 2^29 pairs would otherwise
+// cost a 4 GiB allocation.
+func maxSnapBlockPairs(n int) int { return min(maxRecordBytes, n) / 2 }
 
 // RemoveSnapshotsBefore deletes snapshots older than seq; called after the
 // snapshot at seq is durable. Best-effort, like WAL truncation.

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -402,6 +403,9 @@ func (s *Sharded) checkOpen() {
 // owning shard; durable per DB's contract when opened with OpenSharded).
 func (s *Sharded) Put(k, v int64) {
 	s.checkOpen()
+	if err := core.CheckKey(k); err != nil {
+		panic(err.Error())
+	}
 	i := s.place.Shard(k)
 	s.routedOps[i].Inc()
 	s.stores[i].Put(k, v)
@@ -415,9 +419,13 @@ func (s *Sharded) Get(k int64) (int64, bool) {
 	return s.stores[i].Get(k)
 }
 
-// Delete removes k, reporting whether an element was removed.
+// Delete removes k, reporting whether an element was removed. A sentinel
+// key is never stored, so it reaches no shard and removes nothing.
 func (s *Sharded) Delete(k int64) bool {
 	s.checkOpen()
+	if core.CheckKey(k) != nil {
+		return false
+	}
 	i := s.place.Shard(k)
 	s.routedOps[i].Inc()
 	return s.stores[i].Delete(k)
@@ -446,7 +454,8 @@ func (s *Sharded) PutBatch(keys, vals []int64) {
 
 // DeleteBatch removes all given keys, partitioned and applied per shard like
 // PutBatch, and returns the exact total number of elements removed (shards
-// hold disjoint key sets, so per-shard exact counts sum exactly).
+// hold disjoint key sets, so per-shard exact counts sum exactly). Sentinel
+// keys are dropped from each shard's portion, uncounted.
 func (s *Sharded) DeleteBatch(keys []int64) int {
 	s.checkOpen()
 	sp := splitByShard(s.place, keys)
@@ -454,6 +463,7 @@ func (s *Sharded) DeleteBatch(keys []int64) int {
 	var total atomic.Int64
 	core.Fan(len(live), len(live), func(j int) error {
 		i := live[j]
+		partK[i] = slices.DeleteFunc(partK[i], func(k int64) bool { return core.CheckKey(k) != nil })
 		s.routedBatch[i].Add(uint64(len(partK[i])))
 		total.Add(int64(s.stores[i].DeleteBatch(partK[i])))
 		return nil

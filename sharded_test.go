@@ -470,6 +470,7 @@ func TestShardedScanBesideWriter(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+	s.Flush() // a ModeBatch update may still be in flight: Validate wants none
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -1108,4 +1109,43 @@ func TestShardedUseAfterClose(t *testing.T) {
 	mustPanic(t, "pmago: use after Close", func() { s.Put(3, 4) })
 	mustPanic(t, "pmago: use after Close", func() { s.ScanAll(func(k, v int64) bool { return true }) })
 	mustPanic(t, "pmago: use after Close", func() { s.Len() })
+}
+
+// TestShardedCountsOnlyWhatShardsDo: Stats().Shards counts the point ops
+// and batch keys a shard acted on. A sentinel key is refused or ignored
+// before any shard sees it, so it counts nowhere.
+func TestShardedCountsOnlyWhatShardsDo(t *testing.T) {
+	s, err := NewSharded(WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	func() {
+		defer func() {
+			if r := recover(); r != "core: cannot store sentinel key" {
+				t.Fatalf("Put(KeyMax) panicked with %v, want the sentinel error", r)
+			}
+		}()
+		s.Put(KeyMax, 1)
+	}()
+	if s.Delete(KeyMin) {
+		t.Fatal("Delete(KeyMin) removed an element")
+	}
+	if n := s.DeleteBatch([]int64{KeyMin, KeyMax}); n != 0 {
+		t.Fatalf("DeleteBatch of sentinels removed %d elements", n)
+	}
+	for i, sh := range s.Stats().Shards {
+		if sh.Ops != 0 || sh.BatchKeys != 0 {
+			t.Fatalf("shard %d counted %d ops and %d batch keys for sentinels", i, sh.Ops, sh.BatchKeys)
+		}
+	}
+	s.Put(5, 5)
+	s.DeleteBatch([]int64{KeyMin, 5, 6, KeyMax})
+	var ops, batch uint64
+	for _, sh := range s.Stats().Shards {
+		ops, batch = ops+sh.Ops, batch+sh.BatchKeys
+	}
+	if ops != 1 || batch != 2 {
+		t.Fatalf("shards counted %d ops and %d batch keys, want 1 and 2", ops, batch)
+	}
 }
